@@ -14,27 +14,62 @@ type block = {
   hash : string;
 }
 
+(* The block header the miner hashes. [mine_batch] writes the same bytes
+   into its scratch in place; this is the definition the tests compare
+   it against. *)
 let header ~index ~prev_hash ~nonce =
   Bytes.of_string (Printf.sprintf "%d|%s|%d" index prev_hash nonce)
-
-let pow_hash data =
-  (* bitcoin-style double SHA-256 *)
-  let first, b1 = Sha256.digest_with_blocks data in
-  let second, b2 = Sha256.digest_with_blocks first in
-  (second, (b1 + b2) * Sha256.cycles_per_block)
 
 let digits n = if n = 0 then 1 else
   let rec go n acc = if n = 0 then acc else go (n / 10) (acc + 1) in
   go n 0
 
+(* Writes [n]'s decimal digits (n >= 0) into [buf] at [off]; returns
+   how many. *)
+let put_digits buf off n =
+  let len = digits n in
+  let rest = ref n in
+  for i = len - 1 downto 0 do
+    Bytes.set buf (off + i) (Char.unsafe_chr (48 + (!rest mod 10)));
+    rest := !rest / 10
+  done;
+  len
+
 (* Virtual cost of double-hashing [header ~index ~prev_hash ~nonce]
    without building the header: the first round covers
    digits(index) + "|" + prev_hash + "|" + digits(nonce) bytes, the
-   second the 32-byte digest. Must agree with [pow_hash]'s count. *)
+   second the 32-byte digest. Must agree with [digest_with_blocks]'s
+   block counts on the real header (a property in test_user). *)
 let hash_cycles ~index ~prev_len ~nonce =
   let len = digits index + 1 + prev_len + 1 + digits nonce in
   (Sha256.blocks_of_length len + Sha256.blocks_of_length 32)
   * Sha256.cycles_per_block
+
+(* The first nonce in [n0, n0 + batch) whose bitcoin-style double
+   SHA-256 of [header ~index ~prev_hash ~nonce] has at least
+   [difficulty] leading zero bits, with that hash in hex. Runs inside an
+   offload thunk, possibly on a pool domain, so the scratch is
+   allocated here, per call: "index|prev_hash|" is written once, each
+   nonce rewrites only its own digits, and nothing else allocates until
+   a winner's digest is rendered. *)
+let mine_batch ~index ~prev_hash ~difficulty ~n0 ~batch =
+  let di = digits index and plen = String.length prev_hash in
+  let prefix = di + 1 + plen + 1 in
+  let s = Sha256.scratch (prefix + digits (n0 + batch - 1)) in
+  ignore (put_digits s.Sha256.msg 0 index);
+  Bytes.set s.Sha256.msg di '|';
+  Bytes.blit_string prev_hash 0 s.Sha256.msg (di + 1) plen;
+  Bytes.set s.Sha256.msg (prefix - 1) '|';
+  let rec scan n =
+    if n >= n0 + batch then None
+    else begin
+      Sha256.double s (prefix + put_digits s.Sha256.msg prefix n);
+      if Sha256.zero_bits s >= difficulty then
+        Some (n, Sha256.hex (Sha256.result s))
+      else scan (n + 1)
+    end
+  in
+  scan n0
 
 (* argv: blockchain [threads] [difficulty_bits] [blocks] *)
 let main _env argv =
@@ -77,15 +112,7 @@ let main _env argv =
             done;
             let best =
               Usys.offload !cycles (fun () ->
-                  let best = ref None in
-                  for n = n0 to n0 + batch - 1 do
-                    let digest, _ = pow_hash (header ~index ~prev_hash ~nonce:n) in
-                    if
-                      !best = None
-                      && Sha256.leading_zero_bits digest >= difficulty
-                    then best := Some (n, Sha256.hex digest)
-                  done;
-                  !best)
+                  mine_batch ~index ~prev_hash ~difficulty ~n0 ~batch)
             in
             hashes := !hashes + batch;
             nonce := n0 + batch;

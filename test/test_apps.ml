@@ -174,7 +174,13 @@ let blockchain_mines () =
     let rec at i = i + n <= m && (String.equal (String.sub out i n) needle || at (i + 1)) in
     at 0
   in
-  check_bool "blocks reported" true (has "block 1");
+  (* the exact chain pins the hash itself: the perf workloads mine at a
+     difficulty that never finds a block. Block 2's header
+     ("2|<64 hex>|10000331") is two SHA blocks long. *)
+  check_bool "block 1 pinned" true
+    (has "[miner 0] block 1 nonce=513 hash=00075663c1732a47\n");
+  check_bool "block 2 pinned" true
+    (has "[miner 1] block 2 nonce=10000331 hash=002742bd7d372ef5\n");
   check_bool "hash rate reported" true (has "kH/s")
 
 let sysmon_floats_on_top () =

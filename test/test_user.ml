@@ -375,6 +375,94 @@ let sha256_leading_zeros () =
     (Sha256.leading_zero_bits (Bytes.of_string "\x00\x80rest"));
   check_int "12 bits" 12 (Sha256.leading_zero_bits (Bytes.of_string "\x00\x08rest"))
 
+(* The padding boundaries: 55 bytes is the longest one-block message,
+   56..64 spill the length into a second block, 119/120 straddle the
+   same edge one block later. Expected values from Python's hashlib. *)
+let sha256_padding_boundaries () =
+  List.iter
+    (fun (n, want) ->
+      check_string (Printf.sprintf "%d x" n) want
+        (Sha256.hex (Sha256.digest (Bytes.make n 'x'))))
+    [
+      (55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072");
+      (56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e");
+      (63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2");
+      (64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c");
+      (119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c");
+      (120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98");
+    ]
+
+let sha256_million_a () =
+  check_string "10^6 x 'a'"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.hex (Sha256.digest (Bytes.make 1_000_000 'a')))
+
+(* One scratch reused for two messages of different lengths, as the
+   miner reuses it across nonces. *)
+let sha256_scratch_double =
+  qcheck "sha256 scratch double = digest (digest m)"
+    QCheck.(pair (string_of_size (Gen.int_bound 200)) (string_of_size (Gen.int_bound 200)))
+    (fun (m1, m2) ->
+      let s = Sha256.scratch 200 in
+      List.for_all
+        (fun m ->
+          let len = String.length m in
+          Bytes.blit_string m 0 s.Sha256.msg 0 len;
+          Sha256.double s len;
+          let want = Sha256.digest (Sha256.digest (Bytes.of_string m)) in
+          Bytes.equal (Sha256.result s) want
+          && Sha256.zero_bits s = Sha256.leading_zero_bits want)
+        [ m1; m2 ])
+
+let sha256_zero_bits_across_words () =
+  let s = Sha256.scratch 0 in
+  Sha256.double s 0;
+  s.Sha256.state.(0) <- 0;
+  s.Sha256.state.(1) <- 0x0008_0000;
+  check_int "one zero word + 12 bits" 44 (Sha256.zero_bits s);
+  check_int "agrees with the digest" 44
+    (Sha256.leading_zero_bits (Sha256.result s));
+  Array.fill s.Sha256.state 0 8 0;
+  check_int "all zero" 256 (Sha256.zero_bits s)
+
+(* [hash_cycles] prices a batch before any hashing: it must equal the
+   block counts of the header the miner actually hashes. *)
+let miner_hash_cycles_match_blocks =
+  qcheck "miner hash_cycles = header block counts"
+    QCheck.(
+      triple (int_bound 1_000_000)
+        (string_of_size (Gen.int_bound 150))
+        (int_bound 1_000_000_000))
+    (fun (index, prev_hash, nonce) ->
+      let first, b1 =
+        Sha256.digest_with_blocks (Apps.Blockchain.header ~index ~prev_hash ~nonce)
+      in
+      let _, b2 = Sha256.digest_with_blocks first in
+      Apps.Blockchain.hash_cycles ~index ~prev_len:(String.length prev_hash) ~nonce
+      = (b1 + b2) * Sha256.cycles_per_block)
+
+(* The offload batch against the plain definition: the first nonce whose
+   double hash of the header clears the difficulty. *)
+let miner_batch_matches_reference =
+  qcheck "miner batch = first reference winner"
+    QCheck.(
+      quad (int_bound 100_000)
+        (string_of_size (Gen.int_bound 80))
+        (int_bound 50_000_000) (int_bound 8))
+    (fun (index, prev_hash, n0, difficulty) ->
+      let batch = 64 in
+      let rec reference n =
+        if n >= n0 + batch then None
+        else
+          let d =
+            Sha256.digest (Sha256.digest (Apps.Blockchain.header ~index ~prev_hash ~nonce:n))
+          in
+          if Sha256.leading_zero_bits d >= difficulty then Some (n, Sha256.hex d)
+          else reference (n + 1)
+      in
+      Apps.Blockchain.mine_batch ~index ~prev_hash ~difficulty ~n0 ~batch
+      = reference n0)
+
 let md5_vectors () =
   check_string "empty" "d41d8cd98f00b204e9800998ecf8427e"
     (Md5.hex (Md5.digest Bytes.empty));
@@ -389,6 +477,12 @@ let suite_crypto =
       quick "sha256 FIPS vectors" sha256_vectors;
       quick "sha256 block counting" sha256_block_count;
       quick "sha256 difficulty bits" sha256_leading_zeros;
+      quick "sha256 padding boundaries" sha256_padding_boundaries;
+      quick "sha256 million a" sha256_million_a;
+      sha256_scratch_double;
+      quick "sha256 scratch zero bits across words" sha256_zero_bits_across_words;
+      miner_hash_cycles_match_blocks;
+      miner_batch_matches_reference;
       quick "md5 RFC vectors" md5_vectors;
     ] )
 

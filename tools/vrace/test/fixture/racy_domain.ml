@@ -25,3 +25,24 @@ let good_spawn () =
         local.hits)
   in
   Domain.join d
+
+let scratch = Array.make 4 0
+
+let fill a = a.(1) <- 2
+
+(* finding: [fill] mutates its parameter, so handing it the module-level
+   [scratch] from a worker closure is the same race as writing
+   [scratch.(1)] in the closure itself *)
+let bad_scratch () =
+  let d = Domain.spawn (fun () -> fill scratch; scratch.(0)) in
+  Domain.join d
+
+(* correct: the scratch [fill] mutates is allocated inside the closure *)
+let good_scratch () =
+  let d =
+    Domain.spawn (fun () ->
+        let local = Array.make 4 0 in
+        fill local;
+        local.(1))
+  in
+  Domain.join d

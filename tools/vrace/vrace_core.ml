@@ -24,7 +24,10 @@
             simulation thread: mutable-field reads/writes and container
             mutations on captured or global bases are findings unless a
             real [Mutex] is held. Function parameters are exempt for
-            in-place container helpers (the [Sha256.compress] idiom);
+            in-place container helpers (the [Sha256.compress state w
+            data off] idiom), but each summary records which parameters
+            its function mutates, so a captured or global container
+            handed to such a parameter is reported at the call site;
             the tail lambda returned by a [schedule_par] compute is the
             commit and runs back on the sim thread, so it is skipped.
     - R103  {b sleep in atomic context}. May-block summaries (anything
@@ -218,6 +221,8 @@ type base = Param | Local | Captured | Global
 type func = {
   f_key : string;
   f_params : string list;
+  f_slots : string list list;
+      (** the variables each positional parameter binds *)
   f_body : expression;
 }
 
@@ -227,10 +232,19 @@ type summary = {
   mutable sm_blocks : bool;
   mutable sm_applies : (int * LS.t) list;
       (** parameter index applied while holding extra locks *)
+  mutable sm_mutates : int list;
+      (** parameter indices whose container the function mutates with
+          no mutex held *)
 }
 
 let empty_summary () =
-  { sm_acq = LS.empty; sm_rel = SS.empty; sm_blocks = false; sm_applies = [] }
+  {
+    sm_acq = LS.empty;
+    sm_rel = SS.empty;
+    sm_blocks = false;
+    sm_applies = [];
+    sm_mutates = [];
+  }
 
 let funcs : (string, func) Hashtbl.t = Hashtbl.create 512
 let summaries : (string, summary) Hashtbl.t = Hashtbl.create 512
@@ -326,6 +340,7 @@ type st = {
   mutable released : SS.t;
   mutable blocks : bool;
   mutable applies : (int * LS.t) list;
+  mutable mutated : SS.t;  (** parameters mutated with no mutex held *)
   mutable calls : SS.t;
   mutable skip_locs : Location.t list;
 }
@@ -397,6 +412,14 @@ let rec base_of env e =
   | Texp_open (_, e') -> base_of env e'
   | _ -> (Captured, "?")
 
+(* [base_of] for an argument that names a container (an identifier or a
+   field path); [None] for computed values, which are fresh. *)
+let rec named_base env e =
+  match e.exp_desc with
+  | Texp_ident _ | Texp_field _ -> Some (base_of env e)
+  | Texp_open (_, e') -> named_base env e'
+  | _ -> None
+
 let resolve_key st fname =
   if Hashtbl.mem funcs fname then Some fname
   else if not (String.contains fname '.') then begin
@@ -428,6 +451,7 @@ let rec summary_of key =
               released = SS.empty;
               blocks = false;
               applies = [];
+              mutated = SS.empty;
               calls = SS.empty;
               skip_locs = [];
             }
@@ -438,6 +462,13 @@ let rec summary_of key =
           s.sm_rel <- st.released;
           s.sm_blocks <- st.blocks;
           s.sm_applies <- st.applies;
+          s.sm_mutates <-
+            List.concat
+              (List.mapi
+                 (fun i vars ->
+                   if List.exists (fun v -> SS.mem v st.mutated) vars then [ i ]
+                   else [])
+                 f.f_slots);
           s)
 
 and may_block st fname =
@@ -518,9 +549,17 @@ and origin_of st env e =
   | Texp_open (_, e') -> origin_of st env e'
   | _ -> None
 
+(* Feeds [sm_mutates]: a mutation rooted at one of our own parameters. *)
+and note_param_mutation st env ls base =
+  match base_of env base with
+  | Param, name when not (has_mutex ls) ->
+      st.mutated <- SS.add name st.mutated
+  | _ -> ()
+
 (* R101/R102 checks for one mutation whose container/base is [container],
    described for messages as [what]. *)
 and check_mutation st env ls ~loc ~what container =
+  note_param_mutation st env ls container;
   (match origin_of st env container with
   | Some (B_field fi) ->
       (match fi.fi_locked_by with
@@ -612,6 +651,7 @@ and walk st env ls (e : expression) : LS.t =
       ignore (walk st env ls base);
       let ls = walk st env ls rhs in
       let fi = field_info_of ~m:st.cur_module ld in
+      note_param_mutation st env ls base;
       (match fi.fi_locked_by with
       | Some lock ->
           if st.emit && st.mode = Sim && not (holds_name lock ls) then
@@ -784,6 +824,33 @@ and walk_apply st env ls e fn args =
       let applies =
         match callee with Some k -> (summary_of k).sm_applies | None -> []
       in
+      (* containers handed to a parameter the callee mutates: the
+         mutation happens in the callee, but whose state it is — a
+         parameter, a domain-local value, or shared — is known here *)
+      (match callee with
+      | Some k ->
+          List.iter
+            (fun i ->
+              (* positional in [args], where an omitted optional
+                 argument still holds its slot *)
+              let passed =
+                match List.nth_opt args i with
+                | Some (_, Some a) -> named_base env a
+                | _ -> None
+              in
+              match passed with
+              | Some (Param, name) when not (has_mutex ls) ->
+                  st.mutated <- SS.add name st.mutated
+              | Some ((Captured | Global), name)
+                when st.emit && st.mode = Worker && not (has_mutex ls) ->
+                  report ~loc:e.exp_loc ~rule:"R102"
+                    "container rooted at '%s' passed to '%s', which mutates \
+                     that parameter, from worker-domain context without \
+                     Atomic or a held mutex"
+                    name k
+              | _ -> ())
+            (summary_of k).sm_mutates
+      | None -> ());
       (* lambda arguments: run inline under the callee's documented
          lockset, or as deferred callbacks with none *)
       List.iteri
@@ -821,8 +888,8 @@ and walk_apply st env ls e fn args =
 let rec peel_params e acc =
   match e.exp_desc with
   | Texp_function { cases = [ ({ c_guard = None; _ } as c) ]; _ } ->
-      peel_params c.c_rhs (acc @ pat_vars c.c_lhs)
-  | _ -> (acc, e)
+      peel_params c.c_rhs (pat_vars c.c_lhs :: acc)
+  | _ -> (List.rev acc, e)
 
 let rec index_structure modpath (str : structure) =
   List.iter
@@ -835,10 +902,15 @@ let rec index_structure modpath (str : structure) =
               | Some name -> (
                   match vb.vb_expr.exp_desc with
                   | Texp_function _ ->
-                      let params, body = peel_params vb.vb_expr [] in
+                      let slots, body = peel_params vb.vb_expr [] in
                       let key = modpath ^ "." ^ name in
                       Hashtbl.replace funcs key
-                        { f_key = key; f_params = params; f_body = body }
+                        {
+                          f_key = key;
+                          f_params = List.concat slots;
+                          f_slots = slots;
+                          f_body = body;
+                        }
                   | _ -> ())
               | None -> ())
             vbs
@@ -872,6 +944,7 @@ let fresh_st ~cur_module ~mode ~params =
     released = SS.empty;
     blocks = false;
     applies = [];
+    mutated = SS.empty;
     calls = SS.empty;
     skip_locs = [];
   }
