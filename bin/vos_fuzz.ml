@@ -150,7 +150,7 @@ let cmd =
       & info [ "corpus" ] ~doc:"replay a regression corpus file")
   in
   let ops_arg =
-    Arg.(value & opt int 0 & info [ "ops" ] ~doc:"ops per session (0 = knob default)")
+    Arg.(value & opt int 0 & info [ "ops" ] ~doc:"ops per session (0 = the default)")
   in
   let no_faults_arg =
     Arg.(value & flag & info [ "no-faults" ] ~doc:"disable device fault injection")
@@ -165,8 +165,8 @@ let cmd =
       & info [ "shrink-budget" ] ~doc:"max candidate runs while shrinking")
   in
   let main seed sessions base_seed corpus ops no_faults out shrink_budget =
-    let ops = if ops > 0 then ops else Fuzz.Session.default_ops () in
-    let faults = (not no_faults) && Fuzz.Session.default_faults () in
+    let ops = if ops > 0 then ops else Fuzz.Session.default_ops in
+    let faults = not no_faults in
     let parse_seed s =
       match Int64.of_string_opt s with
       | Some v -> v

@@ -71,12 +71,9 @@ let kconfig_of row =
     readahead_blocks = row.cf_readahead;
     sd_coalescing = row.cf_coalesce;
     range_io_bypass = row.cf_bypass;
-    (* kperf armed: tracing, the sampling profiler and /proc/metrics
-       charge zero virtual cycles, so the I/O numbers must be
-       byte-identical to an unarmed run *)
-    trace_per_core_rings = true;
+    (* the sampling profiler armed: it charges zero virtual cycles, so
+       the I/O numbers must be byte-identical to an unarmed run *)
     profile_hz = 100;
-    metrics = true;
   }
 
 (* ---- workloads ---- *)
@@ -202,9 +199,7 @@ let run_journal_config ~journal =
       Core.Kconfig.full with
       Core.Kconfig.journal;
       writeback = journal;
-      trace_per_core_rings = true;
       profile_hz = 100;
-      metrics = true;
     }
   in
   let kernel = Micro.fresh_kernel ~config () in

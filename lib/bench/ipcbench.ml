@@ -45,12 +45,10 @@ let kconfig_of row =
     (* zero-cycle sanitizer on: the pingpong/events workloads double as
        a refcount/deadlock soak without moving a single number *)
     kcheck = true;
-    (* kperf armed throughout for the same reason: per-core trace rings,
-       a 100 Hz sampling profiler and /proc/metrics cost zero virtual
-       cycles, so every number below must match an unarmed run *)
-    trace_per_core_rings = true;
+    (* the 100 Hz sampling profiler rides along for the same reason: it
+       costs zero virtual cycles, so every number below must match an
+       unarmed run *)
     profile_hz = 100;
-    metrics = true;
   }
 
 let ipc_stats kernel = kernel.Core.Kernel.vfs.Core.Vfs.ipc.Core.Pipe.stats

@@ -7,11 +7,12 @@
       The acceptance bar is single-digit ns while detached.
 
     - {b does arming move any virtual number?} Part 2 runs an identical
-      syscall/pipe/file workload in two kernels — one with vprobe,
-      delay accounting and the flight recorder all off, one fully armed
-      with a probe ladder attached — and compares the final virtual
+      syscall/pipe/file workload in two kernels — one with no probes
+      attached and the flight recorder off, one with the flight recorder
+      on and a probe ladder attached — and compares the final virtual
       clock and an MD5 of the formatted trace. The armed run must be
-      byte-identical to stock: observability charges zero cycles.
+      byte-identical to stock: observability charges zero cycles. (The
+      probe registry and delay accounting run in every kernel.)
 
     - {b does delay accounting conserve time?} For every live task in
       the armed kernel the six delay buckets (oncpu, runnable, sleep,
@@ -76,16 +77,11 @@ let ladder =
 
 (* Both kernels journal (full ships journal-free to keep the stock image
    byte-identical to the paper's) so the fsync in the workload drives the
-   journal:commit point; only the three observability knobs differ. *)
+   journal:commit point; only the flight recorder differs. *)
 let armed_config = { Core.Kconfig.full with Core.Kconfig.journal = true }
 
 let stock_config =
-  {
-    armed_config with
-    Core.Kconfig.vprobe = false;
-    delayacct = false;
-    flight_recorder_events = 0;
-  }
+  { armed_config with Core.Kconfig.flight_recorder_events = 0 }
 
 (* Syscall soup: pipes, files, fsync (journal commits), enough fork/wait
    to move the scheduler. Identical in both kernels. *)

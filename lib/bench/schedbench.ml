@@ -87,10 +87,9 @@ let kconfig_of row =
        below is identical with it off — and the bench doubles as a
        lockdep/deadlock soak test *)
     kcheck = true;
-    (* kperf rides along too, under the same zero-cycle contract *)
-    trace_per_core_rings = true;
+    (* the sampling profiler rides along too, under the same zero-cycle
+       contract *)
     profile_hz = 100;
-    metrics = true;
   }
 
 (* ---- workload ---- *)

@@ -71,12 +71,7 @@ let no_tick _ _ = ()
 
 let boot_traced ~domains =
   Proto.Stage.boot ~prototype:5
-    ~config_tweak:(fun c ->
-      {
-        c with
-        Core.Kconfig.trace_per_core_rings = true;
-        sim_domains = domains;
-      })
+    ~config_tweak:(fun c -> { c with Core.Kconfig.sim_domains = domains })
     ()
 
 (* Four miner threads, difficulty 34: no block is ever found inside the

@@ -5,11 +5,10 @@
     - {b what does tracing cost the host?} The simulated kernel charges
       zero virtual cycles for instrumentation (the BENCH byte-identity
       contract), but each [Ktrace.emit] is real OCaml work on the host.
-      Part 1 times ~1M emits against a single shared ring and against
-      per-core rings.
+      Part 1 times ~1M emits against the shared ring.
 
     - {b what does the trace buy?} Part 2 boots a fully armed Prototype
-      5 (per-core rings, 100 Hz profiler, /proc/metrics, kcheck), runs
+      5 (100 Hz profiler, kcheck), runs
       the launcher under injected USB key presses, and mines the trace
       for a Figure-11-style input breakdown — keypress ([Kbd_report]) →
       delivery to the app ([Event_delivered]) → next frame
@@ -24,8 +23,8 @@
 
 let emits = 1_000_000
 
-let emit_cost_ns ~per_core =
-  let tr = Core.Ktrace.create ~capacity:65536 ~per_core ~cores:4 () in
+let emit_cost_ns () =
+  let tr = Core.Ktrace.create ~capacity:65536 () in
   let t0 = Sys.time () in
   for i = 0 to emits - 1 do
     Core.Ktrace.emit tr ~ts_ns:(Int64.of_int i) ~core:(i land 3)
@@ -126,13 +125,7 @@ let run_session () =
   let stage =
     Proto.Stage.boot ~prototype:5
       ~config_tweak:(fun c ->
-        {
-          c with
-          Core.Kconfig.trace_per_core_rings = true;
-          profile_hz = 100;
-          metrics = true;
-          kcheck = true;
-        })
+        { c with Core.Kconfig.profile_hz = 100; kcheck = true })
       ()
   in
   let kernel = stage.Proto.Stage.kernel in
@@ -159,18 +152,9 @@ let run_session () =
     s_trace = events;
   }
 
-type result = {
-  emit_single_ns : float;
-  emit_per_core_ns : float;
-  session : session;
-}
+type result = { emit_single_ns : float; session : session }
 
-let run () =
-  {
-    emit_single_ns = emit_cost_ns ~per_core:false;
-    emit_per_core_ns = emit_cost_ns ~per_core:true;
-    session = run_session ();
-  }
+let run () = { emit_single_ns = emit_cost_ns (); session = run_session () }
 
 (* ---- reporting ---- *)
 
@@ -179,9 +163,7 @@ let render r =
   let b = Buffer.create 2048 in
   Buffer.add_string b
     (Printf.sprintf
-       "  host emit cost: %.0f ns/event (single ring), %.0f ns/event \
-        (per-core rings), %d emits each\n"
-       r.emit_single_ns r.emit_per_core_ns emits);
+       "  host emit cost: %.0f ns/event, %d emits\n" r.emit_single_ns emits);
   Buffer.add_string b
     (Printf.sprintf
        "  launcher session: %d trace events, %d spans matched, %d left \
@@ -213,9 +195,8 @@ let json r =
   Buffer.add_string b "{\n  \"benchmark\": \"tracebench\",\n";
   Buffer.add_string b
     (Printf.sprintf
-       "  \"emits\": %d,\n  \"emit_cost_ns_single\": %.1f,\n\
-       \  \"emit_cost_ns_per_core\": %.1f,\n"
-       emits r.emit_single_ns r.emit_per_core_ns);
+       "  \"emits\": %d,\n  \"emit_cost_ns_single\": %.1f,\n" emits
+       r.emit_single_ns);
   Buffer.add_string b
     (Printf.sprintf
        "  \"session\": {\"trace_events\": %d, \"spans_matched\": %d, \

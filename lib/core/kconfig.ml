@@ -85,18 +85,10 @@ type t = {
           refcount audits at fork/clone/exit. Host-side instrumentation
           only — charges zero virtual cycles, so every paper number is
           unchanged. Off in the stock kernel, on under the test harness. *)
-  trace_per_core_rings : bool;
-      (** each core writes its own power-of-two trace ring, merged on
-          dump by (timestamp, sequence); off = the paper's single shared
-          ring. Host-side only: zero virtual cycles either way *)
   profile_hz : int;
       (** sampling profiler rate: every [1000 / profile_hz] ms the timer
           tick attributes the core to (pid, syscall | irq | user | idle)
           for /proc/profile; 0 = off. Zero virtual cycles *)
-  metrics : bool;
-      (** expose /proc/metrics: kperf counters and histogram buckets in
-          Prometheus text format. Rendering happens at open; nothing is
-          charged to the traced workload *)
   sim_domains : int;
       (** host domains for the engine's parallel event batches
           ([Sim.Engine.set_domains]). 1 = the sequential engine,
@@ -114,35 +106,6 @@ type t = {
       (** soft cap on blocks per journal transaction before a group
           commit is forced (clamped to the on-disk log size); only
           consulted when [journal] is on *)
-  crash_inject_seed : int;
-      (** seed for the power-cut crash-injection harness (crashbench):
-          the same seed replays the identical schedule of workload ops
-          and cut points, byte for byte *)
-  fuzz_ops : int;
-      (** vfuzz: operations per generated scenario session — syscalls,
-          app launches, keypresses and fault injections drawn from the
-          session's {!Sim.Rng} stream *)
-  fuzz_session_ms : int;
-      (** vfuzz: virtual-time budget per session; a session whose driver
-          has not finished (or died) by the deadline is reported as
-          wedged, which is the fuzzer's deadlock oracle *)
-  fuzz_faults : bool;
-      (** vfuzz: arm device-level hostility in the generator — SD read
-          faults, USB unplug/replug, IRQ storms and power blips; off
-          restricts sessions to syscall/keypress traffic *)
-  vprobe : bool;
-      (** dynamic tracing ({!Vprobe}): the probe-point registry, the
-          /proc/vprobe_ctl spec language and /proc/vprobe aggregates.
-          Host-side only — an unattached probe point is a single array
-          read, an attached one updates host counters; zero virtual
-          cycles either way *)
-  delayacct : bool;
-      (** per-task delay accounting: every [Task.state] transition
-          buckets the elapsed ns into oncpu / runnable / sleep /
-          blocked-io / blocked-lock / blocked-pipe, surfaced at
-          /proc/delays. Host-side bookkeeping only; the optional
-          [dstate] trace events are a separate ktrace_ctl toggle so
-          armed traces stay byte-identical *)
   flight_recorder_events : int;
       (** panic flight recorder: on {!Kpanic} dump the last N trace
           events, all attached vprobe aggregates and the per-task delay
@@ -196,30 +159,17 @@ let full =
        artifact the paper describes; the harness flips it on *)
     kcheck = false;
     (* kperf follows the same convention: the observability machinery is
-       free in virtual time, but the stock kernel traces into the paper's
-       single ring with no profiler or metrics page; tracebench and the
-       tests arm these *)
-    trace_per_core_rings = false;
+       free in virtual time, but the stock kernel runs no sampling
+       profiler; tracebench and the tests arm it *)
     profile_hz = 0;
-    metrics = false;
     sim_domains = 1;
     (* crash consistency is explicitly out of the paper's scope (§5.4),
        so the journal ships off and the stock rootfs image stays
        byte-identical; the crash harness and journal tests arm it *)
     journal = false;
     journal_max_tx_blocks = 64;
-    crash_inject_seed = 7;
-    (* scenario-fuzzing defaults: short hostile sessions; the harness
-       and vos_fuzz override per campaign *)
-    fuzz_ops = 48;
-    fuzz_session_ms = 400;
-    fuzz_faults = true;
-    (* the query layer over kperf/ktrace follows the PR-5 discipline:
-       free in virtual time, so vprobe and delayacct can ship armed; the
-       flight recorder is always-on because a panic is exactly when you
-       want the data *)
-    vprobe = true;
-    delayacct = true;
+    (* the flight recorder is always-on because a panic is exactly when
+       you want the data *)
     flight_recorder_events = 64;
   }
 
@@ -257,18 +207,10 @@ let rec prototype = function
         pipe_buffer_bytes = 512;
         pipe_wake_edge = false;
         kcheck = false;
-        trace_per_core_rings = false;
         profile_hz = 0;
-        metrics = false;
         sim_domains = 1;
         journal = false;
         journal_max_tx_blocks = 64;
-        crash_inject_seed = 7;
-        fuzz_ops = 48;
-        fuzz_session_ms = 400;
-        fuzz_faults = true;
-        vprobe = false;
-        delayacct = false;
         flight_recorder_events = 0;
       }
   | 2 -> { (prototype 1) with stage = 2; multitasking = true }

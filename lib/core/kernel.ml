@@ -550,20 +550,17 @@ let boot spec =
      right answer for a host process that boots throwaway kernels in
      sequence. Everything fired here is host-side bookkeeping: no cycles
      are charged and no engine events are scheduled. *)
-  if spec.sp_config.Kconfig.vprobe then begin
-    let vp = sched.Sched.vprobe in
-    Spinlock.set_observer (fun ~name:_ ~core ~contended ->
-        let pt =
-          if contended then Vprobe.pt_lock_contended else Vprobe.pt_lock_acquire
-        in
-        if Vprobe.armed vp pt then
-          Vprobe.fire vp pt { Vprobe.no_args with Vprobe.a_core = core });
-    Fs.Xv6fs.set_on_commit rootfs (fun blocks ->
-        if Vprobe.armed vp Vprobe.pt_journal_commit then
-          Vprobe.fire vp Vprobe.pt_journal_commit
-            { Vprobe.no_args with Vprobe.a_arg0 = blocks })
-  end
-  else Spinlock.clear_observer ();
+  (let vp = sched.Sched.vprobe in
+   Spinlock.set_observer (fun ~name:_ ~core ~contended ->
+       let pt =
+         if contended then Vprobe.pt_lock_contended else Vprobe.pt_lock_acquire
+       in
+       if Vprobe.armed vp pt then
+         Vprobe.fire vp pt { Vprobe.no_args with Vprobe.a_core = core });
+   Fs.Xv6fs.set_on_commit rootfs (fun blocks ->
+       if Vprobe.armed vp Vprobe.pt_journal_commit then
+         Vprobe.fire vp Vprobe.pt_journal_commit
+           { Vprobe.no_args with Vprobe.a_arg0 = blocks }));
   (* the flight recorder arms through Kpanic so it sees every panic path,
      not just the FIQ button *)
   if spec.sp_config.Kconfig.flight_recorder_events > 0 then

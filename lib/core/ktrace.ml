@@ -1,16 +1,17 @@
 (** ftrace-style event tracing (§5.1), rebuilt as part of kperf.
 
-    The seed kept one global ring that all cores contended on. Now each
-    core can own its ring ({!Kconfig.trace_per_core_rings}): power-of-two
-    capacity, bitmask indexing, a pre-filled dummy entry so the hot path
-    writes a plain record with no [option] boxing, and a global sequence
-    number stamped per entry so a merged {!dump} — sorted by (timestamp,
-    sequence) — reproduces exactly the order a single ring would have
-    recorded. Span events turn syscalls, IRQ dispatches, context switches
-    and block requests into durations; consuming {!reader}s back the
-    [/proc/ktrace] trace-pipe; the machine format feeds
-    [tools/ktrace2perfetto]. Runtime control (enable, clock, class
-    filter) is driven by writes to [/proc/ktrace_ctl]. *)
+    One ring shared by every core, as in the paper: power-of-two
+    capacity, bitmask indexing, and a pre-filled dummy entry so the hot
+    path writes a plain record with no [option] boxing. Each entry
+    carries a sequence number in emission order. Emission order is not
+    time order: an SD request's [Span_end] is stamped with its completion
+    time when the request is issued, so it can precede entries with
+    earlier stamps. {!dump} therefore sorts by (timestamp, sequence),
+    while the consuming {!reader}s behind the [/proc/ktrace] trace-pipe
+    stream in emission order. Span events turn syscalls, IRQ dispatches,
+    context switches and block requests into durations; the machine
+    format feeds [tools/ktrace2perfetto]. Runtime control (enable, clock,
+    class filter) is driven by writes to [/proc/ktrace_ctl]. *)
 
 type event =
   | Syscall_enter of int * string  (** pid, name *)
@@ -42,7 +43,7 @@ type event =
 
 type entry = {
   ts_ns : int64;
-  seq : int;  (** global emission order, the tie-break for merged dumps *)
+  seq : int;  (** emission order, the tie-break for sorted dumps *)
   core : int;
   ev : event;
 }
@@ -91,31 +92,24 @@ let filter_of_string s =
         | _, _ -> None)
       (Some 0) parts
 
-(* ---- rings ---- *)
-
-type ring = {
-  buf : entry array;  (** power-of-two length, pre-filled (no [option]) *)
-  mask : int;  (** length - 1: index = position land mask *)
-  mutable head : int;  (** total entries ever written to this ring *)
-}
+(* ---- the ring ---- *)
 
 type t = {
-  rings : ring array;  (** one per core, or a single shared ring *)
-  per_core : bool;
-  mutable seq : int;
+  buf : entry array;  (** power-of-two length, pre-filled (no [option]) *)
+  mask : int;  (** length - 1: index = position land mask *)
+  mutable head : int;  (** total entries ever written *)
   mutable next_span : int;
   mutable enabled : bool;
   mutable filter : int;  (** bitmask over {!class_of}; -1 = everything *)
   mutable clock_base : int64;
       (** subtracted from every stamp: 0 = absolute engine time (the
           default), set to "now" by [clock=rel] in /proc/ktrace_ctl *)
-  mutable written : int;  (** total emitted across all rings *)
   mutable readers_open : int;  (** open /proc/ktrace handles (wake gate) *)
   mutable dstate : bool;
       (** opt-in for the delay-accounting event stream (Task_state /
           Runq_depth): [dstate=1] in /proc/ktrace_ctl. A separate gate
-          from the class filter because [filter_all] would otherwise
-          flood armed traces the moment delayacct is on, breaking the
+          from the class filter because delay accounting always runs and
+          [filter_all] would otherwise flood armed traces, breaking the
           byte-identity of every existing capture *)
   mutable on_data : (unit -> unit) option;
       (** poked after each emit while a trace-pipe reader is open; the
@@ -126,22 +120,16 @@ let dummy = { ts_ns = 0L; seq = -1; core = 0; ev = Custom "<unwritten>" }
 
 let rec ceil_pow2 n k = if k >= n then k else ceil_pow2 n (k * 2)
 
-let make_ring cap = { buf = Array.make cap dummy; mask = cap - 1; head = 0 }
-
-(* [capacity] is the total entry budget: a per-core tracer divides it
-   across the rings so arming the knob does not grow the footprint. *)
-let create ?(capacity = 262144) ?(per_core = false) ?(cores = 1) () =
-  let nrings = if per_core then max 1 cores else 1 in
-  let per_ring = ceil_pow2 (max 1024 (capacity / nrings)) 1 in
+let create ?(capacity = 262144) () =
+  let cap = ceil_pow2 (max 1024 capacity) 1 in
   {
-    rings = Array.init nrings (fun _ -> make_ring per_ring);
-    per_core;
-    seq = 0;
+    buf = Array.make cap dummy;
+    mask = cap - 1;
+    head = 0;
     next_span = 0;
     enabled = true;
     filter = filter_all;
     clock_base = 0L;
-    written = 0;
     readers_open = 0;
     dstate = false;
     on_data = None;
@@ -157,96 +145,56 @@ let new_span t =
 
 let emit t ~ts_ns ~core ev =
   if t.enabled && t.filter land (1 lsl class_of ev) <> 0 then begin
-    let r =
-      if t.per_core then t.rings.(core land (Array.length t.rings - 1))
-      else t.rings.(0)
-    in
-    r.buf.(r.head land r.mask) <-
-      { ts_ns = Int64.sub ts_ns t.clock_base; seq = t.seq; core; ev };
-    r.head <- r.head + 1;
-    t.seq <- t.seq + 1;
-    t.written <- t.written + 1;
+    t.buf.(t.head land t.mask) <-
+      { ts_ns = Int64.sub ts_ns t.clock_base; seq = t.head; core; ev };
+    t.head <- t.head + 1;
     if t.readers_open > 0 then
       match t.on_data with Some poke -> poke () | None -> ()
   end
-
-let written t = t.written
 
 let compare_entry a b =
   match Int64.compare a.ts_ns b.ts_ns with
   | 0 -> compare a.seq b.seq
   | c -> c
 
-(* Merged snapshot, oldest-first by (timestamp, sequence). With a single
-   ring the sort is the identity (sequence = insertion order), so the
-   seed's dump output is reproduced byte for byte; per-core rings
-   interleave back into global emission order. *)
+(* Snapshot of the surviving entries, oldest-first by (timestamp,
+   sequence). The sort is not the identity: a future-stamped entry (an
+   SD request's Span_end) sits in the ring ahead of entries stamped
+   before it. *)
 let dump t =
-  let collect r =
-    let n = min r.head (Array.length r.buf) in
-    List.init n (fun i -> r.buf.((r.head - n + i) land r.mask))
-  in
-  Array.fold_left (fun acc r -> List.rev_append (collect r) acc) [] t.rings
+  let n = min t.head (Array.length t.buf) in
+  List.init n (fun i -> t.buf.((t.head - n + i) land t.mask))
   |> List.sort compare_entry
 
 (* ---- consuming readers: the /proc/ktrace trace-pipe ---- *)
 
 type reader = {
   src : t;
-  cursors : int array;  (** per-ring next-unread position *)
+  mutable cursor : int;  (** next unread ring position *)
   mutable lost : int;  (** entries overwritten before this reader got there *)
 }
 
 (* A fresh reader starts at the present: it streams events emitted after
    the open, like catting trace_pipe, rather than replaying the backlog. *)
-let new_reader t =
-  { src = t; cursors = Array.map (fun r -> r.head) t.rings; lost = 0 }
+let new_reader t = { src = t; cursor = t.head; lost = 0 }
 
 let reader_lost r = r.lost
+let reader_ready r = r.cursor < r.src.head
 
-let reader_ready r =
-  let any = ref false in
-  Array.iteri
-    (fun i ring -> if r.cursors.(i) < ring.head then any := true)
-    r.src.rings;
-  !any
-
-(* Drain up to [max] entries in merged (timestamp, sequence) order,
-   advancing the cursors past anything returned — and past anything the
-   writer already overwrote, which is counted in [lost]. *)
+(* Drain up to [max] entries in emission order, advancing the cursor past
+   anything returned — and past anything the writer already overwrote,
+   which is counted in [lost]. *)
 let read_reader r ~max =
   let t = r.src in
-  Array.iteri
-    (fun i ring ->
-      let oldest = ring.head - Array.length ring.buf in
-      if r.cursors.(i) < oldest then begin
-        r.lost <- r.lost + (oldest - r.cursors.(i));
-        r.cursors.(i) <- oldest
-      end)
-    t.rings;
-  let out = ref [] and n = ref 0 and more = ref true in
-  while !more && !n < max do
-    let best = ref (-1) in
-    Array.iteri
-      (fun i ring ->
-        if r.cursors.(i) < ring.head then
-          let e = ring.buf.(r.cursors.(i) land ring.mask) in
-          match !best with
-          | -1 -> best := i
-          | j ->
-              let rj = t.rings.(j) in
-              let f = rj.buf.(r.cursors.(j) land rj.mask) in
-              if compare_entry e f < 0 then best := i)
-      t.rings;
-    match !best with
-    | -1 -> more := false
-    | i ->
-        let ring = t.rings.(i) in
-        out := ring.buf.(r.cursors.(i) land ring.mask) :: !out;
-        r.cursors.(i) <- r.cursors.(i) + 1;
-        incr n
-  done;
-  List.rev !out
+  let oldest = t.head - Array.length t.buf in
+  if r.cursor < oldest then begin
+    r.lost <- r.lost + (oldest - r.cursor);
+    r.cursor <- oldest
+  end;
+  let n = Stdlib.max 0 (min max (t.head - r.cursor)) in
+  let out = List.init n (fun i -> t.buf.((r.cursor + i) land t.mask)) in
+  r.cursor <- r.cursor + n;
+  out
 
 (* ---- span pairing ---- *)
 
@@ -259,7 +207,7 @@ type span = {
   sp_end_ns : int64;
 }
 
-(* Pair up Span_begin/Span_end by id over a merged dump. Returns the
+(* Pair up Span_begin/Span_end by id over a sorted dump. Returns the
    matched spans (in begin order) and the begins still open at dump time
    (blocked syscalls, in-flight block requests). Every constructor is
    spelled out so R004 forces new events through this classifier too. *)

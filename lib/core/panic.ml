@@ -8,6 +8,18 @@
 
 type t = { sched : Sched.t; console : Console.t; mutable dumps : int }
 
+(* The trace tail both dumps print: the last [n] entries of the sorted
+   dump, one indented line each, under a header given the count kept
+   and the count dumped. *)
+let add_trace_tail buf sched n header =
+  let recent = Ktrace.dump sched.Sched.trace in
+  let total = List.length recent in
+  let tail = List.filteri (fun i _ -> i >= total - n) recent in
+  Buffer.add_string buf (header (List.length tail) total);
+  List.iter
+    (fun e -> Buffer.add_string buf ("  " ^ Ktrace.format_entry e ^ "\n"))
+    tail
+
 let render t ~fiq_core =
   let sched = t.sched in
   let buf = Buffer.create 1024 in
@@ -29,15 +41,7 @@ let render t ~fiq_core =
            (Int64.to_float core.Sched.busy_ns /. 1e6)))
     sched.Sched.cores;
   Buffer.add_string buf (Unwind.dump_all sched);
-  let recent = Ktrace.dump sched.Sched.trace in
-  let tail =
-    let n = List.length recent in
-    List.filteri (fun i _ -> i >= n - 10) recent
-  in
-  Buffer.add_string buf "trace tail:\n";
-  List.iter
-    (fun e -> Buffer.add_string buf ("  " ^ Ktrace.format_entry e ^ "\n"))
-    tail;
+  add_trace_tail buf sched 10 (fun _ _ -> "trace tail:\n");
   Buffer.add_string buf "=== END PANIC DUMP ===\n";
   Buffer.contents buf
 
@@ -55,14 +59,8 @@ let flight_record sched console ~events msg =
     (Printf.sprintf "\n=== FLIGHT RECORDER (t=%.3f ms) ===\npanic: %s\n"
        (Sim.Engine.to_ms (Hw.Board.now sched.Sched.board))
        msg);
-  let recent = Ktrace.dump sched.Sched.trace in
-  let n = List.length recent in
-  let tail = List.filteri (fun i _ -> i >= n - events) recent in
-  Buffer.add_string buf
-    (Printf.sprintf "trace tail (last %d of %d):\n" (List.length tail) n);
-  List.iter
-    (fun e -> Buffer.add_string buf ("  " ^ Ktrace.format_entry e ^ "\n"))
-    tail;
+  add_trace_tail buf sched events
+    (Printf.sprintf "trace tail (last %d of %d):\n");
   Buffer.add_string buf "vprobe aggregates:\n";
   Buffer.add_string buf (Vprobe.render sched.Sched.vprobe);
   Buffer.add_string buf "delay accounting:\n";

@@ -132,30 +132,18 @@ let render_kcheck t =
   | Some kc -> Kcheck.render_report kc
   | None -> "kcheck\t\t: disabled\n"
 
-(* Prometheus text exposition of every kperf counter and histogram; the
-   page exists only when the [metrics] knob is armed. Attached vprobe
-   aggregates fold in as vos_vprobe_* series so one scrape covers both. *)
+(* Prometheus text exposition of every kperf counter and histogram.
+   Attached vprobe aggregates fold in as vos_vprobe_* series so one
+   scrape covers both. *)
 let render_metrics t =
-  if t.sched.Sched.config.Kconfig.metrics then
-    Some
-      (Kperf.render_metrics t.sched.Sched.kperf
-      ^
-      if t.sched.Sched.config.Kconfig.vprobe then
-        Vprobe.render_metrics t.sched.Sched.vprobe
-      else "")
-  else None
+  Kperf.render_metrics t.sched.Sched.kperf
+  ^ Vprobe.render_metrics t.sched.Sched.vprobe
 
-(* Dynamic-probe surfaces, armed by the [vprobe] knob: /proc/vprobe is
-   the aggregate dump, /proc/vprobe_ctl accepts probe-spec writes (see
-   {!Vprobe.ctl_write}) and mirrors the registry state back on read. *)
-let render_vprobe t =
-  if t.sched.Sched.config.Kconfig.vprobe then
-    Some (Vprobe.render t.sched.Sched.vprobe)
-  else None
+(* Dynamic-probe surfaces: /proc/vprobe is the aggregate dump,
+   /proc/vprobe_ctl accepts probe-spec writes (see {!Vprobe.ctl_write})
+   and mirrors the registry state back on read. *)
+let render_vprobe t = Vprobe.render t.sched.Sched.vprobe
 
-(* Per-task delay accounting. Renders even when the knob is off (a
-   self-describing "disabled" line, like /proc/kcheck) so sysmon can
-   always open it. *)
 let render_delays t = Sched.render_delays t.sched
 
 let render_profile t = Kperf.render_profile t.sched.Sched.kperf
@@ -172,13 +160,12 @@ let render_ktrace_ctl t =
   in
   Printf.sprintf
     "enable\t\t: %d\nclock\t\t: %s\nfilter\t\t: %s\ndstate\t\t: \
-     %d\nper_core_rings\t: %b\nevents_written\t: %d\n"
+     %d\nevents_written\t: %d\n"
     (if tr.Ktrace.enabled then 1 else 0)
     (if Int64.equal tr.Ktrace.clock_base 0L then "abs" else "rel")
     filter_names
     (if tr.Ktrace.dstate then 1 else 0)
-    t.sched.Sched.config.Kconfig.trace_per_core_rings
-    (Ktrace.written tr)
+    tr.Ktrace.head
 
 let render t name =
   match name with
@@ -190,20 +177,12 @@ let render t name =
   | "ipc" -> Some (render_ipc t)
   | "locks" -> Some (render_locks t)
   | "kcheck" -> Some (render_kcheck t)
-  | "metrics" -> render_metrics t
+  | "metrics" -> Some (render_metrics t)
   | "profile" -> Some (render_profile t)
   | "ktrace_ctl" -> Some (render_ktrace_ctl t)
-  | "vprobe" -> render_vprobe t
-  | "vprobe_ctl" -> render_vprobe t
+  | "vprobe" | "vprobe_ctl" -> Some (render_vprobe t)
   | "delays" -> Some (render_delays t)
   | _ -> None
-
-let names =
-  [
-    "cpuinfo"; "meminfo"; "uptime"; "tasks"; "sched"; "ipc"; "locks"; "kcheck";
-    "metrics"; "profile"; "ktrace"; "ktrace_ctl"; "vprobe"; "vprobe_ctl";
-    "delays";
-  ]
 
 (* ---- /proc/ktrace: the consuming trace-pipe ---- *)
 
@@ -301,10 +280,9 @@ let ktrace_ctl_write t ctx bytes =
             | Some mask -> Ktrace.set_filter tr mask; true
             | None -> false)
         | "dstate" -> (
-            (* delay-accounting trace events (Task_state / Runq_depth)
-               are double-gated: the Kconfig.delayacct knob AND this
-               runtime switch, off by default so armed-vs-stock traces
-               stay byte-identical *)
+            (* delay-accounting trace events (Task_state / Runq_depth):
+               off by default so armed-vs-stock traces stay
+               byte-identical *)
             match value with
             | "0" -> Ktrace.set_dstate tr false; true
             | "1" -> Ktrace.set_dstate tr true; true
@@ -378,7 +356,7 @@ let ops t name =
           dev_close = (fun file -> Hashtbl.remove t.snapshots file.Fd.file_id);
           dev_poll = None;
         }
-  | "vprobe_ctl" when t.sched.Sched.config.Kconfig.vprobe ->
+  | "vprobe_ctl" ->
       Some
         {
           Fd.dev_name = "proc:vprobe_ctl";

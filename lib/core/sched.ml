@@ -260,10 +260,7 @@ let create board config kalloc =
       board;
       config;
       kalloc;
-      trace =
-        Ktrace.create
-          ~per_core:config.Kconfig.trace_per_core_rings
-          ~cores:board.Hw.Board.platform.Hw.Board.num_cores ();
+      trace = Ktrace.create ();
       kperf;
       h_syscall = Kperf.hist kperf "vos_syscall_service_ns";
       h_poll_wait = Kperf.hist kperf "vos_poll_wait_ns";
@@ -328,7 +325,7 @@ let create board config kalloc =
         t.cores.(core).stats.migrations)
   done;
   Kperf.register_counter kperf "vos_trace_events_total" (fun () ->
-      Ktrace.written t.trace);
+      t.trace.Ktrace.head);
   Kperf.register_counter kperf "vos_profile_samples_total" (fun () ->
       kperf.Kperf.profile_samples);
   t
@@ -417,22 +414,20 @@ let delay_fold task ~now_ns =
 (* The single gateway for task-state transitions: every assignment of
    [Task.state] in this file goes through here so delay accounting can
    never miss an edge. Pure host-side bookkeeping — nothing is charged —
-   and the optional Task_state event is double-gated (delayacct knob AND
-   the tracer's dstate toggle) so armed traces stay byte-identical. *)
+   and the optional Task_state event is gated by the tracer's dstate
+   toggle so armed traces stay byte-identical. *)
 let set_state t task new_state =
-  if t.config.Kconfig.delayacct then begin
-    delay_fold task ~now_ns:(now t);
-    if t.trace.Ktrace.dstate then
-      Ktrace.emit t.trace ~ts_ns:(now t)
-        ~core:(max 0 task.Task.last_core)
-        (Ktrace.Task_state (task.Task.pid, state_code new_state))
-  end;
+  delay_fold task ~now_ns:(now t);
+  if t.trace.Ktrace.dstate then
+    Ktrace.emit t.trace ~ts_ns:(now t)
+      ~core:(max 0 task.Task.last_core)
+      (Ktrace.Task_state (task.Task.pid, state_code new_state));
   task.Task.state <- new_state
 
 (* Runnable-queue depth after a queue change, for the Perfetto counter
-   track. Same double gate as Task_state. *)
+   track. Same dstate gate as Task_state. *)
 let emit_runq_depth t core =
-  if t.config.Kconfig.delayacct && t.trace.Ktrace.dstate then
+  if t.trace.Ktrace.dstate then
     Ktrace.emit t.trace ~ts_ns:(now t) ~core:core.core_id
       (Ktrace.Runq_depth (core.core_id, rq_len core.rq))
 
@@ -1371,7 +1366,7 @@ let delay_rows t =
   all_tasks t
   |> List.filter (fun task -> not (is_zombie task))
   |> List.map (fun task ->
-         if t.config.Kconfig.delayacct then delay_fold task ~now_ns;
+         delay_fold task ~now_ns;
          {
            dr_pid = task.Task.pid;
            dr_name = task.Task.name;
@@ -1386,24 +1381,20 @@ let delay_rows t =
          })
 
 let render_delays t =
-  if not t.config.Kconfig.delayacct then
-    "delayacct\t: disabled (Kconfig.delayacct = false)\n"
-  else begin
-    let buf = Buffer.create 512 in
-    Buffer.add_string buf
-      (Printf.sprintf "%-5s %-12s %-14s %12s %12s %12s %12s %12s %12s %12s\n"
-         "PID" "NAME" "STATE" "ONCPU" "RUNNABLE" "SLEEP" "BLK_IO" "BLK_LOCK"
-         "BLK_PIPE" "LIFETIME");
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%-5d %-12s %-14s %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld\n"
-             r.dr_pid r.dr_name r.dr_state r.dr_oncpu r.dr_runnable r.dr_sleep
-             r.dr_blk_io r.dr_blk_lock r.dr_blk_pipe r.dr_lifetime))
-      (delay_rows t);
-    Buffer.contents buf
-  end
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf
+    (Printf.sprintf "%-5s %-12s %-14s %12s %12s %12s %12s %12s %12s %12s\n"
+       "PID" "NAME" "STATE" "ONCPU" "RUNNABLE" "SLEEP" "BLK_IO" "BLK_LOCK"
+       "BLK_PIPE" "LIFETIME");
+  List.iter
+    (fun r ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "%-5d %-12s %-14s %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld\n"
+           r.dr_pid r.dr_name r.dr_state r.dr_oncpu r.dr_runnable r.dr_sleep
+           r.dr_blk_io r.dr_blk_lock r.dr_blk_pipe r.dr_lifetime))
+    (delay_rows t);
+  Buffer.contents buf
 
 let core_busy_ns t core_id = t.cores.(core_id).busy_ns
 let core_io_ns t core_id = t.cores.(core_id).io_busy_ns

@@ -59,7 +59,6 @@ let observer : (name:string -> core:int -> contended:bool -> unit) option ref =
   ref None
 
 let set_observer f = observer := Some f
-let clear_observer () = observer := None
 
 let observe ~name ~core ~contended =
   match !observer with

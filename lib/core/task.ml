@@ -38,7 +38,7 @@ type t = {
   mutable runnable_since : int64;
       (** when the task last became runnable; -1 = not waiting. Feeds the
           run-delay histogram. *)
-  (* delay accounting ({!Kconfig.delayacct}): cumulative ns this task has
+  (* delay accounting: cumulative ns this task has
      spent in each scheduler state, maintained at every [state]
      transition in sched.ml. The open segment (state entered at
      [d_state_since], not yet left) is folded in at render time so the

@@ -14,7 +14,7 @@
       an undefined errno, success where EINVAL is mandatory, a read
       longer than requested. Checked inline by the monkey itself;
     - {b Wedge}: the monkey neither finished nor died within the
-      session's virtual-time budget ([fuzz_session_ms]) — the fuzzer's
+      session's virtual-time budget ({!session_ms}) — the fuzzer's
       deadlock oracle.
 
     A passing run produces a digest over the ktrace, the UART output
@@ -57,10 +57,13 @@ let same_kind a b =
   | Wedge _, Wedge _ -> true
   | Crash _, _ | Violation _, _ | Invariant _, _ | Wedge _, _ -> false
 
-(* ---- campaign defaults, read off the stock config (the fuzz_* knobs) ---- *)
+(* ---- campaign defaults ---- *)
 
-let default_ops () = Kconfig.full.Kconfig.fuzz_ops
-let default_faults () = Kconfig.full.Kconfig.fuzz_faults
+(* Ops per generated scenario (explicit corpus entries pin their own op
+   lists) and the virtual-time budget per session: a driver that neither
+   finishes nor dies by then is reported as a Wedge. *)
+let default_ops = 48
+let session_ms = 400
 
 (* ---- kernel config variants ----
 
@@ -97,13 +100,7 @@ let config_of_variant v =
         pipe_buffer_bytes = 1024;
         pipe_wake_edge = true;
       }
-  | 5 ->
-      {
-        base with
-        Kconfig.trace_per_core_rings = true;
-        profile_hz = 250;
-        metrics = true;
-      }
+  | 5 -> { base with Kconfig.profile_hz = 250 }
   | _ -> base
 
 (* ---- boot spec ---- *)
@@ -371,8 +368,7 @@ let run scen =
      in
      let task = Kernel.spawn_user kernel ~name:"monkey" monkey in
      let deadline =
-       Int64.add (Kernel.now kernel)
-         (Sim.Engine.ms cfg.Kconfig.fuzz_session_ms)
+       Int64.add (Kernel.now kernel) (Sim.Engine.ms session_ms)
      in
      let monkey_dead () = String.equal (Task.state_name task) "zombie" in
      while
@@ -446,8 +442,7 @@ let run scen =
     r_vtime_ns = vtime;
   }
 
-(* Run a scenario regenerated from a bare seed with the stock knobs. *)
-let run_seed ?ops ?faults seed =
-  let ops = match ops with Some n -> n | None -> default_ops () in
-  let faults = match faults with Some b -> b | None -> default_faults () in
+(* Run a scenario regenerated from a bare seed with the campaign
+   defaults: [default_ops] ops, device faults armed. *)
+let run_seed ?(ops = default_ops) ?(faults = true) seed =
   run (Gen.generate ~ops ~faults seed)

@@ -1151,6 +1151,17 @@ let panic_button_dumps () =
              done);
          0));
   run_for kernel 1;
+  (* snapshot the trace at the instant the FIQ handler renders *)
+  let sched = kernel.Core.Kernel.sched in
+  let at_fiq = ref [] in
+  (match sched.Core.Sched.on_panic with
+  | Some render ->
+      sched.Core.Sched.on_panic <-
+        Some
+          (fun core ->
+            at_fiq := Core.Ktrace.dump sched.Core.Sched.trace;
+            render core)
+  | None -> Alcotest.fail "no panic button handler installed");
   Hw.Gpio.press_panic_button kernel.Core.Kernel.board.Hw.Board.gpio;
   Core.Kernel.run_for kernel (Sim.Engine.ms 10);
   let out = Core.Kernel.uart_output kernel in
@@ -1162,7 +1173,24 @@ let panic_button_dumps () =
   check_bool "dump header" true (has "PANIC BUTTON");
   check_bool "core states listed" true (has "core 0:");
   check_bool "busy task's frame appears" true (has "spin_loop");
-  check_int "one dump" 1 (Core.Panic.dumps kernel.Core.Kernel.panic)
+  check_int "one dump" 1 (Core.Panic.dumps kernel.Core.Kernel.panic);
+  let rec after_header = function
+    | "trace tail:" :: rest -> rest
+    | _ :: rest -> after_header rest
+    | [] -> Alcotest.fail "no trace tail in the dump"
+  in
+  let rec until_end = function
+    | "=== END PANIC DUMP ===" :: _ | [] -> []
+    | l :: rest -> l :: until_end rest
+  in
+  let printed = until_end (after_header (String.split_on_char '\n' out)) in
+  let n = List.length !at_fiq in
+  let expected =
+    List.filteri (fun i _ -> i >= n - 10) !at_fiq
+    |> List.map (fun e -> "  " ^ Core.Ktrace.format_entry e)
+  in
+  Alcotest.(check (list string)) "trace tail = last 10 entries at the FIQ"
+    expected printed
 
 let velf_roundtrip () =
   let velf = { Core.Velf.prog_name = "doom"; code_bytes = 5000; data_bytes = 1000 } in

@@ -1,6 +1,6 @@
 (** kperf tests: the shared log-linear histogram (exact bucket
-    boundaries plus qcheck invariants), the per-core trace rings and
-    their consuming readers, the machine format, span pairing over a
+    boundaries plus qcheck invariants), the trace ring and its consuming
+    readers, the machine format, span pairing over a
     real launcher session, and the /proc surfaces (metrics, profile,
     the ktrace trace-pipe and ktrace_ctl). *)
 
@@ -22,15 +22,9 @@ let count_sub s sub =
   in
   go 0 0
 
-(* Every kernel in this file boots with the full observability stack
-   armed: per-core rings, the 100 Hz profiler and /proc/metrics. *)
-let armed config =
-  {
-    config with
-    Core.Kconfig.trace_per_core_rings = true;
-    profile_hz = 100;
-    metrics = true;
-  }
+(* Every kernel in this file boots with the 100 Hz profiler armed on top
+   of the always-on tracer, metrics page and probe registry. *)
+let armed config = { config with Core.Kconfig.profile_hz = 100 }
 
 (* ---- histogram: exact bucket boundaries ---- *)
 
@@ -117,25 +111,29 @@ let hist_merge_is_concat =
 
 (* ---- trace rings and readers ---- *)
 
-let entry_key e = (e.Core.Ktrace.ts_ns, e.Core.Ktrace.seq)
-
-let is_sorted entries =
-  let rec go = function
-    | a :: (b :: _ as rest) -> compare (entry_key a) (entry_key b) <= 0 && go rest
-    | [ _ ] | [] -> true
-  in
-  go entries
-
-let trace_per_core_merge_sorted () =
-  let tr = Core.Ktrace.create ~capacity:4096 ~per_core:true ~cores:4 () in
-  for i = 0 to 99 do
-    Core.Ktrace.emit tr
-      ~ts_ns:(Int64.of_int (i * 10))
-      ~core:(i mod 4) (Core.Ktrace.Sched_wakeup i)
-  done;
+(* An SD request's Span_end is emitted at issue time but stamped with its
+   completion time, so the ring holds it ahead of entries stamped
+   earlier. The dump restores time order; the trace-pipe reader keeps
+   emission order. *)
+let trace_dump_time_order_reader_emission_order () =
+  let tr = Core.Ktrace.create ~capacity:1024 () in
+  let r = Core.Ktrace.new_reader tr in
+  Core.Ktrace.emit tr ~ts_ns:10L ~core:0 (Core.Ktrace.Span_begin (1, 2, "sd"));
+  Core.Ktrace.emit tr ~ts_ns:50L ~core:0 (Core.Ktrace.Span_end 1);
+  Core.Ktrace.emit tr ~ts_ns:20L ~core:1 (Core.Ktrace.Sched_wakeup 3);
+  Core.Ktrace.emit tr ~ts_ns:30L ~core:2 Core.Ktrace.Wm_composite;
+  let stamps es = List.map (fun e -> Int64.to_int e.Core.Ktrace.ts_ns) es in
+  let seqs es = List.map (fun e -> e.Core.Ktrace.seq) es in
   let d = Core.Ktrace.dump tr in
-  check_int "all events kept" 100 (List.length d);
-  check_bool "merged dump is (ts, seq)-sorted" true (is_sorted d)
+  Alcotest.(check (list int)) "dump is in time order" [ 10; 20; 30; 50 ]
+    (stamps d);
+  Alcotest.(check (list int)) "dump carries emission seqs" [ 0; 2; 3; 1 ]
+    (seqs d);
+  let streamed = Core.Ktrace.read_reader r ~max:10 in
+  Alcotest.(check (list int)) "reader streams in emission order"
+    [ 10; 50; 20; 30 ] (stamps streamed);
+  Alcotest.(check (list int)) "reader seqs ascend" [ 0; 1; 2; 3 ]
+    (seqs streamed)
 
 let trace_ring_wraps () =
   (* tiny ring: only the newest [capacity] entries survive *)
@@ -151,7 +149,7 @@ let trace_ring_wraps () =
       check_int "oldest surviving entry is the wrap point" (2000 - 1024)
         (Int64.to_int first.Core.Ktrace.ts_ns)
   | [] -> Alcotest.fail "empty dump");
-  check_int "written counts every emit" 2000 (Core.Ktrace.written tr)
+  check_int "head counts every emit" 2000 tr.Core.Ktrace.head
 
 let trace_reader_consumes () =
   let tr = Core.Ktrace.create ~capacity:1024 () in
@@ -490,13 +488,6 @@ let metrics_exposition_wellformed () =
   check_bool "the vprobe label block parsed" true
     (contains text "vos_vprobe_fired_total{probe=")
 
-let metrics_gated_by_knob () =
-  (* test_config leaves metrics off: the page must not exist *)
-  in_kernel (fun _ ->
-      match User.Usys.slurp "/proc/metrics" with
-      | Ok _ -> Alcotest.fail "/proc/metrics should not render when off"
-      | Error _ -> ())
-
 let profile_attributes_samples () =
   let text =
     in_kernel ~config:(armed test_config) (fun _ ->
@@ -594,10 +585,9 @@ let ktrace_ctl_controls () =
         check_bool "disable accepted" true (wr "enable=0\n" > 0);
         check_bool "ctl mirrors disabled" true
           (contains (ctl ()) "enable\t\t: 0");
-        let before = Core.Ktrace.written tr in
+        let before = tr.Core.Ktrace.head in
         ignore (User.Usys.getpid ());
-        check_int "no events emitted while disabled" before
-          (Core.Ktrace.written tr);
+        check_int "no events emitted while disabled" before tr.Core.Ktrace.head;
         check_bool "re-enable + filter + rel clock in one write" true
           (wr "enable=1\nfilter=syscall,span\nclock=rel\n" > 0);
         let state = ctl () in
@@ -605,10 +595,10 @@ let ktrace_ctl_controls () =
           (contains state "filter\t\t: syscall,span");
         check_bool "ctl mirrors the rebased clock" true
           (contains state "clock\t\t: rel");
-        let before = Core.Ktrace.written tr in
+        let before = tr.Core.Ktrace.head in
         ignore (User.Usys.getpid ());
         check_bool "filtered tracer emits again" true
-          (Core.Ktrace.written tr > before);
+          (tr.Core.Ktrace.head > before);
         check_int "unknown key rejected" (-Core.Errno.einval) (wr "bogus=1\n");
         check_int "bad filter rejected" (-Core.Errno.einval)
           (wr "filter=nope\n");
@@ -630,7 +620,8 @@ let suite =
       quick "empty histogram quantiles are all 0" hist_empty_percentile_zero;
       hist_percentile_order;
       hist_merge_is_concat;
-      quick "per-core rings merge (ts, seq)-sorted" trace_per_core_merge_sorted;
+      quick "dump in time order, reader in emission order"
+        trace_dump_time_order_reader_emission_order;
       quick "ring wraps, keeps newest, counts written" trace_ring_wraps;
       quick "trace reader consumes incrementally" trace_reader_consumes;
       quick "trace reader counts overwritten entries"
@@ -640,7 +631,6 @@ let suite =
       slow "span pairing over a launcher session" span_pairing_full_run;
       slow "/proc/metrics exposes the kernel histograms"
         metrics_exposes_histograms;
-      quick "/proc/metrics gated by the knob" metrics_gated_by_knob;
       slow "/proc/metrics is valid Prometheus exposition"
         metrics_exposition_wellformed;
       slow "/proc/profile attributes samples" profile_attributes_samples;

@@ -1,7 +1,7 @@
 (** Observability-layer tests: the vprobe spec parser and its error
     surface, attach/fire/predicate/keying semantics, ctl_write's
     all-or-nothing contract, the /proc/vprobe + /proc/vprobe_ctl +
-    /proc/delays surfaces and their Kconfig gating, the dstate double
+    /proc/delays surfaces (served by every stock kernel), the dstate
     gate, delay-bucket conservation, and the panic flight recorder. *)
 
 open Tharness
@@ -185,9 +185,7 @@ let proc_vprobe_roundtrip () =
 
 let metrics_fold_in () =
   let text =
-    in_kernel
-      ~config:{ test_config with Core.Kconfig.metrics = true }
-      (fun _ ->
+    in_kernel (fun _ ->
         let fd = User.Usys.open_ "/proc/vprobe_ctl" Core.Abi.o_wronly in
         ignore
           (User.Usys.write fd (Bytes.of_string "probe syscall:getpid\n"));
@@ -204,24 +202,47 @@ let metrics_fold_in () =
   check_contains "kcheck violations exported" "vos_kcheck_violations_total"
     text
 
-let knob_gating () =
-  in_kernel
-    ~config:{ test_config with Core.Kconfig.vprobe = false }
-    (fun _ ->
-      (match User.Usys.slurp "/proc/vprobe" with
-      | Ok _ -> Alcotest.fail "/proc/vprobe must not render when off"
-      | Error _ -> ());
-      check_bool "/proc/vprobe_ctl gone too" true
-        (User.Usys.open_ "/proc/vprobe_ctl" Core.Abi.o_wronly < 0));
-  let text =
-    in_kernel
-      ~config:{ test_config with Core.Kconfig.delayacct = false }
-      (fun _ ->
-        Bytes.to_string (Result.get_ok (User.Usys.slurp "/proc/delays")))
-  in
-  check_contains "delays page self-describes when off" "disabled" text
+(* The stock Prototype 5 config, not the harness's kcheck variant: every
+   observability page is served with no knob to arm. *)
+let stock_serves_observability () =
+  in_kernel ~config:Core.Kconfig.full (fun _ ->
+      let slurp path =
+        match User.Usys.slurp path with
+        | Ok b -> Bytes.to_string b
+        | Error e -> Alcotest.failf "%s: errno %d" path e
+      in
+      check_contains "/proc/metrics is Prometheus text" "# TYPE"
+        (slurp "/proc/metrics");
+      check_contains "/proc/vprobe renders" "probes" (slurp "/proc/vprobe");
+      let fd = User.Usys.open_ "/proc/vprobe_ctl" Core.Abi.o_wronly in
+      check_bool "/proc/vprobe_ctl opens for writing" true (fd >= 0);
+      check_bool "/proc/vprobe_ctl accepts a spec" true
+        (User.Usys.write fd (Bytes.of_string "probe sched:wakeup\n") > 0);
+      ignore (User.Usys.close fd);
+      check_contains "/proc/delays has the table" "LIFETIME"
+        (slurp "/proc/delays"))
 
 (* ---- delay accounting ---- *)
+
+(* Every live task's six buckets sum to its lifetime, exactly. *)
+let check_conserved rows =
+  List.iter
+    (fun r ->
+      let sum =
+        List.fold_left Int64.add 0L
+          [
+            r.Core.Sched.dr_oncpu;
+            r.Core.Sched.dr_runnable;
+            r.Core.Sched.dr_sleep;
+            r.Core.Sched.dr_blk_io;
+            r.Core.Sched.dr_blk_lock;
+            r.Core.Sched.dr_blk_pipe;
+          ]
+      in
+      if not (Int64.equal sum r.Core.Sched.dr_lifetime) then
+        Alcotest.failf "pid %d: buckets sum to %Ld but lifetime is %Ld"
+          r.Core.Sched.dr_pid sum r.Core.Sched.dr_lifetime)
+    rows
 
 let delay_conservation () =
   in_kernel (fun kernel ->
@@ -244,23 +265,7 @@ let delay_conservation () =
       User.Usys.burn 1_000_000;
       let rows = Core.Sched.delay_rows kernel.Core.Kernel.sched in
       check_bool "at least our task is live" true (List.length rows >= 1);
-      List.iter
-        (fun r ->
-          let sum =
-            List.fold_left Int64.add 0L
-              [
-                r.Core.Sched.dr_oncpu;
-                r.Core.Sched.dr_runnable;
-                r.Core.Sched.dr_sleep;
-                r.Core.Sched.dr_blk_io;
-                r.Core.Sched.dr_blk_lock;
-                r.Core.Sched.dr_blk_pipe;
-              ]
-          in
-          if not (Int64.equal sum r.Core.Sched.dr_lifetime) then
-            Alcotest.failf "pid %d: buckets sum to %Ld but lifetime is %Ld"
-              r.Core.Sched.dr_pid sum r.Core.Sched.dr_lifetime)
-        rows;
+      check_conserved rows;
       let me =
         List.find (fun r -> String.equal r.Core.Sched.dr_name "test") rows
       in
@@ -270,6 +275,28 @@ let delay_conservation () =
         (Int64.compare me.Core.Sched.dr_sleep 0L > 0);
       check_bool "the pipe wait is classified blocked-pipe" true
         (Int64.compare me.Core.Sched.dr_blk_pipe 0L > 0))
+
+(* Prototype 3 has no procfs, but its scheduler keeps the same books. *)
+let delay_conservation_p3 () =
+  in_kernel ~config:(Core.Kconfig.prototype 3) (fun kernel ->
+      let child =
+        User.Usys.fork (fun () ->
+            ignore (User.Usys.sleep 2);
+            0)
+      in
+      check_bool "fork works at P3" true (child > 0);
+      ignore (User.Usys.wait ());
+      ignore (User.Usys.sleep 3);
+      User.Usys.burn 1_000_000;
+      let rows = Core.Sched.delay_rows kernel.Core.Kernel.sched in
+      check_conserved rows;
+      let me =
+        List.find (fun r -> String.equal r.Core.Sched.dr_name "test") rows
+      in
+      check_bool "the burn shows up oncpu" true
+        (Int64.compare me.Core.Sched.dr_oncpu 0L > 0);
+      check_bool "the sleep shows up" true
+        (Int64.compare me.Core.Sched.dr_sleep 0L > 0))
 
 let dstate_double_gate () =
   in_kernel (fun kernel ->
@@ -343,8 +370,10 @@ let suite =
       slow "/proc/vprobe + vprobe_ctl round-trip" proc_vprobe_roundtrip;
       slow "/proc/metrics folds in vprobe and subsystem counters"
         metrics_fold_in;
-      slow "knob gating for vprobe and delayacct" knob_gating;
+      slow "stock kernel serves every observability page"
+        stock_serves_observability;
       slow "delay buckets conserve lifetime exactly" delay_conservation;
+      slow "prototype 3 keeps conserving delay buckets" delay_conservation_p3;
       slow "dstate events are double-gated" dstate_double_gate;
       slow "panic flight recorder dumps to the UART" flight_recorder_fires;
       slow "flight recorder silent when disabled" flight_recorder_gated;

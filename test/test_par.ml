@@ -392,12 +392,7 @@ let trace_md5 stage =
 let miner_trace ~domains =
   let stage =
     Proto.Stage.boot ~prototype:5
-      ~config_tweak:(fun c ->
-        {
-          c with
-          Core.Kconfig.trace_per_core_rings = true;
-          sim_domains = domains;
-        })
+      ~config_tweak:(fun c -> { c with Core.Kconfig.sim_domains = domains })
       ()
   in
   ignore
