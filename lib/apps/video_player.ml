@@ -77,49 +77,46 @@ let main env argv =
                   let frame_ms = 1000 / max 1 video.Mv1.fps in
                   let start_ms = Usys.uptime_ms () in
                   let shown = ref 0 in
+                  let status = ref 0 in
+                  let vw = video.Mv1.width and vh = video.Mv1.height in
+                  let dec = Mv1.decoder ~width:vw ~height:vh ~quality:Mv1.quality in
                   (* loop the clip forever when no frame budget is given
                      (benchmark mode) *)
                   let total = if max_frames > 0 then max_frames else max_int in
-                  while !shown < total do
+                  while !status = 0 && !shown < total do
                     let idx = !shown mod Array.length video.Mv1.frames in
-                    let payload = video.Mv1.frames.(idx) in
-                    let frame =
-                      Mv1.decode_frame ~width:video.Mv1.width
-                        ~height:video.Mv1.height ~quality:Mv1.quality payload
-                    in
-                    let blocks =
-                      Mv1.blocks_per_frame ~width:video.Mv1.width
-                        ~height:video.Mv1.height
-                    in
-                    Usys.burn
-                      (Mv1.cycles_per_frame_fixed
-                      + (blocks * Mv1.cycles_per_block ~simd));
-                    let conv_cycles =
-                      Mv1.to_rgb ~simd frame ~width:video.Mv1.width
-                        ~height:video.Mv1.height rgb
-                    in
-                    Usys.burn conv_cycles;
-                    (* center-blit to the framebuffer *)
-                    let gw = gfx.Gfx.width and gh = gfx.Gfx.height in
-                    let ox = max 0 ((gw - video.Mv1.width) / 2) in
-                    let oy = max 0 ((gh - video.Mv1.height) / 2) in
-                    for y = 0 to min (video.Mv1.height - 1) (gh - 1 - oy) do
-                      for x = 0 to min (video.Mv1.width - 1) (gw - 1 - ox) do
-                        gfx.Gfx.pixels.(((oy + y) * gw) + ox + x) <-
-                          rgb.((y * video.Mv1.width) + x)
-                      done
-                    done;
-                    Gfx.charge gfx (video.Mv1.width * video.Mv1.height / 8);
-                    Gfx.present gfx;
-                    incr shown;
-                    (* pace to the native framerate when we're ahead *)
-                    let target_ms = start_ms + (!shown * frame_ms) in
-                    let now_ms = Usys.uptime_ms () in
-                    if now_ms < target_ms then ignore (Usys.sleep (target_ms - now_ms))
+                    match Mv1.decode_into dec video.Mv1.frames.(idx) with
+                    | exception Failure _ -> status := Core.Errno.einval
+                    | () ->
+                        let blocks = Mv1.blocks_per_frame ~width:vw ~height:vh in
+                        Usys.burn
+                          (Mv1.cycles_per_frame_fixed
+                          + (blocks * Mv1.cycles_per_block ~simd));
+                        let conv_cycles =
+                          Mv1.to_rgb ~simd dec.Mv1.frame ~width:vw ~height:vh rgb
+                        in
+                        Usys.burn conv_cycles;
+                        (* center-blit to the framebuffer, a row at a time *)
+                        let gw = gfx.Gfx.width and gh = gfx.Gfx.height in
+                        let ox = max 0 ((gw - vw) / 2) in
+                        let oy = max 0 ((gh - vh) / 2) in
+                        let w = min vw (gw - ox) in
+                        for y = 0 to min (vh - 1) (gh - 1 - oy) do
+                          Hw.Framebuffer.blit_pixels rgb (y * vw) gfx.Gfx.pixels
+                            (((oy + y) * gw) + ox) w
+                        done;
+                        Gfx.charge gfx (vw * vh / 8);
+                        Gfx.present gfx;
+                        incr shown;
+                        (* pace to the native framerate when we're ahead *)
+                        let target_ms = start_ms + (!shown * frame_ms) in
+                        let now_ms = Usys.uptime_ms () in
+                        if now_ms < target_ms then
+                          ignore (Usys.sleep (target_ms - now_ms))
                   done;
                   (match audio_tid with
                   | Some tid ->
                       ignore (Usys.kill tid);
                       ignore (Usys.join tid)
                   | None -> ());
-                  0)))
+                  !status)))

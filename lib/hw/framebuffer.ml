@@ -27,9 +27,17 @@ let height t = t.height
 let set_mapping t m = t.mapping <- m
 let mapping t = t.mapping
 
+(* [Array.blit] for pixel rows. The planes live in the major heap, where
+   [Array.blit] pays a write barrier per element; this loop is typed
+   [int] and pays none. *)
+let blit_pixels (src : int array) soff (dst : int array) doff n =
+  for i = 0 to n - 1 do
+    dst.(doff + i) <- src.(soff + i)
+  done
+
 let publish_row t y =
   let off = y * t.width in
-  Array.blit t.cache off t.plane off t.width;
+  blit_pixels t.cache off t.plane off t.width;
   t.dirty.(y) <- false
 
 let write_pixel t ~x ~y px =
@@ -48,7 +56,7 @@ let read_pixel t ~x ~y =
 let write_row t ~y row =
   if y >= 0 && y < t.height then begin
     let n = min t.width (Array.length row) in
-    Array.blit row 0 t.cache (y * t.width) n;
+    blit_pixels row 0 t.cache (y * t.width) n;
     match t.mapping with
     | Uncached -> publish_row t y
     | Cached -> t.dirty.(y) <- true

@@ -38,6 +38,11 @@ val read_pixel : t -> x:int -> y:int -> int
 val write_row : t -> y:int -> int array -> unit
 (** Store a full row; cheaper bulk path used by blit code. *)
 
+val blit_pixels : int array -> int -> int array -> int -> int -> unit
+(** [blit_pixels src soff dst doff n] is [Array.blit] for pixel arrays
+    without the per-element write barrier [Array.blit] pays into a
+    major-heap array. *)
+
 val flush : t -> unit
 (** Cache-clean the framebuffer range: publish all dirty rows to the
     display plane. No-op under [Uncached]. *)

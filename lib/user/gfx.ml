@@ -183,7 +183,7 @@ let present t =
   | Direct fb ->
       (* copy client buffer to the mapped framebuffer: user memmove *)
       for y = 0 to t.height - 1 do
-        Array.blit t.pixels (y * t.width) t.row_buf 0 t.width;
+        Hw.Framebuffer.blit_pixels t.pixels (y * t.width) t.row_buf 0 t.width;
         Hw.Framebuffer.write_row fb ~y t.row_buf
       done;
       (match Hw.Framebuffer.mapping fb with

@@ -36,11 +36,13 @@ type t = {
 
 let pi = 4.0 *. atan 1.0
 
-let dct_matrix =
-  Array.init 8 (fun k ->
-      Array.init 8 (fun n ->
-          let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
-          ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
+(* C[k][n] at [dct_c.((k * 8) + n)]. Row 0 is one constant: its cosine
+   argument is exactly 0, so every C[0][n] is sqrt (1/8). *)
+let dct_c =
+  Array.init 64 (fun i ->
+      let k = i / 8 and n = i mod 8 in
+      let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
+      ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0))
 
 (* out = C * block * C^T *)
 let fdct block out =
@@ -49,7 +51,7 @@ let fdct block out =
     for x = 0 to 7 do
       let s = ref 0.0 in
       for n = 0 to 7 do
-        s := !s +. (dct_matrix.(k).(n) *. float_of_int block.((n * 8) + x))
+        s := !s +. (dct_c.((k * 8) + n) *. float_of_int block.((n * 8) + x))
       done;
       tmp.((k * 8) + x) <- !s
     done
@@ -58,34 +60,64 @@ let fdct block out =
     for l = 0 to 7 do
       let s = ref 0.0 in
       for x = 0 to 7 do
-        s := !s +. (tmp.((k * 8) + x) *. dct_matrix.(l).(x))
+        s := !s +. (tmp.((k * 8) + x) *. dct_c.((l * 8) + x))
       done;
       out.((k * 8) + l) <- !s
     done
   done
 
-let idct coeffs out =
-  let tmp = Array.make 64 0.0 in
-  for n = 0 to 7 do
-    for l = 0 to 7 do
-      let s = ref 0.0 in
+(* [Float.round] (half away from zero) clamped to a byte, without the C
+   call: below 2^52, [x -. float t] is the exact fraction of [x]. *)
+let[@inline] round_byte x =
+  if x >= 0.5 then
+    if x >= 254.5 then 255
+    else
+      let t = truncate x in
+      if x -. float_of_int t >= 0.5 then t + 1 else t
+  else 0
+
+(* out = round (C^T * coeffs * C), clamped to bytes. Bit l of [cols] is
+   set for every column l of [coeffs] holding a non-zero coefficient.
+   Every term of another column is an exact zero, and dropping an exact
+   zero from a sum changes at most the sign of a zero total, which the
+   rounding cannot see: the output is the dense product's, bit for bit. *)
+let idct ~cols (coeffs : float array) (tmp : float array) (out : int array) =
+  (* tmp[n][l] = sum over k of C[k][n] * Y[k][l], summed in k order and
+     skipping zero Y[k][l] for the same reason *)
+  for l = 0 to 7 do
+    if cols land (1 lsl l) <> 0 then begin
+      for n = 0 to 7 do
+        tmp.((n * 8) + l) <- 0.0
+      done;
       for k = 0 to 7 do
-        s := !s +. (dct_matrix.(k).(n) *. coeffs.((k * 8) + l))
-      done;
-      tmp.((n * 8) + l) <- !s
-    done
+        let y = coeffs.((k * 8) + l) in
+        if y <> 0.0 then
+          for n = 0 to 7 do
+            tmp.((n * 8) + l) <- tmp.((n * 8) + l) +. (dct_c.((k * 8) + n) *. y)
+          done
+      done
+    end
   done;
-  for n = 0 to 7 do
-    for m = 0 to 7 do
-      let s = ref 0.0 in
-      for l = 0 to 7 do
-        (* X = C^T Y C: the second factor indexes C[l][m] *)
-        s := !s +. (tmp.((n * 8) + l) *. dct_matrix.(l).(m))
-      done;
-      let v = int_of_float (Float.round !s) in
-      out.((n * 8) + m) <- max 0 (min 255 v)
+  if cols = 1 then
+    (* only the DC column: C[0][m] is one constant, so each row is flat *)
+    for n = 0 to 7 do
+      let v = round_byte (tmp.(n * 8) *. dct_c.(0)) in
+      for m = 0 to 7 do
+        out.((n * 8) + m) <- v
+      done
     done
-  done
+  else
+    for n = 0 to 7 do
+      for m = 0 to 7 do
+        let s = ref 0.0 in
+        for l = 0 to 7 do
+          (* X = C^T Y C: the second factor indexes C[l][m] *)
+          if cols land (1 lsl l) <> 0 then
+            s := !s +. (tmp.((n * 8) + l) *. dct_c.((l * 8) + m))
+        done;
+        out.((n * 8) + m) <- round_byte !s
+      done
+    done
 
 (* JPEG's luminance quantization table, scaled by quality. *)
 let base_quant =
@@ -130,8 +162,42 @@ let encode_block buf quant coeffs =
   (* end of block *)
   Buffer.add_char buf '\255'
 
-let decode_block data pos quant coeffs =
+(* Caller-owned decode state: one decoder per stream, reused for every
+   frame, so decoding allocates nothing. *)
+type decoder = {
+  d_width : int;
+  d_height : int;
+  quant : int array;
+  coeffs : float array;  (** one block's dequantized coefficients, raster order *)
+  tmp : float array;  (** the IDCT's middle product *)
+  block : int array;  (** one decoded 8x8 block *)
+  mutable cols : int;  (** column mask of [coeffs], for {!idct} *)
+  frame : frame;  (** overwritten by every {!decode_into} *)
+}
+
+let decoder ~width ~height ~quality =
+  {
+    d_width = width;
+    d_height = height;
+    quant = quant_table ~quality;
+    coeffs = Array.make 64 0.0;
+    tmp = Array.make 64 0.0;
+    block = Array.make 64 0;
+    cols = 0;
+    frame =
+      {
+        y_plane = Array.make (width * height) 0;
+        u_plane = Array.make (width / 2 * (height / 2)) 0;
+        v_plane = Array.make (width / 2 * (height / 2)) 0;
+      };
+  }
+
+(* Decode one block's (run, lo, hi) triples into [d.coeffs] and its
+   column mask into [d.cols]; returns the position after the block. *)
+let decode_block d data pos =
+  let coeffs = d.coeffs in
   Array.fill coeffs 0 64 0.0;
+  let cols = ref 0 in
   let i = ref 0 in
   let p = ref pos in
   let stop = ref false in
@@ -143,6 +209,7 @@ let decode_block data pos quant coeffs =
       incr p
     end
     else begin
+      if !p + 3 > Bytes.length data then failwith "mv1: truncated block";
       let lo = Bytes.get_uint8 data (!p + 1) in
       let hi = Bytes.get_uint8 data (!p + 2) in
       let v =
@@ -152,10 +219,13 @@ let decode_block data pos quant coeffs =
       p := !p + 3;
       i := !i + run;
       if !i > 63 then failwith "mv1: run overflow";
-      coeffs.(zigzag.(!i)) <- float_of_int (v * quant.(zigzag.(!i)));
+      let z = zigzag.(!i) in
+      coeffs.(z) <- float_of_int (v * d.quant.(z));
+      if v <> 0 then cols := !cols lor (1 lsl (z land 7));
       incr i
     end
   done;
+  d.cols <- !cols;
   !p
 
 (* ---- plane <-> blocks ---- *)
@@ -174,10 +244,11 @@ let extract_block plane ~width ~bx ~by out =
     done
   done
 
-let insert_block plane ~width ~bx ~by block =
+let insert_block (plane : int array) ~width ~bx ~by (block : int array) =
   for y = 0 to 7 do
+    let off = ((by * 8 + y) * width) + (bx * 8) in
     for x = 0 to 7 do
-      plane.(((by * 8 + y) * width) + (bx * 8) + x) <- block.((y * 8) + x)
+      plane.(off + x) <- block.((y * 8) + x)
     done
   done
 
@@ -189,14 +260,12 @@ let encode_plane buf quant plane ~width ~height =
       fdct block coeffs;
       encode_block buf quant coeffs)
 
-let decode_plane data pos quant plane ~width ~height =
-  let coeffs = Array.make 64 0.0 in
-  let block = Array.make 64 0 in
+let decode_plane d data pos plane ~width ~height =
   let p = ref pos in
   for_blocks ~width ~height (fun ~bx ~by ->
-      p := decode_block data !p quant coeffs;
-      idct coeffs block;
-      insert_block plane ~width ~bx ~by block);
+      p := decode_block d data !p;
+      idct ~cols:d.cols d.coeffs d.tmp d.block;
+      insert_block plane ~width ~bx ~by d.block);
   !p
 
 (* ---- frames and container ---- *)
@@ -212,19 +281,22 @@ let encode_frame ~width ~height ~quality frame =
   encode_plane buf quant frame.v_plane ~width:(width / 2) ~height:(height / 2);
   Buffer.to_bytes buf
 
-let decode_frame ~width ~height ~quality data =
-  let quant = quant_table ~quality in
-  let frame =
-    {
-      y_plane = Array.make (width * height) 0;
-      u_plane = Array.make (width / 2 * (height / 2)) 0;
-      v_plane = Array.make (width / 2 * (height / 2)) 0;
-    }
+(* Decode a frame's payload into [d.frame]. Every pixel is overwritten,
+   so nothing of the previous frame survives. Raises [Failure] on a
+   corrupt payload. *)
+let decode_into d data =
+  let width = d.d_width and height = d.d_height in
+  let p = decode_plane d data 0 d.frame.y_plane ~width ~height in
+  let p =
+    decode_plane d data p d.frame.u_plane ~width:(width / 2) ~height:(height / 2)
   in
-  let p = decode_plane data 0 quant frame.y_plane ~width ~height in
-  let p = decode_plane data p quant frame.u_plane ~width:(width / 2) ~height:(height / 2) in
-  let _ = decode_plane data p quant frame.v_plane ~width:(width / 2) ~height:(height / 2) in
-  frame
+  ignore (decode_plane d data p d.frame.v_plane ~width:(width / 2) ~height:(height / 2))
+
+(* A freshly allocated decode of one payload. *)
+let decode_frame ~width ~height ~quality data =
+  let d = decoder ~width ~height ~quality in
+  decode_into d data;
+  d.frame
 
 let quality = 50 (* fixed container quality *)
 

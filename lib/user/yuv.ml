@@ -10,10 +10,10 @@ let cycles_per_pixel_simd = 2 (* 8-wide NEON with saturating narrows *)
 let cycles_per_pixel ~simd =
   if simd then cycles_per_pixel_simd else cycles_per_pixel_scalar
 
-let clamp v = if v < 0 then 0 else if v > 255 then 255 else v
+let[@inline] clamp v = if v < 0 then 0 else if v > 255 then 255 else v
 
 (* ITU-R BT.601 integer approximation, the one everyone ships. *)
-let yuv_to_rgb ~y ~u ~v =
+let[@inline] yuv_to_rgb ~y ~u ~v =
   let c = y - 16 and d = u - 128 and e = v - 128 in
   let r = clamp (((298 * c) + (409 * e) + 128) asr 8) in
   let g = clamp (((298 * c) - (100 * d) - (208 * e) + 128) asr 8) in
@@ -31,17 +31,15 @@ let rgb_to_yuv px =
 
 (* Convert a YUV420 planar frame to packed RGB. [u]/[v] are quarter-size
    planes. Returns the cycle cost for the chosen path. *)
-let convert_420 ~width ~height ~y_plane ~u_plane ~v_plane ~out ~simd =
+let convert_420 ~width ~height ~(y_plane : int array) ~(u_plane : int array)
+    ~(v_plane : int array) ~(out : int array) ~simd =
   assert (Array.length out >= width * height);
+  let cw = width / 2 in
   for row = 0 to height - 1 do
-    let crow = row / 2 in
+    let yoff = row * width and coff = row / 2 * cw in
     for col = 0 to width - 1 do
-      let ccol = col / 2 in
-      out.((row * width) + col) <-
-        yuv_to_rgb
-          ~y:y_plane.((row * width) + col)
-          ~u:u_plane.((crow * (width / 2)) + ccol)
-          ~v:v_plane.((crow * (width / 2)) + ccol)
+      let c = coff + (col / 2) in
+      out.(yoff + col) <- yuv_to_rgb ~y:y_plane.(yoff + col) ~u:u_plane.(c) ~v:v_plane.(c)
     done
   done;
   width * height * cycles_per_pixel ~simd

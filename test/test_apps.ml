@@ -134,6 +134,27 @@ let video_plays_at_native_rate () =
   (* ~26-30 FPS after the initial load: at least 60 frames in 4s *)
   check_bool "video decodes and presents" true (frames > 60)
 
+(* A corrupt payload behind a valid header is EINVAL, like a bad header,
+   not an exception that kills the task. *)
+let video_rejects_corrupt_payload () =
+  List.iter
+    (fun (name, payload) ->
+      let clip =
+        User.Mv1.pack
+          { User.Mv1.width = 16; height = 16; fps = 30; frames = [| Bytes.of_string payload |] }
+      in
+      let code =
+        in_kernel (fun kernel ->
+            let env = User.Uenv.create () in
+            env.User.Uenv.e_fb <- kernel.Core.Kernel.fb;
+            let fd = User.Usys.open_ "/bad.mv1" (Core.Abi.o_create lor Core.Abi.o_wronly) in
+            ignore (User.Usys.write fd clip);
+            ignore (User.Usys.close fd);
+            Apps.Video_player.main env [ "video"; "/bad.mv1"; "1" ])
+      in
+      check_int name Core.Errno.einval code)
+    [ ("truncated payload", "\000\001"); ("run overflow", "\064\001\000\255") ]
+
 let music_fills_the_speaker () =
   let stage = stage5 () in
   ignore (Proto.Stage.start stage "music" [ "music"; "/d/music/track1.vogg"; "/d/music/cover1.pngl" ]);
@@ -274,6 +295,7 @@ let suite_integration =
       slow "doom produces frames" doom_produces_frames;
       slow "mario variants render" mario_variants_produce_frames;
       slow "video plays" video_plays_at_native_rate;
+      quick "video rejects a corrupt payload" video_rejects_corrupt_payload;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;
       slow "slider shows slides" slider_shows_slides;

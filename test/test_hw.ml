@@ -182,6 +182,62 @@ let fb_out_of_bounds_ignored () =
   Hw.Framebuffer.write_pixel fb ~x:(-1) ~y:0 0xff;
   check_int "read oob is 0" 0 (Hw.Framebuffer.read_pixel fb ~x:99 ~y:0)
 
+(* The row copies behind write_row, flush and eviction, under both
+   mappings: a short row leaves the rest of the row alone, and only a
+   flush that publishes something counts as a presented frame. *)
+let fb_row_copies_keep_dirty_semantics () =
+  List.iter
+    (fun (name, mapping) ->
+      let fb = Hw.Framebuffer.create ~width:8 ~height:4 in
+      Hw.Framebuffer.set_mapping fb mapping;
+      let cached = mapping = Hw.Framebuffer.Cached in
+      for x = 0 to 7 do
+        Hw.Framebuffer.write_pixel fb ~x ~y:1 0x111111
+      done;
+      Hw.Framebuffer.flush fb;
+      let presented0 = Hw.Framebuffer.frames_presented fb in
+      check_int (name ^ ": first flush") (if cached then 1 else 0) presented0;
+      Hw.Framebuffer.write_row fb ~y:1 [| 1; 2; 3; 4; 5 |];
+      Hw.Framebuffer.write_row fb ~y:9 [| 7 |];
+      let row f = List.init 8 (fun x -> f ~x ~y:1) in
+      let expect = [ 1; 2; 3; 4; 5; 0x111111; 0x111111; 0x111111 ] in
+      check_bool (name ^ ": short row, CPU view") true
+        (row (Hw.Framebuffer.read_pixel fb) = expect);
+      check_int (name ^ ": stale after write_row") (if cached then 1 else 0)
+        (Hw.Framebuffer.stale_rows fb);
+      check_bool (name ^ ": display before flush") true
+        (row (Hw.Framebuffer.display_pixel fb)
+        = if cached then List.init 8 (fun _ -> 0x111111) else expect);
+      Hw.Framebuffer.flush fb;
+      check_bool (name ^ ": display after flush") true
+        (row (Hw.Framebuffer.display_pixel fb) = expect);
+      check_int (name ^ ": no stale rows") 0 (Hw.Framebuffer.stale_rows fb);
+      check_int (name ^ ": frames presented")
+        (if cached then presented0 + 1 else 0)
+        (Hw.Framebuffer.frames_presented fb);
+      Hw.Framebuffer.flush fb;
+      check_int (name ^ ": clean flush presents nothing")
+        (if cached then presented0 + 1 else 0)
+        (Hw.Framebuffer.frames_presented fb);
+      (* a row longer than the width is cut at the width *)
+      for y = 0 to 3 do
+        Hw.Framebuffer.write_row fb ~y (Array.init 12 (fun x -> (y * 16) + x))
+      done;
+      check_int (name ^ ": all rows stale") (if cached then 4 else 0)
+        (Hw.Framebuffer.stale_rows fb);
+      Hw.Framebuffer.evict_some fb (Sim.Rng.create 3L) ~fraction:1.0;
+      check_int (name ^ ": eviction published every row") 0 (Hw.Framebuffer.stale_rows fb);
+      for y = 0 to 3 do
+        for x = 0 to 7 do
+          check_int (name ^ ": evicted pixel") ((y * 16) + x)
+            (Hw.Framebuffer.display_pixel fb ~x ~y)
+        done
+      done;
+      check_int (name ^ ": eviction is not a presented frame")
+        (if cached then presented0 + 1 else 0)
+        (Hw.Framebuffer.frames_presented fb))
+    [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
+
 let fb_ppm_and_ascii () =
   let fb = Hw.Framebuffer.create ~width:2 ~height:2 in
   Hw.Framebuffer.set_mapping fb Hw.Framebuffer.Uncached;
@@ -414,6 +470,7 @@ let suite =
       quick "fb eviction fades" fb_eviction_fades;
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
+      quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;
       quick "dma busy rejects" dma_busy_rejects;

@@ -324,6 +324,181 @@ let mv1_container_roundtrip () =
   ignore (check_err "bad dims rejected"
       (Mv1.unpack (Mv1.pack { Mv1.width = 30; height = 30; fps = 1; frames = [||] })))
 
+(* The dense C^T * Y * C every block paid before the sparse IDCT: the
+   oracle the decoder must match bit for bit. *)
+let dense_idct =
+  let pi = 4.0 *. atan 1.0 in
+  let c =
+    Array.init 8 (fun k ->
+        Array.init 8 (fun n ->
+            let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
+            ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
+  in
+  fun coeffs out ->
+    let tmp = Array.make 64 0.0 in
+    for n = 0 to 7 do
+      for l = 0 to 7 do
+        let s = ref 0.0 in
+        for k = 0 to 7 do
+          s := !s +. (c.(k).(n) *. coeffs.((k * 8) + l))
+        done;
+        tmp.((n * 8) + l) <- !s
+      done
+    done;
+    for n = 0 to 7 do
+      for m = 0 to 7 do
+        let s = ref 0.0 in
+        for l = 0 to 7 do
+          s := !s +. (tmp.((n * 8) + l) *. c.(l).(m))
+        done;
+        out.((n * 8) + m) <- max 0 (min 255 (int_of_float (Float.round !s)))
+      done
+    done
+
+let column_mask coeffs =
+  let m = ref 0 in
+  Array.iteri (fun i v -> if v <> 0.0 then m := !m lor (1 lsl (i land 7))) coeffs;
+  !m
+
+(* Dequantized blocks of seven shapes: all-zero, DC only, the DC column,
+   one random column, dense, sparse, and every coefficient at
+   +-32767 x quant. *)
+let idct_block (kind, seed) =
+  let rs = Random.State.make [| seed |] in
+  let q = Mv1.quant_table ~quality:Mv1.quality in
+  let v i lim = float_of_int ((Random.State.int rs ((2 * lim) + 1) - lim) * q.(i)) in
+  let col = Random.State.int rs 8 in
+  Array.init 64 (fun i ->
+      match kind with
+      | 0 -> 0.0
+      | 1 -> if i = 0 then v i 255 else 0.0
+      | 2 -> if i land 7 = 0 then v i 255 else 0.0
+      | 3 -> if i land 7 = col then v i 255 else 0.0
+      | 4 -> v i 60
+      | 5 -> if Random.State.int rs 8 = 0 then v i 255 else 0.0
+      | _ -> float_of_int ((if Random.State.bool rs then 32767 else -32767) * q.(i)))
+
+let mv1_sparse_idct_exact =
+  qcheck ~count:3000 "mv1 sparse idct = dense idct"
+    QCheck.(
+      make
+        ~print:(fun (k, s) -> Printf.sprintf "kind %d seed %d" k s)
+        Gen.(pair (int_bound 6) (int_bound 1_000_000)))
+    (fun case ->
+      let coeffs = idct_block case in
+      let expect = Array.make 64 0 in
+      dense_idct coeffs expect;
+      let tmp = Array.make 64 0.0 and out = Array.make 64 (-1) in
+      Mv1.idct ~cols:(column_mask coeffs) coeffs tmp out;
+      let exact = out = expect in
+      (* a superset of the non-zero columns only adds exact zeros *)
+      Mv1.idct ~cols:0xff coeffs tmp out;
+      exact && out = expect)
+
+let mv1_round_byte_exact =
+  qcheck ~count:2000 "mv1 round_byte = clamped Float.round"
+    QCheck.(
+      make ~print:string_of_float
+        Gen.(
+          oneof
+            [
+              float_range (-1000.0) 1000.0;
+              map float_of_int (int_range (-300) 300);
+              map (fun k -> float_of_int k +. 0.5) (int_range (-300) 300);
+              map (fun k -> Float.pred (float_of_int k +. 0.5)) (int_range (-300) 300);
+              map (fun k -> Float.succ (float_of_int k +. 0.5)) (int_range (-300) 300);
+            ]))
+    (fun x -> Mv1.round_byte x = max 0 (min 255 (int_of_float (Float.round x))))
+
+(* Decode with the dense oracle in place of the sparse IDCT. *)
+let reference_decode ~width ~height data =
+  let r = Mv1.decoder ~width ~height ~quality:Mv1.quality in
+  let block = Array.make 64 0 in
+  let plane dst pos ~width ~height =
+    let pos = ref pos in
+    for by = 0 to (height / 8) - 1 do
+      for bx = 0 to (width / 8) - 1 do
+        pos := Mv1.decode_block r data !pos;
+        dense_idct r.Mv1.coeffs block;
+        for y = 0 to 7 do
+          for x = 0 to 7 do
+            dst.(((by * 8 + y) * width) + (bx * 8) + x) <- block.((y * 8) + x)
+          done
+        done
+      done
+    done;
+    !pos
+  in
+  let cw = width / 2 and ch = height / 2 in
+  let f =
+    {
+      Mv1.y_plane = Array.make (width * height) 0;
+      u_plane = Array.make (cw * ch) 0;
+      v_plane = Array.make (cw * ch) 0;
+    }
+  in
+  let p = plane f.Mv1.y_plane 0 ~width ~height in
+  let p = plane f.Mv1.u_plane p ~width:cw ~height:ch in
+  ignore (plane f.Mv1.v_plane p ~width:cw ~height:ch);
+  f
+
+let check_frame name (expect : Mv1.frame) (got : Mv1.frame) =
+  check_bool (name ^ " y") true (expect.Mv1.y_plane = got.Mv1.y_plane);
+  check_bool (name ^ " u") true (expect.Mv1.u_plane = got.Mv1.u_plane);
+  check_bool (name ^ " v") true (expect.Mv1.v_plane = got.Mv1.v_plane)
+
+let mv1_clips_decode_exactly () =
+  List.iter
+    (fun (clip_name, clip) ->
+      let v = check_ok clip_name (Mv1.unpack clip) in
+      let width = v.Mv1.width and height = v.Mv1.height in
+      let expect = Array.map (reference_decode ~width ~height) v.Mv1.frames in
+      let d = Mv1.decoder ~width ~height ~quality:Mv1.quality in
+      Array.iteri
+        (fun i payload ->
+          Mv1.decode_into d payload;
+          check_frame (Printf.sprintf "%s frame %d" clip_name i) expect.(i) d.Mv1.frame)
+        v.Mv1.frames;
+      (* back to frame 0 after frame 1: no stale pixel may survive *)
+      Mv1.decode_into d v.Mv1.frames.(1);
+      Mv1.decode_into d v.Mv1.frames.(0);
+      check_frame (clip_name ^ " frame 1 then 0") expect.(0) d.Mv1.frame)
+    [ ("480p", Proto.Assets.clip_480p ()); ("720p", Proto.Assets.clip_720p ()) ]
+
+let mv1_corrupt_payloads_fail () =
+  let decode s =
+    Mv1.decode_frame ~width:16 ~height:16 ~quality:Mv1.quality (Bytes.of_string s)
+  in
+  Alcotest.check_raises "triple cut after lo" (Failure "mv1: truncated block")
+    (fun () -> ignore (decode "\000\001"));
+  Alcotest.check_raises "triple cut after run" (Failure "mv1: truncated block")
+    (fun () -> ignore (decode "\000\001\000\003"));
+  Alcotest.check_raises "no end of block" (Failure "mv1: truncated block")
+    (fun () -> ignore (decode "\000\001\000"));
+  Alcotest.check_raises "run past coefficient 63" (Failure "mv1: run overflow")
+    (fun () -> ignore (decode "\064\001\000\255"))
+
+let yuv_convert_matches_per_pixel =
+  qcheck ~count:50 "yuv convert_420 = per-pixel yuv_to_rgb"
+    QCheck.(triple (int_range 1 24) (int_range 1 24) (int_bound 1_000_000))
+    (fun (hw, hh, seed) ->
+      let width = 2 * hw and height = 2 * hh in
+      let rs = Random.State.make [| seed |] in
+      let plane n = Array.init n (fun _ -> Random.State.int rs 256) in
+      let y = plane (width * height) and u = plane (hw * hh) and v = plane (hw * hh) in
+      let out = Array.make (width * height) (-1) in
+      ignore
+        (Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~simd:false);
+      let ok = ref true in
+      for row = 0 to height - 1 do
+        for col = 0 to width - 1 do
+          let c = (row / 2 * hw) + (col / 2) in
+          let px = Yuv.yuv_to_rgb ~y:y.((row * width) + col) ~u:u.(c) ~v:v.(c) in
+          if out.((row * width) + col) <> px then ok := false
+        done
+      done;
+      !ok)
+
 let suite_codecs =
   ( "user.codecs",
     [
@@ -346,6 +521,11 @@ let suite_codecs =
       quick "giflite roundtrip" giflite_roundtrip;
       quick "mv1 psnr at q50" mv1_psnr;
       quick "mv1 container roundtrip" mv1_container_roundtrip;
+      mv1_sparse_idct_exact;
+      mv1_round_byte_exact;
+      quick "mv1 clips: decode_into = dense reference" mv1_clips_decode_exactly;
+      quick "mv1 corrupt payloads fail cleanly" mv1_corrupt_payloads_fail;
+      yuv_convert_matches_per_pixel;
     ] )
 
 (* ---- crypto, against published vectors ---- *)
