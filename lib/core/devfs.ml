@@ -190,6 +190,13 @@ let sb_ops t =
 
 let header_bytes = 24
 
+(* Unpack [npx] little-endian 4-byte pixels from [data] into [dst]: the
+   low three bytes are 0xRRGGBB; the fourth (alpha) is dropped. *)
+let unpack_pixels data (dst : int array) npx =
+  for i = 0 to npx - 1 do
+    dst.(i) <- Int32.to_int (Bytes.get_int32_le data (4 * i)) land 0xffffff
+  done
+
 let surface_ops t =
   match t.wm with
   | None -> None
@@ -236,12 +243,7 @@ let surface_ops t =
                     let npx =
                       min (Bytes.length data / 4) (s.Wm.width * s.Wm.height)
                     in
-                    for i = 0 to npx - 1 do
-                      s.Wm.pixels.(i) <-
-                        Bytes.get_uint8 data (4 * i)
-                        lor (Bytes.get_uint8 data ((4 * i) + 1) lsl 8)
-                        lor (Bytes.get_uint8 data ((4 * i) + 2) lsl 16)
-                    done;
+                    unpack_pixels data s.Wm.pixels npx;
                     s.Wm.dirty <- true;
                     s.Wm.frames <- s.Wm.frames + 1;
                     Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task

@@ -179,28 +179,41 @@ let blend dst src alpha =
   end
 
 (* Repaint rows [y0, y1) of the screen from the stacking order. Returns
-   the pixel count composited (for cost accounting). *)
+   the pixel count composited (for cost accounting). Each layer's row is
+   clipped to the screen once, as the column span [c0, c1): opaque spans
+   are copied, alpha spans blended with [blend]'s arithmetic inline. *)
 let repaint_rows t ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.fb in
-  let layers = stacking t in
+  let layers = Array.of_list (stacking t) in
+  let line = t.compose_row in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill t.compose_row 0 width 0x102030 (* desktop background *);
-    List.iter
-      (fun s ->
-        let row = y - s.sy in
-        if row >= 0 && row < s.height then begin
-          for col = 0 to s.width - 1 do
-            let x = s.sx + col in
-            if x >= 0 && x < width then begin
-              t.compose_row.(x) <-
-                blend t.compose_row.(x) s.pixels.((row * s.width) + col) s.alpha;
-              incr count
-            end
-          done
-        end)
-      layers;
-    Hw.Framebuffer.write_row t.fb ~y t.compose_row
+    Array.fill line 0 width 0x102030 (* desktop background *);
+    for l = 0 to Array.length layers - 1 do
+      let s = layers.(l) in
+      let row = y - s.sy in
+      if row >= 0 && row < s.height then begin
+        let c0 = max 0 (-s.sx) and c1 = min s.width (width - s.sx) in
+        if c1 > c0 then begin
+          count := !count + (c1 - c0);
+          let base = row * s.width and alpha = s.alpha in
+          if alpha >= 255 then
+            Hw.Framebuffer.blit_pixels s.pixels (base + c0) line (s.sx + c0) (c1 - c0)
+          else begin
+            let inv = 255 - alpha in
+            for col = c0 to c1 - 1 do
+              let x = s.sx + col in
+              let p = s.pixels.(base + col) and d = line.(x) in
+              let r = (((p lsr 16) land 0xff) * alpha + ((d lsr 16) land 0xff) * inv) / 255 in
+              let g = (((p lsr 8) land 0xff) * alpha + ((d lsr 8) land 0xff) * inv) / 255 in
+              let b = ((p land 0xff) * alpha + (d land 0xff) * inv) / 255 in
+              line.(x) <- (r lsl 16) lor (g lsl 8) lor b
+            done
+          end
+        end
+      end
+    done;
+    Hw.Framebuffer.write_row t.fb ~y line
   done;
   Hw.Framebuffer.flush t.fb;
   !count

@@ -29,10 +29,28 @@ let mapping t = t.mapping
 
 (* [Array.blit] for pixel rows. The planes live in the major heap, where
    [Array.blit] pays a write barrier per element; this loop is typed
-   [int] and pays none. *)
+   [int] and pays none. The range is checked once, then copied four
+   elements a step without per-access checks. Each store follows the
+   load before it, so an overlapping copy within one array behaves as
+   the plain forward loop [dst.(doff + i) <- src.(soff + i)]. *)
 let blit_pixels (src : int array) soff (dst : int array) doff n =
-  for i = 0 to n - 1 do
-    dst.(doff + i) <- src.(soff + i)
+  if
+    n < 0 || soff < 0 || doff < 0
+    || soff > Array.length src - n
+    || doff > Array.length dst - n
+  then invalid_arg "Framebuffer.blit_pixels";
+  let n4 = n land lnot 3 in
+  let i = ref 0 in
+  while !i < n4 do
+    let s = soff + !i and d = doff + !i in
+    Array.unsafe_set dst d (Array.unsafe_get src s);
+    Array.unsafe_set dst (d + 1) (Array.unsafe_get src (s + 1));
+    Array.unsafe_set dst (d + 2) (Array.unsafe_get src (s + 2));
+    Array.unsafe_set dst (d + 3) (Array.unsafe_get src (s + 3));
+    i := !i + 4
+  done;
+  for j = n4 to n - 1 do
+    Array.unsafe_set dst (doff + j) (Array.unsafe_get src (soff + j))
   done
 
 let publish_row t y =

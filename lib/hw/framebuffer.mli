@@ -39,9 +39,13 @@ val write_row : t -> y:int -> int array -> unit
 (** Store a full row; cheaper bulk path used by blit code. *)
 
 val blit_pixels : int array -> int -> int array -> int -> int -> unit
-(** [blit_pixels src soff dst doff n] is [Array.blit] for pixel arrays
-    without the per-element write barrier [Array.blit] pays into a
-    major-heap array. *)
+(** [blit_pixels src soff dst doff n] copies [src.(soff .. soff+n-1)]
+    to [dst.(doff .. doff+n-1)] in ascending order, without the
+    per-element write barrier [Array.blit] pays into a major-heap array.
+    Raises [Invalid_argument] before writing anything if [n < 0] or
+    either range is out of bounds. Within one array, a forward overlap
+    ([doff > soff]) repeats the leading elements, as the element loop
+    does; it is not a memmove. *)
 
 val flush : t -> unit
 (** Cache-clean the framebuffer range: publish all dirty rows to the

@@ -176,6 +176,14 @@ let text t ~x ~y ~color s =
       done)
     s
 
+(* The /dev/surface wire format: [npx] pixels as little-endian 4-byte
+   words 0xffRRGGBB (opaque alpha byte; bits above 24 dropped). *)
+let pack_pixels (pixels : int array) dst npx =
+  for i = 0 to npx - 1 do
+    Bytes.set_int32_le dst (4 * i)
+      (Int32.of_int (pixels.(i) land 0xffffff lor 0xff000000))
+  done
+
 (* Present the frame: push pixels out and pay the accumulated CPU bill. *)
 let present t =
   t.frames <- t.frames + 1;
@@ -200,15 +208,7 @@ let present t =
       ignore (Usys.cacheflush ())
   | Windowed fd ->
       let npx = t.width * t.height in
-      (if Bytes.length t.scanline < npx * 4 then ()
-       else
-         for i = 0 to npx - 1 do
-           let px = t.pixels.(i) in
-           Bytes.set_uint8 t.scanline (4 * i) (px land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 1) ((px lsr 8) land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 2) ((px lsr 16) land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 3) 0xff
-         done);
+      if Bytes.length t.scanline >= npx * 4 then pack_pixels t.pixels t.scanline npx;
       charge t (npx / 4) (* pack pixels for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;

@@ -238,6 +238,44 @@ let fb_row_copies_keep_dirty_semantics () =
         (Hw.Framebuffer.frames_presented fb))
     [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
+(* blit_pixels against the element loop it replaced: every length mod 4,
+   disjoint arrays and same-array overlaps in both directions (a forward
+   overlap smears, as the loop did), and a bad range raises before
+   writing anything. *)
+let fb_blit_pixels_contract () =
+  let element_loop src soff dst doff n =
+    for i = 0 to n - 1 do
+      dst.(doff + i) <- src.(soff + i)
+    done
+  in
+  let fresh () = Array.init 24 (fun i -> 100 + i) in
+  for n = 0 to 9 do
+    for soff = 0 to 5 do
+      for doff = 0 to 5 do
+        let a = fresh () and b = Array.make 20 (-1) in
+        let a' = fresh () and b' = Array.make 20 (-1) in
+        Hw.Framebuffer.blit_pixels a soff b doff n;
+        element_loop a' soff b' doff n;
+        check_bool (Printf.sprintf "disjoint n=%d %d->%d" n soff doff) true (b = b');
+        let a = fresh () and a' = fresh () in
+        Hw.Framebuffer.blit_pixels a soff a doff n;
+        element_loop a' soff a' doff n;
+        check_bool (Printf.sprintf "same array n=%d %d->%d" n soff doff) true (a = a')
+      done
+    done
+  done;
+  List.iter
+    (fun (soff, doff, n) ->
+      let src = fresh () and dst = Array.make 10 (-1) in
+      (match Hw.Framebuffer.blit_pixels src soff dst doff n with
+      | () -> Alcotest.failf "blit %d %d %d: expected Invalid_argument" soff doff n
+      | exception Invalid_argument _ -> ());
+      check_bool
+        (Printf.sprintf "blit %d %d %d wrote nothing" soff doff n)
+        true
+        (Array.for_all (fun v -> v = -1) dst))
+    [ (-1, 0, 4); (0, -1, 4); (0, 0, -1); (21, 0, 4); (0, 7, 4); (0, 0, 11); (24, 10, 1) ]
+
 let fb_ppm_and_ascii () =
   let fb = Hw.Framebuffer.create ~width:2 ~height:2 in
   Hw.Framebuffer.set_mapping fb Hw.Framebuffer.Uncached;
@@ -471,6 +509,7 @@ let suite =
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
       quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;
+      quick "fb blit_pixels matches the element loop" fb_blit_pixels_contract;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;
       quick "dma busy rejects" dma_busy_rejects;

@@ -1040,6 +1040,179 @@ let wm_surface_removed_on_exit () =
   run_for kernel 1;
   check_int "surface cleaned up" 0 (Core.Wm.surface_count (wm_of kernel))
 
+(* The per-pixel compositor the span loops replaced, kept as the oracle:
+   every layer's row, every column, one bounds test and one [blend]. *)
+let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
+  let width = Hw.Framebuffer.width t.Core.Wm.fb in
+  let layers = Core.Wm.stacking t in
+  let count = ref 0 in
+  for y = y0 to y1 - 1 do
+    Array.fill t.Core.Wm.compose_row 0 width 0x102030;
+    List.iter
+      (fun (s : Core.Wm.surface) ->
+        let row = y - s.sy in
+        if row >= 0 && row < s.height then
+          for col = 0 to s.width - 1 do
+            let x = s.sx + col in
+            if x >= 0 && x < width then begin
+              t.compose_row.(x) <-
+                Core.Wm.blend t.compose_row.(x) s.pixels.((row * s.width) + col) s.alpha;
+              incr count
+            end
+          done)
+      layers;
+    Hw.Framebuffer.write_row t.fb ~y t.compose_row
+  done;
+  Hw.Framebuffer.flush t.fb;
+  !count
+
+let oracle_fb_w = 40
+let oracle_fb_h = 24
+let oracle_hosts = lazy (let k = boot_kernel () in (k.Core.Kernel.board, k.Core.Kernel.sched))
+
+(* One surface: width, height, x, y, alpha, pixel seed. *)
+type stack_surface = int * int * int * int * int * int
+
+(* Build the same stack on a fresh framebuffer, pre-filled with
+   unflushed rows, and repaint [y0, y1) with [repaint]. *)
+let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
+  let board, sched = Lazy.force oracle_hosts in
+  let fb = Hw.Framebuffer.create ~width:oracle_fb_w ~height:oracle_fb_h in
+  Hw.Framebuffer.set_mapping fb
+    (if cached then Hw.Framebuffer.Cached else Hw.Framebuffer.Uncached);
+  for y = 0 to oracle_fb_h - 1 do
+    Hw.Framebuffer.write_row fb ~y (Array.init oracle_fb_w (fun x -> (y * 1000) + x))
+  done;
+  let wm = Core.Wm.create board sched fb ~track_dirty:true in
+  List.iter
+    (fun (width, height, x, y, alpha, seed) ->
+      let s = Core.Wm.create_surface wm ~owner_pid:1 ~width ~height ~x ~y ~alpha in
+      let st = Random.State.make [| seed |] in
+      Array.iteri
+        (fun i _ ->
+          (* full-width ints: negative and wider than 24 bits too *)
+          s.Core.Wm.pixels.(i) <- (Random.State.bits st lsl 34) lor Random.State.bits st)
+        s.Core.Wm.pixels)
+    stack;
+  let count = repaint wm ~y0 ~y1 in
+  let plane f = List.init (oracle_fb_w * oracle_fb_h) (fun i -> f fb ~x:(i mod oracle_fb_w) ~y:(i / oracle_fb_w)) in
+  ( count,
+    Hw.Framebuffer.stale_rows fb,
+    plane Hw.Framebuffer.read_pixel,
+    plane Hw.Framebuffer.display_pixel )
+
+let compositor_matches_oracle (cached, a, b, stack) =
+  let y0 = min a b and y1 = max a b in
+  composed ~cached ~y0 ~y1 stack Core.Wm.repaint_rows
+  = composed ~cached ~y0 ~y1 stack oracle_repaint_rows
+
+let gen_stack =
+  QCheck.Gen.(
+    let alpha = oneofl [ 0; 1; 128; 254; 255 ] in
+    let surface =
+      map
+        (fun ((w, h), (x, y), (alpha, seed)) -> (w, h, x, y, alpha, seed))
+        (triple
+           (pair (int_range 1 56) (int_range 1 32))
+           (pair (int_range (-60) 50) (int_range (-36) 30))
+           (pair alpha int))
+    in
+    quad bool (int_range 0 oracle_fb_h) (int_range 0 oracle_fb_h)
+      (list_size (int_range 1 4) surface))
+
+let print_stack (cached, a, b, stack) =
+  Printf.sprintf "cached=%b rows %d..%d [%s]" cached a b
+    (String.concat "; "
+       (List.map
+          (fun (w, h, x, y, alpha, _) -> Printf.sprintf "%dx%d@%d,%d a%d" w h x y alpha)
+          stack))
+
+(* The span compositor equals the per-pixel oracle on CPU view, display
+   plane, pixel count and stale rows: random stacks of 1-4 surfaces,
+   plus fixed ones clipped on each edge and on all four at once. *)
+let wm_span_compositor_matches_oracle () =
+  List.iter
+    (fun case ->
+      check_bool (print_stack case) true (compositor_matches_oracle case))
+    (List.concat_map
+       (fun cached ->
+         [
+           (cached, 0, oracle_fb_h, [ (60, 40, -7, -5, 255, 1) ]);
+           (cached, 0, oracle_fb_h, [ (60, 40, -7, -5, 128, 2) ]);
+           ( cached, 3, 20,
+             [
+               (10, 10, -4, 2, 255, 3); (10, 10, 35, 5, 1, 4);
+               (12, 8, 5, -3, 254, 5); (9, 9, 20, 20, 0, 6);
+             ] );
+         ])
+       [ true; false ])
+
+let wm_span_compositor_qcheck =
+  qcheck ~count:300 "span compositor = per-pixel oracle"
+    (QCheck.make ~print:print_stack gen_stack)
+    compositor_matches_oracle
+
+(* The /dev/surface wire format before the word-wide pack and unpack:
+   one byte access per channel. *)
+let oracle_pack (pixels : int array) npx =
+  let b = Bytes.create (4 * npx) in
+  for i = 0 to npx - 1 do
+    let px = pixels.(i) in
+    Bytes.set_uint8 b (4 * i) (px land 0xff);
+    Bytes.set_uint8 b ((4 * i) + 1) ((px lsr 8) land 0xff);
+    Bytes.set_uint8 b ((4 * i) + 2) ((px lsr 16) land 0xff);
+    Bytes.set_uint8 b ((4 * i) + 3) 0xff
+  done;
+  b
+
+let oracle_unpack data npx =
+  Array.init npx (fun i ->
+      Bytes.get_uint8 data (4 * i)
+      lor (Bytes.get_uint8 data ((4 * i) + 1) lsl 8)
+      lor (Bytes.get_uint8 data ((4 * i) + 2) lsl 16))
+
+let wm_surface_wire_format =
+  qcheck ~count:300 "surface pack/unpack = per-byte format"
+    QCheck.(pair (array_of_size (Gen.int_range 0 40) int) (string_of_size (Gen.int_range 0 160)))
+    (fun (pixels, raw) ->
+      let npx = Array.length pixels in
+      let packed = Bytes.create (4 * npx) in
+      User.Gfx.pack_pixels pixels packed npx;
+      let unpack data =
+        let n = Bytes.length data / 4 in
+        let dst = Array.make n (-1) in
+        Core.Devfs.unpack_pixels data dst n;
+        dst
+      in
+      let raw = Bytes.of_string raw in
+      Bytes.equal packed (oracle_pack pixels npx)
+      && unpack packed = oracle_unpack packed npx
+      && unpack raw = oracle_unpack raw (Bytes.length raw / 4))
+
+(* A random frame through Gfx.present and /dev/surface lands in the WM
+   surface as its low 24 bits. *)
+let wm_surface_frame_end_to_end () =
+  let kernel = boot_kernel () in
+  let st = Random.State.make [| 42 |] in
+  let frame = Array.init (37 * 11) (fun _ -> (Random.State.bits st lsl 34) lor Random.State.bits st) in
+  ignore
+    (Core.Kernel.spawn_user kernel ~name:"frame" (fun () ->
+         match Gfx.windowed ~width:37 ~height:11 ~x:3 ~y:4 () with
+         | Error e -> e
+         | Ok gfx ->
+             Array.blit frame 0 gfx.Gfx.pixels 0 (Array.length frame);
+             Gfx.present gfx;
+             ignore (Usys.sleep 1_000_000);
+             0));
+  run_for kernel 1;
+  let wm = wm_of kernel in
+  check_int "one surface" 1 (Core.Wm.surface_count wm);
+  Hashtbl.iter
+    (fun _ (s : Core.Wm.surface) ->
+      check_bool "surface holds the frame's low 24 bits" true
+        (s.pixels = Array.map (fun px -> px land 0xffffff) frame))
+    wm.Core.Wm.surfaces
+
 let suite_wm =
   ( "kernel.wm",
     [
@@ -1049,6 +1222,10 @@ let suite_wm =
       quick "alpha blending math" wm_alpha_blend;
       quick "key routing to focus" wm_key_routing;
       quick "surface removed on exit" wm_surface_removed_on_exit;
+      quick "span compositor = oracle on fixed clips" wm_span_compositor_matches_oracle;
+      wm_span_compositor_qcheck;
+      wm_surface_wire_format;
+      quick "random frame reaches the surface" wm_surface_frame_end_to_end;
     ] )
 
 (* ---- debugging machinery ---- *)
