@@ -11,8 +11,8 @@
 
     Dirty tracking is the paper's efficiency point: composition rounds
     that find no dirty window are free, and a round repaints only the rows
-    dirty windows cover. [track_dirty:false] disables this for the
-    ablation bench. *)
+    dirty windows cover, plus those a closed or moved window uncovered.
+    [track_dirty:false] disables this for the ablation bench. *)
 
 type surface = {
   surf_id : int;
@@ -42,6 +42,10 @@ type t = {
   mutable composites : int;
   mutable skipped_rounds : int;
   mutable pixels_composited : int;
+  mutable damage_y0 : int;
+  mutable damage_y1 : int;
+      (** screen rows [damage_y0, damage_y1) uncovered by a window that
+          closed or moved since the last round; empty when y0 >= y1 *)
   mutable running : bool;
   compose_row : int array;  (** scratch row buffer *)
 }
@@ -59,6 +63,8 @@ let create board sched fb ~track_dirty =
     composites = 0;
     skipped_rounds = 0;
     pixels_composited = 0;
+    damage_y0 = Hw.Framebuffer.height fb;
+    damage_y1 = 0;
     running = false;
     compose_row = Array.make (Hw.Framebuffer.width fb) 0;
   }
@@ -99,18 +105,28 @@ let create_surface t ~owner_pid ~width ~height ~x ~y ~alpha =
   t.focus <- Some id;
   s
 
+(* Add the screen rows [s] covers to the pending damage, just before it
+   closes or moves: afterwards no surface may cover them, and only the
+   damage gets them repainted. *)
+let add_damage t s =
+  let y0 = max 0 s.sy and y1 = min (Hw.Framebuffer.height t.fb) (s.sy + s.height) in
+  if y1 > y0 then begin
+    t.damage_y0 <- min t.damage_y0 y0;
+    t.damage_y1 <- max t.damage_y1 y1
+  end
+
 let remove_surface t id =
   match surface t id with
   | None -> ()
   | Some s ->
+      add_damage t s;
       Hashtbl.remove t.surfaces id;
       t.zorder <- List.filter (fun z -> z <> id) t.zorder;
       (if t.focus = Some id then
          t.focus <-
            (match List.rev t.zorder with top :: _ -> Some top | [] -> None));
       (* expose what was underneath *)
-      Hashtbl.iter (fun _ other -> other.dirty <- true) t.surfaces;
-      ignore s
+      Hashtbl.iter (fun _ other -> other.dirty <- true) t.surfaces
 
 let rotate_focus t =
   match t.zorder with
@@ -133,6 +149,7 @@ let move_focused t ~dx ~dy =
   match focused t with
   | None -> ()
   | Some s ->
+      add_damage t s;
       s.sx <- s.sx + dx;
       s.sy <- s.sy + dy;
       s.dirty <- true;
@@ -218,25 +235,19 @@ let repaint_rows t ~y0 ~y1 =
   Hw.Framebuffer.flush t.fb;
   !count
 
-(* One composition round: find the dirty row span and repaint it. *)
+(* One composition round: find the row span of the dirty surfaces and
+   the pending damage, and repaint it. *)
 let composite t =
   let dirty = Hashtbl.fold (fun _ s acc -> if s.dirty then s :: acc else acc) t.surfaces [] in
   let height = Hw.Framebuffer.height t.fb in
   let rows =
     if t.track_dirty then
-      match dirty with
-      | [] -> None
-      | _ ->
-          let y0 =
-            List.fold_left (fun acc s -> min acc (max 0 s.sy)) height dirty
-          in
-          let y1 =
-            List.fold_left
-              (fun acc s -> max acc (min height (s.sy + s.height)))
-              0 dirty
-          in
-          if y1 > y0 then Some (y0, y1) else None
-    else if Hashtbl.length t.surfaces > 0 then Some (0, height)
+      let y0 = List.fold_left (fun acc s -> min acc (max 0 s.sy)) t.damage_y0 dirty in
+      let y1 =
+        List.fold_left (fun acc s -> max acc (min height (s.sy + s.height))) t.damage_y1 dirty
+      in
+      if y1 > y0 then Some (y0, y1) else None
+    else if Hashtbl.length t.surfaces > 0 || t.damage_y1 > t.damage_y0 then Some (0, height)
     else None
   in
   match rows with
@@ -245,6 +256,8 @@ let composite t =
       0
   | Some (y0, y1) ->
       Hashtbl.iter (fun _ s -> s.dirty <- false) t.surfaces;
+      t.damage_y0 <- height;
+      t.damage_y1 <- 0;
       let pixels = repaint_rows t ~y0 ~y1 in
       t.composites <- t.composites + 1;
       t.pixels_composited <- t.pixels_composited + pixels;

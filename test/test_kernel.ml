@@ -1040,6 +1040,46 @@ let wm_surface_removed_on_exit () =
   run_for kernel 1;
   check_int "surface cleaned up" 0 (Core.Wm.surface_count (wm_of kernel))
 
+let background = 0x102030
+
+(* Closing the last window repaints the rows it covered: no surface is
+   left to mark them dirty. *)
+let wm_close_repaints_background () =
+  let kernel = boot_kernel () in
+  ignore
+    (Core.Kernel.spawn_user kernel ~name:"brief" (fun () ->
+         match Gfx.windowed ~width:64 ~height:48 ~x:10 ~y:10 () with
+         | Error e -> e
+         | Ok gfx ->
+             Gfx.fill gfx 0x123456;
+             Gfx.present gfx;
+             ignore (Usys.sleep 200);
+             Gfx.close gfx;
+             0));
+  let fb = Option.get kernel.Core.Kernel.fb in
+  Core.Kernel.run_for kernel (Sim.Engine.ms 100);
+  check_int "window on screen" 0x123456 (Hw.Framebuffer.display_pixel fb ~x:20 ~y:20);
+  run_for kernel 1;
+  check_int "window closed" 0 (Core.Wm.surface_count (wm_of kernel));
+  check_int "background restored" background (Hw.Framebuffer.display_pixel fb ~x:20 ~y:20)
+
+(* A vertical move (ctrl+arrow) repaints the rows the window left, in
+   both directions. *)
+let wm_move_leaves_no_trail () =
+  let kernel = boot_kernel () in
+  ignore (open_window kernel ~name:"app1" ~w:64 ~h:48 ~x:10 ~y:10 ());
+  run_for kernel 1;
+  let wm = wm_of kernel and fb = Option.get kernel.Core.Kernel.fb in
+  let at y = Hw.Framebuffer.display_pixel fb ~x:20 ~y in
+  Core.Wm.move_focused wm ~dx:0 ~dy:16;
+  run_for kernel 1;
+  check_int "old top rows cleared" background (at 12);
+  check_int "window at its new rows" 0x123456 (at 70);
+  Core.Wm.move_focused wm ~dx:0 ~dy:(-32);
+  run_for kernel 1;
+  check_int "old bottom rows cleared" background (at 70);
+  check_int "window at its new rows" 0x123456 (at 0)
+
 (* The per-pixel compositor the span loops replaced, kept as the oracle:
    every layer's row, every column, one bounds test and one [blend]. *)
 let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
@@ -1222,6 +1262,8 @@ let suite_wm =
       quick "alpha blending math" wm_alpha_blend;
       quick "key routing to focus" wm_key_routing;
       quick "surface removed on exit" wm_surface_removed_on_exit;
+      quick "closing the last window repaints the background" wm_close_repaints_background;
+      quick "a vertical move leaves no trail" wm_move_leaves_no_trail;
       quick "span compositor = oracle on fixed clips" wm_span_compositor_matches_oracle;
       wm_span_compositor_qcheck;
       wm_surface_wire_format;
