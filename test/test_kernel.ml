@@ -1087,7 +1087,7 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
   let layers = Core.Wm.stacking t in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill t.Core.Wm.compose_row 0 width 0x102030;
+    Array.fill t.Core.Wm.compose_row 0 width background;
     List.iter
       (fun (s : Core.Wm.surface) ->
         let row = y - s.sy in
@@ -1113,8 +1113,9 @@ let oracle_hosts = lazy (let k = boot_kernel () in (k.Core.Kernel.board, k.Core.
 (* One surface: width, height, x, y, alpha, pixel seed. *)
 type stack_surface = int * int * int * int * int * int
 
-(* Build the same stack on a fresh framebuffer, pre-filled with
-   unflushed rows, and repaint [y0, y1) with [repaint]. *)
+(* Build the same stack on a fresh framebuffer whose rows already hold
+   pixels (unflushed under [Cached]), and repaint [y0, y1) with
+   [repaint]. *)
 let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
   let board, sched = Lazy.force oracle_hosts in
   let fb = Hw.Framebuffer.create ~width:oracle_fb_w ~height:oracle_fb_h in
@@ -1135,7 +1136,10 @@ let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
         s.Core.Wm.pixels)
     stack;
   let count = repaint wm ~y0 ~y1 in
-  let plane f = List.init (oracle_fb_w * oracle_fb_h) (fun i -> f fb ~x:(i mod oracle_fb_w) ~y:(i / oracle_fb_w)) in
+  let plane f =
+    List.init (oracle_fb_w * oracle_fb_h) (fun i ->
+        f fb ~x:(i mod oracle_fb_w) ~y:(i / oracle_fb_w))
+  in
   ( count,
     Hw.Framebuffer.stale_rows fb,
     plane Hw.Framebuffer.read_pixel,
