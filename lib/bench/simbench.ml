@@ -154,8 +154,9 @@ type row = {
 
 let trace_dump stage =
   let sched = stage.Proto.Stage.kernel.Core.Kernel.sched in
-  let entries = Core.Ktrace.dump sched.Core.Sched.trace in
-  String.concat "\n" (List.map Core.Ktrace.machine_line entries)
+  let b = Buffer.create 65536 in
+  Core.Ktrace.add_machine_dump b (Core.Ktrace.dump sched.Core.Sched.trace);
+  Buffer.contents b
 
 let run_row sc domains =
   let t0 = Unix.gettimeofday () in

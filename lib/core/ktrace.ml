@@ -160,11 +160,30 @@ let compare_entry a b =
 (* Snapshot of the surviving entries, oldest-first by (timestamp,
    sequence). The sort is not the identity: a future-stamped entry (an
    SD request's Span_end) sits in the ring ahead of entries stamped
-   before it. *)
+   before it. Such entries are few and displaced by little, so an
+   insertion pass over the window does the work in near-linear time;
+   once it has shifted more than [n] entries the input is far from
+   sorted and a merge sort finishes it, keeping the worst case at
+   O(n log n). Both sorts are stable. *)
 let dump t =
   let n = min t.head (Array.length t.buf) in
-  List.init n (fun i -> t.buf.((t.head - n + i) land t.mask))
-  |> List.sort compare_entry
+  let first = t.head - n in
+  let a = Array.init n (fun i -> t.buf.((first + i) land t.mask)) in
+  let shifts = ref 0 in
+  let i = ref 1 in
+  while !i < n && !shifts <= n do
+    let x = a.(!i) in
+    let j = ref (!i - 1) in
+    while !j >= 0 && compare_entry a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j;
+      incr shifts
+    done;
+    a.(!j + 1) <- x;
+    incr i
+  done;
+  if !shifts > n then Array.stable_sort compare_entry a;
+  Array.to_list a
 
 (* ---- consuming readers: the /proc/ktrace trace-pipe ---- *)
 
@@ -296,38 +315,122 @@ let format_entry e =
 (* ---- the machine format: what ktrace2perfetto consumes ---- *)
 
 (* One entry per line: "ts_ns seq core tag args...". Any free-form string
-   argument goes last so it may contain spaces. *)
-let machine_payload ev =
-  match ev with
-  | Syscall_enter (pid, name) -> Printf.sprintf "sys_enter %d %s" pid name
-  | Syscall_exit (pid, name) -> Printf.sprintf "sys_exit %d %s" pid name
-  | Ctx_switch (a, b) -> Printf.sprintf "ctx_switch %d %d" a b
-  | Irq_enter line -> "irq_enter " ^ line
-  | Irq_exit line -> "irq_exit " ^ line
-  | Sched_wakeup pid -> Printf.sprintf "wakeup %d" pid
-  | Sched_migrate (pid, a, b) -> Printf.sprintf "migrate %d %d %d" pid a b
-  | Ipi_send target -> Printf.sprintf "ipi_send %d" target
-  | Ipi_recv core -> Printf.sprintf "ipi_recv %d" core
-  | Kbd_report -> "kbd_report"
-  | Event_delivered pid -> Printf.sprintf "event_delivered %d" pid
-  | Poll_return (pid, nready) -> Printf.sprintf "poll_return %d %d" pid nready
-  | Frame_present pid -> Printf.sprintf "frame_present %d" pid
-  | Wm_composite -> "wm_composite"
-  | Lock_acquire (name, core) -> Printf.sprintf "lock_acquire %d %s" core name
-  | Lock_release (name, core) -> Printf.sprintf "lock_release %d %s" core name
-  | Sem_block (pid, id) -> Printf.sprintf "sem_block %d %d" pid id
-  | Sem_wake (pid, id) -> Printf.sprintf "sem_wake %d %d" pid id
-  | Custom s -> "custom " ^ s
-  | Span_begin (id, pid, name) -> Printf.sprintf "span_begin %d %d %s" id pid name
-  | Span_end id -> Printf.sprintf "span_end %d" id
-  | Task_state (pid, st) -> Printf.sprintf "task_state %d %d" pid st
-  | Runq_depth (core, depth) -> Printf.sprintf "runq_depth %d %d" core depth
+   argument goes last so it may contain spaces.
+
+   The renderer writes straight into the caller's buffer: no [Printf], no
+   per-line closure and no shared scratch, so sessions on parallel
+   domains can each render their own trace. Integers print exactly as
+   [%d]/[%Ld]. *)
+
+(* The digits of [n <= 0], most significant first. Working on the
+   negative side covers [min_int], whose negation overflows. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+(* Stamps fit a native int unless they lie beyond +-2^62; those print as
+   the quotient by ten, which always fits, then the last digit. *)
+let add_int64 b n =
+  let i = Int64.to_int n in
+  if Int64.equal (Int64.of_int i) n then add_int b i
+  else begin
+    add_int b (Int64.to_int (Int64.div n 10L));
+    Buffer.add_char b
+      (Char.unsafe_chr (48 + abs (Int64.to_int (Int64.rem n 10L))))
+  end
+
+let sp_int b n =
+  Buffer.add_char b ' ';
+  add_int b n
+
+let sp_str b s =
+  Buffer.add_char b ' ';
+  Buffer.add_string b s
+
+(* A tag and its arguments, by argument shape. *)
+let tag_i b tag x =
+  Buffer.add_string b tag;
+  sp_int b x
+
+let tag_ii b tag x y =
+  tag_i b tag x;
+  sp_int b y
+
+let tag_s b tag s =
+  Buffer.add_string b tag;
+  sp_str b s
+
+let tag_is b tag x s =
+  tag_i b tag x;
+  sp_str b s
+
+let add_machine_line b e =
+  add_int64 b e.ts_ns;
+  sp_int b e.seq;
+  sp_int b e.core;
+  Buffer.add_char b ' ';
+  match e.ev with
+  | Syscall_enter (pid, name) -> tag_is b "sys_enter" pid name
+  | Syscall_exit (pid, name) -> tag_is b "sys_exit" pid name
+  | Ctx_switch (a, c) -> tag_ii b "ctx_switch" a c
+  | Irq_enter line -> tag_s b "irq_enter" line
+  | Irq_exit line -> tag_s b "irq_exit" line
+  | Sched_wakeup pid -> tag_i b "wakeup" pid
+  | Sched_migrate (pid, a, c) ->
+      tag_ii b "migrate" pid a;
+      sp_int b c
+  | Ipi_send target -> tag_i b "ipi_send" target
+  | Ipi_recv core -> tag_i b "ipi_recv" core
+  | Kbd_report -> Buffer.add_string b "kbd_report"
+  | Event_delivered pid -> tag_i b "event_delivered" pid
+  | Poll_return (pid, nready) -> tag_ii b "poll_return" pid nready
+  | Frame_present pid -> tag_i b "frame_present" pid
+  | Wm_composite -> Buffer.add_string b "wm_composite"
+  | Lock_acquire (name, core) -> tag_is b "lock_acquire" core name
+  | Lock_release (name, core) -> tag_is b "lock_release" core name
+  | Sem_block (pid, id) -> tag_ii b "sem_block" pid id
+  | Sem_wake (pid, id) -> tag_ii b "sem_wake" pid id
+  | Custom s -> tag_s b "custom" s
+  | Span_begin (id, pid, name) ->
+      tag_ii b "span_begin" id pid;
+      sp_str b name
+  | Span_end id -> tag_i b "span_end" id
+  | Task_state (pid, st) -> tag_ii b "task_state" pid st
+  | Runq_depth (core, depth) -> tag_ii b "runq_depth" core depth
 
 let machine_line e =
-  Printf.sprintf "%Ld %d %d %s" e.ts_ns e.seq e.core (machine_payload e.ev)
+  let b = Buffer.create 64 in
+  add_machine_line b e;
+  Buffer.contents b
+
+(* The lines of [entries] joined by newlines, with no trailing one. *)
+let add_machine_dump b entries =
+  match entries with
+  | [] -> ()
+  | e :: rest ->
+      add_machine_line b e;
+      List.iter
+        (fun e ->
+          Buffer.add_char b '\n';
+          add_machine_line b e)
+        rest
 
 let write_machine oc entries =
-  List.iter (fun e -> output_string oc (machine_line e ^ "\n")) entries
+  let b = Buffer.create 256 in
+  List.iter
+    (fun e ->
+      Buffer.clear b;
+      add_machine_line b e;
+      Buffer.add_char b '\n';
+      Buffer.output_buffer oc b)
+    entries
 
 (* The inverse of {!machine_line}; None on anything malformed. *)
 let parse_machine_line line =

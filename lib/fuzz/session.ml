@@ -337,9 +337,6 @@ let exec_op board env st op =
 
 (* ---- session driver ---- *)
 
-let trace_text entries =
-  String.concat "\n" (List.map Ktrace.machine_line entries)
-
 let run scen =
   let spec = spec_of_scenario scen in
   let cfg = spec.Kernel.sp_config in
@@ -431,8 +428,18 @@ let run scen =
   let tag =
     match outcome with Pass -> "pass" | Fail f -> failure_to_string f
   in
+  (* the newline-joined machine trace, the UART output and the tag,
+     rendered into one buffer sized for ~48-byte lines and hashed once *)
   let digest =
-    Digest.to_hex (Digest.string (trace_text trace ^ "\n" ^ uart ^ "\n" ^ tag))
+    let b =
+      Buffer.create ((48 * List.length trace) + String.length uart + 256)
+    in
+    Ktrace.add_machine_dump b trace;
+    Buffer.add_char b '\n';
+    Buffer.add_string b uart;
+    Buffer.add_char b '\n';
+    Buffer.add_string b tag;
+    Digest.to_hex (Digest.string (Buffer.contents b))
   in
   {
     r_outcome = outcome;

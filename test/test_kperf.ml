@@ -201,48 +201,173 @@ let trace_filter_classes () =
   check_bool "\"all\" parses to the full mask" true
     (Core.Ktrace.filter_of_string "all" = Some Core.Ktrace.filter_all)
 
-(* ---- machine format round-trip ---- *)
+(* ---- machine format: exact rendering and round-trip ---- *)
 
+(* The exact machine line for one entry of every event constructor,
+   with the integer extremes the renderer must print as [%d]/[%Ld]:
+   negative pids, [max_int]/[min_int], stamps beyond a native int and a
+   negative stamp from a relative clock. Each line parses back. *)
 let machine_roundtrip () =
-  let entries =
-    List.mapi
-      (fun i ev ->
-        { Core.Ktrace.ts_ns = Int64.of_int (i * 7); seq = i; core = i mod 4; ev })
-      [
-        Core.Ktrace.Syscall_enter (3, "open");
-        Core.Ktrace.Syscall_exit (3, "open");
-        Core.Ktrace.Ctx_switch (1, 2);
-        Core.Ktrace.Irq_enter "usb hc";
-        Core.Ktrace.Irq_exit "usb hc";
-        Core.Ktrace.Sched_wakeup 5;
-        Core.Ktrace.Sched_migrate (5, 0, 3);
-        Core.Ktrace.Ipi_send 2;
-        Core.Ktrace.Ipi_recv 2;
-        Core.Ktrace.Kbd_report;
-        Core.Ktrace.Event_delivered 4;
-        Core.Ktrace.Poll_return (4, 1);
-        Core.Ktrace.Frame_present 4;
-        Core.Ktrace.Wm_composite;
-        Core.Ktrace.Lock_acquire ("ptable", 1);
-        Core.Ktrace.Lock_release ("ptable", 1);
-        Core.Ktrace.Sem_block (6, 9);
-        Core.Ktrace.Sem_wake (6, 9);
-        Core.Ktrace.Custom "hello world";
-        Core.Ktrace.Span_begin (11, 3, "sd:read with spaces");
-        Core.Ktrace.Span_end 11;
-      ]
+  let module K = Core.Ktrace in
+  let at ?(ts = 5L) ?(seq = 1) ?(core = 0) ev =
+    { K.ts_ns = ts; seq; core; ev }
+  in
+  let rel =
+    let tr = K.create ~capacity:1024 () in
+    K.set_clock_base tr 1_000L;
+    K.emit tr ~ts_ns:250L ~core:2 (K.Sched_wakeup 7);
+    match K.dump tr with
+    | [ e ] -> e
+    | _ -> Alcotest.fail "relative-clock ring should hold one entry"
+  in
+  let cases =
+    [
+      (at (K.Syscall_enter (3, "open")), "5 1 0 sys_enter 3 open");
+      (at (K.Syscall_exit (-2, "read")), "5 1 0 sys_exit -2 read");
+      ( at (K.Ctx_switch (max_int, min_int)),
+        "5 1 0 ctx_switch 4611686018427387903 -4611686018427387904" );
+      (at ~core:3 (K.Irq_enter "usb hc"), "5 1 3 irq_enter usb hc");
+      (at (K.Irq_exit "sd-card"), "5 1 0 irq_exit sd-card");
+      (at (K.Sched_wakeup 0), "5 1 0 wakeup 0");
+      (at (K.Sched_migrate (5, 0, 3)), "5 1 0 migrate 5 0 3");
+      (at (K.Ipi_send 2), "5 1 0 ipi_send 2");
+      (at (K.Ipi_recv 10), "5 1 0 ipi_recv 10");
+      (at ~ts:0L ~seq:0 K.Kbd_report, "0 0 0 kbd_report");
+      (at (K.Event_delivered 99), "5 1 0 event_delivered 99");
+      (at (K.Poll_return (4, -1)), "5 1 0 poll_return 4 -1");
+      (at (K.Frame_present 123456789), "5 1 0 frame_present 123456789");
+      (at ~seq:max_int K.Wm_composite, "5 4611686018427387903 0 wm_composite");
+      (at (K.Lock_acquire ("ptable", 1)), "5 1 0 lock_acquire 1 ptable");
+      ( at (K.Lock_release ("bcache lock", -1)),
+        "5 1 0 lock_release -1 bcache lock" );
+      (at (K.Sem_block (6, 9)), "5 1 0 sem_block 6 9");
+      (at (K.Sem_wake (-1, 9)), "5 1 0 sem_wake -1 9");
+      (at (K.Custom "hello world"), "5 1 0 custom hello world");
+      ( at (K.Span_begin (11, -3, "sd:read with spaces")),
+        "5 1 0 span_begin 11 -3 sd:read with spaces" );
+      ( at ~ts:Int64.max_int (K.Span_end 11),
+        "9223372036854775807 1 0 span_end 11" );
+      ( at ~ts:Int64.min_int (K.Task_state (8, 2)),
+        "-9223372036854775808 1 0 task_state 8 2" );
+      ( at ~ts:4611686018427387904L (K.Runq_depth (1, 4)),
+        "4611686018427387904 1 0 runq_depth 1 4" );
+      ( at ~ts:(-4611686018427387905L) (K.Runq_depth (0, 0)),
+        "-4611686018427387905 1 0 runq_depth 0 0" );
+      (at ~ts:(-10L) (K.Sched_wakeup (-10)), "-10 1 0 wakeup -10");
+      (rel, "-750 0 2 wakeup 7");
+    ]
   in
   List.iter
-    (fun e ->
-      let line = Core.Ktrace.machine_line e in
-      match Core.Ktrace.parse_machine_line line with
-      | Some e' -> check_bool ("round-trips: " ^ line) true (e = e')
-      | None -> Alcotest.failf "failed to parse %s" line)
-    entries;
+    (fun (e, want) ->
+      check_string "rendered line" want (K.machine_line e);
+      match K.parse_machine_line want with
+      | Some e' -> check_bool ("parses back: " ^ want) true (e = e')
+      | None -> Alcotest.failf "failed to parse %s" want)
+    cases;
   check_bool "malformed line rejected" true
-    (Core.Ktrace.parse_machine_line "12 x 0 sys_enter 1 read" = None);
+    (K.parse_machine_line "12 x 0 sys_enter 1 read" = None);
   check_bool "unknown tag rejected" true
-    (Core.Ktrace.parse_machine_line "12 0 0 teleport 1" = None)
+    (K.parse_machine_line "12 0 0 teleport 1" = None);
+  let b = Buffer.create 16 in
+  K.add_machine_dump b [];
+  check_string "empty dump renders nothing" "" (Buffer.contents b);
+  K.add_machine_dump b (List.map fst [ List.nth cases 0; List.nth cases 9 ]);
+  check_string "dump lines are newline-joined"
+    "5 1 0 sys_enter 3 open\n0 0 0 kbd_report" (Buffer.contents b)
+
+let machine_render_matches_printf =
+  let gen_int =
+    QCheck.(oneof [ int; small_signed_int; oneofl [ 0; -1; max_int; min_int ] ])
+  in
+  let gen_ts =
+    QCheck.(
+      oneof
+        [
+          int64;
+          map Int64.of_int small_signed_int;
+          oneofl [ 0L; Int64.max_int; Int64.min_int; 4611686018427387904L ];
+        ])
+  in
+  qcheck ~count:500 "machine integers render as %Ld/%d"
+    QCheck.(quad gen_ts gen_int gen_int gen_int)
+    (fun (ts, seq, core, pid) ->
+      let e =
+        { Core.Ktrace.ts_ns = ts; seq; core; ev = Core.Ktrace.Sched_wakeup pid }
+      in
+      String.equal
+        (Core.Ktrace.machine_line e)
+        (Printf.sprintf "%Ld %d %d wakeup %d" ts seq core pid))
+
+(* ---- dump order against the reference sort ---- *)
+
+(* The surviving entries in ring (emission) order. *)
+let ring_window (tr : Core.Ktrace.t) =
+  let n = min tr.head (Array.length tr.buf) in
+  List.init n (fun i -> tr.buf.((tr.head - n + i) land tr.mask))
+
+let check_dump_sorted name tr =
+  let reference = List.sort Core.Ktrace.compare_entry (ring_window tr) in
+  let d = Core.Ktrace.dump tr in
+  check_bool (name ^ ": dump = List.sort compare_entry") true (d = reference);
+  let rec stable = function
+    | a :: (b :: _ as rest) ->
+        (Int64.compare a.Core.Ktrace.ts_ns b.Core.Ktrace.ts_ns < 0
+        || Int64.equal a.Core.Ktrace.ts_ns b.Core.Ktrace.ts_ns
+           && a.Core.Ktrace.seq < b.Core.Ktrace.seq)
+        && stable rest
+    | [ _ ] | [] -> true
+  in
+  check_bool (name ^ ": equal stamps stay in emission order") true (stable d)
+
+let trace_dump_matches_reference_sort () =
+  let module K = Core.Ktrace in
+  (* SD-style spans: each Span_end is emitted at issue time, stamped at
+     completion, with a pair of equal stamps every few entries *)
+  let emit_sd tr i =
+    let ts = Int64.of_int (i / 2 * 10) in
+    K.emit tr ~ts_ns:ts ~core:(i land 3) (K.Sched_wakeup i);
+    if i mod 50 = 7 then begin
+      let id = K.new_span tr in
+      K.emit tr ~ts_ns:ts ~core:0 (K.Span_begin (id, 1, "sd:read"));
+      K.emit tr ~ts_ns:(Int64.add ts 25L) ~core:0 (K.Span_end id)
+    end
+  in
+  let future = K.create ~capacity:1024 () in
+  for i = 0 to 599 do
+    emit_sd future i
+  done;
+  check_bool "future stamps make the window unsorted" true
+    (ring_window future
+    <> List.sort K.compare_entry (ring_window future));
+  check_dump_sorted "future-stamped Span_end" future;
+  let wrapped = K.create ~capacity:1024 () in
+  for i = 0 to 2999 do
+    emit_sd wrapped i
+  done;
+  check_bool "ring wrapped" true (wrapped.K.head > Array.length wrapped.K.buf);
+  check_dump_sorted "wrapped ring" wrapped;
+  (* every stamp below its predecessor's: the insertion pass runs out of
+     shifts and the merge sort takes over *)
+  let reversed = K.create ~capacity:1024 () in
+  for i = 0 to 1023 do
+    K.emit reversed ~ts_ns:(Int64.of_int ((1023 - i) / 2)) ~core:0
+      (K.Sched_wakeup i)
+  done;
+  check_dump_sorted "reverse-ordered ring" reversed;
+  check_dump_sorted "empty ring" (K.create ~capacity:1024 ())
+
+let trace_dump_sort_qcheck =
+  qcheck ~count:200 "dump = reference sort on random stamps"
+    QCheck.(list_of_size Gen.(int_range 0 1500) (int_range 0 40))
+    (fun stamps ->
+      let tr = Core.Ktrace.create ~capacity:1024 () in
+      List.iter
+        (fun ts ->
+          Core.Ktrace.emit tr ~ts_ns:(Int64.of_int ts) ~core:0
+            Core.Ktrace.Kbd_report)
+        stamps;
+      Core.Ktrace.dump tr
+      = List.sort Core.Ktrace.compare_entry (ring_window tr))
 
 (* ---- span pairing over a real launcher session ---- *)
 
@@ -628,6 +753,10 @@ let suite =
         trace_reader_lost_on_overwrite;
       quick "event-class filter" trace_filter_classes;
       quick "machine format round-trips every event" machine_roundtrip;
+      machine_render_matches_printf;
+      quick "dump matches the reference sort on three rings"
+        trace_dump_matches_reference_sort;
+      trace_dump_sort_qcheck;
       slow "span pairing over a launcher session" span_pairing_full_run;
       slow "/proc/metrics exposes the kernel histograms"
         metrics_exposes_histograms;

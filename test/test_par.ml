@@ -384,10 +384,9 @@ let dpool_runs_each_task_exactly_once () =
 
 let trace_md5 stage =
   let sched = stage.Proto.Stage.kernel.Core.Kernel.sched in
-  let entries = Core.Ktrace.dump sched.Core.Sched.trace in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n" (List.map Core.Ktrace.machine_line entries)))
+  let b = Buffer.create 65536 in
+  Core.Ktrace.add_machine_dump b (Core.Ktrace.dump sched.Core.Sched.trace);
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 let miner_trace ~domains =
   let stage =
