@@ -1,9 +1,10 @@
 (** video player — MV1 (MPEG-1 stand-in) playback with optional VOGG
     audio, §6.3's configuration: streams are preloaded into memory, frames
     are decoded (IDCT per 8×8 block), converted YUV→RGB (scalar or NEON
-    per §5.2), and blitted by direct rendering. Playback targets the
-    video's native framerate; when decode can't keep up, FPS sags below
-    native — exactly the paper's 480p-vs-720p contrast. *)
+    per §5.2) straight into the direct-rendering buffer, and presented.
+    Playback targets the video's native framerate; when decode can't keep
+    up, FPS sags below native — exactly the paper's 480p-vs-720p
+    contrast. *)
 
 
 open User
@@ -31,7 +32,6 @@ let main env argv =
               | Error e -> e
               | Ok gfx ->
                   let simd = env.Uenv.e_simd in
-                  let rgb = Array.make (video.Mv1.width * video.Mv1.height) 0 in
                   (* audio: decode thread via minisdl-style clone *)
                   let audio_tid =
                     match audio_path with
@@ -80,6 +80,13 @@ let main env argv =
                   let status = ref 0 in
                   let vw = video.Mv1.width and vh = video.Mv1.height in
                   let dec = Mv1.decoder ~width:vw ~height:vh ~quality:Mv1.quality in
+                  (* the frame's top-left window that fits the screen,
+                     centred on it *)
+                  let gw = gfx.Gfx.width and gh = gfx.Gfx.height in
+                  let ox = max 0 ((gw - vw) / 2) in
+                  let oy = max 0 ((gh - vh) / 2) in
+                  let cols = min vw (gw - ox) and rows = min vh (gh - oy) in
+                  let frame = dec.Mv1.frame in
                   (* loop the clip forever when no frame budget is given
                      (benchmark mode) *)
                   let total = if max_frames > 0 then max_frames else max_int in
@@ -92,19 +99,16 @@ let main env argv =
                         Usys.burn
                           (Mv1.cycles_per_frame_fixed
                           + (blocks * Mv1.cycles_per_block ~simd));
+                        (* convert straight into the screen buffer; the
+                           charges still price a whole-frame conversion
+                           and a centre blit *)
                         let conv_cycles =
-                          Mv1.to_rgb ~simd dec.Mv1.frame ~width:vw ~height:vh rgb
+                          Yuv.convert_420 ~width:vw ~height:vh
+                            ~y_plane:frame.Mv1.y_plane ~u_plane:frame.Mv1.u_plane
+                            ~v_plane:frame.Mv1.v_plane ~out:gfx.Gfx.pixels
+                            ~off:((oy * gw) + ox) ~stride:gw ~cols ~rows ~simd
                         in
                         Usys.burn conv_cycles;
-                        (* center-blit to the framebuffer, a row at a time *)
-                        let gw = gfx.Gfx.width and gh = gfx.Gfx.height in
-                        let ox = max 0 ((gw - vw) / 2) in
-                        let oy = max 0 ((gh - vh) / 2) in
-                        let w = min vw (gw - ox) in
-                        for y = 0 to min (vh - 1) (gh - 1 - oy) do
-                          Hw.Framebuffer.blit_pixels rgb (y * vw) gfx.Gfx.pixels
-                            (((oy + y) * gw) + ox) w
-                        done;
                         Gfx.charge gfx (vw * vh / 8);
                         Gfx.present gfx;
                         incr shown;

@@ -230,7 +230,7 @@ let repaint_rows t ~y0 ~y1 =
         end
       end
     done;
-    Hw.Framebuffer.write_row t.fb ~y line
+    Hw.Framebuffer.write_row t.fb ~y ~off:0 line
   done;
   Hw.Framebuffer.flush t.fb;
   !count

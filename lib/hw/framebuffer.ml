@@ -71,10 +71,10 @@ let read_pixel t ~x ~y =
     t.cache.((y * t.width) + x)
   else 0
 
-let write_row t ~y row =
+let write_row t ~y ~off src =
   if y >= 0 && y < t.height then begin
-    let n = min t.width (Array.length row) in
-    blit_pixels row 0 t.cache (y * t.width) n;
+    let n = min t.width (Array.length src - off) in
+    blit_pixels src off t.cache (y * t.width) n;
     match t.mapping with
     | Uncached -> publish_row t y
     | Cached -> t.dirty.(y) <- true

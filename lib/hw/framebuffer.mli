@@ -35,8 +35,12 @@ val write_pixel : t -> x:int -> y:int -> int -> unit
 val read_pixel : t -> x:int -> y:int -> int
 (** CPU-view load. *)
 
-val write_row : t -> y:int -> int array -> unit
-(** Store a full row; cheaper bulk path used by blit code. *)
+val write_row : t -> y:int -> off:int -> int array -> unit
+(** [write_row t ~y ~off src] stores [src.(off ..)] as row [y], cut at
+    the screen width; cheaper bulk path used by blit code. A row [y]
+    off the screen is ignored. For a row on it, raises
+    [Invalid_argument] before writing anything if [off < 0] or
+    [off > Array.length src]. *)
 
 val blit_pixels : int array -> int -> int array -> int -> int -> unit
 (** [blit_pixels src soff dst doff n] copies [src.(soff .. soff+n-1)]

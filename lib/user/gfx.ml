@@ -22,7 +22,6 @@ type t = {
   mutable cost_cycles : int;
   mutable frames : int;
   scanline : Bytes.t;  (** scratch for surface writes *)
-  row_buf : int array;  (** scratch row for framebuffer blits *)
 }
 
 let rgb r g b = ((r land 0xff) lsl 16) lor ((g land 0xff) lsl 8) lor (b land 0xff)
@@ -51,7 +50,6 @@ let direct env =
             cost_cycles = 0;
             frames = 0;
             scanline = Bytes.create (w * 4);
-            row_buf = Array.make w 0;
           }
   end
 
@@ -88,7 +86,6 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
           cost_cycles = 0;
           frames = 0;
           scanline = Bytes.create (width * height * 4);
-          row_buf = Array.make width 0;
         }
   end
 
@@ -191,8 +188,7 @@ let present t =
   | Direct fb ->
       (* copy client buffer to the mapped framebuffer: user memmove *)
       for y = 0 to t.height - 1 do
-        Hw.Framebuffer.blit_pixels t.pixels (y * t.width) t.row_buf 0 t.width;
-        Hw.Framebuffer.write_row fb ~y t.row_buf
+        Hw.Framebuffer.write_row fb ~y ~off:(y * t.width) t.pixels
       done;
       (match Hw.Framebuffer.mapping fb with
       | Hw.Framebuffer.Cached ->

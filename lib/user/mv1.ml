@@ -172,6 +172,9 @@ type decoder = {
   tmp : float array;  (** the IDCT's middle product *)
   block : int array;  (** one decoded 8x8 block *)
   mutable cols : int;  (** column mask of [coeffs], for {!idct} *)
+  mutable last : int;
+      (** highest zigzag index written into [coeffs] since it was last
+          all zeros; -1 when it is *)
   frame : frame;  (** overwritten by every {!decode_into} *)
 }
 
@@ -184,6 +187,7 @@ let decoder ~width ~height ~quality =
     tmp = Array.make 64 0.0;
     block = Array.make 64 0;
     cols = 0;
+    last = -1;
     frame =
       {
         y_plane = Array.make (width * height) 0;
@@ -193,10 +197,16 @@ let decoder ~width ~height ~quality =
   }
 
 (* Decode one block's (run, lo, hi) triples into [d.coeffs] and its
-   column mask into [d.cols]; returns the position after the block. *)
+   column mask into [d.cols]; returns the position after the block.
+   Only the zigzag prefix the previous block wrote is cleared: [d.last]
+   is raised before each store, so it stays an upper bound on what
+   [coeffs] holds even when a corrupt block raises halfway through. *)
 let decode_block d data pos =
   let coeffs = d.coeffs in
-  Array.fill coeffs 0 64 0.0;
+  for i = 0 to d.last do
+    coeffs.(zigzag.(i)) <- 0.0
+  done;
+  d.last <- -1;
   let cols = ref 0 in
   let i = ref 0 in
   let p = ref pos in
@@ -220,6 +230,7 @@ let decode_block d data pos =
       i := !i + run;
       if !i > 63 then failwith "mv1: run overflow";
       let z = zigzag.(!i) in
+      d.last <- !i;
       coeffs.(z) <- float_of_int (v * d.quant.(z));
       if v <> 0 then cols := !cols lor (1 lsl (z land 7));
       incr i
@@ -260,12 +271,29 @@ let encode_plane buf quant plane ~width ~height =
       fdct block coeffs;
       encode_block buf quant coeffs)
 
+(* A block whose one entry is raster position 0 (zigzag index 0) is
+   flat: {!idct}'s pass 1 leaves [0.0 +. C00 *. y] in every row, and
+   its DC-column path rounds that times [C00]. The value is written
+   straight into the plane. Every other block, an empty one included,
+   takes {!idct}. *)
 let decode_plane d data pos plane ~width ~height =
   let p = ref pos in
   for_blocks ~width ~height (fun ~bx ~by ->
       p := decode_block d data !p;
-      idct ~cols:d.cols d.coeffs d.tmp d.block;
-      insert_block plane ~width ~bx ~by d.block);
+      if d.last = 0 then begin
+        let c00 = dct_c.(0) in
+        let v = round_byte ((0.0 +. (c00 *. d.coeffs.(0))) *. c00) in
+        for y = 0 to 7 do
+          let off = ((by * 8 + y) * width) + (bx * 8) in
+          for x = 0 to 7 do
+            plane.(off + x) <- v
+          done
+        done
+      end
+      else begin
+        idct ~cols:d.cols d.coeffs d.tmp d.block;
+        insert_block plane ~width ~bx ~by d.block
+      end);
   !p
 
 (* ---- frames and container ---- *)
@@ -360,8 +388,3 @@ let unpack data =
           Ok { width; height; fps; frames = Array.of_list frames }
     end
   end
-
-(* Render a decoded frame to RGB; returns the YUV conversion cost. *)
-let to_rgb ~simd frame ~width ~height out =
-  Yuv.convert_420 ~width ~height ~y_plane:frame.y_plane ~u_plane:frame.u_plane
-    ~v_plane:frame.v_plane ~out ~simd

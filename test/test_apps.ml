@@ -134,6 +134,28 @@ let video_plays_at_native_rate () =
   (* ~26-30 FPS after the initial load: at least 60 frames in 4s *)
   check_bool "video decodes and presents" true (frames > 60)
 
+(* The display plane after a fixed number of frames, pinned by MD5:
+   the perfbench digests cover the trace, the UART, the clock and the
+   frame counts, but no pixel. clip480 fills the 640x480 screen;
+   clip720 is wider and taller than it, so only its top-left window is
+   converted and shown. *)
+let video_display_plane_pinned () =
+  List.iter
+    (fun (clip, frames, md5) ->
+      let stage = stage5 () in
+      let task = Proto.Stage.start stage "video" [ "video"; clip; string_of_int frames ] in
+      Proto.Stage.run_for stage (Sim.Engine.sec 4);
+      check_bool (clip ^ " exited") true (task.Core.Task.state = Core.Task.Zombie);
+      check_int (clip ^ " exit code") 0 task.Core.Task.exit_code;
+      check_int (clip ^ " frames") frames (frames_of stage task.Core.Task.pid);
+      let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
+      check_string (clip ^ " display plane") md5
+        (Digest.to_hex (Digest.string (Hw.Framebuffer.to_ppm fb))))
+    [
+      ("/d/videos/clip480.mv1", 9, "4bbb6a7d33d84bcee80d2aee711418ea");
+      ("/d/videos/clip720.mv1", 6, "686e336ef558dc5f5643d75854b7eefb");
+    ]
+
 (* A corrupt payload behind a valid header is EINVAL, like a bad header,
    not an exception that kills the task. *)
 let video_rejects_corrupt_payload () =
@@ -295,6 +317,7 @@ let suite_integration =
       slow "doom produces frames" doom_produces_frames;
       slow "mario variants render" mario_variants_produce_frames;
       slow "video plays" video_plays_at_native_rate;
+      slow "video display plane is pinned" video_display_plane_pinned;
       quick "video rejects a corrupt payload" video_rejects_corrupt_payload;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;

@@ -197,8 +197,8 @@ let fb_row_copies_keep_dirty_semantics () =
       Hw.Framebuffer.flush fb;
       let presented0 = Hw.Framebuffer.frames_presented fb in
       check_int (name ^ ": first flush") (if cached then 1 else 0) presented0;
-      Hw.Framebuffer.write_row fb ~y:1 [| 1; 2; 3; 4; 5 |];
-      Hw.Framebuffer.write_row fb ~y:9 [| 7 |];
+      Hw.Framebuffer.write_row fb ~y:1 ~off:0 [| 1; 2; 3; 4; 5 |];
+      Hw.Framebuffer.write_row fb ~y:9 ~off:0 [| 7 |];
       let row f = List.init 8 (fun x -> f ~x ~y:1) in
       let expect = [ 1; 2; 3; 4; 5; 0x111111; 0x111111; 0x111111 ] in
       check_bool (name ^ ": short row, CPU view") true
@@ -221,7 +221,7 @@ let fb_row_copies_keep_dirty_semantics () =
         (Hw.Framebuffer.frames_presented fb);
       (* a row longer than the width is cut at the width *)
       for y = 0 to 3 do
-        Hw.Framebuffer.write_row fb ~y (Array.init 12 (fun x -> (y * 16) + x))
+        Hw.Framebuffer.write_row fb ~y ~off:0 (Array.init 12 (fun x -> (y * 16) + x))
       done;
       check_int (name ^ ": all rows stale") (if cached then 4 else 0)
         (Hw.Framebuffer.stale_rows fb);

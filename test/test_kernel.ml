@@ -1101,7 +1101,7 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
             end
           done)
       layers;
-    Hw.Framebuffer.write_row t.fb ~y t.compose_row
+    Hw.Framebuffer.write_row t.fb ~y ~off:0 t.compose_row
   done;
   Hw.Framebuffer.flush t.fb;
   !count
@@ -1122,7 +1122,7 @@ let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
   Hw.Framebuffer.set_mapping fb
     (if cached then Hw.Framebuffer.Cached else Hw.Framebuffer.Uncached);
   for y = 0 to oracle_fb_h - 1 do
-    Hw.Framebuffer.write_row fb ~y (Array.init oracle_fb_w (fun x -> (y * 1000) + x))
+    Hw.Framebuffer.write_row fb ~y ~off:0 (Array.init oracle_fb_w (fun x -> (y * 1000) + x))
   done;
   let wm = Core.Wm.create board sched fb ~track_dirty:true in
   List.iter

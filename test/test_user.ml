@@ -211,8 +211,12 @@ let yuv_simd_same_pixels () =
   let u = Array.init (width / 2 * (height / 2)) (fun i -> 100 + (i mod 56)) in
   let v = Array.init (width / 2 * (height / 2)) (fun i -> 90 + (i mod 70)) in
   let a = Array.make (width * height) 0 and b = Array.make (width * height) 0 in
-  let cost_scalar = Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out:a ~simd:false in
-  let cost_simd = Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out:b ~simd:true in
+  let convert out ~simd =
+    Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off:0
+      ~stride:width ~cols:width ~rows:height ~simd
+  in
+  let cost_scalar = convert a ~simd:false in
+  let cost_simd = convert b ~simd:true in
   check_bool "identical pixels" true (a = b);
   check_bool "simd much cheaper" true (cost_simd * 4 < cost_scalar)
 
@@ -410,7 +414,10 @@ let mv1_round_byte_exact =
             ]))
     (fun x -> Mv1.round_byte x = max 0 (min 255 (int_of_float (Float.round x))))
 
-(* Decode with the dense oracle in place of the sparse IDCT. *)
+(* Decode with the dense oracle in place of the sparse IDCT and the
+   DC-block path. Every block starts from all-zero coefficients, as if
+   [decode_block] cleared all 64, so the oracle does not lean on the
+   decoder's partial clear. *)
 let reference_decode ~width ~height data =
   let r = Mv1.decoder ~width ~height ~quality:Mv1.quality in
   let block = Array.make 64 0 in
@@ -418,6 +425,8 @@ let reference_decode ~width ~height data =
     let pos = ref pos in
     for by = 0 to (height / 8) - 1 do
       for bx = 0 to (width / 8) - 1 do
+        Array.fill r.Mv1.coeffs 0 64 0.0;
+        r.Mv1.last <- -1;
         pos := Mv1.decode_block r data !pos;
         dense_idct r.Mv1.coeffs block;
         for y = 0 to 7 do
@@ -478,26 +487,175 @@ let mv1_corrupt_payloads_fail () =
   Alcotest.check_raises "run past coefficient 63" (Failure "mv1: run overflow")
     (fun () -> ignore (decode "\064\001\000\255"))
 
+(* A 16x16 MV1 payload: four luma blocks, then one U and one V block.
+   Each block is a list of (run, value) pairs; [] is an empty block. *)
+let mv1_payload blocks =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun pairs ->
+      List.iter
+        (fun (run, v) ->
+          Buffer.add_char buf (Char.chr run);
+          Buffer.add_char buf (Char.chr (v land 0xff));
+          Buffer.add_char buf (Char.chr ((v asr 8) land 0xff)))
+        pairs;
+      Buffer.add_char buf '\255')
+    blocks;
+  Buffer.to_bytes buf
+
+(* All 64 coefficients, none of them zero. *)
+let mv1_dense_block =
+  List.init 64 (fun i ->
+      let v = (i * 37 mod 39) + 1 in
+      (0, if i land 1 = 0 then v else -v))
+
+(* The DC-block path and the partial clear, each against the dense
+   oracle. One decoder decodes the frames in order, so whatever a block
+   leaves in the decoder is seen by the next block and the next frame. *)
+let mv1_dc_path_edges () =
+  let width = 16 and height = 16 in
+  let frames =
+    [
+      (* the only non-zero coefficient at raster (k,0), k > 0, after a
+         run: zigzag 2, 3, 9 and 10 *)
+      ( "AC in column 0",
+        [ [ (2, 5) ]; [ (3, -7) ]; [ (9, 3) ]; [ (0, 0); (1, 0); (7, 12) ];
+          [ (2, 1) ]; [ (2, -1) ] ] );
+      (* explicit zero-valued pairs, at the DC and beyond it *)
+      ( "explicit zeros",
+        [ [ (0, 0) ]; [ (0, 0); (0, 0) ]; [ (0, 9); (4, 0) ]; [ (0, 0); (0, 4) ];
+          [ (0, 0) ]; [ (5, 0) ] ] );
+      ("empty blocks", [ []; []; []; []; []; [] ]);
+      (* dense blocks followed by DC-only and sparse ones *)
+      ( "dense then sparse",
+        [ mv1_dense_block; [ (0, 40) ]; mv1_dense_block; [ (1, 6) ]; mv1_dense_block; [] ] );
+      ( "DC only",
+        [ [ (0, 20) ]; [ (0, -3) ]; [ (0, 255) ]; [ (0, 1) ]; [ (0, -128) ]; [ (0, 7) ] ] );
+      ( "after DC only",
+        [ [ (1, 8) ]; [ (0, 2); (0, 3) ]; []; [ (5, 4) ]; [ (0, 0) ]; [ (62, 9) ] ] );
+    ]
+  in
+  let d = Mv1.decoder ~width ~height ~quality:Mv1.quality in
+  List.iter
+    (fun (name, blocks) ->
+      let payload = mv1_payload blocks in
+      Mv1.decode_into d payload;
+      check_frame name (reference_decode ~width ~height payload) d.Mv1.frame)
+    frames
+
+(* A payload that fails halfway through a block must not leave
+   coefficients behind for the next frame's blocks. *)
+let mv1_decoder_reused_after_failure () =
+  let width = 16 and height = 16 in
+  let d = Mv1.decoder ~width ~height ~quality:Mv1.quality in
+  let good = mv1_payload [ mv1_dense_block; [ (0, 3) ]; []; []; []; [] ] in
+  Mv1.decode_into d good;
+  let dense = Bytes.sub (mv1_payload [ mv1_dense_block ]) 0 (3 * 64) in
+  let corrupt =
+    [
+      (* the block's 64 coefficients stored, then no end of block *)
+      ("truncated after a dense block", dense);
+      (* 40 stored, then a run past coefficient 63 *)
+      ( "run overflow after 40",
+        Bytes.cat (Bytes.sub dense 0 (3 * 40)) (Bytes.of_string "\040\001\000\255") );
+      (* a DC-only block, then a cut in the next one *)
+      ("cut in block 2", Bytes.of_string "\000\007\000\255\005\001");
+    ]
+  in
+  let next =
+    mv1_payload [ [ (1, 6) ]; [ (0, 2) ]; [ (3, 1) ]; []; [ (0, 0) ]; [ (4, -2) ] ]
+  in
+  let expect = reference_decode ~width ~height next in
+  List.iter
+    (fun (name, bad) ->
+      (match Mv1.decode_into d bad with
+      | () -> Alcotest.failf "%s: decoded" name
+      | exception Failure _ -> ());
+      Mv1.decode_into d next;
+      check_frame ("good frame after " ^ name) expect d.Mv1.frame)
+    corrupt
+
+let yuv_planes rs ~width ~height =
+  let plane n = Array.init n (fun _ -> Random.State.int rs 256) in
+  let cw = width / 2 and ch = height / 2 in
+  (plane (width * height), plane (cw * ch), plane (cw * ch))
+
+(* Any window of any even frame, at any offset and stride: the window
+   matches per-pixel [yuv_to_rgb], and nothing else in [out] moves. *)
 let yuv_convert_matches_per_pixel =
-  qcheck ~count:50 "yuv convert_420 = per-pixel yuv_to_rgb"
+  qcheck ~count:200 "yuv convert_420 = per-pixel yuv_to_rgb"
     QCheck.(triple (int_range 1 24) (int_range 1 24) (int_bound 1_000_000))
     (fun (hw, hh, seed) ->
       let width = 2 * hw and height = 2 * hh in
       let rs = Random.State.make [| seed |] in
-      let plane n = Array.init n (fun _ -> Random.State.int rs 256) in
-      let y = plane (width * height) and u = plane (hw * hh) and v = plane (hw * hh) in
-      let out = Array.make (width * height) (-1) in
-      ignore
-        (Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~simd:false);
-      let ok = ref true in
-      for row = 0 to height - 1 do
-        for col = 0 to width - 1 do
+      let y, u, v = yuv_planes rs ~width ~height in
+      let whole = Random.State.bool rs in
+      let cols = if whole then width else Random.State.int rs (width + 1) in
+      let rows = if whole then height else Random.State.int rs (height + 1) in
+      let stride = if whole then width else cols + Random.State.int rs 5 in
+      let off = if whole then 0 else Random.State.int rs 7 in
+      let len = off + (max 0 (rows - 1) * stride) + cols + Random.State.int rs 4 in
+      let out = Array.make len (-1) in
+      let cost =
+        Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off ~stride
+          ~cols ~rows ~simd:false
+      in
+      let expect = Array.make len (-1) in
+      for row = 0 to rows - 1 do
+        for col = 0 to cols - 1 do
           let c = (row / 2 * hw) + (col / 2) in
-          let px = Yuv.yuv_to_rgb ~y:y.((row * width) + col) ~u:u.(c) ~v:v.(c) in
-          if out.((row * width) + col) <> px then ok := false
+          expect.(off + (row * stride) + col) <-
+            Yuv.yuv_to_rgb ~y:y.((row * width) + col) ~u:u.(c) ~v:v.(c)
         done
       done;
-      !ok)
+      cost = width * height * Yuv.cycles_per_pixel ~simd:false && out = expect)
+
+(* Odd dimensions used to read the next chroma row for the last column
+   (and past the plane on the last row); they and every window that
+   does not fit are refused before a pixel is written. *)
+let yuv_convert_rejects_bad_geometry () =
+  let rs = Random.State.make [| 11 |] in
+  let convert ~width ~height ?(planes = (width, height)) ?(len = width * height)
+      ?(off = 0) ?(stride = width) ?(cols = width) ?(rows = height) () =
+    let pw, ph = planes in
+    let y, u, v = yuv_planes rs ~width:pw ~height:ph in
+    let out = Array.make len (-1) in
+    let r =
+      match
+        Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off ~stride
+          ~cols ~rows ~simd:true
+      with
+      | _ -> Ok ()
+      | exception Invalid_argument m -> Error m
+    in
+    (r, out)
+  in
+  List.iter
+    (fun (name, (r, out)) ->
+      check_bool (name ^ " raises") true (r = Error "Yuv.convert_420");
+      check_bool (name ^ " writes nothing") true (Array.for_all (fun px -> px = -1) out))
+    [
+      ("odd width", convert ~width:5 ~height:4 ~planes:(6, 4) ());
+      ("odd height", convert ~width:4 ~height:3 ~planes:(4, 4) ());
+      ("odd width and height", convert ~width:3 ~height:3 ~planes:(4, 4) ());
+      ("cols past width", convert ~width:4 ~height:4 ~cols:5 ~stride:5 ~len:40 ());
+      ("rows past height", convert ~width:4 ~height:4 ~rows:5 ~len:40 ());
+      ("negative cols", convert ~width:4 ~height:4 ~cols:(-1) ());
+      ("negative rows", convert ~width:4 ~height:4 ~rows:(-1) ());
+      ("negative offset", convert ~width:4 ~height:4 ~off:(-1) ());
+      ("stride below cols", convert ~width:4 ~height:4 ~stride:3 ());
+      ("out one short", convert ~width:4 ~height:4 ~len:15 ());
+      ("offset pushes past the end", convert ~width:4 ~height:4 ~off:1 ());
+      ("short luma plane", convert ~width:4 ~height:4 ~planes:(4, 2) ());
+    ];
+  (* the tightest fits are accepted *)
+  List.iter
+    (fun (name, (r, _)) -> check_bool name true (r = Ok ()))
+    [
+      ("exact fit", convert ~width:4 ~height:4 ());
+      ("offset window", convert ~width:4 ~height:4 ~off:3 ~cols:3 ~rows:2 ~stride:3 ~len:9 ());
+      ("empty window", convert ~width:4 ~height:4 ~cols:0 ~rows:0 ~len:0 ());
+    ]
 
 let suite_codecs =
   ( "user.codecs",
@@ -525,7 +683,10 @@ let suite_codecs =
       mv1_round_byte_exact;
       quick "mv1 clips: decode_into = dense reference" mv1_clips_decode_exactly;
       quick "mv1 corrupt payloads fail cleanly" mv1_corrupt_payloads_fail;
+      quick "mv1 DC-block path edges = dense reference" mv1_dc_path_edges;
+      quick "mv1 decoder reused after a failure" mv1_decoder_reused_after_failure;
       yuv_convert_matches_per_pixel;
+      quick "yuv convert_420 rejects bad geometry" yuv_convert_rejects_bad_geometry;
     ] )
 
 (* ---- crypto, against published vectors ---- *)
