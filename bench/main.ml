@@ -80,28 +80,29 @@ let iobench () =
   print_string (Benchlib.Iobench.render rows);
   let jrows = Benchlib.Iobench.run_journal () in
   print_string (Benchlib.Iobench.render_journal jrows);
-  Benchlib.Iobench.write_json ~journal:jrows rows "BENCH_io.json";
+  Benchlib.Report.write "BENCH_io.json"
+    (Benchlib.Iobench.report ~journal:jrows rows);
   print_endline "wrote BENCH_io.json"
 
 let schedbench () =
   section "schedbench: scheduling class / wake model / affinity ablation";
   let rows = Benchlib.Schedbench.run () in
   print_string (Benchlib.Schedbench.render rows);
-  Benchlib.Schedbench.write_json rows "BENCH_sched.json";
+  Benchlib.Report.write "BENCH_sched.json" (Benchlib.Schedbench.report rows);
   print_endline "wrote BENCH_sched.json"
 
 let ipcbench () =
   section "ipcbench: pipe ring / edge wakeup / poll ablation";
   let rows = Benchlib.Ipcbench.run () in
   print_string (Benchlib.Ipcbench.render rows);
-  Benchlib.Ipcbench.write_json rows "BENCH_ipc.json";
+  Benchlib.Report.write "BENCH_ipc.json" (Benchlib.Ipcbench.report rows);
   print_endline "wrote BENCH_ipc.json"
 
 let tracebench () =
   section "tracebench: kperf emit cost + span-derived input breakdown";
   let r = Benchlib.Tracebench.run () in
   print_string (Benchlib.Tracebench.render r);
-  Benchlib.Tracebench.write_json r "BENCH_trace.json";
+  Benchlib.Report.write "BENCH_trace.json" (Benchlib.Tracebench.report r);
   Benchlib.Tracebench.write_trace r "BENCH_trace.ktrace";
   print_endline "wrote BENCH_trace.json and BENCH_trace.ktrace"
 
@@ -109,7 +110,7 @@ let crashbench () =
   section "crashbench: randomized power-cut crash injection on the journal";
   let s = Benchlib.Crashbench.run () in
   print_string (Benchlib.Crashbench.render s);
-  Benchlib.Crashbench.write_json s "BENCH_crash.json";
+  Benchlib.Report.write "BENCH_crash.json" (Benchlib.Crashbench.report s);
   print_endline "wrote BENCH_crash.json";
   if s.Benchlib.Crashbench.s_fsck_failures > 0
      || s.Benchlib.Crashbench.s_invariant_failures > 0
@@ -119,7 +120,7 @@ let fuzzbench () =
   section "fuzzbench: scenario-fuzzer throughput, cleanliness, shrink cost";
   let s = Benchlib.Fuzzbench.run () in
   print_string (Benchlib.Fuzzbench.render s);
-  Benchlib.Fuzzbench.write_json s "BENCH_fuzz.json";
+  Benchlib.Report.write "BENCH_fuzz.json" (Benchlib.Fuzzbench.report s);
   print_endline "wrote BENCH_fuzz.json";
   if s.Benchlib.Fuzzbench.f_failures > 0 then exit 1
 
@@ -127,7 +128,7 @@ let lintbench () =
   section "lintbench: vlint + vrace wall cost and coverage";
   let r = Benchlib.Lintbench.run () in
   print_string (Benchlib.Lintbench.render r);
-  Benchlib.Lintbench.write_json r "BENCH_lint.json";
+  Benchlib.Report.write "BENCH_lint.json" (Benchlib.Lintbench.report r);
   print_endline "wrote BENCH_lint.json";
   if not (Benchlib.Lintbench.clean r) then exit 1
 
@@ -135,7 +136,7 @@ let obsbench () =
   section "obsbench: vprobe site cost, armed-vs-stock identity, delay accounting";
   let r = Benchlib.Obsbench.run () in
   print_string (Benchlib.Obsbench.render r);
-  Benchlib.Obsbench.write_json r "BENCH_obs.json";
+  Benchlib.Report.write "BENCH_obs.json" (Benchlib.Obsbench.report r);
   print_endline "wrote BENCH_obs.json";
   if not (Benchlib.Obsbench.clean r) then exit 1
 
@@ -143,7 +144,7 @@ let simbench () =
   section "simbench: host-parallel engine — pop cost, speedup, determinism";
   let r = Benchlib.Simbench.run () in
   print_string (Benchlib.Simbench.render r);
-  Benchlib.Simbench.write_json r "BENCH_sim.json";
+  Benchlib.Report.write "BENCH_sim.json" (Benchlib.Simbench.report r);
   print_endline "wrote BENCH_sim.json"
 
 let ablations () =

@@ -303,24 +303,16 @@ let render s =
        "\n  FAILURES dumped to " ^ failure_dump
      else "")
 
-let json s =
-  Printf.sprintf
-    "{\n\
-    \  \"benchmark\": \"crashbench\",\n\
-    \  \"seed\": %Ld,\n\
-    \  \"trials\": %d,\n\
-    \  \"media_sectors\": %d,\n\
-    \  \"journal_commits\": %d,\n\
-    \  \"replayed_trials\": %d,\n\
-    \  \"replayed_blocks\": %d,\n\
-    \  \"fsck_failures\": %d,\n\
-    \  \"invariant_failures\": %d,\n\
-    \  \"run_hash\": %S\n\
-     }\n"
-    s.s_seed s.s_trials s.s_media_sectors s.s_commits s.s_replayed_trials
-    s.s_replayed_blocks s.s_fsck_failures s.s_invariant_failures s.s_run_hash
-
-let write_json s file =
-  let oc = open_out file in
-  output_string oc (json s);
-  close_out oc
+let report s =
+  Report.
+    ( [
+        ("benchmark", String "crashbench"); ("seed", Int64 s.s_seed);
+        ("trials", Int s.s_trials); ("media_sectors", Int s.s_media_sectors);
+        ("journal_commits", Int s.s_commits);
+        ("replayed_trials", Int s.s_replayed_trials);
+        ("replayed_blocks", Int s.s_replayed_blocks);
+        ("fsck_failures", Int s.s_fsck_failures);
+        ("invariant_failures", Int s.s_invariant_failures);
+        ("run_hash", String s.s_run_hash);
+      ],
+      [] )

@@ -61,21 +61,22 @@ let run ?seed ?sessions () =
   let digests = Buffer.create (sessions * 36) in
   let failures = ref 0 in
   let ops = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to sessions do
-    let scen = Fuzz.Gen.generate (Sim.Rng.next rng) in
-    ops := !ops + List.length scen.Fuzz.Gen.sc_ops;
-    let r = Fuzz.Session.run scen in
-    (match r.Fuzz.Session.r_outcome with
-    | Fuzz.Session.Pass -> ()
-    | Fuzz.Session.Fail f ->
-        incr failures;
-        Printf.printf "  FAIL seed 0x%Lx: %s\n%!" scen.Fuzz.Gen.sc_seed
-          (Fuzz.Session.failure_to_string f));
-    Buffer.add_string digests r.Fuzz.Session.r_digest;
-    Buffer.add_char digests '\n'
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall =
+    Report.timed (fun () ->
+        for _ = 1 to sessions do
+          let scen = Fuzz.Gen.generate (Sim.Rng.next rng) in
+          ops := !ops + List.length scen.Fuzz.Gen.sc_ops;
+          let r = Fuzz.Session.run scen in
+          (match r.Fuzz.Session.r_outcome with
+          | Fuzz.Session.Pass -> ()
+          | Fuzz.Session.Fail f ->
+              incr failures;
+              Printf.printf "  FAIL seed 0x%Lx: %s\n%!" scen.Fuzz.Gen.sc_seed
+                (Fuzz.Session.failure_to_string f));
+          Buffer.add_string digests r.Fuzz.Session.r_digest;
+          Buffer.add_char digests '\n'
+        done)
+  in
   (* shrink-cost probe: plant a canary, measure the ddmin bill *)
   let scen = canary_scenario (Int64.logxor seed 0xca4a11L) in
   let failure =
@@ -112,25 +113,17 @@ let render s =
     s.f_seed s.f_sessions s.f_ops s.f_failures s.f_sessions_per_s s.f_wall_s
     s.f_shrink_ops_before s.f_shrink_ops_after s.f_shrink_runs s.f_run_hash
 
-let json s =
-  Printf.sprintf
-    "{\n\
-    \  \"benchmark\": \"fuzzbench\",\n\
-    \  \"seed\": %Ld,\n\
-    \  \"sessions\": %d,\n\
-    \  \"ops\": %d,\n\
-    \  \"failures\": %d,\n\
-    \  \"wall_s\": %.3f,\n\
-    \  \"sessions_per_s\": %.1f,\n\
-    \  \"shrink_runs\": %d,\n\
-    \  \"shrink_ops_before\": %d,\n\
-    \  \"shrink_ops_after\": %d,\n\
-    \  \"run_hash\": %S\n\
-     }\n"
-    s.f_seed s.f_sessions s.f_ops s.f_failures s.f_wall_s s.f_sessions_per_s
-    s.f_shrink_runs s.f_shrink_ops_before s.f_shrink_ops_after s.f_run_hash
-
-let write_json s file =
-  let oc = open_out file in
-  output_string oc (json s);
-  close_out oc
+let report s =
+  Report.
+    ( [
+        ("benchmark", String "fuzzbench"); ("seed", Int64 s.f_seed);
+        ("sessions", Int s.f_sessions); ("ops", Int s.f_ops);
+        ("failures", Int s.f_failures); ("shrink_runs", Int s.f_shrink_runs);
+        ("shrink_ops_before", Int s.f_shrink_ops_before);
+        ("shrink_ops_after", Int s.f_shrink_ops_after);
+        ("run_hash", String s.f_run_hash);
+      ],
+      [
+        ("wall_s", Fixed (3, s.f_wall_s));
+        ("sessions_per_s", Fixed (1, s.f_sessions_per_s));
+      ] )

@@ -281,53 +281,43 @@ let render rows =
        (seq_speedup rows) (randw_speedup rows));
   Buffer.contents b
 
-let json ?(journal = []) rows =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"benchmark\": \"iobench\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"file_bytes\": %d,\n  \"chunk_bytes\": %d,\n  \"rand_writes\": %d,\n"
-       file_bytes chunk rand_writes);
-  Buffer.add_string b "  \"configs\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"writeback\": %b, \"readahead_blocks\": %d, \
-            \"sd_coalescing\": %b, \"range_io_bypass\": %b, \
-            \"seq_read_kbps\": %.1f, \"rand_write_ms_per_op\": %.4f, \
-            \"mixed_kbps\": %.1f, \"cache_hits\": %d, \"cache_misses\": %d, \
-            \"prefetched_blocks\": %d, \"flush_batches\": %d, \
-            \"flushed_blocks\": %d, \"sd_merged_requests\": %d}%s\n"
-           r.r_config.cf_name r.r_config.cf_writeback r.r_config.cf_readahead
-           r.r_config.cf_coalesce r.r_config.cf_bypass r.seq_kbps r.randw_ms
-           r.mixed_kbps r.hits r.misses r.prefetched r.flush_batches
-           r.flushed_blocks r.sd_merged
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  if journal <> [] then begin
-    Buffer.add_string b "  \"journal_configs\": [\n";
-    List.iteri
-      (fun i j ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"name\": %S, \"journal\": %b, \"fsync_kbps\": %.1f, \
-              \"commits\": %d, \"replayed\": %d, \"barriers\": %d}%s\n"
-             j.j_name j.j_journal j.j_kbps j.j_commits j.j_replayed j.j_barriers
-             (if i = List.length journal - 1 then "" else ",")))
-      journal;
-    Buffer.add_string b "  ],\n"
-  end;
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"seq_read_speedup_vs_writethrough\": %.3f,\n\
-       \  \"rand_write_latency_speedup_vs_writethrough\": %.3f\n"
-       (seq_speedup rows) (randw_speedup rows));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write_json ?journal rows file =
-  let oc = open_out file in
-  output_string oc (json ?journal rows);
-  close_out oc
+let report ~journal rows =
+  let config r =
+    let c = r.r_config in
+    Report.(
+      Obj
+        [
+          ("name", String c.cf_name); ("writeback", Bool c.cf_writeback);
+          ("readahead_blocks", Int c.cf_readahead);
+          ("sd_coalescing", Bool c.cf_coalesce);
+          ("range_io_bypass", Bool c.cf_bypass);
+          ("seq_read_kbps", Fixed (1, r.seq_kbps));
+          ("rand_write_ms_per_op", Fixed (4, r.randw_ms));
+          ("mixed_kbps", Fixed (1, r.mixed_kbps)); ("cache_hits", Int r.hits);
+          ("cache_misses", Int r.misses);
+          ("prefetched_blocks", Int r.prefetched);
+          ("flush_batches", Int r.flush_batches);
+          ("flushed_blocks", Int r.flushed_blocks);
+          ("sd_merged_requests", Int r.sd_merged);
+        ])
+  in
+  let journal_config j =
+    Report.(
+      Obj
+        [
+          ("name", String j.j_name); ("journal", Bool j.j_journal);
+          ("fsync_kbps", Fixed (1, j.j_kbps)); ("commits", Int j.j_commits);
+          ("replayed", Int j.j_replayed); ("barriers", Int j.j_barriers);
+        ])
+  in
+  Report.
+    ( [
+        ("benchmark", String "iobench"); ("file_bytes", Int file_bytes);
+        ("chunk_bytes", Int chunk); ("rand_writes", Int rand_writes);
+        ("configs", List (List.map config rows));
+        ("journal_configs", List (List.map journal_config journal));
+        ("seq_read_speedup_vs_writethrough", Fixed (3, seq_speedup rows));
+        ( "rand_write_latency_speedup_vs_writethrough",
+          Fixed (3, randw_speedup rows) );
+      ],
+      [] )

@@ -234,44 +234,33 @@ let render rows =
        (roundtrip_improvement rows) (events_improvement rows));
   Buffer.contents b
 
-let json rows =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"benchmark\": \"ipcbench\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"message_bytes\": %d,\n  \"measured_roundtrips\": %d,\n\
-       \  \"event_period_us\": %.1f,\n  \"event_measure_s\": %.1f,\n"
-       msg_bytes measured_roundtrips
-       (Int64.to_float inject_period_ns /. 1e3)
-       (Sim.Engine.to_sec events_measure_ns));
-  Buffer.add_string b "  \"configs\": [\n";
-  List.iteri
-    (fun i r ->
-      let c = r.r_config in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"pipe_ring\": %b, \"pipe_wake_edge\": %b, \
-            \"uses_poll\": %b, \"pipe_buffer_bytes\": %d, \
-            \"roundtrip_p50_us\": %.2f, \"roundtrip_p99_us\": %.2f, \
-            \"roundtrips_per_s\": %.1f, \"wakeups_issued\": %d, \
-            \"wakeups_suppressed\": %d, \"events_per_s\": %.1f, \
-            \"events_delivered\": %d, \"events_dropped\": %d}%s\n"
-           c.ic_name c.ic_ring c.ic_edge c.ic_poll c.ic_buf r.r_pp.pp_p50_us
-           r.r_pp.pp_p99_us r.r_pp.pp_per_s r.r_pp.pp_wakeups_issued
-           r.r_pp.pp_wakeups_suppressed r.r_ev.ev_per_s r.r_ev.ev_delivered
-           r.r_ev.ev_dropped
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"roundtrip_p50_improvement\": %.3f,\n\
-       \  \"events_per_s_improvement\": %.3f\n"
-       (roundtrip_improvement rows) (events_improvement rows));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write_json rows file =
-  let oc = open_out file in
-  output_string oc (json rows);
-  close_out oc
+let report rows =
+  let config r =
+    let c = r.r_config and pp = r.r_pp and ev = r.r_ev in
+    Report.(
+      Obj
+        [
+          ("name", String c.ic_name); ("pipe_ring", Bool c.ic_ring);
+          ("pipe_wake_edge", Bool c.ic_edge); ("uses_poll", Bool c.ic_poll);
+          ("pipe_buffer_bytes", Int c.ic_buf);
+          ("roundtrip_p50_us", Fixed (2, pp.pp_p50_us));
+          ("roundtrip_p99_us", Fixed (2, pp.pp_p99_us));
+          ("roundtrips_per_s", Fixed (1, pp.pp_per_s));
+          ("wakeups_issued", Int pp.pp_wakeups_issued);
+          ("wakeups_suppressed", Int pp.pp_wakeups_suppressed);
+          ("events_per_s", Fixed (1, ev.ev_per_s));
+          ("events_delivered", Int ev.ev_delivered);
+          ("events_dropped", Int ev.ev_dropped);
+        ])
+  in
+  Report.
+    ( [
+        ("benchmark", String "ipcbench"); ("message_bytes", Int msg_bytes);
+        ("measured_roundtrips", Int measured_roundtrips);
+        ("event_period_us", Fixed (1, Int64.to_float inject_period_ns /. 1e3));
+        ("event_measure_s", Fixed (1, Sim.Engine.to_sec events_measure_ns));
+        ("configs", List (List.map config rows));
+        ("roundtrip_p50_improvement", Fixed (3, roundtrip_improvement rows));
+        ("events_per_s_improvement", Fixed (3, events_improvement rows));
+      ],
+      [] )

@@ -25,14 +25,9 @@ let resolve candidates =
   | Some p -> p
   | None -> List.hd candidates
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let run () =
   let vlint_res, vlint_wall =
-    timed (fun () ->
+    Report.timed (fun () ->
         Vlint_core.run
           ~allow_path:(resolve [ "tools/vlint/allow.txt" ])
           ~design_path:(resolve [ "DESIGN.md" ])
@@ -43,7 +38,7 @@ let run () =
      under _build/default, from inside the build tree in place *)
   let cmt_root d = resolve [ "_build/default/" ^ d; d ] in
   let vrace_res, vrace_wall =
-    timed (fun () ->
+    Report.timed (fun () ->
         Vrace_core.run
           ~allow_path:(resolve [ "tools/vrace/allow.txt" ])
           ~roots:
@@ -83,22 +78,19 @@ let render t =
   ^ line "vrace" t.l_vrace "typed units"
   ^ if clean t then "  clean tree\n" else "  NOT CLEAN\n"
 
-let json t =
-  let side name s unit_ =
-    Printf.sprintf
-      "  \"%s\": {\n\
-      \    \"%s\": %d,\n\
-      \    \"findings\": %d,\n\
-      \    \"stale_allows\": %d,\n\
-      \    \"wall_s\": %.3f\n\
-      \  }"
-      name unit_ s.l_files s.l_findings s.l_stale s.l_wall_s
+let report t =
+  let counts s unit_ =
+    Report.(
+      Obj
+        [
+          (unit_, Int s.l_files); ("findings", Int s.l_findings);
+          ("stale_allows", Int s.l_stale);
+        ])
   in
-  Printf.sprintf "{\n  \"benchmark\": \"lintbench\",\n%s,\n%s\n}\n"
-    (side "vlint" t.l_vlint "source_files")
-    (side "vrace" t.l_vrace "typed_units")
-
-let write_json t file =
-  let oc = open_out file in
-  output_string oc (json t);
-  close_out oc
+  let wall s = Report.(Obj [ ("wall_s", Fixed (3, s.l_wall_s)) ]) in
+  ( [
+      ("benchmark", Report.String "lintbench");
+      ("vlint", counts t.l_vlint "source_files");
+      ("vrace", counts t.l_vrace "typed_units");
+    ],
+    [ ("vlint", wall t.l_vlint); ("vrace", wall t.l_vrace) ] )

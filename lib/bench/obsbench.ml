@@ -31,13 +31,15 @@ let fire_iters = 1_000_000
 let detached_ns_per_site () =
   let vp = Core.Vprobe.create () in
   let hits = ref 0 in
-  let t0 = Sys.time () in
-  for _ = 1 to guard_iters do
-    if Core.Vprobe.armed (Sys.opaque_identity vp) Core.Vprobe.pt_sched_wakeup
-    then incr hits
-  done;
+  let (), dt =
+    Report.timed (fun () ->
+        for _ = 1 to guard_iters do
+          let vp = Sys.opaque_identity vp in
+          if Core.Vprobe.armed vp Core.Vprobe.pt_sched_wakeup then incr hits
+        done)
+  in
   assert (!hits = 0);
-  (Sys.time () -. t0) *. 1e9 /. float_of_int guard_iters
+  dt *. 1e9 /. float_of_int guard_iters
 
 (* Attached cost: a histogram aggregation with a predicate, the
    expensive end of the ladder. *)
@@ -54,12 +56,14 @@ let attached_ns_per_fire () =
       Core.Vprobe.a_latency_ns = Int64.of_int (i land 0xffff);
     }
   in
-  let t0 = Sys.time () in
-  for i = 1 to fire_iters do
-    if Core.Vprobe.armed vp Core.Vprobe.pt_sched_wakeup then
-      Core.Vprobe.fire vp Core.Vprobe.pt_sched_wakeup (args i)
-  done;
-  (Sys.time () -. t0) *. 1e9 /. float_of_int fire_iters
+  let (), dt =
+    Report.timed (fun () ->
+        for i = 1 to fire_iters do
+          if Core.Vprobe.armed vp Core.Vprobe.pt_sched_wakeup then
+            Core.Vprobe.fire vp Core.Vprobe.pt_sched_wakeup (args i)
+        done)
+  in
+  dt *. 1e9 /. float_of_int fire_iters
 
 (* ---- part 2: armed-vs-stock byte identity ---- *)
 
@@ -247,39 +251,25 @@ let render r =
        r.r_delay_max_err_ns r.r_delay_tasks);
   Buffer.contents b
 
-let json r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n  \"benchmark\": \"obsbench\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"detached_ns_per_site\": %.3f,\n  \"attached_ns_per_fire\": \
-        %.1f,\n"
-       r.r_detached_ns r.r_attached_ns);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"armed_identical\": %b,\n  \"stock_end_ns\": %Ld,\n\
-       \  \"armed_end_ns\": %Ld,\n  \"stock_trace_md5\": %S,\n\
-       \  \"armed_trace_md5\": %S,\n"
-       r.r_identical r.r_stock_end_ns r.r_armed_end_ns r.r_stock_md5
-       r.r_armed_md5);
-  Buffer.add_string b "  \"probes_fired\": [\n";
-  let n = List.length r.r_probes_fired in
-  List.iteri
-    (fun i (spec, c) ->
-      Buffer.add_string b
-        (Printf.sprintf "    {\"spec\": %S, \"fired\": %d}%s\n" spec c
-           (if i = n - 1 then "" else ",")))
-    r.r_probes_fired;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"delay_max_err_ns\": %Ld,\n  \"delay_tasks\": %d\n}\n"
-       r.r_delay_max_err_ns r.r_delay_tasks);
-  Buffer.contents b
-
-let write_json r path =
-  let oc = open_out path in
-  output_string oc (json r);
-  close_out oc
+let report r =
+  let fired (spec, n) =
+    Report.(Obj [ ("spec", String spec); ("fired", Int n) ])
+  in
+  Report.
+    ( [
+        ("benchmark", String "obsbench");
+        ("armed_identical", Bool r.r_identical);
+        ("stock_end_ns", Int64 r.r_stock_end_ns);
+        ("armed_end_ns", Int64 r.r_armed_end_ns);
+        ("stock_trace_md5", String r.r_stock_md5);
+        ("armed_trace_md5", String r.r_armed_md5);
+        ("probes_fired", List (List.map fired r.r_probes_fired));
+        ("delay_max_err_ns", Int64 r.r_delay_max_err_ns);
+        ("delay_tasks", Int r.r_delay_tasks);
+      ],
+      [
+        ("detached_ns_per_site", Fixed (3, r.r_detached_ns));
+        ("attached_ns_per_fire", Fixed (1, r.r_attached_ns));
+      ] )
 
 let clean r = r.r_identical && Int64.equal r.r_delay_max_err_ns 0L

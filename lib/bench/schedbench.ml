@@ -300,53 +300,44 @@ let render rows =
        (wakeup_improvement rows) (multicore_speedup rows));
   Buffer.contents b
 
-let json rows =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"benchmark\": \"schedbench\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"batch_tasks\": %d,\n  \"interactive_tasks\": %d,\n\
-       \  \"batch_burn_cycles\": %d,\n  \"interactive_sleep_ms\": %d,\n\
-       \  \"interactive_burn_cycles\": %d,\n  \"measure_s\": %.1f,\n"
-       n_batch n_interactive batch_burn_cycles inter_sleep_ms
-       inter_burn_cycles
-       (Sim.Engine.to_sec measure_ns));
-  Buffer.add_string b "  \"configs\": [\n";
-  List.iteri
-    (fun i r ->
-      let c = r.r_config in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": %S, \"cores\": %d, \"policy\": %S, \"wake_model\": \
-            %S, \"wake_affinity\": %b, \"load_balance_ms\": %d, \
-            \"batch_iters_per_s\": %.2f, \"interactive_iters_per_s\": %.2f, \
-            \"wakeup_samples\": %d, \"wakeup_p50_us\": %.2f, \
-            \"wakeup_p95_us\": %.2f, \"wakeup_p99_us\": %.2f, \
-            \"run_delay_avg_us\": %.2f, \"migrations\": %d, \"steals\": %d, \
-            \"balance_moves\": %d, \"ipis\": %d}%s\n"
-           c.rc_name c.rc_cores
-           (match c.rc_policy with
-           | Core.Kconfig.Sched_rr -> "rr"
-           | Core.Kconfig.Sched_mlfq -> "mlfq")
-           (match c.rc_wake with
-           | Core.Kconfig.Wake_direct -> "direct"
-           | Core.Kconfig.Wake_tick -> "tick"
-           | Core.Kconfig.Wake_ipi -> "ipi")
-           c.rc_affinity c.rc_lb_ms r.batch_per_s r.inter_per_s r.wake_samples
-           r.wake_p50_us r.wake_p95_us r.wake_p99_us r.run_delay_avg_us
-           r.migrations r.steals r.balance_moves r.ipis
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"remote_wakeup_improvement\": %.3f,\n\
-       \  \"multicore_speedup\": %.3f\n"
-       (wakeup_improvement rows) (multicore_speedup rows));
-  Buffer.add_string b "}\n";
-  Buffer.contents b
-
-let write_json rows file =
-  let oc = open_out file in
-  output_string oc (json rows);
-  close_out oc
+let report rows =
+  let config r =
+    let c = r.r_config in
+    let policy = (Core.Sched.class_of_policy c.rc_policy).Core.Sched.sc_name
+    and wake =
+      match c.rc_wake with
+      | Core.Kconfig.Wake_direct -> "direct"
+      | Core.Kconfig.Wake_tick -> "tick"
+      | Core.Kconfig.Wake_ipi -> "ipi"
+    in
+    Report.(
+      Obj
+        [
+          ("name", String c.rc_name); ("cores", Int c.rc_cores);
+          ("policy", String policy); ("wake_model", String wake);
+          ("wake_affinity", Bool c.rc_affinity);
+          ("load_balance_ms", Int c.rc_lb_ms);
+          ("batch_iters_per_s", Fixed (2, r.batch_per_s));
+          ("interactive_iters_per_s", Fixed (2, r.inter_per_s));
+          ("wakeup_samples", Int r.wake_samples);
+          ("wakeup_p50_us", Fixed (2, r.wake_p50_us));
+          ("wakeup_p95_us", Fixed (2, r.wake_p95_us));
+          ("wakeup_p99_us", Fixed (2, r.wake_p99_us));
+          ("run_delay_avg_us", Fixed (2, r.run_delay_avg_us));
+          ("migrations", Int r.migrations); ("steals", Int r.steals);
+          ("balance_moves", Int r.balance_moves); ("ipis", Int r.ipis);
+        ])
+  in
+  Report.
+    ( [
+        ("benchmark", String "schedbench"); ("batch_tasks", Int n_batch);
+        ("interactive_tasks", Int n_interactive);
+        ("batch_burn_cycles", Int batch_burn_cycles);
+        ("interactive_sleep_ms", Int inter_sleep_ms);
+        ("interactive_burn_cycles", Int inter_burn_cycles);
+        ("measure_s", Fixed (1, Sim.Engine.to_sec measure_ns));
+        ("configs", List (List.map config rows));
+        ("remote_wakeup_improvement", Fixed (3, wakeup_improvement rows));
+        ("multicore_speedup", Fixed (3, multicore_speedup rows));
+      ],
+      [] )

@@ -4,8 +4,7 @@
 
     - {b what does the sequential hot path cost?} Part 1 times the
       engine's pop+fire cycle — plain, and with half the events
-      cancelled — against the pre-tombstone numbers measured on the seed
-      engine, whose [cancel] kept a hashtable probed on every pop.
+      cancelled, which leaves tombstones for the pop to skip.
 
     - {b what does [sim_domains] buy?} Part 2 runs three heavyweight
       scenarios (the miner farm saturating four simulated cores with
@@ -13,7 +12,7 @@
       presses, and schedbench's multicore batch spinners) at
       [sim_domains] ∈ {1, 2, 4}. Each run's per-event host cost is
       sampled slice by slice into a {!Core.Kperf.Hist}; the report gives
-      events/sec, mean batch width, and wall-clock speedup against the
+      events/sec, Par batch counts, and wall-clock speedup against the
       sequential row. Every row also hashes its merged ktrace machine
       dump — the hashes must agree across the ladder, the bench's
       restatement of the determinism proof in [test/test_par.ml].
@@ -26,11 +25,6 @@
     showing the pool costs nothing when there is nothing to steal. *)
 
 (* ---- part 1: sequential pop cost ---- *)
-
-(* Measured on the seed engine (hashtable cancellation) by the same
-   window loop below, same host class; kept as the comparison point. *)
-let seed_plain_pop_ns = 672.7
-let seed_cancelled_pop_ns = 1052.9
 
 let pop_window = 4096
 let pop_windows = 100
@@ -46,9 +40,7 @@ let pop_cost ~cancel_half =
     in
     if cancel_half then
       Array.iteri (fun i id -> if i land 1 = 0 then Sim.Engine.cancel e id) ids;
-    let t0 = Unix.gettimeofday () in
-    Sim.Engine.run e ();
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt = Report.timed (fun () -> Sim.Engine.run e ()) in
     let fired = if cancel_half then pop_window / 2 else pop_window in
     Core.Kperf.Hist.record hist
       (Int64.of_float (dt *. 1e9 /. float_of_int fired))
@@ -158,36 +150,41 @@ let trace_dump stage =
   Core.Ktrace.add_machine_dump b (Core.Ktrace.dump sched.Core.Sched.trace);
   Buffer.contents b
 
+(* Per-event host cost from a row's slice histogram: mean, p90, events/s. *)
+let event_cost hist =
+  let mean = Core.Kperf.Hist.mean_ns hist in
+  ( mean,
+    Core.Kperf.Hist.percentile_ns hist 0.90,
+    if mean > 0.0 then 1e9 /. mean else 0.0 )
+
 let run_row sc domains =
-  let t0 = Unix.gettimeofday () in
-  let stage = sc.sc_setup ~domains in
+  let stage, setup_s = Report.timed (fun () -> sc.sc_setup ~domains) in
   let engine =
     stage.Proto.Stage.kernel.Core.Kernel.board.Hw.Board.engine
   in
   let hist = Core.Kperf.Hist.create () in
+  let wall = ref setup_s in
   let slice = Int64.div sc.sc_virtual (Int64.of_int slices) in
   for i = 0 to slices - 1 do
     sc.sc_tick stage i;
     let e0 = Sim.Engine.events_fired engine in
-    let s0 = Unix.gettimeofday () in
-    Proto.Stage.run_for stage slice;
-    let ds = Unix.gettimeofday () -. s0 in
+    let (), ds = Report.timed (fun () -> Proto.Stage.run_for stage slice) in
+    wall := !wall +. ds;
     let de = Sim.Engine.events_fired engine - e0 in
     if de > 0 then
       Core.Kperf.Hist.record hist
         (Int64.of_float (ds *. 1e9 /. float_of_int de))
   done;
-  let wall = Unix.gettimeofday () -. t0 in
   let batches, computes = Sim.Engine.par_stats engine in
-  let mean = Core.Kperf.Hist.mean_ns hist in
+  let mean, p90, per_s = event_cost hist in
   {
     r_scenario = sc.sc_name;
     r_domains = domains;
-    r_wall_s = wall;
+    r_wall_s = !wall;
     r_events = Sim.Engine.events_fired engine;
     r_event_ns_mean = mean;
-    r_event_ns_p90 = Core.Kperf.Hist.percentile_ns hist 90.0;
-    r_events_per_s = (if mean > 0.0 then 1e9 /. mean else 0.0);
+    r_event_ns_p90 = p90;
+    r_events_per_s = per_s;
     r_batches = batches;
     r_computes = computes;
     r_speedup = 1.0 (* filled in against the sequential row *);
@@ -239,10 +236,9 @@ let render r =
         else " (single-CPU host: parallel rows measure overhead, not speedup)"));
   Buffer.add_string b
     (Printf.sprintf
-       "  pop+fire cost (%d x %d events): plain %.0f ns/event (seed \
-        hashtable: %.0f), 50%%-cancelled %.0f ns/event (seed: %.0f)\n"
-       pop_windows pop_window plain seed_plain_pop_ns cance
-       seed_cancelled_pop_ns);
+       "  pop+fire cost (%d x %d events): plain %.0f ns/event, \
+        50%%-cancelled %.0f ns/event\n"
+       pop_windows pop_window plain cance);
   Buffer.add_string b
     (Printf.sprintf "  %-10s %7s %9s %10s %11s %8s %9s %8s %5s\n" "scenario"
        "domains" "wall_s" "events" "events/s" "batches" "computes" "speedup"
@@ -258,51 +254,52 @@ let render r =
     r.rows;
   Buffer.contents b
 
-let json r =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"host_cpus\": %d,\n  \"parallel_effective\": %b,\n" (host_cpus ())
-       (host_cpus () > 1));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"pop_cost\": {\n\
-       \    \"window_events\": %d,\n\
-       \    \"windows\": %d,\n\
-       \    \"seed_plain_ns\": %.1f,\n\
-       \    \"seed_cancelled_ns\": %.1f,\n\
-       \    \"tombstone_plain_ns\": %.1f,\n\
-       \    \"tombstone_cancelled_ns\": %.1f,\n\
-       \    \"plain_hist\": \"%s\",\n\
-       \    \"cancelled_hist\": \"%s\"\n\
-       \  },\n"
-       pop_window pop_windows seed_plain_pop_ns seed_cancelled_pop_ns
-       (Core.Kperf.Hist.mean_ns r.pop_plain)
-       (Core.Kperf.Hist.mean_ns r.pop_cancelled)
-       (String.escaped (Core.Kperf.Hist.render_line r.pop_plain))
-       (String.escaped (Core.Kperf.Hist.render_line r.pop_cancelled)));
-  Buffer.add_string b "  \"scenarios\": [\n";
-  let n = List.length r.rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"scenario\": \"%s\", \"domains\": %d, \"wall_s\": %.3f, \
-            \"events\": %d, \"event_ns_mean\": %.1f, \"event_ns_p90\": \
-            %.1f, \"events_per_s\": %.0f, \"par_batches\": %d, \
-            \"par_computes\": %d, \"speedup\": %.3f, \"trace_md5\": \
-            \"%s\", \"deterministic\": %b}%s\n"
-           row.r_scenario row.r_domains row.r_wall_s row.r_events
-           row.r_event_ns_mean row.r_event_ns_p90 row.r_events_per_s
-           row.r_batches row.r_computes row.r_speedup row.r_trace_md5
-           row.r_deterministic
-           (if i = n - 1 then "" else ",")))
-    r.rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
-
-let write_json r file =
-  let oc = open_out file in
-  output_string oc (json r);
-  close_out oc
+let report r =
+  let row x fields =
+    Report.(
+      Obj
+        (("scenario", String x.r_scenario) :: ("domains", Int x.r_domains)
+        :: fields))
+  in
+  let det x =
+    Report.(
+      row x
+        [
+          ("events", Int x.r_events); ("par_batches", Int x.r_batches);
+          ("par_computes", Int x.r_computes);
+          ("trace_md5", String x.r_trace_md5);
+          ("deterministic", Bool x.r_deterministic);
+        ])
+  and host x =
+    Report.(
+      row x
+        [
+          ("wall_s", Fixed (3, x.r_wall_s));
+          ("event_ns_mean", Fixed (1, x.r_event_ns_mean));
+          ("event_ns_p90", Fixed (1, x.r_event_ns_p90));
+          ("events_per_s", Fixed (0, x.r_events_per_s));
+          ("speedup", Fixed (3, x.r_speedup));
+        ])
+  in
+  let mean h = Report.Fixed (1, Core.Kperf.Hist.mean_ns h)
+  and line h = Report.String (Core.Kperf.Hist.render_line h) in
+  Report.
+    ( [
+        ( "pop_cost",
+          Obj
+            [ ("window_events", Int pop_window); ("windows", Int pop_windows) ]
+        );
+        ("scenarios", List (List.map det r.rows));
+      ],
+      [
+        ("host_cpus", Int (host_cpus ()));
+        ( "pop_cost",
+          Obj
+            [
+              ("tombstone_plain_ns", mean r.pop_plain);
+              ("tombstone_cancelled_ns", mean r.pop_cancelled);
+              ("plain_hist", line r.pop_plain);
+              ("cancelled_hist", line r.pop_cancelled);
+            ] );
+        ("scenarios", List (List.map host r.rows));
+      ] )

@@ -25,12 +25,14 @@ let emits = 1_000_000
 
 let emit_cost_ns () =
   let tr = Core.Ktrace.create ~capacity:65536 () in
-  let t0 = Sys.time () in
-  for i = 0 to emits - 1 do
-    Core.Ktrace.emit tr ~ts_ns:(Int64.of_int i) ~core:(i land 3)
-      Core.Ktrace.Kbd_report
-  done;
-  (Sys.time () -. t0) *. 1e9 /. float_of_int emits
+  let (), dt =
+    Report.timed (fun () ->
+        for i = 0 to emits - 1 do
+          Core.Ktrace.emit tr ~ts_ns:(Int64.of_int i) ~core:(i land 3)
+            Core.Ktrace.Kbd_report
+        done)
+  in
+  dt *. 1e9 /. float_of_int emits
 
 (* ---- part 2: armed launcher session ---- *)
 
@@ -189,42 +191,34 @@ let render r =
   Buffer.add_string b s.s_profile;
   Buffer.contents b
 
-let json r =
-  let s = r.session in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"benchmark\": \"tracebench\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"emits\": %d,\n  \"emit_cost_ns_single\": %.1f,\n" emits
-       r.emit_single_ns);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"session\": {\"trace_events\": %d, \"spans_matched\": %d, \
-        \"spans_open\": %d,\n\
-       \    \"keypresses\": %d, \"deliver_ms\": %.3f, \"respond_ms\": \
-        %.3f, \"total_ms\": %.3f},\n"
-       s.s_events s.s_spans_matched s.s_spans_open s.s_breakdown.bd_samples
-       s.s_breakdown.bd_deliver_ms s.s_breakdown.bd_respond_ms
-       (s.s_breakdown.bd_deliver_ms +. s.s_breakdown.bd_respond_ms));
-  Buffer.add_string b "  \"span_ops\": [\n";
-  let n = List.length s.s_span_ops in
-  List.iteri
-    (fun i op ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"op\": %S, \"count\": %d, \"total_ms\": %.3f}%s\n"
-           op.so_name op.so_count op.so_total_ms
-           (if i = n - 1 then "" else ",")))
-    s.s_span_ops;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"syscall_service\": %S\n}\n" s.s_syscall_hist);
-  Buffer.contents b
-
-let write_json r path =
-  let oc = open_out path in
-  output_string oc (json r);
-  close_out oc
+let report r =
+  let s = r.session and bd = r.session.s_breakdown in
+  let op o =
+    Report.(
+      Obj
+        [
+          ("op", String o.so_name); ("count", Int o.so_count);
+          ("total_ms", Fixed (3, o.so_total_ms));
+        ])
+  in
+  Report.
+    ( [
+        ("benchmark", String "tracebench"); ("emits", Int emits);
+        ( "session",
+          Obj
+            [
+              ("trace_events", Int s.s_events);
+              ("spans_matched", Int s.s_spans_matched);
+              ("spans_open", Int s.s_spans_open);
+              ("keypresses", Int bd.bd_samples);
+              ("deliver_ms", Fixed (3, bd.bd_deliver_ms));
+              ("respond_ms", Fixed (3, bd.bd_respond_ms));
+              ("total_ms", Fixed (3, bd.bd_deliver_ms +. bd.bd_respond_ms));
+            ] );
+        ("span_ops", List (List.map op s.s_span_ops));
+        ("syscall_service", String s.s_syscall_hist);
+      ],
+      [ ("emit_cost_ns_single", Fixed (1, r.emit_single_ns)) ] )
 
 let write_trace r path =
   let oc = open_out path in

@@ -194,7 +194,25 @@ let crashbench_deterministic () =
   check_int "no invariant failures" 0 a.Benchlib.Crashbench.s_invariant_failures;
   check_string "same seed, same run hash" a.Benchlib.Crashbench.s_run_hash
     b.Benchlib.Crashbench.s_run_hash;
-  check_bool "replays observed" true (a.Benchlib.Crashbench.s_replayed_trials > 0)
+  check_bool "replays observed" true
+    (a.Benchlib.Crashbench.s_replayed_trials > 0);
+  (* the deterministic half of BENCH_crash.json for this configuration,
+     pinned: a change that moves any cut, commit or replay shows here *)
+  check_string "deterministic report"
+    "{\n\
+    \  \"benchmark\": \"crashbench\",\n\
+    \  \"seed\": 99,\n\
+    \  \"trials\": 150,\n\
+    \  \"media_sectors\": 1976,\n\
+    \  \"journal_commits\": 1683,\n\
+    \  \"replayed_trials\": 74,\n\
+    \  \"replayed_blocks\": 1953,\n\
+    \  \"fsck_failures\": 0,\n\
+    \  \"invariant_failures\": 0,\n\
+    \  \"run_hash\": \"3d678aa57538d517ac427d1a51624350\"\n\
+     }"
+    (Benchlib.Report.to_string
+       (Benchlib.Report.Obj (fst (Benchlib.Crashbench.report a))))
 
 (* ---- fsck detects what the journal cannot prevent ---- *)
 

@@ -193,6 +193,75 @@ let osmodel_shapes () =
   in
   check_in_range "linux DOOM roughly half ours" 25.0 45.0 doom_linux
 
+(* ---- the shared BENCH report ---- *)
+
+let report_escapes_strings () =
+  let open Benchlib.Report in
+  check_string "quote, backslash, controls"
+    "\"a\\\"b\\\\c\\u000a\\u0009\\u0001\\u001f/\xc3\xa9\""
+    (to_string (String "a\"b\\c\n\t\001\031/\xc3\xa9"))
+
+let report_numbers () =
+  let open Benchlib.Report in
+  List.iter
+    (fun x ->
+      check_string "non-finite is null" "null" (to_string (Fixed (3, x))))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  List.iter
+    (fun (n, x, printf) ->
+      check_string printf printf (to_string (Fixed (n, x))))
+    [
+      (0, 45690.49, Printf.sprintf "%.0f" 45690.49);
+      (1, 0.05, Printf.sprintf "%.1f" 0.05);
+      (2, -1.255, Printf.sprintf "%.2f" (-1.255));
+      (3, 2.0, Printf.sprintf "%.3f" 2.0);
+      (4, 0.12124999, Printf.sprintf "%.4f" 0.12124999);
+    ];
+  check_string "int64" "-9223372036854775808" (to_string (Int64 Int64.min_int))
+
+let report_layout () =
+  let open Benchlib.Report in
+  (* key order is kept; rows below the second level stay on one line *)
+  check_string "object order and layout"
+    "{\n\
+    \  \"z\": 1,\n\
+    \  \"a\": [\n\
+    \    {\"y\": true, \"b\": \"s\"},\n\
+    \    []\n\
+    \  ],\n\
+    \  \"m\": {}\n\
+     }"
+    (to_string
+       (Obj
+          [
+            ("z", Int 1);
+            ( "a",
+              List [ Obj [ ("y", Bool true); ("b", String "s") ]; List [] ] );
+            ("m", Obj []);
+          ]));
+  check_string "exactly two top-level keys"
+    "{\n\
+    \  \"deterministic\": {\n\
+    \    \"n\": 1\n\
+    \  },\n\
+    \  \"host\": {}\n\
+     }\n"
+    (render ([ ("n", Int 1) ], []))
+
+(* A simbench row's p90 is the 0.90 quantile, not the max: samples of
+   1..100 us put it near 90 us. *)
+let simbench_p90 () =
+  let hist = Core.Kperf.Hist.create () in
+  for us = 1 to 100 do
+    Core.Kperf.Hist.record hist (Int64.of_int (us * 1000))
+  done;
+  let mean, p90, per_s = Benchlib.Simbench.event_cost hist in
+  check_bool "p90 below the max" true (p90 < 100_000.0);
+  check_bool "p90 above the median" true
+    (p90 > Core.Kperf.Hist.percentile_ns hist 0.5);
+  check_in_range "mean" 50_499.0 50_501.0 mean;
+  check_in_range "events/s" 19_801.0 19_802.0 per_s
+
 let suite =
   ( "proto",
     [
@@ -210,4 +279,8 @@ let suite =
       quick "sloc analysis (Figure 7)" sloc_analysis;
       quick "survey model deterministic (Figure 13)" survey_is_deterministic;
       quick "os model preserves paper shapes" osmodel_shapes;
+      quick "report escapes strings" report_escapes_strings;
+      quick "report prints numbers" report_numbers;
+      quick "report layout" report_layout;
+      quick "simbench p90 is the 0.90 quantile" simbench_p90;
     ] )
