@@ -51,8 +51,6 @@ let kconfig_of row =
     profile_hz = 100;
   }
 
-let ipc_stats kernel = kernel.Core.Kernel.vfs.Core.Vfs.ipc.Core.Pipe.stats
-
 (* ---- workload A: pipe ping-pong ---- *)
 
 let msg_bytes = 64
@@ -118,14 +116,14 @@ let run_pingpong rc =
    with
   | Ok _ -> ()
   | Error e -> invalid_arg ("ipcbench: " ^ e));
-  let stats = ipc_stats kernel in
+  let ipc = kernel.Core.Kernel.vfs.Core.Vfs.ipc in
   {
     pp_p50_us = Core.Kperf.Hist.percentile_us hist 0.50;
     pp_p99_us = Core.Kperf.Hist.percentile_us hist 0.99;
     pp_per_s =
       float_of_int measured_roundtrips /. Sim.Engine.to_sec !total_ns;
-    pp_wakeups_issued = stats.Core.Ipcstats.wakeups_issued;
-    pp_wakeups_suppressed = stats.Core.Ipcstats.wakeups_suppressed;
+    pp_wakeups_issued = ipc.Core.Pipe.wakeups_issued.Core.Kperf.n;
+    pp_wakeups_suppressed = ipc.Core.Pipe.wakeups_suppressed.Core.Kperf.n;
   }
 
 (* ---- workload B: keyboard -> app event stream ---- *)

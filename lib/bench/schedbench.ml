@@ -211,14 +211,15 @@ let snap_stats kernel cores =
   in
   for c = 0 to cores - 1 do
     let s = Core.Sched.stats kernel.Core.Kernel.sched c in
+    let n cell = cell.Core.Kperf.n and h = s.Core.Sched.delay_hist in
     acc :=
       {
-        sn_migrations = !acc.sn_migrations + s.Core.Sched.migrations;
-        sn_steals = !acc.sn_steals + s.Core.Sched.steals;
-        sn_balance = !acc.sn_balance + s.Core.Sched.balance_moves;
-        sn_ipis = !acc.sn_ipis + s.Core.Sched.ipis_recv;
-        sn_delay_count = !acc.sn_delay_count + s.Core.Sched.delay_count;
-        sn_delay_total = Int64.add !acc.sn_delay_total s.Core.Sched.delay_total_ns;
+        sn_migrations = !acc.sn_migrations + n s.Core.Sched.migrations;
+        sn_steals = !acc.sn_steals + n s.Core.Sched.steals;
+        sn_balance = !acc.sn_balance + n s.Core.Sched.balance_moves;
+        sn_ipis = !acc.sn_ipis + n s.Core.Sched.ipis_recv;
+        sn_delay_count = !acc.sn_delay_count + Core.Kperf.Hist.count h;
+        sn_delay_total = Int64.add !acc.sn_delay_total (Core.Kperf.Hist.sum_ns h);
       }
   done;
   !acc

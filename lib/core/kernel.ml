@@ -206,11 +206,11 @@ let boot spec =
   (* A fresh machine restarts every identifier counter at zero, so two
      boots of the same spec in one host process produce identical traces
      — the determinism proof boots at several sim_domains settings and
-     byte-compares the ktrace dumps. *)
-  Task.next_pid := 0;
+     byte-compares the ktrace dumps. Pids and pipe ids are per-kernel
+     streams (in [Sched.t] and [Pipe.params]); these two are still
+     process globals. *)
   Fd.next_file_id := 0;
   Vm.next_asid := 0;
-  Pipe.next_id := 0;
   let board =
     Hw.Board.create ~platform:spec.sp_platform ~seed:spec.sp_seed
       ~sd_mib:spec.sp_sd_mib ()
@@ -323,13 +323,12 @@ let boot spec =
     | _, (Some _ | None) -> None
   in
   let devfs = Devfs.create ~board ~sched ~console ~kbd ~audio ~wm ~fb in
-  let ipcstats = Ipcstats.create () in
-  let procfs = Procfs.create ~board ~sched ~kalloc ~ipc:ipcstats in
+  let procfs = Procfs.create ~board ~sched ~kalloc in
   let fdt = Fd.create sched in
   let vfs =
     Vfs.create ~sched ~config:spec.sp_config ~fdt ~root:rootfs ~root_bc ~devfs
       ~procfs
-      ~ipc:(Pipe.params_of_config spec.sp_config ipcstats)
+      ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf)
   in
   (* FAT32 partition under /d *)
   let fat_bc =
@@ -502,14 +501,6 @@ let boot spec =
                   Sched.poll_wake sched))
          end));
   (let kp = sched.Sched.kperf in
-   let c = Kperf.register_counter kp in
-   c "vos_pipe_writes_total" (fun () -> ipcstats.Ipcstats.pipe_writes);
-   c "vos_pipe_reads_total" (fun () -> ipcstats.Ipcstats.pipe_reads);
-   c "vos_pipe_bytes_total" (fun () -> ipcstats.Ipcstats.pipe_bytes);
-   c "vos_wakeups_issued_total" (fun () -> ipcstats.Ipcstats.wakeups_issued);
-   c "vos_wakeups_suppressed_total" (fun () ->
-       ipcstats.Ipcstats.wakeups_suppressed);
-   c "vos_polls_total" (fun () -> ipcstats.Ipcstats.polls);
    Kperf.register_counter kp ~label:("cache", "root") "vos_bufcache_hits_total"
      (fun () -> root_bc.Bufcache.hits);
    Kperf.register_counter kp ~label:("cache", "root")

@@ -8,8 +8,10 @@
       buckets per octave from 100 ns to beyond 10 s) replacing the
       private percentile math that latency/sched/ipc benches and the
       scheduler's run-delay array each grew on their own;
-    - a metric registry: named histograms and counter closures that
-      [/proc/metrics] renders in Prometheus text exposition format;
+    - a metric registry: named histograms and counters that
+      [/proc/metrics] renders in Prometheus text exposition format. A
+      counter either belongs to the registry (a {!cell} the call site
+      bumps) or reads state another module owns through a closure;
     - the sampling profiler: every [profile_hz] timer ticks the scheduler
       calls {!sample} with what the core was doing (in-syscall name,
       in-IRQ line, user code, or idle) and the attribution table is
@@ -155,11 +157,17 @@ type metric = {
   m_hist : Hist.t;
 }
 
+(* A registry-owned counter: call sites take it once at boot and bump
+   [n] with a plain field store, so the hot path has no lookup, closure
+   call or allocation. *)
+type cell = { mutable n : int }
+
 type counter = {
   c_name : string;
   c_label : (string * string) option;
   c_help : string;
   c_read : unit -> int;
+  c_cell : cell option;  (** [Some] when the registry owns the value *)
 }
 
 type t = {
@@ -195,8 +203,31 @@ let hist t ?label ?(help = "") name =
 
 let register_counter t ?label ?(help = "") name read =
   t.counters <-
-    { c_name = name; c_label = label; c_help = help; c_read = read }
+    { c_name = name; c_label = label; c_help = help; c_read = read;
+      c_cell = None }
     :: t.counters
+
+(* Find-or-create, like {!hist}: every taker of one name and label
+   shares one cell, and renderers read it from the same place. Callers
+   take their cells in [let]s, not inside a record literal, whose fields
+   evaluate in an unspecified order: registration order is the order of
+   the families in /proc/metrics. *)
+let counter t ?label name =
+  let owned c =
+    match c.c_cell with
+    | Some cell when String.equal c.c_name name && c.c_label = label ->
+        Some cell
+    | Some _ | None -> None
+  in
+  match List.find_map owned t.counters with
+  | Some cell -> cell
+  | None ->
+      let cell = { n = 0 } in
+      t.counters <-
+        { c_name = name; c_label = label; c_help = "";
+          c_read = (fun () -> cell.n); c_cell = Some cell }
+        :: t.counters;
+      cell
 
 (* ---- the sampling profiler ---- *)
 

@@ -13,24 +13,47 @@
     ipcbench walks the ladder. Both paths share the POSIX fixes: a write
     with no readers left returns [-EPIPE], a blocked write whose readers
     vanish mid-transfer returns the bytes already sent, and O_NONBLOCK
-    reaches both directions. *)
+    reaches both directions. Pipe ids and pipe counters are per kernel,
+    in {!params}. *)
 
-(** Per-kernel pipe behavior, derived from [Kconfig] at boot plus the
-    kernel's IPC counters (threaded in so pipes are not coupled to the
-    whole Vfs). *)
+(** Per-kernel pipe state, made once at boot: the behavior derived from
+    [Kconfig], the kernel's pipe-id stream, and the pipe counters, taken
+    from the kernel's kperf registry (so pipes are not coupled to the
+    whole Vfs, and [/proc/ipc] and [/proc/metrics] read the same cells).
+    The wakeup counters are the observable for the edge-triggered
+    ablation: under the xv6 model every pipe op issues a wakeup; under
+    [pipe_wake_edge] only the empty→non-empty and full→not-full
+    transitions do, and the ops that would have woken someone are
+    tallied as suppressed. *)
 type params = {
   ring : bool;
   edge : bool;
   ring_bytes : int;
-  stats : Ipcstats.t;
+  mutable next_id : int;  (** last pipe id this kernel handed out *)
+  pipe_writes : Kperf.cell;
+  pipe_reads : Kperf.cell;
+  pipe_bytes : Kperf.cell;  (** bytes moved through pipes, both ways *)
+  wakeups_issued : Kperf.cell;
+  wakeups_suppressed : Kperf.cell;
 }
 
-let params_of_config (cfg : Kconfig.t) stats =
+let params_of_config (cfg : Kconfig.t) kperf =
+  let c = Kperf.counter kperf in
+  let pipe_writes = c "vos_pipe_writes_total" in
+  let pipe_reads = c "vos_pipe_reads_total" in
+  let pipe_bytes = c "vos_pipe_bytes_total" in
+  let wakeups_issued = c "vos_wakeups_issued_total" in
+  let wakeups_suppressed = c "vos_wakeups_suppressed_total" in
   {
     ring = cfg.Kconfig.pipe_ring;
     edge = cfg.Kconfig.pipe_wake_edge;
     ring_bytes = cfg.Kconfig.pipe_buffer_bytes;
-    stats;
+    next_id = 0;
+    pipe_writes;
+    pipe_reads;
+    pipe_bytes;
+    wakeups_issued;
+    wakeups_suppressed;
   }
 
 type t = {
@@ -51,13 +74,11 @@ type t = {
           R103 that nothing inside them can block *)
 }
 
-let next_id = ref 0
-
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
 let create p =
-  incr next_id;
-  let id = !next_id in
+  p.next_id <- p.next_id + 1;
+  let id = p.next_id in
   let cap =
     if p.ring then pow2_at_least (max 64 p.ring_bytes) 64
     else Kcost.pipe_buffer_bytes
@@ -114,25 +135,21 @@ let wake_readers_edge ctx t ~was_empty =
   let sched = ctx.Sched.sched in
   if was_empty && fill t > 0 then begin
     Sched.charge ctx Kcost.wakeup;
-    t.p.stats.Ipcstats.wakeups_issued <-
-      t.p.stats.Ipcstats.wakeups_issued + 1;
+    t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
     Sched.wake_all sched t.rchan
   end
   else
-    t.p.stats.Ipcstats.wakeups_suppressed <-
-      t.p.stats.Ipcstats.wakeups_suppressed + 1
+    t.p.wakeups_suppressed.Kperf.n <- t.p.wakeups_suppressed.Kperf.n + 1
 
 let wake_writers_edge ctx t ~was_full =
   let sched = ctx.Sched.sched in
   if was_full && space t > 0 then begin
     Sched.charge ctx Kcost.wakeup;
-    t.p.stats.Ipcstats.wakeups_issued <-
-      t.p.stats.Ipcstats.wakeups_issued + 1;
+    t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
     Sched.wake_all sched t.wchan
   end
   else
-    t.p.stats.Ipcstats.wakeups_suppressed <-
-      t.p.stats.Ipcstats.wakeups_suppressed + 1
+    t.p.wakeups_suppressed.Kperf.n <- t.p.wakeups_suppressed.Kperf.n + 1
 
 (* Readiness probes for poll(2). A read fd is ready when data is buffered
    or EOF is observable; a write fd when space exists or the write would
@@ -147,7 +164,7 @@ let write ctx t data ~nonblock =
   let sched = ctx.Sched.sched in
   let len = Bytes.length data in
   let sent = ref 0 in
-  t.p.stats.Ipcstats.pipe_writes <- t.p.stats.Ipcstats.pipe_writes + 1;
+  t.p.pipe_writes.Kperf.n <- t.p.pipe_writes.Kperf.n + 1;
   (let vp = sched.Sched.vprobe in
    if Vprobe.armed vp Vprobe.pt_pipe_write then
      Vprobe.fire vp Vprobe.pt_pipe_write
@@ -163,8 +180,7 @@ let write ctx t data ~nonblock =
       if t.p.edge then Sched.finish ctx (Abi.R_int len)
       else begin
         Sched.charge ctx Kcost.wakeup;
-        t.p.stats.Ipcstats.wakeups_issued <-
-          t.p.stats.Ipcstats.wakeups_issued + 1;
+        t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
         Sched.wake_all sched t.rchan;
         Sched.finish ctx (Abi.R_int len)
       end
@@ -191,7 +207,7 @@ let write ctx t data ~nonblock =
         done;
       Sched.charge ctx (copy_charge t n);
       sent := !sent + n;
-      t.p.stats.Ipcstats.pipe_bytes <- t.p.stats.Ipcstats.pipe_bytes + n;
+      t.p.pipe_bytes.Kperf.n <- t.p.pipe_bytes.Kperf.n + n;
       if t.p.edge then wake_readers_edge ctx t ~was_empty;
       Sched.poll_wake sched;
       step ()
@@ -202,7 +218,7 @@ let write ctx t data ~nonblock =
 (* Read up to [len] bytes; blocks while empty and writers remain. *)
 let read ctx t ~len ~nonblock =
   let sched = ctx.Sched.sched in
-  t.p.stats.Ipcstats.pipe_reads <- t.p.stats.Ipcstats.pipe_reads + 1;
+  t.p.pipe_reads.Kperf.n <- t.p.pipe_reads.Kperf.n + 1;
   let entered_ns = Sched.now sched in
   let rec step () =
     if fill t > 0 then begin
@@ -224,15 +240,14 @@ let read ctx t ~len ~nonblock =
          for i = 0 to n - 1 do
            Bytes.set out i (pop_byte t)
          done);
-      t.p.stats.Ipcstats.pipe_bytes <- t.p.stats.Ipcstats.pipe_bytes + n;
+      t.p.pipe_bytes.Kperf.n <- t.p.pipe_bytes.Kperf.n + n;
       if t.p.edge then begin
         Sched.charge ctx (copy_charge t n);
         wake_writers_edge ctx t ~was_full
       end
       else begin
         Sched.charge ctx (copy_charge t n + Kcost.wakeup);
-        t.p.stats.Ipcstats.wakeups_issued <-
-          t.p.stats.Ipcstats.wakeups_issued + 1;
+        t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
         Sched.wake_all sched t.wchan
       end;
       Sched.poll_wake sched;

@@ -15,7 +15,6 @@ type t = {
   board : Hw.Board.t;
   sched : Sched.t;
   kalloc : Kalloc.t;
-  ipc : Ipcstats.t;
   snapshots : (int, string) Hashtbl.t;  (** file_id -> rendered content *)
   readers : (int, Ktrace.reader) Hashtbl.t;
       (** file_id -> trace-pipe cursor for /proc/ktrace opens *)
@@ -23,12 +22,11 @@ type t = {
       (** file_id -> formatted-but-undelivered trace bytes *)
 }
 
-let create ~board ~sched ~kalloc ~ipc =
+let create ~board ~sched ~kalloc =
   {
     board;
     sched;
     kalloc;
-    ipc;
     snapshots = Hashtbl.create 16;
     readers = Hashtbl.create 4;
     pending = Hashtbl.create 4;
@@ -84,30 +82,35 @@ let render_sched t =
   let plat = t.board.Hw.Board.platform in
   for core = 0 to plat.Hw.Board.num_cores - 1 do
     let s = Sched.stats t.sched core in
+    let n c = c.Kperf.n in
     Buffer.add_string buf
       (Printf.sprintf
          "core\t\t: %d\nswitches\t: %d\nmigrations\t: %d\nsteals\t\t: \
           %d\nbalance_moves\t: %d\nipis_sent_to\t: %d\nipis_taken\t: %d\n"
-         core
-         (Sched.core_switches t.sched core)
-         s.Sched.migrations s.Sched.steals s.Sched.balance_moves
-         s.Sched.ipis_to s.Sched.ipis_recv);
-    if s.Sched.delay_count > 0 then begin
+         core (n s.Sched.switches) (n s.Sched.migrations) (n s.Sched.steals)
+         (n s.Sched.balance_moves) (n s.Sched.ipis_to) (n s.Sched.ipis_recv));
+    let h = s.Sched.delay_hist in
+    if Kperf.Hist.count h > 0 then begin
       Buffer.add_string buf
         (Printf.sprintf "run_delay_avg\t: %Ld ns\nrun_delay_max\t: %Ld ns\n"
-           (Int64.div s.Sched.delay_total_ns
-              (Int64.of_int s.Sched.delay_count))
-           s.Sched.delay_max_ns);
+           (Int64.div (Kperf.Hist.sum_ns h)
+              (Int64.of_int (Kperf.Hist.count h)))
+           (Kperf.Hist.max_ns h));
       Buffer.add_string buf
-        (Printf.sprintf "run_delay_hist\t: %s\n"
-           (Kperf.Hist.render_line s.Sched.delay_hist))
+        (Printf.sprintf "run_delay_hist\t: %s\n" (Kperf.Hist.render_line h))
     end;
     Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
 
 (* The IPC path's configuration and counters; the wakeup lines are how
-   the edge-triggered ablation is observable from inside the machine. *)
+   the edge-triggered ablation is observable from inside the machine.
+   Each counter line is a view of the kperf series [vos_<key>_total]. *)
+let ipc_keys =
+  [ "pipe_writes"; "pipe_reads"; "pipe_bytes"; "wakeups_issued";
+    "wakeups_suppressed"; "polls"; "poll_immediate"; "poll_blocked";
+    "poll_timeouts" ]
+
 let render_ipc t =
   let cfg = t.sched.Sched.config in
   Printf.sprintf "%-18s %s\n%-18s %s\n%-18s %d\n" "pipe_impl"
@@ -117,7 +120,12 @@ let render_ipc t =
     "buffer_bytes"
     (if cfg.Kconfig.pipe_ring then cfg.Kconfig.pipe_buffer_bytes
      else Kcost.pipe_buffer_bytes)
-  ^ Ipcstats.render t.ipc
+  ^ String.concat ""
+      (List.map
+         (fun k ->
+           let c = Kperf.counter t.sched.Sched.kperf ("vos_" ^ k ^ "_total") in
+           Printf.sprintf "%-18s %d\n" k c.Kperf.n)
+         ipc_keys)
 
 (* Spinlock statistics and the sanitizer's own counters/violations. Both
    render even when kcheck is off (header-only / "disabled"), so sysmon

@@ -33,8 +33,10 @@
     - an optional periodic load-balance pass equalizes runqueue depth
       across cores ({!Kconfig.load_balance_ms}), replacing pick-time
       stealing when enabled;
-    - per-core counters (migrations, steals, IPIs, a run-delay histogram)
-      feed /proc/sched and the schedbench ladder. *)
+    - per-core counters (switches, migrations, steals, balance moves,
+      IPIs) and a run-delay histogram live in the kperf registry, labelled
+      by core; /proc/sched, /proc/metrics and the schedbench ladder all
+      read them there. *)
 
 type ctx = {
   sched : t;
@@ -64,26 +66,24 @@ and core_state = {
   mutable burn_after : (unit -> unit) option;
   mutable busy_ns : int64;
   mutable io_busy_ns : int64;
-  mutable switches : int;
 }
 
 and runqueue =
   | Rq_rr of Task.t Queue.t
   | Rq_mlfq of Task.t Queue.t array  (** index 0 = highest priority *)
 
+(* This core's handles into the kperf registry, taken once at boot. *)
 and core_stats = {
-  mutable migrations : int;
+  switches : Kperf.cell;  (** tasks dispatched here *)
+  migrations : Kperf.cell;
       (** dispatches of a task that last ran on another core *)
-  mutable steals : int;  (** tasks this core stole at pick time *)
-  mutable balance_moves : int;  (** tasks the balancer moved onto this core *)
-  mutable ipis_to : int;  (** reschedule IPIs sent to this core *)
-  mutable ipis_recv : int;  (** reschedule IPIs actually taken *)
+  steals : Kperf.cell;  (** tasks this core stole at pick time *)
+  balance_moves : Kperf.cell;  (** tasks the balancer moved onto this core *)
+  ipis_to : Kperf.cell;  (** reschedule IPIs sent to this core *)
+  ipis_recv : Kperf.cell;  (** reschedule IPIs actually taken *)
   delay_hist : Kperf.Hist.t;
-      (** run-delay (runnable → running) distribution; registered with
-          kperf so /proc/metrics exports it per core *)
-  mutable delay_count : int;
-  mutable delay_total_ns : int64;
-  mutable delay_max_ns : int64;
+      (** run-delay (runnable → running) distribution: its count, sum
+          and max are the /proc/sched run-delay lines *)
 }
 
 and t = {
@@ -103,6 +103,7 @@ and t = {
   cores : core_state array;
   active_cores : int;
   tasks : (int, Task.t) Hashtbl.t;
+  mutable next_pid : int;  (** last pid this kernel handed out *)
   mutable dispatch : ctx -> unit;
   mutable irq_drivers : (Hw.Irq.line * (unit -> unit)) list;
   wait_chans : (string, (Task.t * (unit -> unit)) Queue.t) Hashtbl.t;
@@ -247,6 +248,20 @@ let engine t = t.board.Hw.Board.engine
 let now t = Sim.Engine.now (engine t)
 let cyc t n = Hw.Board.cycles_to_ns t.board n
 
+(* Per-core series share a name across cores and differ by a core label;
+   the names follow the /proc/sched keys. *)
+let core_stats kperf core_id =
+  let label = ("core", string_of_int core_id) in
+  let c = Kperf.counter kperf ~label in
+  let switches = c "vos_ctx_switches_total" in
+  let migrations = c "vos_sched_migrations_total" in
+  let steals = c "vos_sched_steals_total" in
+  let balance_moves = c "vos_sched_balance_moves_total" in
+  let ipis_to = c "vos_sched_ipis_sent_to_total" in
+  let ipis_recv = c "vos_sched_ipis_taken_total" in
+  { switches; migrations; steals; balance_moves; ipis_to; ipis_recv;
+    delay_hist = Kperf.hist kperf ~label "vos_sched_run_delay_ns" }
+
 let create board config kalloc =
   let active =
     if config.Kconfig.multicore then board.Hw.Board.platform.Hw.Board.num_cores
@@ -273,21 +288,7 @@ let create board config kalloc =
             {
               core_id;
               rq = cls.sc_make ();
-              stats =
-                {
-                  migrations = 0;
-                  steals = 0;
-                  balance_moves = 0;
-                  ipis_to = 0;
-                  ipis_recv = 0;
-                  delay_hist =
-                    Kperf.hist kperf
-                      ~label:("core", string_of_int core_id)
-                      "vos_sched_run_delay_ns";
-                  delay_count = 0;
-                  delay_total_ns = 0L;
-                  delay_max_ns = 0L;
-                };
+              stats = core_stats kperf core_id;
               current = None;
               last_pid = 0;
               ipi_pending = false;
@@ -299,10 +300,10 @@ let create board config kalloc =
               burn_after = None;
               busy_ns = 0L;
               io_busy_ns = 0L;
-              switches = 0;
             });
       active_cores = active;
       tasks = Hashtbl.create 64;
+      next_pid = 0;
       dispatch = (fun _ -> Kpanic.panicf "sched: no syscall dispatcher installed");
       irq_drivers = [];
       wait_chans = Hashtbl.create 32;
@@ -317,13 +318,6 @@ let create board config kalloc =
       ptable = None;
     }
   in
-  for core = 0 to Array.length t.cores - 1 do
-    let label = ("core", string_of_int core) in
-    Kperf.register_counter kperf ~label "vos_ctx_switches_total" (fun () ->
-        t.cores.(core).switches);
-    Kperf.register_counter kperf ~label "vos_sched_migrations_total" (fun () ->
-        t.cores.(core).stats.migrations)
-  done;
   Kperf.register_counter kperf "vos_trace_events_total" (fun () ->
       t.trace.Ktrace.head);
   Kperf.register_counter kperf "vos_profile_samples_total" (fun () ->
@@ -466,16 +460,10 @@ let add_io_busy core ns = core.io_busy_ns <- Int64.add core.io_busy_ns ns
 (* ---- per-core scheduler statistics ---- *)
 
 let record_run_delay core delay_ns =
-  if Int64.compare delay_ns 0L >= 0 then begin
-    let s = core.stats in
-    Kperf.Hist.record s.delay_hist delay_ns;
-    s.delay_count <- s.delay_count + 1;
-    s.delay_total_ns <- Int64.add s.delay_total_ns delay_ns;
-    if Int64.compare delay_ns s.delay_max_ns > 0 then s.delay_max_ns <- delay_ns
-  end
+  if Int64.compare delay_ns 0L >= 0 then
+    Kperf.Hist.record core.stats.delay_hist delay_ns
 
 let stats t core_id = t.cores.(core_id).stats
-let core_switches t core_id = t.cores.(core_id).switches
 let runq_len core = rq_len core.rq
 let class_name t = t.cls.sc_name
 
@@ -488,7 +476,7 @@ let class_name t = t.cls.sc_name
 let send_ipi t core =
   if not core.ipi_pending then begin
     core.ipi_pending <- true;
-    core.stats.ipis_to <- core.stats.ipis_to + 1;
+    core.stats.ipis_to.Kperf.n <- core.stats.ipis_to.Kperf.n + 1;
     trace_emit_core t ~core:core.core_id (Ktrace.Ipi_send core.core_id);
     ignore
       (Sim.Engine.schedule_after (engine t)
@@ -620,7 +608,9 @@ and try_steal t thief =
     | Some v ->
         let stolen = t.cls.sc_steal v.rq in
         (match stolen with
-        | Some _ -> thief.stats.steals <- thief.stats.steals + 1
+        | Some _ ->
+            let c = thief.stats.steals in
+            c.Kperf.n <- c.Kperf.n + 1
         | None -> ());
         stolen
     | None -> None
@@ -639,12 +629,13 @@ and schedule_core t core =
         if is_zombie task || task.Task.resume = None then schedule_core t core
         else begin
           core.current <- Some task;
-          core.switches <- core.switches + 1;
+          core.stats.switches.Kperf.n <- core.stats.switches.Kperf.n + 1;
           let migrated =
             task.Task.last_core >= 0 && task.Task.last_core <> core.core_id
           in
           if migrated then begin
-            core.stats.migrations <- core.stats.migrations + 1;
+            let c = core.stats.migrations in
+            c.Kperf.n <- c.Kperf.n + 1;
             trace_emit_core t ~core:core.core_id
               (Ktrace.Sched_migrate
                  (task.Task.pid, task.Task.last_core, core.core_id));
@@ -1048,7 +1039,8 @@ and handle_trap t task call k =
 (* ---- spawning ---- *)
 
 let spawn t ~name ~kind ?vm ?(parent = 0) ?(nice = 0) main =
-  let task = Task.create ~name ~kind ?vm ~parent () in
+  t.next_pid <- t.next_pid + 1;
+  let task = Task.create ~pid:t.next_pid ~name ~kind ?vm ~parent () in
   task.Task.d_spawned_ns <- now t;
   task.Task.d_state_since <- now t;
   task.Task.nice <- max (-20) (min 19 nice);
@@ -1151,7 +1143,7 @@ let preempt t core =
 let ipi_recv t core_id =
   let core = t.cores.(core_id) in
   core.ipi_pending <- false;
-  core.stats.ipis_recv <- core.stats.ipis_recv + 1;
+  core.stats.ipis_recv.Kperf.n <- core.stats.ipis_recv.Kperf.n + 1;
   trace_emit_core t ~core:core_id (Ktrace.Ipi_recv core_id);
   steal_cycles t core (cyc t Kcost.ipi_handler);
   match core.current with
@@ -1249,7 +1241,8 @@ let balance_pass t =
       | Some task ->
           let dst = !idlest in
           t.cls.sc_enqueue dst.rq task;
-          dst.stats.balance_moves <- dst.stats.balance_moves + 1;
+          let c = dst.stats.balance_moves in
+          c.Kperf.n <- c.Kperf.n + 1;
           kick_core t dst task;
           moved := true
       | None -> ()

@@ -66,12 +66,9 @@ type t = {
 
 let default_quantum = 10 (* ticks *)
 
-let next_pid = ref 0
-
-let create ~name ~kind ?vm ?(parent = 0) () =
-  incr next_pid;
+let create ~pid ~name ~kind ?vm ?(parent = 0) () =
   {
-    pid = !next_pid;
+    pid;
     name;
     kind;
     state = Runnable;
@@ -110,7 +107,3 @@ let state_name t =
   | Running c -> Printf.sprintf "running/cpu%d" c
   | Blocked chan -> "blocked:" ^ chan
   | Zombie -> "zombie"
-
-(* Reset the pid counter — used only by test fixtures that need stable pids
-   across cases. *)
-let reset_pids_for_tests () = next_pid := 0

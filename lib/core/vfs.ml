@@ -17,11 +17,21 @@ type t = {
           USB mass-storage sticks ("/usb") *)
   devfs : Devfs.t;
   procfs : Procfs.t;
-  ipc : Pipe.params;  (** pipe implementation knobs + the IPC counters *)
+  ipc : Pipe.params;  (** pipe knobs, pipe-id stream and pipe counters *)
+  polls : Kperf.cell;  (** poll syscalls entered *)
+  poll_immediate : Kperf.cell;  (** returned ready without blocking *)
+  poll_blocked : Kperf.cell;  (** had to sleep at least once *)
+  poll_timeouts : Kperf.cell;  (** returned 0 on timeout expiry *)
 }
 
 let create ~sched ~config ~fdt ~root ~root_bc ~devfs ~procfs ~ipc =
-  { sched; config; fdt; root; root_bc; fat_mounts = []; devfs; procfs; ipc }
+  let c = Kperf.counter sched.Sched.kperf in
+  let polls = c "vos_polls_total" in
+  let poll_immediate = c "vos_poll_immediate_total" in
+  let poll_blocked = c "vos_poll_blocked_total" in
+  let poll_timeouts = c "vos_poll_timeouts_total" in
+  { sched; config; fdt; root; root_bc; fat_mounts = []; devfs; procfs; ipc;
+    polls; poll_immediate; poll_blocked; poll_timeouts }
 
 let mount_fat t ~at fat bc = t.fat_mounts <- t.fat_mounts @ [ (at, fat, bc) ]
 
@@ -503,8 +513,7 @@ let op_poll ctx t fds timeout_ms =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
   let sched = ctx.Sched.sched in
-  let stats = t.ipc.Pipe.stats in
-  stats.Ipcstats.polls <- stats.Ipcstats.polls + 1;
+  t.polls.Kperf.n <- t.polls.Kperf.n + 1;
   if fds = [] || List.length fds > Fd.max_files then err ctx Errno.einval
   else begin
     let expired = ref false in
@@ -532,7 +541,7 @@ let op_poll ctx t fds timeout_ms =
       | Error e -> err ctx e
       | Ok mask when mask <> 0 ->
           if not !blocked then
-            stats.Ipcstats.poll_immediate <- stats.Ipcstats.poll_immediate + 1;
+            t.poll_immediate.Kperf.n <- t.poll_immediate.Kperf.n + 1;
           let nready =
             List.fold_left
               (fun n i -> if mask land (1 lsl i) <> 0 then n + 1 else n)
@@ -545,10 +554,8 @@ let op_poll ctx t fds timeout_ms =
           Sched.finish ctx (Abi.R_int mask)
       | Ok _ when timeout_ms = 0 || !expired ->
           (if !expired then
-             stats.Ipcstats.poll_timeouts <- stats.Ipcstats.poll_timeouts + 1
-           else
-             stats.Ipcstats.poll_immediate <-
-               stats.Ipcstats.poll_immediate + 1);
+             t.poll_timeouts.Kperf.n <- t.poll_timeouts.Kperf.n + 1
+           else t.poll_immediate.Kperf.n <- t.poll_immediate.Kperf.n + 1);
           record_wait ();
           Sched.trace_emit_task sched ctx.Sched.task
             (Ktrace.Poll_return (pid, 0));
@@ -556,7 +563,7 @@ let op_poll ctx t fds timeout_ms =
       | Ok _ ->
           if not !blocked then begin
             blocked := true;
-            stats.Ipcstats.poll_blocked <- stats.Ipcstats.poll_blocked + 1;
+            t.poll_blocked.Kperf.n <- t.poll_blocked.Kperf.n + 1;
             if timeout_ms > 0 then
               ignore
                 (Sim.Engine.schedule_after (Sched.engine sched)

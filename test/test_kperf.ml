@@ -533,26 +533,9 @@ let expo_family declared name =
       | Some b -> b
       | None -> ( match strip "_count" with Some b -> b | None -> name))
 
-let metrics_exposition_wellformed () =
-  let text =
-    in_kernel ~config:(armed test_config) (fun _ ->
-        (* a vprobe series adds labels built from arbitrary spec text,
-           the worst case for label-value escaping *)
-        let fd = User.Usys.open_ "/proc/vprobe_ctl" Core.Abi.o_wronly in
-        ignore
-          (User.Usys.write fd
-             (Bytes.of_string "probe syscall:getpid / pid>=1 / count\n"));
-        ignore (User.Usys.close fd);
-        (match User.Usys.pipe () with
-        | Ok (r, w) ->
-            ignore (User.Usys.write w (Bytes.make 32 'x'));
-            ignore (User.Usys.read r 32);
-            ignore (User.Usys.close r);
-            ignore (User.Usys.close w)
-        | Error _ -> ());
-        ignore (User.Usys.sleep 5);
-        Bytes.to_string (Result.get_ok (User.Usys.slurp "/proc/metrics")))
-  in
+(* The page parses line by line, each family has one # TYPE line ahead
+   of its samples, and histogram families ship the full shape. *)
+let check_exposition text =
   let declared_type = Hashtbl.create 32 in
   let declared_help = Hashtbl.create 32 in
   let sampled = Hashtbl.create 64 in
@@ -609,9 +592,324 @@ let metrics_exposition_wellformed () =
     declared_type;
   check_bool "at least one histogram family checked" true
     (Hashtbl.fold (fun _ ty n -> n || String.equal ty "histogram")
-       declared_type false);
+       declared_type false)
+
+let metrics_exposition_wellformed () =
+  let text =
+    in_kernel ~config:(armed test_config) (fun _ ->
+        (* a vprobe series adds labels built from arbitrary spec text,
+           the worst case for label-value escaping *)
+        let fd = User.Usys.open_ "/proc/vprobe_ctl" Core.Abi.o_wronly in
+        ignore
+          (User.Usys.write fd
+             (Bytes.of_string "probe syscall:getpid / pid>=1 / count\n"));
+        ignore (User.Usys.close fd);
+        (match User.Usys.pipe () with
+        | Ok (r, w) ->
+            ignore (User.Usys.write w (Bytes.make 32 'x'));
+            ignore (User.Usys.read r 32);
+            ignore (User.Usys.close r);
+            ignore (User.Usys.close w)
+        | Error _ -> ());
+        ignore (User.Usys.sleep 5);
+        Bytes.to_string (Result.get_ok (User.Usys.slurp "/proc/metrics")))
+  in
+  check_exposition text;
   check_bool "the vprobe label block parsed" true
     (contains text "vos_vprobe_fired_total{probe=")
+
+(* ---- one counter store: /proc/ipc and /proc/sched pinned ----
+
+   Both pages render from the kperf registry. The pins below were taken
+   from the tree before the IPC and per-core scheduler counters moved
+   into the registry, on scenarios where every counter is non-zero, so
+   the move is proven byte-identical. *)
+
+let proc_page kernel name =
+  Option.get (Core.Procfs.render kernel.Core.Kernel.vfs.Core.Vfs.procfs name)
+
+let run_user kernel f =
+  match Benchlib.Measure.run_task kernel ~name:"test" f with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+(* Ring pipes with edge wakeups: one issued and two suppressed wakeups,
+   an immediate poll, and a poll that blocks until its timeout. *)
+let ipc_scenario () =
+  let kernel =
+    boot_kernel
+      ~config:
+        { test_config with Core.Kconfig.pipe_ring = true; pipe_wake_edge = true }
+      ()
+  in
+  run_user kernel (fun () ->
+      match User.Usys.pipe () with
+      | Ok (r, w) ->
+          ignore (User.Usys.write w (Bytes.make 32 'a'));
+          ignore (User.Usys.write w (Bytes.make 32 'b'));
+          ignore (User.Usys.poll [ r ] ~timeout_ms:0);
+          ignore (User.Usys.read r 64);
+          ignore (User.Usys.poll [ r ] ~timeout_ms:5);
+          ignore (User.Usys.close r);
+          ignore (User.Usys.close w)
+      | Error _ -> Alcotest.fail "pipe");
+  kernel
+
+(* Four cores under MLFQ with reschedule IPIs: niced spinners and
+   sleepers whose wakeups drift against the tick. [lb_ms > 0] moves
+   tasks with the balancer; [lb_ms = 0] leaves it to pick-time steals. *)
+let sched_scenario ~lb_ms =
+  let kernel =
+    boot_kernel
+      ~config:
+        {
+          test_config with
+          Core.Kconfig.sched_policy = Core.Kconfig.Sched_mlfq;
+          wake_model = Core.Kconfig.Wake_ipi;
+          wake_affinity = true;
+          load_balance_ms = lb_ms;
+        }
+      ()
+  in
+  for i = 0 to 5 do
+    ignore
+      (Core.Kernel.spawn_user kernel
+         ~name:(Printf.sprintf "spin%d" i)
+         (fun () ->
+           ignore (User.Usys.nice 5);
+           for _ = 1 to 20 * (i + 1) do
+             User.Usys.burn 2_000_000
+           done;
+           0))
+  done;
+  for i = 0 to 4 do
+    ignore
+      (Core.Kernel.spawn_user kernel
+         ~name:(Printf.sprintf "sleep%d" i)
+         (fun () ->
+           ignore (User.Usys.nice (-5));
+           let iters = ref 0 in
+           while true do
+             ignore (User.Usys.sleep (1 + (i mod 3)));
+             User.Usys.burn (200_000 + (91_000 * ((i + !iters) mod 4)));
+             incr iters
+           done;
+           0))
+  done;
+  Core.Kernel.run_for kernel (Sim.Engine.ms 300);
+  kernel
+
+let ipc_pin =
+  String.concat ""
+    [
+      "pipe_impl          ring\n";
+      "wake_mode          edge\n";
+      "buffer_bytes       4096\n";
+      "pipe_writes        2\n";
+      "pipe_reads         1\n";
+      "pipe_bytes         128\n";
+      "wakeups_issued     1\n";
+      "wakeups_suppressed 2\n";
+      "polls              2\n";
+      "poll_immediate     1\n";
+      "poll_blocked       1\n";
+      "poll_timeouts      1\n"
+    ]
+
+let sched_balance_pin =
+  String.concat ""
+    [
+      "policy\t\t: mlfq\n";
+      "\n";
+      "core\t\t: 0\n";
+      "switches\t: 622\n";
+      "migrations\t: 35\n";
+      "steals\t\t: 0\n";
+      "balance_moves\t: 0\n";
+      "ipis_sent_to\t: 377\n";
+      "ipis_taken\t: 377\n";
+      "run_delay_avg\t: 131090 ns\n";
+      "run_delay_max\t: 4000000 ns\n";
+      "run_delay_hist\t: n=622 avg=131090ns p50=2258ns p99=816384ns max=4000000ns\n";
+      "\n";
+      "core\t\t: 1\n";
+      "switches\t: 45\n";
+      "migrations\t: 1\n";
+      "steals\t\t: 0\n";
+      "balance_moves\t: 1\n";
+      "ipis_sent_to\t: 6\n";
+      "ipis_taken\t: 6\n";
+      "run_delay_avg\t: 6601921 ns\n";
+      "run_delay_max\t: 12000000 ns\n";
+      "run_delay_hist\t: n=45 avg=6601921ns p50=9901635ns p99=12000000ns max=12000000ns\n";
+      "\n";
+      "core\t\t: 2\n";
+      "switches\t: 216\n";
+      "migrations\t: 35\n";
+      "steals\t\t: 0\n";
+      "balance_moves\t: 1\n";
+      "ipis_sent_to\t: 166\n";
+      "ipis_taken\t: 166\n";
+      "run_delay_avg\t: 448998 ns\n";
+      "run_delay_max\t: 12000000 ns\n";
+      "run_delay_hist\t: n=216 avg=448998ns p50=2120ns p99=11337728ns max=12000000ns\n";
+      "\n";
+      "core\t\t: 3\n";
+      "switches\t: 59\n";
+      "migrations\t: 4\n";
+      "steals\t\t: 0\n";
+      "balance_moves\t: 1\n";
+      "ipis_sent_to\t: 33\n";
+      "ipis_taken\t: 33\n";
+      "run_delay_avg\t: 2874272 ns\n";
+      "run_delay_max\t: 12000000 ns\n";
+      "run_delay_hist\t: n=59 avg=2874272ns p50=2267ns p99=12000000ns max=12000000ns\n";
+      "\n"
+    ]
+
+let sched_steal_pin =
+  String.concat ""
+    [
+      "policy\t\t: mlfq\n";
+      "\n";
+      "core\t\t: 0\n";
+      "switches\t: 340\n";
+      "migrations\t: 26\n";
+      "steals\t\t: 10\n";
+      "balance_moves\t: 0\n";
+      "ipis_sent_to\t: 252\n";
+      "ipis_taken\t: 252\n";
+      "run_delay_avg\t: 358416 ns\n";
+      "run_delay_max\t: 4000000 ns\n";
+      "run_delay_hist\t: n=340 avg=358416ns p50=2140ns p99=4000000ns max=4000000ns\n";
+      "\n";
+      "core\t\t: 1\n";
+      "switches\t: 297\n";
+      "migrations\t: 0\n";
+      "steals\t\t: 0\n";
+      "balance_moves\t: 0\n";
+      "ipis_sent_to\t: 146\n";
+      "ipis_taken\t: 146\n";
+      "run_delay_avg\t: 820879 ns\n";
+      "run_delay_max\t: 4000000 ns\n";
+      "run_delay_hist\t: n=297 avg=820879ns p50=217600ns p99=2441932ns max=4000000ns\n";
+      "\n";
+      "core\t\t: 2\n";
+      "switches\t: 527\n";
+      "migrations\t: 26\n";
+      "steals\t\t: 7\n";
+      "balance_moves\t: 0\n";
+      "ipis_sent_to\t: 286\n";
+      "ipis_taken\t: 286\n";
+      "run_delay_avg\t: 177351 ns\n";
+      "run_delay_max\t: 2018350 ns\n";
+      "run_delay_hist\t: n=527 avg=177351ns p50=2324ns p99=1139507ns max=2018350ns\n";
+      "\n";
+      "core\t\t: 3\n";
+      "switches\t: 186\n";
+      "migrations\t: 4\n";
+      "steals\t\t: 3\n";
+      "balance_moves\t: 0\n";
+      "ipis_sent_to\t: 97\n";
+      "ipis_taken\t: 97\n";
+      "run_delay_avg\t: 180863 ns\n";
+      "run_delay_max\t: 2000000 ns\n";
+      "run_delay_hist\t: n=186 avg=180863ns p50=2367ns p99=1695744ns max=2000000ns\n";
+      "\n"
+    ]
+
+let ipc_page_pinned () =
+  check_string "/proc/ipc" ipc_pin (proc_page (ipc_scenario ()) "ipc")
+
+let sched_page_pinned () =
+  check_string "/proc/sched, balancer on" sched_balance_pin
+    (proc_page (sched_scenario ~lb_ms:4) "sched");
+  check_string "/proc/sched, pick-time steals" sched_steal_pin
+    (proc_page (sched_scenario ~lb_ms:0) "sched")
+
+(* ---- one name per counter ----
+
+   Each /proc/ipc counter line is the series vos_<key>_total, and each
+   per-core /proc/sched counter is one core-labelled series; the pages
+   and /proc/metrics render from the same registry cells. *)
+
+let sched_series =
+  [
+    ("switches", "vos_ctx_switches_total");
+    ("migrations", "vos_sched_migrations_total");
+    ("steals", "vos_sched_steals_total");
+    ("balance_moves", "vos_sched_balance_moves_total");
+    ("ipis_sent_to", "vos_sched_ipis_sent_to_total");
+    ("ipis_taken", "vos_sched_ipis_taken_total");
+  ]
+
+(* "key  value" and "key\t: value" lines as (key, value). *)
+let page_fields text =
+  List.filter_map
+    (fun line ->
+      match
+        List.filter
+          (fun w -> w <> "" && w <> ":")
+          (String.split_on_char ' '
+             (String.map (function '\t' -> ' ' | c -> c) line))
+      with
+      | [ k; v ] -> Some (k, v)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* Checks one kernel's pages against its /proc/metrics; returns each
+   page key with its value summed over cores. *)
+let same_names kernel =
+  let metrics = proc_page kernel "metrics" in
+  check_exposition metrics;
+  let samples = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      match String.rindex_opt line ' ' with
+      | Some i when line <> "" && line.[0] <> '#' ->
+          Hashtbl.replace samples (String.sub line 0 i)
+            (String.sub line (i + 1) (String.length line - i - 1))
+      | Some _ | None -> ())
+    (String.split_on_char '\n' metrics);
+  let totals = Hashtbl.create 16 and checked = ref 0 in
+  let same key v series =
+    incr checked;
+    (match Hashtbl.find_opt samples series with
+    | Some m -> check_string series v m
+    | None -> Alcotest.failf "%s has no series %s in /proc/metrics" key series);
+    Hashtbl.replace totals key
+      (int_of_string v + Option.value ~default:0 (Hashtbl.find_opt totals key))
+  in
+  List.iter
+    (fun (k, v) ->
+      if not (List.mem k [ "pipe_impl"; "wake_mode"; "buffer_bytes" ]) then
+        same k v ("vos_" ^ k ^ "_total"))
+    (page_fields (proc_page kernel "ipc"));
+  let core = ref "" in
+  List.iter
+    (fun (k, v) ->
+      if String.equal k "core" then core := v
+      else
+        match List.assoc_opt k sched_series with
+        | Some name -> same k v (Printf.sprintf "%s{core=%S}" name !core)
+        | None -> ())
+    (page_fields (proc_page kernel "sched"));
+  check_int "9 IPC and 4 x 6 per-core counters checked"
+    (List.length Core.Procfs.ipc_keys + (4 * List.length sched_series))
+    !checked;
+  totals
+
+let one_name_per_counter () =
+  let ipc = same_names (ipc_scenario ()) in
+  let balance = same_names (sched_scenario ~lb_ms:4) in
+  let steal = same_names (sched_scenario ~lb_ms:0) in
+  let total key =
+    List.fold_left (fun n t -> n + Hashtbl.find t key) 0 [ ipc; balance; steal ]
+  in
+  List.iter
+    (fun key ->
+      check_bool (key ^ " is non-zero in some scenario") true (total key > 0))
+    (Core.Procfs.ipc_keys @ List.map fst sched_series)
 
 let profile_attributes_samples () =
   let text =
@@ -764,6 +1062,9 @@ let suite =
         metrics_exposition_wellformed;
       slow "/proc/profile attributes samples" profile_attributes_samples;
       quick "/proc/profile reports disabled when off" profile_disabled_renders;
+      slow "/proc/ipc is pinned" ipc_page_pinned;
+      slow "/proc/sched is pinned" sched_page_pinned;
+      slow "one name per counter across /proc" one_name_per_counter;
       slow "/proc/ktrace streams and drains to EAGAIN" trace_pipe_streams;
       slow "blocked /proc/ktrace reader wakes on data"
         trace_pipe_blocks_then_wakes;
