@@ -142,8 +142,8 @@ let suffix_from l i =
    Returns (blocks replayed, findings). *)
 let verify board image files =
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:2 ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
   in
   match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
   | Error e -> (0, [ "remount failed: " ^ e ], [])
@@ -198,8 +198,9 @@ let run_once ~seed ~base ~cut_after =
   | None -> ());
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:2 ~capacity:64 ~writeback:true ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:64
+      ~writeback:true ()
   in
   let fs =
     match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with

@@ -89,8 +89,8 @@ type t = {
           only — never charges cycles, so BENCH output is unchanged. *)
 }
 
-let create ~board ~backing ~block_sectors ?(capacity = 30) ?(writeback = false)
-    ?(readahead = 0) ?(coalesce = true) () =
+let create ~board ~vprobe ~backing ~block_sectors ?(capacity = 30)
+    ?(writeback = false) ?(readahead = 0) ?(coalesce = true) () =
   {
     backing;
     board;
@@ -100,7 +100,7 @@ let create ~board ~backing ~block_sectors ?(capacity = 30) ?(writeback = false)
     readahead;
     coalesce;
     cache = Hashtbl.create 64;
-    bclock = Spinlock.create "bclock";
+    bclock = Spinlock.create ~vprobe "bclock";
     mru = None;
     lru = None;
     dirty_count = 0;

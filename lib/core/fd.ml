@@ -41,20 +41,6 @@ and file = {
 }
 
 let max_files = 32
-let next_file_id = ref 0
-
-let make_file ~kind ~readable ~writable ~nonblock =
-  incr next_file_id;
-  {
-    file_id = !next_file_id;
-    kind;
-    off = 0;
-    readable;
-    writable;
-    nonblock;
-    refs = 1;
-    dev_cookie = -1;
-  }
 
 (** Descriptor tables, keyed by pid. CLONE_VM threads share one table
     (closing an fd in one thread closes it for all), processes get copies
@@ -73,10 +59,29 @@ type t = {
   sched : Sched.t;
   tables : (int, fd_table) Hashtbl.t;
   ftlock : Spinlock.t;
+  mutable next_file_id : int;  (** last file id this kernel handed out *)
 }
 
 let create sched =
-  { sched; tables = Hashtbl.create 32; ftlock = Spinlock.create "ftlock" }
+  {
+    sched;
+    tables = Hashtbl.create 32;
+    ftlock = Spinlock.create ~vprobe:sched.Sched.vprobe "ftlock";
+    next_file_id = 0;
+  }
+
+let make_file t ~kind ~readable ~writable ~nonblock =
+  t.next_file_id <- t.next_file_id + 1;
+  {
+    file_id = t.next_file_id;
+    kind;
+    off = 0;
+    readable;
+    writable;
+    nonblock;
+    refs = 1;
+    dev_cookie = -1;
+  }
 
 let table t pid =
   match Hashtbl.find_opt t.tables pid with

@@ -20,6 +20,9 @@ type t = {
   mutable kmalloc_bytes : int;
   mutable kmalloc_live : int;
   mutable peak_pages : int;
+  mutable next_asid : int;
+      (** last address-space id handed out; {!Vm} names its frames'
+          owner tag after it, so the stream is per allocator *)
 }
 
 let create ~dram_bytes ~kernel_reserved_bytes =
@@ -33,6 +36,7 @@ let create ~dram_bytes ~kernel_reserved_bytes =
     kmalloc_bytes = 0;
     kmalloc_live = 0;
     peak_pages = 0;
+    next_asid = 0;
   }
 
 let alloc_page t ~owner =

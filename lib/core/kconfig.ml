@@ -40,7 +40,6 @@ type t = {
   nonblocking_io : bool;  (** P5: O_NONBLOCK on device files *)
   range_io_bypass : bool;  (** P5 + §5.2: FAT32 range reads skip the cache *)
   simd_pixel_ops : bool;  (** §5.2: NEON YUV conversion in the user lib *)
-  demand_paging : bool;  (** P3+: stacks fault in page by page *)
   writeback : bool;
       (** block cache defers writes: dirty blocks flushed by a daemon,
           on fsync, on eviction, and at shutdown (off = the paper's
@@ -102,15 +101,12 @@ type t = {
           transactions group-committed by the flush daemon and fsync,
           and mount replays committed transactions (off = the paper's
           journal-free xv6fs, bit-identical images) *)
-  journal_max_tx_blocks : int;
-      (** soft cap on blocks per journal transaction before a group
-          commit is forced (clamped to the on-disk log size); only
-          consulted when [journal] is on *)
   flight_recorder_events : int;
-      (** panic flight recorder: on {!Kpanic} dump the last N trace
-          events, all attached vprobe aggregates and the per-task delay
-          table to the UART before halting; 0 = off. Always-on in
-          [full] — a kernel that panics silently teaches nothing *)
+      (** panic flight recorder: when a {!Kpanic} panic leaves kernel
+          code, dump the last N trace events, all attached vprobe
+          aggregates and the per-task delay table to this kernel's UART;
+          0 = off. Always-on in [full] — a kernel that panics silently
+          teaches nothing *)
 }
 
 let full =
@@ -133,7 +129,6 @@ let full =
     nonblocking_io = true;
     range_io_bypass = true;
     simd_pixel_ops = true;
-    demand_paging = true;
     (* the write-back fast path ships off by default so the stock
        configuration still reproduces the paper's §5.2 numbers; iobench
        and the ablations switch it on *)
@@ -167,7 +162,6 @@ let full =
        so the journal ships off and the stock rootfs image stays
        byte-identical; the crash harness and journal tests arm it *)
     journal = false;
-    journal_max_tx_blocks = 64;
     (* the flight recorder is always-on because a panic is exactly when
        you want the data *)
     flight_recorder_events = 64;
@@ -194,7 +188,6 @@ let rec prototype = function
         nonblocking_io = false;
         range_io_bypass = false;
         simd_pixel_ops = false;
-        demand_paging = false;
         writeback = false;
         readahead_blocks = 0;
         flush_interval_ms = 0;
@@ -210,7 +203,6 @@ let rec prototype = function
         profile_hz = 0;
         sim_domains = 1;
         journal = false;
-        journal_max_tx_blocks = 64;
         flight_recorder_events = 0;
       }
   | 2 -> { (prototype 1) with stage = 2; multitasking = true }
@@ -221,7 +213,6 @@ let rec prototype = function
         multitasking = true;
         user_separation = true;
         syscalls_tasks = true;
-        demand_paging = true;
       }
   | 4 ->
       {

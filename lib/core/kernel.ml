@@ -75,32 +75,17 @@ let part1_lba = 2048
 let part1_sectors = 8192 (* 4 MiB kernel image *)
 let part2_lba = part1_lba + part1_sectors
 
-let mkdirs_xv6 fsys path =
+(* Create every missing directory above [path] through the filesystem's
+   own [exists] and [mkdir]. *)
+let mkdirs ~exists ~mkdir path =
   let rec go built = function
     | [] -> ()
     | comp :: rest ->
         let next = built ^ "/" ^ comp in
-        (match Fs.Xv6fs.lookup fsys next with
-        | Ok _ -> ()
-        | Error _ -> (
-            match Fs.Xv6fs.create fsys next Fs.Xv6fs.Dir with
-            | Ok _ -> ()
-            | Error e -> Kpanic.panicf "boot: %s" e));
-        go next rest
-  in
-  go "" (Fs.Vpath.split (Fs.Vpath.dirname path))
-
-let mkdirs_fat fat path =
-  let rec go built = function
-    | [] -> ()
-    | comp :: rest ->
-        let next = built ^ "/" ^ comp in
-        (match Fs.Fat32.stat fat next with
-        | Ok _ -> ()
-        | Error _ -> (
-            match Fs.Fat32.mkdir fat next with
-            | Ok () -> ()
-            | Error e -> Kpanic.panicf "boot: %s" e));
+        (if not (exists next) then
+           match mkdir next with
+           | Ok () -> ()
+           | Error e -> Kpanic.panicf "boot: %s" e);
         go next rest
   in
   go "" (Fs.Vpath.split (Fs.Vpath.dirname path))
@@ -125,13 +110,9 @@ let build_ramdisk spec =
     List.fold_left (fun acc (_, data) -> acc + Bytes.length data) 0 all_files
   in
   (* With the journal on, the image gains a log area (header + slots,
-     sized comfortably above the per-transaction cap) and uses the
-     extent block map; off keeps the paper's exact layout. *)
-  let nlog =
-    if spec.sp_config.Kconfig.journal then
-      min 252 (max 64 (spec.sp_config.Kconfig.journal_max_tx_blocks + 2))
-    else 0
-  in
+     two above the 64-block transaction cap) and uses the extent block
+     map; off keeps the paper's exact layout. *)
+  let nlog = if spec.sp_config.Kconfig.journal then 66 else 0 in
   let total_blocks =
     max 512 ((content_bytes * 3 / 2 / Fs.Xv6fs.block_bytes) + 256)
     + if nlog > 0 then nlog + 1 else 0
@@ -148,7 +129,11 @@ let build_ramdisk spec =
   in
   List.iter
     (fun (path, data) ->
-      mkdirs_xv6 fsys path;
+      mkdirs
+        ~exists:(fun p -> Result.is_ok (Fs.Xv6fs.lookup fsys p))
+        ~mkdir:(fun p ->
+          Result.map ignore (Fs.Xv6fs.create fsys p Fs.Xv6fs.Dir))
+        path;
       match Fs.Xv6fs.create fsys path Fs.Xv6fs.Reg with
       | Error e -> Kpanic.panicf "boot: %s" e
       | Ok node -> (
@@ -158,6 +143,32 @@ let build_ramdisk spec =
     all_files;
   image
 
+(* Format [dev] as FAT32 and fill it with [files]: the SD card's
+   partition 2 and the USB stick both start this way. Panics name the
+   device. *)
+let format_fat (dev : Fs.Blockdev.t) files =
+  let name = dev.Fs.Blockdev.name in
+  let io = Fs.Fat32.io_of_blockdev dev in
+  Fs.Fat32.mkfs io ~total_sectors:dev.Fs.Blockdev.total_sectors ();
+  let fat =
+    match Fs.Fat32.mount io with
+    | Ok f -> f
+    | Error e -> Kpanic.panicf "boot: %s mkfs %s" name e
+  in
+  List.iter
+    (fun (path, data) ->
+      mkdirs
+        ~exists:(fun p -> Result.is_ok (Fs.Fat32.stat fat p))
+        ~mkdir:(Fs.Fat32.mkdir fat) path;
+      (match Fs.Fat32.create fat path with
+      | Ok () -> ()
+      | Error e -> Kpanic.panicf "boot: %s %s" name e);
+      match Fs.Fat32.write_file fat path ~off:0 ~data with
+      | Ok _ -> ()
+      | Error e -> Kpanic.panicf "boot: %s %s: %s" name path e)
+    files
+
+(* Partition the SD card and format partition 2 with the FAT files. *)
 let build_fat_partition board spec =
   let sd = board.Hw.Board.sd in
   let total = Hw.Sd.sectors sd in
@@ -180,37 +191,29 @@ let build_fat_partition board spec =
    with
   | Ok () -> ()
   | Error e -> Kpanic.panicf "boot: mbr %s" e);
-  let pdev =
-    Fs.Blockdev.of_sd sd ~name:"sd:p2" ~first_lba:part2_lba
-      ~sectors:part2_sectors ()
-  in
-  let io = Fs.Fat32.io_of_blockdev pdev in
-  Fs.Fat32.mkfs io ~total_sectors:part2_sectors ();
-  let fat =
-    match Fs.Fat32.mount io with
-    | Ok f -> f
-    | Error e -> Kpanic.panicf "boot: fat %s" e
-  in
-  List.iter
-    (fun (path, data) ->
-      mkdirs_fat fat path;
-      (match Fs.Fat32.create fat path with
-      | Ok () -> ()
-      | Error e -> Kpanic.panicf "boot: %s" e);
-      match Fs.Fat32.write_file fat path ~off:0 ~data with
-      | Ok _ -> ()
-      | Error e -> Kpanic.panicf "boot: %s: %s" path e)
+  format_fat
+    (Fs.Blockdev.of_sd sd ~name:"sd:p2" ~first_lba:part2_lba
+       ~sectors:part2_sectors ())
     spec.sp_fat_files
 
+(* Mount a device-backed FAT32 volume at [at] through a block cache of
+   its own, and return that cache. *)
+let mount_fat_device vfs ~board ~vprobe (cfg : Kconfig.t) backing ~at =
+  let bc =
+    Bufcache.create ~board ~vprobe ~backing ~block_sectors:1 ~capacity:64
+      ~writeback:cfg.Kconfig.writeback ~readahead:cfg.Kconfig.readahead_blocks
+      ~coalesce:cfg.Kconfig.sd_coalescing ()
+  in
+  match
+    Fs.Fat32.mount
+      (Bufcache.fat_io bc ~range_bypass:cfg.Kconfig.range_io_bypass)
+  with
+  | Ok fat ->
+      Vfs.mount_fat vfs ~at fat bc;
+      bc
+  | Error e -> Kpanic.panicf "boot: mount %s: %s" at e
+
 let boot spec =
-  (* A fresh machine restarts every identifier counter at zero, so two
-     boots of the same spec in one host process produce identical traces
-     — the determinism proof boots at several sim_domains settings and
-     byte-compares the ktrace dumps. Pids and pipe ids are per-kernel
-     streams (in [Sched.t] and [Pipe.params]); these two are still
-     process globals. *)
-  Fd.next_file_id := 0;
-  Vm.next_asid := 0;
   let board =
     Hw.Board.create ~platform:spec.sp_platform ~seed:spec.sp_seed
       ~sd_mib:spec.sp_sd_mib ()
@@ -272,6 +275,7 @@ let boot spec =
       ~kernel_reserved_bytes:kernel_reserved
   in
   let sched = Sched.create board spec.sp_config kalloc in
+  let vprobe = sched.Sched.vprobe in
   (* the runtime sanitizer comes up with the scheduler so every later
      subsystem can feed it; kernel-side knowledge (channel-name parsing,
      semaphore holders, fd walks) is injected below once those exist *)
@@ -282,24 +286,22 @@ let boot spec =
   (match kcheck with
   | Some kc ->
       Kcheck.set_emit kc (fun ev -> Sched.trace_emit sched ev);
-      sched.Sched.ptable <- Some (Spinlock.create ~kcheck:kc "ptable")
+      sched.Sched.ptable <- Some (Spinlock.create ~kcheck:kc ~vprobe "ptable")
   | None -> ());
   let root_bc =
     if spec.sp_config.Kconfig.journal then
       (* journaled rootfs wants the write-back cache (pinned blocks defer
          until commit) and a capacity that holds a whole transaction *)
-      Bufcache.create ~board ~backing:(Bufcache.Ram ramdisk) ~block_sectors:2
-        ~capacity:128 ~writeback:spec.sp_config.Kconfig.writeback
+      Bufcache.create ~board ~vprobe ~backing:(Bufcache.Ram ramdisk)
+        ~block_sectors:2 ~capacity:128
+        ~writeback:spec.sp_config.Kconfig.writeback
         ~coalesce:spec.sp_config.Kconfig.sd_coalescing ()
     else
-      Bufcache.create ~board ~backing:(Bufcache.Ram ramdisk) ~block_sectors:2 ()
+      Bufcache.create ~board ~vprobe ~backing:(Bufcache.Ram ramdisk)
+        ~block_sectors:2 ()
   in
   let rootfs =
-    match
-      Fs.Xv6fs.mount
-        ~journal_max_tx:spec.sp_config.Kconfig.journal_max_tx_blocks
-        (Bufcache.xv6_io root_bc)
-    with
+    match Fs.Xv6fs.mount (Bufcache.xv6_io root_bc) with
     | Ok f -> f
     | Error e -> Kpanic.panicf "boot: root mount %s" e
   in
@@ -328,28 +330,16 @@ let boot spec =
   let vfs =
     Vfs.create ~sched ~config:spec.sp_config ~fdt ~root:rootfs ~root_bc ~devfs
       ~procfs
-      ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf)
+      ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf vprobe)
   in
   (* FAT32 partition under /d *)
   let fat_bc =
     if spec.sp_config.Kconfig.fat32 then begin
       build_fat_partition board spec;
-      let bc =
-        Bufcache.create ~board
-          ~backing:(Bufcache.Card (board.Hw.Board.sd, part2_lba))
-          ~block_sectors:1 ~capacity:64
-          ~writeback:spec.sp_config.Kconfig.writeback
-          ~readahead:spec.sp_config.Kconfig.readahead_blocks
-          ~coalesce:spec.sp_config.Kconfig.sd_coalescing ()
-      in
-      let io =
-        Bufcache.fat_io bc
-          ~range_bypass:spec.sp_config.Kconfig.range_io_bypass
-      in
-      (match Fs.Fat32.mount io with
-      | Ok fat -> Vfs.mount_fat vfs ~at:"/d" fat bc
-      | Error e -> Kpanic.panicf "boot: fat mount %s" e);
-      Some bc
+      Some
+        (mount_fat_device vfs ~board ~vprobe spec.sp_config
+           (Bufcache.Card (board.Hw.Board.sd, part2_lba))
+           ~at:"/d")
     end
     else None
   in
@@ -362,37 +352,12 @@ let boot spec =
         Kpanic.panicf "boot: USB storage needs the FAT32 feature";
       let sectors = 32768 (* a 16 MiB stick *) in
       let image = Bytes.make (sectors * Fs.Blockdev.sector_bytes) '\000' in
-      let raw_io = Fs.Fat32.io_of_blockdev (Fs.Blockdev.of_image ~name:"usb0" image) in
-      Fs.Fat32.mkfs raw_io ~total_sectors:sectors ();
-      (let fat0 =
-         match Fs.Fat32.mount raw_io with
-         | Ok f -> f
-         | Error e -> Kpanic.panicf "boot: usb mkfs %s" e
-       in
-       List.iter
-         (fun (path, data) ->
-           mkdirs_fat fat0 path;
-           (match Fs.Fat32.create fat0 path with
-           | Ok () -> ()
-           | Error e -> Kpanic.panicf "boot: usb %s" e);
-           match Fs.Fat32.write_file fat0 path ~off:0 ~data with
-           | Ok _ -> ()
-           | Error e -> Kpanic.panicf "boot: usb %s: %s" path e)
-         files);
+      format_fat (Fs.Blockdev.of_image ~name:"usb0" image) files;
       Hw.Usb.attach_msd board.Hw.Board.usb image;
-      let bc =
-        Bufcache.create ~board ~backing:(Bufcache.Usb_msd board.Hw.Board.usb)
-          ~block_sectors:1 ~capacity:64
-          ~writeback:spec.sp_config.Kconfig.writeback
-          ~readahead:spec.sp_config.Kconfig.readahead_blocks
-          ~coalesce:spec.sp_config.Kconfig.sd_coalescing ()
-      in
-      let io =
-        Bufcache.fat_io bc ~range_bypass:spec.sp_config.Kconfig.range_io_bypass
-      in
-      match Fs.Fat32.mount io with
-      | Ok fat -> Vfs.mount_fat vfs ~at:"/usb" fat bc
-      | Error e -> Kpanic.panicf "boot: usb mount %s" e);
+      ignore
+        (mount_fat_device vfs ~board ~vprobe spec.sp_config
+           (Bufcache.Usb_msd board.Hw.Board.usb)
+           ~at:"/usb"));
   (* Write-back mode: a periodic flush daemon per device-backed cache.
      The daemon is an engine event, i.e. a kernel thread woken by timer —
      its flushes are not billed to whichever task happens to be in a
@@ -535,30 +500,12 @@ let boot spec =
        match sched.Sched.kcheck with
        | Some kc -> List.length kc.Kcheck.violations
        | None -> 0));
-  (* vprobe hook installation. Spinlock's observer and the panic hook
-     are module globals (locks and panics exist below the layer where a
-     kernel instance is visible), so the last-booted kernel wins — the
-     right answer for a host process that boots throwaway kernels in
-     sequence. Everything fired here is host-side bookkeeping: no cycles
-     are charged and no engine events are scheduled. *)
-  (let vp = sched.Sched.vprobe in
-   Spinlock.set_observer (fun ~name:_ ~core ~contended ->
-       let pt =
-         if contended then Vprobe.pt_lock_contended else Vprobe.pt_lock_acquire
-       in
-       if Vprobe.armed vp pt then
-         Vprobe.fire vp pt { Vprobe.no_args with Vprobe.a_core = core });
-   Fs.Xv6fs.set_on_commit rootfs (fun blocks ->
-       if Vprobe.armed vp Vprobe.pt_journal_commit then
-         Vprobe.fire vp Vprobe.pt_journal_commit
-           { Vprobe.no_args with Vprobe.a_arg0 = blocks }));
-  (* the flight recorder arms through Kpanic so it sees every panic path,
-     not just the FIQ button *)
-  if spec.sp_config.Kconfig.flight_recorder_events > 0 then
-    Kpanic.set_on_panic (fun msg ->
-        Panic.flight_record sched console
-          ~events:spec.sp_config.Kconfig.flight_recorder_events msg)
-  else Kpanic.clear_on_panic ();
+  (* the journal-commit probe: host-side bookkeeping, no cycles charged
+     and no engine events scheduled *)
+  Fs.Xv6fs.set_on_commit rootfs (fun blocks ->
+      if Vprobe.armed vprobe Vprobe.pt_journal_commit then
+        Vprobe.fire vprobe Vprobe.pt_journal_commit
+          { Vprobe.no_args with Vprobe.a_arg0 = blocks });
   (* task teardown hooks *)
   sched.Sched.on_task_exit <-
     [
@@ -628,8 +575,8 @@ let setup_std_fds t ~pid =
     | None -> ()
     | Some ops ->
         let file =
-          Fd.make_file ~kind:(Fd.K_dev ops) ~readable:true ~writable:true
-            ~nonblock:false
+          Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
+            ~writable:true ~nonblock:false
         in
         (match Fd.alloc t.fdt ~pid file with
         | Ok 0 ->

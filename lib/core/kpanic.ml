@@ -5,23 +5,12 @@
     boot-time misconfiguration) raise {!Panic} through this module instead
     of [invalid_arg]/[failwith] — vlint's no-raise rule bans those
     elsewhere in [lib/core], so every kernel death funnels through here
-    and is greppable, catchable and testable as one exception type. *)
+    and is greppable, catchable and testable as one exception type.
+
+    The flight recorder ({!Panic.flight_record}) belongs to the kernel
+    that panicked, not to this module: {!Sched} runs it where the panic
+    leaves kernel code. *)
 
 exception Panic of string
 
-(* The flight recorder's attachment point: the kernel installs a dump
-   hook at boot ({!Panic.flight_record}) and every death that funnels
-   through [panicf] fires it before raising. The hook must never turn a
-   panic into a different failure, so anything it raises is swallowed. *)
-let on_panic : (string -> unit) option ref = ref None
-let set_on_panic f = on_panic := Some f
-let clear_on_panic () = on_panic := None
-
-let panicf fmt =
-  Printf.ksprintf
-    (fun msg ->
-      (match !on_panic with
-      | Some f -> ( try f msg with _ -> ())
-      | None -> ());
-      raise (Panic msg))
-    fmt
+let panicf fmt = Printf.ksprintf (fun msg -> raise (Panic msg)) fmt

@@ -45,14 +45,14 @@ let render t ~fiq_core =
   Buffer.add_string buf "=== END PANIC DUMP ===\n";
   Buffer.contents buf
 
-(* Flight recorder: the always-on black box, fired from {!Kpanic.panicf}
-   via the hook the kernel installs at boot. Where the panic button above
-   needs an operator pressing the GPIO line, this runs on the way down —
-   after the panic message is formatted but before the exception
-   propagates — so the UART carries the last [events] trace entries, any
-   attached vprobe aggregates, and the per-task delay table alongside
-   the panic itself. Pure host-side rendering: no charges, no engine
-   events, safe to run with the kernel in an arbitrary broken state. *)
+(* Flight recorder: the always-on black box, armed per kernel by
+   {!install}. Where the panic button above needs an operator pressing
+   the GPIO line, this runs on the way down — {!Sched} fires it once,
+   where the panic leaves kernel code — so the UART carries the last
+   [events] trace entries, any attached vprobe aggregates, and the
+   per-task delay table alongside the panic itself. Pure host-side
+   rendering: no charges, no engine events, safe to run with the kernel
+   in an arbitrary broken state. *)
 let flight_record sched console ~events msg =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
@@ -75,6 +75,10 @@ let install sched console =
       (fun fiq_core ->
         t.dumps <- t.dumps + 1;
         Console.printk console (render t ~fiq_core));
+  (let events = sched.Sched.config.Kconfig.flight_recorder_events in
+   if events > 0 then
+     sched.Sched.flight_recorder <-
+       Some (fun msg -> flight_record sched console ~events msg));
   t
 
 let dumps t = t.dumps

@@ -35,9 +35,10 @@ type params = {
   pipe_bytes : Kperf.cell;  (** bytes moved through pipes, both ways *)
   wakeups_issued : Kperf.cell;
   wakeups_suppressed : Kperf.cell;
+  vprobe : Vprobe.t;  (** every pipe's [plock] fires into it *)
 }
 
-let params_of_config (cfg : Kconfig.t) kperf =
+let params_of_config (cfg : Kconfig.t) kperf vprobe =
   let c = Kperf.counter kperf in
   let pipe_writes = c "vos_pipe_writes_total" in
   let pipe_reads = c "vos_pipe_reads_total" in
@@ -54,6 +55,7 @@ let params_of_config (cfg : Kconfig.t) kperf =
     pipe_bytes;
     wakeups_issued;
     wakeups_suppressed;
+    vprobe;
   }
 
 type t = {
@@ -94,7 +96,7 @@ let create p =
     writers = 1;
     rchan = Printf.sprintf "pipe:%d:r" id;
     wchan = Printf.sprintf "pipe:%d:w" id;
-    plock = Spinlock.create "plock";
+    plock = Spinlock.create ~vprobe:p.vprobe "plock";
   }
 
 let fill t = t.wpos - t.rpos

@@ -111,6 +111,9 @@ and t = {
       (** frames presented per pid; survives trace-ring wraparound *)
   mutable on_task_exit : (Task.t -> unit) list;
   mutable on_panic : (int -> unit) option;  (** core id of the FIQ *)
+  mutable flight_recorder : (string -> unit) option;
+      (** run with the message of a {!Kpanic.Panic} leaving kernel code;
+          {!Panic.install} arms it *)
   mutable frame_hook : (Task.t -> string -> bool) option;
       (** debug monitor: stop on frame entry? *)
   mutable syscall_hook : (Task.t -> string -> bool) option;
@@ -310,6 +313,7 @@ let create board config kalloc =
       frame_counts = Hashtbl.create 16;
       on_task_exit = [];
       on_panic = None;
+      flight_recorder = None;
       frame_hook = None;
       syscall_hook = None;
       tick_interval_ms = 1;
@@ -917,6 +921,16 @@ let park_for_debug t task thunk =
   Queue.add (task, thunk) q;
   kcheck_blocked t ~pid:task.Task.pid ~chan ~core
 
+(* A panic leaves kernel code in one of two places: out of the event loop
+   ({!run_until}) or out of a task, into [run_computation]'s exception
+   handler. Each runs the flight recorder once, and the recorder must
+   never turn a panic into a different failure, so anything it raises is
+   swallowed. *)
+let record_panic t msg =
+  match t.flight_recorder with
+  | Some f -> ( try f msg with _ -> ())
+  | None -> ()
+
 let rec run_computation t task main () =
   let open Effect.Deep in
   match_with
@@ -928,6 +942,7 @@ let rec run_computation t task main () =
       retc = (fun code -> do_exit t task code);
       exnc =
         (fun exn ->
+          (match exn with Kpanic.Panic msg -> record_panic t msg | _ -> ());
           trace_emit_task t task
             (Ktrace.Custom
                (Printf.sprintf "task %d (%s) uncaught exception: %s"
@@ -1396,4 +1411,9 @@ let utilization t ~core_id ~window_ns =
   if Int64.compare window_ns 0L <= 0 then 0.0
   else Int64.to_float t.cores.(core_id).busy_ns /. Int64.to_float window_ns
 
-let run_until t time = Sim.Engine.run (engine t) ~until:time ()
+let run_until t time =
+  try Sim.Engine.run (engine t) ~until:time ()
+  with Kpanic.Panic msg as e ->
+    let bt = Printexc.get_raw_backtrace () in
+    record_panic t msg;
+    Printexc.raise_with_backtrace e bt

@@ -24,9 +24,10 @@ type t = {
   mutable total_held_ns : int64;
   mutable max_held_ns : int64;
   kcheck : Kcheck.t option;
+  vprobe : Vprobe.t;  (** its kernel's registry: lock:acquire/contended *)
 }
 
-let create ?kcheck name =
+let create ?kcheck ~vprobe name =
   let t =
     {
       name;
@@ -36,6 +37,7 @@ let create ?kcheck name =
       total_held_ns = 0L;
       max_held_ns = 0L;
       kcheck;
+      vprobe;
     }
   in
   (match kcheck with
@@ -50,20 +52,11 @@ let create ?kcheck name =
   | None -> ());
   t
 
-(* vprobe's lock:acquire / lock:contended hook. A module-global rather
-   than a per-lock field because locks are created all over the kernel
-   (and by [protect] call sites) long before the probe registry exists;
-   the kernel installs the observer at boot. Spinlock cannot depend on
-   Vprobe (layering), so the closure carries the typed fire. *)
-let observer : (name:string -> core:int -> contended:bool -> unit) option ref =
-  ref None
-
-let set_observer f = observer := Some f
-
-let observe ~name ~core ~contended =
-  match !observer with
-  | Some f -> f ~name ~core ~contended
-  | None -> ()
+(* vprobe's lock:acquire / lock:contended: host-side bookkeeping only,
+   no cycles charged and no engine events scheduled *)
+let observe t pt ~core =
+  if Vprobe.armed t.vprobe pt then
+    Vprobe.fire t.vprobe pt { Vprobe.no_args with Vprobe.a_core = core }
 
 let acquire t ~core ~now_ns =
   (match t.owner with
@@ -71,10 +64,10 @@ let acquire t ~core ~now_ns =
       (* unreachable while the simulation is single-threaded, but the
          probe fires before the panic so an SMP future (or a test that
          forges contention) sees the event *)
-      observe ~name:t.name ~core ~contended:true;
+      observe t Vprobe.pt_lock_contended ~core;
       Kpanic.panicf "spinlock %s: core %d acquiring while core %d holds"
         t.name core held_by
-  | None -> observe ~name:t.name ~core ~contended:false);
+  | None -> observe t Vprobe.pt_lock_acquire ~core);
   (match t.kcheck with
   | Some kc -> Kcheck.lock_acquire kc ~name:t.name ~core
   | None -> ());

@@ -96,7 +96,7 @@ let open_xv6 ctx t path flags =
           if flags land Abi.o_trunc <> 0 && st.Fs.Xv6fs.st_type = Fs.Xv6fs.Reg
           then Fs.Xv6fs.truncate t.root node;
           let file =
-            Fd.make_file
+            Fd.make_file t.fdt
               ~kind:(Fd.K_xv6 (t.root, node))
               ~readable:(want_read flags) ~writable:(want_write flags)
               ~nonblock:false
@@ -137,7 +137,7 @@ let open_fat ctx t fat bc sub flags =
                 { Fd.fat_path = sub; fat_size = st.Fs.Fat32.st_size }
               in
               let file =
-                Fd.make_file
+                Fd.make_file t.fdt
                   ~kind:(Fd.K_fat (fat, bc, handle))
                   ~readable:(want_read flags) ~writable:(want_write flags)
                   ~nonblock:false
@@ -159,8 +159,8 @@ let op_open ctx t path flags =
           | None -> err ctx Errno.enoent
           | Some ops ->
               let file =
-                Fd.make_file ~kind:(Fd.K_dev ops) ~readable:(want_read flags)
-                  ~writable:(want_write flags)
+                Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
+                  ~readable:(want_read flags) ~writable:(want_write flags)
                   ~nonblock:
                     (t.config.Kconfig.nonblocking_io
                     && flags land Abi.o_nonblock <> 0)
@@ -175,7 +175,7 @@ let op_open ctx t path flags =
           | None -> err ctx Errno.enoent
           | Some ops ->
               let file =
-                Fd.make_file ~kind:(Fd.K_dev ops) ~readable:true
+                Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
                   ~writable:(want_write flags)
                   ~nonblock:
                     (t.config.Kconfig.nonblocking_io
@@ -474,11 +474,11 @@ let op_pipe ctx t flags =
     t.config.Kconfig.nonblocking_io && flags land Abi.o_nonblock <> 0
   in
   let rf =
-    Fd.make_file ~kind:(Fd.K_pipe_read p) ~readable:true ~writable:false
+    Fd.make_file t.fdt ~kind:(Fd.K_pipe_read p) ~readable:true ~writable:false
       ~nonblock
   in
   let wf =
-    Fd.make_file ~kind:(Fd.K_pipe_write p) ~readable:false ~writable:true
+    Fd.make_file t.fdt ~kind:(Fd.K_pipe_write p) ~readable:false ~writable:true
       ~nonblock
   in
   let pid = ctx.Sched.task.Task.pid in

@@ -41,8 +41,6 @@ type t = {
   mutable total_faults : int;
 }
 
-let next_asid = ref 0
-
 let heap_pages t = (t.brk + page_bytes - 1) / page_bytes
 
 let resident_pages t = t.code_pages + heap_pages t + t.stack_pages
@@ -66,8 +64,8 @@ let free_frames t n =
   List.iter (Kalloc.free_page t.kalloc) !to_free
 
 let create kalloc ~code_pages =
-  incr next_asid;
-  let asid = !next_asid in
+  kalloc.Kalloc.next_asid <- kalloc.Kalloc.next_asid + 1;
+  let asid = kalloc.Kalloc.next_asid in
   let t =
     {
       asid;

@@ -243,6 +243,10 @@ let replay_log io sb =
    itself is sized well above l_max_tx. *)
 let op_headroom = 24
 
+(* Cap on blocks per open transaction before an operation forces a
+   group commit; mount clamps it to the on-disk log size. *)
+let journal_max_tx = 64
+
 let soft_cap l = max 1 (l.l_max_tx - op_headroom)
 
 let begin_op t =
@@ -831,7 +835,7 @@ let log_pending t = match t.log with Some l -> l.l_n | None -> 0
 
 (* ---- mkfs / mount ---- *)
 
-let mount ?(journal_max_tx = 64) io =
+let mount io =
   match read_superblock io with
   | Error e -> Error e
   | Ok sb ->
@@ -843,7 +847,7 @@ let mount ?(journal_max_tx = 64) io =
             {
               l_start = sb.sb_logstart;
               l_size = sb.sb_nlog;
-              l_max_tx = min sb.sb_nlog (min log_hdr_max (max 8 journal_max_tx));
+              l_max_tx = min sb.sb_nlog (min log_hdr_max journal_max_tx);
               l_replayed = replayed;
               l_seq = seq;
               l_queue = [];

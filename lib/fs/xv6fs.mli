@@ -73,11 +73,11 @@ val mkfs :
     [ext] selects the doubly-indirect block map. The defaults produce an
     image byte-identical to the journal-free layout. *)
 
-val mount : ?journal_max_tx:int -> io -> (t, string) result
+val mount : io -> (t, string) result
 (** Validate the superblock and return a handle. If the image has a
     journal, replay any committed transaction first (see {!log_replayed})
-    and cap open transactions at [journal_max_tx] blocks (clamped to the
-    on-disk log size). *)
+    and cap open transactions at 64 blocks (clamped to the on-disk log
+    size). *)
 
 val free_data_blocks : t -> int
 (** Unallocated data blocks, from the bitmap (for /proc and tests). *)

@@ -140,7 +140,6 @@ let of_config (c : Core.Kconfig.t) =
     (base
     @ opt c.Core.Kconfig.multitasking [ Multitasking; Page_allocator ]
     @ opt c.Core.Kconfig.user_separation [ Privileges; Virtual_memory ]
-    @ opt c.Core.Kconfig.demand_paging [ Virtual_memory ]
     @ opt c.Core.Kconfig.syscalls_tasks [ Syscalls_tasks; Lib_minimal ]
     @ opt c.Core.Kconfig.syscalls_files [ Syscalls_files; File_abstraction ]
     @ opt c.Core.Kconfig.syscalls_threads [ Syscalls_threads ]

@@ -105,8 +105,9 @@ let pinning_defers_until_commit () =
   let base = Fs.Xv6fs.mkfs ~nlog:32 ~total_blocks:512 ~ninodes:16 () in
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:2 ~capacity:64 ~writeback:true ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:64
+      ~writeback:true ()
   in
   let fs = check_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
   let f = check_ok "create" (Fs.Xv6fs.create fs "/p" Fs.Xv6fs.Reg) in
@@ -144,8 +145,9 @@ let sweep_once ~base ~cut =
   | None -> ());
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:2 ~capacity:32 ~writeback:true ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:32
+      ~writeback:true ()
   in
   let fs = check_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
   let sync () =
@@ -171,8 +173,8 @@ let exhaustive_cut_sweep () =
     let board, image = sweep_once ~base ~cut:(Some cut) in
     Hw.Power.revive board.Hw.Board.supply;
     let bc =
-      Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-        ~block_sectors:2 ()
+      Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+        ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
     in
     match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
     | Error e -> Alcotest.failf "cut %d/%d: remount: %s" cut total e

@@ -234,8 +234,8 @@ let bufcache_hits_and_misses () =
   let image = Bytes.make (64 * 512) '\000' in
   Bytes.blit_string "cached-data" 0 image 1024 11;
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:1 ~capacity:4 ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:1 ~capacity:4 ()
   in
   let first = Core.Bufcache.bread bc 2 in
   check_string "content" "cached-data" (Bytes.sub_string first 0 11);
@@ -251,8 +251,8 @@ let bufcache_write_through () =
   let board = Hw.Board.create () in
   let image = Bytes.make (8 * 512) '\000' in
   let bc =
-    Core.Bufcache.create ~board ~backing:(Core.Bufcache.Ram image)
-      ~block_sectors:1 ()
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      ~backing:(Core.Bufcache.Ram image) ~block_sectors:1 ()
   in
   let block = Bytes.make 512 'w' in
   Core.Bufcache.bwrite bc 3 block;

@@ -609,28 +609,45 @@ let ipc_latency_in_range () =
   (* the paper's ~21 us one-way *)
   check_in_range "one-way pipe latency" 14.0 28.0 us
 
-(* Pids and pipe ids are per-kernel streams: booting a second kernel
-   must not rewind the first one's. At one shared stream a new pipe in
-   the first kernel reused a live pipe's id, and with it that pipe's wait
-   channels (pipe:<id>:r, pipe:<id>:w). *)
+(* Pids, pipe ids, file ids and ASIDs are per-kernel streams: booting a
+   second kernel must not rewind the first one's. At one shared stream a
+   new pipe in the first kernel reused a live pipe's id, and with it that
+   pipe's wait channels (pipe:<id>:r, pipe:<id>:w); a new task reused a
+   live address space's ASID, and with it the Kalloc owner tag
+   (as<N>) that [Vm.free_frames] releases pages by. *)
 let id_streams_are_per_kernel () =
+  (* a user task's ids: pid, its console file on fd 0, its ASID *)
   let spawn k =
-    (Core.Kernel.spawn_user k ~name:"idle" (fun () -> 0)).Core.Task.pid
+    let task = Core.Kernel.spawn_user k ~name:"idle" (fun () -> 0) in
+    let pid = task.Core.Task.pid in
+    let file =
+      match Core.Fd.get k.Core.Kernel.fdt ~pid ~fd:0 with
+      | Some f -> f.Core.Fd.file_id
+      | None -> Alcotest.fail "no console file on fd 0"
+    in
+    match task.Core.Task.vm with
+    | Some vm -> (pid, file, vm.Core.Vm.asid)
+    | None -> Alcotest.fail "a user task without an address space"
   in
   let pipe k =
     (Core.Pipe.create k.Core.Kernel.vfs.Core.Vfs.ipc).Core.Pipe.pipe_id
   in
   let a = boot_kernel () in
-  let pids = List.init 3 (fun _ -> spawn a) in
+  let tasks = List.init 3 (fun _ -> spawn a) in
   let pipes = List.init 3 (fun _ -> pipe a) in
   let b = boot_kernel () in
   ignore (spawn b);
   ignore (pipe b);
-  let pid = spawn a and id = pipe a in
+  let pid, file, asid = spawn a and id = pipe a in
+  let live f = List.map f tasks in
   check_bool (Printf.sprintf "pid %d is new in its kernel" pid) false
-    (List.mem pid pids);
+    (List.mem pid (live (fun (p, _, _) -> p)));
   check_bool (Printf.sprintf "pipe id %d is new in its kernel" id) false
-    (List.mem id pipes)
+    (List.mem id pipes);
+  check_bool (Printf.sprintf "file id %d is new in its kernel" file) false
+    (List.mem file (live (fun (_, f, _) -> f)));
+  check_bool (Printf.sprintf "ASID %d is new in its kernel" asid) false
+    (List.mem asid (live (fun (_, _, s) -> s)))
 
 let suite_ipc =
   ( "kernel.ipc",
@@ -656,7 +673,8 @@ let suite_ipc =
       quick "poll timeout expires" poll_timeout_expires;
       quick "/proc/ipc reports edge wakeup counts" proc_ipc_reports_edge_stats;
       quick "ring pipe bytes identical to xv6 pipe" ring_pipe_matches_xv6_data;
-      quick "pid and pipe-id streams are per kernel" id_streams_are_per_kernel;
+      quick "pid and pipe-id streams are per kernel, as are file ids and ASIDs"
+        id_streams_are_per_kernel;
     ] )
 
 (* ---- file syscalls through the VFS ---- *)
@@ -1449,7 +1467,7 @@ let velf_roundtrip () =
   ignore (check_err "truncated rejected" (Core.Velf.parse (Bytes.sub image 0 8)))
 
 let spinlock_discipline () =
-  let l = Core.Spinlock.create "test" in
+  let l = Core.Spinlock.create ~vprobe:(Core.Vprobe.create ()) "test" in
   Core.Spinlock.acquire l ~core:0 ~now_ns:0L;
   check_bool "held" true (Core.Spinlock.holding l ~core:0);
   Alcotest.check_raises "recursive acquisition rejected"
@@ -1487,7 +1505,7 @@ let fresh_bc ?(capacity = 4) ?(writeback = false) ?(readahead = 0)
     ?(coalesce = true) () =
   let board = Hw.Board.create ~seed:3L () in
   let bc =
-    Core.Bufcache.create ~board
+    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
       ~backing:(Core.Bufcache.Card (board.Hw.Board.sd, 0))
       ~block_sectors:1 ~capacity ~writeback ~readahead ~coalesce ()
   in
@@ -2075,9 +2093,9 @@ let kc_contains hay needle =
 (* ABBA: establish the order A -> B, then acquire B -> A. lockdep must
    refuse the second order with the cycle, before any deadlock exists. *)
 let kc_lock_order_inversion () =
-  let kc = Core.Kcheck.create () in
-  let a = Core.Spinlock.create ~kcheck:kc "A" in
-  let b = Core.Spinlock.create ~kcheck:kc "B" in
+  let kc = Core.Kcheck.create () and vprobe = Core.Vprobe.create () in
+  let a = Core.Spinlock.create ~kcheck:kc ~vprobe "A" in
+  let b = Core.Spinlock.create ~kcheck:kc ~vprobe "B" in
   Core.Spinlock.acquire a ~core:0 ~now_ns:0L;
   Core.Spinlock.acquire b ~core:0 ~now_ns:1L;
   Core.Spinlock.release b ~core:0 ~now_ns:2L;
@@ -2093,8 +2111,8 @@ let kc_lock_order_inversion () =
 (* Blocking while a spinlock is held (or under an irq guard) is the
    sleep-in-atomic class. *)
 let kc_sleep_in_atomic () =
-  let kc = Core.Kcheck.create () in
-  let l = Core.Spinlock.create ~kcheck:kc "L" in
+  let kc = Core.Kcheck.create () and vprobe = Core.Vprobe.create () in
+  let l = Core.Spinlock.create ~kcheck:kc ~vprobe "L" in
   Core.Spinlock.acquire l ~core:0 ~now_ns:0L;
   match Core.Kcheck.task_blocked kc ~pid:7 ~chan:"sem:1" ~core:0 with
   | () -> Alcotest.fail "sleep-in-atomic not detected"

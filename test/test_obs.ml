@@ -327,11 +327,30 @@ let dstate_double_gate () =
 
 (* ---- the flight recorder ---- *)
 
+let count_sub s sub =
+  let nl = String.length sub and l = String.length s in
+  let rec go i n =
+    if i + nl > l then n
+    else if String.equal (String.sub s i nl) sub then go (i + nl) (n + 1)
+    else go (i + 1) n
+  in
+  go 0 0
+
+(* Panic inside the kernel from an engine event, as vfuzz's canary does:
+   the panic leaves kernel code through [run_until], which runs the
+   kernel's flight recorder before re-raising. *)
+let panic_from_event kernel msg =
+  ignore
+    (Sim.Engine.schedule_after kernel.Core.Kernel.board.Hw.Board.engine 0L
+       (fun () -> Core.Kpanic.panicf "%s" msg));
+  match run_for kernel 1 with
+  | () -> Alcotest.fail "the panic did not leave run_until"
+  | exception Core.Kpanic.Panic m -> check_string "re-raised as is" msg m
+
 let flight_recorder_fires () =
   let kernel = boot_kernel () in
   run_for kernel 1;
-  (try Core.Kpanic.panicf "obs test: deliberate panic" with
-  | Core.Kpanic.Panic _ -> ());
+  panic_from_event kernel "obs test: deliberate panic";
   let out = Core.Kernel.uart_output kernel in
   check_contains "banner" "=== FLIGHT RECORDER" out;
   check_contains "the panic message is first" "panic: obs test: deliberate panic"
@@ -340,7 +359,23 @@ let flight_recorder_fires () =
   check_contains "vprobe aggregates dumped" "vprobe aggregates:" out;
   check_contains "delay table dumped" "delay accounting:" out;
   check_contains "closing banner" "=== END FLIGHT RECORD ===" out;
-  Core.Kpanic.clear_on_panic ()
+  check_int "recorded once" 1 (count_sub out "=== FLIGHT RECORDER")
+
+(* A panic inside a task is a task death, not a kernel death: the task's
+   exception handler records it once and the task exits -2. *)
+let flight_recorder_task_panic () =
+  let kernel = boot_kernel () in
+  run_for kernel 1;
+  let task =
+    Core.Kernel.spawn_user kernel ~name:"panicker" (fun () ->
+        Core.Kpanic.panicf "obs test: task panic")
+  in
+  run_for kernel 1;
+  let out = Core.Kernel.uart_output kernel in
+  check_contains "the panic message" "panic: obs test: task panic" out;
+  check_int "recorded once" 1 (count_sub out "=== FLIGHT RECORDER");
+  check_string "the task is dead" "zombie" (Core.Task.state_name task);
+  check_int "exit -2" (-2) task.Core.Task.exit_code
 
 let flight_recorder_gated () =
   let kernel =
@@ -349,11 +384,45 @@ let flight_recorder_gated () =
       ()
   in
   run_for kernel 1;
-  (try Core.Kpanic.panicf "obs test: silent panic" with
-  | Core.Kpanic.Panic _ -> ());
+  panic_from_event kernel "obs test: silent panic";
   let out = Core.Kernel.uart_output kernel in
   check_bool "no recorder output when disabled" false
     (contains out "=== FLIGHT RECORDER")
+
+(* Two live kernels own their probes and recorders: boot A, then B, then
+   work in A. A's lock acquisitions count only in A's vprobe, and A's
+   panic dumps only to A's UART. *)
+let two_kernels_own_their_observers () =
+  let a = boot_kernel () in
+  let b = boot_kernel () in
+  let vp k = k.Core.Kernel.sched.Core.Sched.vprobe in
+  let probe k =
+    match Vp.attach (vp k) "probe lock:acquire" with
+    | Ok _ -> List.hd (vp k).Vp.all
+    | Error e -> Alcotest.failf "attach: %s" e
+  in
+  let pa = probe a and pb = probe b in
+  let pipe_in a =
+    match
+      Benchlib.Measure.run_task a ~name:"piper" (fun () ->
+          match User.Usys.pipe () with
+          | Ok (r, w) ->
+              ignore (User.Usys.write w (Bytes.of_string "ping"));
+              ignore (User.Usys.read r 4);
+              0
+          | Error _ -> 1)
+    with
+    | Ok (code, _) -> check_int "pipe round trip" 0 code
+    | Error e -> Alcotest.fail e
+  in
+  pipe_in a;
+  check_bool "A's probe counts A's acquisitions" true (pa.Vp.pr_fired > 0);
+  check_int "B's probe sees none of them" 0 pb.Vp.pr_fired;
+  panic_from_event a "obs test: panic in A";
+  check_contains "A's UART has the record" "panic: obs test: panic in A"
+    (Core.Kernel.uart_output a);
+  check_bool "B's UART has no record" false
+    (contains (Core.Kernel.uart_output b) "=== FLIGHT RECORDER")
 
 let suite =
   ( "obs",
@@ -376,5 +445,9 @@ let suite =
       slow "prototype 3 keeps conserving delay buckets" delay_conservation_p3;
       slow "dstate events are double-gated" dstate_double_gate;
       slow "panic flight recorder dumps to the UART" flight_recorder_fires;
+      slow "a task's panic is recorded once and kills the task"
+        flight_recorder_task_panic;
       slow "flight recorder silent when disabled" flight_recorder_gated;
+      slow "two kernels own their lock probes and flight recorders"
+        two_kernels_own_their_observers;
     ] )

@@ -25,6 +25,11 @@
             once in vprobe.ml's [static_points] catalog and mentioned in
             DESIGN.md — a probe a user cannot look up might as well not
             exist
+    - R008  no module-level mutable state under a "core", "fs" or "hw"
+            path segment: a top-level [ref], [Hashtbl.create],
+            [Atomic.make], [Array.make], [Bytes.create], [Queue.create],
+            [Stack.create], [Mutex.create] or [Domain.DLS.new_key] is
+            shared by every kernel in the process
 
     Findings print as [file:line: rule-id message] and fail the build.
     [--allow FILE] grandfathers existing cases; an allow entry matching
@@ -476,6 +481,91 @@ let r005 ~files =
           s.sim_engine)
     files
 
+(* Makers of mutable values: a top-level binding to one of these is
+   process-wide state. *)
+let mutable_makers =
+  [
+    [ "ref" ];
+    [ "Hashtbl"; "create" ];
+    [ "Atomic"; "make" ];
+    [ "Array"; "make" ];
+    [ "Bytes"; "create" ];
+    [ "Queue"; "create" ];
+    [ "Stack"; "create" ];
+    [ "Mutex"; "create" ];
+    [ "Domain"; "DLS"; "new_key" ];
+  ]
+
+(* Top-level (and nested-module top-level) bindings whose value is a
+   direct call to a mutable maker: (name, maker, line). *)
+let rec toplevel_mutables structure =
+  List.concat_map
+    (fun (item : Parsetree.structure_item) ->
+      match item.Parsetree.pstr_desc with
+      | Parsetree.Pstr_value (_, bindings) ->
+          List.filter_map
+            (fun (vb : Parsetree.value_binding) ->
+              let rec maker (e : Parsetree.expression) =
+                match e.Parsetree.pexp_desc with
+                | Parsetree.Pexp_constraint (e, _) -> maker e
+                | Parsetree.Pexp_apply
+                    ({ Parsetree.pexp_desc = Parsetree.Pexp_ident lid; _ }, _)
+                  ->
+                    let path =
+                      match Longident.flatten lid.Asttypes.txt with
+                      | "Stdlib" :: rest -> rest
+                      | path -> path
+                    in
+                    if List.mem path mutable_makers then
+                      Some (String.concat "." path)
+                    else None
+                | _ -> None
+              in
+              let line = line_of vb.Parsetree.pvb_loc in
+              match
+                ( vb.Parsetree.pvb_pat.Parsetree.ppat_desc,
+                  maker vb.Parsetree.pvb_expr )
+              with
+              | Parsetree.Ppat_var v, Some m
+              | ( Parsetree.Ppat_constraint
+                    ({ Parsetree.ppat_desc = Parsetree.Ppat_var v; _ }, _),
+                  Some m ) ->
+                  Some (v.Asttypes.txt, m, line)
+              | _, Some m -> Some ("_", m, line)
+              | _, None -> None)
+            bindings
+      | Parsetree.Pstr_module mb -> module_mutables mb.Parsetree.pmb_expr
+      | Parsetree.Pstr_recmodule mbs ->
+          List.concat_map
+            (fun (mb : Parsetree.module_binding) ->
+              module_mutables mb.Parsetree.pmb_expr)
+            mbs
+      | _ -> [])
+    structure
+
+and module_mutables (me : Parsetree.module_expr) =
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_structure str -> toplevel_mutables str
+  | Parsetree.Pmod_constraint (me, _) -> module_mutables me
+  | _ -> []
+
+let r008 ~files =
+  List.iter
+    (fun (path, str, _) ->
+      if
+        List.exists
+          (fun seg -> path_has_segment seg path)
+          [ "core"; "fs"; "hw" ]
+      then
+        List.iter
+          (fun (name, m, line) ->
+            report ~file:path ~line ~rule:"R008"
+              "module-level mutable state: %s = %s ... is shared by every \
+               kernel in the process"
+              name m)
+          (toplevel_mutables str))
+    files
+
 (* ---- allowlist ---- *)
 
 type allow = { a_rule : string; a_suffix : string; a_substr : string }
@@ -552,6 +642,7 @@ let run ?allow_path ?design_path ~dirs () =
   r005 ~files;
   r006 ~files;
   r007 ~files ~design:design_path;
+  r008 ~files;
   let allows =
     match allow_path with None -> [] | Some p -> load_allow p
   in
