@@ -91,5 +91,4 @@ let write ctx t data =
   in
   if nsamples = 0 then Sched.finish ctx (Abi.R_int 0) else step ()
 
-let queued t = Queue.length t.ring
 let samples_in t = t.samples_in

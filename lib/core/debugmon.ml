@@ -55,9 +55,6 @@ let set_breakpoint t label =
   if not (List.mem label t.breakpoints) then
     t.breakpoints <- label :: t.breakpoints
 
-let clear_breakpoint t label =
-  t.breakpoints <- List.filter (fun l -> not (String.equal l label)) t.breakpoints
-
 let watch_syscall t name =
   if not (List.mem name t.sys_watchpoints) then
     t.sys_watchpoints <- name :: t.sys_watchpoints

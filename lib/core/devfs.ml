@@ -271,8 +271,3 @@ let lookup t name =
   | "sb" -> sb_ops t
   | "surface" -> surface_ops t
   | _ -> None
-
-let names t =
-  List.filter
-    (fun n -> lookup t n <> None)
-    [ "null"; "console"; "events"; "event1"; "fb"; "sb"; "surface" ]

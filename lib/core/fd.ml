@@ -192,14 +192,6 @@ let close_all t ~pid =
       List.iter (fun file -> drop_ref t file) drops;
       Hashtbl.remove t.tables pid
 
-let open_count t ~pid =
-  match Hashtbl.find_opt t.tables pid with
-  | None -> 0
-  | Some tbl ->
-      Array.fold_left
-        (fun n slot -> if slot = None then n else n + 1)
-        0 tbl.slots
-
 (* ---- kcheck support ---- *)
 
 (* CLONE_VM threads map to the very same table, so audits must dedupe by

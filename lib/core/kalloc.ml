@@ -84,11 +84,6 @@ let total_pages t = t.total_pages
 let used_bytes t = used_pages t * page_bytes
 let peak_bytes t = t.peak_pages * page_bytes
 
-let pages_owned_by t ~owner =
-  Hashtbl.fold
-    (fun _ tag acc -> if String.equal tag owner then acc + 1 else acc)
-    t.allocated 0
-
 (* kmalloc draws from pages but tracks byte-granular live objects. *)
 let kmalloc t ~bytes =
   assert (bytes > 0);

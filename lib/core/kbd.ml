@@ -143,7 +143,6 @@ let create board sched =
   t
 
 let set_sink t sink = t.sink <- Some sink
-let clear_sink t = t.sink <- None
 
 let pending t = Queue.length t.ring
 let dropped t = t.dropped

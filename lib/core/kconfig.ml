@@ -1,10 +1,15 @@
-(** Kernel feature configuration.
+(** Kernel configuration.
 
-    Each prototype stage of VOS is this same kernel with a subset of
-    features switched on (Table 1). The stager in [lib/proto] constructs
-    these; [full] is Prototype 5. Feature checks at syscall entry return
-    ENOSYS for capabilities the stage lacks, which is also how the
-    feature-matrix validation of Table 1 is enforced mechanically. *)
+    Each prototype stage of VOS is this same kernel at a different
+    [stage] number. Table 1 fixes what a stage contains, so the kernel
+    asks the stage through four predicates named after the paper's
+    prototypes ({!multitasking}, {!user_kernel}, {!files} and
+    {!desktop}); a syscall the stage lacks returns ENOSYS. The other
+    fields are the knobs that experiments set apart from their stage
+    default: [multicore], the §5.2 fast paths, and the beyond-paper
+    machinery (write-back, the scheduler and pipe ladders, the
+    sanitizer, observability, the journal). [prototype k] is stage
+    [k]'s defaults; [full] is Prototype 5. *)
 
 (** Which scheduling class the per-core runqueues run. [Sched_rr] is the
     paper's round-robin (one quantum for everyone); [Sched_mlfq] is the
@@ -22,22 +27,8 @@ type sched_policy = Sched_rr | Sched_mlfq
 type wake_model = Wake_direct | Wake_tick | Wake_ipi
 
 type t = {
-  stage : int;  (** prototype number, 1–5 *)
-  multitasking : bool;  (** P2+: scheduler with multiple tasks *)
-  user_separation : bool;  (** P3+: EL0/EL1 split, virtual memory *)
-  syscalls_tasks : bool;  (** P3+: fork/exit/sbrk/sleep/write *)
-  syscalls_files : bool;  (** P4+: the file table *)
-  syscalls_threads : bool;  (** P5: clone + semaphores *)
-  kmalloc : bool;  (** P4+: sub-page allocator (P2–3 are page-based) *)
-  filesystem : bool;  (** P4+: xv6fs on ramdisk *)
-  fat32 : bool;  (** P5: SD card FAT32 under /d *)
-  devfs : bool;  (** P4+ *)
-  procfs : bool;  (** P4+ *)
-  usb_keyboard : bool;  (** P4+ *)
-  sound : bool;  (** P4+: PWM + DMA audio *)
+  stage : int;  (** prototype number, 1–5; read through the predicates below *)
   multicore : bool;  (** P5: all four cores *)
-  window_manager : bool;  (** P5 *)
-  nonblocking_io : bool;  (** P5: O_NONBLOCK on device files *)
   range_io_bypass : bool;  (** P5 + §5.2: FAT32 range reads skip the cache *)
   simd_pixel_ops : bool;  (** §5.2: NEON YUV conversion in the user lib *)
   writeback : bool;
@@ -112,21 +103,7 @@ type t = {
 let full =
   {
     stage = 5;
-    multitasking = true;
-    user_separation = true;
-    syscalls_tasks = true;
-    syscalls_files = true;
-    syscalls_threads = true;
-    kmalloc = true;
-    filesystem = true;
-    fat32 = true;
-    devfs = true;
-    procfs = true;
-    usb_keyboard = true;
-    sound = true;
     multicore = true;
-    window_manager = true;
-    nonblocking_io = true;
     range_io_bypass = true;
     simd_pixel_ops = true;
     (* the write-back fast path ships off by default so the stock
@@ -171,21 +148,7 @@ let rec prototype = function
   | 1 ->
       {
         stage = 1;
-        multitasking = false;
-        user_separation = false;
-        syscalls_tasks = false;
-        syscalls_files = false;
-        syscalls_threads = false;
-        kmalloc = false;
-        filesystem = false;
-        fat32 = false;
-        devfs = false;
-        procfs = false;
-        usb_keyboard = false;
-        sound = false;
         multicore = false;
-        window_manager = false;
-        nonblocking_io = false;
         range_io_bypass = false;
         simd_pixel_ops = false;
         writeback = false;
@@ -205,26 +168,32 @@ let rec prototype = function
         journal = false;
         flight_recorder_events = 0;
       }
-  | 2 -> { (prototype 1) with stage = 2; multitasking = true }
-  | 3 ->
-      {
-        (prototype 1) with
-        stage = 3;
-        multitasking = true;
-        user_separation = true;
-        syscalls_tasks = true;
-      }
+  | (2 | 3) as k -> { (prototype 1) with stage = k }
   | 4 ->
       {
         full with
         stage = 4;
-        syscalls_threads = false;
-        fat32 = false;
         multicore = false;
-        window_manager = false;
-        nonblocking_io = false;
         range_io_bypass = false;
         simd_pixel_ops = false;
       }
   | 5 -> full
   | k -> Kpanic.panicf "Kconfig.prototype: no prototype %d" k
+
+(* Table 1 as four predicates, one per prototype the paper names. Every
+   stage-gated path in the kernel reads exactly one of them. *)
+
+(** P2+: the scheduler runs many tasks (sleep, nice). *)
+let multitasking c = c.stage >= 2
+
+(** P3+: EL0/EL1 split and virtual memory; the task syscalls
+    (fork/wait/kill/sbrk), mmap of the framebuffer, write to the UART. *)
+let user_kernel c = c.stage >= 3
+
+(** P4+: the file table and exec, devfs and procfs, the USB keyboard,
+    PWM sound. *)
+let files c = c.stage >= 4
+
+(** P5: threads and semaphores, FAT32 on the SD card, the window
+    manager, O_NONBLOCK and poll. *)
+let desktop c = c.stage >= 5

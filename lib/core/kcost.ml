@@ -24,9 +24,8 @@ let irq_exit = 600
 let timer_tick_work = 1_200
 
 (* Copies: bytes per cycle for kernel memmove (the hand-written ARMv8
-   assembly of §5.2 moves ~8 B/cycle; the byte-loop fallback ~1 B/cycle). *)
+   assembly of §5.2 moves ~8 B/cycle). *)
 let copy_cycles ~bytes = max 64 (bytes / 8)
-let slow_copy_cycles ~bytes = max 64 bytes
 
 (* Task lifecycle. fork's dominant term is the eager page copy: VOS lacks
    lazy page-table replication (§6.2), so cost scales with resident pages. *)
@@ -40,7 +39,6 @@ let clone_base = 7_500 (* shares the mm: no page copies *)
 
 (* Memory. *)
 let sbrk_per_page = 600
-let page_fault = 3_800 (* demand-paged stack growth *)
 let cache_flush_per_row = 140 (* DC CVAC over one framebuffer row *)
 
 (* Files. *)
@@ -92,8 +90,7 @@ let wm_per_pixel_opaque = 1 (* NEON copy path: ~1 cycle/pixel *)
 let wm_per_pixel_alpha = 4
 let wm_per_window = 2_000
 
-(* Keyboard path: HID report parse + ring-buffer insert. *)
-let kbd_report_parse = 1_500
+(* Input path: copying one event out of a driver's ring buffer. *)
 let event_copy = 400
 
 (* Audio path: per-sample copy into the driver ring buffer. *)

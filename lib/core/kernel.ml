@@ -313,11 +313,11 @@ let boot spec =
   let console = Console.create board sched in
   let kbd = Kbd.create board sched in
   let audio =
-    if spec.sp_config.Kconfig.sound then Some (Audio.create board sched)
+    if Kconfig.files spec.sp_config then Some (Audio.create board sched)
     else None
   in
   let wm =
-    match (spec.sp_config.Kconfig.window_manager, fb) with
+    match (Kconfig.desktop spec.sp_config, fb) with
     | true, Some fb ->
         let wm = Wm.create board sched fb ~track_dirty:spec.sp_track_dirty in
         Kbd.set_sink kbd (fun ev -> Wm.key_sink wm ev);
@@ -334,7 +334,7 @@ let boot spec =
   in
   (* FAT32 partition under /d *)
   let fat_bc =
-    if spec.sp_config.Kconfig.fat32 then begin
+    if Kconfig.desktop spec.sp_config then begin
       build_fat_partition board spec;
       Some
         (mount_fat_device vfs ~board ~vprobe spec.sp_config
@@ -348,7 +348,7 @@ let boot spec =
   (match spec.sp_usb_files with
   | None -> ()
   | Some files ->
-      if not spec.sp_config.Kconfig.fat32 then
+      if not (Kconfig.desktop spec.sp_config) then
         Kpanic.panicf "boot: USB storage needs the FAT32 feature";
       let sectors = 32768 (* a 16 MiB stick *) in
       let image = Bytes.make (sectors * Fs.Blockdev.sector_bytes) '\000' in
@@ -378,9 +378,7 @@ let boot spec =
         ~interval_ms:spec.sp_config.Kconfig.flush_interval_ms
   end;
   let sems = Sem.create sched in
-  let proc =
-    Proc.create ~sched ~fdt ~vfs ~sems ~kalloc ~config:spec.sp_config
-  in
+  let proc = Proc.create ~sched ~fdt ~vfs ~sems ~kalloc in
   (* now that tasks, semaphores and fd tables exist, teach kcheck who
      could wake each wait channel and how to re-derive every refcount *)
   (match kcheck with
@@ -520,7 +518,7 @@ let boot spec =
   (match wm with Some wm -> Wm.start wm | None -> ());
   (* peripheral bring-up: USB enumeration dominates (§6.2's boot-time
      analysis); run the clock through it so the system is ready *)
-  if spec.sp_config.Kconfig.usb_keyboard then begin
+  if Kconfig.files spec.sp_config then begin
     Hw.Usb.power_on board.Hw.Board.usb;
     Sched.run_until sched
       (Int64.add (Sim.Engine.now engine) (Int64.add Hw.Usb.init_cost_ns 1_000_000L))
@@ -570,7 +568,7 @@ let shutdown t =
 (* Give a fresh process the xv6 convention: console on fds 0, 1 and 2
    (init opens the console and dups it twice). *)
 let setup_std_fds t ~pid =
-  if t.config.Kconfig.devfs then
+  if Kconfig.files t.config then
     match Devfs.lookup t.devfs "console" with
     | None -> ()
     | Some ops ->

@@ -13,11 +13,10 @@ type t = {
   sems : Sem.t;
   progs : (string, string list -> int) Hashtbl.t;
   kalloc : Kalloc.t;
-  config : Kconfig.t;
 }
 
-let create ~sched ~fdt ~vfs ~sems ~kalloc ~config =
-  { sched; fdt; vfs; sems; progs = Hashtbl.create 32; kalloc; config }
+let create ~sched ~fdt ~vfs ~sems ~kalloc =
+  { sched; fdt; vfs; sems; progs = Hashtbl.create 32; kalloc }
 
 let register_program t name main = Hashtbl.replace t.progs name main
 
@@ -124,23 +123,20 @@ let sys_kill ctx t pid =
         Sched.finish ctx (Abi.R_int 0)
 
 let sys_clone ctx t thread_main =
-  if not t.config.Kconfig.syscalls_threads then err ctx Errno.enosys
-  else begin
-    let parent = ctx.Sched.task in
-    let vm = Option.map Vm.share parent.Task.vm in
-    Sched.charge ctx Kcost.clone_base;
-    let child =
-      Sched.spawn t.sched
-        ~name:(parent.Task.name ^ "-thr")
-        ~kind:parent.Task.kind ?vm ~parent:parent.Task.pid thread_main
-    in
-    child.Task.cwd <- parent.Task.cwd;
-    Fd.share_table t.fdt ~parent:parent.Task.pid ~child:child.Task.pid;
-    Sem.share t.sems ~parent:parent.Task.pid ~child:child.Task.pid;
-    Sched.kcheck_audit t.sched
-      ~reason:(Printf.sprintf "clone %d -> %d" parent.Task.pid child.Task.pid);
-    Sched.finish ctx (Abi.R_int child.Task.pid)
-  end
+  let parent = ctx.Sched.task in
+  let vm = Option.map Vm.share parent.Task.vm in
+  Sched.charge ctx Kcost.clone_base;
+  let child =
+    Sched.spawn t.sched
+      ~name:(parent.Task.name ^ "-thr")
+      ~kind:parent.Task.kind ?vm ~parent:parent.Task.pid thread_main
+  in
+  child.Task.cwd <- parent.Task.cwd;
+  Fd.share_table t.fdt ~parent:parent.Task.pid ~child:child.Task.pid;
+  Sem.share t.sems ~parent:parent.Task.pid ~child:child.Task.pid;
+  Sched.kcheck_audit t.sched
+    ~reason:(Printf.sprintf "clone %d -> %d" parent.Task.pid child.Task.pid);
+  Sched.finish ctx (Abi.R_int child.Task.pid)
 
 let sys_join ctx t tid =
   let rec attempt () =

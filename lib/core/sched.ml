@@ -1067,13 +1067,6 @@ let spawn t ~name ~kind ?vm ?(parent = 0) ?(nice = 0) main =
   enqueue_task t task;
   task
 
-(* Replace the running task's computation (exec). The old continuation is
-   abandoned; the new main starts when the task is next scheduled. *)
-let replace_computation t task main =
-  task.Task.resume <- Some (run_computation t task main);
-  set_state t task Task.Runnable;
-  enqueue_task t task
-
 (* exec(2): burn the accumulated syscall charge, abandon the trapping
    continuation, and restart the task with [main]. *)
 let exec_replace ctx main =
@@ -1406,10 +1399,6 @@ let render_delays t =
 
 let core_busy_ns t core_id = t.cores.(core_id).busy_ns
 let core_io_ns t core_id = t.cores.(core_id).io_busy_ns
-
-let utilization t ~core_id ~window_ns =
-  if Int64.compare window_ns 0L <= 0 then 0.0
-  else Int64.to_float t.cores.(core_id).busy_ns /. Int64.to_float window_ns
 
 let run_until t time =
   try Sim.Engine.run (engine t) ~until:time ()

@@ -182,8 +182,6 @@ let task_exit t ~pid =
         to_release;
       Hashtbl.remove t.held pid
 
-let live_count t = Hashtbl.length t.sems
-
 (* ---- kcheck support ---- *)
 
 (* The pids with [id] open: the candidate wakers of its channel for the

@@ -1,7 +1,7 @@
 (** The syscall dispatch table — all 28 entries (§3), gated by the
-    prototype's feature configuration: a call a stage lacks returns
-    -ENOSYS, which is how Table 1's feature matrix is mechanically
-    enforced. *)
+    prototype stage: a call a stage lacks returns -ENOSYS, which is how
+    Table 1's feature matrix is mechanically enforced. Each gate reads
+    one of {!Kconfig}'s stage predicates. *)
 
 type services = {
   s_sched : Sched.t;
@@ -21,25 +21,25 @@ let dispatch s ctx =
   match ctx.Sched.call with
   (* ---- tasks & time ---- *)
   | Abi.Fork child ->
-      need cfg.Kconfig.syscalls_tasks (fun () -> Proc.sys_fork ctx s.s_proc child)
+      need (Kconfig.user_kernel cfg) (fun () -> Proc.sys_fork ctx s.s_proc child)
   | Abi.Exec (path, argv) ->
-      need (cfg.Kconfig.syscalls_tasks && cfg.Kconfig.syscalls_files) (fun () ->
+      need (Kconfig.files cfg) (fun () ->
           Proc.sys_exec ctx s.s_proc path argv)
   | Abi.Exit code ->
       ctx.Sched.done_ <- true;
       Sched.do_exit ctx.Sched.sched ctx.Sched.task code
   | Abi.Wait ->
-      need cfg.Kconfig.syscalls_tasks (fun () -> Proc.sys_wait ctx s.s_proc)
+      need (Kconfig.user_kernel cfg) (fun () -> Proc.sys_wait ctx s.s_proc)
   | Abi.Kill pid ->
-      need cfg.Kconfig.syscalls_tasks (fun () -> Proc.sys_kill ctx s.s_proc pid)
+      need (Kconfig.user_kernel cfg) (fun () -> Proc.sys_kill ctx s.s_proc pid)
   | Abi.Getpid -> Sched.finish ctx (Abi.R_int ctx.Sched.task.Task.pid)
   | Abi.Sleep ms ->
-      need cfg.Kconfig.multitasking (fun () -> Proc.sys_sleep ctx ms)
+      need (Kconfig.multitasking cfg) (fun () -> Proc.sys_sleep ctx ms)
   | Abi.Uptime -> Proc.sys_uptime ctx s.s_proc
   | Abi.Nice inc ->
-      need cfg.Kconfig.multitasking (fun () -> Proc.sys_nice ctx inc)
+      need (Kconfig.multitasking cfg) (fun () -> Proc.sys_nice ctx inc)
   | Abi.Sbrk delta ->
-      need cfg.Kconfig.syscalls_tasks (fun () -> Proc.sys_sbrk ctx delta)
+      need (Kconfig.user_kernel cfg) (fun () -> Proc.sys_sbrk ctx delta)
   | Abi.Cacheflush -> (
       match s.s_fb with
       | None -> err ctx Errno.enosys
@@ -52,16 +52,16 @@ let dispatch s ctx =
           Sched.finish ctx (Abi.R_int rows))
   (* ---- files ---- *)
   | Abi.Open (path, flags) ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_open ctx s.s_vfs path flags)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_open ctx s.s_vfs path flags)
   | Abi.Close fd ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_close ctx s.s_vfs fd)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_close ctx s.s_vfs fd)
   | Abi.Read (fd, len) ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_read ctx s.s_vfs fd len)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_read ctx s.s_vfs fd len)
   | Abi.Write (fd, data) ->
       (* Prototype 3's write() is hardwired to the UART (§4.3); with files
          enabled, fd 1 falls back to the console when not opened. *)
-      if not cfg.Kconfig.syscalls_files then
-        if cfg.Kconfig.syscalls_tasks && fd = 1 then
+      if not (Kconfig.files cfg) then
+        if Kconfig.user_kernel cfg && fd = 1 then
           Console.write ctx s.s_console data
         else err ctx Errno.enosys
       else if
@@ -70,31 +70,30 @@ let dispatch s ctx =
       then Console.write ctx s.s_console data
       else Vfs.op_write ctx s.s_vfs fd data
   | Abi.Lseek (fd, off, whence) ->
-      need cfg.Kconfig.syscalls_files (fun () ->
+      need (Kconfig.files cfg) (fun () ->
           Vfs.op_lseek ctx s.s_vfs fd off whence)
   | Abi.Dup fd ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_dup ctx s.s_vfs fd)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_dup ctx s.s_vfs fd)
   | Abi.Pipe flags ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_pipe ctx s.s_vfs flags)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_pipe ctx s.s_vfs flags)
   | Abi.Fstat fd ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_fstat ctx s.s_vfs fd)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_fstat ctx s.s_vfs fd)
   | Abi.Mkdir path ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_mkdir ctx s.s_vfs path)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_mkdir ctx s.s_vfs path)
   | Abi.Unlink path ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_unlink ctx s.s_vfs path)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_unlink ctx s.s_vfs path)
   | Abi.Chdir path ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_chdir ctx s.s_vfs path)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_chdir ctx s.s_vfs path)
   | Abi.Fsync fd ->
-      need cfg.Kconfig.syscalls_files (fun () -> Vfs.op_fsync ctx s.s_vfs fd)
+      need (Kconfig.files cfg) (fun () -> Vfs.op_fsync ctx s.s_vfs fd)
   | Abi.Poll (fds, timeout_ms) ->
-      (* poll ships with the nonblocking-IO stage: both exist so
+      (* poll ships with O_NONBLOCK in the desktop stage: both exist so
          event-driven apps stop spinning *)
-      need
-        (cfg.Kconfig.syscalls_files && cfg.Kconfig.nonblocking_io)
-        (fun () -> Vfs.op_poll ctx s.s_vfs fds timeout_ms)
+      need (Kconfig.desktop cfg) (fun () ->
+          Vfs.op_poll ctx s.s_vfs fds timeout_ms)
   | Abi.Mmap fd ->
-      need cfg.Kconfig.user_separation (fun () ->
-          if fd >= 0 && cfg.Kconfig.syscalls_files then
+      need (Kconfig.user_kernel cfg) (fun () ->
+          if fd >= 0 && Kconfig.files cfg then
             Vfs.op_mmap ctx s.s_vfs fd
           else begin
             (* Prototype 3 has no device files: mmap is hardwired to the
@@ -118,21 +117,21 @@ let dispatch s ctx =
           end)
   (* ---- threading & sync ---- *)
   | Abi.Clone body ->
-      need cfg.Kconfig.syscalls_threads (fun () ->
+      need (Kconfig.desktop cfg) (fun () ->
           Proc.sys_clone ctx s.s_proc body)
   | Abi.Join tid ->
-      need cfg.Kconfig.syscalls_threads (fun () ->
+      need (Kconfig.desktop cfg) (fun () ->
           Proc.sys_join ctx s.s_proc tid)
   | Abi.Sem_open value ->
-      need cfg.Kconfig.syscalls_threads (fun () ->
+      need (Kconfig.desktop cfg) (fun () ->
           match Sem.sem_open s.s_sems ~pid:ctx.Sched.task.Task.pid ~value with
           | Ok id -> Sched.finish ctx (Abi.R_int id)
           | Error e -> err ctx e)
   | Abi.Sem_post id ->
-      need cfg.Kconfig.syscalls_threads (fun () -> Sem.post ctx s.s_sems id)
+      need (Kconfig.desktop cfg) (fun () -> Sem.post ctx s.s_sems id)
   | Abi.Sem_wait id ->
-      need cfg.Kconfig.syscalls_threads (fun () -> Sem.wait ctx s.s_sems id)
+      need (Kconfig.desktop cfg) (fun () -> Sem.wait ctx s.s_sems id)
   | Abi.Sem_close id ->
-      need cfg.Kconfig.syscalls_threads (fun () -> Sem.close ctx s.s_sems id)
+      need (Kconfig.desktop cfg) (fun () -> Sem.close ctx s.s_sems id)
 
 let install s = s.s_sched.Sched.dispatch <- (fun ctx -> dispatch s ctx)

@@ -99,8 +99,6 @@ let create ~pid ~name ~kind ?vm ?(parent = 0) () =
     wm_surface = None;
   }
 
-let is_runnable t = t.state = Runnable
-
 let state_name t =
   match t.state with
   | Runnable -> "runnable"

@@ -146,47 +146,41 @@ let open_fat ctx t fat bc sub flags =
               | Ok fd -> Sched.finish ctx (Abi.R_int fd)
               | Error e -> err ctx e))
 
+(* O_NONBLOCK is a desktop-stage feature (P5); before it the flag is
+   ignored and every file blocks. *)
+let nonblock_of t flags =
+  Kconfig.desktop t.config && flags land Abi.o_nonblock <> 0
+
+(* Only reached at P4+: the syscall gate answers ENOSYS before. *)
 let op_open ctx t path flags =
   charge_dispatch ctx;
-  if (not t.config.Kconfig.syscalls_files) then err ctx Errno.enosys
-  else begin
-    let path = resolve ctx path in
-    match route t path with
-    | To_dev name -> (
-        if not t.config.Kconfig.devfs then err ctx Errno.enoent
-        else
-          match Devfs.lookup t.devfs name with
-          | None -> err ctx Errno.enoent
-          | Some ops ->
-              let file =
-                Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
-                  ~readable:(want_read flags) ~writable:(want_write flags)
-                  ~nonblock:
-                    (t.config.Kconfig.nonblocking_io
-                    && flags land Abi.o_nonblock <> 0)
-              in
-              (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-              | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-              | Error e -> err ctx e))
-    | To_proc name -> (
-        if not t.config.Kconfig.procfs then err ctx Errno.enoent
-        else
-          match Procfs.ops t.procfs name with
-          | None -> err ctx Errno.enoent
-          | Some ops ->
-              let file =
-                Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
-                  ~writable:(want_write flags)
-                  ~nonblock:
-                    (t.config.Kconfig.nonblocking_io
-                    && flags land Abi.o_nonblock <> 0)
-              in
-              (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-              | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-              | Error e -> err ctx e))
-    | To_fat (fat, bc, sub) -> open_fat ctx t fat bc sub flags
-    | To_root p -> open_xv6 ctx t p flags
-  end
+  let path = resolve ctx path in
+  match route t path with
+  | To_dev name -> (
+      match Devfs.lookup t.devfs name with
+      | None -> err ctx Errno.enoent
+      | Some ops ->
+          let file =
+            Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
+              ~readable:(want_read flags) ~writable:(want_write flags)
+              ~nonblock:(nonblock_of t flags)
+          in
+          (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
+          | Ok fd -> Sched.finish ctx (Abi.R_int fd)
+          | Error e -> err ctx e))
+  | To_proc name -> (
+      match Procfs.ops t.procfs name with
+      | None -> err ctx Errno.enoent
+      | Some ops ->
+          let file =
+            Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
+              ~writable:(want_write flags) ~nonblock:(nonblock_of t flags)
+          in
+          (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
+          | Ok fd -> Sched.finish ctx (Abi.R_int fd)
+          | Error e -> err ctx e))
+  | To_fat (fat, bc, sub) -> open_fat ctx t fat bc sub flags
+  | To_root p -> open_xv6 ctx t p flags
 
 (* ---- read ---- *)
 
@@ -470,9 +464,7 @@ let op_pipe ctx t flags =
   charge_dispatch ctx;
   Sched.charge ctx Kcost.pipe_setup;
   let p = Pipe.create t.ipc in
-  let nonblock =
-    t.config.Kconfig.nonblocking_io && flags land Abi.o_nonblock <> 0
-  in
+  let nonblock = nonblock_of t flags in
   let rf =
     Fd.make_file t.fdt ~kind:(Fd.K_pipe_read p) ~readable:true ~writable:false
       ~nonblock

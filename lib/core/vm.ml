@@ -15,7 +15,6 @@
     share one address space via reference counting. *)
 
 let page_bytes = Kalloc.page_bytes
-let stack_top = 0x0100_0000 (* 16 MB *)
 let max_stack_pages = 256 (* 1 MB of stack *)
 let fb_bus_address = 0x3c10_0000
 let fault_kill_threshold = 3

@@ -163,12 +163,6 @@ let key_name = function
 type agg_kind = A_count | A_sum of key | A_hist of key
 type by = By_none | By_pid | By_syscall | By_core
 
-let by_name = function
-  | By_none -> ""
-  | By_pid -> "pid"
-  | By_syscall -> "syscall"
-  | By_core -> "core"
-
 type spec = {
   s_point : int;
   s_preds : pred list;

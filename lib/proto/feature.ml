@@ -122,36 +122,3 @@ let close features =
     if S.cardinal bigger = S.cardinal set then set else fix bigger
   in
   S.elements (fix (S.of_list features))
-
-(* The bridge from the kernel's switchboard to the paper's vocabulary:
-   which Table-1 features a given {!Core.Kconfig.t} turns on. Closed
-   under [needs], so the result is always a well-formed feature set.
-   The tests check that [of_config (Kconfig.prototype k)] equals
-   [Matrix.features_of_prototype k] — the config record and the Table-1
-   column can't drift apart silently. *)
-let of_config (c : Core.Kconfig.t) =
-  let opt cond fs = if cond then fs else [] in
-  (* always-on substrate: every prototype boots the timer, IRQs, UART
-     and framebuffer (P1 is exactly this set) *)
-  let base =
-    [ Debug_msg; Hw_timers; Timekeeping; Interrupts; Framebuffer_io; Uart_tx ]
-  in
-  close
-    (base
-    @ opt c.Core.Kconfig.multitasking [ Multitasking; Page_allocator ]
-    @ opt c.Core.Kconfig.user_separation [ Privileges; Virtual_memory ]
-    @ opt c.Core.Kconfig.syscalls_tasks [ Syscalls_tasks; Lib_minimal ]
-    @ opt c.Core.Kconfig.syscalls_files [ Syscalls_files; File_abstraction ]
-    @ opt c.Core.Kconfig.syscalls_threads [ Syscalls_threads ]
-    @ opt c.Core.Kconfig.kmalloc [ Kmalloc ]
-    @ opt c.Core.Kconfig.filesystem [ Xv6_filesystem; Ramdisk ]
-    @ opt c.Core.Kconfig.fat32 [ Fat32; Sd_card ]
-    @ opt (c.Core.Kconfig.devfs || c.Core.Kconfig.procfs) [ Dev_proc_fs ]
-    @ opt c.Core.Kconfig.usb_keyboard [ Usb_keyboard ]
-    @ opt c.Core.Kconfig.sound [ Sound_pwm ]
-    @ opt c.Core.Kconfig.multicore [ Multicore ]
-    @ opt c.Core.Kconfig.window_manager [ Window_manager ]
-    (* the user library tiers and IRQ-driven UART RX aren't knobs of
-       their own; they ride the stage number (Table 1 columns) *)
-    @ opt (c.Core.Kconfig.stage >= 4) [ Lib_wrappers; Uart_rx_irq ]
-    @ opt (c.Core.Kconfig.stage >= 5) [ Lib_full ])

@@ -169,21 +169,85 @@ let sched_uptime_monotone () =
       let b = Usys.uptime_ms () in
       check_bool "uptime advanced" true (b >= a + 10))
 
-(* ENOSYS gating: prototype 3 has no files, prototype 4 no threads *)
+(* ENOSYS gating, the behavioural copy of Table 1: every stage-gated
+   syscall, issued once with harmless arguments at each prototype. A row
+   reads P1..P5; "x" means the call is served (whatever it returns), "."
+   means -ENOSYS. Calls run in this order, so fork's child is reaped by
+   wait. *)
+let gating_table =
+  let open Core.Abi in
+  let b = Bytes.of_string "g" in
+  [
+    ("sleep", ".xxxx", Sleep 1);
+    ("nice", ".xxxx", Nice 0);
+    ("fork", "..xxx", Fork (fun () -> 0));
+    ("wait", "..xxx", Wait);
+    ("kill", "..xxx", Kill 9999);
+    ("sbrk", "..xxx", Sbrk 0);
+    ("mmap fb", "..xxx", Mmap (-1));
+    ("write 1", "..xxx", Write (1, b));
+    ("exec", "...xx", Exec ("/nothere", [ "x" ]));
+    ("open", "...xx", Open ("/nothere", o_rdonly));
+    ("close", "...xx", Close 99);
+    ("read", "...xx", Read (99, 1));
+    ("write 99", "...xx", Write (99, b));
+    ("lseek", "...xx", Lseek (99, 0, 0));
+    ("dup", "...xx", Dup 99);
+    ("pipe", "...xx", Pipe 0);
+    ("fstat", "...xx", Fstat 99);
+    ("mkdir", "...xx", Mkdir "/gate");
+    ("unlink", "...xx", Unlink "/nothere");
+    ("chdir", "...xx", Chdir "/");
+    ("fsync", "...xx", Fsync 99);
+    ("poll", "....x", Poll ([ 0 ], 0));
+    ("clone", "....x", Clone (fun () -> 0));
+    ("join", "....x", Join 9999);
+    ("sem_open", "....x", Sem_open 1);
+    ("sem_post", "....x", Sem_post 9999);
+    ("sem_wait", "....x", Sem_wait 9999);
+    ("sem_close", "....x", Sem_close 9999);
+  ]
+
 let sched_feature_gating () =
-  let p3 = Core.Kconfig.prototype 3 in
-  in_kernel ~config:p3 (fun _ ->
-      check_int "open is ENOSYS at P3" (-Core.Errno.enosys)
-        (Usys.open_ "/x" Core.Abi.o_rdonly);
-      check_int "clone is ENOSYS at P3" (-Core.Errno.enosys)
-        (Usys.clone (fun () -> 0));
-      (* but write to fd 1 works, hardwired to UART (par 4.3) *)
-      check_bool "write works" true (Usys.write_str 1 "p3" > 0));
-  let p4 = Core.Kconfig.prototype 4 in
-  in_kernel ~config:p4 (fun _ ->
-      check_int "clone is ENOSYS at P4" (-Core.Errno.enosys)
-        (Usys.clone (fun () -> 0));
-      check_int "sem is ENOSYS at P4" (-Core.Errno.enosys) (Usys.sem_open 1))
+  let served = Array.make_matrix (List.length gating_table) 5 '?' in
+  for k = 1 to 5 do
+    let kernel =
+      boot_kernel ~config:{ (Core.Kconfig.prototype k) with kcheck = true } ()
+    in
+    (* P1-2 have no userspace: their code runs as kernel tasks *)
+    let spawn =
+      if k <= 2 then Core.Kernel.spawn_kernel else Core.Kernel.spawn_user
+    in
+    let finished = ref false in
+    ignore
+      (spawn kernel ~name:"gate" (fun () ->
+           List.iteri
+             (fun i (_, _, call) ->
+               served.(i).(k - 1) <-
+                 (match Usys.sys call with
+                 | Core.Abi.R_int e when e = -Core.Errno.enosys -> '.'
+                 | _ -> 'x'))
+             gating_table;
+           finished := true;
+           0));
+    Benchlib.Measure.drive kernel
+      ~deadline:(Int64.add (Core.Kernel.now kernel) (Sim.Engine.sec 10))
+      ~stop:(fun () -> !finished);
+    check_bool (Printf.sprintf "P%d gate task finished" k) true !finished
+  done;
+  let table row =
+    String.concat "\n"
+      (List.mapi
+         (fun i (name, expected, _) -> Printf.sprintf "%-9s %s" name (row i expected))
+         gating_table)
+  in
+  check_string "ENOSYS table, P1..P5"
+    (table (fun _ expected -> expected))
+    (table (fun i _ -> String.init 5 (fun c -> served.(i).(c))));
+  (* Prototype 3's write() is hardwired to the UART (par 4.3) *)
+  check_bool "P3 write reaches the UART" true
+    (let p3 = { (Core.Kconfig.prototype 3) with kcheck = true } in
+     in_kernel ~config:p3 (fun _ -> Usys.write_str 1 "p3" > 0))
 
 let suite_sched =
   ( "kernel.sched",
