@@ -350,10 +350,9 @@ let boot spec =
   | Some files ->
       if not (Kconfig.desktop spec.sp_config) then
         Kpanic.panicf "boot: USB storage needs the FAT32 feature";
-      let sectors = 32768 (* a 16 MiB stick *) in
-      let image = Bytes.make (sectors * Fs.Blockdev.sector_bytes) '\000' in
-      format_fat (Fs.Blockdev.of_image ~name:"usb0" image) files;
-      Hw.Usb.attach_msd board.Hw.Board.usb image;
+      let disk = Hw.Disk.create ~sectors:32768 (* a 16 MiB stick *) in
+      format_fat (Fs.Blockdev.of_disk ~name:"usb0" disk) files;
+      Hw.Usb.attach_msd board.Hw.Board.usb disk;
       ignore
         (mount_fat_device vfs ~board ~vprobe spec.sp_config
            (Bufcache.Usb_msd board.Hw.Board.usb)

@@ -23,6 +23,10 @@ val ramdisk : name:string -> sectors:int -> t * Bytes.t
 val of_image : name:string -> Bytes.t -> t
 (** Wrap an existing buffer (must be sector-aligned in length). *)
 
+val of_disk : name:string -> Hw.Disk.t -> t
+(** A cost-free view of a whole sparse medium (for formatting a USB stick
+    before it is plugged in). *)
+
 val of_sd : Hw.Sd.t -> name:string -> first_lba:int -> sectors:int -> ?on_io:(int64 -> unit) -> unit -> t
 (** A window onto an SD card starting at [first_lba]. Each operation's
     polling cost is reported to [on_io] (default: discarded) so the kernel

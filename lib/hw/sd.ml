@@ -10,7 +10,7 @@ let init_cost_ns = 180_000_000L (* card identify + switch to high speed *)
 type pending = { p_lba : int; p_data : Bytes.t }
 
 type t = {
-  image : Bytes.t;
+  disk : Disk.t;
   mutable reads : int;
   mutable writes : int;
   mutable queue : pending list;  (** pending writes, most recent first *)
@@ -28,7 +28,7 @@ type t = {
 let create _engine ~size_mib =
   assert (size_mib > 0);
   {
-    image = Bytes.make (size_mib * 1024 * 1024) '\000';
+    disk = Disk.create ~sectors:(size_mib * 1024 * 1024 / sector_bytes);
     reads = 0;
     writes = 0;
     queue = [];
@@ -49,7 +49,7 @@ let inject_read_faults t ~count = t.read_faults <- t.read_faults + max 0 count
 let pending_read_faults t = t.read_faults
 let faulted_read_count t = t.faulted_reads
 
-let sectors t = Bytes.length t.image / sector_bytes
+let sectors t = Disk.sectors t.disk
 
 let cost_ns ~count =
   Int64.add cmd_overhead_ns (Int64.mul (Int64.of_int count) per_sector_ns)
@@ -66,8 +66,7 @@ let read t ~lba ~count =
   end
   else begin
     t.reads <- t.reads + 1;
-    let data = Bytes.sub t.image (lba * sector_bytes) (count * sector_bytes) in
-    Ok (data, cost_ns ~count)
+    Ok (Disk.read t.disk ~lba ~count, cost_ns ~count)
   end
 
 let write t ~lba ~data =
@@ -89,8 +88,7 @@ let write t ~lba ~data =
         | None -> count
         | Some s -> Power.media_budget s ~sectors:count
       in
-      if granted > 0 then
-        Bytes.blit data 0 t.image (lba * sector_bytes) (granted * sector_bytes);
+      Disk.write t.disk ~lba ~count:granted data;
       Ok (cost_ns ~count)
     end
   end
@@ -170,9 +168,6 @@ let barrier ?(coalesce = true) t =
   if t.queue = [] then Ok (0L, 0) else flush_queue ~coalesce t
 
 let barrier_count t = t.barriers
-
-let load t ~lba data =
-  Bytes.blit data 0 t.image (lba * sector_bytes) (Bytes.length data)
 
 let read_count t = t.reads
 let write_count t = t.writes

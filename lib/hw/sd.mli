@@ -7,8 +7,8 @@
     pay the command overhead once, which is exactly why the paper's
     buffer-cache bypass wins 2–3x on multi-block FAT32 access.
 
-    Sectors are 512 bytes. The card image lives in memory; [load] lets boot
-    tooling stamp filesystem images onto it. *)
+    Sectors are 512 bytes, stored in a sparse {!Disk.t}: a sector nothing
+    has written reads as zeros and costs no host memory. *)
 
 type t
 
@@ -75,10 +75,6 @@ val set_supply : t -> Power.supply -> unit
 (** Attach the board's power rail: every media write is budgeted through
     {!Power.media_budget}, so a scheduled power cut drops — or tears at a
     sector boundary — writes that race the cut. *)
-
-val load : t -> lba:int -> Bytes.t -> unit
-(** Stamp raw bytes onto the card with no cost (development-machine side,
-    like dd-ing an image before inserting the card). *)
 
 val read_count : t -> int
 (** Number of read commands issued (not sectors). *)

@@ -9,7 +9,7 @@ type t = {
   mutable held : int list;  (* usage codes, oldest first, max 6 *)
   mutable dirty : bool;
   mutable latched : report list;  (* newest first *)
-  mutable msd : Bytes.t option;  (* mass-storage backing image *)
+  mutable msd : Disk.t option;  (* mass-storage medium *)
   mutable gen : int;  (* plug generation; stale poll fibers exit *)
 }
 
@@ -99,15 +99,12 @@ let sector_bytes = 512
 let msd_cmd_ns = 400_000L (* CBW + CSW round trip *)
 let msd_bytes_per_sec = 2_000_000L (* the simple stack's bulk throughput *)
 
-let attach_msd t image =
-  if Bytes.length image mod sector_bytes <> 0 then
-    invalid_arg "usb: msd image not sector-aligned";
-  t.msd <- Some image
+let attach_msd t disk = t.msd <- Some disk
 
 let msd_attached t = t.msd <> None
 
 let msd_sectors t =
-  match t.msd with Some img -> Bytes.length img / sector_bytes | None -> 0
+  match t.msd with Some disk -> Disk.sectors disk | None -> 0
 
 let msd_cost ~count =
   Int64.add msd_cmd_ns
@@ -118,28 +115,24 @@ let msd_cost ~count =
 let msd_read t ~lba ~count =
   match t.msd with
   | None -> Error "usb: no mass-storage device"
-  | Some img ->
-      let total = Bytes.length img / sector_bytes in
-      if count <= 0 || lba < 0 || lba > total - count then
+  | Some disk ->
+      if count <= 0 || lba < 0 || lba > Disk.sectors disk - count then
         Error "usb: msd read out of range"
-      else
-        Ok
-          ( Bytes.sub img (lba * sector_bytes) (count * sector_bytes),
-            msd_cost ~count )
+      else Ok (Disk.read disk ~lba ~count, msd_cost ~count)
 
 let msd_write t ~lba ~data =
   match t.msd with
   | None -> Error "usb: no mass-storage device"
-  | Some img ->
+  | Some disk ->
       let len = Bytes.length data in
       if len = 0 || len mod sector_bytes <> 0 then
         Error "usb: msd write not sector-aligned"
       else begin
         let count = len / sector_bytes in
-        let total = Bytes.length img / sector_bytes in
-        if lba < 0 || lba > total - count then Error "usb: msd write out of range"
+        if lba < 0 || lba > Disk.sectors disk - count then
+          Error "usb: msd write out of range"
         else begin
-          Bytes.blit data 0 img (lba * sector_bytes) len;
+          Disk.write disk ~lba ~count data;
           Ok (msd_cost ~count)
         end
       end

@@ -56,10 +56,9 @@ val reports_pending : t -> int
 (** {1 Mass-storage class (the extensibility §4.4 credits the USB stack
     with: "ethernet adapters and mass storage, in the future")} *)
 
-val attach_msd : t -> Bytes.t -> unit
-(** Plug a bulk-only mass-storage device backed by [image] (a whole
-    number of 512-byte sectors) into the root hub; enumerated together
-    with the keyboard at [power_on]. *)
+val attach_msd : t -> Disk.t -> unit
+(** Plug a bulk-only mass-storage device backed by [disk] into the root
+    hub; enumerated together with the keyboard at [power_on]. *)
 
 val msd_attached : t -> bool
 

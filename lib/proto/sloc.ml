@@ -80,6 +80,7 @@ let inventory =
     ("lib/core/kbd.ml", 4, Drivers);
     ("lib/core/audio.ml", 4, Drivers);
     ("lib/hw/usb.ml", 4, Drivers);
+    ("lib/hw/disk.ml", 4, Drivers);
     ("lib/hw/gpio.ml", 4, Drivers);
     ("lib/hw/dma.ml", 4, Drivers);
     ("lib/hw/pwm_audio.ml", 4, Drivers);

@@ -204,11 +204,13 @@ let present t =
       ignore (Usys.cacheflush ())
   | Windowed fd ->
       let npx = t.width * t.height in
-      if Bytes.length t.scanline >= npx * 4 then pack_pixels t.pixels t.scanline npx;
+      pack_pixels t.pixels t.scanline npx;
       charge t (npx / 4) (* pack pixels for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;
-      ignore (Usys.write fd (Bytes.sub t.scanline 0 (npx * 4))))
+      (* the surface write unpacks the frame before the task resumes, so
+         the scratch buffer (exactly [npx * 4] bytes here) goes as is *)
+      ignore (Usys.write fd t.scanline))
 
 let close t =
   match t.mode with Windowed fd -> ignore (Usys.close fd) | Direct _ -> ()

@@ -82,7 +82,7 @@ let usb_slower_than_ramdisk () =
 
 let msd_bounds () =
   let b = Hw.Board.create () in
-  Hw.Usb.attach_msd b.Hw.Board.usb (Bytes.make (512 * 8) '\000');
+  Hw.Usb.attach_msd b.Hw.Board.usb (Hw.Disk.create ~sectors:8);
   ignore (check_err "read past end" (Hw.Usb.msd_read b.Hw.Board.usb ~lba:8 ~count:1));
   ignore (check_err "unattached"
       (let b2 = Hw.Board.create () in

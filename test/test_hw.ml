@@ -425,6 +425,62 @@ let sd_queue_last_write_wins () =
   check_bool "later write landed last" true (Bytes.get back 0 = 'n');
   ignore (check_err "queue bounds" (Hw.Sd.enqueue_write sd ~lba:(-1) ~data:(sector 'x')))
 
+(* ---- sparse media ---- *)
+
+let allocated_during f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+let chunk_bytes = 4096
+
+let sd_image_is_sparse () =
+  (* a 64 MiB card is a chunk table, not 64 MiB of zeros *)
+  let _, bytes = allocated_during (fun () -> Hw.Board.create ~sd_mib:64 ()) in
+  check_bool
+    (Printf.sprintf "board with a 64 MiB card allocates < 1 MiB (%.0f B)" bytes)
+    true (bytes < 1_048_576.0)
+
+let disk_write_straddles_chunks () =
+  let disk = Hw.Disk.create ~sectors:32 in
+  (* sectors 6..9: the first 4 KiB chunk holds 0..7, the second 8..15 *)
+  let data = Bytes.init (4 * 512) (fun i -> Char.chr (1 + (i / 512))) in
+  Hw.Disk.write disk ~lba:6 ~count:4 data;
+  check_bool "straddling write reads back" true
+    (Bytes.equal data (Hw.Disk.read disk ~lba:6 ~count:4));
+  check_bool "unwritten sectors before are zeros" true
+    (Bytes.equal (Bytes.make (6 * 512) '\000') (Hw.Disk.read disk ~lba:0 ~count:6));
+  check_bool "unwritten sectors after are zeros" true
+    (Bytes.equal (Bytes.make (22 * 512) '\000') (Hw.Disk.read disk ~lba:10 ~count:22));
+  check_bool "one read spans written and unwritten chunks" true
+    (Bytes.equal
+       (Bytes.concat Bytes.empty
+          [ Bytes.make (6 * 512) '\000'; data; Bytes.make (22 * 512) '\000' ])
+       (Hw.Disk.read disk ~lba:0 ~count:32))
+
+let sd_torn_write_across_chunks () =
+  let b = fresh () in
+  let sd = b.Hw.Board.sd in
+  Hw.Power.cut_after_media_writes b.Hw.Board.supply ~sectors:1;
+  (* sectors 7 and 8 sit in different chunks; the rail grants only 7 *)
+  let data = Bytes.cat (sector 'a') (sector 'b') in
+  let _, torn = allocated_during (fun () -> Hw.Sd.write sd ~lba:7 ~data) in
+  check_bool "torn write allocates one chunk" true
+    (torn >= float chunk_bytes && torn < float (2 * chunk_bytes));
+  let back, _ = check_ok "read" (Hw.Sd.read sd ~lba:7 ~count:2) in
+  check_bool "granted prefix landed" true
+    (Bytes.equal (Bytes.sub back 0 512) (sector 'a'));
+  check_bool "dropped tail reads as zeros" true
+    (Bytes.equal (Bytes.sub back 512 512) (sector '\000'));
+  check_bool "rail is down" false (Hw.Power.alive b.Hw.Board.supply);
+  let data = Bytes.make chunk_bytes 'c' in
+  let _, dropped = allocated_during (fun () -> Hw.Sd.write sd ~lba:16 ~data) in
+  check_bool "fully dropped write allocates no chunk" true
+    (dropped < float chunk_bytes);
+  let back, _ = check_ok "read" (Hw.Sd.read sd ~lba:16 ~count:8) in
+  check_bool "dropped write left zeros" true
+    (Bytes.equal back (Bytes.make chunk_bytes '\000'))
+
 (* ---- usb ---- *)
 
 let usb_reports_after_init () =
@@ -522,6 +578,9 @@ let suite =
       quick "sd queue coalesces adjacent" sd_queue_coalesces_adjacent;
       quick "sd queue without coalescing" sd_queue_without_coalescing;
       quick "sd queue last write wins" sd_queue_last_write_wins;
+      quick "sd image is sparse" sd_image_is_sparse;
+      quick "disk write straddles chunks" disk_write_straddles_chunks;
+      quick "sd torn write across chunks" sd_torn_write_across_chunks;
       quick "usb reports after init" usb_reports_after_init;
       quick "usb frame quantization" usb_frame_quantization;
       quick "usb release and modifiers" usb_release_and_modifiers;
