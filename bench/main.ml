@@ -226,7 +226,7 @@ let bechamel_tests () =
               ~kernel_reserved_bytes:0
           in
           fun () ->
-            match Core.Kalloc.alloc_page k ~owner:"bench" with
+            match Core.Kalloc.alloc_page k with
             | Some f -> Core.Kalloc.free_page k f
             | None -> ()));
     Test.make ~name:"fig12.power-model"

@@ -7,7 +7,11 @@
 
     Frames are bookkeeping only — the simulation has no byte-addressable
     physical memory — but exhaustion, double-free and leak detection are
-    real. *)
+    real. A request costs time in the pages it moves: [alloc_pages]
+    refuses a request larger than the free pages before it touches any
+    state, so a refusal has no side effects (free list, frame table and
+    peak are as they were). Frames carry no owner; each {!Vm} address
+    space keeps the frames it was given and frees its own. *)
 
 let page_bytes = 4096
 
@@ -16,13 +20,13 @@ type t = {
   mutable free_pages : int;
   mutable next_frame : int;
   free_list : int Stack.t;
-  allocated : (int, string) Hashtbl.t;  (** frame -> owner tag *)
+  allocated : (int, unit) Hashtbl.t;  (** the frames handed out *)
   mutable kmalloc_bytes : int;
   mutable kmalloc_live : int;
   mutable peak_pages : int;
   mutable next_asid : int;
-      (** last address-space id handed out; {!Vm} names its frames'
-          owner tag after it, so the stream is per allocator *)
+      (** last address-space id handed out by {!Vm.create}; the stream is
+          per allocator *)
 }
 
 let create ~dram_bytes ~kernel_reserved_bytes =
@@ -39,37 +43,30 @@ let create ~dram_bytes ~kernel_reserved_bytes =
     next_asid = 0;
   }
 
-let alloc_page t ~owner =
-  if t.free_pages = 0 then None
-  else begin
-    let frame =
-      if Stack.is_empty t.free_list then begin
-        let f = t.next_frame in
-        t.next_frame <- f + 1;
-        f
-      end
-      else Stack.pop t.free_list
-    in
-    t.free_pages <- t.free_pages - 1;
-    Hashtbl.replace t.allocated frame owner;
-    let used = t.total_pages - t.free_pages in
-    if used > t.peak_pages then t.peak_pages <- used;
-    Some frame
-  end
-
-let alloc_pages t ~owner n =
-  let rec go acc k =
-    if k = 0 then Some (List.rev acc)
-    else
-      match alloc_page t ~owner with
-      | Some f -> go (f :: acc) (k - 1)
-      | None ->
-          List.iter (fun f -> Stack.push f t.free_list) acc;
-          t.free_pages <- t.free_pages + List.length acc;
-          List.iter (Hashtbl.remove t.allocated) acc;
-          None
+(* Hand out one frame; the caller has checked that one is free. *)
+let take t =
+  let frame =
+    if Stack.is_empty t.free_list then begin
+      let f = t.next_frame in
+      t.next_frame <- f + 1;
+      f
+    end
+    else Stack.pop t.free_list
   in
-  go [] n
+  t.free_pages <- t.free_pages - 1;
+  Hashtbl.replace t.allocated frame ();
+  let used = t.total_pages - t.free_pages in
+  if used > t.peak_pages then t.peak_pages <- used;
+  frame
+
+let alloc_page t = if t.free_pages = 0 then None else Some (take t)
+
+(* All [n] frames or none, in no particular order. *)
+let alloc_pages t n =
+  if n > t.free_pages then None
+  else
+    let rec go acc k = if k = 0 then acc else go (take t :: acc) (k - 1) in
+    Some (go [] n)
 
 let free_page t frame =
   if not (Hashtbl.mem t.allocated frame) then

@@ -11,8 +11,12 @@
     terminated by the kernel — [record_fault] implements that policy.
 
     Page frames come from {!Kalloc}, so address-space size is visible in the
-    memory accounting. With CLONE_VM (Prototype 5 threads) several tasks
-    share one address space via reference counting. *)
+    memory accounting. Each space keeps the frames it was given and frees
+    its own, so shrinking or destroying one costs the pages it releases,
+    not a walk over every frame in the system. A refused request (sbrk,
+    fork, stack growth) leaves the allocator as it was. With CLONE_VM
+    (Prototype 5 threads) several tasks share one address space via
+    reference counting. *)
 
 let page_bytes = Kalloc.page_bytes
 let max_stack_pages = 256 (* 1 MB of stack *)
@@ -28,8 +32,8 @@ type mapping = {
 
 type t = {
   asid : int;
-  owner_tag : string;
   kalloc : Kalloc.t;
+  mutable frames : int list;  (** the {!Kalloc} frames this space holds *)
   mutable code_pages : int;
   mutable brk : int;  (** heap break, bytes from heap base *)
   heap_base : int;
@@ -45,22 +49,24 @@ let heap_pages t = (t.brk + page_bytes - 1) / page_bytes
 let resident_pages t = t.code_pages + heap_pages t + t.stack_pages
 
 let alloc_frames t n =
-  match Kalloc.alloc_pages t.kalloc ~owner:t.owner_tag n with
-  | Some _ -> Ok ()
+  match Kalloc.alloc_pages t.kalloc n with
+  | Some fs ->
+      t.frames <- List.rev_append fs t.frames;
+      Ok ()
   | None -> Error "vm: out of memory"
 
 let free_frames t n =
-  (* Frames are interchangeable; release any n owned by this space. *)
-  let released = ref 0 in
-  let to_free = ref [] in
-  Hashtbl.iter
-    (fun frame tag ->
-      if !released < n && String.equal tag t.owner_tag then begin
-        to_free := frame :: !to_free;
-        incr released
-      end)
-    t.kalloc.Kalloc.allocated;
-  List.iter (Kalloc.free_page t.kalloc) !to_free
+  if List.compare_length_with t.frames n < 0 then
+    Kpanic.panicf "vm: as%d frees %d pages but holds %d" t.asid n
+      (List.length t.frames);
+  let rec release k frames =
+    match frames with
+    | f :: rest when k > 0 ->
+        Kalloc.free_page t.kalloc f;
+        release (k - 1) rest
+    | _ -> frames
+  in
+  t.frames <- release n t.frames
 
 let create kalloc ~code_pages =
   kalloc.Kalloc.next_asid <- kalloc.Kalloc.next_asid + 1;
@@ -68,8 +74,8 @@ let create kalloc ~code_pages =
   let t =
     {
       asid;
-      owner_tag = Printf.sprintf "as%d" asid;
       kalloc;
+      frames = [];
       code_pages = 0;
       brk = 0;
       heap_base = 0;
@@ -101,7 +107,9 @@ let fork_copy t =
       (* match heap and stack shape *)
       let extra = heap_pages t + (t.stack_pages - child.stack_pages) in
       match alloc_frames child extra with
-      | Error e -> Error e
+      | Error e ->
+          free_frames child (resident_pages child);
+          Error e
       | Ok () ->
           child.brk <- t.brk;
           child.stack_pages <- t.stack_pages;

@@ -212,7 +212,9 @@ let nices = [| -30; -1; 0; 5; 50 |]
 (* sbrk menu stops at 16 MB of real growth: bigger grants are legal but
    make every later fork pay megabytes of page copies, which busts the
    session's virtual-time budget and reads as a false Wedge. The 1 GB
-   entry probes the ENOMEM path, which fails fast. *)
+   entry probes the ENOMEM path: it exceeds free memory, so Kalloc
+   refuses it before moving a frame. The refusal changes no allocator
+   state, and sbrk charges its per-page cost only on success. *)
 let sbrks = [| -4096; 0; 4096; 65536; 1 lsl 24; 1 lsl 30 |]
 let burns = [| 1_000; 5_000; 20_000; 100_000 |]
 let usages = [| 0x04; 0x05; 0x28; 0x2c; 0x4f; 0x52 |]

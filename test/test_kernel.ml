@@ -348,14 +348,124 @@ let vm_mmap_identity () =
 
 let kalloc_exhaustion_and_double_free () =
   let k = Core.Kalloc.create ~dram_bytes:(16 * 4096) ~kernel_reserved_bytes:0 in
-  let frames = List.init 16 (fun _ -> Core.Kalloc.alloc_page k ~owner:"t") in
+  let frames = List.init 16 (fun _ -> Core.Kalloc.alloc_page k) in
   check_bool "all allocated" true (List.for_all Option.is_some frames);
-  check_bool "exhausted" true (Core.Kalloc.alloc_page k ~owner:"t" = None);
+  check_bool "exhausted" true (Core.Kalloc.alloc_page k = None);
   let f = Option.get (List.hd frames) in
   Core.Kalloc.free_page k f;
   Alcotest.check_raises "double free detected"
     (Core.Kpanic.Panic (Printf.sprintf "kalloc: double free of frame %d" f))
     (fun () -> Core.Kalloc.free_page k f)
+
+(* A refused sbrk touches nothing. The 1 GB request exceeds free memory,
+   so Kalloc must say no before it moves a frame: no page counted as
+   used, no /proc/meminfo Peak raised to MemTotal, no free-list churn
+   that would change the next frame handed out, and no host allocation
+   in proportion to free memory. *)
+let vm_refused_sbrk_touches_nothing () =
+  let kernel = boot_kernel () in
+  let k = kernel.Core.Kernel.kalloc in
+  let next_of () =
+    match Core.Kalloc.alloc_page k with
+    | Some f ->
+        Core.Kalloc.free_page k f;
+        f
+    | None -> Alcotest.fail "no free frame"
+  in
+  let snapshot () =
+    let next = next_of () in
+    (next, Core.Kalloc.used_pages k, Core.Kalloc.peak_bytes k, k.Core.Kalloc.next_frame)
+  in
+  (* the checks run outside the task, so a failure names itself *)
+  let r, bytes, (next, used, peak, cursor), (next', used', peak', cursor') =
+    match
+      Benchlib.Measure.run_task kernel ~name:"hog" (fun () ->
+          let before = snapshot () in
+          let b0 = Gc.allocated_bytes () in
+          let r = Usys.sbrk (1 lsl 30) in
+          let bytes = Gc.allocated_bytes () -. b0 in
+          (r, bytes, before, snapshot ()))
+    with
+    | Ok (v, _) -> v
+    | Error e -> Alcotest.fail e
+  in
+  check_int "ENOMEM" (-Core.Errno.enomem) r;
+  check_int "used pages" used used';
+  check_int "meminfo Peak" peak peak';
+  check_int "fresh-frame cursor" cursor cursor';
+  check_int "next frame" next next';
+  check_bool
+    (Printf.sprintf "refusal allocated %.0f bytes (< 64 KiB)" bytes)
+    true (bytes < 65536.)
+
+let kalloc_state k =
+  ( Core.Kalloc.free_pages k,
+    k.Core.Kalloc.next_frame,
+    k.Core.Kalloc.peak_pages,
+    Stack.length k.Core.Kalloc.free_list,
+    Hashtbl.length k.Core.Kalloc.allocated )
+
+let kalloc_alloc_pages_boundary () =
+  let k = Core.Kalloc.create ~dram_bytes:(16 * 4096) ~kernel_reserved_bytes:0 in
+  (* a non-empty free list and a moved cursor, so both are checked *)
+  let held = Option.get (Core.Kalloc.alloc_pages k 5) in
+  Core.Kalloc.free_page k (List.hd held);
+  let free = Core.Kalloc.free_pages k in
+  check_int "free pages" 12 free;
+  let state = kalloc_state k in
+  check_bool "free + 1 refused" true (Core.Kalloc.alloc_pages k (free + 1) = None);
+  check_bool "refusal changed nothing" true (kalloc_state k = state);
+  match Core.Kalloc.alloc_pages k free with
+  | None -> Alcotest.fail "exactly the free pages refused"
+  | Some frames ->
+      check_int "got them all" free (List.length frames);
+      check_int "none left" 0 (Core.Kalloc.free_pages k);
+      check_int "distinct frames" 16
+        (List.length (List.sort_uniq compare (frames @ List.tl held)));
+      check_bool "then 1 refused" true (Core.Kalloc.alloc_pages k 1 = None)
+
+let vm_destroy_frees_own_frames () =
+  let k = Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024) ~kernel_reserved_bytes:0 in
+  let a = Result.get_ok (Core.Vm.create k ~code_pages:4) in
+  let b = Result.get_ok (Core.Vm.create k ~code_pages:2) in
+  ignore (Result.get_ok (Core.Vm.sbrk a (3 * 4096)));
+  ignore (Result.get_ok (Core.Vm.sbrk b (5 * 4096)));
+  let mine = a.Core.Vm.frames and theirs = b.Core.Vm.frames in
+  check_int "a holds its resident pages" (Core.Vm.resident_pages a) (List.length mine);
+  check_int "b holds its resident pages" (Core.Vm.resident_pages b) (List.length theirs);
+  let used = Core.Kalloc.used_pages k in
+  Core.Vm.destroy a;
+  check_int "exactly a's pages returned" (used - List.length mine)
+    (Core.Kalloc.used_pages k);
+  check_bool "a's frames are free" false
+    (List.exists (Hashtbl.mem k.Core.Kalloc.allocated) mine);
+  check_bool "b's frames stay allocated" true
+    (List.for_all (Hashtbl.mem k.Core.Kalloc.allocated) theirs);
+  Core.Vm.destroy b;
+  check_int "all freed" 0 (Core.Kalloc.used_pages k)
+
+(* A fork that runs out of memory halfway keeps nothing: the child's
+   code and stack pages, which it got before the heap copy was refused,
+   go back too. *)
+let vm_refused_fork_keeps_nothing () =
+  let k = Core.Kalloc.create ~dram_bytes:(64 * 4096) ~kernel_reserved_bytes:0 in
+  let vm = Result.get_ok (Core.Vm.create k ~code_pages:4) in
+  ignore (Result.get_ok (Core.Vm.sbrk vm (40 * 4096)));
+  let used = Core.Kalloc.used_pages k in
+  check_bool "fork refused" true (Result.is_error (Core.Vm.fork_copy vm));
+  check_int "no pages kept" used (Core.Kalloc.used_pages k)
+
+let vm_overfree_panics () =
+  let k = Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024) ~kernel_reserved_bytes:0 in
+  let vm = Result.get_ok (Core.Vm.create k ~code_pages:2) in
+  let held = List.length vm.Core.Vm.frames in
+  let used = Core.Kalloc.used_pages k in
+  Alcotest.check_raises "over-free detected"
+    (Core.Kpanic.Panic
+       (Printf.sprintf "vm: as%d frees %d pages but holds %d" vm.Core.Vm.asid
+          (held + 1) held))
+    (fun () -> Core.Vm.free_frames vm (held + 1));
+  check_int "nothing freed" used (Core.Kalloc.used_pages k)
 
 let suite_vm =
   ( "kernel.vm",
@@ -367,6 +477,11 @@ let suite_vm =
       quick "clone shares the address space" vm_clone_shares_space;
       quick "fb mmap is identity-mapped" vm_mmap_identity;
       quick "kalloc exhaustion and double free" kalloc_exhaustion_and_double_free;
+      quick "refused sbrk touches nothing" vm_refused_sbrk_touches_nothing;
+      quick "kalloc alloc_pages at the boundary" kalloc_alloc_pages_boundary;
+      quick "destroy frees only its own frames" vm_destroy_frees_own_frames;
+      quick "refused fork keeps nothing" vm_refused_fork_keeps_nothing;
+      quick "freeing more than held panics" vm_overfree_panics;
     ] )
 
 (* ---- pipes, semaphores, threads ---- *)
@@ -677,8 +792,7 @@ let ipc_latency_in_range () =
    second kernel must not rewind the first one's. At one shared stream a
    new pipe in the first kernel reused a live pipe's id, and with it that
    pipe's wait channels (pipe:<id>:r, pipe:<id>:w); a new task reused a
-   live address space's ASID, and with it the Kalloc owner tag
-   (as<N>) that [Vm.free_frames] releases pages by. *)
+   live address space's ASID. *)
 let id_streams_are_per_kernel () =
   (* a user task's ids: pid, its console file on fd 0, its ASID *)
   let spawn k =
