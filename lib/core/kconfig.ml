@@ -11,10 +11,11 @@
     sanitizer, observability, the journal). [prototype k] is stage
     [k]'s defaults; [full] is Prototype 5. *)
 
-(** Which scheduling class the per-core runqueues run. [Sched_rr] is the
-    paper's round-robin (one quantum for everyone); [Sched_mlfq] is the
-    multi-level feedback queue with per-task nice values, quantum scaling
-    and a sleeper boost. *)
+(** Which scheduling class the per-core runqueues run. Both are the same
+    multi-level feedback queue, given as data ({!Sched.sched_class}).
+    [Sched_rr] is the paper's round-robin: the one-level case, with one
+    fixed quantum for everyone and nice ignored. [Sched_mlfq] has four
+    levels, nice-scaled quanta, demotion and a sleeper boost. *)
 type sched_policy = Sched_rr | Sched_mlfq
 
 (** How an idle core learns that a wakeup was queued for it.

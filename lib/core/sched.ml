@@ -16,12 +16,15 @@
 
     Beyond the paper, the scheduler is split into policy and mechanism:
 
-    - a {!sched_class} (enqueue / pick / steal / quantum / priority) owns
-      the per-core runqueue representation. Two classes are selectable via
-      {!Kconfig.sched_policy}: the paper's round-robin (default — keeps
-      every paper number bit-identical) and an MLFQ class with per-task
-      nice values, quantum scaling, a sleeper boost and periodic
-      anti-starvation boosts;
+    - the policy is data: a {!sched_class} lists one quantum per
+      priority level and says whether nice scales it, and each core's
+      runqueue holds one FIFO per level. {!Kconfig.sched_policy} picks the
+      paper's round-robin (default — keeps every paper number
+      bit-identical), which is the one-level case (a fixed quantum, nice
+      ignored), or a four-level MLFQ with nice-scaled quanta, demotion on
+      quantum expiry, a sleeper boost and periodic anti-starvation boosts.
+      One dispatch path serves both: with one level, demotion and the
+      boosts have nowhere to move a task;
     - wake placement can prefer the task's last-run core (cache affinity,
       {!Kconfig.wake_affinity}); a task dispatched on a different core
       then pays the modeled {!Kcost.sched_migrate} cache-refill penalty;
@@ -52,7 +55,8 @@ type ctx = {
 
 and core_state = {
   core_id : int;
-  mutable rq : runqueue;
+  rq : Task.t Queue.t array;
+      (** one FIFO per priority level; index 0 runs first *)
   stats : core_stats;
   mutable current : Task.t option;
   mutable last_pid : int;  (** pid last dispatched here, for Ctx_switch *)
@@ -67,10 +71,6 @@ and core_state = {
   mutable busy_ns : int64;
   mutable io_busy_ns : int64;
 }
-
-and runqueue =
-  | Rq_rr of Task.t Queue.t
-  | Rq_mlfq of Task.t Queue.t array  (** index 0 = highest priority *)
 
 (* This core's handles into the kperf registry, taken once at boot. *)
 and core_stats = {
@@ -128,124 +128,72 @@ and t = {
           and the lockdep order graph *)
 }
 
-(** A scheduling class: the policy face of the per-core runqueues. The
-    mechanism (cores, burns, context switches, IPIs) never inspects the
-    queue representation — it goes through these hooks, so classes are
-    pluggable per {!Kconfig.sched_policy}. *)
+(** A scheduling class: one quantum per priority level (ticks, level 0
+    first) and whether nice scales it. A task's level is its
+    [Task.mlfq_level]; smaller runs first. *)
 and sched_class = {
   sc_name : string;
-  sc_make : unit -> runqueue;
-  sc_enqueue : runqueue -> Task.t -> unit;  (** wakeup or new arrival *)
-  sc_requeue : runqueue -> Task.t -> unit;  (** preempted: back of its level *)
-  sc_pick : runqueue -> Task.t option;
-  sc_steal : runqueue -> Task.t option;
-      (** victim side of work stealing / load balancing *)
-  sc_prio : Task.t -> int;  (** smaller = more urgent *)
-  sc_best_prio : runqueue -> int option;  (** most urgent queued priority *)
-  sc_quantum : Task.t -> int;  (** ticks until preemption *)
-  sc_on_block_wake : Task.t -> unit;  (** sleeper boost *)
-  sc_on_expire : Task.t -> unit;  (** quantum ran out: demotion *)
+  sc_quanta : int array;
+  sc_nice : bool;
 }
 
-(* ---- runqueue plumbing shared by both classes ---- *)
-
-let rq_len = function
-  | Rq_rr q -> Queue.length q
-  | Rq_mlfq levels -> Array.fold_left (fun n q -> n + Queue.length q) 0 levels
-
-(* ---- the round-robin class: the paper's scheduler, bit-identical ---- *)
-
+(* The paper's round-robin is MLFQ with one level: demotion and the
+   boosts have nowhere to move a task, so its one FIFO keeps arrival
+   order. *)
 let rr_class =
-  let q = function
-    | Rq_rr q -> q
-    | Rq_mlfq _ -> Kpanic.panicf "sched: rr class on mlfq queue"
-  in
-  {
-    sc_name = "rr";
-    sc_make = (fun () -> Rq_rr (Queue.create ()));
-    sc_enqueue = (fun rq task -> Queue.add task (q rq));
-    sc_requeue = (fun rq task -> Queue.add task (q rq));
-    sc_pick = (fun rq -> Queue.take_opt (q rq));
-    sc_steal = (fun rq -> Queue.take_opt (q rq));
-    sc_prio = (fun _ -> 0);
-    sc_best_prio = (fun rq -> if Queue.is_empty (q rq) then None else Some 0);
-    sc_quantum = (fun _ -> Task.default_quantum);
-    sc_on_block_wake = (fun _ -> ());
-    sc_on_expire = (fun _ -> ());
-  }
+  { sc_name = "rr"; sc_quanta = [| Task.default_quantum |]; sc_nice = false }
 
-(* ---- the MLFQ class: nice values, quantum scaling, sleeper boost ---- *)
-
-let mlfq_levels = 4
-let mlfq_quanta = [| 2; 4; 8; 16 |]  (* ticks; interactive levels run short *)
-let mlfq_boost_ticks = 100  (* periodic anti-starvation boost, per core *)
-
+(* Interactive levels run short; batch work sinks to the long slices. *)
 let mlfq_class =
-  let levels = function
-    | Rq_mlfq a -> a
-    | Rq_rr _ -> Kpanic.panicf "sched: mlfq class on rr queue"
-  in
-  let clamp_level l = max 0 (min (mlfq_levels - 1) l) in
-  {
-    sc_name = "mlfq";
-    sc_make = (fun () -> Rq_mlfq (Array.init mlfq_levels (fun _ -> Queue.create ())));
-    sc_enqueue =
-      (fun rq task ->
-        task.Task.mlfq_level <- clamp_level task.Task.mlfq_level;
-        Queue.add task (levels rq).(task.Task.mlfq_level));
-    sc_requeue =
-      (fun rq task ->
-        task.Task.mlfq_level <- clamp_level task.Task.mlfq_level;
-        Queue.add task (levels rq).(task.Task.mlfq_level));
-    sc_pick =
-      (fun rq ->
-        let a = levels rq in
-        let rec go l =
-          if l >= mlfq_levels then None
-          else
-            match Queue.take_opt a.(l) with
-            | Some task -> Some task
-            | None -> go (l + 1)
-        in
-        go 0);
-    sc_steal =
-      (fun rq ->
-        (* steal batch work first: interactive tasks stay cache-hot *)
-        let a = levels rq in
-        let rec go l =
-          if l < 0 then None
-          else
-            match Queue.take_opt a.(l) with
-            | Some task -> Some task
-            | None -> go (l - 1)
-        in
-        go (mlfq_levels - 1));
-    sc_prio = (fun task -> task.Task.mlfq_level);
-    sc_best_prio =
-      (fun rq ->
-        let a = levels rq in
-        let rec go l =
-          if l >= mlfq_levels then None
-          else if not (Queue.is_empty a.(l)) then Some l
-          else go (l + 1)
-        in
-        go 0);
-    sc_quantum =
-      (fun task ->
-        (* nice scaling: -20 doubles the slice, +19 shrinks it to a tick *)
-        let base = mlfq_quanta.(clamp_level task.Task.mlfq_level) in
-        max 1 (base * (20 - task.Task.nice) / 20));
-    sc_on_block_wake =
-      (fun task ->
-        (* sleeper boost: a task that voluntarily blocked is interactive *)
-        task.Task.mlfq_level <- 0);
-    sc_on_expire =
-      (fun task -> task.Task.mlfq_level <- clamp_level (task.Task.mlfq_level + 1));
-  }
+  { sc_name = "mlfq"; sc_quanta = [| 2; 4; 8; 16 |]; sc_nice = true }
+let mlfq_boost_ticks = 100  (* periodic anti-starvation boost, per core *)
 
 let class_of_policy = function
   | Kconfig.Sched_rr -> rr_class
   | Kconfig.Sched_mlfq -> mlfq_class
+
+(* ---- the runqueue: one FIFO per level ----
+
+   These run on every wakeup, dispatch and tick, so they build no
+   closures and no options beyond what [Queue] itself returns. *)
+
+let rq_len rq =
+  let n = ref 0 in
+  for l = 0 to Array.length rq - 1 do
+    n := !n + Queue.length rq.(l)
+  done;
+  !n
+
+(* Wakeup, arrival or preemption: the back of the task's own level. A
+   level is always in range: it is only ever reset to 0 or demoted by
+   the tick, which stops at the last level, and every core of a kernel
+   shares one class. *)
+let rq_add rq task = Queue.add task rq.(task.Task.mlfq_level)
+
+(* The first non-empty level from [l] on, walking by [step]; -1 if none. *)
+let rec rq_find rq l step =
+  if l < 0 || l >= Array.length rq then -1
+  else if Queue.is_empty rq.(l) then rq_find rq (l + step) step
+  else l
+
+(* The most urgent queued level, or -1 when the queue is empty. *)
+let rq_best rq = rq_find rq 0 1
+
+let rq_pick rq =
+  match rq_best rq with -1 -> None | l -> Queue.take_opt rq.(l)
+
+(* The victim side of stealing and balancing takes batch work first:
+   interactive tasks stay cache-hot. *)
+let rq_steal rq =
+  match rq_find rq (Array.length rq - 1) (-1) with
+  | -1 -> None
+  | l -> Queue.take_opt rq.(l)
+
+(* Ticks until preemption. Nice scaling: -20 doubles the slice, +19
+   shrinks it to a tick. *)
+let quantum cls task =
+  let base = cls.sc_quanta.(task.Task.mlfq_level) in
+  if cls.sc_nice then max 1 (base * (20 - task.Task.nice) / 20) else base
 
 let engine t = t.board.Hw.Board.engine
 let now t = Sim.Engine.now (engine t)
@@ -290,7 +238,7 @@ let create board config kalloc =
         Array.init board.Hw.Board.platform.Hw.Board.num_cores (fun core_id ->
             {
               core_id;
-              rq = cls.sc_make ();
+              rq = Array.map (fun _ -> Queue.create ()) cls.sc_quanta;
               stats = core_stats kperf core_id;
               current = None;
               last_pid = 0;
@@ -498,6 +446,26 @@ let core_of_task t task =
       Kpanic.panicf "sched: task %d (%s) not running" task.Task.pid
         (Task.state_name task)
 
+(* ---- work stealing ---- *)
+
+(* The core a pick-time steal would take from: the first of the longest
+   other queues, or -1 when every other queue is empty. Pick-time stealing
+   is the seed's mechanism; it yields to the balance pass when that is
+   on. *)
+let steal_victim t thief =
+  if t.active_cores = 1 || t.config.Kconfig.load_balance_ms > 0 then -1
+  else begin
+    let victim = ref (-1) and longest = ref 0 in
+    for i = 0 to t.active_cores - 1 do
+      let n = rq_len t.cores.(i).rq in
+      if i <> thief.core_id && n > !longest then begin
+        victim := i;
+        longest := n
+      end
+    done;
+    !victim
+  end
+
 (* Run [after] once [task] has burned [ns] of CPU on its current core. *)
 let rec start_burn t task ns after =
   let core = core_of_task t task in
@@ -569,7 +537,7 @@ and enqueue_task t task =
   assert (task.Task.resume <> None);
   let core = pick_target_core t task in
   task.Task.runnable_since <- now t;
-  t.cls.sc_enqueue core.rq task;
+  rq_add core.rq task;
   trace_emit_core t ~core:core.core_id (Ktrace.Sched_wakeup task.Task.pid);
   emit_runq_depth t core;
   if Vprobe.armed t.vprobe Vprobe.pt_sched_wakeup then
@@ -591,39 +559,28 @@ and kick_core t core task =
       if idle then send_ipi t core
       else begin
         match core.current with
-        | Some cur when t.cls.sc_prio task < t.cls.sc_prio cur -> send_ipi t core
+        | Some cur when task.Task.mlfq_level < cur.Task.mlfq_level ->
+            send_ipi t core
         | Some _ | None -> ()
       end
 
-(* Steal a task from the longest other queue (pick-time stealing is the
-   seed's mechanism; it yields to the balance pass when that is on). *)
+(* Steal a task from the longest other queue. *)
 and try_steal t thief =
-  if t.active_cores = 1 || t.config.Kconfig.load_balance_ms > 0 then None
-  else begin
-    let victim = ref None in
-    for i = 0 to t.active_cores - 1 do
-      let c = t.cores.(i) in
-      if c.core_id <> thief.core_id && rq_len c.rq > 0 then
-        match !victim with
-        | Some v when rq_len v.rq >= rq_len c.rq -> ()
-        | Some _ | None -> victim := Some c
-    done;
-    match !victim with
-    | Some v ->
-        let stolen = t.cls.sc_steal v.rq in
-        (match stolen with
-        | Some _ ->
-            let c = thief.stats.steals in
-            c.Kperf.n <- c.Kperf.n + 1
-        | None -> ());
-        stolen
-    | None -> None
-  end
+  match steal_victim t thief with
+  | -1 -> None
+  | v ->
+      let stolen = rq_steal t.cores.(v).rq in
+      (match stolen with
+      | Some _ ->
+          let c = thief.stats.steals in
+          c.Kperf.n <- c.Kperf.n + 1
+      | None -> ());
+      stolen
 
 and schedule_core t core =
   if core.current = None && core.burn_event = None then begin
     let next =
-      match t.cls.sc_pick core.rq with
+      match rq_pick core.rq with
       | Some task -> Some task
       | None -> try_steal t core
     in
@@ -656,7 +613,7 @@ and schedule_core t core =
            end);
           task.Task.last_core <- core.core_id;
           set_state t task (Task.Running core.core_id);
-          task.Task.quantum_left <- t.cls.sc_quantum task;
+          task.Task.quantum_left <- quantum t.cls task;
           let resume = Option.get task.Task.resume in
           task.Task.resume <- None;
           trace_emit_core t ~core:core.core_id
@@ -768,6 +725,17 @@ and chan_queue t chan =
       Hashtbl.replace t.wait_chans chan q;
       q
 
+(* Make a blocked waiter runnable; [retry] re-enters its syscall. The
+   sleeper boost: a task that blocked voluntarily is interactive, so it
+   goes back to level 0. *)
+and wake_waiter t (task, retry) =
+  ptable_acquire t ~core:0;
+  set_state t task Task.Runnable;
+  task.Task.resume <- Some retry;
+  ptable_release t ~core:0;
+  task.Task.mlfq_level <- 0;
+  enqueue_task t task
+
 and wake_all t chan =
   match Hashtbl.find_opt t.wait_chans chan with
   | None -> ()
@@ -775,15 +743,7 @@ and wake_all t chan =
       let entries = Queue.to_seq q |> List.of_seq in
       Queue.clear q;
       List.iter
-        (fun (task, retry) ->
-          if not (is_zombie task) then begin
-            ptable_acquire t ~core:0;
-            set_state t task Task.Runnable;
-            task.Task.resume <- Some retry;
-            ptable_release t ~core:0;
-            t.cls.sc_on_block_wake task;
-            enqueue_task t task
-          end)
+        (fun ((task, _) as w) -> if not (is_zombie task) then wake_waiter t w)
         entries
 
 (* Wake at most one waiter; the woken pid feeds the Sem_wake trace
@@ -793,18 +753,10 @@ let wake_one t chan =
   | None -> None
   | Some q -> (
       match Queue.take_opt q with
-      | None -> None
-      | Some (task, retry) ->
-          if is_zombie task then None
-          else begin
-            ptable_acquire t ~core:0;
-            set_state t task Task.Runnable;
-            task.Task.resume <- Some retry;
-            ptable_release t ~core:0;
-            t.cls.sc_on_block_wake task;
-            enqueue_task t task;
-            Some task.Task.pid
-          end)
+      | Some ((task, _) as w) when not (is_zombie task) ->
+          wake_waiter t w;
+          Some task.Task.pid
+      | Some _ | None -> None)
 
 (* All pollers park on one shared channel: a task can only block on one
    chan, so poll cannot sleep on each fd's own channel. Producers (pipes,
@@ -900,7 +852,7 @@ let finish_after ctx ~delay_ns ret =
          if not (is_zombie task) then begin
            set_state t task Task.Runnable;
            task.Task.resume <- Some (fun () -> finish ctx ret);
-           t.cls.sc_on_block_wake task;
+           task.Task.mlfq_level <- 0;
            enqueue_task t task
          end))
 
@@ -1139,8 +1091,8 @@ let preempt t core =
       task.Task.runnable_since <- now t;
       task.Task.resume <-
         Some (fun () -> start_burn t task remaining after);
-      (* go to the back of this core's own queue (its own level in MLFQ) *)
-      t.cls.sc_requeue core.rq task;
+      (* go to the back of its own level on this core's queue *)
+      rq_add core.rq task;
       emit_runq_depth t core;
       schedule_core t core
   | Some _, None | None, _ -> ()
@@ -1157,12 +1109,11 @@ let ipi_recv t core_id =
   match core.current with
   | None -> schedule_core t core
   | Some task when task.Task.killed -> preempt t core
-  | Some cur -> (
-      match t.cls.sc_best_prio core.rq with
-      | Some p when p < t.cls.sc_prio cur -> preempt t core
-      | Some _ | None -> ())
+  | Some cur ->
+      let best = rq_best core.rq in
+      if best >= 0 && best < cur.Task.mlfq_level then preempt t core
 
-let rec tick t core_id =
+let tick t core_id =
   let core = t.cores.(core_id) in
   core.ticks <- core.ticks + 1;
   steal_cycles t core (cyc t Kcost.timer_tick_work);
@@ -1188,44 +1139,28 @@ let rec tick t core_id =
        Kperf.sample t.kperf ~core:core_id ~pid ~where_
      end
    end);
-  (* MLFQ anti-starvation: periodically boost everything queued here back
-     to the top level so demoted batch work cannot starve *)
-  (match core.rq with
-  | Rq_mlfq levels when core.ticks mod mlfq_boost_ticks = 0 ->
-      for l = 1 to mlfq_levels - 1 do
-        Queue.iter
-          (fun task ->
-            task.Task.mlfq_level <- 0;
-            Queue.add task levels.(0))
-          levels.(l);
-        Queue.clear levels.(l)
-      done
-  | Rq_mlfq _ | Rq_rr _ -> ());
+  (* anti-starvation: periodically boost everything queued here back to
+     level 0 so demoted batch work cannot starve *)
+  if core.ticks mod mlfq_boost_ticks = 0 then
+    for l = 1 to Array.length core.rq - 1 do
+      Queue.iter (fun task -> task.Task.mlfq_level <- 0) core.rq.(l);
+      Queue.transfer core.rq.(l) core.rq.(0)
+    done;
   (match core.current with
   | Some task ->
       task.Task.quantum_left <- task.Task.quantum_left - 1;
       if
         task.Task.quantum_left <= 0
-        && (rq_len core.rq > 0
-           || (t.active_cores > 1 && try_steal_peek t core))
+        && (rq_len core.rq > 0 || steal_victim t core >= 0)
       then begin
-        t.cls.sc_on_expire task;
+        (* demotion: a task that used its whole slice drops a level *)
+        task.Task.mlfq_level <-
+          min (task.Task.mlfq_level + 1) (Array.length core.rq - 1);
         preempt t core
       end
   | None -> schedule_core t core);
   Hw.Timer.arm_core_timer t.board.Hw.Board.timer ~core:core_id
     ~delta_ns:(Sim.Engine.ms t.tick_interval_ms)
-
-and try_steal_peek t thief =
-  if t.config.Kconfig.load_balance_ms > 0 then false
-  else begin
-    let found = ref false in
-    for i = 0 to t.active_cores - 1 do
-      let c = t.cores.(i) in
-      if c.core_id <> thief.core_id && rq_len c.rq > 0 then found := true
-    done;
-    !found
-  end
 
 (* ---- periodic load balancing ---- *)
 
@@ -1245,10 +1180,10 @@ let balance_pass t =
       if rq_len c.rq < rq_len !idlest.rq then idlest := c
     done;
     if rq_len !busiest.rq > rq_len !idlest.rq + 1 then begin
-      match t.cls.sc_steal !busiest.rq with
+      match rq_steal !busiest.rq with
       | Some task ->
           let dst = !idlest in
-          t.cls.sc_enqueue dst.rq task;
+          rq_add dst.rq task;
           let c = dst.stats.balance_moves in
           c.Kperf.n <- c.Kperf.n + 1;
           kick_core t dst task;

@@ -24,8 +24,6 @@ let release t button =
     latch t button false
   end
 
-let level t button = Hashtbl.mem t.held button
-
 let take_edges t =
   let edges = List.rev t.edges in
   t.edges <- [];

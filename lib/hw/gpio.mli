@@ -14,9 +14,6 @@ val create : Sim.Engine.t -> Intc.t -> t
 val press : t -> button -> unit
 val release : t -> button -> unit
 
-val level : t -> button -> bool
-(** [true] while held down. *)
-
 val take_edges : t -> (button * bool) list
 (** Kernel-side: latched (button, pressed) edges in arrival order; clears
     the latch. *)

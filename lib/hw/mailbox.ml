@@ -74,5 +74,3 @@ let call t tags =
   match go [] tags with
   | Ok results -> Ok (results, round_trip_ns)
   | Error e -> Error e
-
-let framebuffer t = t.fb

@@ -34,6 +34,3 @@ val call : t -> tag list -> (tag_result list * int64, string) result
 (** Execute a transaction; returns results in tag order plus the time cost.
     Fails if [Allocate_buffer] is requested before a physical size is set,
     or on an unsupported depth. *)
-
-val framebuffer : t -> Framebuffer.t option
-(** The currently allocated framebuffer, if any. *)

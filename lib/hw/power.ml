@@ -57,8 +57,6 @@ let cut s =
     s.cuts <- s.cuts + 1
   end
 
-let cut_at s engine ~ns = ignore (Sim.Engine.schedule_at engine ns (fun () -> cut s))
-
 let cut_after_media_writes s ~sectors =
   assert (sectors >= 0);
   if sectors = 0 then cut s else s.sector_budget <- Some sectors

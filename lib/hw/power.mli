@@ -50,9 +50,6 @@ val alive : supply -> bool
 val cut : supply -> unit
 (** Kill the rail now. Idempotent. *)
 
-val cut_at : supply -> Sim.Engine.t -> ns:int64 -> unit
-(** Schedule {!cut} at absolute virtual time [ns]. *)
-
 val cut_after_media_writes : supply -> sectors:int -> unit
 (** Kill the rail after exactly [sectors] more media sectors have been
     granted; the write that crosses the budget is torn at the boundary.

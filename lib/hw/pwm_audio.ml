@@ -64,8 +64,6 @@ let start t =
     ignore (Sim.Engine.schedule_after t.engine (chunk_period_ns t) (drain t))
   end
 
-let stop t = t.running <- false
-
 let fifo_level t = Queue.length t.fifo
 let fifo_space t = fifo_capacity - Queue.length t.fifo
 

@@ -19,8 +19,6 @@ val rate : t -> int
 val start : t -> unit
 (** Begin consuming. Idempotent. *)
 
-val stop : t -> unit
-
 val fifo_capacity : int
 val fifo_level : t -> int
 val fifo_space : t -> int

@@ -47,7 +47,6 @@ let set_supply t supply = t.psu <- Some supply
    retries sees the original bytes on the next attempt. *)
 let inject_read_faults t ~count = t.read_faults <- t.read_faults + max 0 count
 let pending_read_faults t = t.read_faults
-let faulted_read_count t = t.faulted_reads
 
 let sectors t = Disk.sectors t.disk
 

@@ -68,9 +68,6 @@ val inject_read_faults : t -> count:int -> unit
 val pending_read_faults : t -> int
 (** Armed faults not yet consumed. *)
 
-val faulted_read_count : t -> int
-(** Cumulative read commands that failed due to injected faults. *)
-
 val set_supply : t -> Power.supply -> unit
 (** Attach the board's power rail: every media write is budgeted through
     {!Power.media_budget}, so a scheduled power cut drops — or tears at a

@@ -17,15 +17,6 @@ let clear_sys_compare t =
       Sim.Engine.cancel t.engine id;
       t.sys_compare <- None
 
-let set_sys_compare t ~delta_us =
-  clear_sys_compare t;
-  let id =
-    Sim.Engine.schedule_after t.engine (Int64.mul delta_us 1_000L) (fun () ->
-        t.sys_compare <- None;
-        Intc.raise_line t.intc Irq.Sys_timer)
-  in
-  t.sys_compare <- Some id
-
 let disarm_core_timer t ~core =
   match t.core_shots.(core) with
   | None -> ()

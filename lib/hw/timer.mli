@@ -13,10 +13,6 @@ val create : Sim.Engine.t -> Intc.t -> cores:int -> t
 val counter_us : t -> int64
 (** Free-running system-timer count (microseconds since power-on). *)
 
-val set_sys_compare : t -> delta_us:int64 -> unit
-(** Program the system timer to raise [Irq.Sys_timer] in [delta_us]
-    microseconds. Reprogramming replaces any pending compare. *)
-
 val clear_sys_compare : t -> unit
 
 val arm_core_timer : t -> core:int -> delta_ns:int64 -> unit

@@ -21,7 +21,6 @@ let transmit t c =
   tx_cost_ns t
 
 let output t = Buffer.contents t.log
-let clear_output t = Buffer.clear t.log
 
 let inject t c =
   Queue.add c t.rx;

@@ -22,9 +22,7 @@ val transmit : t -> char -> int64
     must account for. *)
 
 val output : t -> string
-(** Everything transmitted since creation (or the last [clear_output]). *)
-
-val clear_output : t -> unit
+(** Everything transmitted since creation. *)
 
 val inject : t -> char -> unit
 (** Simulate a character arriving on the wire; raises [Irq.Uart_rx]. *)

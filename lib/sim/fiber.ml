@@ -18,7 +18,6 @@
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Sleep : int64 -> unit Effect.t
-  | Schedule : (unit -> unit) -> unit Effect.t
 
 exception Cancelled
 
@@ -61,7 +60,6 @@ type _ Effect.t += Await : 'a Ivar.t -> 'a Effect.t
 
 let yield () = Effect.perform Yield
 let sleep delta = Effect.perform (Sleep delta)
-let schedule body = Effect.perform (Schedule body)
 let await iv = Effect.perform (Await iv)
 
 open Effect.Deep
@@ -83,11 +81,6 @@ let rec exec engine h body =
               Some (fun (k : (a, unit) continuation) -> park engine h 0L k)
           | Sleep delta ->
               Some (fun (k : (a, unit) continuation) -> park engine h delta k)
-          | Schedule child ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  ignore (spawn engine child);
-                  continue k ())
           | Await iv ->
               Some
                 (fun (k : (a, unit) continuation) ->

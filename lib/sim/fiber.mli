@@ -13,7 +13,6 @@
 type _ Effect.t +=
   | Yield : unit Effect.t  (** reschedule at the current instant *)
   | Sleep : int64 -> unit Effect.t  (** park for a virtual duration *)
-  | Schedule : (unit -> unit) -> unit Effect.t  (** start a sibling fiber *)
 
 exception Cancelled
 (** Raised inside a fiber that is resumed after {!cancel}. *)
@@ -54,5 +53,4 @@ val finished : handle -> bool
 
 val yield : unit -> unit
 val sleep : int64 -> unit
-val schedule : (unit -> unit) -> unit
 val await : 'a Ivar.t -> 'a

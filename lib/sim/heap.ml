@@ -57,8 +57,6 @@ let pop t =
     Some (top.time, top.seq, top.payload)
   end
 
-let peek_time t = if t.len = 0 then None else Some t.data.(0).time
-
 let peek t =
   if t.len = 0 then None
   else

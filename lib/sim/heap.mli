@@ -17,9 +17,6 @@ val push : 'a t -> time:int64 -> seq:int -> 'a -> unit
 val pop : 'a t -> (int64 * int * 'a) option
 (** Remove and return the minimum element. *)
 
-val peek_time : 'a t -> int64 option
-(** Key of the minimum element without removing it. *)
-
 val peek : 'a t -> (int64 * int * 'a) option
 (** The minimum element without removing it — O(1), no sifting. *)
 

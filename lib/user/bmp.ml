@@ -1,8 +1,6 @@
 (** BMP (Windows BITMAPINFOHEADER, 24bpp) — a real codec for the slider's
     slide decks: users drop BMPs onto the FAT partition from any OS. *)
 
-let cycles_per_pixel = 3 (* row-padded copy + channel shuffle *)
-
 type image = { width : int; height : int; pixels : int array }
 
 let row_stride width = (width * 3 + 3) / 4 * 4

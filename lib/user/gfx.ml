@@ -97,11 +97,6 @@ let put t ~x ~y px =
     t.cost_cycles <- t.cost_cycles + cost_pixel
   end
 
-let get t ~x ~y =
-  if x >= 0 && x < t.width && y >= 0 && y < t.height then
-    t.pixels.((y * t.width) + x)
-  else 0
-
 let fill t px =
   Array.fill t.pixels 0 (Array.length t.pixels) px;
   t.cost_cycles <- t.cost_cycles + (Array.length t.pixels * cost_fill_pixel)

@@ -9,20 +9,11 @@
 type t = {
   mutable e_fb : Hw.Framebuffer.t option;  (** set after boot *)
   mutable e_simd : bool;  (** NEON-style pixel ops available *)
-  mutable e_libc_factor : float;
-      (** relative cost of the C library's compute paths (newlib = 1.0);
-          the baseline OS models vary this (§6.2) *)
 }
 
-let create () = { e_fb = None; e_simd = true; e_libc_factor = 1.0 }
+let create () = { e_fb = None; e_simd = true }
 
 let fb t =
   match t.e_fb with
   | Some fb -> fb
   | None -> invalid_arg "uenv: framebuffer not present (did mmap succeed?)"
-
-(* Scale a cycle count by the libc factor — used by the user library's
-   compute helpers (string ops, qsort, md5) whose speed depends on the C
-   library per Figure 9. *)
-let libc_cycles t cycles =
-  int_of_float (float_of_int cycles *. t.e_libc_factor)

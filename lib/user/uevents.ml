@@ -57,10 +57,3 @@ let poll_events fd =
   | Ok data -> decode_bytes data
   | Error e when e = Core.Errno.eagain -> []
   | Error _ -> []
-
-(* poll(2)-based wait: sleep until an event is pending (or the timeout
-   lapses), then drain — the spin-free alternative to [poll_events] for
-   event loops once the kernel has the poll syscall. *)
-let wait_events fd ~timeout_ms =
-  let r = Usys.poll [ fd ] ~timeout_ms in
-  if r <= 0 then [] else read_events fd

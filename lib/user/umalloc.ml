@@ -93,5 +93,4 @@ let free t addr =
 let live_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.live
 let live_count t = List.length t.live
 let heap_bytes t = t.heap_top
-let free_blocks t = List.length t.free_list
 let total_allocs t = t.total_allocs

@@ -1967,29 +1967,50 @@ let sc_ctx_switch_from_pid () =
   in
   check_bool "ctx_switch records the real from-pid" true saw_handover
 
-(* MLFQ round-robins CPU hogs within a core just like RR does. *)
-let sc_mlfq_fair_spinners () =
-  let config =
-    {
-      (sched_cfg ~policy:Core.Kconfig.Sched_mlfq ()) with
-      Core.Kconfig.multicore = false;
-    }
-  in
+(* Two CPU hogs on one core at the given nice values, for 250 ticks (two
+   anti-starvation boosts): each one's CPU time in ms, and the highest
+   MLFQ level either reached, sampled every tick. *)
+let spinner_pair policy (nice_a, nice_b) =
+  let config = { (sched_cfg ~policy ()) with Core.Kconfig.multicore = false } in
   let kernel = boot_kernel ~config () in
-  let progress = [| 0; 0 |] in
-  let spin slot () =
-    for _ = 1 to 200 do
-      Usys.burn 1_000_000;
-      progress.(slot) <- progress.(slot) + 1
+  let spin nice () =
+    ignore (Usys.nice nice);
+    while true do
+      Usys.burn 1_000_000
     done;
     0
   in
-  ignore (Core.Kernel.spawn_user kernel ~name:"mspin0" (spin 0));
-  ignore (Core.Kernel.spawn_user kernel ~name:"mspin1" (spin 1));
-  Core.Kernel.run_for kernel (Sim.Engine.ms 100);
-  check_bool "both ran" true (progress.(0) > 10 && progress.(1) > 10);
-  let ratio = float_of_int progress.(0) /. float_of_int (max 1 progress.(1)) in
-  check_in_range "fair within 2x" 0.5 2.0 ratio
+  let a = Core.Kernel.spawn_user kernel ~name:"spin_a" (spin nice_a) in
+  let b = Core.Kernel.spawn_user kernel ~name:"spin_b" (spin nice_b) in
+  let top = ref 0 in
+  for _ = 1 to 250 do
+    Core.Kernel.run_for kernel (Sim.Engine.ms 1);
+    top := max !top (max a.Core.Task.mlfq_level b.Core.Task.mlfq_level)
+  done;
+  let ms task = Int64.to_float task.Core.Task.cpu_ns /. 1e6 in
+  (ms a, ms b, !top)
+
+(* MLFQ round-robins CPU hogs within a core just like RR does. *)
+let sc_mlfq_fair_spinners () =
+  let ms_a, ms_b, _ = spinner_pair Core.Kconfig.Sched_mlfq (0, 0) in
+  check_bool "both ran" true (ms_a > 10. && ms_b > 10.);
+  check_in_range "fair within 2x" 0.5 2.0 (ms_a /. ms_b)
+
+(* Round-robin is MLFQ with one level and nice ignored: a pair at nice
+   -20 and +19 splits the core evenly and never leaves level 0, through
+   quantum expiries and boosts. The same pair under MLFQ is demoted and
+   split unevenly. *)
+let sc_rr_is_one_level_mlfq () =
+  let rr_a, rr_b, rr_top = spinner_pair Core.Kconfig.Sched_rr (-20, 19) in
+  check_bool "rr: both ran" true (rr_a > 10. && rr_b > 10.);
+  check_in_range "rr ignores nice" 0.8 1.25 (rr_a /. rr_b);
+  check_int "rr stays at level 0" 0 rr_top;
+  let mlfq_a, mlfq_b, mlfq_top =
+    spinner_pair Core.Kconfig.Sched_mlfq (-20, 19)
+  in
+  check_bool "mlfq: both ran" true (mlfq_a > 10. && mlfq_b > 0.);
+  check_bool "mlfq favours nice -20" true (mlfq_a > 2.0 *. mlfq_b);
+  check_bool "mlfq demotes" true (mlfq_top > 0)
 
 (* Mean wakeup-to-run delay of a sleeper loop, from the kernel's own
    run-delay accounting, with a spinner per core keeping every core busy. *)
@@ -2249,6 +2270,7 @@ let suite_sched_classes =
       quick "steal migrates a queued task" sc_steal_migrates;
       quick "ctx_switch names the real from-pid" sc_ctx_switch_from_pid;
       quick "mlfq round-robins spinners" sc_mlfq_fair_spinners;
+      quick "rr is one-level mlfq: nice ignored" sc_rr_is_one_level_mlfq;
       quick "ipi wakeup beats tick polling 5x" sc_ipi_beats_tick;
       quick "wake affinity keeps tasks home" sc_affinity_keeps_tasks_home;
       quick "kill one of two blocked tasks" sc_kill_one_of_two_blocked;
