@@ -20,9 +20,9 @@
     The miner is the row that parallelizes: each 64-nonce batch is one
     {!Sim.Engine.schedule_par} compute (~100 µs of host double-SHA-256),
     and with four cores mining there are four such computes in flight at
-    any instant, one per affinity tag. The desktop and schedbatch rows
+    any instant, one pool task each. The desktop and schedbatch rows
     schedule no Par events at all; they are the honest ≈1.0x floor
-    showing the pool costs nothing when there is nothing to steal. *)
+    showing the pool costs nothing when no batch is handed to it. *)
 
 (* ---- part 1: sequential pop cost ---- *)
 

@@ -233,8 +233,10 @@ type _ Effect.t +=
   | Offload : int * (unit -> 'r) -> 'r Effect.t
         (** [Offload (cycles, fn)] burns [cycles] like {!Burn} while the
             host runs [fn] — a pure function of its captures, forbidden
-            from touching kernel or simulation state — possibly on
-            another domain ({!Sim.Engine.schedule_par}). The result is
+            from touching kernel or simulation state — as a Par event
+            ({!Sim.Engine.schedule_par}). At [sim_domains] = 1 [fn] runs
+            inline when the burn ends; above that it is one task of a
+            batch on the process-wide domain pool. The result is
             delivered when the burn completes. *)
   | Frame_mark : string -> unit Effect.t
         (** shadow-stack push/pop for the unwinder; "" pops *)

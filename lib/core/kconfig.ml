@@ -83,8 +83,8 @@ type t = {
   sim_domains : int;
       (** host domains for the engine's parallel event batches
           ([Sim.Engine.set_domains]). 1 = the sequential engine,
-          bit-for-bit; > 1 runs offloaded computes across a work-stealing
-          domain pool. Pure host-side parallelism: the virtual-time trace
+          bit-for-bit; > 1 runs offloaded computes across the
+          process-wide domain pool. Pure host-side parallelism: the virtual-time trace
           is identical at any value. [VOS_SIM_DOMAINS] overrides at
           boot. *)
   journal : bool;

@@ -475,8 +475,8 @@ let boot spec =
        Kperf.register_counter kp ~label:l "vos_bufcache_misses_total"
          (fun () -> bc.Bufcache.misses))
      (Vfs.fat_caches vfs);
-   (* journal, domain-pool and sanitizer counters, so one /proc/metrics
-      scrape covers the storage, host-parallelism and kcheck subsystems *)
+   (* journal and sanitizer counters, so one /proc/metrics scrape covers
+      the storage and kcheck subsystems *)
    Kperf.register_counter kp ~help:"Journal transactions committed"
      "vos_journal_commits_total" (fun () -> Fs.Xv6fs.log_commits rootfs);
    Kperf.register_counter kp
@@ -485,13 +485,6 @@ let boot spec =
    Kperf.register_counter kp
      ~help:"Writes absorbed into an already-queued journal block"
      "vos_journal_absorbed_total" (fun () -> Fs.Xv6fs.log_absorbed rootfs);
-   (let pool = Sim.Dpool.global () in
-    Kperf.register_counter kp
-      ~help:"Host work-stealing pool: successful steal-half transfers"
-      "vos_dpool_steals_total" (fun () -> Sim.Dpool.steals pool);
-    Kperf.register_counter kp
-      ~help:"Host work-stealing pool: workers parked after spinning"
-      "vos_dpool_parks_total" (fun () -> Sim.Dpool.parks pool));
    Kperf.register_counter kp ~help:"Kernel sanitizer violations detected"
      "vos_kcheck_violations_total" (fun () ->
        match sched.Sched.kcheck with

@@ -917,26 +917,23 @@ let rec run_computation t task main () =
               Some
                 (fun (k : (a, unit) continuation) ->
                   (* Virtual cost is a plain burn; the host-side work is a
-                     Par event with this core as its affinity tag. The Par
-                     is scheduled before the burn-end event at the same
-                     instant, so its commit (smaller seq) has filled the
-                     cell by the time the burn delivers the result —
-                     preemption can only move the burn end later. A ≥ 1 ns
-                     floor keeps the burn asynchronous even for cycle
-                     counts that round to zero. *)
-                  let core =
-                    match task.Task.state with
-                    | Task.Running c -> c
-                    | Task.Runnable | Task.Blocked _ | Task.Zombie ->
-                        Kpanic.panicf "sched: offload from task %d (%s), not running"
-                          task.Task.pid (Task.state_name task)
-                  in
+                     Par event. The Par is scheduled before the burn-end
+                     event at the same instant, so its commit (smaller
+                     seq) has filled the cell by the time the burn
+                     delivers the result — preemption can only move the
+                     burn end later. A ≥ 1 ns floor keeps the burn
+                     asynchronous even for cycle counts that round to
+                     zero. *)
+                  (match task.Task.state with
+                  | Task.Running _ -> ()
+                  | Task.Runnable | Task.Blocked _ | Task.Zombie ->
+                      Kpanic.panicf "sched: offload from task %d (%s), not running"
+                        task.Task.pid (Task.state_name task));
                   let ns = Int64.max 1L (cyc t (max 1 cycles)) in
                   let cell = ref None in
                   ignore
                     (Sim.Engine.schedule_par (engine t)
                        (Int64.add (now t) ns)
-                       ~affinity:core
                        (fun () ->
                          let r = fn () in
                          fun () -> cell := Some r));

@@ -1,8 +1,7 @@
 (** Hardware timers: the SoC system timer and per-core ARM generic timers.
 
-    The system timer is a free-running 1 MHz counter with one compare
-    channel (the paper's Prototype 1 drives it for rendering ticks). Each
-    core additionally has a generic timer programmed with a countdown value;
+    The system timer is a free-running 1 MHz counter (no compare channel
+    is modelled). Each core additionally has a generic timer programmed with a countdown value;
     when it expires it raises that core's private interrupt line — this is
     what drives scheduler ticks on every core in Prototype 5. *)
 
@@ -12,8 +11,6 @@ val create : Sim.Engine.t -> Intc.t -> cores:int -> t
 
 val counter_us : t -> int64
 (** Free-running system-timer count (microseconds since power-on). *)
-
-val clear_sys_compare : t -> unit
 
 val arm_core_timer : t -> core:int -> delta_ns:int64 -> unit
 (** One-shot countdown for [core]'s generic timer; raises

@@ -35,7 +35,6 @@ let inventory =
     ("lib/sim/stats.ml", 1, Core_kernel);
     (* the engine (P1) runs its parallel batches on the domain pool *)
     ("lib/sim/dpool.ml", 1, Beyond_paper);
-    ("lib/sim/spmc_queue.ml", 1, Beyond_paper);
     ("lib/hw/irq.ml", 1, Drivers);
     ("lib/hw/intc.ml", 1, Drivers);
     ("lib/hw/timer.ml", 1, Drivers);

@@ -1,20 +1,21 @@
-(* Work-stealing domain pool for the engine's parallel event batches.
+(* Domain pool for the engine's parallel event batches.
 
-   The pool is a set of long-lived worker domains. A batch submission
-   distributes tasks round-robin across the workers' queues (plus the
-   submitter's own), bumps an epoch counter and broadcasts; workers drain
-   their queue, then steal half of a busy sibling's, then spin briefly on
-   the epoch with [Domain.cpu_relax] before parking on the condition
-   variable. The spin window matters: engine batches arrive sub-millisecond
-   apart during a parallel phase, and a worker that parks between every
-   batch pays a futex wake that can dwarf a ~100 µs compute. The submitter
-   participates in the drain and spins until the atomic remaining-task
-   counter hits zero, which doubles as the release/acquire edge making the
-   tasks' writes visible to the simulation thread.
+   The pool is a set of long-lived worker domains. A batch is closed — no
+   task submits another — so the pool needs no queues: [run] publishes a
+   per-batch record, bumps an epoch counter and broadcasts, and the
+   submitter and the woken workers claim tasks from the batch's one shared
+   index until it passes the end. Between batches a worker spins briefly
+   on the epoch with [Domain.cpu_relax] before parking on the condition
+   variable. The spin window matters: engine batches arrive
+   sub-millisecond apart during a parallel phase, and a worker that parks
+   between every batch pays a futex wake that can dwarf a ~100 µs compute.
+   The submitter spins until the batch's remaining-task counter hits zero,
+   which doubles as the release/acquire edge making the tasks' writes
+   visible to the simulation thread.
 
-   Within a batch no task may enqueue further tasks — the engine only ever
-   submits closed batches of pure computes — so a worker that finds every
-   queue empty can back off without missing work.
+   The claim index, the remaining count and the failure slot live in the
+   batch record, not in the pool: a worker that read batch k's record late
+   can only ever claim indices of batch k, which are all taken by then.
 
    Spawning the first worker also raises the minor-heap floor: with > 1
    domain alive every minor collection is a stop-the-world rendezvous
@@ -23,23 +24,17 @@
    (measured ~3x on the sequential phases). A few-MB minor heap buys the
    barriers back without touching virtual time. *)
 
-type task = unit -> unit
-
-type worker = { wq : task Spmc_queue.t }
+type batch = {
+  tasks : (unit -> unit) array;
+  next : int Atomic.t; (* next unclaimed task index *)
+  remaining : int Atomic.t; (* tasks not yet finished *)
+  failure : exn option Atomic.t; (* first task exception *)
+}
 
 type t = {
-  workers : worker array Atomic.t;
-      (* read by every worker while stealing; grown only between batches,
-         but a worker parked through several [ensure_workers] calls wakes
-         with no happens-before edge to the plain write a mutable field
-         would give it (vrace R102) *)
-  own : task Spmc_queue.t; (* submitter's share of the current batch *)
-  remaining : int Atomic.t;
+  workers : int Atomic.t; (* spawned worker domains; grown between batches *)
+  batch : batch Atomic.t; (* the current (or last) batch *)
   epoch : int Atomic.t; (* bumped per batch; workers spin then park on it *)
-  steals : int Atomic.t; (* successful steal_half transfers, any thread *)
-  parks : int Atomic.t; (* times a worker gave up spinning and parked *)
-  mutable failure : exn option; [@locked_by "lock"]
-      (* first task exception, re-raised by [run] *)
   lock : Mutex.t;
   cond : Condition.t;
 }
@@ -54,68 +49,42 @@ let spin_budget n_workers =
 
 let min_minor_heap_words = 2 * 1024 * 1024
 
-let create () =
+let idle =
   {
-    workers = Atomic.make [||];
-    own = Spmc_queue.create ();
+    tasks = [||];
+    next = Atomic.make 0;
     remaining = Atomic.make 0;
+    failure = Atomic.make None;
+  }
+
+let global =
+  {
+    workers = Atomic.make 0;
+    batch = Atomic.make idle;
     epoch = Atomic.make 0;
-    steals = Atomic.make 0;
-    parks = Atomic.make 0;
-    failure = None;
     lock = Mutex.create ();
     cond = Condition.create ();
   }
 
-let size t = Array.length (Atomic.get t.workers)
+(* Claim and run tasks of [b] until its index passes the end. *)
+let rec drain b =
+  let i = Atomic.fetch_and_add b.next 1 in
+  if i < Array.length b.tasks then begin
+    (try b.tasks.(i) ()
+     with e -> ignore (Atomic.compare_and_set b.failure None (Some e)));
+    ignore (Atomic.fetch_and_add b.remaining (-1));
+    drain b
+  end
 
-let exec t task =
-  (try task ()
-   with e ->
-     Mutex.lock t.lock;
-     if t.failure = None then t.failure <- Some e;
-     Mutex.unlock t.lock);
-  ignore (Atomic.fetch_and_add t.remaining (-1))
-
-(* Steal half of the first non-empty queue into [into]. The submitter's
-   queue is scanned first, then the workers'. *)
-let try_steal t ~into =
-  let stole =
-    if into != t.own && Spmc_queue.steal_half t.own ~into > 0 then true
-    else begin
-      let stole = ref false in
-      let workers = Atomic.get t.workers in
-      let n = Array.length workers in
-      let i = ref 0 in
-      while (not !stole) && !i < n do
-        let victim = workers.(!i).wq in
-        if victim != into && Spmc_queue.steal_half victim ~into > 0 then
-          stole := true;
-        incr i
-      done;
-      !stole
-    end
-  in
-  if stole then Atomic.incr t.steals;
-  stole
-
-let rec drain t q =
-  match Spmc_queue.pop q with
-  | Some task ->
-      exec t task;
-      drain t q
-  | None -> if try_steal t ~into:q then drain t q
-
-let rec worker_loop t w last_epoch =
+let rec worker_loop t last_epoch =
   (* Spin on the epoch first; park only if no batch arrives in time. *)
-  let budget = spin_budget (Array.length (Atomic.get t.workers)) in
+  let budget = spin_budget (Atomic.get t.workers) in
   let spins = ref 0 in
   while Atomic.get t.epoch = last_epoch && !spins < budget do
     Domain.cpu_relax ();
     incr spins
   done;
   if Atomic.get t.epoch = last_epoch then begin
-    Atomic.incr t.parks;
     Mutex.lock t.lock;
     while Atomic.get t.epoch = last_epoch do
       Condition.wait t.cond t.lock
@@ -123,68 +92,47 @@ let rec worker_loop t w last_epoch =
     Mutex.unlock t.lock
   end;
   let epoch = Atomic.get t.epoch in
-  drain t w.wq;
-  worker_loop t w epoch
+  drain (Atomic.get t.batch);
+  worker_loop t epoch
 
 let ensure_workers t n =
-  let have = Array.length (Atomic.get t.workers) in
+  let have = Atomic.get t.workers in
   if n > have then begin
     let gc = Gc.get () in
     if gc.Gc.minor_heap_size < min_minor_heap_words then
       Gc.set { gc with Gc.minor_heap_size = min_minor_heap_words };
-    let fresh =
-      Array.init (n - have) (fun _ -> { wq = Spmc_queue.create () })
-    in
-    Atomic.set t.workers (Array.append (Atomic.get t.workers) fresh);
+    Atomic.set t.workers n;
     let epoch = Atomic.get t.epoch in
-    Array.iter
-      (fun w -> ignore (Domain.spawn (fun () -> worker_loop t w epoch)))
-      fresh
+    for _ = have + 1 to n do
+      ignore (Domain.spawn (fun () -> worker_loop t epoch))
+    done
   end
 
 let run t tasks =
   let n = Array.length tasks in
   if n > 0 then begin
-    (* With no workers — or no CPU for them to run on — execute inline:
-       on a single-CPU host every wake is a futile context switch, and
-       the batch semantics (all tasks done on return) hold either way. *)
-    if size t = 0 || Domain.recommended_domain_count () <= 1 then
-      Array.iter (fun task -> task ()) tasks
-    else begin
-      Mutex.lock t.lock;
-      t.failure <- None;
-      Mutex.unlock t.lock;
-      Atomic.set t.remaining n;
-      let workers = Atomic.get t.workers in
-      let slots = Array.length workers + 1 in
-      Array.iteri
-        (fun i task ->
-          let slot = i mod slots in
-          if slot = 0 then Spmc_queue.push t.own task
-          else Spmc_queue.push workers.(slot - 1).wq task)
+    let b =
+      {
         tasks;
+        next = Atomic.make 0;
+        remaining = Atomic.make n;
+        failure = Atomic.make None;
+      }
+    in
+    (* With no workers — or no CPU for them to run on — the caller drains
+       the batch alone: on a single-CPU host every wake is a futile
+       context switch, and the batch semantics hold either way. *)
+    if Atomic.get t.workers > 0 && Domain.recommended_domain_count () > 1
+    then begin
+      Atomic.set t.batch b;
       Atomic.incr t.epoch;
       Mutex.lock t.lock;
       Condition.broadcast t.cond;
-      Mutex.unlock t.lock;
-      drain t t.own;
-      while Atomic.get t.remaining > 0 do
-        if not (try_steal t ~into:t.own) then Domain.cpu_relax ()
-        else drain t t.own
-      done;
-      Mutex.lock t.lock;
-      let failed = t.failure in
-      t.failure <- None;
-      Mutex.unlock t.lock;
-      match failed with Some e -> raise e | None -> ()
-    end
+      Mutex.unlock t.lock
+    end;
+    drain b;
+    while Atomic.get b.remaining > 0 do
+      Domain.cpu_relax ()
+    done;
+    match Atomic.get b.failure with Some e -> raise e | None -> ()
   end
-
-(* One pool per process, shared by every engine. Batches are submitted one
-   at a time from the simulation thread, so engines never contend. *)
-let global_pool = lazy (create ())
-
-let global () = Lazy.force global_pool
-
-let steals t = Atomic.get t.steals
-let parks t = Atomic.get t.parks

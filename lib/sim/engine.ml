@@ -15,9 +15,8 @@
    domain is configured, it sweeps the heap for every other pending Par
    still awaiting its compute (conservative lookahead: those events are
    already scheduled, and computes are pure over schedule-time captures,
-   so running them early cannot change their results), groups them by
-   affinity tag so one simulated core or device stays on one domain, and
-   runs the groups across the work-stealing pool behind a barrier.
+   so running them early cannot change their results), and runs them
+   across the domain pool behind a barrier, one pool task per compute.
 
    Cancellation is a tombstone bit carried in the heap payload: the
    [event_id] handed back by [schedule_at] *is* the payload record, so
@@ -25,7 +24,7 @@
    field instead of probing a hash table. Dead entries are discarded
    lazily when they surface at the heap top. *)
 
-type kind = Fn of (unit -> unit) | Par of par
+type kind = Fn of (unit -> unit) | Par of par_state Atomic.t
 
 (* One atomic cell per Par, not two mutable fields: the compute→commit
    transition is written by whichever pool domain ran the compute and read
@@ -36,8 +35,6 @@ and par_state =
   | Pending of (unit -> unit -> unit)  (** compute not yet run *)
   | Ready of (unit -> unit)  (** commit awaiting its (time, seq) slot *)
   | Done
-
-and par = { par_affinity : int; par_state : par_state Atomic.t }
 
 and ev = { kind : kind; mutable dead : bool; mutable fired : bool }
 
@@ -71,7 +68,7 @@ let now t = t.clock
 let set_domains t n =
   let n = max 1 n in
   t.domains <- n;
-  if n > 1 then Dpool.ensure_workers (Dpool.global ()) (n - 1)
+  if n > 1 then Dpool.ensure_workers Dpool.global (n - 1)
 
 let domains t = t.domains
 
@@ -88,14 +85,9 @@ let schedule_at t time f = push t time { kind = Fn f; dead = false; fired = fals
 
 let schedule_after t delta f = schedule_at t (Int64.add t.clock delta) f
 
-let schedule_par t time ~affinity compute =
+let schedule_par t time compute =
   push t time
-    {
-      kind =
-        Par { par_affinity = affinity; par_state = Atomic.make (Pending compute) };
-      dead = false;
-      fired = false;
-    }
+    { kind = Par (Atomic.make (Pending compute)); dead = false; fired = false }
 
 let cancel t ev =
   if not (ev.fired || ev.dead) then begin
@@ -117,59 +109,44 @@ let rec pop_live t =
         Some (time, ev)
       end
 
-(* Run every pending compute across the domain pool, grouped by affinity.
+(* Run every pending compute across the domain pool, one task each.
    [first] is the Par that just surfaced at the heap top (already popped,
    so the sweep below no longer sees it). *)
 let precompute_batch t first =
-  let groups : (int, par list ref) Hashtbl.t = Hashtbl.create 8 in
-  let count = ref 0 in
-  let add p =
-    incr count;
-    match Hashtbl.find_opt groups p.par_affinity with
-    | Some l -> l := p :: !l
-    | None -> Hashtbl.add groups p.par_affinity (ref [ p ])
+  let task p =
+    (fun () ->
+      match Atomic.get p with
+      | Pending compute -> Atomic.set p (Ready (compute ()))
+      | Ready _ | Done -> ())
+    [@vrace.worker]
   in
-  add first;
+  let tasks = ref [ task first ] in
   Heap.iter t.heap (fun _ _ ev ->
       if not ev.dead then
         match ev.kind with
-        | Par p when (match Atomic.get p.par_state with
+        | Par p when (match Atomic.get p with
                      | Pending _ -> true
                      | Ready _ | Done -> false) ->
-            add p
+            tasks := task p :: !tasks
         | Par _ | Fn _ -> ());
-  let tasks =
-    Hashtbl.fold
-      (fun _ group acc ->
-        let ps = !group in
-        (fun () ->
-          List.iter
-            (fun p ->
-              match Atomic.get p.par_state with
-              | Pending compute -> Atomic.set p.par_state (Ready (compute ()))
-              | Ready _ | Done -> ())
-            ps)
-        [@vrace.worker]
-        :: acc)
-      groups []
-  in
+  let tasks = Array.of_list !tasks in
   t.par_batches <- t.par_batches + 1;
-  t.par_computed <- t.par_computed + !count;
-  Dpool.run (Dpool.global ()) (Array.of_list tasks)
+  t.par_computed <- t.par_computed + Array.length tasks;
+  Dpool.run Dpool.global tasks
 
 let fire t ev =
   t.events_fired <- t.events_fired + 1;
   match ev.kind with
   | Fn f -> f ()
   | Par p -> (
-      (match Atomic.get p.par_state with
+      (match Atomic.get p with
       | Pending compute ->
           if t.domains > 1 then precompute_batch t p
-          else Atomic.set p.par_state (Ready (compute ()))
+          else Atomic.set p (Ready (compute ()))
       | Ready _ | Done -> ());
-      match Atomic.get p.par_state with
+      match Atomic.get p with
       | Ready commit ->
-          Atomic.set p.par_state Done;
+          Atomic.set p Done;
           commit ()
       | Pending _ | Done -> invalid_arg "Engine: parallel event fired twice")
 

@@ -42,9 +42,9 @@ val pending : t -> int
     function only of values captured at scheduling time, forbidden from
     touching simulation state — which returns a [commit] closure that
     applies the result. With [set_domains] > 1, whenever such an event
-    surfaces the engine batches every pending compute in the heap, groups
-    them by [affinity] (same tag ⇒ same domain), and runs the groups
-    across a work-stealing domain pool. Commits always fire on the
+    surfaces the engine batches every pending compute in the heap and runs
+    them across the process-wide domain pool ({!Dpool}), each compute
+    claimed by whichever domain is free. Commits always fire on the
     simulation thread in (time, seq) order, so the virtual-time trace is
     identical to the sequential engine. *)
 
@@ -55,8 +55,8 @@ val set_domains : t -> int -> unit
 
 val domains : t -> int
 
-val schedule_par : t -> int64 -> affinity:int -> (unit -> unit -> unit) -> event_id
-(** [schedule_par t time ~affinity compute] schedules a parallelizable
+val schedule_par : t -> int64 -> (unit -> unit -> unit) -> event_id
+(** [schedule_par t time compute] schedules a parallelizable
     event: [compute ()] may run on any domain any time between scheduling
     and [time]; the closure it returns runs on the simulation thread when
     the clock reaches [time], in scheduling order among equal instants. *)

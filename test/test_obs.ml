@@ -197,8 +197,8 @@ let metrics_fold_in () =
   in
   check_contains "vprobe series" "vos_vprobe_fired_total{probe=" text;
   check_contains "journal counter exported" "vos_journal_commits_total" text;
-  check_contains "dpool steals exported" "vos_dpool_steals_total" text;
-  check_contains "dpool parks exported" "vos_dpool_parks_total" text;
+  check_bool "no host-pool series in a kernel's metrics" false
+    (contains text "vos_dpool_");
   check_contains "kcheck violations exported" "vos_kcheck_violations_total"
     text
 

@@ -78,8 +78,7 @@ let firing_contract domains =
             incr seq;
             let id =
               if par then
-                Sim.Engine.schedule_par e time ~affinity:(s mod 4)
-                  (fun () ->
+                Sim.Engine.schedule_par e time (fun () ->
                     let v = s in
                     fun () -> log := v :: !log)
               else Sim.Engine.schedule_at e time (fun () -> log := s :: !log)
@@ -175,7 +174,7 @@ let fiber_yield_is_fifo () =
   let body name () =
     for i = 1 to 2 do
       log := Printf.sprintf "%s%d" name i :: !log;
-      Sim.Fiber.yield ()
+      Sim.Fiber.sleep 0L
     done
   in
   ignore (Sim.Fiber.spawn e (body "a"));
@@ -183,33 +182,6 @@ let fiber_yield_is_fifo () =
   Sim.Engine.run e ();
   check_string "round-robin at one instant" "a1,b1,a2,b2"
     (String.concat "," (List.rev !log))
-
-let fiber_ivar_fifo_wakeup () =
-  let e = Sim.Engine.create () in
-  let iv = Sim.Fiber.Ivar.create e in
-  let log = ref [] in
-  let waiter name () =
-    let v = Sim.Fiber.await iv in
-    log := Printf.sprintf "%s=%d" name v :: !log
-  in
-  ignore (Sim.Fiber.spawn e (waiter "a"));
-  ignore (Sim.Fiber.spawn e (waiter "b"));
-  Sim.Engine.run e ();
-  check_bool "nobody woke yet" true (!log = []);
-  check_bool "empty" false (Sim.Fiber.Ivar.is_full iv);
-  Sim.Fiber.Ivar.fill iv 7;
-  Sim.Engine.run e ();
-  check_string "waiters wake in await order" "a=7,b=7"
-    (String.concat "," (List.rev !log));
-  check_bool "full" true (Sim.Fiber.Ivar.is_full iv);
-  Alcotest.check_raises "second fill rejected"
-    (Invalid_argument "Fiber.Ivar.fill: already filled") (fun () ->
-      Sim.Fiber.Ivar.fill iv 8);
-  (* awaiting a full ivar returns immediately *)
-  ignore (Sim.Fiber.spawn e (waiter "late"));
-  Sim.Engine.run e ();
-  check_bool "late waiter sees the value" true
-    (List.hd !log = "late=7")
 
 let fiber_cancel_parked () =
   let e = Sim.Engine.create () in
@@ -230,22 +202,6 @@ let fiber_cancel_parked () =
   check_int "never ticked again" 3 !ticks;
   Sim.Fiber.cancel e h (* no-op on finished fibers *)
 
-let fiber_cancel_awaiting () =
-  let e = Sim.Engine.create () in
-  let iv = Sim.Fiber.Ivar.create e in
-  let reached = ref false in
-  let h =
-    Sim.Fiber.spawn e (fun () ->
-        ignore (Sim.Fiber.await iv);
-        reached := true)
-  in
-  Sim.Engine.run e ();
-  Sim.Fiber.cancel e h;
-  Sim.Fiber.Ivar.fill iv 1;
-  Sim.Engine.run e ();
-  check_bool "cancelled waiter never resumed" false !reached;
-  check_bool "died at resume point" true (Sim.Fiber.finished h)
-
 (* ---- parallel events ---- *)
 
 let par_commit_order_and_stats () =
@@ -256,7 +212,6 @@ let par_commit_order_and_stats () =
     ignore
       (Sim.Engine.schedule_par e
          (Int64.of_int (100 + (10 * i)))
-         ~affinity:(i mod 2)
          (fun () ->
            let v = i * i in
            fun () -> log := v :: !log))
@@ -272,7 +227,7 @@ let par_sequential_inline () =
   let e = Sim.Engine.create () in
   let cell = ref 0 in
   ignore
-    (Sim.Engine.schedule_par e 50L ~affinity:0 (fun () ->
+    (Sim.Engine.schedule_par e 50L (fun () ->
          let v = 42 in
          fun () -> cell := v));
   Sim.Engine.run e ();
@@ -286,10 +241,10 @@ let par_cancelled_never_computes () =
   let computed = ref false in
   (* a live Par to trigger the batch sweep... *)
   ignore
-    (Sim.Engine.schedule_par e 10L ~affinity:0 (fun () -> fun () -> ()));
+    (Sim.Engine.schedule_par e 10L (fun () -> fun () -> ()));
   (* ...and a cancelled one the sweep must skip *)
   let id =
-    Sim.Engine.schedule_par e 20L ~affinity:1 (fun () ->
+    Sim.Engine.schedule_par e 20L (fun () ->
         computed := true;
         fun () -> ())
   in
@@ -313,68 +268,70 @@ let offload_charges_virtual_time () =
   (* offload bills the same cycle cost as a burn of equal length *)
   check_bool "offload and burn cost the same virtual time" true (t1 = t2)
 
-(* ---- steal-half under real contention ----
+(* ---- the domain pool under real contention ----
 
-   The vrace-adjacent dynamic check: hammer Spmc_queue.steal_half and
-   Dpool.run from as many domains as the host recommends and prove no
-   item is lost or executed twice. The static analyzer shows the types
-   are domain-safe; this shows the implementation is. *)
+   The vrace-adjacent dynamic check: drive Dpool.run with as many workers
+   as the host recommends and prove no task is lost or executed twice,
+   within a batch and across back-to-back batches (a worker that reads a
+   batch late must not claim anything of the next one), and that a task's
+   exception neither stops its batch nor leaks into the next. The static
+   analyzer shows the types are domain-safe; this shows the implementation
+   is. *)
 
 let contention_domains =
   max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-let spmc_no_lost_or_dup_items () =
-  qcheck ~count:15 "steal-half loses and duplicates nothing"
-    QCheck.(int_range 1 400)
-    (fun n ->
-      let victim = Sim.Spmc_queue.create () in
-      for i = 0 to n - 1 do
-        Sim.Spmc_queue.push victim i
-      done;
-      let total = Atomic.make 0 in
-      let thief () =
-        let own = Sim.Spmc_queue.create () in
-        let got = ref [] in
-        while Atomic.get total < n do
-          ignore (Sim.Spmc_queue.steal_half victim ~into:own);
-          let continue = ref true in
-          while !continue do
-            match Sim.Spmc_queue.pop own with
-            | Some v ->
-                got := v :: !got;
-                Atomic.incr total
-            | None -> continue := false
-          done;
-          Domain.cpu_relax ()
-        done;
-        !got
-      in
-      let thieves =
-        List.init contention_domains (fun _ -> Domain.spawn thief)
-      in
-      (* the owner pops its own queue concurrently with the steals *)
-      let owner_got = ref [] in
-      while Atomic.get total < n do
-        match Sim.Spmc_queue.pop victim with
-        | Some v ->
-            owner_got := v :: !owner_got;
-            Atomic.incr total
-        | None -> Domain.cpu_relax ()
-      done;
-      let stolen = List.concat_map Domain.join thieves in
-      let seen = List.sort compare (!owner_got @ stolen) in
-      seen = List.init n (fun i -> i))
+let pool () =
+  Sim.Dpool.ensure_workers Sim.Dpool.global contention_domains;
+  Sim.Dpool.global
+
+let counters n = Array.init n (fun _ -> Atomic.make 0)
+let each_once = Array.for_all (fun c -> Atomic.get c = 1)
+let incr_tasks = Array.map (fun c () -> Atomic.incr c)
 
 let dpool_runs_each_task_exactly_once () =
   qcheck ~count:15 "dpool batch runs every task exactly once"
     QCheck.(int_range 1 300)
     (fun n ->
-      let pool = Sim.Dpool.global () in
-      Sim.Dpool.ensure_workers pool contention_domains;
-      let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Sim.Dpool.run pool
-        (Array.init n (fun i () -> Atomic.incr hits.(i)));
-      Array.for_all (fun h -> Atomic.get h = 1) hits)
+      let hits = counters n in
+      Sim.Dpool.run (pool ()) (incr_tasks hits);
+      each_once hits)
+
+(* Many small batches back to back, so a worker still draining batch k
+   often overlaps the publication of batch k+1. A doubled task fails the
+   count; a lost one leaves [run] waiting forever. *)
+let dpool_back_to_back_batches () =
+  qcheck ~count:15 "back-to-back dpool batches run every task once"
+    QCheck.(list_of_size (Gen.int_range 1 1000) (int_range 1 4))
+    (fun sizes ->
+      let batches = List.map counters sizes in
+      List.iter (fun hits -> Sim.Dpool.run (pool ()) (incr_tasks hits)) batches;
+      List.for_all each_once batches)
+
+exception Task_failed of int
+
+let dpool_reraises_after_batch () =
+  qcheck ~count:15 "a raising dpool task is re-raised after its batch"
+    QCheck.(pair (int_range 1 100) small_nat)
+    (fun (n, k) ->
+      let bad = k mod n in
+      let hits = counters n in
+      let raised =
+        match
+          Sim.Dpool.run (pool ())
+            (Array.mapi
+               (fun i c () ->
+                 Atomic.incr c;
+                 if i = bad then raise (Task_failed i))
+               hits)
+        with
+        | () -> None
+        | exception Task_failed i -> Some i
+      in
+      let ran_all = each_once hits in
+      let next = counters n in
+      Sim.Dpool.run (pool ()) (incr_tasks next);
+      raised = Some bad && ran_all && each_once next)
 
 (* ---- the determinism ladder ----
 
@@ -417,15 +374,14 @@ let suite =
         fiber_runs_inline_to_first_suspension;
       quick "fiber loop matches closure chain" fiber_loop_matches_closure_chain;
       quick "fiber yield is fifo" fiber_yield_is_fifo;
-      quick "ivar wakes waiters fifo" fiber_ivar_fifo_wakeup;
       quick "cancel parked fiber" fiber_cancel_parked;
-      quick "cancel awaiting fiber" fiber_cancel_awaiting;
       quick "par commits in order across domains" par_commit_order_and_stats;
       quick "par computes inline at one domain" par_sequential_inline;
       quick "cancelled par never computes" par_cancelled_never_computes;
       quick "offload returns the computed value" offload_returns_value;
       quick "offload charges burn-equivalent time" offload_charges_virtual_time;
-      spmc_no_lost_or_dup_items ();
       dpool_runs_each_task_exactly_once ();
+      dpool_back_to_back_batches ();
+      dpool_reraises_after_batch ();
       slow "same seed, same trace at 1/2/4 domains" determinism_across_domains;
     ] )

@@ -32,7 +32,7 @@
             commit and runs back on the sim thread, so it is skipped.
     - R103  {b sleep in atomic context}. May-block summaries (anything
             reaching [Sched.block], [Sched.finish_after],
-            [Sched.park_for_debug], [Fiber.await/sleep/yield] or
+            [Sched.park_for_debug], [Fiber.sleep] or
             [Condition.wait]) intersected with spinlock/irq windows:
             blocking with a spin lock held would deadlock a real kernel,
             so the discipline checker bans it even in the simulator.
@@ -272,9 +272,7 @@ let blockers =
       "Sched.block";
       "Sched.finish_after";
       "Sched.park_for_debug";
-      "Fiber.await";
       "Fiber.sleep";
-      "Fiber.yield";
       "Condition.wait";
     ]
 
