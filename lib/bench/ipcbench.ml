@@ -1,6 +1,6 @@
 (** The IPC ablation ladder: the xv6 pipe the paper measures stepped up to
-    the rebuilt fast path — power-of-two ring buffers with [Bytes.blit]
-    bulk copies, edge-triggered wakeups, and the poll(2) syscall.
+    the rebuilt fast path — the same ring charged at memmove speed and
+    grown to 4096 bytes, edge-triggered wakeups, and the poll(2) syscall.
 
     Two workloads run against every configuration, each in its own
     freshly booted kernel so the counters stay clean:

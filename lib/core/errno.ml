@@ -57,6 +57,6 @@ let of_fs_error msg =
   else if has "not a directory" then enotdir
   else if has "is a directory" then eisdir
   else if has "too large" then efbig
-  else if has "out of" then enospc
+  else if has "out of" || has "no free" then enospc
   else if has "not empty" then enotempty
   else einval

@@ -59,13 +59,12 @@ type t = {
           across cores; 0 = off (idle cores steal at pick time instead,
           as in the seed) *)
   pipe_ring : bool;
-      (** pipes use a power-of-two ring buffer with [Bytes.blit] bulk
-          copies instead of xv6's byte-at-a-time loop; off = the paper's
-          512-byte byte-copy pipe *)
+      (** the pipe charge model: a transfer costs {!Kcost.copy_cycles}
+          (memmove speed) instead of {!Kcost.pipe_per_byte} per byte, the
+          paper's xv6 copy loop. Every pipe is the same ring either way *)
   pipe_buffer_bytes : int;
-      (** capacity of the ring pipe (rounded up to a power of two); only
-          consulted when [pipe_ring] is on — the xv6 path is pinned at
-          {!Kcost.pipe_buffer_bytes} *)
+      (** capacity of every pipe's ring, rounded up to a power of two;
+          512 = xv6's buffer *)
   pipe_wake_edge : bool;
       (** edge-triggered pipe wakeups: wake readers only on
           empty→non-empty and writers only on full→not-full, instead of
@@ -126,7 +125,7 @@ let full =
        every-op stay the default so Figure 8/11 numbers are untouched;
        ipcbench walks the ring/edge/poll ladder explicitly *)
     pipe_ring = false;
-    pipe_buffer_bytes = 4096;
+    pipe_buffer_bytes = 512;
     pipe_wake_edge = false;
     (* pure host-side checking, but the stock kernel stays exactly the
        artifact the paper describes; the harness flips it on *)

@@ -57,9 +57,9 @@ let bufcache_flush_block = 250
 let readahead_setup = 500
 let pseudo_inode = 450 (* FAT path interposition (§4.5) *)
 
-(* Pipes: xv6's 512-byte buffer, byte-at-a-time copy loop. The paper's
-   Figure 11 calls pipe a bottleneck even for 10-byte events. *)
-let pipe_buffer_bytes = 512
+(* Pipes: the xv6 charge model, one byte-copy loop iteration per byte
+   (the ring model charges {!copy_cycles} instead). The paper's Figure 11
+   calls pipe a bottleneck even for 10-byte events. *)
 let pipe_setup = 2_200
 let pipe_per_byte = 28
 

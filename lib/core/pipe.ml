@@ -1,16 +1,23 @@
-(** Pipes. Two selectable implementations share this module:
+(** Pipes: xv6's pipe as one power-of-two ring.
 
-    - the xv6 port the paper measures (512-byte buffer, byte-wise copy
-      loop, wakeup on every operation) — Figure 11 shows it becoming the
-      latency bottleneck even for 10-byte keyboard events in mario-proc;
-    - a configurable fast path ({!Kconfig.pipe_ring} /
-      {!Kconfig.pipe_wake_edge}): a power-of-two ring with [Bytes.blit]
-      bulk copies sized by {!Kconfig.pipe_buffer_bytes}, and
-      edge-triggered wakeups (readers woken only on empty→non-empty,
-      writers only on full→not-full).
+    Every pipe is a ring of {!Kconfig.pipe_buffer_bytes} (rounded up to
+    a power of two; 512 in the stock kernel, xv6's size). A transfer
+    moves its bytes with at most two [Bytes.blit]s, split at the wrap
+    boundary, inside one [plock] window, just as xv6's pipewrite and
+    piperead hold the pipe lock across their whole copy loop. Two knobs
+    pick what a transfer costs and whom it wakes, never how it moves:
 
-    The slow path stays the default so the paper numbers are untouched;
-    ipcbench walks the ladder. Both paths share the POSIX fixes: a write
+    - {!Kconfig.pipe_ring} is the charge model. Off is the xv6 port the
+      paper measures, {!Kcost.pipe_per_byte} per byte copied; Figure 11
+      shows it becoming the latency bottleneck even for 10-byte keyboard
+      events in mario-proc. On is memmove speed, {!Kcost.copy_cycles}.
+    - {!Kconfig.pipe_wake_edge} is the wake model. Off is xv6's wakeup on
+      every operation; on wakes readers only on empty→non-empty and
+      writers only on full→not-full, and tallies the ops whose wakeup
+      was suppressed.
+
+    Both knobs ship off so the paper numbers are untouched; ipcbench
+    walks the ladder. Every configuration has the POSIX fixes: a write
     with no readers left returns [-EPIPE], a blocked write whose readers
     vanish mid-transfer returns the bytes already sent, and O_NONBLOCK
     reaches both directions. Pipe ids and pipe counters are per kernel,
@@ -26,9 +33,9 @@
     transitions do, and the ops that would have woken someone are
     tallied as suppressed. *)
 type params = {
-  ring : bool;
+  ring : bool;  (** charge model: memmove speed instead of xv6's per byte *)
   edge : bool;
-  ring_bytes : int;
+  buffer_bytes : int;
   mutable next_id : int;  (** last pipe id this kernel handed out *)
   pipe_writes : Kperf.cell;
   pipe_reads : Kperf.cell;
@@ -48,7 +55,7 @@ let params_of_config (cfg : Kconfig.t) kperf vprobe =
   {
     ring = cfg.Kconfig.pipe_ring;
     edge = cfg.Kconfig.pipe_wake_edge;
-    ring_bytes = cfg.Kconfig.pipe_buffer_bytes;
+    buffer_bytes = cfg.Kconfig.pipe_buffer_bytes;
     next_id = 0;
     pipe_writes;
     pipe_reads;
@@ -81,10 +88,7 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 let create p =
   p.next_id <- p.next_id + 1;
   let id = p.next_id in
-  let cap =
-    if p.ring then pow2_at_least (max 64 p.ring_bytes) 64
-    else Kcost.pipe_buffer_bytes
-  in
+  let cap = pow2_at_least p.buffer_bytes 64 in
   {
     pipe_id = id;
     p;
@@ -103,20 +107,8 @@ let fill t = t.wpos - t.rpos
 let space t = t.cap - fill t
 let mask t pos = pos land (t.cap - 1)
 
-let push_byte t c =
-  Spinlock.protect t.plock (fun () ->
-      Bytes.set t.data (mask t t.wpos) c;
-      t.wpos <- t.wpos + 1)
-
-let pop_byte t =
-  Spinlock.protect t.plock (fun () ->
-      let c = Bytes.get t.data (mask t t.rpos) in
-      t.rpos <- t.rpos + 1;
-      c)
-
-(* Ring fast path: move [n] bytes with at most two blits (one split at
-   the wrap boundary), modeled at memmove speed instead of the byte
-   loop's one-byte-per-iteration cost. *)
+(* The one copy path: [n] bytes in or out of the ring in one [plock]
+   window, with at most two blits (one split at the wrap boundary). *)
 let blit_in t src srcoff n =
   Spinlock.protect t.plock (fun () ->
       let w = mask t t.wpos in
@@ -125,31 +117,29 @@ let blit_in t src srcoff n =
       if n > first then Bytes.blit src (srcoff + first) t.data 0 (n - first);
       t.wpos <- t.wpos + n)
 
+let blit_out t n =
+  let out = Bytes.create n in
+  Spinlock.protect t.plock (fun () ->
+      let r = mask t t.rpos in
+      let first = min n (t.cap - r) in
+      Bytes.blit t.data r out 0 first;
+      if n > first then Bytes.blit t.data 0 out first (n - first);
+      t.rpos <- t.rpos + n);
+  out
+
 let copy_charge t n =
   if t.p.ring then Kcost.copy_cycles ~bytes:n else Kcost.pipe_per_byte * n
 
-(* Wake the read side after data arrived. Level mode (xv6) is the
-   caller's responsibility — it wakes on every op exactly where the seed
-   did, keeping the charge sequence bit-identical. Edge mode wakes only
-   on the empty→non-empty transition and tallies the ops whose wakeup
-   was suppressed. *)
-let wake_readers_edge ctx t ~was_empty =
-  let sched = ctx.Sched.sched in
-  if was_empty && fill t > 0 then begin
-    Sched.charge ctx Kcost.wakeup;
-    t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
-    Sched.wake_all sched t.rchan
-  end
-  else
-    t.p.wakeups_suppressed.Kperf.n <- t.p.wakeups_suppressed.Kperf.n + 1
+(* One wakeup on [chan]: charged, counted, every sleeper woken. *)
+let wake ctx t chan =
+  Sched.charge ctx Kcost.wakeup;
+  t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
+  Sched.wake_all ctx.Sched.sched chan
 
-let wake_writers_edge ctx t ~was_full =
-  let sched = ctx.Sched.sched in
-  if was_full && space t > 0 then begin
-    Sched.charge ctx Kcost.wakeup;
-    t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
-    Sched.wake_all sched t.wchan
-  end
+(* Edge mode: wake only when the op crossed the edge, else tally the
+   wakeup the level model would have issued as suppressed. *)
+let wake_on_edge ctx t chan crossed =
+  if crossed then wake ctx t chan
   else
     t.p.wakeups_suppressed.Kperf.n <- t.p.wakeups_suppressed.Kperf.n + 1
 
@@ -161,7 +151,9 @@ let write_ready t = space t > 0 || t.readers = 0
 
 (* Write all of [data]; blocks while the buffer is full, like xv6's
    pipewrite. A readerless pipe yields -EPIPE, or the partial count if
-   the readers vanished after some bytes were already transferred. *)
+   the readers vanished after some bytes were already transferred. Like
+   xv6, the level model wakes readers before blocking on a full ring
+   (uncharged) and once at the end of the write (charged). *)
 let write ctx t data ~nonblock =
   let sched = ctx.Sched.sched in
   let len = Bytes.length data in
@@ -178,39 +170,28 @@ let write ctx t data ~nonblock =
     if t.readers = 0 then
       Sched.finish ctx
         (Abi.R_int (if !sent > 0 then !sent else -Errno.epipe))
-    else if !sent >= len then
-      if t.p.edge then Sched.finish ctx (Abi.R_int len)
-      else begin
-        Sched.charge ctx Kcost.wakeup;
-        t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
-        Sched.wake_all sched t.rchan;
-        Sched.finish ctx (Abi.R_int len)
-      end
+    else if !sent >= len then begin
+      if not t.p.edge then wake ctx t t.rchan;
+      Sched.finish ctx (Abi.R_int len)
+    end
     else if space t = 0 then
       if nonblock then
         Sched.finish ctx
           (Abi.R_int (if !sent > 0 then !sent else -Errno.eagain))
-      else if t.p.edge then
-        (* readers were woken at the empty→non-empty edge; the data is
-           theirs to drain *)
-        Sched.block ctx ~chan:t.wchan ~retry:step
       else begin
-        (* wake readers to drain, then sleep on write space *)
-        Sched.wake_all sched t.rchan;
+        (* edge mode woke readers at the empty→non-empty edge; the level
+           model wakes them here to drain *)
+        if not t.p.edge then Sched.wake_all sched t.rchan;
         Sched.block ctx ~chan:t.wchan ~retry:step
       end
     else begin
       let n = min (len - !sent) (space t) in
       let was_empty = fill t = 0 in
-      if t.p.ring then blit_in t data !sent n
-      else
-        for i = 0 to n - 1 do
-          push_byte t (Bytes.get data (!sent + i))
-        done;
+      blit_in t data !sent n;
       Sched.charge ctx (copy_charge t n);
       sent := !sent + n;
       t.p.pipe_bytes.Kperf.n <- t.p.pipe_bytes.Kperf.n + n;
-      if t.p.edge then wake_readers_edge ctx t ~was_empty;
+      if t.p.edge then wake_on_edge ctx t t.rchan was_empty;
       Sched.poll_wake sched;
       step ()
     end
@@ -230,28 +211,11 @@ let read ctx t ~len ~nonblock =
         (Int64.sub (Sched.now sched) entered_ns);
       let n = min len (fill t) in
       let was_full = space t = 0 in
-      let out = Bytes.create n in
-      (if t.p.ring then
-         Spinlock.protect t.plock (fun () ->
-             let r = mask t t.rpos in
-             let first = min n (t.cap - r) in
-             Bytes.blit t.data r out 0 first;
-             if n > first then Bytes.blit t.data 0 out first (n - first);
-             t.rpos <- t.rpos + n)
-       else
-         for i = 0 to n - 1 do
-           Bytes.set out i (pop_byte t)
-         done);
+      let out = blit_out t n in
       t.p.pipe_bytes.Kperf.n <- t.p.pipe_bytes.Kperf.n + n;
-      if t.p.edge then begin
-        Sched.charge ctx (copy_charge t n);
-        wake_writers_edge ctx t ~was_full
-      end
-      else begin
-        Sched.charge ctx (copy_charge t n + Kcost.wakeup);
-        t.p.wakeups_issued.Kperf.n <- t.p.wakeups_issued.Kperf.n + 1;
-        Sched.wake_all sched t.wchan
-      end;
+      Sched.charge ctx (copy_charge t n);
+      if t.p.edge then wake_on_edge ctx t t.wchan (was_full && space t > 0)
+      else wake ctx t t.wchan;
       Sched.poll_wake sched;
       (let vp = sched.Sched.vprobe in
        if Vprobe.armed vp Vprobe.pt_pipe_read then

@@ -117,9 +117,7 @@ let render_ipc t =
     (if cfg.Kconfig.pipe_ring then "ring" else "xv6")
     "wake_mode"
     (if cfg.Kconfig.pipe_wake_edge then "edge" else "level")
-    "buffer_bytes"
-    (if cfg.Kconfig.pipe_ring then cfg.Kconfig.pipe_buffer_bytes
-     else Kcost.pipe_buffer_bytes)
+    "buffer_bytes" cfg.Kconfig.pipe_buffer_bytes
   ^ String.concat ""
       (List.map
          (fun k ->

@@ -653,6 +653,7 @@ let proc_ipc_reports_edge_stats () =
     {
       Core.Kconfig.full with
       Core.Kconfig.pipe_ring = true;
+      pipe_buffer_bytes = 4096;
       pipe_wake_edge = true;
     }
   in
@@ -680,6 +681,42 @@ let proc_ipc_reports_edge_stats () =
         (int_of_string (field "wakeups_suppressed") >= 1);
       check_bool "writes counted" true
         (int_of_string (field "pipe_writes") >= 1))
+
+(* Capacity is the ring's size, whatever the charge model: the xv6 pipe
+   at 1024 bytes holds 1024. *)
+let pipe_capacity_is_buffer_bytes () =
+  let config = { Core.Kconfig.full with Core.Kconfig.pipe_buffer_bytes = 1024 } in
+  in_kernel ~config (fun _ ->
+      let _r, w = Result.get_ok (Usys.pipe2 Core.Abi.o_nonblock) in
+      check_int "nonblocking write fills the ring" 1024
+        (Usys.write w (Bytes.make 2000 'c'));
+      let text = Bytes.to_string (Result.get_ok (Usys.slurp "/proc/ipc")) in
+      check_bool "/proc/ipc reports the ring size" true
+        (List.exists
+           (fun l ->
+             String.starts_with ~prefix:"buffer_bytes" l
+             && String.ends_with ~suffix:" 1024" l)
+           (String.split_on_char '\n' text)))
+
+(* A transfer copies inside one [plock] window, as xv6's pipewrite and
+   piperead hold the lock across the whole copy loop: a 100-byte write
+   and read take a handful of lock acquisitions, not one per byte. *)
+let pipe_transfer_is_one_lock_window () =
+  in_kernel ~config:Core.Kconfig.full (fun kernel ->
+      let vp = kernel.Core.Kernel.sched.Core.Sched.vprobe in
+      let probe =
+        match Core.Vprobe.attach vp "probe lock:acquire / * / count" with
+        | Ok _ -> List.hd vp.Core.Vprobe.all
+        | Error e -> Alcotest.failf "attach: %s" e
+      in
+      let r, w = Result.get_ok (Usys.pipe ()) in
+      let before = probe.Core.Vprobe.pr_fired in
+      check_int "wrote" 100 (Usys.write w (Bytes.make 100 'l'));
+      check_int "read" 100 (Bytes.length (Result.get_ok (Usys.read r 100)));
+      let fired = probe.Core.Vprobe.pr_fired - before in
+      check_bool
+        (Printf.sprintf "lock acquisitions %d < 20" fired)
+        true (fired < 20))
 
 (* The fast path must be a pure performance change: the byte stream a
    ring pipe delivers — including across the wrap boundary — is identical
@@ -851,6 +888,9 @@ let suite_ipc =
       quick "poll timeout expires" poll_timeout_expires;
       quick "/proc/ipc reports edge wakeup counts" proc_ipc_reports_edge_stats;
       quick "ring pipe bytes identical to xv6 pipe" ring_pipe_matches_xv6_data;
+      quick "pipe capacity is pipe_buffer_bytes under the xv6 charge"
+        pipe_capacity_is_buffer_bytes;
+      quick "a pipe transfer is one plock window" pipe_transfer_is_one_lock_window;
       quick "pid and pipe-id streams are per kernel, as are file ids and ASIDs"
         id_streams_are_per_kernel;
     ] )

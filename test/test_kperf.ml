@@ -639,7 +639,12 @@ let ipc_scenario () =
   let kernel =
     boot_kernel
       ~config:
-        { test_config with Core.Kconfig.pipe_ring = true; pipe_wake_edge = true }
+        {
+          test_config with
+          Core.Kconfig.pipe_ring = true;
+          pipe_buffer_bytes = 4096;
+          pipe_wake_edge = true;
+        }
       ()
   in
   run_user kernel (fun () ->
