@@ -55,14 +55,15 @@ let kernel_time_ns kernel ~pid ~from_ns ~until_ns =
         Int64.compare e.Core.Ktrace.ts_ns from_ns >= 0
         && Int64.compare e.Core.Ktrace.ts_ns until_ns <= 0
       then begin
-        if Evsel.syscall_enter e.Core.Ktrace.ev = Some pid then
-          entered := Some e.Core.Ktrace.ts_ns
-        else if Evsel.syscall_exit e.Core.Ktrace.ev = Some pid then
-          match !entered with
-          | Some t0 ->
-              total := Int64.add !total (Int64.sub e.Core.Ktrace.ts_ns t0);
-              entered := None
-          | None -> ()
+        match Evsel.kind e.Core.Ktrace.ev with
+        | Evsel.Sys_in p when p = pid -> entered := Some e.Core.Ktrace.ts_ns
+        | Evsel.Sys_out p when p = pid -> (
+            match !entered with
+            | Some t0 ->
+                total := Int64.add !total (Int64.sub e.Core.Ktrace.ts_ns t0);
+                entered := None
+            | None -> ())
+        | _ -> ()
       end)
     (events_of kernel);
   !total
@@ -114,42 +115,7 @@ let input_case ~prog ~argv ~name =
     Hw.Usb.key_up board.Hw.Board.usb 0x4f;
     Proto.Stage.run_for stage (Sim.Engine.ms 60)
   done;
-  (* mine the trace: for each kbd_report, find the next delivery and the
-     next frame after that *)
-  let events = events_of kernel in
-  let deliver_stats = Sim.Stats.create () in
-  let frame_stats = Sim.Stats.create () in
-  let rec scan = function
-    | [] -> ()
-    | e :: rest ->
-        if not (Evsel.kbd_report e.Core.Ktrace.ev) then scan rest
-        else begin
-          let delivery =
-            List.find_opt
-              (fun e2 -> Evsel.event_delivered e2.Core.Ktrace.ev <> None)
-              rest
-          in
-          (match delivery with
-          | Some d ->
-              Sim.Stats.add deliver_stats
-                (Sim.Engine.to_ms (Int64.sub d.Core.Ktrace.ts_ns e.Core.Ktrace.ts_ns));
-              let frame =
-                List.find_opt
-                  (fun e2 ->
-                    Evsel.frame_present e2.Core.Ktrace.ev <> None
-                    && Int64.compare e2.Core.Ktrace.ts_ns d.Core.Ktrace.ts_ns > 0)
-                  rest
-              in
-              (match frame with
-              | Some f ->
-                  Sim.Stats.add frame_stats
-                    (Sim.Engine.to_ms (Int64.sub f.Core.Ktrace.ts_ns d.Core.Ktrace.ts_ns))
-              | None -> ())
-          | None -> ());
-          scan rest
-        end
-  in
-  scan events;
+  let deliver_stats, frame_stats = Evsel.keypresses (events_of kernel) in
   let deliver = Sim.Stats.mean deliver_stats in
   let respond = Sim.Stats.mean frame_stats in
   {

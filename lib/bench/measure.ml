@@ -44,7 +44,7 @@ let fps_between kernel ~pid ~from_ns ~until_ns =
     List.length
       (List.filter
          (fun e ->
-           Evsel.frame_present e.Core.Ktrace.ev = Some pid
+           Evsel.kind e.Core.Ktrace.ev = Evsel.Frame pid
            && Int64.compare e.Core.Ktrace.ts_ns from_ns >= 0
            && Int64.compare e.Core.Ktrace.ts_ns until_ns <= 0)
          (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace))

@@ -155,18 +155,16 @@ let wakeup_hist trace ~pids ~from_ns ~until_ns =
         Int64.compare e.Core.Ktrace.ts_ns from_ns >= 0
         && Int64.compare e.Core.Ktrace.ts_ns until_ns <= 0
       then begin
-        (match Evsel.sched_wakeup e.Core.Ktrace.ev with
-        | Some pid when List.mem pid interesting ->
+        match Evsel.kind e.Core.Ktrace.ev with
+        | Evsel.Woken pid when List.mem pid interesting ->
             Hashtbl.replace pending pid e.Core.Ktrace.ts_ns
-        | Some _ | None -> ());
-        match Evsel.ctx_switch e.Core.Ktrace.ev with
-        | Some (_, pid) -> (
+        | Evsel.Switch (_, pid) -> (
             match Hashtbl.find_opt pending pid with
             | Some woke ->
                 Hashtbl.remove pending pid;
                 Core.Kperf.Hist.record h (Int64.sub e.Core.Ktrace.ts_ns woke)
             | None -> ())
-        | None -> ()
+        | _ -> ()
       end)
     (Core.Ktrace.dump trace);
   h

@@ -57,45 +57,8 @@ type session = {
   s_trace : Core.Ktrace.entry list;  (** raw, for the machine dump *)
 }
 
-(* The same scan latency.ml uses: each kbd_report pairs with the next
-   delivery, that delivery with the next frame after it. *)
 let mine_breakdown events =
-  let deliver = Sim.Stats.create () in
-  let respond = Sim.Stats.create () in
-  let rec scan = function
-    | [] -> ()
-    | e :: rest ->
-        if not (Evsel.kbd_report e.Core.Ktrace.ev) then scan rest
-        else begin
-          let delivery =
-            List.find_opt
-              (fun e2 -> Evsel.event_delivered e2.Core.Ktrace.ev <> None)
-              rest
-          in
-          (match delivery with
-          | Some d ->
-              Sim.Stats.add deliver
-                (Sim.Engine.to_ms
-                   (Int64.sub d.Core.Ktrace.ts_ns e.Core.Ktrace.ts_ns));
-              (match
-                 List.find_opt
-                   (fun e2 ->
-                     Evsel.frame_present e2.Core.Ktrace.ev <> None
-                     && Int64.compare e2.Core.Ktrace.ts_ns
-                          d.Core.Ktrace.ts_ns
-                        > 0)
-                   rest
-               with
-              | Some f ->
-                  Sim.Stats.add respond
-                    (Sim.Engine.to_ms
-                       (Int64.sub f.Core.Ktrace.ts_ns d.Core.Ktrace.ts_ns))
-              | None -> ())
-          | None -> ());
-          scan rest
-        end
-  in
-  scan events;
+  let deliver, respond = Evsel.keypresses events in
   {
     bd_samples = Sim.Stats.count deliver;
     bd_deliver_ms = Sim.Stats.mean deliver;

@@ -246,8 +246,10 @@ let surface_ops t =
                     unpack_pixels data s.Wm.pixels npx;
                     s.Wm.dirty <- true;
                     s.Wm.frames <- s.Wm.frames + 1;
+                    let pid = ctx.Sched.task.Task.pid in
+                    Sched.count_frame ctx.Sched.sched pid;
                     Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
-                      (Ktrace.Frame_present ctx.Sched.task.Task.pid);
+                      (Ktrace.Frame_present pid);
                     Sched.charge ctx (Kcost.copy_cycles ~bytes:(4 * npx));
                     Sched.finish ctx (Abi.R_int (Bytes.length data))
               end);

@@ -257,14 +257,31 @@ let render_profile t =
 
 (* ---- Prometheus text exposition ---- *)
 
+(* A label value, quoted and escaped the way the exposition format
+   wants: backslash, double quote and newline are escaped, every other
+   byte is written as it is. *)
+let quote_label v =
+  let b = Buffer.create (String.length v + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' -> Buffer.add_string b "\\\""
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    v;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let label_str = function
   | None -> ""
-  | Some (k, v) -> Printf.sprintf "{%s=%S}" k v
+  | Some (k, v) -> Printf.sprintf "{%s=%s}" k (quote_label v)
 
 let bucket_label extra le =
   match extra with
-  | None -> Printf.sprintf "{le=%S}" le
-  | Some (k, v) -> Printf.sprintf "{%s=%S,le=%S}" k v le
+  | None -> Printf.sprintf "{le=%s}" (quote_label le)
+  | Some (k, v) ->
+      Printf.sprintf "{%s=%s,le=%s}" k (quote_label v) (quote_label le)
 
 (* Group registry entries by metric name, preserving first-registration
    order. The exposition format requires all samples of one family to be

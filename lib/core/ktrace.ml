@@ -106,8 +106,8 @@ type t = {
           default), set to "now" by [clock=rel] in /proc/ktrace_ctl *)
   mutable readers_open : int;  (** open /proc/ktrace handles (wake gate) *)
   mutable dstate : bool;
-      (** opt-in for the delay-accounting event stream (Task_state /
-          Runq_depth): [dstate=1] in /proc/ktrace_ctl. A separate gate
+      (** opt-in for the delay-accounting event stream (class [dstate]
+          in {!class_of}): [dstate=1] in /proc/ktrace_ctl. A separate gate
           from the class filter because delay accounting always runs and
           [filter_all] would otherwise flood armed traces, breaking the
           byte-identity of every existing capture *)
@@ -227,41 +227,35 @@ type span = {
 }
 
 (* Pair up Span_begin/Span_end by id over a sorted dump. Returns the
-   matched spans (in begin order) and the begins still open at dump time
-   (blocked syscalls, in-flight block requests). Every constructor is
-   spelled out so R004 forces new events through this classifier too. *)
+   matched spans (by id) and the spans still open at dump time (blocked
+   syscalls, in-flight block requests) in dump order; an open span's end
+   is its begin. A begin keeps its pid and name in its [span], so the end
+   needs no second look at it. Every constructor is spelled out so R004
+   forces new events through this classifier too. *)
 let pair_spans entries =
   let open_spans = Hashtbl.create 64 in
-  let matched = ref [] in
+  let begun = ref [] and matched = ref [] in
   List.iter
     (fun e ->
       match e.ev with
-      | Span_begin (id, _, _) -> Hashtbl.replace open_spans id e
+      | Span_begin (id, pid, name) ->
+          let sp =
+            {
+              sp_id = id;
+              sp_pid = pid;
+              sp_name = name;
+              sp_core = e.core;
+              sp_begin_ns = e.ts_ns;
+              sp_end_ns = e.ts_ns;
+            }
+          in
+          Hashtbl.replace open_spans id sp;
+          begun := sp :: !begun
       | Span_end id -> (
           match Hashtbl.find_opt open_spans id with
-          | Some b ->
+          | Some sp ->
               Hashtbl.remove open_spans id;
-              let pid, name =
-                match b.ev with
-                | Span_begin (_, pid, name) -> (pid, name)
-                | Syscall_enter _ | Syscall_exit _ | Ctx_switch _
-                | Irq_enter _ | Irq_exit _ | Sched_wakeup _ | Sched_migrate _
-                | Ipi_send _ | Ipi_recv _ | Kbd_report | Event_delivered _
-                | Poll_return _ | Frame_present _ | Wm_composite
-                | Lock_acquire _ | Lock_release _ | Sem_block _ | Sem_wake _
-                | Custom _ | Span_end _ | Task_state _ | Runq_depth _ ->
-                    (0, "?")
-              in
-              matched :=
-                {
-                  sp_id = id;
-                  sp_pid = pid;
-                  sp_name = name;
-                  sp_core = b.core;
-                  sp_begin_ns = b.ts_ns;
-                  sp_end_ns = e.ts_ns;
-                }
-                :: !matched
+              matched := { sp with sp_end_ns = e.ts_ns } :: !matched
           | None -> ())
       | Syscall_enter _ | Syscall_exit _ | Ctx_switch _ | Irq_enter _
       | Irq_exit _ | Sched_wakeup _ | Sched_migrate _ | Ipi_send _
@@ -270,9 +264,13 @@ let pair_spans entries =
       | Sem_block _ | Sem_wake _ | Custom _ | Task_state _ | Runq_depth _ ->
           ())
     entries;
-  let unmatched = Hashtbl.fold (fun _ e acc -> e :: acc) open_spans [] in
+  let still_open sp =
+    match Hashtbl.find_opt open_spans sp.sp_id with
+    | Some o -> o == sp
+    | None -> false
+  in
   ( List.sort (fun a b -> compare a.sp_id b.sp_id) !matched,
-    List.sort compare_entry unmatched )
+    List.rev (List.filter still_open !begun) )
 
 (* ---- rendering ---- *)
 
@@ -432,134 +430,91 @@ let write_machine oc entries =
       Buffer.output_buffer oc b)
     entries
 
+(* ---- parsing the machine format ---- *)
+
+(* The first [n] space-separated fields of [s] and the text after them.
+   The last field may end the line; a missing field is None. *)
+let split_n n s =
+  let rec go n s acc =
+    if n = 0 then Some (List.rev acc, s)
+    else
+      match String.index_opt s ' ' with
+      | Some i ->
+          go (n - 1)
+            (String.sub s (i + 1) (String.length s - i - 1))
+            (String.sub s 0 i :: acc)
+      | None -> if n = 1 then Some (List.rev (s :: acc), "") else None
+  in
+  go n s []
+
+(* [n] integer fields, then the rest of the line. *)
+let split_ints n s =
+  match split_n n s with
+  | Some (fields, rest) ->
+      let vals = List.filter_map int_of_string_opt fields in
+      if List.length vals = n then Some (vals, rest) else None
+  | None -> None
+
+(* Decoders by argument shape, each over the text after the tag. An
+   all-integer shape rejects anything after its last field; a trailing
+   string takes the rest of the line, spaces included. *)
+let d_i k rest =
+  match split_ints 1 rest with Some ([ a ], "") -> Some (k a) | _ -> None
+
+let d_ii k rest =
+  match split_ints 2 rest with
+  | Some ([ a; b ], "") -> Some (k a b)
+  | _ -> None
+
+let d_iii k rest =
+  match split_ints 3 rest with
+  | Some ([ a; b; c ], "") -> Some (k a b c)
+  | _ -> None
+
+let d_is k rest =
+  match split_ints 1 rest with Some ([ a ], s) -> Some (k a s) | _ -> None
+
+let d_iis k rest =
+  match split_ints 2 rest with Some ([ a; b ], s) -> Some (k a b s) | _ -> None
+
+(* One row per tag {!add_machine_line} writes: the event that [rest],
+   the text after the tag, decodes to. An argument-less tag ignores what
+   follows it. *)
+let decode tag rest =
+  match tag with
+  | "sys_enter" -> d_is (fun pid name -> Syscall_enter (pid, name)) rest
+  | "sys_exit" -> d_is (fun pid name -> Syscall_exit (pid, name)) rest
+  | "ctx_switch" -> d_ii (fun a b -> Ctx_switch (a, b)) rest
+  | "irq_enter" -> Some (Irq_enter rest)
+  | "irq_exit" -> Some (Irq_exit rest)
+  | "wakeup" -> d_i (fun pid -> Sched_wakeup pid) rest
+  | "migrate" -> d_iii (fun pid a b -> Sched_migrate (pid, a, b)) rest
+  | "ipi_send" -> d_i (fun c -> Ipi_send c) rest
+  | "ipi_recv" -> d_i (fun c -> Ipi_recv c) rest
+  | "kbd_report" -> Some Kbd_report
+  | "event_delivered" -> d_i (fun pid -> Event_delivered pid) rest
+  | "poll_return" -> d_ii (fun pid n -> Poll_return (pid, n)) rest
+  | "frame_present" -> d_i (fun pid -> Frame_present pid) rest
+  | "wm_composite" -> Some Wm_composite
+  | "lock_acquire" -> d_is (fun core name -> Lock_acquire (name, core)) rest
+  | "lock_release" -> d_is (fun core name -> Lock_release (name, core)) rest
+  | "sem_block" -> d_ii (fun pid id -> Sem_block (pid, id)) rest
+  | "sem_wake" -> d_ii (fun pid id -> Sem_wake (pid, id)) rest
+  | "custom" -> Some (Custom rest)
+  | "span_begin" -> d_iis (fun id pid name -> Span_begin (id, pid, name)) rest
+  | "span_end" -> d_i (fun id -> Span_end id) rest
+  | "task_state" -> d_ii (fun pid st -> Task_state (pid, st)) rest
+  | "runq_depth" -> d_ii (fun core depth -> Runq_depth (core, depth)) rest
+  | _ -> None
+
 (* The inverse of {!machine_line}; None on anything malformed. *)
 let parse_machine_line line =
-  let line = String.trim line in
-  if String.equal line "" then None
-  else
-    (* split off the first n space-separated fields, keep the tail *)
-    let split_n n s =
-      let rec go n s acc =
-        if n = 0 then Some (List.rev acc, s)
-        else
-          match String.index_opt s ' ' with
-          | Some i ->
-              go (n - 1)
-                (String.sub s (i + 1) (String.length s - i - 1))
-                (String.sub s 0 i :: acc)
-          | None -> if n = 1 then Some (List.rev (s :: acc), "") else None
-      in
-      go n s []
-    in
-    let int_of s = int_of_string_opt s in
-    match split_n 4 line with
-    | Some ([ ts; seq; core; tag ], rest) -> (
-        match
-          (Int64.of_string_opt ts, int_of seq, int_of core)
-        with
-        | Some ts_ns, Some seq, Some core ->
-            let ints n =
-              match split_n n rest with
-              | Some (fields, "") ->
-                  let vals = List.filter_map int_of fields in
-                  if List.length vals = n then Some vals else None
-              | Some _ | None -> None
-            in
-            let int_then_str () =
-              match split_n 1 rest with
-              | Some ([ a ], s) -> (
-                  match int_of a with Some a -> Some (a, s) | None -> None)
-              | Some _ | None -> None
-            in
-            let int2_then_str () =
-              match split_n 2 rest with
-              | Some ([ a; b ], s) -> (
-                  match (int_of a, int_of b) with
-                  | Some a, Some b -> Some (a, b, s)
-                  | _, _ -> None)
-              | Some _ | None -> None
-            in
-            let ev =
-              match tag with
-              | "sys_enter" -> (
-                  match int_then_str () with
-                  | Some (pid, name) -> Some (Syscall_enter (pid, name))
-                  | None -> None)
-              | "sys_exit" -> (
-                  match int_then_str () with
-                  | Some (pid, name) -> Some (Syscall_exit (pid, name))
-                  | None -> None)
-              | "ctx_switch" -> (
-                  match ints 2 with
-                  | Some [ a; b ] -> Some (Ctx_switch (a, b))
-                  | Some _ | None -> None)
-              | "irq_enter" -> Some (Irq_enter rest)
-              | "irq_exit" -> Some (Irq_exit rest)
-              | "wakeup" -> (
-                  match ints 1 with
-                  | Some [ pid ] -> Some (Sched_wakeup pid)
-                  | Some _ | None -> None)
-              | "migrate" -> (
-                  match ints 3 with
-                  | Some [ pid; a; b ] -> Some (Sched_migrate (pid, a, b))
-                  | Some _ | None -> None)
-              | "ipi_send" -> (
-                  match ints 1 with
-                  | Some [ c ] -> Some (Ipi_send c)
-                  | Some _ | None -> None)
-              | "ipi_recv" -> (
-                  match ints 1 with
-                  | Some [ c ] -> Some (Ipi_recv c)
-                  | Some _ | None -> None)
-              | "kbd_report" -> Some Kbd_report
-              | "event_delivered" -> (
-                  match ints 1 with
-                  | Some [ pid ] -> Some (Event_delivered pid)
-                  | Some _ | None -> None)
-              | "poll_return" -> (
-                  match ints 2 with
-                  | Some [ pid; n ] -> Some (Poll_return (pid, n))
-                  | Some _ | None -> None)
-              | "frame_present" -> (
-                  match ints 1 with
-                  | Some [ pid ] -> Some (Frame_present pid)
-                  | Some _ | None -> None)
-              | "wm_composite" -> Some Wm_composite
-              | "lock_acquire" -> (
-                  match int_then_str () with
-                  | Some (core, name) -> Some (Lock_acquire (name, core))
-                  | None -> None)
-              | "lock_release" -> (
-                  match int_then_str () with
-                  | Some (core, name) -> Some (Lock_release (name, core))
-                  | None -> None)
-              | "sem_block" -> (
-                  match ints 2 with
-                  | Some [ pid; id ] -> Some (Sem_block (pid, id))
-                  | Some _ | None -> None)
-              | "sem_wake" -> (
-                  match ints 2 with
-                  | Some [ pid; id ] -> Some (Sem_wake (pid, id))
-                  | Some _ | None -> None)
-              | "custom" -> Some (Custom rest)
-              | "span_begin" -> (
-                  match int2_then_str () with
-                  | Some (id, pid, name) -> Some (Span_begin (id, pid, name))
-                  | None -> None)
-              | "span_end" -> (
-                  match ints 1 with
-                  | Some [ id ] -> Some (Span_end id)
-                  | Some _ | None -> None)
-              | "task_state" -> (
-                  match ints 2 with
-                  | Some [ pid; st ] -> Some (Task_state (pid, st))
-                  | Some _ | None -> None)
-              | "runq_depth" -> (
-                  match ints 2 with
-                  | Some [ core; depth ] -> Some (Runq_depth (core, depth))
-                  | Some _ | None -> None)
-              | _ -> None
-            in
-            Option.map (fun ev -> { ts_ns; seq; core; ev }) ev
-        | _, _, _ -> None)
-    | Some _ | None -> None
+  match split_n 4 (String.trim line) with
+  | Some ([ ts; seq; core; tag ], rest) -> (
+      match
+        (Int64.of_string_opt ts, int_of_string_opt seq, int_of_string_opt core)
+      with
+      | Some ts_ns, Some seq, Some core ->
+          Option.map (fun ev -> { ts_ns; seq; core; ev }) (decode tag rest)
+      | _ -> None)
+  | Some _ | None -> None

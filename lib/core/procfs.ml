@@ -286,9 +286,8 @@ let ktrace_ctl_write t ctx bytes =
             | Some mask -> Ktrace.set_filter tr mask; true
             | None -> false)
         | "dstate" -> (
-            (* delay-accounting trace events (Task_state / Runq_depth):
-               off by default so armed-vs-stock traces stay
-               byte-identical *)
+            (* delay-accounting trace events (class dstate): off by
+               default so armed-vs-stock traces stay byte-identical *)
             match value with
             | "0" -> Ktrace.set_dstate tr false; true
             | "1" -> Ktrace.set_dstate tr true; true

@@ -276,33 +276,21 @@ let create board config kalloc =
       kperf.Kperf.profile_samples);
   t
 
-(* Every Ktrace constructor is spelled out (no wildcard): vlint's R004
-   makes adding an event variant force an audit of this accumulator. *)
-let bump_frames t ev =
-  match ev with
-  | Ktrace.Frame_present pid ->
-      Hashtbl.replace t.frame_counts pid
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.frame_counts pid))
-  | Ktrace.Syscall_enter _ | Ktrace.Syscall_exit _ | Ktrace.Ctx_switch _
-  | Ktrace.Irq_enter _ | Ktrace.Irq_exit _ | Ktrace.Sched_wakeup _
-  | Ktrace.Sched_migrate _ | Ktrace.Ipi_send _ | Ktrace.Ipi_recv _
-  | Ktrace.Kbd_report | Ktrace.Event_delivered _ | Ktrace.Poll_return _
-  | Ktrace.Wm_composite | Ktrace.Lock_acquire _ | Ktrace.Lock_release _
-  | Ktrace.Sem_block _ | Ktrace.Sem_wake _ | Ktrace.Custom _
-  | Ktrace.Span_begin _ | Ktrace.Span_end _ | Ktrace.Task_state _
-  | Ktrace.Runq_depth _ -> ()
+(* One more frame presented by [pid], for {!frames_presented}. Counted
+   at the two present sites whether or not the trace records the event,
+   so a wrapped or filtered ring does not lose frames. *)
+let count_frame t pid =
+  Hashtbl.replace t.frame_counts pid
+    (1 + Option.value ~default:0 (Hashtbl.find_opt t.frame_counts pid))
 
 (* Events with no task context (device IRQs routed to core 0, kernel
    daemons): attributed to core 0. Task-attributed events go through
    [trace_emit_task], which stamps the core the task occupies. *)
-let trace_emit t ev =
-  bump_frames t ev;
-  Ktrace.emit t.trace ~ts_ns:(now t) ~core:0 ev
+let trace_emit t ev = Ktrace.emit t.trace ~ts_ns:(now t) ~core:0 ev
 
 let trace_emit_core t ~core ev = Ktrace.emit t.trace ~ts_ns:(now t) ~core ev
 
 let trace_emit_task t task ev =
-  bump_frames t ev;
   let core =
     match task.Task.state with
     | Task.Running c -> c

@@ -47,8 +47,10 @@ let dispatch s ctx =
           let rows = Hw.Framebuffer.stale_rows fb in
           Sched.charge ctx (Kcost.cache_flush_per_row * max 1 rows);
           Hw.Framebuffer.flush fb;
+          let pid = ctx.Sched.task.Task.pid in
+          Sched.count_frame ctx.Sched.sched pid;
           Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
-            (Ktrace.Frame_present ctx.Sched.task.Task.pid);
+            (Ktrace.Frame_present pid);
           Sched.finish ctx (Abi.R_int rows))
   (* ---- files ---- *)
   | Abi.Open (path, flags) ->

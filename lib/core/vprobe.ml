@@ -536,7 +536,6 @@ let render t =
    histograms live on /proc/vprobe). *)
 let render_metrics t =
   let buf = Buffer.create 512 in
-  let quote s = Printf.sprintf "%S" s in
   if t.all <> [] then begin
     Buffer.add_string buf
       "# HELP vos_vprobe_fired_total events that passed an attached probe's predicate\n";
@@ -545,7 +544,7 @@ let render_metrics t =
       (fun probe ->
         Buffer.add_string buf
           (Printf.sprintf "vos_vprobe_fired_total{probe=%s} %d\n"
-             (quote probe.pr_text) probe.pr_fired))
+             (Kperf.quote_label probe.pr_text) probe.pr_fired))
       (List.rev t.all);
     let sums =
       List.concat_map
@@ -566,8 +565,8 @@ let render_metrics t =
         (fun (probe, k, c) ->
           Buffer.add_string buf
             (Printf.sprintf "vos_vprobe_sum{probe=%s,key=%s} %Ld\n"
-               (quote probe.pr_text)
-               (quote (by_key_label probe.pr_spec k))
+               (Kperf.quote_label probe.pr_text)
+               (Kperf.quote_label (by_key_label probe.pr_spec k))
                c.cl_sum))
         sums
     end

@@ -10,6 +10,8 @@
     - every matched {!Core.Ktrace.Span_begin}/[Span_end] pair becomes a
       duration event ([ph:"X"]) on the owning pid's track, with the core
       recorded as an argument;
+    - a span still open at capture end becomes an ["open:"] instant;
+    - the delay-accounting events become counter tracks ([ph:"C"]);
     - every other event becomes an instant ([ph:"i"]) on its core's
       track under the synthetic "cores" process;
     - metadata events name one track per core plus one per pid seen, so
@@ -42,62 +44,81 @@ let json_escape s =
    pids start at 1, so 0 is free. *)
 let cores_pid = 0
 
-(* Instant-event mapper: name and argument string for every non-span
-   event. Spelled out constructor by constructor — vlint R006 checks
-   that every [Ktrace.event] constructor appears here, so a new event
-   kind cannot silently vanish from the converted trace. *)
-let instant_of (ev : Core.Ktrace.event) =
+(* What one event becomes in the JSON. *)
+type out =
+  | Instant of string * string  (** name, argument string *)
+  | Counter of { c_name : string; c_pid : int; c_key : string; c_val : int }
+  | Skip
+      (** span ends and begins, rendered by the pairing pass as [ph:"X"]
+          durations or open-span instants *)
+
+(* The one classifier. Spelled out constructor by constructor — vlint
+   R006 checks that every [Ktrace.event] constructor appears here, so a
+   new event kind cannot silently vanish from the converted trace. The
+   delay-accounting events become counter tracks: one runnable-queue
+   depth series per core under the "cores" process, and one thread-state
+   series per pid (0 runnable, 1 running, 2 blocked, 3 zombie) that
+   Perfetto renders as step-function lanes. *)
+let classify (ev : Core.Ktrace.event) =
   match ev with
   | Core.Ktrace.Syscall_enter (pid, name) ->
-      Some ("sys_enter:" ^ name, Printf.sprintf "\"pid\":%d" pid)
+      Instant ("sys_enter:" ^ name, Printf.sprintf "\"pid\":%d" pid)
   | Core.Ktrace.Syscall_exit (pid, name) ->
-      Some ("sys_exit:" ^ name, Printf.sprintf "\"pid\":%d" pid)
+      Instant ("sys_exit:" ^ name, Printf.sprintf "\"pid\":%d" pid)
   | Core.Ktrace.Ctx_switch (a, b) ->
-      Some ("ctx_switch", Printf.sprintf "\"from\":%d,\"to\":%d" a b)
+      Instant ("ctx_switch", Printf.sprintf "\"from\":%d,\"to\":%d" a b)
   | Core.Ktrace.Irq_enter line ->
-      Some ("irq_enter", Printf.sprintf "\"line\":\"%s\"" (json_escape line))
+      Instant
+        ("irq_enter", Printf.sprintf "\"line\":\"%s\"" (json_escape line))
   | Core.Ktrace.Irq_exit line ->
-      Some ("irq_exit", Printf.sprintf "\"line\":\"%s\"" (json_escape line))
+      Instant
+        ("irq_exit", Printf.sprintf "\"line\":\"%s\"" (json_escape line))
   | Core.Ktrace.Sched_wakeup pid ->
-      Some ("wakeup", Printf.sprintf "\"pid\":%d" pid)
+      Instant ("wakeup", Printf.sprintf "\"pid\":%d" pid)
   | Core.Ktrace.Sched_migrate (pid, a, b) ->
-      Some
-        ( "migrate",
-          Printf.sprintf "\"pid\":%d,\"from\":%d,\"to\":%d" pid a b )
+      Instant
+        ("migrate", Printf.sprintf "\"pid\":%d,\"from\":%d,\"to\":%d" pid a b)
   | Core.Ktrace.Ipi_send target ->
-      Some ("ipi_send", Printf.sprintf "\"target\":%d" target)
+      Instant ("ipi_send", Printf.sprintf "\"target\":%d" target)
   | Core.Ktrace.Ipi_recv core ->
-      Some ("ipi_recv", Printf.sprintf "\"core\":%d" core)
-  | Core.Ktrace.Kbd_report -> Some ("kbd_report", "")
+      Instant ("ipi_recv", Printf.sprintf "\"core\":%d" core)
+  | Core.Ktrace.Kbd_report -> Instant ("kbd_report", "")
   | Core.Ktrace.Event_delivered pid ->
-      Some ("event_delivered", Printf.sprintf "\"pid\":%d" pid)
+      Instant ("event_delivered", Printf.sprintf "\"pid\":%d" pid)
   | Core.Ktrace.Poll_return (pid, nready) ->
-      Some
+      Instant
         ("poll_return", Printf.sprintf "\"pid\":%d,\"ready\":%d" pid nready)
   | Core.Ktrace.Frame_present pid ->
-      Some ("frame_present", Printf.sprintf "\"pid\":%d" pid)
-  | Core.Ktrace.Wm_composite -> Some ("wm_composite", "")
+      Instant ("frame_present", Printf.sprintf "\"pid\":%d" pid)
+  | Core.Ktrace.Wm_composite -> Instant ("wm_composite", "")
   | Core.Ktrace.Lock_acquire (name, core) ->
-      Some
+      Instant
         ( "lock_acquire",
           Printf.sprintf "\"lock\":\"%s\",\"core\":%d" (json_escape name)
             core )
   | Core.Ktrace.Lock_release (name, core) ->
-      Some
+      Instant
         ( "lock_release",
           Printf.sprintf "\"lock\":\"%s\",\"core\":%d" (json_escape name)
             core )
   | Core.Ktrace.Sem_block (pid, id) ->
-      Some ("sem_block", Printf.sprintf "\"pid\":%d,\"sem\":%d" pid id)
+      Instant ("sem_block", Printf.sprintf "\"pid\":%d,\"sem\":%d" pid id)
   | Core.Ktrace.Sem_wake (pid, id) ->
-      Some ("sem_wake", Printf.sprintf "\"pid\":%d,\"sem\":%d" pid id)
+      Instant ("sem_wake", Printf.sprintf "\"pid\":%d,\"sem\":%d" pid id)
   | Core.Ktrace.Custom s ->
-      Some ("custom", Printf.sprintf "\"msg\":\"%s\"" (json_escape s))
-  (* spans are rendered as ph:"X" durations by the pairing pass;
-     delay-accounting events become ph:"C" counter tracks below *)
-  | Core.Ktrace.Span_begin _ | Core.Ktrace.Span_end _
-  | Core.Ktrace.Task_state _ | Core.Ktrace.Runq_depth _ ->
-      None
+      Instant ("custom", Printf.sprintf "\"msg\":\"%s\"" (json_escape s))
+  | Core.Ktrace.Task_state (pid, st) ->
+      Counter
+        { c_name = "thread_state"; c_pid = pid; c_key = "state"; c_val = st }
+  | Core.Ktrace.Runq_depth (core, depth) ->
+      Counter
+        {
+          c_name = Printf.sprintf "runq core %d" core;
+          c_pid = cores_pid;
+          c_key = "depth";
+          c_val = depth;
+        }
+  | Core.Ktrace.Span_begin _ | Core.Ktrace.Span_end _ -> Skip
 
 let () =
   let ic =
@@ -174,75 +195,45 @@ let () =
     spans;
   (* spans still open at capture end (blocked syscalls, in-flight IRQs)
      become instants so they remain visible *)
-  (* [pair_spans] only returns Span_begin entries here, but the match is
-     spelled out so R004 holds for this tree too *)
   List.iter
-    (fun (e : Core.Ktrace.entry) ->
-      match e.Core.Ktrace.ev with
-      | Core.Ktrace.Span_begin (id, pid, name) ->
-          emit
-            "{\"ph\":\"i\",\"name\":\"open:%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"args\":{\"span\":%d}}"
-            (json_escape name)
-            (if pid > 0 then pid else cores_pid)
-            e.Core.Ktrace.core
-            (us_of_ns e.Core.Ktrace.ts_ns)
-            id
-      | Core.Ktrace.Syscall_enter _ | Core.Ktrace.Syscall_exit _
-      | Core.Ktrace.Ctx_switch _ | Core.Ktrace.Irq_enter _
-      | Core.Ktrace.Irq_exit _ | Core.Ktrace.Sched_wakeup _
-      | Core.Ktrace.Sched_migrate _ | Core.Ktrace.Ipi_send _
-      | Core.Ktrace.Ipi_recv _ | Core.Ktrace.Kbd_report
-      | Core.Ktrace.Event_delivered _ | Core.Ktrace.Poll_return _
-      | Core.Ktrace.Frame_present _ | Core.Ktrace.Wm_composite
-      | Core.Ktrace.Lock_acquire _ | Core.Ktrace.Lock_release _
-      | Core.Ktrace.Sem_block _ | Core.Ktrace.Sem_wake _
-      | Core.Ktrace.Custom _ | Core.Ktrace.Span_end _
-      | Core.Ktrace.Task_state _ | Core.Ktrace.Runq_depth _ -> ())
+    (fun (sp : Core.Ktrace.span) ->
+      emit
+        "{\"ph\":\"i\",\"name\":\"open:%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"args\":{\"span\":%d}}"
+        (json_escape sp.Core.Ktrace.sp_name)
+        (if sp.Core.Ktrace.sp_pid > 0 then sp.Core.Ktrace.sp_pid
+         else cores_pid)
+        sp.Core.Ktrace.sp_core
+        (us_of_ns sp.Core.Ktrace.sp_begin_ns)
+        sp.Core.Ktrace.sp_id)
     unmatched;
-  (* counter tracks from the delay-accounting events (ktrace class
-     "dstate"): one runnable-queue-depth series per core under the
-     "cores" process, and one thread-state series per pid (0 runnable,
-     1 running, 2 blocked, 3 zombie) so Perfetto renders them as
-     step-function lanes *)
+  (* each event classified once; counter tracks first, then instants *)
+  let classified =
+    List.map
+      (fun (e : Core.Ktrace.entry) -> (e, classify e.Core.Ktrace.ev))
+      entries
+  in
   List.iter
-    (fun (e : Core.Ktrace.entry) ->
-      match e.Core.Ktrace.ev with
-      | Core.Ktrace.Runq_depth (core, depth) ->
+    (fun ((e : Core.Ktrace.entry), out) ->
+      match out with
+      | Counter c ->
           emit
-            "{\"ph\":\"C\",\"name\":\"runq core %d\",\"pid\":%d,\"ts\":%s,\"args\":{\"depth\":%d}}"
-            core cores_pid
+            "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":%d,\"ts\":%s,\"args\":{\"%s\":%d}}"
+            c.c_name c.c_pid
             (us_of_ns e.Core.Ktrace.ts_ns)
-            depth
-      | Core.Ktrace.Task_state (pid, st) ->
-          emit
-            "{\"ph\":\"C\",\"name\":\"thread_state\",\"pid\":%d,\"ts\":%s,\"args\":{\"state\":%d}}"
-            pid
-            (us_of_ns e.Core.Ktrace.ts_ns)
-            st
-      | Core.Ktrace.Syscall_enter _ | Core.Ktrace.Syscall_exit _
-      | Core.Ktrace.Ctx_switch _ | Core.Ktrace.Irq_enter _
-      | Core.Ktrace.Irq_exit _ | Core.Ktrace.Sched_wakeup _
-      | Core.Ktrace.Sched_migrate _ | Core.Ktrace.Ipi_send _
-      | Core.Ktrace.Ipi_recv _ | Core.Ktrace.Kbd_report
-      | Core.Ktrace.Event_delivered _ | Core.Ktrace.Poll_return _
-      | Core.Ktrace.Frame_present _ | Core.Ktrace.Wm_composite
-      | Core.Ktrace.Lock_acquire _ | Core.Ktrace.Lock_release _
-      | Core.Ktrace.Sem_block _ | Core.Ktrace.Sem_wake _
-      | Core.Ktrace.Custom _ | Core.Ktrace.Span_begin _
-      | Core.Ktrace.Span_end _ -> ())
-    entries;
-  (* instants for everything that is not a span *)
+            c.c_key c.c_val
+      | Instant _ | Skip -> ())
+    classified;
   List.iter
-    (fun (e : Core.Ktrace.entry) ->
-      match instant_of e.Core.Ktrace.ev with
-      | Some (name, args) ->
+    (fun ((e : Core.Ktrace.entry), out) ->
+      match out with
+      | Instant (name, args) ->
           emit
             "{\"ph\":\"i\",\"name\":\"%s\",\"pid\":%d,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"args\":{%s}}"
             (json_escape name) cores_pid e.Core.Ktrace.core
             (us_of_ns e.Core.Ktrace.ts_ns)
             args
-      | None -> ())
-    entries;
+      | Counter _ | Skip -> ())
+    classified;
   Printf.printf "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n  %s\n]}\n"
     (Buffer.contents events);
   if ic != stdin then close_in ic
