@@ -2,7 +2,9 @@
 
     One ring shared by every core, as in the paper: power-of-two
     capacity, bitmask indexing, and a pre-filled dummy entry so the hot
-    path writes a plain record with no [option] boxing. Each entry
+    path writes a plain record with no [option] boxing. The array starts
+    at 1024 entries and doubles as it fills; once it reaches the
+    capacity it wraps, overwriting the oldest entries. Each entry
     carries a sequence number in emission order. Emission order is not
     time order: an SD request's [Span_end] is stamped with its completion
     time when the request is issued, so it can precede entries with
@@ -95,8 +97,11 @@ let filter_of_string s =
 (* ---- the ring ---- *)
 
 type t = {
-  buf : entry array;  (** power-of-two length, pre-filled (no [option]) *)
-  mask : int;  (** length - 1: index = position land mask *)
+  mutable buf : entry array;
+      (** power-of-two length, pre-filled (no [option]); doubles when
+          full until it reaches [cap], then wraps *)
+  mutable mask : int;  (** length - 1: index = position land mask *)
+  cap : int;  (** the length [buf] grows to: the ring's capacity *)
   mutable head : int;  (** total entries ever written *)
   mutable next_span : int;
   mutable enabled : bool;
@@ -120,11 +125,16 @@ let dummy = { ts_ns = 0L; seq = -1; core = 0; ev = Custom "<unwritten>" }
 
 let rec ceil_pow2 n k = if k >= n then k else ceil_pow2 n (k * 2)
 
+(* Every ring starts this small and grows on demand: a short session
+   emits a small fraction of the capacity. *)
+let initial_length = 1024
+
 let create ?(capacity = 262144) () =
-  let cap = ceil_pow2 (max 1024 capacity) 1 in
+  let cap = ceil_pow2 (max initial_length capacity) 1 in
   {
-    buf = Array.make cap dummy;
-    mask = cap - 1;
+    buf = Array.make initial_length dummy;
+    mask = initial_length - 1;
+    cap;
     head = 0;
     next_span = 0;
     enabled = true;
@@ -143,8 +153,18 @@ let new_span t =
   t.next_span <- t.next_span + 1;
   t.next_span
 
+(* Double a full ring that is below its capacity. Until then nothing
+   has wrapped, so position [i] sits at index [i] in both arrays. *)
+let grow t =
+  let n = Array.length t.buf in
+  let bigger = Array.make (2 * n) dummy in
+  Array.blit t.buf 0 bigger 0 n;
+  t.buf <- bigger;
+  t.mask <- (2 * n) - 1
+
 let emit t ~ts_ns ~core ev =
   if t.enabled && t.filter land (1 lsl class_of ev) <> 0 then begin
+    if t.head = Array.length t.buf && t.head < t.cap then grow t;
     t.buf.(t.head land t.mask) <-
       { ts_ns = Int64.sub ts_ns t.clock_base; seq = t.head; core; ev };
     t.head <- t.head + 1;

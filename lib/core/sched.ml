@@ -55,6 +55,8 @@ type ctx = {
 
 and core_state = {
   core_id : int;
+  timer_name : string;  (** this core's timer line, as {!Hw.Irq.describe} *)
+  timer_span : string;  (** the span name of that line's IRQ dispatch *)
   rq : Task.t Queue.t array;
       (** one FIFO per priority level; index 0 runs first *)
   stats : core_stats;
@@ -236,8 +238,11 @@ let create board config kalloc =
       cls;
       cores =
         Array.init board.Hw.Board.platform.Hw.Board.num_cores (fun core_id ->
+            let timer_name = Hw.Irq.describe (Hw.Irq.Core_timer core_id) in
             {
               core_id;
+              timer_name;
+              timer_span = "irq:" ^ timer_name;
               rq = Array.map (fun _ -> Queue.create ()) cls.sc_quanta;
               stats = core_stats kperf core_id;
               current = None;
@@ -1183,12 +1188,24 @@ let register_irq t line handler =
   t.irq_drivers <- (line, handler) :: t.irq_drivers;
   Hw.Intc.route t.board.Hw.Board.intc line ~core:0
 
+(* A core's timer line fires every tick, so its two names come from the
+   core record, built once; the rarer device lines build theirs here.
+   (The pair is bound straight from the match, so it allocates no
+   tuple.) *)
 let on_irq t core_id line =
   let core = t.cores.(core_id) in
-  let desc = Hw.Irq.describe line in
+  let desc, span_name =
+    match line with
+    | Hw.Irq.Core_timer c -> (t.cores.(c).timer_name, t.cores.(c).timer_span)
+    | Hw.Irq.Ipi _ | Hw.Irq.Sys_timer | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc
+    | Hw.Irq.Dma_channel _ | Hw.Irq.Gpio_bank | Hw.Irq.Sd_card
+    | Hw.Irq.Fiq_button ->
+        let desc = Hw.Irq.describe line in
+        (desc, "irq:" ^ desc)
+  in
   trace_emit_core t ~core:core_id (Ktrace.Irq_enter desc);
   let span = Ktrace.new_span t.trace in
-  trace_emit_core t ~core:core_id (Ktrace.Span_begin (span, 0, "irq:" ^ desc));
+  trace_emit_core t ~core:core_id (Ktrace.Span_begin (span, 0, span_name));
   steal_cycles t core (cyc t (Kcost.irq_entry + Kcost.irq_exit));
   (* profiler attribution: the timer lines stay unmarked — the tick IS
      the sampler, and it must see the interrupted context, not itself *)

@@ -9,22 +9,17 @@ type core_state = {
 type t = {
   cores : core_state array;
   routes : (Irq.line * int) list ref;
+      (** shared lines only: a core's timer line always goes to that core *)
   mutable fiq_next : int;  (* round-robin cursor for FIQ delivery *)
 }
 
 let create ~cores =
   let state () = { handler = None; mask_depth = 0; pending = [] } in
-  let t =
-    {
-      cores = Array.init cores (fun _ -> state ());
-      routes = ref [];
-      fiq_next = 0;
-    }
-  in
-  for c = 0 to cores - 1 do
-    t.routes := (Irq.Core_timer c, c) :: !(t.routes)
-  done;
-  t
+  {
+    cores = Array.init cores (fun _ -> state ());
+    routes = ref [];
+    fiq_next = 0;
+  }
 
 let route t line ~core =
   (match line with
@@ -39,10 +34,22 @@ let route t line ~core =
 
 let set_handler t ~core h = t.cores.(core).handler <- Some h
 
+(* The core a shared line is routed to; core 0 until the kernel routes
+   it. A direct walk, so a device IRQ builds no search closure. *)
+let rec routed_core line = function
+  | [] -> 0
+  | (l, core) :: rest ->
+      if Irq.equal l line then core else routed_core line rest
+
 let target_core t line =
-  match List.find_opt (fun (l, _) -> Irq.equal l line) !(t.routes) with
-  | Some (_, core) -> core
-  | None -> 0
+  match line with
+  | Irq.Core_timer core ->
+      if core < 0 || core >= Array.length t.cores then
+        invalid_arg "Intc.raise_line: bad timer core";
+      core
+  | Irq.Ipi _ | Irq.Sys_timer | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _
+  | Irq.Gpio_bank | Irq.Sd_card | Irq.Fiq_button ->
+      routed_core line !(t.routes)
 
 let deliver state line =
   match state.handler with

@@ -18,9 +18,9 @@ type handler = Irq.line -> unit
 val create : cores:int -> t
 
 val route : t -> Irq.line -> core:int -> unit
-(** Direct [line] to [core]. Per-core timer lines are routed to their own
-    core automatically at creation; re-routing them raises
-    [Invalid_argument]. *)
+(** Direct [line] to [core]. A per-core timer line is not in the route
+    table: [Core_timer c] always goes to core [c], without a lookup, and
+    re-routing it raises [Invalid_argument]. *)
 
 val set_handler : t -> core:int -> handler -> unit
 (** Install the kernel's interrupt entry point for [core]. *)
@@ -37,7 +37,9 @@ val masked : t -> core:int -> bool
 val raise_line : t -> Irq.line -> unit
 (** Device-side: assert [line]. Delivered now if the target core is
     unmasked and a handler is installed; otherwise left pending (multiple
-    raises of a pending line coalesce, like a level-triggered controller). *)
+    raises of a pending line coalesce, like a level-triggered controller).
+    Raises [Invalid_argument] for a [Core_timer] or [Ipi] line naming a
+    core the controller does not have. *)
 
 val send_ipi : t -> target:int -> unit
 (** Software-generated interrupt: write core [target]'s local mailbox, so

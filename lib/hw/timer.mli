@@ -15,7 +15,9 @@ val counter_us : t -> int64
 val arm_core_timer : t -> core:int -> delta_ns:int64 -> unit
 (** One-shot countdown for [core]'s generic timer; raises
     [Irq.Core_timer core] when it expires. Re-arming replaces the pending
-    shot (writing CNTP_TVAL). *)
+    shot (writing CNTP_TVAL). The expiry action and its line value are
+    built once per core by [create], so a shot allocates only its engine
+    event: the scheduler re-arms every core's timer on every tick. *)
 
 val disarm_core_timer : t -> core:int -> unit
 

@@ -97,17 +97,13 @@ let cancel t ev =
 
 let pending t = t.live
 
-(* Pop the next live event, discarding tombstoned ones. *)
-let rec pop_live t =
-  match Heap.pop t.heap with
-  | None -> None
-  | Some (time, _, ev) ->
-      if ev.dead then pop_live t
-      else begin
-        ev.fired <- true;
-        t.live <- t.live - 1;
-        Some (time, ev)
-      end
+(* Discard tombstoned events at the heap top; true when a live event
+   is left there. A live top is only inspected, never reinserted, so
+   [run]'s check-then-fire cycle costs one heap pop per fired event,
+   and the fire path builds no option or tuple. *)
+let rec skip_dead t =
+  (not (Heap.is_empty t.heap))
+  && ((not (Heap.top t.heap).dead) || (Heap.drop t.heap; skip_dead t))
 
 (* Run every pending compute across the domain pool, one task each.
    [first] is the Par that just surfaced at the heap top (already popped,
@@ -150,55 +146,46 @@ let fire t ev =
           commit ()
       | Pending _ | Done -> invalid_arg "Engine: parallel event fired twice")
 
-let step t =
-  match pop_live t with
-  | None -> false
-  | Some (time, ev) ->
-      t.clock <- time;
-      fire t ev;
-      true
+(* Fire the event at the heap top, which [skip_dead] found live. *)
+let fire_top t =
+  let time = Heap.top_time t.heap and ev = Heap.top t.heap in
+  Heap.drop t.heap;
+  ev.fired <- true;
+  t.live <- t.live - 1;
+  t.clock <- time;
+  fire t ev
 
-(* O(1) peek at the next live event's time. Dead entries at the top are
-   popped and discarded; a live top is only inspected, never reinserted —
-   so [run]'s peek+step cycle costs exactly one heap pop per fired
-   event. *)
-let rec peek_live_time t =
-  match Heap.peek t.heap with
-  | None -> None
-  | Some (time, _, ev) ->
-      if ev.dead then begin
-        ignore (Heap.pop t.heap);
-        peek_live_time t
-      end
-      else Some time
+let step t =
+  skip_dead t
+  && begin
+       fire_top t;
+       true
+     end
 
 let run t ?until ?(max_events = max_int) () =
   let fired = ref 0 in
   let continue = ref true in
   while !continue && !fired < max_events do
-    match peek_live_time t with
-    | None -> continue := false
-    | Some time -> (
-        match until with
-        | Some limit when Int64.compare time limit > 0 ->
-            t.clock <- limit;
-            continue := false
-        | Some _ | None ->
-            ignore (step t);
-            incr fired)
+    if not (skip_dead t) then continue := false
+    else
+      match until with
+      | Some limit when Int64.compare (Heap.top_time t.heap) limit > 0 ->
+          t.clock <- limit;
+          continue := false
+      | Some _ | None ->
+          fire_top t;
+          incr fired
   done;
   match until with
   | Some limit when !continue = false && Int64.compare t.clock limit < 0 ->
-      if peek_live_time t = None then t.clock <- limit
+      if not (skip_dead t) then t.clock <- limit
   | Some _ | None -> ()
 
 let advance_to t time =
   if Int64.compare time t.clock < 0 then
     invalid_arg "Engine.advance_to: time is in the past";
-  (match peek_live_time t with
-  | Some next when Int64.compare next time < 0 ->
-      invalid_arg "Engine.advance_to: would skip a pending event"
-  | Some _ | None -> ());
+  if skip_dead t && Int64.compare (Heap.top_time t.heap) time < 0 then
+    invalid_arg "Engine.advance_to: would skip a pending event";
   t.clock <- time
 
 let events_fired t = t.events_fired

@@ -45,23 +45,21 @@ let push t ~time ~seq payload =
   t.len <- t.len + 1;
   sift_up t (t.len - 1)
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.data.(0) <- t.data.(t.len);
-      sift_down t 0
-    end;
-    Some (top.time, top.seq, top.payload)
-  end
+let top_time t =
+  if t.len = 0 then invalid_arg "Heap.top_time: empty heap";
+  t.data.(0).time
 
-let peek t =
-  if t.len = 0 then None
-  else
-    let top = t.data.(0) in
-    Some (top.time, top.seq, top.payload)
+let top t =
+  if t.len = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0).payload
+
+let drop t =
+  if t.len = 0 then invalid_arg "Heap.drop: empty heap";
+  t.len <- t.len - 1;
+  if t.len > 0 then begin
+    t.data.(0) <- t.data.(t.len);
+    sift_down t 0
+  end
 
 let iter t f =
   for i = 0 to t.len - 1 do

@@ -68,6 +68,26 @@ let intc_routing () =
   Hw.Intc.raise_line b.Hw.Board.intc Hw.Irq.Sd_card;
   check_int "routed to core 2" 2 !landed
 
+(* A core's timer line goes to that core and nowhere else: a line
+   naming a core the board lacks is refused, not delivered to core 0. *)
+let intc_timer_line_targets_its_core () =
+  let b = fresh () in
+  let landed = ref [] in
+  for c = 0 to 3 do
+    Hw.Intc.set_handler b.Hw.Board.intc ~core:c (fun _ ->
+        landed := c :: !landed)
+  done;
+  Hw.Intc.raise_line b.Hw.Board.intc (Hw.Irq.Core_timer 3);
+  check_bool "core3-timer lands on core 3" true (!landed = [ 3 ]);
+  List.iter
+    (fun c ->
+      Alcotest.check_raises
+        (Printf.sprintf "Core_timer %d refused" c)
+        (Invalid_argument "Intc.raise_line: bad timer core") (fun () ->
+          Hw.Intc.raise_line b.Hw.Board.intc (Hw.Irq.Core_timer c)))
+    [ 4; 9; -1 ];
+  check_bool "no core took the bad lines" true (!landed = [ 3 ])
+
 (* ---- timers ---- *)
 
 let timer_core_oneshot () =
@@ -553,6 +573,7 @@ let suite =
       quick "intc mask nests" intc_mask_nests;
       quick "intc FIQ bypasses mask, round robin" intc_fiq_bypasses_mask_round_robin;
       quick "intc routing" intc_routing;
+      quick "intc timer line targets its core" intc_timer_line_targets_its_core;
       quick "timer core oneshot" timer_core_oneshot;
       quick "timer rearm replaces" timer_rearm_replaces;
       quick "timer counter" timer_counter;

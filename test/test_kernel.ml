@@ -398,6 +398,37 @@ let vm_refused_sbrk_touches_nothing () =
     (Printf.sprintf "refusal allocated %.0f bytes (< 64 KiB)" bytes)
     true (bytes < 65536.)
 
+(* An idle tick allocates almost nothing. With no framebuffer there is
+   no WM thread, so nothing is runnable: each core takes its 1 ms timer
+   IRQ, finds nothing to dispatch and re-arms its timer. What that
+   allocates is the tick's four trace entries, the next shot's engine
+   event and a few boxed times. A name built per IRQ, a closure per
+   timer shot or an option per engine pop roughly doubles it. *)
+let idle_tick_allocates_little () =
+  let kernel =
+    Core.Kernel.boot
+      { Core.Kernel.default_spec with sp_config = test_config; sp_fb = None }
+  in
+  let sched = kernel.Core.Kernel.sched in
+  let sum f =
+    Array.fold_left (fun n c -> n + f c) 0 sched.Core.Sched.cores
+  in
+  let ticks () = sum (fun c -> c.Core.Sched.ticks) in
+  let switches () =
+    sum (fun c -> c.Core.Sched.stats.Core.Sched.switches.Core.Kperf.n)
+  in
+  let t0 = ticks () and s0 = switches () in
+  let w0 = Gc.minor_words () in
+  Core.Kernel.run_for kernel (Sim.Engine.ms 1000);
+  let words = Gc.minor_words () -. w0 in
+  let n = ticks () - t0 in
+  check_int "nothing was dispatched" s0 (switches ());
+  check_int "each of 4 cores ticked every ms" 4000 n;
+  let per_tick = words /. float_of_int n in
+  check_bool
+    (Printf.sprintf "an idle tick allocated %.1f words (< 100)" per_tick)
+    true (per_tick < 100.)
+
 let kalloc_state k =
   ( Core.Kalloc.free_pages k,
     k.Core.Kalloc.next_frame,
@@ -478,6 +509,7 @@ let suite_vm =
       quick "fb mmap is identity-mapped" vm_mmap_identity;
       quick "kalloc exhaustion and double free" kalloc_exhaustion_and_double_free;
       quick "refused sbrk touches nothing" vm_refused_sbrk_touches_nothing;
+      quick "idle tick allocates little" idle_tick_allocates_little;
       quick "kalloc alloc_pages at the boundary" kalloc_alloc_pages_boundary;
       quick "destroy frees only its own frames" vm_destroy_frees_own_frames;
       quick "refused fork keeps nothing" vm_refused_fork_keeps_nothing;

@@ -466,6 +466,75 @@ let trace_dump_sort_qcheck =
       Core.Ktrace.dump tr
       = List.sort Core.Ktrace.compare_entry (ring_window tr))
 
+(* ---- the growing ring reads as the fixed ring ---- *)
+
+(* The ring starts at 1024 entries and doubles up to its capacity. Seen
+   through dump, the readers and their lost counts, it must be the ring
+   allocated at full size: after [m] emits a dump holds the last
+   [min m cap] entries, and a reader drained then has lost whatever
+   fell out of that window before it got there. The emit counts sit on
+   the growth and wrap points; readers open and drain at random
+   positions. *)
+let trace_growing_ring_is_fixed_ring =
+  let frac = QCheck.float_bound_inclusive 1. in
+  qcheck ~count:60 "growing ring reads as the fixed ring"
+    QCheck.(
+      triple (int_range 1024 8192) (int_range 0 7)
+        (list_of_size Gen.(int_range 0 4) (pair frac frac)))
+    (fun (capacity, which, readers) ->
+      let module K = Core.Ktrace in
+      let cap =
+        let rec up k = if k >= capacity then k else up (2 * k) in
+        up 1
+      in
+      let n =
+        [| 0; 1023; 1024; 1025; cap - 1; cap; cap + 1; 3 * cap |].(which)
+      in
+      let entry i =
+        { K.ts_ns = Int64.of_int i; seq = i; core = i land 3;
+          ev = K.Sched_wakeup i }
+      in
+      let window a m = List.init (m - a) (fun k -> entry (a + k)) in
+      let tr = K.create ~capacity () in
+      let ok = ref true in
+      (* each reader with its model (cursor, lost) and its drain point *)
+      let plan =
+        List.map
+          (fun (a, b) ->
+            let p = int_of_float (a *. float_of_int n) in
+            (p, p + int_of_float (b *. float_of_int (n - p))))
+          readers
+      in
+      let live = ref [] in
+      let drain (r, model, _) m =
+        let cursor, lost = !model in
+        let oldest = m - cap in
+        let cursor, lost =
+          if cursor < oldest then (oldest, lost + (oldest - cursor))
+          else (cursor, lost)
+        in
+        model := (m, lost);
+        let got = K.read_reader r ~max:max_int in
+        if got <> window cursor m || K.reader_lost r <> lost then ok := false
+      in
+      let at m =
+        List.iter
+          (fun (p, q) ->
+            if p = m then live := (K.new_reader tr, ref (m, 0), q) :: !live)
+          plan;
+        List.iter (fun ((_, _, q) as r) -> if q = m then drain r m) !live
+      in
+      for i = 0 to n - 1 do
+        at i;
+        K.emit tr ~ts_ns:(Int64.of_int i) ~core:(i land 3) (K.Sched_wakeup i);
+        if Array.length tr.K.buf > cap then ok := false
+      done;
+      at n;
+      List.iter (fun r -> drain r n) !live;
+      !ok
+      && K.dump tr = window (max 0 (n - cap)) n
+      && (n < cap || Array.length tr.K.buf = cap))
+
 (* ---- span pairing over a real launcher session ---- *)
 
 let span_pairing_full_run () =
@@ -1169,6 +1238,7 @@ let suite =
       quick "dump matches the reference sort on three rings"
         trace_dump_matches_reference_sort;
       trace_dump_sort_qcheck;
+      trace_growing_ring_is_fixed_ring;
       slow "span pairing over a launcher session" span_pairing_full_run;
       slow "/proc/metrics exposes the kernel histograms"
         metrics_exposes_histograms;
