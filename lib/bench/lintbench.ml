@@ -25,8 +25,16 @@ let resolve candidates =
   | Some p -> p
   | None -> List.hd candidates
 
+let side ((r : Lintkit.result), wall) =
+  {
+    l_files = r.res_files;
+    l_findings = r.res_findings;
+    l_stale = r.res_stale;
+    l_wall_s = wall;
+  }
+
 let run () =
-  let vlint_res, vlint_wall =
+  let vlint =
     Report.timed (fun () ->
         Vlint_core.run
           ~allow_path:(resolve [ "tools/vlint/allow.txt" ])
@@ -37,7 +45,7 @@ let run () =
   (* vrace reads compiled artifacts: from the workspace root they live
      under _build/default, from inside the build tree in place *)
   let cmt_root d = resolve [ "_build/default/" ^ d; d ] in
-  let vrace_res, vrace_wall =
+  let vrace =
     Report.timed (fun () ->
         Vrace_core.run
           ~allow_path:(resolve [ "tools/vrace/allow.txt" ])
@@ -46,22 +54,7 @@ let run () =
                [ "lib/core"; "lib/sim"; "lib/user"; "lib/apps" ])
           ())
   in
-  {
-    l_vlint =
-      {
-        l_files = vlint_res.Vlint_core.res_files;
-        l_findings = vlint_res.Vlint_core.res_findings;
-        l_stale = vlint_res.Vlint_core.res_stale;
-        l_wall_s = vlint_wall;
-      };
-    l_vrace =
-      {
-        l_files = vrace_res.Vrace_core.res_files;
-        l_findings = vrace_res.Vrace_core.res_findings;
-        l_stale = vrace_res.Vrace_core.res_stale;
-        l_wall_s = vrace_wall;
-      };
-  }
+  { l_vlint = side vlint; l_vrace = side vrace }
 
 let clean t =
   t.l_vlint.l_findings = 0

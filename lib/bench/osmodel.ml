@@ -102,7 +102,6 @@ let freebsd =
   }
 
 let baselines = [ xv6; linux; freebsd ]
-let all = vos :: baselines
 
 (* Apply the model to a measured VOS latency (us). *)
 let latency_us model ~bench ~ours_us ~fork_pages =

@@ -45,7 +45,8 @@ let name = function
   | n -> Printf.sprintf "E%d" n
 
 (* Map filesystem error strings to errnos; the fs layer reports strings,
-   the syscall layer owns the ABI. *)
+   the syscall layer owns the ABI. An address "out of range" is a bad
+   argument or a corrupt image, not a full disk. *)
 let of_fs_error msg =
   let has sub =
     let n = String.length sub and m = String.length msg in
@@ -57,6 +58,7 @@ let of_fs_error msg =
   else if has "not a directory" then enotdir
   else if has "is a directory" then eisdir
   else if has "too large" then efbig
+  else if has "out of range" then einval
   else if has "out of" || has "no free" then enospc
   else if has "not empty" then enotempty
   else einval

@@ -175,7 +175,7 @@ let build_fat_partition board spec =
   let part2_sectors = total - part2_lba in
   (match
      Fs.Mbr.write
-       (Fs.Blockdev.of_sd sd ~name:"sd" ~first_lba:0 ~sectors:total ())
+       (Fs.Blockdev.of_sd sd ~name:"sd" ~first_lba:0 ~sectors:total)
        [|
          {
            Fs.Mbr.part_type = Fs.Mbr.native_type;
@@ -193,7 +193,7 @@ let build_fat_partition board spec =
   | Error e -> Kpanic.panicf "boot: mbr %s" e);
   format_fat
     (Fs.Blockdev.of_sd sd ~name:"sd:p2" ~first_lba:part2_lba
-       ~sectors:part2_sectors ())
+       ~sectors:part2_sectors)
     spec.sp_fat_files
 
 (* Mount a device-backed FAT32 volume at [at] through a block cache of

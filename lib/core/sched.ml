@@ -469,16 +469,22 @@ let rec start_burn t task ns after =
     core.burn_started <- start;
     core.burn_until <- Int64.add start ns;
     core.burn_after <- Some after;
-    core.burn_event <-
-      Some
-        (Sim.Engine.schedule_at (engine t) core.burn_until (fun () ->
-             core.burn_event <- None;
-             core.burn_after <- None;
-             let elapsed = Int64.sub (now t) core.burn_started in
-             add_busy core elapsed;
-             task.Task.cpu_ns <- Int64.add task.Task.cpu_ns elapsed;
-             if task.Task.killed then raise_exit t task (-1) else after ()))
+    schedule_burn_end t core task after
   end
+
+(* Schedule the end of [core]'s burn at [burn_until]: charge the time
+   burned since [burn_started] to the core and [task], then run
+   [after]. *)
+and schedule_burn_end t core task after =
+  core.burn_event <-
+    Some
+      (Sim.Engine.schedule_at (engine t) core.burn_until (fun () ->
+           core.burn_event <- None;
+           core.burn_after <- None;
+           let elapsed = Int64.sub (now t) core.burn_started in
+           add_busy core elapsed;
+           task.Task.cpu_ns <- Int64.add task.Task.cpu_ns elapsed;
+           if task.Task.killed then raise_exit t task (-1) else after ()))
 
 (* Interrupt handlers steal cycles from whatever burn is in flight. *)
 and steal_cycles t core ns =
@@ -487,17 +493,8 @@ and steal_cycles t core ns =
   | Some id ->
       Sim.Engine.cancel (engine t) id;
       core.burn_until <- Int64.add core.burn_until ns;
-      let after = Option.get core.burn_after in
-      let task = Option.get core.current in
-      core.burn_event <-
-        Some
-          (Sim.Engine.schedule_at (engine t) core.burn_until (fun () ->
-               core.burn_event <- None;
-               core.burn_after <- None;
-               let elapsed = Int64.sub (now t) core.burn_started in
-               add_busy core elapsed;
-               task.Task.cpu_ns <- Int64.add task.Task.cpu_ns elapsed;
-               if task.Task.killed then raise_exit t task (-1) else after ()))
+      schedule_burn_end t core (Option.get core.current)
+        (Option.get core.burn_after)
 
 (* ---- run queues ---- *)
 

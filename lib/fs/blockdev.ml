@@ -48,20 +48,12 @@ let of_disk ~name disk =
     ~write:(fun ~lba data ->
       Hw.Disk.write disk ~lba ~count:(Bytes.length data / sector_bytes) data)
 
-let of_sd sd ~name ~first_lba ~sectors ?(on_io = fun _ -> ()) () =
+let of_sd sd ~name ~first_lba ~sectors =
   let read_sectors ~lba ~count =
-    match Hw.Sd.read sd ~lba:(first_lba + lba) ~count with
-    | Ok (data, cost) ->
-        on_io cost;
-        Ok data
-    | Error e -> Error e
+    Result.map fst (Hw.Sd.read sd ~lba:(first_lba + lba) ~count)
   in
   let write_sectors ~lba ~data =
-    match Hw.Sd.write sd ~lba:(first_lba + lba) ~data with
-    | Ok cost ->
-        on_io cost;
-        Ok ()
-    | Error e -> Error e
+    Result.map ignore (Hw.Sd.write sd ~lba:(first_lba + lba) ~data)
   in
   { name; total_sectors = sectors; read_sectors; write_sectors }
 

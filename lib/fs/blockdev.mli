@@ -27,10 +27,10 @@ val of_disk : name:string -> Hw.Disk.t -> t
 (** A cost-free view of a whole sparse medium (for formatting a USB stick
     before it is plugged in). *)
 
-val of_sd : Hw.Sd.t -> name:string -> first_lba:int -> sectors:int -> ?on_io:(int64 -> unit) -> unit -> t
-(** A window onto an SD card starting at [first_lba]. Each operation's
-    polling cost is reported to [on_io] (default: discarded) so the kernel
-    can charge it to the running task. *)
+val of_sd : Hw.Sd.t -> name:string -> first_lba:int -> sectors:int -> t
+(** A cost-free window onto an SD card starting at [first_lba] (for
+    partitioning and formatting at boot; the kernel charges SD time
+    through [Bufcache]). *)
 
 val sub : t -> name:string -> first_lba:int -> sectors:int -> t
 (** A sub-range view (a partition) of an existing device. *)

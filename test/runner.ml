@@ -32,6 +32,7 @@ let () =
       Test_apps.suite_integration;
       Test_proto.suite;
       Test_ext.suite;
+      Test_lintkit.suite;
       Test_fuzz.suite_fuzz;
       Test_fuzz.suite_regress;
     ]

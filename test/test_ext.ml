@@ -268,6 +268,8 @@ let errno_mapping () =
   check_int "is a dir" Core.Errno.eisdir (Core.Errno.of_fs_error "fat32: is a directory: d");
   check_int "too large" Core.Errno.efbig (Core.Errno.of_fs_error "xv6fs: file too large");
   check_int "enospc" Core.Errno.enospc (Core.Errno.of_fs_error "xv6fs: out of data blocks");
+  check_int "out of range" Core.Errno.einval
+    (Core.Errno.of_fs_error "xv6fs: corrupt dirent (inum out of range)");
   check_int "fat32 full" Core.Errno.enospc (Core.Errno.of_fs_error "fat32: no free clusters");
   check_int "not empty" Core.Errno.enotempty (Core.Errno.of_fs_error "fat32: directory not empty");
   check_int "fallback" Core.Errno.einval (Core.Errno.of_fs_error "weird");

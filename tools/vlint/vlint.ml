@@ -32,5 +32,5 @@ let () =
     Vlint_core.run ?allow_path:!allow_path ?design_path:!design_path
       ~dirs:(List.rev !dirs) ()
   in
-  print_string res.Vlint_core.res_output;
-  if Vlint_core.failed res then exit 1
+  print_string res.Lintkit.res_output;
+  if Lintkit.failed res then exit 1

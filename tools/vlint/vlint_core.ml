@@ -34,20 +34,13 @@
     Findings print as [file:line: rule-id message] and fail the build.
     [--allow FILE] grandfathers existing cases; an allow entry matching
     no finding is stale and fails the build too, so the list can only
-    shrink.
+    shrink. That contract is {!Lintkit}'s, shared with vrace.
 
-    This module is the whole linter as a library: {!run} scans, applies
-    the allowlist and renders the report. The [vlint.ml] executable and
-    the lintbench experiment are both thin callers. *)
+    This module is the whole linter as a library: {!run} scans and hands
+    its findings to {!Lintkit.check}. The [vlint.ml] executable and the
+    lintbench experiment are both thin callers. *)
 
-type finding = { file : string; line : int; rule : string; msg : string }
-
-let findings : finding list ref = ref []
-
-let report ~file ~line ~rule fmt =
-  Printf.ksprintf
-    (fun msg -> findings := { file; line; rule; msg } :: !findings)
-    fmt
+let report = Lintkit.report
 
 (* ---- file discovery and parsing ---- *)
 
@@ -566,135 +559,24 @@ let r008 ~files =
           (toplevel_mutables str))
     files
 
-(* ---- allowlist ---- *)
-
-type allow = { a_rule : string; a_suffix : string; a_substr : string }
-
-let load_allow path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go acc
-        else
-          let entry =
-            match String.index_opt line ' ' with
-            | None -> { a_rule = line; a_suffix = ""; a_substr = "" }
-            | Some i -> (
-                let rule = String.sub line 0 i in
-                let rest =
-                  String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1))
-                in
-                match String.index_opt rest ' ' with
-                | None -> { a_rule = rule; a_suffix = rest; a_substr = "" }
-                | Some j ->
-                    {
-                      a_rule = rule;
-                      a_suffix = String.sub rest 0 j;
-                      a_substr =
-                        String.trim
-                          (String.sub rest (j + 1) (String.length rest - j - 1));
-                    })
-          in
-          go (entry :: acc)
-  in
-  go []
-
-let suffix_matches ~suffix path =
-  let sl = String.length suffix and pl = String.length path in
-  suffix = "" || (sl <= pl && String.sub path (pl - sl) sl = suffix)
-
-let substr_matches ~sub msg =
-  let nl = String.length sub and hl = String.length msg in
-  let rec at i = i + nl <= hl && (String.sub msg i nl = sub || at (i + 1)) in
-  sub = "" || at 0
-
-(* ---- run: scan, filter through the allowlist, render ---- *)
-
-type result = {
-  res_files : int;  (** .ml files parsed *)
-  res_findings : int;  (** findings surviving the allowlist *)
-  res_stale : int;  (** allow entries matching nothing *)
-  res_output : string;  (** the report, exactly as the exe prints it *)
-}
-
-let failed r = r.res_findings > 0 || r.res_stale > 0
+(* ---- run: scan, then filter through the allowlist and render ---- *)
 
 let run ?allow_path ?design_path ~dirs () =
-  findings := [];
-  let files =
-    dirs
-    |> List.concat_map ml_files_under
-    |> List.filter_map (fun path ->
-           match parse_file path with
-           | None -> None
-           | Some str -> Some (path, str, scan_structure str))
-  in
-  r001 ~files;
-  r002 ~files ~design:design_path;
-  r003 ~files;
-  r004 ~files;
-  r005 ~files;
-  r006 ~files;
-  r007 ~files ~design:design_path;
-  r008 ~files;
-  let allows =
-    match allow_path with None -> [] | Some p -> load_allow p
-  in
-  let used = Array.make (List.length allows) false in
-  let surviving =
-    List.filter
-      (fun f ->
-        let allowed = ref false in
-        List.iteri
-          (fun i a ->
-            if
-              a.a_rule = f.rule
-              && suffix_matches ~suffix:a.a_suffix f.file
-              && substr_matches ~sub:a.a_substr f.msg
-            then begin
-              used.(i) <- true;
-              allowed := true
-            end)
-          allows;
-        not !allowed)
-      !findings
-  in
-  let surviving =
-    List.sort
-      (fun a b ->
-        match compare a.file b.file with
-        | 0 -> (
-            match compare a.line b.line with
-            | 0 -> compare (a.rule, a.msg) (b.rule, b.msg)
-            | c -> c)
-        | c -> c)
-      surviving
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d: %s %s\n" f.file f.line f.rule f.msg))
-    surviving;
-  let stale = ref 0 in
-  List.iteri
-    (fun i a ->
-      if not used.(i) then begin
-        incr stale;
-        Buffer.add_string buf
-          (Printf.sprintf "allowlist: stale entry: %s %s %s\n" a.a_rule
-             a.a_suffix a.a_substr)
-      end)
-    allows;
-  {
-    res_files = List.length files;
-    res_findings = List.length surviving;
-    res_stale = !stale;
-    res_output = Buffer.contents buf;
-  }
+  Lintkit.check ~allow_path (fun () ->
+      let files =
+        dirs
+        |> List.concat_map ml_files_under
+        |> List.filter_map (fun path ->
+               match parse_file path with
+               | None -> None
+               | Some str -> Some (path, str, scan_structure str))
+      in
+      r001 ~files;
+      r002 ~files ~design:design_path;
+      r003 ~files;
+      r004 ~files;
+      r005 ~files;
+      r006 ~files;
+      r007 ~files ~design:design_path;
+      r008 ~files;
+      List.length files)

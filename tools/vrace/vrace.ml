@@ -31,5 +31,5 @@ let () =
     | rs -> rs
   in
   let res = Vrace_core.run ?allow_path:allow ~roots () in
-  print_string res.Vrace_core.res_output;
-  if Vrace_core.failed res then exit 1
+  print_string res.Lintkit.res_output;
+  if Lintkit.failed res then exit 1

@@ -44,21 +44,15 @@
     an acquire — locks here are discipline locks, never contended);
     aliasing through local lets hides the base of a mutation from R102;
     array/ref cell {e reads} are never checked. Findings print as
-    [file:line: rule-id message] with the same allowlist contract as
-    vlint: [--allow FILE] grandfathers, a stale entry fails the run. *)
+    [file:line: rule-id message] and pass through {!Lintkit}, the
+    allowlist contract vlint uses too: [--allow FILE] grandfathers, a
+    stale entry fails the run. *)
 
 open Typedtree
 
-type finding = { file : string; line : int; rule : string; msg : string }
-
-let findings : finding list ref = ref []
-
 let report ~loc ~rule fmt =
-  let file = loc.Location.loc_start.Lexing.pos_fname in
-  let line = loc.Location.loc_start.Lexing.pos_lnum in
-  Printf.ksprintf
-    (fun msg -> findings := { file; line; rule; msg } :: !findings)
-    fmt
+  Lintkit.report ~file:loc.Location.loc_start.Lexing.pos_fname
+    ~line:loc.Location.loc_start.Lexing.pos_lnum ~rule fmt
 
 (* ---- locks and locksets ---- *)
 
@@ -1084,132 +1078,23 @@ let load_cmt path =
       | _ -> None)
   | exception _ -> None
 
-(* ---- allowlist (the vlint contract) ---- *)
-
-type allow = { a_rule : string; a_suffix : string; a_substr : string }
-
-let load_allow path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then go acc
-        else
-          let entry =
-            match String.index_opt line ' ' with
-            | None -> { a_rule = line; a_suffix = ""; a_substr = "" }
-            | Some i -> (
-                let rule = String.sub line 0 i in
-                let rest =
-                  String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1))
-                in
-                match String.index_opt rest ' ' with
-                | None -> { a_rule = rule; a_suffix = rest; a_substr = "" }
-                | Some j ->
-                    {
-                      a_rule = rule;
-                      a_suffix = String.sub rest 0 j;
-                      a_substr =
-                        String.trim
-                          (String.sub rest (j + 1) (String.length rest - j - 1));
-                    })
-          in
-          go (entry :: acc)
-  in
-  go []
-
-let suffix_matches ~suffix path =
-  let sl = String.length suffix and pl = String.length path in
-  suffix = "" || (sl <= pl && String.sub path (pl - sl) sl = suffix)
-
-let substr_matches ~sub msg =
-  let nl = String.length sub and hl = String.length msg in
-  let rec at i = i + nl <= hl && (String.sub msg i nl = sub || at (i + 1)) in
-  sub = "" || at 0
-
-(* ---- run ---- *)
-
-type result = {
-  res_files : int;  (** .cmt units analyzed *)
-  res_findings : int;
-  res_stale : int;
-  res_output : string;
-}
-
-let failed r = r.res_findings > 0 || r.res_stale > 0
+(* ---- run: analyze, then filter through the allowlist and render ---- *)
 
 let run ?allow_path ~roots () =
-  findings := [];
-  Hashtbl.reset funcs;
-  Hashtbl.reset summaries;
-  Hashtbl.reset mut_sites;
-  Hashtbl.reset worker_seen;
-  Hashtbl.reset wrappers;
-  worker_roots := [];
-  let units =
-    roots
-    |> List.concat_map cmt_files_under
-    |> List.filter_map load_cmt
-  in
-  List.iter (fun (modname, str) -> index_structure modname str) units;
-  Hashtbl.iter check_function funcs;
-  run_worker_phase ();
-  check_inconsistent_locksets ();
-  let allows = match allow_path with None -> [] | Some p -> load_allow p in
-  let used = Array.make (List.length allows) false in
-  let surviving =
-    List.filter
-      (fun f ->
-        let allowed = ref false in
-        List.iteri
-          (fun i a ->
-            if
-              a.a_rule = f.rule
-              && suffix_matches ~suffix:a.a_suffix f.file
-              && substr_matches ~sub:a.a_substr f.msg
-            then begin
-              used.(i) <- true;
-              allowed := true
-            end)
-          allows;
-        not !allowed)
-      !findings
-  in
-  let surviving =
-    List.sort_uniq
-      (fun a b ->
-        match compare a.file b.file with
-        | 0 -> (
-            match compare a.line b.line with
-            | 0 -> compare (a.rule, a.msg) (b.rule, b.msg)
-            | c -> c)
-        | c -> c)
-      surviving
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun f ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d: %s %s\n" f.file f.line f.rule f.msg))
-    surviving;
-  let stale = ref 0 in
-  List.iteri
-    (fun i a ->
-      if not used.(i) then begin
-        incr stale;
-        Buffer.add_string buf
-          (Printf.sprintf "allowlist: stale entry: %s %s %s\n" a.a_rule
-             a.a_suffix a.a_substr)
-      end)
-    allows;
-  {
-    res_files = List.length units;
-    res_findings = List.length surviving;
-    res_stale = !stale;
-    res_output = Buffer.contents buf;
-  }
+  Lintkit.check ~allow_path (fun () ->
+      Hashtbl.reset funcs;
+      Hashtbl.reset summaries;
+      Hashtbl.reset mut_sites;
+      Hashtbl.reset worker_seen;
+      Hashtbl.reset wrappers;
+      worker_roots := [];
+      let units =
+        roots
+        |> List.concat_map cmt_files_under
+        |> List.filter_map load_cmt
+      in
+      List.iter (fun (modname, str) -> index_structure modname str) units;
+      Hashtbl.iter check_function funcs;
+      run_worker_phase ();
+      check_inconsistent_locksets ();
+      List.length units)
