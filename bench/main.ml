@@ -191,7 +191,9 @@ let bechamel_tests () =
        let io = Fs.Fat32.io_of_blockdev dev in
        Fs.Fat32.mkfs io ~total_sectors:65536 ();
        let fat = Result.get_ok (Fs.Fat32.mount io) in
-       (match Fs.Fat32.create fat "/x.dat" with Ok () -> () | Error e -> invalid_arg e);
+       (match Fs.Fat32.create fat "/x.dat" with
+       | Ok () -> ()
+       | Error e -> invalid_arg (Fs.Error.to_string e));
        ignore
          (Result.get_ok
             (Fs.Fat32.write_file fat "/x.dat" ~off:0 ~data:(Bytes.make 65536 'x')));

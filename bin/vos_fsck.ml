@@ -24,7 +24,7 @@ let () =
       let image = read_image path in
       match Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image image) with
       | Error e ->
-          Printf.eprintf "vos_fsck: %s: %s\n" path e;
+          Printf.eprintf "vos_fsck: %s: %s\n" path (Fs.Error.to_string e);
           exit 2
       | Ok fs ->
           let replayed = Fs.Xv6fs.log_replayed fs in

@@ -77,7 +77,7 @@ let build_fat out dir size_mib =
       mkdirs "" (Fs.Vpath.split (Fs.Vpath.dirname path));
       (match Fs.Fat32.create fat path with
       | Ok () -> ()
-      | Error e -> failwith e);
+      | Error e -> failwith (Fs.Error.to_string e));
       ignore (Result.get_ok (Fs.Fat32.write_file fat path ~off:0 ~data)))
     files;
   write_image out image;

@@ -70,11 +70,12 @@ let run_workload fs bc supply files rng =
   let node_of f =
     match Fs.Xv6fs.lookup fs f.fm_path with
     | Ok node -> node
-    | Error e -> invalid_arg ("crashbench: " ^ f.fm_path ^ ": " ^ e)
+    | Error e ->
+        invalid_arg ("crashbench: " ^ f.fm_path ^ ": " ^ Fs.Error.to_string e)
   in
   (match Fs.Xv6fs.create fs "/sub" Fs.Xv6fs.Dir with
   | Ok _ -> ()
-  | Error e -> invalid_arg ("crashbench: mkdir /sub: " ^ e));
+  | Error e -> invalid_arg ("crashbench: mkdir /sub: " ^ Fs.Error.to_string e));
   (try
      for _op = 1 to nops do
        if not (Hw.Power.alive supply) then raise Exit;
@@ -87,7 +88,8 @@ let run_workload fs bc supply files rng =
          if not f.fm_exists then begin
            (match Fs.Xv6fs.create fs f.fm_path Fs.Xv6fs.Reg with
            | Ok _ -> ()
-           | Error e -> invalid_arg ("crashbench: create: " ^ e));
+           | Error e ->
+               invalid_arg ("crashbench: create: " ^ Fs.Error.to_string e));
            f.fm_exists <- true;
            push f digest_empty
          end;
@@ -117,7 +119,8 @@ let run_workload fs bc supply files rng =
          if f.fm_exists then begin
            (match Fs.Xv6fs.unlink fs f.fm_path with
            | Ok () -> ()
-           | Error e -> invalid_arg ("crashbench: unlink: " ^ e));
+           | Error e ->
+               invalid_arg ("crashbench: unlink: " ^ Fs.Error.to_string e));
            f.fm_exists <- false;
            push f gone
          end
@@ -146,7 +149,7 @@ let verify board image files =
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
   in
   match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
-  | Error e -> (0, [ "remount failed: " ^ e ], [])
+  | Error e -> (0, [ "remount failed: " ^ Fs.Error.to_string e ], [])
   | Ok fs ->
       let findings = ref [] in
       let report = Fs.Xv6fs.fsck fs in
@@ -167,7 +170,7 @@ let verify board image files =
                      else
                        match Fs.Xv6fs.readi fs node ~off:0 ~len:size with
                        | Ok b -> hex_of_bytes b
-                       | Error e -> "unreadable: " ^ e)
+                       | Error e -> "unreadable: " ^ Fs.Error.to_string e)
                in
                let allowed = suffix_from f.fm_timeline f.fm_acked in
                if not (List.mem observed allowed) then
@@ -205,7 +208,7 @@ let run_once ~seed ~base ~cut_after =
   let fs =
     match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
     | Ok fs -> fs
-    | Error e -> invalid_arg ("crashbench: mount: " ^ e)
+    | Error e -> invalid_arg ("crashbench: mount: " ^ Fs.Error.to_string e)
   in
   let files = fresh_files () in
   run_workload fs bc supply files (Sim.Rng.create seed);

@@ -44,21 +44,14 @@ let name = function
   | 39 -> "ENOTEMPTY"
   | n -> Printf.sprintf "E%d" n
 
-(* Map filesystem error strings to errnos; the fs layer reports strings,
-   the syscall layer owns the ABI. An address "out of range" is a bad
-   argument or a corrupt image, not a full disk. *)
-let of_fs_error msg =
-  let has sub =
-    let n = String.length sub and m = String.length msg in
-    let rec at i = i + n <= m && (String.equal (String.sub msg i n) sub || at (i + 1)) in
-    at 0
-  in
-  if has "not found" || has "no such" then enoent
-  else if has "exists" then eexist
-  else if has "not a directory" then enotdir
-  else if has "is a directory" then eisdir
-  else if has "too large" then efbig
-  else if has "out of range" then einval
-  else if has "out of" || has "no free" then enospc
-  else if has "not empty" then enotempty
-  else einval
+(* The errno of a filesystem failure. The fs layer names the class where
+   it fails; the syscall layer owns the numbers. *)
+let of_fs_error : Fs.Error.t -> int = function
+  | No_entry _ -> enoent
+  | Exists _ -> eexist
+  | Not_dir _ -> enotdir
+  | Is_dir _ -> eisdir
+  | Too_big _ -> efbig
+  | No_space _ -> enospc
+  | Not_empty _ -> enotempty
+  | Invalid _ -> einval

@@ -85,7 +85,7 @@ let mkdirs ~exists ~mkdir path =
         (if not (exists next) then
            match mkdir next with
            | Ok () -> ()
-           | Error e -> Kpanic.panicf "boot: %s" e);
+           | Error e -> Kpanic.panicf "boot: %s" (Fs.Error.to_string e));
         go next rest
   in
   go "" (Fs.Vpath.split (Fs.Vpath.dirname path))
@@ -125,7 +125,7 @@ let build_ramdisk spec =
   let fsys =
     match Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image image) with
     | Ok f -> f
-    | Error e -> Kpanic.panicf "boot: ramdisk %s" e
+    | Error e -> Kpanic.panicf "boot: ramdisk %s" (Fs.Error.to_string e)
   in
   List.iter
     (fun (path, data) ->
@@ -135,11 +135,12 @@ let build_ramdisk spec =
           Result.map ignore (Fs.Xv6fs.create fsys p Fs.Xv6fs.Dir))
         path;
       match Fs.Xv6fs.create fsys path Fs.Xv6fs.Reg with
-      | Error e -> Kpanic.panicf "boot: %s" e
+      | Error e -> Kpanic.panicf "boot: %s" (Fs.Error.to_string e)
       | Ok node -> (
           match Fs.Xv6fs.writei fsys node ~off:0 ~data with
           | Ok _ -> ()
-          | Error e -> Kpanic.panicf "boot: %s: %s" path e))
+          | Error e ->
+              Kpanic.panicf "boot: %s: %s" path (Fs.Error.to_string e)))
     all_files;
   image
 
@@ -153,7 +154,7 @@ let format_fat (dev : Fs.Blockdev.t) files =
   let fat =
     match Fs.Fat32.mount io with
     | Ok f -> f
-    | Error e -> Kpanic.panicf "boot: %s mkfs %s" name e
+    | Error e -> Kpanic.panicf "boot: %s mkfs %s" name (Fs.Error.to_string e)
   in
   List.iter
     (fun (path, data) ->
@@ -162,10 +163,11 @@ let format_fat (dev : Fs.Blockdev.t) files =
         ~mkdir:(Fs.Fat32.mkdir fat) path;
       (match Fs.Fat32.create fat path with
       | Ok () -> ()
-      | Error e -> Kpanic.panicf "boot: %s %s" name e);
+      | Error e -> Kpanic.panicf "boot: %s %s" name (Fs.Error.to_string e));
       match Fs.Fat32.write_file fat path ~off:0 ~data with
       | Ok _ -> ()
-      | Error e -> Kpanic.panicf "boot: %s %s: %s" name path e)
+      | Error e ->
+          Kpanic.panicf "boot: %s %s: %s" name path (Fs.Error.to_string e))
     files
 
 (* Partition the SD card and format partition 2 with the FAT files. *)
@@ -211,7 +213,7 @@ let mount_fat_device vfs ~board ~vprobe (cfg : Kconfig.t) backing ~at =
   | Ok fat ->
       Vfs.mount_fat vfs ~at fat bc;
       bc
-  | Error e -> Kpanic.panicf "boot: mount %s: %s" at e
+  | Error e -> Kpanic.panicf "boot: mount %s: %s" at (Fs.Error.to_string e)
 
 let boot spec =
   let board =
@@ -303,7 +305,7 @@ let boot spec =
   let rootfs =
     match Fs.Xv6fs.mount (Bufcache.xv6_io root_bc) with
     | Ok f -> f
-    | Error e -> Kpanic.panicf "boot: root mount %s" e
+    | Error e -> Kpanic.panicf "boot: root mount %s" (Fs.Error.to_string e)
   in
   (* Group commit rides the flush daemon: before each periodic flush the
      cache asks the filesystem to commit whatever transaction is open, so

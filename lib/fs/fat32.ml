@@ -117,8 +117,9 @@ let mkfs io ~total_sectors ?(sectors_per_cluster = 8) () =
 let mount io =
   let bpb = io.read ~lba:0 ~count:1 in
   if Bytes.get_uint8 bpb 510 <> 0x55 || Bytes.get_uint8 bpb 511 <> 0xaa then
-    Error "fat32: bad BPB signature"
-  else if get16 bpb 11 <> sector_bytes then Error "fat32: unsupported sector size"
+    Error (Error.Invalid "fat32: bad BPB signature")
+  else if get16 bpb 11 <> sector_bytes then
+    Error (Error.Invalid "fat32: unsupported sector size")
   else begin
     let spc = Bytes.get_uint8 bpb 13 in
     let reserved = get16 bpb 14 in
@@ -164,7 +165,8 @@ let max_cluster t = t.total_clusters + 1
 
 let alloc_cluster t =
   let rec scan tried cl =
-    if tried > t.total_clusters then Error "fat32: no free clusters"
+    if tried > t.total_clusters then
+      Error (Error.No_space "fat32: no free clusters")
     else begin
       let cl = if cl > max_cluster t then 2 else cl in
       if fat_get t cl = 0 then begin
@@ -394,16 +396,16 @@ let resolve_dir t path =
     | [] -> Ok (`Dir cluster)
     | [ last ] -> (
         match find_entry t cluster last with
-        | None -> Error ("fat32: not found: " ^ last)
+        | None -> Error (Error.No_entry ("fat32: not found: " ^ last))
         | Some e -> Ok (`Entry (cluster, e)))
     | comp :: rest -> (
         match find_entry t cluster comp with
-        | None -> Error ("fat32: not found: " ^ comp)
+        | None -> Error (Error.No_entry ("fat32: not found: " ^ comp))
         | Some e ->
             if e.re_attr land 0x10 <> 0 then
               let sub = if e.re_cluster = 0 then t.root_cluster else e.re_cluster in
               walk sub rest
-            else Error ("fat32: not a directory: " ^ comp))
+            else Error (Error.Not_dir ("fat32: not a directory: " ^ comp)))
   in
   walk t.root_cluster (Vpath.split path)
 
@@ -441,7 +443,7 @@ let readdir t path =
   | Ok (`Entry (_, e)) ->
       if e.re_attr land 0x10 <> 0 then
         list_of_cluster (if e.re_cluster = 0 then t.root_cluster else e.re_cluster)
-      else Error ("fat32: not a directory: " ^ path)
+      else Error (Error.Not_dir ("fat32: not a directory: " ^ path))
 
 (* ---- range reads ---- *)
 
@@ -461,8 +463,8 @@ let read_file t path ~off ~len =
   match stat t path with
   | Error e -> Error e
   | Ok st ->
-      if st.st_dir then Error ("fat32: is a directory: " ^ path)
-      else if off < 0 || len < 0 then Error "fat32: bad range"
+      if st.st_dir then Error (Error.Is_dir ("fat32: is a directory: " ^ path))
+      else if off < 0 || len < 0 then Error (Error.Invalid "fat32: bad range")
       else begin
         let len = min len (max 0 (st.st_size - off)) in
         let out = Bytes.create len in
@@ -476,7 +478,7 @@ let read_file t path ~off ~len =
             List.filteri (fun i _ -> i >= first_cl_idx && i <= last_cl_idx) chain
           in
           if List.length wanted < last_cl_idx - first_cl_idx + 1 then
-            Error "fat32: chain shorter than size"
+            Error (Error.Invalid "fat32: chain shorter than size")
           else begin
             (* Fetch maximal contiguous runs with single commands. *)
             let runs = runs_of_clusters wanted in
@@ -577,9 +579,9 @@ let make_short_entry ~short ~attr ~cluster ~size =
 
 let add_entry t dir_cluster name ~attr ~cluster ~size =
   if String.length name = 0 || String.length name > 255 then
-    Error "fat32: bad name"
+    Error (Error.Invalid "fat32: bad name")
   else if find_entry t dir_cluster name <> None then
-    Error ("fat32: exists: " ^ name)
+    Error (Error.Exists ("fat32: exists: " ^ name))
   else begin
     let short = unique_short t dir_cluster name in
     let lfn = if needs_lfn name then make_lfn_entries name (short_checksum short) else [] in
@@ -594,7 +596,7 @@ let add_entry t dir_cluster name ~attr ~cluster ~size =
 
 let parent_and_name t path =
   let dir = Vpath.dirname path and name = Vpath.basename path in
-  if String.equal name "/" then Error "fat32: no name"
+  if String.equal name "/" then Error (Error.Invalid "fat32: no name")
   else
     match resolve_dir t dir with
     | Error e -> Error e
@@ -602,7 +604,7 @@ let parent_and_name t path =
     | Ok (`Entry (_, e)) ->
         if e.re_attr land 0x10 <> 0 then
           Ok ((if e.re_cluster = 0 then t.root_cluster else e.re_cluster), name)
-        else Error ("fat32: not a directory: " ^ dir)
+        else Error (Error.Not_dir ("fat32: not a directory: " ^ dir))
 
 let create t path =
   match parent_and_name t path with
@@ -637,7 +639,7 @@ let update_entry t path ~cluster ~size =
   | Error e -> Error e
   | Ok (dir_cl, name) -> (
       match find_entry t dir_cl name with
-      | None -> Error ("fat32: not found: " ^ path)
+      | None -> Error (Error.No_entry ("fat32: not found: " ^ path))
       | Some e ->
           let slot = List.nth e.re_slots (List.length e.re_slots - 1) in
           let entry =
@@ -650,8 +652,8 @@ let write_file t path ~off ~data =
   match stat t path with
   | Error e -> Error e
   | Ok st ->
-      if st.st_dir then Error ("fat32: is a directory: " ^ path)
-      else if off < 0 then Error "fat32: bad offset"
+      if st.st_dir then Error (Error.Is_dir ("fat32: is a directory: " ^ path))
+      else if off < 0 then Error (Error.Invalid "fat32: bad offset")
       else begin
         let len = Bytes.length data in
         let cb = cluster_bytes t in
@@ -699,7 +701,7 @@ let write_file t path ~off ~data =
             let new_size = max st.st_size end_pos in
             (match update_entry t path ~cluster:!head ~size:new_size with
             | Ok () -> ()
-            | Error e -> invalid_arg e);
+            | Error e -> invalid_arg (Error.to_string e));
             Ok len
       end
 
@@ -707,7 +709,7 @@ let truncate t path =
   match stat t path with
   | Error e -> Error e
   | Ok st ->
-      if st.st_dir then Error ("fat32: is a directory: " ^ path)
+      if st.st_dir then Error (Error.Is_dir ("fat32: is a directory: " ^ path))
       else begin
         if st.st_cluster >= 2 then free_chain t st.st_cluster;
         update_entry t path ~cluster:0 ~size:0
@@ -718,7 +720,7 @@ let unlink t path =
   | Error e -> Error e
   | Ok (dir_cl, name) -> (
       match find_entry t dir_cl name with
-      | None -> Error ("fat32: not found: " ^ path)
+      | None -> Error (Error.No_entry ("fat32: not found: " ^ path))
       | Some e ->
           let is_dir = e.re_attr land 0x10 <> 0 in
           let check_empty () =
@@ -730,7 +732,8 @@ let unlink t path =
                     (not (String.equal child.re_name "."))
                     && not (String.equal child.re_name "..")
                   then incr count);
-              if !count = 0 then Ok () else Error "fat32: directory not empty"
+              if !count = 0 then Ok ()
+              else Error (Error.Not_empty "fat32: directory not empty")
             end
           in
           (match check_empty () with

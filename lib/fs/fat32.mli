@@ -32,7 +32,7 @@ type stat = {
 val mkfs : io -> total_sectors:int -> ?sectors_per_cluster:int -> unit -> unit
 (** Format: writes BPB, FSInfo, both FATs and an empty root directory. *)
 
-val mount : io -> (t, string) result
+val mount : io -> (t, Error.t) result
 
 val cluster_bytes : t -> int
 
@@ -40,32 +40,32 @@ val free_clusters : t -> int
 
 (** {1 Lookup} *)
 
-val stat : t -> string -> (stat, string) result
+val stat : t -> string -> (stat, Error.t) result
 (** Resolve an absolute path ("/" is the root directory). Long and short
     names both match, case-insensitively. *)
 
-val readdir : t -> string -> ((string * stat) list, string) result
+val readdir : t -> string -> ((string * stat) list, Error.t) result
 (** Directory listing with long names restored. *)
 
 (** {1 Reading} *)
 
-val read_file : t -> string -> off:int -> len:int -> (Bytes.t, string) result
+val read_file : t -> string -> off:int -> len:int -> (Bytes.t, Error.t) result
 (** Read with range optimization: contiguous cluster runs become single
     multi-sector [read] calls. Short reads at EOF. *)
 
 (** {1 Writing} *)
 
-val create : t -> string -> (unit, string) result
+val create : t -> string -> (unit, Error.t) result
 (** Create an empty file; parent directory must exist. *)
 
-val mkdir : t -> string -> (unit, string) result
+val mkdir : t -> string -> (unit, Error.t) result
 
-val write_file : t -> string -> off:int -> data:Bytes.t -> (int, string) result
+val write_file : t -> string -> off:int -> data:Bytes.t -> (int, Error.t) result
 (** Write in place, extending the cluster chain and directory entry size as
     needed. The file must exist. *)
 
-val truncate : t -> string -> (unit, string) result
+val truncate : t -> string -> (unit, Error.t) result
 (** Free the chain, set size to 0. *)
 
-val unlink : t -> string -> (unit, string) result
+val unlink : t -> string -> (unit, Error.t) result
 (** Remove a file or an empty directory. *)

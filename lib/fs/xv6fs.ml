@@ -152,7 +152,7 @@ let write_superblock io sb =
 
 let read_superblock io =
   let b = io.bread 1 in
-  if get32 b 0 <> magic then Error "xv6fs: bad magic"
+  if get32 b 0 <> magic then Error (Error.Invalid "xv6fs: bad magic")
   else
     Ok
       {
@@ -392,7 +392,8 @@ let iget t inum =
 
 let ialloc t ftype =
   let rec scan inum =
-    if inum >= t.sb.sb_ninodes then Error "xv6fs: out of inodes"
+    if inum >= t.sb.sb_ninodes then
+      Error (Error.No_space "xv6fs: out of inodes")
     else begin
       let node = iget t inum in
       if node.i_type = None then begin
@@ -415,7 +416,8 @@ let ialloc t ftype =
 let balloc t =
   let rec scan_block bi =
     let base = bi * block_bytes * 8 in
-    if base >= t.sb.sb_size then Error "xv6fs: out of data blocks"
+    if base >= t.sb.sb_size then
+      Error (Error.No_space "xv6fs: out of data blocks")
     else begin
       let blockno = t.sb.sb_bmapstart + bi in
       let b = t.io.bread blockno in
@@ -477,8 +479,8 @@ let valid_addr t blk = blk >= t.sb.sb_datastart && blk < t.sb.sb_size
 let addr_slot t node i ~alloc =
   if node.i_addrs.(i) <> 0 then
     if valid_addr t node.i_addrs.(i) then Ok node.i_addrs.(i)
-    else Error "xv6fs: bad block address"
-  else if not alloc then Error "xv6fs: hole"
+    else Error (Error.Invalid "xv6fs: bad block address")
+  else if not alloc then Ok 0
   else
     match balloc t with
     | Ok blk ->
@@ -487,26 +489,33 @@ let addr_slot t node i ~alloc =
         Ok blk
     | Error e -> Error e
 
-(* entry [idx] of indirect block [ind], allocating on demand *)
+(* entry [idx] of indirect block [ind], allocating on demand; under a
+   hole ([ind] = 0) every entry is a hole *)
 let ind_lookup t ind idx ~alloc =
-  let b = t.io.bread ind in
-  let blk = get32 b (4 * idx) in
-  if blk <> 0 then
-    if valid_addr t blk then Ok blk else Error "xv6fs: bad block address"
-  else if not alloc then Error "xv6fs: hole"
+  if ind = 0 then Ok 0
   else
-    match balloc t with
-    | Ok fresh ->
-        put32 b (4 * idx) fresh;
-        dwrite t ind b;
-        Ok fresh
-    | Error e -> Error e
+    let b = t.io.bread ind in
+    let blk = get32 b (4 * idx) in
+    if blk <> 0 then
+      if valid_addr t blk then Ok blk
+      else Error (Error.Invalid "xv6fs: bad block address")
+    else if not alloc then Ok 0
+    else
+      match balloc t with
+      | Ok fresh ->
+          put32 b (4 * idx) fresh;
+          dwrite t ind b;
+          Ok fresh
+      | Error e -> Error e
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
-(* Map file block [n] of [node] to a disk block, allocating if [alloc]. *)
+(* Map file block [n] of [node] to a disk block, allocating if [alloc].
+   Without [alloc] an unmapped block (a hole) maps to 0: the boot block,
+   never a data block. *)
 let bmap t node n ~alloc =
-  if n < 0 || n >= max_blocks_of t then Error "xv6fs: file too large"
+  if n < 0 || n >= max_blocks_of t then
+    Error (Error.Too_big "xv6fs: file too large")
   else if not t.ext then
     (* the paper's layout: 12 direct + 1 singly-indirect *)
     if n < ndirect then addr_slot t node n ~alloc
@@ -559,9 +568,9 @@ let truncate t node = with_op t (fun () -> truncate_raw t node)
 
 let readi t node ~off ~len =
   match node.i_type with
-  | None -> Error "xv6fs: read of free inode"
+  | None -> Error (Error.Invalid "xv6fs: read of free inode")
   | Some _ ->
-      if off < 0 || len < 0 then Error "xv6fs: bad read range"
+      if off < 0 || len < 0 then Error (Error.Invalid "xv6fs: bad read range")
       else begin
         let len = min len (max 0 (node.i_size - off)) in
         let out = Bytes.create len in
@@ -571,17 +580,17 @@ let readi t node ~off ~len =
           let pos = off + !copied in
           let bn = pos / block_bytes in
           (match bmap t node bn ~alloc:false with
+          | Ok 0 ->
+              (* sparse region reads as zeros *)
+              let boff = pos mod block_bytes in
+              let n = min (len - !copied) (block_bytes - boff) in
+              Bytes.fill out !copied n '\000';
+              copied := !copied + n
           | Ok blk ->
               let b = t.io.bread blk in
               let boff = pos mod block_bytes in
               let n = min (len - !copied) (block_bytes - boff) in
               Bytes.blit b boff out !copied n;
-              copied := !copied + n
-          | Error "xv6fs: hole" ->
-              (* sparse region reads as zeros *)
-              let boff = pos mod block_bytes in
-              let n = min (len - !copied) (block_bytes - boff) in
-              Bytes.fill out !copied n '\000';
               copied := !copied + n
           | Error e -> err := Some e)
         done;
@@ -590,11 +599,12 @@ let readi t node ~off ~len =
 
 let writei t node ~off ~data =
   match node.i_type with
-  | None -> Error "xv6fs: write to free inode"
+  | None -> Error (Error.Invalid "xv6fs: write to free inode")
   | Some _ ->
       let len = Bytes.length data in
-      if off < 0 then Error "xv6fs: bad write offset"
-      else if off + len > max_bytes t then Error "xv6fs: file too large"
+      if off < 0 then Error (Error.Invalid "xv6fs: bad write offset")
+      else if off + len > max_bytes t then
+        Error (Error.Too_big "xv6fs: file too large")
       else
         with_op t (fun () ->
             let written = ref 0 in
@@ -641,14 +651,14 @@ let read_dirent t node idx =
   | Ok b when Bytes.length b < dirent_bytes ->
       (* a corrupt directory size can leave a short tail; fsck must see
          a finding, not an exception *)
-      Error "xv6fs: short dirent"
+      Error (Error.Invalid "xv6fs: short dirent")
   | Ok b ->
       let inum = get16 b 0 in
       if inum >= t.sb.sb_ninodes then
         (* an on-disk inum outside the inode table means the directory
            block is trash; surfacing it as data keeps a corrupt image
            from walking iget off the end of the device *)
-        Error "xv6fs: corrupt dirent (inum out of range)"
+        Error (Error.Invalid "xv6fs: corrupt dirent (inum out of range)")
       else begin
       let raw = Bytes.sub_string b 2 max_name in
       let name =
@@ -674,7 +684,8 @@ let dirlookup t dir name =
   | Some Dir ->
       let n = dirent_count dir in
       let rec scan idx =
-        if idx >= n then Error ("xv6fs: no such entry: " ^ name)
+        if idx >= n then
+          Error (Error.No_entry ("xv6fs: no such entry: " ^ name))
         else
           match read_dirent t dir idx with
           | Error e -> Error e
@@ -683,14 +694,14 @@ let dirlookup t dir name =
               else scan (idx + 1)
       in
       scan 0
-  | Some Reg | Some Dev | None -> Error "xv6fs: not a directory"
+  | Some Reg | Some Dev | None -> Error (Error.Not_dir "xv6fs: not a directory")
 
 let dirlink t dir name inum =
   if String.length name = 0 || String.length name > max_name then
-    Error "xv6fs: bad name length"
+    Error (Error.Invalid "xv6fs: bad name length")
   else
     match dirlookup t dir name with
-    | Ok _ -> Error ("xv6fs: exists: " ^ name)
+    | Ok _ -> Error (Error.Exists ("xv6fs: exists: " ^ name))
     | Error _ ->
         (* reuse a freed slot if any, else append *)
         let n = dirent_count dir in
@@ -729,13 +740,14 @@ let inum node = node.i_num
 
 let create t path ftype =
   let dir_path = Vpath.dirname path and name = Vpath.basename path in
-  if String.equal name "/" then Error "xv6fs: cannot create root"
+  if String.equal name "/" then
+    Error (Error.Invalid "xv6fs: cannot create root")
   else
     match lookup t dir_path with
     | Error e -> Error e
     | Ok parent -> (
         match dirlookup t parent name with
-        | Ok _ -> Error ("xv6fs: exists: " ^ path)
+        | Ok _ -> Error (Error.Exists ("xv6fs: exists: " ^ path))
         | Error _ ->
             with_op t (fun () ->
                 match ialloc t ftype with
@@ -780,7 +792,7 @@ let readdir t dir =
               else scan (idx + 1) ((name, inum) :: acc)
       in
       scan 0 []
-  | Some Reg | Some Dev | None -> Error "xv6fs: not a directory"
+  | Some Reg | Some Dev | None -> Error (Error.Not_dir "xv6fs: not a directory")
 
 let dir_is_empty t dir =
   match readdir t dir with Ok [] -> true | Ok _ | Error _ -> false
@@ -788,7 +800,7 @@ let dir_is_empty t dir =
 let unlink t path =
   let dir_path = Vpath.dirname path and name = Vpath.basename path in
   if String.equal name "/" || String.equal name "." || String.equal name ".."
-  then Error "xv6fs: cannot unlink"
+  then Error (Error.Invalid "xv6fs: cannot unlink")
   else
     match lookup t dir_path with
     | Error e -> Error e
@@ -797,7 +809,7 @@ let unlink t path =
         | Error e -> Error e
         | Ok (node, idx) ->
             if node.i_type = Some Dir && not (dir_is_empty t node) then
-              Error "xv6fs: directory not empty"
+              Error (Error.Not_empty "xv6fs: directory not empty")
             else
               with_op t (fun () ->
                   match write_dirent t parent idx "" 0 with
@@ -893,9 +905,13 @@ let mkfs ?(nlog = 0) ?(ext = false) ~total_blocks ~ninodes () =
       assert (node.i_num = 1);
       node.i_nlink <- 1;
       write_dinode t node;
-      (match dirlink t node "." 1 with Ok () -> () | Error e -> invalid_arg e);
-      (match dirlink t node ".." 1 with Ok () -> () | Error e -> invalid_arg e)
-  | Error e -> invalid_arg e);
+      List.iter
+        (fun name ->
+          match dirlink t node name 1 with
+          | Ok () -> ()
+          | Error e -> invalid_arg (Error.to_string e))
+        [ "."; ".." ]
+  | Error e -> invalid_arg (Error.to_string e));
   image
 
 (* ---- fsck ---- *)
@@ -914,7 +930,9 @@ let fsck_dinode t inum =
   let b = t.io.bread (inode_block t.sb inum) in
   let off = inode_offset inum in
   let code = get16 b off in
-  if code > 3 then Error (Printf.sprintf "inode %d: bad type code %d" inum code)
+  if code > 3 then
+    Error
+      (Error.Invalid (Printf.sprintf "inode %d: bad type code %d" inum code))
   else
     Ok
       {
@@ -1039,7 +1057,9 @@ let fsck t =
     in
     for idx = 0 to n - 1 do
       match read_dirent t dir idx with
-      | Error e -> err "inode %d: unreadable dirent %d: %s" dir.i_num idx e
+      | Error e ->
+          err "inode %d: unreadable dirent %d: %s" dir.i_num idx
+            (Error.to_string e)
       | Ok (_, 0) -> ()
       | Ok (name, einum) ->
           if einum < 1 || einum >= sb.sb_ninodes then
@@ -1058,7 +1078,9 @@ let fsck t =
             end
             else
               match fsck_dinode t einum with
-              | Error e -> err "%s (via %S in inode %d)" e name dir.i_num
+              | Error e ->
+                  err "%s (via %S in inode %d)" (Error.to_string e) name
+                    dir.i_num
               | Ok child -> (
                   match child.i_type with
                   | None ->
@@ -1083,7 +1105,7 @@ let fsck t =
     done
   in
   (match fsck_dinode t 1 with
-  | Error e -> err "root: %s" e
+  | Error e -> err "root: %s" (Error.to_string e)
   | Ok root_node -> (
       match root_node.i_type with
       | Some Dir ->
@@ -1098,7 +1120,7 @@ let fsck t =
   | Ok _ | Error _ -> ());
   for inum = 1 to sb.sb_ninodes - 1 do
     match fsck_dinode t inum with
-    | Error e -> if not visited.(inum) then err "%s" e
+    | Error e -> if not visited.(inum) then err "%s" (Error.to_string e)
     | Ok node -> (
         match node.i_type with
         | None ->

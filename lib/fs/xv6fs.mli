@@ -73,7 +73,7 @@ val mkfs :
     [ext] selects the doubly-indirect block map. The defaults produce an
     image byte-identical to the journal-free layout. *)
 
-val mount : io -> (t, string) result
+val mount : io -> (t, Error.t) result
 (** Validate the superblock and return a handle. If the image has a
     journal, replay any committed transaction first (see {!log_replayed})
     and cap open transactions at 64 blocks (clamped to the on-disk log
@@ -118,7 +118,7 @@ val log_pending : t -> int
 (** {1 Inodes and paths} *)
 
 val root : t -> inode
-val lookup : t -> string -> (inode, string) result
+val lookup : t -> string -> (inode, Error.t) result
 (** Resolve an absolute path. *)
 
 val stat_of : t -> inode -> stat
@@ -126,27 +126,28 @@ val inum : inode -> int
 
 (** {1 Files} *)
 
-val create : t -> string -> ftype -> (inode, string) result
+val create : t -> string -> ftype -> (inode, Error.t) result
 (** Create a file/dir/device node; parent must exist; fails if the name
     exists. Directories get "." and ".." entries. *)
 
-val readi : t -> inode -> off:int -> len:int -> (Bytes.t, string) result
+val readi : t -> inode -> off:int -> len:int -> (Bytes.t, Error.t) result
 (** Read up to [len] bytes at [off]; short reads at EOF. *)
 
-val writei : t -> inode -> off:int -> data:Bytes.t -> (int, string) result
-(** Write at [off], growing the file as needed; fails with "file too large"
-    past {!max_bytes}. Returns bytes written. On a journaled instance a
-    large write is chunked into several transactions, each leaving a
-    consistent prefix of the write (size advances with the data). *)
+val writei : t -> inode -> off:int -> data:Bytes.t -> (int, Error.t) result
+(** Write at [off], growing the file as needed; fails with
+    {!Error.Too_big} past {!max_bytes}. Returns bytes written. On a
+    journaled instance a large write is chunked into several
+    transactions, each leaving a consistent prefix of the write (size
+    advances with the data). *)
 
 val truncate : t -> inode -> unit
 (** Free all data blocks and set the size to 0. *)
 
-val unlink : t -> string -> (unit, string) result
+val unlink : t -> string -> (unit, Error.t) result
 (** Remove a directory entry; frees the inode when the link count drops to
     zero. Refuses non-empty directories. *)
 
-val readdir : t -> inode -> ((string * int) list, string) result
+val readdir : t -> inode -> ((string * int) list, Error.t) result
 (** Entries of a directory (name, inum), excluding "." and "..". *)
 
 val set_dev : t -> inode -> major:int -> minor:int -> unit

@@ -155,13 +155,20 @@ type monkey_state = {
 let breach st fmt =
   Printf.ksprintf (fun s -> st.breaches <- s :: st.breaches) fmt
 
-(* Any syscall return below -Errno.max is outside the errno table —
-   nothing in the kernel is allowed to produce it. *)
+(* Every errno in [Errno] lies below 64 (the largest is
+   [Errno.enotempty] = 39), so a syscall return below [errno_floor]
+   names none of them; nothing in the kernel is allowed to produce it. *)
 let errno_floor = -64
 
 let sane st what ret =
   if ret < errno_floor then
     breach st "%s returned undefined errno %d" what ret
+
+(* The same bound for a call that reports its errno as a positive
+   [Error e]. *)
+let sane_error st what e =
+  if e < 0 || e > -errno_floor then
+    breach st "%s failed with undefined errno %d" what e
 
 (* A Slot over an empty descriptor list degrades to a closed-range fd,
    not to the raw index: indices 0–2 are the console, and a read there
@@ -221,9 +228,7 @@ let exec_op board env st op =
           else if Bytes.length b > len then
             breach st "read returned %d bytes > requested %d" (Bytes.length b)
               len
-      | Error e ->
-          if e < 0 || e > -errno_floor then
-            breach st "read failed with undefined errno %d" e)
+      | Error e -> sane_error st "read" e)
   | Gen.Write (r, len) ->
       let fd = resolve_fd st r in
       sane st "write" (User.Usys.write fd (Bytes.make len 'w'))
@@ -241,18 +246,14 @@ let exec_op board env st op =
   | Gen.Fstat r -> (
       match User.Usys.fstat (resolve_fd st r) with
       | Ok _ -> ()
-      | Error e ->
-          if e < 0 || e > -errno_floor then
-            breach st "fstat failed with undefined errno %d" e)
+      | Error e -> sane_error st "fstat" e)
   | Gen.Fsync r -> sane st "fsync" (User.Usys.fsync (resolve_fd st r))
   | Gen.Mkdirp path -> sane st "mkdir" (User.Usys.mkdir path)
   | Gen.Unlink path -> sane st "unlink" (User.Usys.unlink path)
   | Gen.Pipe -> (
       match User.Usys.pipe2 Abi.o_nonblock with
       | Ok (r, w) -> st.fds <- st.fds @ [ r; w ]
-      | Error e ->
-          if e < 0 || e > -errno_floor then
-            breach st "pipe failed with undefined errno %d" e)
+      | Error e -> sane_error st "pipe" e)
   | Gen.Poll timeout_ms ->
       let fds =
         match st.fds with a :: b :: c :: _ -> [ a; b; c ] | l -> l

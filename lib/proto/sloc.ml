@@ -73,6 +73,7 @@ let inventory =
     ("lib/fs/blockdev.ml", 4, Filesystems);
     ("lib/fs/vpath.ml", 4, Filesystems);
     ("lib/fs/xv6fs.ml", 4, Filesystems);
+    ("lib/fs/error.ml", 4, Filesystems);
     ("lib/core/devfs.ml", 4, Drivers);
     ("lib/core/procfs.ml", 4, Filesystems);
     ("lib/core/pipe.ml", 4, Core_kernel);

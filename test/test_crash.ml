@@ -49,7 +49,7 @@ let stamp_header img ~good_cksum ~seq ~blocks =
   Bytes.blit h 0 img (logstart img * bb) bb
 
 let mount_image img =
-  check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img))
+  check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img))
 
 let check_fsck name fs =
   let r = Fs.Xv6fs.fsck fs in
@@ -109,25 +109,26 @@ let pinning_defers_until_commit () =
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:64
       ~writeback:true ()
   in
-  let fs = check_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
-  let f = check_ok "create" (Fs.Xv6fs.create fs "/p" Fs.Xv6fs.Reg) in
+  let fs = check_fs_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create fs "/p" Fs.Xv6fs.Reg) in
   let data = Bytes.make 3000 'p' in
-  ignore (check_ok "write" (Fs.Xv6fs.writei fs f ~off:0 ~data));
+  ignore (check_fs_ok "write" (Fs.Xv6fs.writei fs f ~off:0 ~data));
   check_bool "tx open" true (Fs.Xv6fs.log_pending fs > 0);
   check_bool "home blocks pinned" true (Core.Bufcache.pinned_blocks bc > 0);
   (* the medium still holds the pre-transaction state *)
   let snap = mount_image (Bytes.copy image) in
   check_fsck "media consistent pre-commit" snap;
-  ignore (check_err "file not durable yet" (Fs.Xv6fs.lookup snap "/p"));
+  check_fs_err "file not durable yet" (Fs.Error.No_entry "xv6fs: no such entry: p")
+    (Fs.Xv6fs.lookup snap "/p");
   (* commit + barrier: everything lands, pins drop *)
   check_bool "commit wrote blocks" true (Fs.Xv6fs.commit fs > 0);
   Core.Bufcache.barrier bc;
   check_int "no pins after commit" 0 (Core.Bufcache.pinned_blocks bc);
   let snap2 = mount_image (Bytes.copy image) in
   check_int "clean commit leaves no replay" 0 (Fs.Xv6fs.log_replayed snap2);
-  let f2 = check_ok "durable" (Fs.Xv6fs.lookup snap2 "/p") in
+  let f2 = check_fs_ok "durable" (Fs.Xv6fs.lookup snap2 "/p") in
   check_bool "content durable" true
-    (Bytes.equal data (check_ok "read" (Fs.Xv6fs.readi snap2 f2 ~off:0 ~len:3000)));
+    (Bytes.equal data (check_fs_ok "read" (Fs.Xv6fs.readi snap2 f2 ~off:0 ~len:3000)));
   check_fsck "media consistent post-commit" snap2
 
 (* ---- exhaustive power-cut sweep ----
@@ -149,17 +150,17 @@ let sweep_once ~base ~cut =
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:32
       ~writeback:true ()
   in
-  let fs = check_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
+  let fs = check_fs_ok "mount" (Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc)) in
   let sync () =
     ignore (Fs.Xv6fs.commit fs);
     Core.Bufcache.barrier bc
   in
-  let f = check_ok "create /a" (Fs.Xv6fs.create fs "/a" Fs.Xv6fs.Reg) in
-  ignore (check_ok "w1" (Fs.Xv6fs.writei fs f ~off:0 ~data:(Bytes.make 3000 'a')));
+  let f = check_fs_ok "create /a" (Fs.Xv6fs.create fs "/a" Fs.Xv6fs.Reg) in
+  ignore (check_fs_ok "w1" (Fs.Xv6fs.writei fs f ~off:0 ~data:(Bytes.make 3000 'a')));
   sync ();
   Fs.Xv6fs.truncate fs f;
-  ignore (check_ok "w2" (Fs.Xv6fs.writei fs f ~off:0 ~data:(Bytes.make 5000 'b')));
-  ignore (check_ok "create /b" (Fs.Xv6fs.create fs "/b" Fs.Xv6fs.Reg));
+  ignore (check_fs_ok "w2" (Fs.Xv6fs.writei fs f ~off:0 ~data:(Bytes.make 5000 'b')));
+  ignore (check_fs_ok "create /b" (Fs.Xv6fs.create fs "/b" Fs.Xv6fs.Reg));
   sync ();
   (board, image)
 
@@ -177,7 +178,8 @@ let exhaustive_cut_sweep () =
         ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
     in
     match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
-    | Error e -> Alcotest.failf "cut %d/%d: remount: %s" cut total e
+    | Error e ->
+        Alcotest.failf "cut %d/%d: remount: %s" cut total (Fs.Error.to_string e)
     | Ok fs ->
         if Fs.Xv6fs.log_replayed fs > 0 then incr replays;
         let r = Fs.Xv6fs.fsck fs in
@@ -326,10 +328,10 @@ let clean_shutdown_replays_nothing () =
   check_bool "journaled" true (Fs.Xv6fs.journaled t);
   check_int "nothing to replay after clean shutdown" 0 (Fs.Xv6fs.log_replayed t);
   check_fsck "clean shutdown" t;
-  let f = check_ok "file durable" (Fs.Xv6fs.lookup t "/s.dat") in
+  let f = check_fs_ok "file durable" (Fs.Xv6fs.lookup t "/s.dat") in
   check_bool "content durable" true
     (Bytes.equal (Bytes.make 9000 's')
-       (check_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:9000)))
+       (check_fs_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:9000)))
 
 (* a power cut mid-run leaves a medium every remount accepts *)
 let kernel_power_cut_is_recoverable () =
@@ -358,10 +360,10 @@ let kernel_power_cut_is_recoverable () =
   let t = mount_image image in
   check_fsck "post-cut medium" t;
   (* the acked pre-cut write is never lost *)
-  let f = check_ok "file survives" (Fs.Xv6fs.lookup t "/c.dat") in
+  let f = check_fs_ok "file survives" (Fs.Xv6fs.lookup t "/c.dat") in
   let size = (Fs.Xv6fs.stat_of t f).Fs.Xv6fs.st_size in
   check_bool "at least the acked bytes" true (size >= 4096);
-  let b = check_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:4096) in
+  let b = check_fs_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:4096) in
   check_bool "acked prefix intact" true (Bytes.equal b (Bytes.make 4096 'c'))
 
 let suite_kernel =

@@ -91,16 +91,16 @@ let suite_blockdev =
 
 let mkfs_mounted () =
   let img = Fs.Xv6fs.mkfs ~total_blocks:1024 ~ninodes:64 () in
-  let t = check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  let t = check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
   (img, t)
 
 let xv6_create_read_write () =
   let _, t = mkfs_mounted () in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/f" Fs.Xv6fs.Reg) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/f" Fs.Xv6fs.Reg) in
   let data = Bytes.of_string "hello xv6fs" in
   check_int "written" (Bytes.length data)
-    (check_ok "write" (Fs.Xv6fs.writei t f ~off:0 ~data));
-  let back = check_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:100) in
+    (check_fs_ok "write" (Fs.Xv6fs.writei t f ~off:0 ~data));
+  let back = check_fs_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:100) in
   check_bool "roundtrip" true (Bytes.equal back data);
   let st = Fs.Xv6fs.stat_of t f in
   check_int "size" (Bytes.length data) st.Fs.Xv6fs.st_size;
@@ -108,80 +108,86 @@ let xv6_create_read_write () =
 
 let xv6_offsets_and_sparse () =
   let _, t = mkfs_mounted () in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/sparse" Fs.Xv6fs.Reg) in
-  ignore (check_ok "far write" (Fs.Xv6fs.writei t f ~off:5000 ~data:(Bytes.of_string "end")));
-  let hole = check_ok "hole reads zero" (Fs.Xv6fs.readi t f ~off:100 ~len:10) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/sparse" Fs.Xv6fs.Reg) in
+  ignore (check_fs_ok "far write" (Fs.Xv6fs.writei t f ~off:5000 ~data:(Bytes.of_string "end")));
+  let hole = check_fs_ok "hole reads zero" (Fs.Xv6fs.readi t f ~off:100 ~len:10) in
   check_bool "zeros" true (Bytes.for_all (fun c -> c = '\000') hole);
-  let tail = check_ok "tail" (Fs.Xv6fs.readi t f ~off:5000 ~len:3) in
+  let tail = check_fs_ok "tail" (Fs.Xv6fs.readi t f ~off:5000 ~len:3) in
   check_string "tail content" "end" (Bytes.to_string tail)
 
 let xv6_max_file_size () =
   let img = Fs.Xv6fs.mkfs ~total_blocks:2048 ~ninodes:32 () in
-  let t = check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/big" Fs.Xv6fs.Reg) in
+  let t = check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/big" Fs.Xv6fs.Reg) in
   check_int "274432 bytes exactly" Fs.Xv6fs.max_file_bytes
-    (check_ok "max write"
+    (check_fs_ok "max write"
        (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.make Fs.Xv6fs.max_file_bytes 'x')));
-  ignore
-    (check_err "one more byte fails"
-       (Fs.Xv6fs.writei t f ~off:Fs.Xv6fs.max_file_bytes ~data:(Bytes.of_string "y")));
+  check_fs_err "one more byte fails"
+    (Fs.Error.Too_big "xv6fs: file too large")
+    (Fs.Xv6fs.writei t f ~off:Fs.Xv6fs.max_file_bytes ~data:(Bytes.of_string "y"));
   (* the paper's number: ~268 KB *)
   check_int "268 KB limit" (268 * 1024) Fs.Xv6fs.max_file_bytes
 
 let xv6_directories () =
   let _, t = mkfs_mounted () in
-  ignore (check_ok "mkdir" (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir));
-  ignore (check_ok "nested" (Fs.Xv6fs.create t "/d/e" Fs.Xv6fs.Dir));
-  ignore (check_ok "file in nested" (Fs.Xv6fs.create t "/d/e/f" Fs.Xv6fs.Reg));
-  let node = check_ok "lookup deep" (Fs.Xv6fs.lookup t "/d/e/f") in
+  ignore (check_fs_ok "mkdir" (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir));
+  ignore (check_fs_ok "nested" (Fs.Xv6fs.create t "/d/e" Fs.Xv6fs.Dir));
+  ignore (check_fs_ok "file in nested" (Fs.Xv6fs.create t "/d/e/f" Fs.Xv6fs.Reg));
+  let node = check_fs_ok "lookup deep" (Fs.Xv6fs.lookup t "/d/e/f") in
   check_bool "inum positive" true (Fs.Xv6fs.inum node > 0);
-  let listing = check_ok "readdir" (Fs.Xv6fs.readdir t (check_ok "lookup d" (Fs.Xv6fs.lookup t "/d"))) in
+  let listing = check_fs_ok "readdir" (Fs.Xv6fs.readdir t (check_fs_ok "lookup d" (Fs.Xv6fs.lookup t "/d"))) in
   check_bool "contains e" true (List.exists (fun (n, _) -> n = "e") listing);
-  ignore (check_err "duplicate create" (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir));
-  ignore (check_err "lookup missing" (Fs.Xv6fs.lookup t "/nope"))
+  check_fs_err "duplicate create" (Fs.Error.Exists "xv6fs: exists: /d")
+    (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir);
+  check_fs_err "lookup missing" (Fs.Error.No_entry "xv6fs: no such entry: nope")
+    (Fs.Xv6fs.lookup t "/nope")
 
 let xv6_unlink_and_block_reuse () =
   let _, t = mkfs_mounted () in
   let free0 = Fs.Xv6fs.free_data_blocks t in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/tmp" Fs.Xv6fs.Reg) in
-  ignore (check_ok "fill" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.make 50_000 'x')));
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/tmp" Fs.Xv6fs.Reg) in
+  ignore (check_fs_ok "fill" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.make 50_000 'x')));
   check_bool "blocks consumed" true (Fs.Xv6fs.free_data_blocks t < free0);
-  ignore (check_ok "unlink" (Fs.Xv6fs.unlink t "/tmp"));
+  ignore (check_fs_ok "unlink" (Fs.Xv6fs.unlink t "/tmp"));
   check_int "all blocks returned" free0 (Fs.Xv6fs.free_data_blocks t);
-  ignore (check_err "gone" (Fs.Xv6fs.lookup t "/tmp"))
+  check_fs_err "gone" (Fs.Error.No_entry "xv6fs: no such entry: tmp")
+    (Fs.Xv6fs.lookup t "/tmp")
 
 let xv6_unlink_rules () =
   let _, t = mkfs_mounted () in
-  ignore (check_ok "mkdir" (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir));
-  ignore (check_ok "child" (Fs.Xv6fs.create t "/d/x" Fs.Xv6fs.Reg));
-  ignore (check_err "non-empty dir" (Fs.Xv6fs.unlink t "/d"));
-  ignore (check_ok "unlink child" (Fs.Xv6fs.unlink t "/d/x"));
-  ignore (check_ok "now empty" (Fs.Xv6fs.unlink t "/d"));
-  ignore (check_err "cannot unlink root" (Fs.Xv6fs.unlink t "/"))
+  ignore (check_fs_ok "mkdir" (Fs.Xv6fs.create t "/d" Fs.Xv6fs.Dir));
+  ignore (check_fs_ok "child" (Fs.Xv6fs.create t "/d/x" Fs.Xv6fs.Reg));
+  check_fs_err "non-empty dir" (Fs.Error.Not_empty "xv6fs: directory not empty")
+    (Fs.Xv6fs.unlink t "/d");
+  ignore (check_fs_ok "unlink child" (Fs.Xv6fs.unlink t "/d/x"));
+  ignore (check_fs_ok "now empty" (Fs.Xv6fs.unlink t "/d"));
+  check_fs_err "cannot unlink root" (Fs.Error.Invalid "xv6fs: cannot unlink")
+    (Fs.Xv6fs.unlink t "/")
 
 let xv6_persistence_across_mounts () =
   let img, t = mkfs_mounted () in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/persist" Fs.Xv6fs.Reg) in
-  ignore (check_ok "write" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.of_string "durable")));
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/persist" Fs.Xv6fs.Reg) in
+  ignore (check_fs_ok "write" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.of_string "durable")));
   (* remount from the same image: a fresh instance must see the data *)
-  let t2 = check_ok "remount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
-  let node = check_ok "lookup" (Fs.Xv6fs.lookup t2 "/persist") in
-  let back = check_ok "read" (Fs.Xv6fs.readi t2 node ~off:0 ~len:100) in
+  let t2 = check_fs_ok "remount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  let node = check_fs_ok "lookup" (Fs.Xv6fs.lookup t2 "/persist") in
+  let back = check_fs_ok "read" (Fs.Xv6fs.readi t2 node ~off:0 ~len:100) in
   check_string "content survives" "durable" (Bytes.to_string back)
 
 let xv6_dev_nodes () =
   let _, t = mkfs_mounted () in
-  let node = check_ok "mknod" (Fs.Xv6fs.create t "/console" Fs.Xv6fs.Dev) in
+  let node = check_fs_ok "mknod" (Fs.Xv6fs.create t "/console" Fs.Xv6fs.Dev) in
   Fs.Xv6fs.set_dev t node ~major:1 ~minor:2;
   check_bool "dev numbers" true (Fs.Xv6fs.dev_of t node = (1, 2))
 
 let xv6_out_of_inodes () =
   (* ninodes = 4: inode 0 reserved, 1 is the root -> two free inodes *)
   let img = Fs.Xv6fs.mkfs ~total_blocks:512 ~ninodes:4 () in
-  let t = check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
-  ignore (check_ok "1" (Fs.Xv6fs.create t "/a" Fs.Xv6fs.Reg));
-  ignore (check_ok "2" (Fs.Xv6fs.create t "/b" Fs.Xv6fs.Reg));
-  ignore (check_err "exhausted" (Fs.Xv6fs.create t "/c" Fs.Xv6fs.Reg))
+  let t = check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  ignore (check_fs_ok "1" (Fs.Xv6fs.create t "/a" Fs.Xv6fs.Reg));
+  ignore (check_fs_ok "2" (Fs.Xv6fs.create t "/b" Fs.Xv6fs.Reg));
+  check_fs_err "exhausted" (Fs.Error.No_space "xv6fs: out of inodes")
+    (Fs.Xv6fs.create t "/c" Fs.Xv6fs.Reg)
 
 let xv6_random_roundtrip =
   qcheck ~count:30 "xv6fs random chunked writes read back"
@@ -217,7 +223,7 @@ let xv6_random_roundtrip =
 
 let ext_mounted ?(total_blocks = 2200) () =
   let img = Fs.Xv6fs.mkfs ~ext:true ~total_blocks ~ninodes:16 () in
-  (img, check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)))
+  (img, check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)))
 
 let xv6_ext_cap () =
   let _, t = ext_mounted () in
@@ -230,34 +236,34 @@ let xv6_ext_cap () =
    file needs the doubly-indirect tree *)
 let xv6_ext_large_file () =
   let img = Fs.Xv6fs.mkfs ~ext:true ~total_blocks:2200 ~ninodes:16 () in
-  let t = check_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  let t = check_fs_ok "mount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
   let free0 = Fs.Xv6fs.free_data_blocks t in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/big" Fs.Xv6fs.Reg) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/big" Fs.Xv6fs.Reg) in
   let size = 3 * 1024 * 1024 / 2 in
   let data = Bytes.init size (fun i -> Char.chr ((i * 13) land 0xff)) in
   check_int "1.5 MB written" size
-    (check_ok "write past the old cap" (Fs.Xv6fs.writei t f ~off:0 ~data));
+    (check_fs_ok "write past the old cap" (Fs.Xv6fs.writei t f ~off:0 ~data));
   check_bool "beyond legacy cap" true (size > Fs.Xv6fs.max_file_bytes);
-  let back = check_ok "read all" (Fs.Xv6fs.readi t f ~off:0 ~len:size) in
+  let back = check_fs_ok "read all" (Fs.Xv6fs.readi t f ~off:0 ~len:size) in
   check_bool "roundtrip" true (Bytes.equal back data);
   (* interior reads straddling the single/double indirect boundary *)
   List.iter
     (fun off ->
-      let b = check_ok "interior" (Fs.Xv6fs.readi t f ~off ~len:2048) in
+      let b = check_fs_ok "interior" (Fs.Xv6fs.readi t f ~off ~len:2048) in
       check_bool
         (Printf.sprintf "interior %d" off)
         true
         (Bytes.equal b (Bytes.sub data off 2048)))
     [ 0; 10 * 1024; (11 + 256) * 1024 - 1024; 1_000_000 ];
   (* a remount sees the same bytes *)
-  let t2 = check_ok "remount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
-  let f2 = check_ok "lookup" (Fs.Xv6fs.lookup t2 "/big") in
+  let t2 = check_fs_ok "remount" (Fs.Xv6fs.mount (Fs.Xv6fs.io_of_image img)) in
+  let f2 = check_fs_ok "lookup" (Fs.Xv6fs.lookup t2 "/big") in
   check_int "size survives" size (Fs.Xv6fs.stat_of t2 f2).Fs.Xv6fs.st_size;
   (* truncate returns every block, including the indirect tree *)
   Fs.Xv6fs.truncate t f;
   check_int "truncate frees all" free0 (Fs.Xv6fs.free_data_blocks t);
-  ignore (check_ok "rewrite" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.make 500_000 'z')));
-  ignore (check_ok "unlink" (Fs.Xv6fs.unlink t "/big"));
+  ignore (check_fs_ok "rewrite" (Fs.Xv6fs.writei t f ~off:0 ~data:(Bytes.make 500_000 'z')));
+  ignore (check_fs_ok "unlink" (Fs.Xv6fs.unlink t "/big"));
   check_int "unlink frees all" free0 (Fs.Xv6fs.free_data_blocks t);
   let r = Fs.Xv6fs.fsck t in
   check_bool "fsck clean after churn" true r.Fs.Xv6fs.fsck_clean
@@ -265,15 +271,15 @@ let xv6_ext_large_file () =
 let xv6_ext_cap_enforced () =
   (* a sparse write just under the cap lands; at the cap it errors *)
   let _, t = ext_mounted () in
-  let f = check_ok "create" (Fs.Xv6fs.create t "/edge" Fs.Xv6fs.Reg) in
+  let f = check_fs_ok "create" (Fs.Xv6fs.create t "/edge" Fs.Xv6fs.Reg) in
   ignore
-    (check_ok "last byte"
+    (check_fs_ok "last byte"
        (Fs.Xv6fs.writei t f ~off:(Fs.Xv6fs.max_file_bytes_ext - 1)
           ~data:(Bytes.of_string "x")));
-  ignore
-    (check_err "one past the cap"
-       (Fs.Xv6fs.writei t f ~off:Fs.Xv6fs.max_file_bytes_ext
-          ~data:(Bytes.of_string "y")))
+  check_fs_err "one past the cap"
+    (Fs.Error.Too_big "xv6fs: file too large")
+    (Fs.Xv6fs.writei t f ~off:Fs.Xv6fs.max_file_bytes_ext
+       ~data:(Bytes.of_string "y"))
 
 (* random write/truncate sequences vs an in-memory model, on the extent
    layout, crossing the legacy boundary *)
@@ -346,30 +352,30 @@ let fat_fresh ?(sectors = 65536) () =
   let dev, _ = Fs.Blockdev.ramdisk ~name:"sd" ~sectors in
   let io = Fs.Fat32.io_of_blockdev dev in
   Fs.Fat32.mkfs io ~total_sectors:sectors ();
-  check_ok "mount" (Fs.Fat32.mount io)
+  check_fs_ok "mount" (Fs.Fat32.mount io)
 
 let fat_create_write_read () =
   let t = fat_fresh () in
-  ignore (check_ok "create" (Fs.Fat32.create t "/file.txt"));
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/file.txt"));
   let data = Bytes.of_string "fat32 payload" in
   check_int "written" (Bytes.length data)
-    (check_ok "write" (Fs.Fat32.write_file t "/file.txt" ~off:0 ~data));
-  let back = check_ok "read" (Fs.Fat32.read_file t "/file.txt" ~off:0 ~len:100) in
+    (check_fs_ok "write" (Fs.Fat32.write_file t "/file.txt" ~off:0 ~data));
+  let back = check_fs_ok "read" (Fs.Fat32.read_file t "/file.txt" ~off:0 ~len:100) in
   check_bool "roundtrip" true (Bytes.equal back data);
-  let st = check_ok "stat" (Fs.Fat32.stat t "/file.txt") in
+  let st = check_fs_ok "stat" (Fs.Fat32.stat t "/file.txt") in
   check_int "size" (Bytes.length data) st.Fs.Fat32.st_size;
   check_bool "not dir" false st.Fs.Fat32.st_dir
 
 let fat_long_names () =
   let t = fat_fresh () in
   let name = "/A Quite Long File Name With Spaces.document" in
-  ignore (check_ok "create lfn" (Fs.Fat32.create t name));
-  ignore (check_ok "stat exact" (Fs.Fat32.stat t name));
+  ignore (check_fs_ok "create lfn" (Fs.Fat32.create t name));
+  ignore (check_fs_ok "stat exact" (Fs.Fat32.stat t name));
   (* case-insensitive match, like FAT *)
   ignore
-    (check_ok "stat case-insensitive"
+    (check_fs_ok "stat case-insensitive"
        (Fs.Fat32.stat t "/a quite long file name with spaces.DOCUMENT"));
-  let listing = check_ok "readdir" (Fs.Fat32.readdir t "/") in
+  let listing = check_fs_ok "readdir" (Fs.Fat32.readdir t "/") in
   check_bool "long name restored" true
     (List.exists
        (fun (n, _) -> String.equal n "A Quite Long File Name With Spaces.document")
@@ -378,93 +384,97 @@ let fat_long_names () =
 let fat_short_name_collisions () =
   let t = fat_fresh () in
   (* both map to LONGFI~1.TXT-ish short names; tails must disambiguate *)
-  ignore (check_ok "first" (Fs.Fat32.create t "/longfilename-one.txt"));
-  ignore (check_ok "second" (Fs.Fat32.create t "/longfilename-two.txt"));
-  ignore (check_ok "stat 1" (Fs.Fat32.stat t "/longfilename-one.txt"));
-  ignore (check_ok "stat 2" (Fs.Fat32.stat t "/longfilename-two.txt"));
-  check_int "two entries" 2 (List.length (check_ok "ls" (Fs.Fat32.readdir t "/")))
+  ignore (check_fs_ok "first" (Fs.Fat32.create t "/longfilename-one.txt"));
+  ignore (check_fs_ok "second" (Fs.Fat32.create t "/longfilename-two.txt"));
+  ignore (check_fs_ok "stat 1" (Fs.Fat32.stat t "/longfilename-one.txt"));
+  ignore (check_fs_ok "stat 2" (Fs.Fat32.stat t "/longfilename-two.txt"));
+  check_int "two entries" 2 (List.length (check_fs_ok "ls" (Fs.Fat32.readdir t "/")))
 
 let fat_subdirectories () =
   let t = fat_fresh () in
-  ignore (check_ok "mkdir" (Fs.Fat32.mkdir t "/music"));
-  ignore (check_ok "nested" (Fs.Fat32.mkdir t "/music/rock"));
-  ignore (check_ok "create deep" (Fs.Fat32.create t "/music/rock/song.vogg"));
+  ignore (check_fs_ok "mkdir" (Fs.Fat32.mkdir t "/music"));
+  ignore (check_fs_ok "nested" (Fs.Fat32.mkdir t "/music/rock"));
+  ignore (check_fs_ok "create deep" (Fs.Fat32.create t "/music/rock/song.vogg"));
   ignore
-    (check_ok "write deep"
+    (check_fs_ok "write deep"
        (Fs.Fat32.write_file t "/music/rock/song.vogg" ~off:0
           ~data:(Bytes.make 10_000 'n')));
-  let st = check_ok "stat dir" (Fs.Fat32.stat t "/music") in
+  let st = check_fs_ok "stat dir" (Fs.Fat32.stat t "/music") in
   check_bool "is dir" true st.Fs.Fat32.st_dir;
-  ignore (check_err "unlink non-empty" (Fs.Fat32.unlink t "/music"));
-  ignore (check_err "not a dir" (Fs.Fat32.readdir t "/music/rock/song.vogg"))
+  check_fs_err "unlink non-empty" (Fs.Error.Not_empty "fat32: directory not empty")
+    (Fs.Fat32.unlink t "/music");
+  check_fs_err "not a dir"
+    (Fs.Error.Not_dir "fat32: not a directory: /music/rock/song.vogg")
+    (Fs.Fat32.readdir t "/music/rock/song.vogg")
 
 let fat_big_file_and_offsets () =
   let t = fat_fresh () in
-  ignore (check_ok "create" (Fs.Fat32.create t "/big.bin"));
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/big.bin"));
   let data = Bytes.init 300_000 (fun i -> Char.chr ((i * 7) land 0xff)) in
-  ignore (check_ok "write" (Fs.Fat32.write_file t "/big.bin" ~off:0 ~data));
+  ignore (check_fs_ok "write" (Fs.Fat32.write_file t "/big.bin" ~off:0 ~data));
   (* random interior reads *)
   List.iter
     (fun (off, len) ->
-      let back = check_ok "interior read" (Fs.Fat32.read_file t "/big.bin" ~off ~len) in
+      let back = check_fs_ok "interior read" (Fs.Fat32.read_file t "/big.bin" ~off ~len) in
       check_bool
         (Printf.sprintf "interior %d+%d" off len)
         true
         (Bytes.equal back (Bytes.sub data off len)))
     [ (0, 512); (4095, 2); (123_456, 10_000); (299_000, 1_000) ];
   (* short read at EOF *)
-  let tail = check_ok "eof read" (Fs.Fat32.read_file t "/big.bin" ~off:299_999 ~len:100) in
+  let tail = check_fs_ok "eof read" (Fs.Fat32.read_file t "/big.bin" ~off:299_999 ~len:100) in
   check_int "short read" 1 (Bytes.length tail)
 
 let fat_overwrite_and_extend () =
   let t = fat_fresh () in
-  ignore (check_ok "create" (Fs.Fat32.create t "/f"));
-  ignore (check_ok "write" (Fs.Fat32.write_file t "/f" ~off:0 ~data:(Bytes.of_string "aaaa")));
-  ignore (check_ok "patch" (Fs.Fat32.write_file t "/f" ~off:2 ~data:(Bytes.of_string "XX")));
-  ignore (check_ok "extend" (Fs.Fat32.write_file t "/f" ~off:4 ~data:(Bytes.of_string "bb")));
-  let back = check_ok "read" (Fs.Fat32.read_file t "/f" ~off:0 ~len:10) in
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/f"));
+  ignore (check_fs_ok "write" (Fs.Fat32.write_file t "/f" ~off:0 ~data:(Bytes.of_string "aaaa")));
+  ignore (check_fs_ok "patch" (Fs.Fat32.write_file t "/f" ~off:2 ~data:(Bytes.of_string "XX")));
+  ignore (check_fs_ok "extend" (Fs.Fat32.write_file t "/f" ~off:4 ~data:(Bytes.of_string "bb")));
+  let back = check_fs_ok "read" (Fs.Fat32.read_file t "/f" ~off:0 ~len:10) in
   check_string "merged" "aaXXbb" (Bytes.to_string back)
 
 let fat_truncate_and_cluster_reuse () =
   let t = fat_fresh () in
   let free0 = Fs.Fat32.free_clusters t in
-  ignore (check_ok "create" (Fs.Fat32.create t "/t"));
-  ignore (check_ok "fill" (Fs.Fat32.write_file t "/t" ~off:0 ~data:(Bytes.make 100_000 'x')));
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/t"));
+  ignore (check_fs_ok "fill" (Fs.Fat32.write_file t "/t" ~off:0 ~data:(Bytes.make 100_000 'x')));
   check_bool "clusters consumed" true (Fs.Fat32.free_clusters t < free0);
-  ignore (check_ok "truncate" (Fs.Fat32.truncate t "/t"));
+  ignore (check_fs_ok "truncate" (Fs.Fat32.truncate t "/t"));
   check_int "clusters freed" free0 (Fs.Fat32.free_clusters t);
-  check_int "size zero" 0 (check_ok "stat" (Fs.Fat32.stat t "/t")).Fs.Fat32.st_size
+  check_int "size zero" 0 (check_fs_ok "stat" (Fs.Fat32.stat t "/t")).Fs.Fat32.st_size
 
 let fat_unlink () =
   let t = fat_fresh () in
   let free0 = Fs.Fat32.free_clusters t in
-  ignore (check_ok "create" (Fs.Fat32.create t "/gone.txt"));
-  ignore (check_ok "fill" (Fs.Fat32.write_file t "/gone.txt" ~off:0 ~data:(Bytes.make 9_000 'x')));
-  ignore (check_ok "unlink" (Fs.Fat32.unlink t "/gone.txt"));
-  ignore (check_err "stat gone" (Fs.Fat32.stat t "/gone.txt"));
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/gone.txt"));
+  ignore (check_fs_ok "fill" (Fs.Fat32.write_file t "/gone.txt" ~off:0 ~data:(Bytes.make 9_000 'x')));
+  ignore (check_fs_ok "unlink" (Fs.Fat32.unlink t "/gone.txt"));
+  check_fs_err "stat gone" (Fs.Error.No_entry "fat32: not found: gone.txt")
+    (Fs.Fat32.stat t "/gone.txt");
   check_int "space reclaimed" free0 (Fs.Fat32.free_clusters t);
   (* the name is reusable *)
-  ignore (check_ok "recreate" (Fs.Fat32.create t "/gone.txt"))
+  ignore (check_fs_ok "recreate" (Fs.Fat32.create t "/gone.txt"))
 
 let fat_many_files_extend_directory () =
   let t = fat_fresh () in
   (* enough LFN entries to spill the root directory past one cluster *)
   for i = 1 to 120 do
     ignore
-      (check_ok "create many"
+      (check_fs_ok "create many"
          (Fs.Fat32.create t (Printf.sprintf "/a fairly long name number %03d.txt" i)))
   done;
-  check_int "all listed" 120 (List.length (check_ok "ls" (Fs.Fat32.readdir t "/")))
+  check_int "all listed" 120 (List.length (check_fs_ok "ls" (Fs.Fat32.readdir t "/")))
 
 let fat_persistence_across_mounts () =
   let dev, _ = Fs.Blockdev.ramdisk ~name:"sd" ~sectors:65536 in
   let io = Fs.Fat32.io_of_blockdev dev in
   Fs.Fat32.mkfs io ~total_sectors:65536 ();
-  let t = check_ok "mount" (Fs.Fat32.mount io) in
-  ignore (check_ok "create" (Fs.Fat32.create t "/keep.dat"));
-  ignore (check_ok "write" (Fs.Fat32.write_file t "/keep.dat" ~off:0 ~data:(Bytes.of_string "persist")));
-  let t2 = check_ok "remount" (Fs.Fat32.mount io) in
-  let back = check_ok "read" (Fs.Fat32.read_file t2 "/keep.dat" ~off:0 ~len:10) in
+  let t = check_fs_ok "mount" (Fs.Fat32.mount io) in
+  ignore (check_fs_ok "create" (Fs.Fat32.create t "/keep.dat"));
+  ignore (check_fs_ok "write" (Fs.Fat32.write_file t "/keep.dat" ~off:0 ~data:(Bytes.of_string "persist")));
+  let t2 = check_fs_ok "remount" (Fs.Fat32.mount io) in
+  let back = check_fs_ok "read" (Fs.Fat32.read_file t2 "/keep.dat" ~off:0 ~len:10) in
   check_string "content" "persist" (Bytes.to_string back)
 
 let fat_random_roundtrip =
@@ -474,7 +484,7 @@ let fat_random_roundtrip =
       let t = fat_fresh () in
       let rng = Sim.Rng.create (Int64.of_int (seed + 1)) in
       let data = Bytes.init size (fun _ -> Char.chr (Sim.Rng.int rng 256)) in
-      (match Fs.Fat32.create t "/r.bin" with Ok () -> () | Error e -> failwith e);
+      ignore (check_fs_ok "create" (Fs.Fat32.create t "/r.bin"));
       match Fs.Fat32.write_file t "/r.bin" ~off:0 ~data with
       | Error _ -> false
       | Ok _ -> (

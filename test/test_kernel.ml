@@ -1004,6 +1004,29 @@ let files_errors () =
       check_bool "read on write-only" true (Usys.read fd 1 = Error Core.Errno.ebadf);
       ignore (Usys.close fd))
 
+(* The errno comes from where the filesystem fails, never from words in
+   the path: a name holding "no such" or "exists" changes nothing. *)
+let files_mkdir_twice_eexist () =
+  (* the returns are checked outside the kernel, so a wrong errno fails
+     with both numbers rather than as a task that never finished *)
+  let first, second =
+    in_kernel (fun _ ->
+        let first = Usys.mkdir "/no such" in
+        (first, Usys.mkdir "/no such"))
+  in
+  check_int "first mkdir" 0 first;
+  check_int "second mkdir" (-Core.Errno.eexist) second
+
+let files_file_parent_enotdir () =
+  let created, ret =
+    in_kernel (fun _ ->
+        let fd = Usys.open_ "/d/exists" (Core.Abi.o_create lor Core.Abi.o_wronly) in
+        ignore (Usys.close fd);
+        (fd >= 0, Usys.mkdir "/d/exists/x"))
+  in
+  check_bool "file created" true created;
+  check_int "mkdir under a file" (-Core.Errno.enotdir) ret
+
 let files_trunc_flag () =
   in_kernel (fun _ ->
       let fd = Usys.open_ "/t.txt" (Core.Abi.o_create lor Core.Abi.o_wronly) in
@@ -1063,6 +1086,8 @@ let suite_files =
       quick "dup shares offset" files_dup_shares_offset;
       quick "mkdir unlink chdir" files_mkdir_unlink_chdir;
       quick "error returns" files_errors;
+      quick "mkdir twice is EEXIST" files_mkdir_twice_eexist;
+      quick "a file as parent is ENOTDIR" files_file_parent_enotdir;
       quick "O_TRUNC" files_trunc_flag;
       quick "directory listing" files_directory_listing;
       quick "fd exhaustion" files_fd_exhaustion;

@@ -56,6 +56,33 @@ let rows =
           ];
         expect = [ "lib/core/b.ml:1: R003 failwith" ];
       } );
+    ( "a suffix matches whole path segments",
+      {
+        allow = [ "R003 core/a.ml"; "R101 sched.ml" ];
+        found =
+          [
+            ("lib/xcore/a.ml", 1, "R003", "failwith");
+            ("lib/core/a.ml", 2, "R003", "failwith");
+            ("lib/core/xsched.ml", 3, "R101", "m");
+            ("lib/core/sched.ml", 4, "R101", "m");
+            ("sched.ml", 5, "R101", "m");
+          ];
+        expect =
+          [
+            "lib/core/xsched.ml:3: R101 m";
+            "lib/xcore/a.ml:1: R003 failwith";
+          ];
+      } );
+    ( "a suffix that is not a whole segment matches nothing",
+      {
+        allow = [ "R003 ore/a.ml" ];
+        found = [ ("lib/core/a.ml", 1, "R003", "failwith") ];
+        expect =
+          [
+            "lib/core/a.ml:1: R003 failwith";
+            "allowlist: stale entry: R003 ore/a.ml ";
+          ];
+      } );
     ( "a substring may contain spaces",
       {
         allow = [ "R101 sched.ml mutated under lock 'ptable'" ];

@@ -61,3 +61,22 @@ let check_ok name = function
 let check_err name = function
   | Ok _ -> Alcotest.failf "%s: expected an error" name
   | Error e -> e
+
+(* Filesystem results. A failure prints as its errno and message; an
+   expected failure must match in constructor and text. *)
+let fs_error =
+  Alcotest.testable
+    (fun ppf e ->
+      Format.fprintf ppf "%s %S"
+        (Core.Errno.name (Core.Errno.of_fs_error e))
+        (Fs.Error.to_string e))
+    ( = )
+
+let check_fs_ok name = function
+  | Ok v -> v
+  | Error e ->
+      Alcotest.failf "%s: unexpected error: %a" name (Alcotest.pp fs_error) e
+
+let check_fs_err name want = function
+  | Ok _ -> Alcotest.failf "%s: expected %a" name (Alcotest.pp fs_error) want
+  | Error e -> Alcotest.check fs_error name want e

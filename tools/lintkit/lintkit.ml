@@ -8,7 +8,8 @@
       line, [#] comments and blank lines ignored, the suffix and the
       substring optional (the substring may contain spaces). An entry
       suppresses every finding of its rule whose file ends with the
-      suffix and whose message contains the substring;
+      suffix, in whole path segments, and whose message contains the
+      substring;
     - staleness: an entry that suppresses nothing prints as
       [allowlist: stale entry: ...] and fails the run, so an allowlist
       can only shrink;
@@ -48,9 +49,13 @@ let load_allow path =
          let a_suffix, a_substr = first_word rest in
          { a_rule; a_suffix; a_substr })
 
+(* [suffix] matches whole path segments: "core/a.ml" matches
+   "lib/core/a.ml" but not "lib/xcore/a.ml". *)
 let suffix_matches ~suffix path =
   let sl = String.length suffix and pl = String.length path in
-  suffix = "" || (sl <= pl && String.sub path (pl - sl) sl = suffix)
+  suffix = ""
+  || String.ends_with ~suffix path
+     && (sl = pl || path.[pl - sl - 1] = '/')
 
 let substr_matches ~sub msg =
   let nl = String.length sub and hl = String.length msg in
