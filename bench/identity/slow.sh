@@ -32,13 +32,16 @@ cd "$work"
 out="$work/slow.tsv"
 : >"$out"
 line() { printf '%s\t%s\n' "$1" "$(md5sum | cut -d' ' -f1)" >>"$out"; }
+# Each experiment's wall seconds go to stderr, so a log shows what the
+# check costs; nothing hashed depends on them.
+timed() { local TIMEFORMAT="$1: %R s wall"; time "$exe" "$1"; }
 
 for e in table4 fig10 fig11 ablations crashbench; do
-  "$exe" "$e" >"$e.out"
+  timed "$e" >"$e.out"
   line "$e.stdout" <"$e.out"
 done
 for e in iobench schedbench ipcbench tracebench obsbench simbench fuzzbench; do
-  "$exe" "$e" >/dev/null
+  timed "$e" >/dev/null
 done
 # The hashed text is the file as Report printed it, cut by line: Report
 # is the only printer and puts each top-level key on its own line, with

@@ -52,7 +52,7 @@ let table4 () =
 
 let fig10 () =
   section "Figure 10: multicore scalability";
-  print_string (Benchlib.Scale.render (Benchlib.Scale.run ~seed:42L ()));
+  print_string (Benchlib.Scale.render (Benchlib.Scale.run ()));
   print_endline "paper: proportional growth to 4 cores, >95% core utilization"
 
 let fig11 () =

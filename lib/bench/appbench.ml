@@ -50,48 +50,40 @@ let mario_variant case =
   String.equal case.case_name "mario-noinput"
   || String.equal case.case_name "mario-proc"
 
-let measure_ours ~platform ~seed case =
-  let stage = Proto.Stage.boot ~platform ~seed ~prototype:5 () in
+let measure_ours ~platform case =
+  let stage = Proto.Stage.boot ~platform ~prototype:5 () in
   let sample =
     Measure.app_fps stage ~prog:case.prog ~argv:case.argv
       ~warmup_s:case.warmup_s ~measure_s:case.measure_s
   in
   sample.Measure.fps
 
-type cell = Fps of float * float  (** mean, stddev *) | Not_run
+type cell = Fps of float | Not_run
 
 type row = { row_name : string; cells : (string * cell) list }
 
 let platforms = [ Hw.Board.pi3; Hw.Board.qemu_wsl; Hw.Board.qemu_vm ]
 
-let run ?(runs = 2) () =
+let run () =
   List.map
     (fun case ->
       (* measure ours on each platform *)
       let ours =
         List.map
           (fun platform ->
-            let mean, std =
-              Measure.repeat ~runs (fun ~seed ->
-                  measure_ours ~platform ~seed case)
-            in
-            (platform.Hw.Board.plat_name, mean, std))
+            (platform.Hw.Board.plat_name, measure_ours ~platform case))
           platforms
       in
-      let pi3_fps, pi3_std =
-        match ours with (_, m, s) :: _ -> (m, s) | [] -> (0.0, 0.0)
-      in
-      ignore pi3_std;
+      let pi3_fps = match ours with (_, m) :: _ -> m | [] -> 0.0 in
       (* production OS columns on pi3 only, like the paper *)
       let baseline model =
         if mario_variant case && not model.Osmodel.runs_mario_variants then
           Not_run
         else
           Fps
-            ( Osmodel.fps model ~ours_fps:pi3_fps
-                ~applogic_share:case.applogic_share
-                ~newlib_factor:case.newlib_factor ~window_px:case.window_px,
-              0.0 )
+            (Osmodel.fps model ~ours_fps:pi3_fps
+               ~applogic_share:case.applogic_share
+               ~newlib_factor:case.newlib_factor ~window_px:case.window_px)
       in
       {
         row_name = case.case_name;
@@ -99,15 +91,15 @@ let run ?(runs = 2) () =
           List.concat
             [
               (match ours with
-              | (name, m, s) :: _ -> [ ("pi3/" ^ name, Fps (m, s)) ]
+              | (name, m) :: _ -> [ ("pi3/" ^ name, Fps m) ]
               | [] -> []);
               [ ("pi3/linux", baseline Osmodel.linux) ];
               [ ("pi3/freebsd", baseline Osmodel.freebsd) ];
               List.filter_map
-                (fun (name, m, s) ->
+                (fun (name, m) ->
                   if String.equal name "pi3" then None
-                  else Some (name ^ "/ours", Fps (m, s)))
-                (List.map (fun (n, m, s) -> (n, m, s)) ours);
+                  else Some (name ^ "/ours", Fps m))
+                ours;
             ];
       })
     cases
@@ -123,9 +115,7 @@ let render rows =
       List.iter
         (fun (_, cell) ->
           match cell with
-          | Fps (m, s) when s > 0.0 ->
-              Buffer.add_string buf (Printf.sprintf " %8.2f±%-6.2f  " m s)
-          | Fps (m, _) -> Buffer.add_string buf (Printf.sprintf " %8.2f      " m)
+          | Fps m -> Buffer.add_string buf (Printf.sprintf " %8.2f      " m)
           | Not_run -> Buffer.add_string buf (Printf.sprintf " %8s      " "-"))
         row.cells;
       Buffer.add_char buf '\n')

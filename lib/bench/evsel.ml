@@ -39,9 +39,9 @@ let kind = function
 (* The Figure-11 input breakdown, mined from a sorted dump: each
    keypress pairs with the next delivery to an app, and that delivery
    with the next frame presented after it. Returns the keypress →
-   delivery and delivery → frame samples, in ms. *)
+   delivery and delivery → frame samples, in ms, in trace order. *)
 let keypresses events =
-  let deliver = Sim.Stats.create () and respond = Sim.Stats.create () in
+  let deliver = ref [] and respond = ref [] in
   let rec scan = function
     | [] -> ()
     | e :: rest ->
@@ -53,8 +53,8 @@ let keypresses events =
                 rest
             with
             | Some d -> (
-                Sim.Stats.add deliver
-                  (Sim.Engine.to_ms (Int64.sub d.ts_ns e.ts_ns));
+                deliver :=
+                  Sim.Engine.to_ms (Int64.sub d.ts_ns e.ts_ns) :: !deliver;
                 match
                   List.find_opt
                     (fun f ->
@@ -63,12 +63,22 @@ let keypresses events =
                     rest
                 with
                 | Some f ->
-                    Sim.Stats.add respond
-                      (Sim.Engine.to_ms (Int64.sub f.ts_ns d.ts_ns))
+                    respond :=
+                      Sim.Engine.to_ms (Int64.sub f.ts_ns d.ts_ns) :: !respond
                 | None -> ())
             | None -> ())
         | _ -> ());
         scan rest
   in
   scan events;
-  (deliver, respond)
+  (List.rev !deliver, List.rev !respond)
+
+(* Mean of [xs] by running update, m += (x - m) / n: the arithmetic the
+   pinned figures were computed with, to the last bit. 0 for no samples. *)
+let mean xs =
+  fst
+    (List.fold_left
+       (fun (m, n) x ->
+         let n = n + 1 in
+         (m +. ((x -. m) /. float_of_int n), n))
+       (0.0, 0) xs)

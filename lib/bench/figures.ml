@@ -12,23 +12,15 @@ type fig8 = {
   fat_range_read_kbps : float;  (** the §5.2 bypass; ablation pair *)
   fat_cached_read_kbps : float;  (** range bypass disabled *)
   getpid_us : float;
-  getpid_sd : float;
   ipc_us : float;
-  ipc_sd : float;
   boot_kernel_s : float;
   boot_shell_s : float;
 }
 
 let fig8 () =
   let kernel = Micro.fresh_kernel () in
-  (* latency pair with run-to-run spread from distinct seeds *)
-  let getpid_mean, getpid_sd =
-    Measure.repeat ~runs:3 (fun ~seed ->
-        Micro.getpid_us (Micro.fresh_kernel ~seed ()))
-  in
-  let ipc_mean, ipc_sd =
-    Measure.repeat ~runs:3 (fun ~seed -> Micro.ipc_us (Micro.fresh_kernel ~seed ()))
-  in
+  let getpid_us = Micro.getpid_us (Micro.fresh_kernel ()) in
+  let ipc_us = Micro.ipc_us (Micro.fresh_kernel ()) in
   (* filesystem throughput *)
   let mb = 1024 * 1024 in
   let xv6_w =
@@ -63,7 +55,7 @@ let fig8 () =
     Micro.fs_throughput_kbps cached_kernel ~path:"/d/bench.dat" ~bytes:mb
       ~chunk:(256 * 1024) ~direction:`Read
   in
-  let boot = Micro.boot_time ~seed:42L () in
+  let boot = Micro.boot_time () in
   {
     xv6fs_read_kbps = xv6_r;
     xv6fs_write_kbps = xv6_w;
@@ -71,10 +63,8 @@ let fig8 () =
     fat_write_kbps = fat_w;
     fat_range_read_kbps = fat_range;
     fat_cached_read_kbps = fat_cached;
-    getpid_us = getpid_mean;
-    getpid_sd;
-    ipc_us = ipc_mean;
-    ipc_sd;
+    getpid_us;
+    ipc_us;
     boot_kernel_s = boot.Micro.to_kernel_s;
     boot_shell_s = boot.Micro.to_shell_s;
   }
@@ -92,8 +82,9 @@ let render_fig8 f =
         f.fat_range_read_kbps f.fat_cached_read_kbps
         (f.fat_range_read_kbps /. Float.max 1.0 f.fat_cached_read_kbps);
       "latencies:";
-      Printf.sprintf "  syscall (getpid)  %6.2f ± %.2f us" f.getpid_us f.getpid_sd;
-      Printf.sprintf "  IPC one-way (pipe) %5.2f ± %.2f us" f.ipc_us f.ipc_sd;
+      (* a machine with no seed has no run-to-run spread *)
+      Printf.sprintf "  syscall (getpid)  %6.2f ± 0.00 us" f.getpid_us;
+      Printf.sprintf "  IPC one-way (pipe) %5.2f ± 0.00 us" f.ipc_us;
       "boot:";
       Printf.sprintf "  power-on to kernel  %5.2f s" f.boot_kernel_s;
       Printf.sprintf "  power-on to shell   %5.2f s" f.boot_shell_s;

@@ -115,9 +115,8 @@ let input_case ~prog ~argv ~name =
     Hw.Usb.key_up board.Hw.Board.usb 0x4f;
     Proto.Stage.run_for stage (Sim.Engine.ms 60)
   done;
-  let deliver_stats, frame_stats = Evsel.keypresses (events_of kernel) in
-  let deliver = Sim.Stats.mean deliver_stats in
-  let respond = Sim.Stats.mean frame_stats in
+  let deliver, respond = Evsel.keypresses (events_of kernel) in
+  let deliver = Evsel.mean deliver and respond = Evsel.mean respond in
   {
     ib_app = name;
     total_ms = deliver +. respond;

@@ -22,20 +22,28 @@ let drive kernel ~deadline ~stop =
   done
 
 (* Run [f] as a user task to completion; returns its result and the
-   virtual time it took. *)
+   virtual time it took. If [f] raises, the task still dies of it (trace
+   line, flight record), and then the exception reaches the caller with
+   its backtrace, so a failed check reads as itself, not as a timeout. *)
 let run_task kernel ?(timeout = Sim.Engine.sec 300) ~name f =
   let result = ref None in
   let t0 = Core.Kernel.now kernel in
   ignore
     (Core.Kernel.spawn_user kernel ~name (fun () ->
-         let r = f () in
-         result := Some r;
-         0));
+         match f () with
+         | r ->
+             result := Some (Ok r);
+             0
+         | exception e ->
+             let bt = Printexc.get_raw_backtrace () in
+             result := Some (Error (e, bt));
+             Printexc.raise_with_backtrace e bt));
   drive kernel
     ~deadline:(Int64.add t0 timeout)
     ~stop:(fun () -> !result <> None);
   match !result with
-  | Some r -> Ok (r, Int64.sub (Core.Kernel.now kernel) t0)
+  | Some (Ok r) -> Ok (r, Int64.sub (Core.Kernel.now kernel) t0)
+  | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
   | None -> Error "measure: task did not complete before the deadline"
 
 (* FPS of [pid]'s frame presentations within [from, until]. *)
@@ -72,11 +80,3 @@ let app_fps stage ~prog ~argv ~warmup_s ~measure_s =
   Proto.Stage.run_for stage (Sim.Engine.ms (int_of_float (measure_s *. 1000.)));
   let until_ns = Core.Kernel.now kernel in
   fps_by_counter kernel ~pid ~frames0 ~from_ns ~until_ns
-
-(* Mean and stddev over repeated runs with distinct seeds. *)
-let repeat ~runs f =
-  let stats = Sim.Stats.create () in
-  for i = 1 to runs do
-    Sim.Stats.add stats (f ~seed:(Int64.of_int (41 + i)))
-  done;
-  (Sim.Stats.mean stats, Sim.Stats.stddev stats)

@@ -4,13 +4,12 @@
 
 type result = { name : string; value : float; unit_ : string }
 
-let fresh_kernel ?(platform = Hw.Board.pi3) ?(seed = 42L) ?(config = Core.Kconfig.full) () =
+let fresh_kernel ?(platform = Hw.Board.pi3) ?(config = Core.Kconfig.full) () =
   Core.Kernel.boot
     {
       Core.Kernel.default_spec with
       sp_platform = platform;
       sp_config = config;
-      sp_seed = seed;
       sp_fb = Some (640, 480);
     }
 
@@ -188,8 +187,8 @@ let qsort_us ~n ~libc_factor kernel =
 
 type boot_times = { to_kernel_s : float; to_shell_s : float }
 
-let boot_time ?(platform = Hw.Board.pi3) ~seed () =
-  let t = Proto.Stage.boot ~platform ~seed ~prototype:5 () in
+let boot_time ?(platform = Hw.Board.pi3) () =
+  let t = Proto.Stage.boot ~platform ~prototype:5 () in
   let kernel = t.Proto.Stage.kernel in
   let to_kernel = Sim.Engine.to_sec platform.Hw.Board.firmware_boot_ns in
   (* spawn the shell; "shell prompt" = the prompt string reaching the UART *)

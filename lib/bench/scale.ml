@@ -16,11 +16,11 @@ type point = {
 let platform_with_cores cores =
   { Hw.Board.pi3 with Hw.Board.num_cores = cores }
 
-let boot_with_cores ~seed cores =
+let boot_with_cores cores =
   let config_tweak c = { c with Core.Kconfig.multicore = cores > 1 } in
   Proto.Stage.boot
     ~platform:(platform_with_cores cores)
-    ~seed ~config_tweak ~prototype:5 ()
+    ~config_tweak ~prototype:5 ()
 
 let utilization kernel ~cores ~from_ns ~busy0 ~until_ns =
   let total = ref 0.0 in
@@ -35,8 +35,8 @@ let utilization kernel ~cores ~from_ns ~busy0 ~until_ns =
   !total /. float_of_int cores
 
 (* Eight mario instances, per-instance FPS. *)
-let mario_multi ~seed ~cores ~instances ~measure_s =
-  let stage = boot_with_cores ~seed cores in
+let mario_multi ~cores ~instances ~measure_s =
+  let stage = boot_with_cores cores in
   let kernel = stage.Proto.Stage.kernel in
   let pids =
     List.init instances (fun i ->
@@ -69,8 +69,8 @@ let mario_multi ~seed ~cores ~instances ~measure_s =
   }
 
 (* Blockchain miner: kH/s with [threads] = cores. *)
-let blockchain ~seed ~cores ~measure_s =
-  let stage = boot_with_cores ~seed cores in
+let blockchain ~cores ~measure_s =
+  let stage = boot_with_cores cores in
   let kernel = stage.Proto.Stage.kernel in
   (* difficulty high enough that mining continues through the window *)
   ignore
@@ -98,13 +98,13 @@ let blockchain ~seed ~cores ~measure_s =
     utilization = utilization kernel ~cores ~from_ns ~busy0 ~until_ns;
   }
 
-let run ?(measure_s = 4.0) ~seed () =
+let run ?(measure_s = 4.0) () =
   let marios =
-    List.map (fun cores -> mario_multi ~seed ~cores ~instances:8 ~measure_s)
+    List.map (fun cores -> mario_multi ~cores ~instances:8 ~measure_s)
       [ 1; 2; 3; 4 ]
   in
   let miners =
-    List.map (fun cores -> blockchain ~seed ~cores ~measure_s) [ 1; 2; 3; 4 ]
+    List.map (fun cores -> blockchain ~cores ~measure_s) [ 1; 2; 3; 4 ]
   in
   (marios, miners)
 

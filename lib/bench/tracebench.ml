@@ -60,9 +60,9 @@ type session = {
 let mine_breakdown events =
   let deliver, respond = Evsel.keypresses events in
   {
-    bd_samples = Sim.Stats.count deliver;
-    bd_deliver_ms = Sim.Stats.mean deliver;
-    bd_respond_ms = Sim.Stats.mean respond;
+    bd_samples = List.length deliver;
+    bd_deliver_ms = Evsel.mean deliver;
+    bd_respond_ms = Evsel.mean respond;
   }
 
 let span_totals spans =

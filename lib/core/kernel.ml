@@ -16,7 +16,6 @@ type program = {
 type spec = {
   sp_platform : Hw.Board.platform;
   sp_config : Kconfig.t;
-  sp_seed : int64;
   sp_fb : (int * int) option;
   sp_programs : program list;
   sp_files : (string * Bytes.t) list;  (** extra ramdisk files *)
@@ -33,7 +32,6 @@ let default_spec =
   {
     sp_platform = Hw.Board.pi3;
     sp_config = Kconfig.full;
-    sp_seed = 42L;
     sp_fb = Some (640, 480);
     sp_programs = [];
     sp_files = [];
@@ -217,8 +215,7 @@ let mount_fat_device vfs ~board ~vprobe (cfg : Kconfig.t) backing ~at =
 
 let boot spec =
   let board =
-    Hw.Board.create ~platform:spec.sp_platform ~seed:spec.sp_seed
-      ~sd_mib:spec.sp_sd_mib ()
+    Hw.Board.create ~platform:spec.sp_platform ~sd_mib:spec.sp_sd_mib ()
   in
   let engine = board.Hw.Board.engine in
   (* Size the engine's domain pool before any event fires. A config that

@@ -1,7 +1,7 @@
 (** vfuzz session executor and oracle.
 
-    [run] boots a fresh kernel from the scenario's seed and config
-    variant, spawns one "monkey" user task that executes the op list,
+    [run] boots a fresh kernel from the scenario's config variant (the
+    seed picks only the variant and the op list), spawns one "monkey" user task that executes the op list,
     and watches for the four ways a session can go wrong:
 
     - {b Crash}: the kernel died with [Kpanic.Panic] (or the host model
@@ -113,7 +113,6 @@ let spec_of_scenario scen =
   {
     Kernel.default_spec with
     Kernel.sp_config = config;
-    sp_seed = scen.Gen.sc_seed;
     sp_fb = Some (320, 240);
     sp_sd_mib = 16;
     sp_files =

@@ -38,7 +38,6 @@ let qemu_vm =
 type t = {
   platform : platform;
   engine : Sim.Engine.t;
-  rng : Sim.Rng.t;
   intc : Intc.t;
   timer : Timer.t;
   uart : Uart.t;
@@ -51,7 +50,7 @@ type t = {
   supply : Power.supply;
 }
 
-let create ?(platform = pi3) ?(seed = 42L) ?(sd_mib = 64) () =
+let create ?(platform = pi3) ?(sd_mib = 64) () =
   let engine = Sim.Engine.create () in
   let supply = Power.supply () in
   let intc = Intc.create ~cores:platform.num_cores in
@@ -67,7 +66,6 @@ let create ?(platform = pi3) ?(seed = 42L) ?(sd_mib = 64) () =
   {
     platform;
     engine;
-    rng = Sim.Rng.create seed;
     intc;
     timer;
     uart;

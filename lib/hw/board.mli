@@ -23,7 +23,6 @@ val qemu_vm : platform
 type t = {
   platform : platform;
   engine : Sim.Engine.t;
-  rng : Sim.Rng.t;
   intc : Intc.t;
   timer : Timer.t;
   uart : Uart.t;
@@ -38,7 +37,7 @@ type t = {
           harness schedules cuts on it *)
 }
 
-val create : ?platform:platform -> ?seed:int64 -> ?sd_mib:int -> unit -> t
+val create : ?platform:platform -> ?sd_mib:int -> unit -> t
 
 val cycles_to_ns : t -> int -> int64
 (** Convert a cycle count on this platform's cores to nanoseconds. *)

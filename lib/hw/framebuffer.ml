@@ -93,11 +93,6 @@ let flush t =
       done;
       if !any then t.presented <- t.presented + 1
 
-let evict_some t rng ~fraction =
-  for y = 0 to t.height - 1 do
-    if t.dirty.(y) && Sim.Rng.bool rng fraction then publish_row t y
-  done
-
 let display_pixel t ~x ~y =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then
     t.plane.((y * t.width) + x)

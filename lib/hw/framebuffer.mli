@@ -8,13 +8,13 @@
       (slow but always coherent).
     - Mapping it {e cached} makes stores cheap, but the display scans out of
       memory, so frames are invisible (stale) until the CPU cache is flushed
-      for the framebuffer range. Unflushed lines leak to memory gradually as
-      cache lines are evicted, which is why the paper's artifacts "gradually
-      disappear".
+      for the framebuffer range. On silicon, unflushed lines also leak to
+      memory as cache lines are evicted, which is why the paper's artifacts
+      "gradually disappear"; the model does not evict, so a [Cached] frame
+      stays stale until it is flushed.
 
     The model keeps two pixel planes: the CPU view (cache) and the memory
-    plane the display reads. [flush] copies dirty rows; [evict_some] models
-    background eviction. *)
+    plane the display reads. [flush] copies dirty rows. *)
 
 type mapping = Uncached | Cached
 
@@ -54,10 +54,6 @@ val blit_pixels : int array -> int -> int array -> int -> int -> unit
 val flush : t -> unit
 (** Cache-clean the framebuffer range: publish all dirty rows to the
     display plane. No-op under [Uncached]. *)
-
-val evict_some : t -> Sim.Rng.t -> fraction:float -> unit
-(** Model background cache eviction: publish a random [fraction] of the
-    dirty rows. *)
 
 val display_pixel : t -> x:int -> y:int -> int
 (** What the display scan-out reads at (x,y). *)

@@ -32,7 +32,6 @@ let inventory =
     ("lib/sim/engine.ml", 1, Core_kernel);
     ("lib/sim/heap.ml", 1, Core_kernel);
     ("lib/sim/rng.ml", 1, Core_kernel);
-    ("lib/sim/stats.ml", 1, Core_kernel);
     (* the engine (P1) runs its parallel batches on the domain pool *)
     ("lib/sim/dpool.ml", 1, Beyond_paper);
     ("lib/hw/irq.ml", 1, Drivers);

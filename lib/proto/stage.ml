@@ -89,7 +89,7 @@ let fat_files k =
     ]
   else []
 
-let boot ?(platform = Hw.Board.pi3) ?(seed = 42L) ?(config_tweak = fun c -> c)
+let boot ?(platform = Hw.Board.pi3) ?(config_tweak = fun c -> c)
     ?(track_dirty = true) ?usb_files ~prototype () =
   let env = User.Uenv.create () in
   let config = config_tweak (Core.Kconfig.prototype prototype) in
@@ -99,7 +99,6 @@ let boot ?(platform = Hw.Board.pi3) ?(seed = 42L) ?(config_tweak = fun c -> c)
       Core.Kernel.default_spec with
       sp_platform = platform;
       sp_config = config;
-      sp_seed = seed;
       sp_programs = programs_for_prototype env prototype;
       sp_files = ramdisk_files prototype;
       sp_fat_files = fat_files prototype;

@@ -26,9 +26,4 @@ let float t bound =
   let raw = Int64.shift_right_logical (next t) 11 in
   Int64.to_float raw /. 9007199254740992.0 *. bound
 
-let gaussian t ~mu ~sigma =
-  let u1 = max 1e-12 (float t 1.0) in
-  let u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let bool t p = float t 1.0 < p

@@ -1,8 +1,9 @@
 (** Deterministic pseudo-random number generation for the simulator.
 
-    All stochastic behaviour in the simulation (measurement jitter, workload
-    randomization, synthetic survey sampling) draws from this generator so
-    that every experiment is reproducible bit-for-bit from its seed. The
+    Every stochastic workload input (fuzz scenarios, crash-cut points,
+    benchmark offsets, synthetic survey respondents) draws from this
+    generator, so a workload is reproducible bit-for-bit from its seed.
+    The machine itself takes no seed. The
     implementation is splitmix64, which has a full 64-bit period per stream
     and cheap stream splitting. *)
 
@@ -24,9 +25,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** [gaussian t ~mu ~sigma] samples a normal distribution (Box–Muller). *)
 
 val bool : t -> float -> bool
 (** [bool t p] is [true] with probability [p]. *)

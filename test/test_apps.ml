@@ -99,7 +99,7 @@ let suite_engines =
 
 (* ---- integration on a live prototype 5 ---- *)
 
-let stage5 ?(seed = 9L) () = Proto.Stage.boot ~prototype:5 ~seed ()
+let stage5 () = Proto.Stage.boot ~prototype:5 ()
 
 let frames_of stage pid =
   Core.Sched.frames_presented stage.Proto.Stage.kernel.Core.Kernel.sched ~pid

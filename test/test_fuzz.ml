@@ -245,12 +245,38 @@ let self_kill_reapable () =
       check_bool "fork" true (pid > 0);
       check_int "self-killed child is reapable" pid (User.Usys.wait ()))
 
+(* A seed picks the workload, never the machine: in every config variant,
+   two scenarios that differ only in their seed boot to the same trace,
+   UART text and clock. Forking each session from one booted kernel per
+   variant rests on this. *)
+let boot_ignores_seed () =
+  let boot seed v =
+    let kernel =
+      Core.Kernel.boot
+        (Fuzz.Session.spec_of_scenario
+           { Fuzz.Gen.sc_seed = seed; sc_variant = v; sc_ops = [] })
+    in
+    ( List.map Core.Ktrace.machine_line
+        (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace),
+      Core.Kernel.uart_output kernel,
+      Core.Kernel.now kernel )
+  in
+  Array.iteri
+    (fun v name ->
+      let t1, u1, n1 = boot 1L v and t2, u2, n2 = boot 0xdeadbeefL v in
+      check_bool (name ^ ": boot is traced") true (t1 <> []);
+      Alcotest.(check (list string)) (name ^ ": same trace") t1 t2;
+      check_string (name ^ ": same UART") u1 u2;
+      check_bool (name ^ ": same clock") true (Int64.equal n1 n2))
+    Fuzz.Session.variant_names
+
 let suite_fuzz =
   ( "fuzz.engine",
     [
       quick "generator is seed-deterministic" gen_deterministic;
       quick "ops serialize and parse back" op_roundtrip;
       quick "corpus entries round-trip" corpus_roundtrip;
+      quick "the seed does not reach boot" boot_ignores_seed;
       slow "same seed, same session digest" session_deterministic;
       slow "canary shrinks to itself, deterministically" shrink_canary;
     ] )

@@ -2,7 +2,7 @@
 
 open Tharness
 
-let fresh () = Hw.Board.create ~seed:3L ()
+let fresh () = Hw.Board.create ()
 
 (* ---- interrupt controller ---- *)
 
@@ -164,8 +164,7 @@ let mailbox_fb_allocation () =
        Hw.Mailbox.call fresh_mb [ Hw.Mailbox.Allocate_buffer ]))
 
 let fb_cache_experience () =
-  (* The §4.3 lesson: cached writes are invisible until flushed; eviction
-     makes artifacts fade gradually. *)
+  (* The §4.3 lesson: cached writes are invisible until flushed. *)
   let fb = Hw.Framebuffer.create ~width:16 ~height:16 in
   Hw.Framebuffer.set_mapping fb Hw.Framebuffer.Cached;
   Hw.Framebuffer.write_pixel fb ~x:3 ~y:5 0xff0000;
@@ -184,25 +183,13 @@ let fb_uncached_writes_through () =
   check_int "immediately visible" 0x00ff00
     (Hw.Framebuffer.display_pixel fb ~x:1 ~y:1)
 
-let fb_eviction_fades () =
-  let fb = Hw.Framebuffer.create ~width:8 ~height:64 in
-  for y = 0 to 63 do
-    Hw.Framebuffer.write_pixel fb ~x:0 ~y 0xffffff
-  done;
-  check_int "all stale" 64 (Hw.Framebuffer.stale_rows fb);
-  let rng = Sim.Rng.create 1L in
-  Hw.Framebuffer.evict_some fb rng ~fraction:0.5;
-  let remaining = Hw.Framebuffer.stale_rows fb in
-  check_bool "some evicted" true (remaining < 64);
-  check_bool "not all evicted" true (remaining > 0)
-
 let fb_out_of_bounds_ignored () =
   let fb = Hw.Framebuffer.create ~width:4 ~height:4 in
   Hw.Framebuffer.write_pixel fb ~x:99 ~y:99 0xff;
   Hw.Framebuffer.write_pixel fb ~x:(-1) ~y:0 0xff;
   check_int "read oob is 0" 0 (Hw.Framebuffer.read_pixel fb ~x:99 ~y:0)
 
-(* The row copies behind write_row, flush and eviction, under both
+(* The row copies behind write_row and flush, under both
    mappings: a short row leaves the rest of the row alone, and only a
    flush that publishes something counts as a presented frame. *)
 let fb_row_copies_keep_dirty_semantics () =
@@ -245,17 +232,15 @@ let fb_row_copies_keep_dirty_semantics () =
       done;
       check_int (name ^ ": all rows stale") (if cached then 4 else 0)
         (Hw.Framebuffer.stale_rows fb);
-      Hw.Framebuffer.evict_some fb (Sim.Rng.create 3L) ~fraction:1.0;
-      check_int (name ^ ": eviction published every row") 0 (Hw.Framebuffer.stale_rows fb);
+      Hw.Framebuffer.flush fb;
+      check_int (name ^ ": flush published every row") 0
+        (Hw.Framebuffer.stale_rows fb);
       for y = 0 to 3 do
         for x = 0 to 7 do
-          check_int (name ^ ": evicted pixel") ((y * 16) + x)
+          check_int (name ^ ": flushed pixel") ((y * 16) + x)
             (Hw.Framebuffer.display_pixel fb ~x ~y)
         done
-      done;
-      check_int (name ^ ": eviction is not a presented frame")
-        (if cached then presented0 + 1 else 0)
-        (Hw.Framebuffer.frames_presented fb))
+      done)
     [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
 (* blit_pixels against the element loop it replaced: every length mod 4,
@@ -586,7 +571,6 @@ let suite =
       quick "mailbox fb allocation" mailbox_fb_allocation;
       quick "fb cache experience (par 4.3)" fb_cache_experience;
       quick "fb uncached writes through" fb_uncached_writes_through;
-      quick "fb eviction fades" fb_eviction_fades;
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
       quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;

@@ -1754,8 +1754,29 @@ let spinlock_discipline () =
     (Core.Kpanic.Panic "spinlock test: release when free") (fun () ->
       Core.Spinlock.release l ~core:0 ~now_ns:11L)
 
+(* A closure that raises inside [in_kernel] fails the test with its own
+   exception as soon as the task dies, not with a timeout at the 300 s
+   deadline; the task still dies of it, traced as uncaught. *)
+let in_kernel_reraises () =
+  let seen = ref None in
+  Alcotest.check_raises "the closure's exception" (Failure "boom") (fun () ->
+      in_kernel (fun kernel ->
+          seen := Some kernel;
+          failwith "boom"));
+  let kernel = Option.get !seen in
+  check_bool "clock far below the deadline" true
+    (Int64.compare (Core.Kernel.now kernel) (Sim.Engine.sec 10) < 0);
+  check_bool "task died of it" true
+    (List.exists
+       (fun e ->
+         match e.Core.Ktrace.ev with
+         | Core.Ktrace.Custom m ->
+             String.ends_with ~suffix:"uncaught exception: Failure(\"boom\")" m
+         | _ -> false)
+       (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace))
+
 let boot_time_is_paper_shaped () =
-  let boot = Benchlib.Micro.boot_time ~seed:5L () in
+  let boot = Benchlib.Micro.boot_time () in
   check_in_range "boot to shell ~6s" 5.3 6.7 boot.Benchlib.Micro.to_shell_s
 
 let suite_debug =
@@ -1768,6 +1789,7 @@ let suite_debug =
       quick "panic button dumps all cores" panic_button_dumps;
       quick "velf roundtrip" velf_roundtrip;
       quick "spinlock discipline" spinlock_discipline;
+      quick "in_kernel re-raises the closure's exception" in_kernel_reraises;
       slow "boot time ~6s (fig 8)" boot_time_is_paper_shaped;
     ] )
 
@@ -1778,7 +1800,7 @@ let suite_debug =
    dropped, so these tests see pure cache mechanics. *)
 let fresh_bc ?(capacity = 4) ?(writeback = false) ?(readahead = 0)
     ?(coalesce = true) () =
-  let board = Hw.Board.create ~seed:3L () in
+  let board = Hw.Board.create () in
   let bc =
     Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
       ~backing:(Core.Bufcache.Card (board.Hw.Board.sd, 0))
@@ -1928,9 +1950,9 @@ let io_writeback_determinism () =
     Core.Kernel.now kernel
   in
   let config = { writeback_config with Core.Kconfig.flush_interval_ms = 8 } in
-  let t1 = workload (boot_kernel ~config ~seed:11L ()) in
-  let t2 = workload (boot_kernel ~config ~seed:11L ()) in
-  check_bool "same seed, same virtual time" true (Int64.equal t1 t2)
+  let t1 = workload (boot_kernel ~config ()) in
+  let t2 = workload (boot_kernel ~config ()) in
+  check_bool "same spec, same virtual time" true (Int64.equal t1 t2)
 
 let io_iobench_smoke () =
   let rows = Benchlib.Iobench.run () in

@@ -466,6 +466,20 @@ let trace_dump_sort_qcheck =
       Core.Ktrace.dump tr
       = List.sort Core.Ktrace.compare_entry (ring_window tr))
 
+(* The Figure-11 breakdown averages its keypress samples by running
+   update; that must agree with the plain mean, and be 0 with none. *)
+let evsel_mean_is_the_mean =
+  qcheck "Evsel.mean is the mean"
+    QCheck.(list_of_size Gen.(int_range 0 100) (float_range (-1e6) 1e6))
+    (fun xs ->
+      let m = Benchlib.Evsel.mean xs in
+      match xs with
+      | [] -> m = 0.0
+      | _ ->
+          let n = float_of_int (List.length xs) in
+          let mean = List.fold_left ( +. ) 0.0 xs /. n in
+          Float.abs (m -. mean) < 1e-6 *. (1.0 +. Float.abs mean))
+
 (* ---- the growing ring reads as the fixed ring ---- *)
 
 (* The ring starts at 1024 entries and doubles up to its capacity. Seen
@@ -1238,6 +1252,7 @@ let suite =
       quick "dump matches the reference sort on three rings"
         trace_dump_matches_reference_sort;
       trace_dump_sort_qcheck;
+      evsel_mean_is_the_mean;
       trace_growing_ring_is_fixed_ring;
       slow "span pairing over a launcher session" span_pairing_full_run;
       slow "/proc/metrics exposes the kernel histograms"

@@ -174,56 +174,6 @@ let rng_float_distribution () =
   done;
   check_in_range "uniform mean" 0.47 0.53 (!sum /. float_of_int n)
 
-let rng_gaussian_moments () =
-  let rng = Sim.Rng.create 11L in
-  let n = 20_000 in
-  let stats = Sim.Stats.create () in
-  for _ = 1 to n do
-    Sim.Stats.add stats (Sim.Rng.gaussian rng ~mu:10.0 ~sigma:2.0)
-  done;
-  check_in_range "gaussian mean" 9.9 10.1 (Sim.Stats.mean stats);
-  check_in_range "gaussian sd" 1.9 2.1 (Sim.Stats.stddev stats)
-
-(* ---- stats ---- *)
-
-let stats_basic () =
-  let s = Sim.Stats.create () in
-  List.iter (Sim.Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  check_close "mean" 2.5 (Sim.Stats.mean s);
-  check_close "min" 1.0 (Sim.Stats.min_value s);
-  check_close "max" 4.0 (Sim.Stats.max_value s);
-  check_close "total" 10.0 (Sim.Stats.total s);
-  check_int "count" 4 (Sim.Stats.count s);
-  check_close ~eps:1e-9 "stddev"
-    (sqrt (5.0 /. 3.0))
-    (Sim.Stats.stddev s)
-
-let stats_percentile () =
-  let s = Sim.Stats.create () in
-  for i = 1 to 100 do
-    Sim.Stats.add s (float_of_int i)
-  done;
-  check_close "p50" 50.0 (Sim.Stats.percentile s 50.0);
-  check_close "p99" 99.0 (Sim.Stats.percentile s 99.0);
-  check_close "p100" 100.0 (Sim.Stats.percentile s 100.0)
-
-let stats_merge () =
-  let a = Sim.Stats.create () and b = Sim.Stats.create () in
-  List.iter (Sim.Stats.add a) [ 1.0; 2.0 ];
-  List.iter (Sim.Stats.add b) [ 3.0; 4.0 ];
-  let m = Sim.Stats.merge a b in
-  check_int "merged count" 4 (Sim.Stats.count m);
-  check_close "merged mean" 2.5 (Sim.Stats.mean m)
-
-let stats_mean_matches_list =
-  qcheck "stats mean equals arithmetic mean"
-    QCheck.(list_of_size (Gen.int_range 1 100) (float_range (-1e6) 1e6))
-    (fun xs ->
-      let s = Sim.Stats.create () in
-      List.iter (Sim.Stats.add s) xs;
-      let mean = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      Float.abs (Sim.Stats.mean s -. mean) < 1e-6 *. (1.0 +. Float.abs mean))
-
 let suite =
   ( "sim",
     [
@@ -243,9 +193,4 @@ let suite =
       quick "rng split" rng_split_independent;
       rng_int_bounds;
       quick "rng uniform mean" rng_float_distribution;
-      quick "rng gaussian moments" rng_gaussian_moments;
-      quick "stats basics" stats_basic;
-      quick "stats percentiles" stats_percentile;
-      quick "stats merge" stats_merge;
-      stats_mean_matches_list;
     ] )

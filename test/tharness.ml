@@ -14,14 +14,12 @@ let qcheck ?(count = 100) name gen prop =
 let test_config = { Core.Kconfig.full with kcheck = true }
 
 (* A ready-to-use prototype-5 kernel with no programs. *)
-let boot_kernel ?(config = test_config) ?(platform = Hw.Board.pi3)
-    ?(seed = 7L) () =
+let boot_kernel ?(config = test_config) ?(platform = Hw.Board.pi3) () =
   Core.Kernel.boot
     {
       Core.Kernel.default_spec with
       sp_platform = platform;
       sp_config = config;
-      sp_seed = seed;
       sp_fb = Some (640, 480);
     }
 
