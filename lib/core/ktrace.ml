@@ -1,11 +1,14 @@
 (** ftrace-style event tracing (§5.1), rebuilt as part of kperf.
 
     One ring shared by every core, as in the paper: power-of-two
-    capacity, bitmask indexing, and a pre-filled dummy entry so the hot
-    path writes a plain record with no [option] boxing. The array starts
-    at 1024 entries and doubles as it fills; once it reaches the
-    capacity it wraps, overwriting the oldest entries. Each entry
-    carries a sequence number in emission order. Emission order is not
+    capacity and bitmask indexing. The ring stores columns, not records:
+    each slot's stamp sits unboxed in a byte column, its core in an
+    [int array] and its event in an [event array], so an emit allocates
+    nothing and leaves nothing for the GC to promote. An {!entry} record
+    is built only when a slot is read. The columns start at 1024 slots
+    and double as they fill; once they reach the capacity the ring
+    wraps, overwriting the oldest entries. An entry's sequence number is
+    its ring position, the count of emits before it. Emission order is not
     time order: an SD request's [Span_end] is stamped with its completion
     time when the request is issued, so it can precede entries with
     earlier stamps. {!dump} therefore sorts by (timestamp, sequence),
@@ -45,7 +48,9 @@ type event =
 
 type entry = {
   ts_ns : int64;
-  seq : int;  (** emission order, the tie-break for sorted dumps *)
+  seq : int;
+      (** ring position, which is emission order: the tie-break for
+          sorted dumps *)
   core : int;
   ev : event;
 }
@@ -97,11 +102,15 @@ let filter_of_string s =
 (* ---- the ring ---- *)
 
 type t = {
-  mutable buf : entry array;
-      (** power-of-two length, pre-filled (no [option]); doubles when
-          full until it reaches [cap], then wraps *)
-  mutable mask : int;  (** length - 1: index = position land mask *)
-  cap : int;  (** the length [buf] grows to: the ring's capacity *)
+  mutable stamps : Bytes.t;
+      (** 8 bytes a slot: each stamp as a native-endian [int64], stored
+          without a box *)
+  mutable cores : int array;
+  mutable evs : event array;
+      (** the three columns share one power-of-two length; they double
+          when full until they reach [cap], then wrap *)
+  mutable mask : int;  (** length - 1: slot = position land mask *)
+  cap : int;  (** the length the columns grow to: the ring's capacity *)
   mutable head : int;  (** total entries ever written *)
   mutable next_span : int;
   mutable enabled : bool;
@@ -121,7 +130,8 @@ type t = {
           kernel wires this to a deferred [Sched.poll_wake] *)
 }
 
-let dummy = { ts_ns = 0L; seq = -1; core = 0; ev = Custom "<unwritten>" }
+(* Fills the event column's unwritten slots; never read. *)
+let unwritten = Custom "<unwritten>"
 
 let rec ceil_pow2 n k = if k >= n then k else ceil_pow2 n (k * 2)
 
@@ -132,7 +142,9 @@ let initial_length = 1024
 let create ?(capacity = 262144) () =
   let cap = ceil_pow2 (max initial_length capacity) 1 in
   {
-    buf = Array.make initial_length dummy;
+    stamps = Bytes.make (8 * initial_length) '\000';
+    cores = Array.make initial_length 0;
+    evs = Array.make initial_length unwritten;
     mask = initial_length - 1;
     cap;
     head = 0;
@@ -153,48 +165,79 @@ let new_span t =
   t.next_span <- t.next_span + 1;
   t.next_span
 
-(* Double a full ring that is below its capacity. Until then nothing
-   has wrapped, so position [i] sits at index [i] in both arrays. *)
+(* The ring's current length in slots: 1024, doubling up to the
+   capacity. The newest [min head length] positions survive. *)
+let length t = Array.length t.evs
+
+(* Double full columns that are below the capacity. Until then nothing
+   has wrapped, so position [i] sits at slot [i] in old and new. *)
 let grow t =
-  let n = Array.length t.buf in
-  let bigger = Array.make (2 * n) dummy in
-  Array.blit t.buf 0 bigger 0 n;
-  t.buf <- bigger;
+  let n = length t in
+  let stamps = Bytes.make (16 * n) '\000' in
+  Bytes.blit t.stamps 0 stamps 0 (8 * n);
+  let cores = Array.make (2 * n) 0 in
+  Array.blit t.cores 0 cores 0 n;
+  let evs = Array.make (2 * n) unwritten in
+  Array.blit t.evs 0 evs 0 n;
+  t.stamps <- stamps;
+  t.cores <- cores;
+  t.evs <- evs;
   t.mask <- (2 * n) - 1
 
 let emit t ~ts_ns ~core ev =
   if t.enabled && t.filter land (1 lsl class_of ev) <> 0 then begin
-    if t.head = Array.length t.buf && t.head < t.cap then grow t;
-    t.buf.(t.head land t.mask) <-
-      { ts_ns = Int64.sub ts_ns t.clock_base; seq = t.head; core; ev };
+    if t.head = length t && t.head < t.cap then grow t;
+    let slot = t.head land t.mask in
+    Bytes.set_int64_ne t.stamps (8 * slot) (Int64.sub ts_ns t.clock_base);
+    t.cores.(slot) <- core;
+    t.evs.(slot) <- ev;
     t.head <- t.head + 1;
     if t.readers_open > 0 then
       match t.on_data with Some poke -> poke () | None -> ()
   end
 
+(* The entry at ring position [pos], built on read. [pos] must be one
+   of the surviving positions, [head - min head (length t)] to
+   [head - 1]. *)
+let entry t pos =
+  let slot = pos land t.mask in
+  {
+    ts_ns = Bytes.get_int64_ne t.stamps (8 * slot);
+    seq = pos;
+    core = t.cores.(slot);
+    ev = t.evs.(slot);
+  }
+
+(* The order {!dump} sorts in, on built entries. *)
 let compare_entry a b =
   match Int64.compare a.ts_ns b.ts_ns with
   | 0 -> compare a.seq b.seq
   | c -> c
 
-(* Snapshot of the surviving entries, oldest-first by (timestamp,
-   sequence). The sort is not the identity: a future-stamped entry (an
-   SD request's Span_end) sits in the ring ahead of entries stamped
-   before it. Such entries are few and displaced by little, so an
-   insertion pass over the window does the work in near-linear time;
-   once it has shifted more than [n] entries the input is far from
-   sorted and a merge sort finishes it, keeping the worst case at
-   O(n log n). Both sorts are stable. *)
-let dump t =
-  let n = min t.head (Array.length t.buf) in
-  let first = t.head - n in
-  let a = Array.init n (fun i -> t.buf.((first + i) land t.mask)) in
+(* The same order on positions, reading the stamp column in place:
+   whether position [p] sorts after position [q]. *)
+let after t p q =
+  let a = Bytes.get_int64_ne t.stamps (8 * (p land t.mask))
+  and b = Bytes.get_int64_ne t.stamps (8 * (q land t.mask)) in
+  a > b || (Int64.equal a b && p > q)
+
+(* The surviving positions, oldest-first by (timestamp, position). The
+   sort is not the identity: a future-stamped entry (an SD request's
+   Span_end) sits in the ring ahead of entries stamped before it. Such
+   entries are few and displaced by little, so an insertion pass over
+   the window does the work in near-linear time; once it has shifted
+   more than [n] positions the input is far from sorted and a merge
+   sort finishes it, keeping the worst case at O(n log n). Both sorts
+   are stable. *)
+let sorted_positions t =
+  let n = min t.head (length t) in
+  let a = Array.init n (fun i -> t.head - n + i) in
   let shifts = ref 0 in
   let i = ref 1 in
   while !i < n && !shifts <= n do
     let x = a.(!i) in
     let j = ref (!i - 1) in
-    while !j >= 0 && compare_entry a.(!j) x > 0 do
+    while !j >= 0 && after t a.(!j) x do
       a.(!j + 1) <- a.(!j);
       decr j;
       incr shifts
@@ -202,8 +245,24 @@ let dump t =
     a.(!j + 1) <- x;
     incr i
   done;
-  if !shifts > n then Array.stable_sort compare_entry a;
-  Array.to_list a
+  if !shifts > n then
+    Array.stable_sort (fun p q -> if after t p q then 1 else -1) a;
+  a
+
+(* The last [n] entries of {!dump}, built back to front from the sorted
+   positions without building the others, and how many {!dump} holds. *)
+let dump_tail t n =
+  let pos = sorted_positions t in
+  let total = Array.length pos in
+  let first = total - max 0 (min n total) in
+  let rec build i acc =
+    if i < first then acc else build (i - 1) (entry t pos.(i) :: acc)
+  in
+  (build (total - 1) [], total)
+
+(* Snapshot of the surviving entries, oldest-first by (timestamp,
+   sequence). *)
+let dump t = fst (dump_tail t max_int)
 
 (* ---- consuming readers: the /proc/ktrace trace-pipe ---- *)
 
@@ -225,13 +284,13 @@ let reader_ready r = r.cursor < r.src.head
    which is counted in [lost]. *)
 let read_reader r ~max =
   let t = r.src in
-  let oldest = t.head - Array.length t.buf in
+  let oldest = t.head - length t in
   if r.cursor < oldest then begin
     r.lost <- r.lost + (oldest - r.cursor);
     r.cursor <- oldest
   end;
   let n = Stdlib.max 0 (min max (t.head - r.cursor)) in
-  let out = List.init n (fun i -> t.buf.((r.cursor + i) land t.mask)) in
+  let out = List.init n (fun i -> entry t (r.cursor + i)) in
   r.cursor <- r.cursor + n;
   out
 

@@ -10,11 +10,9 @@ type t = { sched : Sched.t; console : Console.t; mutable dumps : int }
 
 (* The trace tail both dumps print: the last [n] entries of the sorted
    dump, one indented line each, under a header given the count kept
-   and the count dumped. *)
-let add_trace_tail buf sched n header =
-  let recent = Ktrace.dump sched.Sched.trace in
-  let total = List.length recent in
-  let tail = List.filteri (fun i _ -> i >= total - n) recent in
+   and the count dumped. Only those [n] entries are built. *)
+let add_trace_tail buf trace n header =
+  let tail, total = Ktrace.dump_tail trace n in
   Buffer.add_string buf (header (List.length tail) total);
   List.iter
     (fun e -> Buffer.add_string buf ("  " ^ Ktrace.format_entry e ^ "\n"))
@@ -41,7 +39,7 @@ let render t ~fiq_core =
            (Int64.to_float core.Sched.busy_ns /. 1e6)))
     sched.Sched.cores;
   Buffer.add_string buf (Unwind.dump_all sched);
-  add_trace_tail buf sched 10 (fun _ _ -> "trace tail:\n");
+  add_trace_tail buf sched.Sched.trace 10 (fun _ _ -> "trace tail:\n");
   Buffer.add_string buf "=== END PANIC DUMP ===\n";
   Buffer.contents buf
 
@@ -59,7 +57,7 @@ let flight_record sched console ~events msg =
     (Printf.sprintf "\n=== FLIGHT RECORDER (t=%.3f ms) ===\npanic: %s\n"
        (Sim.Engine.to_ms (Hw.Board.now sched.Sched.board))
        msg);
-  add_trace_tail buf sched events
+  add_trace_tail buf sched.Sched.trace events
     (Printf.sprintf "trace tail (last %d of %d):\n");
   Buffer.add_string buf "vprobe aggregates:\n";
   Buffer.add_string buf (Vprobe.render sched.Sched.vprobe);

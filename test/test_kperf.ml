@@ -399,8 +399,8 @@ let machine_parse_malformed () =
 
 (* The surviving entries in ring (emission) order. *)
 let ring_window (tr : Core.Ktrace.t) =
-  let n = min tr.head (Array.length tr.buf) in
-  List.init n (fun i -> tr.buf.((tr.head - n + i) land tr.mask))
+  let n = min tr.head (Core.Ktrace.length tr) in
+  List.init n (fun i -> Core.Ktrace.entry tr (tr.head - n + i))
 
 let check_dump_sorted name tr =
   let reference = List.sort Core.Ktrace.compare_entry (ring_window tr) in
@@ -416,19 +416,20 @@ let check_dump_sorted name tr =
   in
   check_bool (name ^ ": equal stamps stay in emission order") true (stable d)
 
+(* SD-style spans: each Span_end is emitted at issue time, stamped at
+   completion, with a pair of equal stamps every few entries *)
+let emit_sd tr i =
+  let module K = Core.Ktrace in
+  let ts = Int64.of_int (i / 2 * 10) in
+  K.emit tr ~ts_ns:ts ~core:(i land 3) (K.Sched_wakeup i);
+  if i mod 50 = 7 then begin
+    let id = K.new_span tr in
+    K.emit tr ~ts_ns:ts ~core:0 (K.Span_begin (id, 1, "sd:read"));
+    K.emit tr ~ts_ns:(Int64.add ts 25L) ~core:0 (K.Span_end id)
+  end
+
 let trace_dump_matches_reference_sort () =
   let module K = Core.Ktrace in
-  (* SD-style spans: each Span_end is emitted at issue time, stamped at
-     completion, with a pair of equal stamps every few entries *)
-  let emit_sd tr i =
-    let ts = Int64.of_int (i / 2 * 10) in
-    K.emit tr ~ts_ns:ts ~core:(i land 3) (K.Sched_wakeup i);
-    if i mod 50 = 7 then begin
-      let id = K.new_span tr in
-      K.emit tr ~ts_ns:ts ~core:0 (K.Span_begin (id, 1, "sd:read"));
-      K.emit tr ~ts_ns:(Int64.add ts 25L) ~core:0 (K.Span_end id)
-    end
-  in
   let future = K.create ~capacity:1024 () in
   for i = 0 to 599 do
     emit_sd future i
@@ -441,7 +442,7 @@ let trace_dump_matches_reference_sort () =
   for i = 0 to 2999 do
     emit_sd wrapped i
   done;
-  check_bool "ring wrapped" true (wrapped.K.head > Array.length wrapped.K.buf);
+  check_bool "ring wrapped" true (wrapped.K.head > K.length wrapped);
   check_dump_sorted "wrapped ring" wrapped;
   (* every stamp below its predecessor's: the insertion pass runs out of
      shifts and the merge sort takes over *)
@@ -452,6 +453,61 @@ let trace_dump_matches_reference_sort () =
   done;
   check_dump_sorted "reverse-ordered ring" reversed;
   check_dump_sorted "empty ring" (K.create ~capacity:1024 ())
+
+(* The panic tail builds only the entries it prints, from the sorted
+   positions; its text must be what filtering the whole sorted dump
+   printed, on a wrapped ring whose tail holds displaced Span_ends. *)
+let panic_tail_matches_filtered_dump () =
+  let module K = Core.Ktrace in
+  let tr = K.create ~capacity:1024 () in
+  for i = 0 to 2999 do
+    emit_sd tr i
+  done;
+  check_bool "ring wrapped" true (tr.K.head > K.length tr);
+  let header = Printf.sprintf "trace tail (last %d of %d):\n" in
+  let filtered n =
+    let recent = K.dump tr in
+    let total = List.length recent in
+    List.filteri (fun i _ -> i >= total - n) recent
+  in
+  let rec displaced = function
+    | a :: (b :: _ as rest) -> a.K.seq > b.K.seq || displaced rest
+    | [ _ ] | [] -> false
+  in
+  check_bool "the last 64 hold a future-stamped Span_end" true
+    (displaced (filtered 64));
+  List.iter
+    (fun n ->
+      let b = Buffer.create 4096 in
+      Core.Panic.add_trace_tail b tr n header;
+      let tail = filtered n in
+      let want =
+        header (List.length tail) 1024
+        ^ String.concat ""
+            (List.map (fun e -> "  " ^ K.format_entry e ^ "\n") tail)
+      in
+      Alcotest.(check string) (Printf.sprintf "last %d" n) want
+        (Buffer.contents b))
+    [ -1; 0; 1; 10; 64; 1023; 1024; 5000 ]
+
+(* The ring stores an emit's stamp, core and event in place: a constant
+   event with an already-boxed stamp allocates nothing. *)
+let emit_allocates_nothing () =
+  let module K = Core.Ktrace in
+  let tr = K.create () in
+  (* opaque: a let-bound [int64] the compiler sees made is unboxed and
+     boxed again at every use *)
+  let stamp = Sys.opaque_identity 123_456L in
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    K.emit tr ~ts_ns:stamp ~core:1 K.Wm_composite
+  done;
+  let per_emit = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_int "every emit landed" n tr.K.head;
+  check_bool
+    (Printf.sprintf "an emit allocated %.2f minor words (< 0.5)" per_emit)
+    true (per_emit < 0.5)
 
 let trace_dump_sort_qcheck =
   qcheck ~count:200 "dump = reference sort on random stamps"
@@ -541,13 +597,13 @@ let trace_growing_ring_is_fixed_ring =
       for i = 0 to n - 1 do
         at i;
         K.emit tr ~ts_ns:(Int64.of_int i) ~core:(i land 3) (K.Sched_wakeup i);
-        if Array.length tr.K.buf > cap then ok := false
+        if K.length tr > cap then ok := false
       done;
       at n;
       List.iter (fun r -> drain r n) !live;
       !ok
       && K.dump tr = window (max 0 (n - cap)) n
-      && (n < cap || Array.length tr.K.buf = cap))
+      && (n < cap || K.length tr = cap))
 
 (* ---- span pairing over a real launcher session ---- *)
 
@@ -1252,6 +1308,9 @@ let suite =
       quick "dump matches the reference sort on three rings"
         trace_dump_matches_reference_sort;
       trace_dump_sort_qcheck;
+      quick "panic tail matches the filtered dump"
+        panic_tail_matches_filtered_dump;
+      quick "emit allocates nothing" emit_allocates_nothing;
       evsel_mean_is_the_mean;
       trace_growing_ring_is_fixed_ring;
       slow "span pairing over a launcher session" span_pairing_full_run;
