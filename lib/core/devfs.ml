@@ -190,12 +190,33 @@ let sb_ops t =
 
 let header_bytes = 24
 
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
 (* Unpack [npx] little-endian 4-byte pixels from [data] into [dst]: the
-   low three bytes are 0xRRGGBB; the fourth (alpha) is dropped. *)
+   low three bytes are 0xRRGGBB; the fourth (alpha) is dropped. Panics
+   before writing anything if [npx] is negative or past either buffer.
+   Two pixels come in per 64-bit word and an odd last one as a 32-bit
+   word; the unchecked loads are native-endian, so a big-endian host
+   swaps each word. [Int64.to_int] drops bit 63, the second pixel's
+   alpha bit, which is masked off anyway. *)
 let unpack_pixels data (dst : int array) npx =
-  for i = 0 to npx - 1 do
-    dst.(i) <- Int32.to_int (Bytes.get_int32_le data (4 * i)) land 0xffffff
-  done
+  if npx < 0 || npx > Array.length dst || npx > Bytes.length data / 4 then
+    Kpanic.panicf "devfs: unpack of %d pixels out of range" npx;
+  for k = 0 to (npx / 2) - 1 do
+    let i = 2 * k in
+    let w = get64u data (4 * i) in
+    let w = Int64.to_int (if Sys.big_endian then swap64 w else w) in
+    Array.unsafe_set dst i (w land 0xffffff);
+    Array.unsafe_set dst (i + 1) ((w lsr 32) land 0xffffff)
+  done;
+  if npx land 1 = 1 then begin
+    let w = get32u data (4 * (npx - 1)) in
+    let w = Int32.to_int (if Sys.big_endian then swap32 w else w) in
+    Array.unsafe_set dst (npx - 1) (w land 0xffffff)
+  end
 
 let surface_ops t =
   match t.wm with

@@ -47,7 +47,6 @@ type t = {
       (** screen rows [damage_y0, damage_y1) uncovered by a window that
           closed or moved since the last round; empty when y0 >= y1 *)
   mutable running : bool;
-  compose_row : int array;  (** scratch row buffer *)
 }
 
 let create board sched fb ~track_dirty =
@@ -66,7 +65,6 @@ let create board sched fb ~track_dirty =
     damage_y0 = Hw.Framebuffer.height fb;
     damage_y1 = 0;
     running = false;
-    compose_row = Array.make (Hw.Framebuffer.width fb) 0;
   }
 
 let surface t id = Hashtbl.find_opt t.surfaces id
@@ -185,27 +183,39 @@ and deliver t ev =
 
 (* ---- composition ---- *)
 
-let blend dst src alpha =
-  if alpha >= 255 then src
-  else begin
-    let inv = 255 - alpha in
-    let r = (((src lsr 16) land 0xff) * alpha + ((dst lsr 16) land 0xff) * inv) / 255 in
-    let g = (((src lsr 8) land 0xff) * alpha + ((dst lsr 8) land 0xff) * inv) / 255 in
-    let b = ((src land 0xff) * alpha + (dst land 0xff) * inv) / 255 in
-    (r lsl 16) lor (g lsl 8) lor b
-  end
+let background = 0x102030
 
-(* Repaint rows [y0, y1) of the screen from the stacking order. Returns
-   the pixel count composited (for cost accounting). Each layer's row is
-   clipped to the screen once, as the column span [c0, c1): opaque spans
-   are copied, alpha spans blended with [blend]'s arithmetic inline. *)
+(* Blend [n] pixels of [src] from [soff] over [dst] from [doff] at
+   [alpha] < 255, per channel: (src * alpha + dst * (255 - alpha)) / 255.
+   The span is checked once, then accessed without per-pixel checks. *)
+let blend_span (src : int array) soff (dst : int array) doff n alpha =
+  if
+    n < 0 || soff < 0 || doff < 0
+    || soff > Array.length src - n
+    || doff > Array.length dst - n
+  then Kpanic.panicf "wm: blend span %d+%d -> %d out of range" soff n doff;
+  let inv = 255 - alpha in
+  for i = 0 to n - 1 do
+    let p = Array.unsafe_get src (soff + i) and d = Array.unsafe_get dst (doff + i) in
+    let r = (((p lsr 16) land 0xff) * alpha + ((d lsr 16) land 0xff) * inv) / 255 in
+    let g = (((p lsr 8) land 0xff) * alpha + ((d lsr 8) land 0xff) * inv) / 255 in
+    let b = ((p land 0xff) * alpha + (d land 0xff) * inv) / 255 in
+    Array.unsafe_set dst (doff + i) ((r lsl 16) lor (g lsl 8) lor b)
+  done
+
+(* Repaint rows [y0, y1) of the screen from the stacking order, in place
+   in the framebuffer's CPU view. Returns the pixel count composited
+   (for cost accounting). Each layer's row is clipped to the screen
+   once, as the column span [c0, c1): opaque spans are copied, alpha
+   spans blended. *)
 let repaint_rows t ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.fb in
   let layers = Array.of_list (stacking t) in
-  let line = t.compose_row in
+  let view = Hw.Framebuffer.cpu_view t.fb in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill line 0 width 0x102030 (* desktop background *);
+    let line = y * width in
+    Hw.Framebuffer.fill_pixels view line width background;
     for l = 0 to Array.length layers - 1 do
       let s = layers.(l) in
       let row = y - s.sy in
@@ -213,24 +223,13 @@ let repaint_rows t ~y0 ~y1 =
         let c0 = max 0 (-s.sx) and c1 = min s.width (width - s.sx) in
         if c1 > c0 then begin
           count := !count + (c1 - c0);
-          let base = row * s.width and alpha = s.alpha in
-          if alpha >= 255 then
-            Hw.Framebuffer.blit_pixels s.pixels (base + c0) line (s.sx + c0) (c1 - c0)
-          else begin
-            let inv = 255 - alpha in
-            for col = c0 to c1 - 1 do
-              let x = s.sx + col in
-              let p = s.pixels.(base + col) and d = line.(x) in
-              let r = (((p lsr 16) land 0xff) * alpha + ((d lsr 16) land 0xff) * inv) / 255 in
-              let g = (((p lsr 8) land 0xff) * alpha + ((d lsr 8) land 0xff) * inv) / 255 in
-              let b = ((p land 0xff) * alpha + (d land 0xff) * inv) / 255 in
-              line.(x) <- (r lsl 16) lor (g lsl 8) lor b
-            done
-          end
+          let src = (row * s.width) + c0 and dst = line + s.sx + c0 in
+          if s.alpha >= 255 then Hw.Framebuffer.blit_pixels s.pixels src view dst (c1 - c0)
+          else blend_span s.pixels src view dst (c1 - c0) s.alpha
         end
       end
     done;
-    Hw.Framebuffer.write_row t.fb ~y ~off:0 line
+    Hw.Framebuffer.wrote_row t.fb y
   done;
   Hw.Framebuffer.flush t.fb;
   !count

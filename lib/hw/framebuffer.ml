@@ -53,17 +53,43 @@ let blit_pixels (src : int array) soff (dst : int array) doff n =
     Array.unsafe_set dst (doff + j) (Array.unsafe_get src (soff + j))
   done
 
+(* [Array.fill] for pixel rows, without the C call's write-barrier test
+   per element: the range is checked once, then stored four elements a
+   step without per-access checks. *)
+let fill_pixels (dst : int array) doff n (px : int) =
+  if n < 0 || doff < 0 || doff > Array.length dst - n then
+    invalid_arg "Framebuffer.fill_pixels";
+  let e4 = doff + (n land lnot 3) in
+  let i = ref doff in
+  while !i < e4 do
+    let d = !i in
+    Array.unsafe_set dst d px;
+    Array.unsafe_set dst (d + 1) px;
+    Array.unsafe_set dst (d + 2) px;
+    Array.unsafe_set dst (d + 3) px;
+    i := d + 4
+  done;
+  for j = e4 to doff + n - 1 do
+    Array.unsafe_set dst j px
+  done
+
 let publish_row t y =
   let off = y * t.width in
   blit_pixels t.cache off t.plane off t.width;
   t.dirty.(y) <- false
 
+let cpu_view t = t.cache
+
+let wrote_row t y =
+  if y < 0 || y >= t.height then invalid_arg "Framebuffer.wrote_row";
+  match t.mapping with
+  | Uncached -> publish_row t y
+  | Cached -> t.dirty.(y) <- true
+
 let write_pixel t ~x ~y px =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then begin
     t.cache.((y * t.width) + x) <- px;
-    match t.mapping with
-    | Uncached -> publish_row t y
-    | Cached -> t.dirty.(y) <- true
+    wrote_row t y
   end
 
 let read_pixel t ~x ~y =
@@ -75,9 +101,7 @@ let write_row t ~y ~off src =
   if y >= 0 && y < t.height then begin
     let n = min t.width (Array.length src - off) in
     blit_pixels src off t.cache (y * t.width) n;
-    match t.mapping with
-    | Uncached -> publish_row t y
-    | Cached -> t.dirty.(y) <- true
+    wrote_row t y
   end
 
 let flush t =

@@ -51,6 +51,24 @@ val blit_pixels : int array -> int -> int array -> int -> int -> unit
     ([doff > soff]) repeats the leading elements, as the element loop
     does; it is not a memmove. *)
 
+val fill_pixels : int array -> int -> int -> int -> unit
+(** [fill_pixels dst doff n px] stores [px] in [dst.(doff .. doff+n-1)],
+    as [Array.fill] does, without its per-element write-barrier test.
+    Raises [Invalid_argument] before writing anything if [n < 0] or the
+    range is out of bounds. *)
+
+val cpu_view : t -> int array
+(** The CPU view itself, row-major, [width * height] pixels: a
+    compositor builds rows in place here and then reports each one with
+    [wrote_row]; a store that is not reported is neither published nor
+    marked dirty. *)
+
+val wrote_row : t -> int -> unit
+(** [wrote_row t y] reports that row [y] of the CPU view was written,
+    as [write_row] does after its copy: [Uncached] publishes the row to
+    the display plane, [Cached] marks it dirty until [flush]. Raises
+    [Invalid_argument] if [y] is off the screen. *)
+
 val flush : t -> unit
 (** Cache-clean the framebuffer range: publish all dirty rows to the
     display plane. No-op under [Uncached]. *)

@@ -98,7 +98,7 @@ let put t ~x ~y px =
   end
 
 let fill t px =
-  Array.fill t.pixels 0 (Array.length t.pixels) px;
+  Hw.Framebuffer.fill_pixels t.pixels 0 (Array.length t.pixels) px;
   t.cost_cycles <- t.cost_cycles + (Array.length t.pixels * cost_fill_pixel)
 
 let fill_rect t ~x ~y ~w ~h px =
@@ -168,13 +168,34 @@ let text t ~x ~y ~color s =
       done)
     s
 
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
 (* The /dev/surface wire format: [npx] pixels as little-endian 4-byte
-   words 0xffRRGGBB (opaque alpha byte; bits above 24 dropped). *)
+   words 0xffRRGGBB (opaque alpha byte; bits above 24 dropped). Raises
+   [Invalid_argument] before writing anything if [npx] is negative or
+   past either buffer. Two pixels go out per 64-bit word, the first in
+   its low half, and an odd last pixel as one 32-bit word; the unchecked
+   stores are native-endian, so a big-endian host swaps each word. *)
 let pack_pixels (pixels : int array) dst npx =
-  for i = 0 to npx - 1 do
-    Bytes.set_int32_le dst (4 * i)
-      (Int32.of_int (pixels.(i) land 0xffffff lor 0xff000000))
-  done
+  if npx < 0 || npx > Array.length pixels || npx > Bytes.length dst / 4 then
+    invalid_arg "Gfx.pack_pixels";
+  for k = 0 to (npx / 2) - 1 do
+    let i = 2 * k in
+    let w =
+      Int64.logor 0xff000000_ff000000L
+        (Int64.of_int
+           (Array.unsafe_get pixels i land 0xffffff
+           lor ((Array.unsafe_get pixels (i + 1) land 0xffffff) lsl 32)))
+    in
+    set64u dst (4 * i) (if Sys.big_endian then swap64 w else w)
+  done;
+  if npx land 1 = 1 then begin
+    let w = Int32.of_int (Array.unsafe_get pixels (npx - 1) land 0xffffff lor 0xff000000) in
+    set32u dst (4 * (npx - 1)) (if Sys.big_endian then swap32 w else w)
+  end
 
 (* Present the frame: push pixels out and pay the accumulated CPU bill. *)
 let present t =

@@ -156,6 +156,62 @@ let video_display_plane_pinned () =
       ("/d/videos/clip720.mv1", 6, "686e336ef558dc5f5643d75854b7eefb");
     ]
 
+(* The composited desktop, pinned by MD5 at four instants: mario's SDL
+   window, the launcher and sysmon's translucent overlay (alpha 170),
+   then focus rotated with ctrl+tab, then the focused window moved with
+   ctrl+down. Each instant pins the display plane and the CPU view the
+   WM composes into. *)
+let desktop_planes_pinned () =
+  let stage = stage5 () in
+  let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
+  let usb = stage.Proto.Stage.kernel.Core.Kernel.board.Hw.Board.usb in
+  let cpu_view () =
+    let w = Hw.Framebuffer.width fb and h = Hw.Framebuffer.height fb in
+    let b = Bytes.create (8 * w * h) in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        Bytes.set_int64_le b (8 * ((y * w) + x))
+          (Int64.of_int (Hw.Framebuffer.read_pixel fb ~x ~y))
+      done
+    done;
+    Bytes.unsafe_to_string b
+  in
+  let press ?modifiers code =
+    Hw.Usb.key_down usb ?modifiers code;
+    Proto.Stage.run_for stage (Sim.Engine.ms 50);
+    Hw.Usb.key_up usb code
+  in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let pins = ref [] in
+  let pin name ms =
+    Proto.Stage.run_for stage (Sim.Engine.ms ms);
+    pins := (name, md5 (Hw.Framebuffer.to_ppm fb), md5 (cpu_view ())) :: !pins
+  in
+  ignore (Proto.Stage.start stage "mario" [ "mario"; "sdl"; "0" ]);
+  Proto.Stage.run_for stage (Sim.Engine.ms 500);
+  ignore (Proto.Stage.start stage "launcher" [ "launcher"; "0" ]);
+  Proto.Stage.run_for stage (Sim.Engine.ms 500);
+  ignore (Proto.Stage.start stage "sysmon" [ "sysmon"; "0" ]);
+  pin "three windows" 1000;
+  check_int "three surfaces" 3
+    (Core.Wm.surface_count (Option.get stage.Proto.Stage.kernel.Core.Kernel.wm));
+  pin "a second on" 1000;
+  press ~modifiers:0x01 0x2b (* ctrl+tab *);
+  pin "after ctrl+tab" 500;
+  press ~modifiers:0x01 0x51 (* ctrl+down *);
+  pin "after ctrl+down" 500;
+  List.iter2
+    (fun (name, plane, cpu) (plane', cpu') ->
+      check_string (name ^ ": display plane") plane' plane;
+      check_string (name ^ ": CPU view") cpu' cpu)
+    (List.rev !pins)
+    [
+      ("065ae1c4c139e8da71c99547cd3c38f6", "d205f9f2ac44aed8838bd6b9b4d9b3e2");
+      ("7234918a20bdb739109c67295ee02f1d", "f065ab6e9634247c96f8ca23a1434d22");
+      ("d63adcbf486b7bafefa72a3f0389c9a2", "1abef9eeed8a9d218a68a21ba0ec4337");
+      ("cd3bdc1c7bfa0a3a1fb6e91c2a28ac7b", "e76d4beb5fb03fac94374c675e0449f2");
+    ]
+
 (* A corrupt payload behind a valid header is EINVAL, like a bad header,
    not an exception that kills the task. *)
 let video_rejects_corrupt_payload () =
@@ -318,6 +374,7 @@ let suite_integration =
       slow "mario variants render" mario_variants_produce_frames;
       slow "video plays" video_plays_at_native_rate;
       slow "video display plane is pinned" video_display_plane_pinned;
+      slow "desktop planes are pinned" desktop_planes_pinned;
       quick "video rejects a corrupt payload" video_rejects_corrupt_payload;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;

@@ -281,6 +281,30 @@ let fb_blit_pixels_contract () =
         (Array.for_all (fun v -> v = -1) dst))
     [ (-1, 0, 4); (0, -1, 4); (0, 0, -1); (21, 0, 4); (0, 7, 4); (0, 0, 11); (24, 10, 1) ]
 
+(* fill_pixels against Array.fill: every length 0-9 at every offset mod
+   4 (the unrolled body and each tail), and a bad range raises before
+   writing anything. *)
+let fb_fill_pixels_contract () =
+  for n = 0 to 9 do
+    for doff = 0 to 7 do
+      let a = Array.make 20 (-1) and a' = Array.make 20 (-1) in
+      Hw.Framebuffer.fill_pixels a doff n 0x123456;
+      Array.fill a' doff n 0x123456;
+      check_bool (Printf.sprintf "fill n=%d at %d" n doff) true (a = a')
+    done
+  done;
+  List.iter
+    (fun (doff, n) ->
+      let dst = Array.make 10 (-1) in
+      (match Hw.Framebuffer.fill_pixels dst doff n 7 with
+      | () -> Alcotest.failf "fill %d %d: expected Invalid_argument" doff n
+      | exception Invalid_argument _ -> ());
+      check_bool
+        (Printf.sprintf "fill %d %d wrote nothing" doff n)
+        true
+        (Array.for_all (fun v -> v = -1) dst))
+    [ (-1, 4); (0, -1); (7, 4); (0, 11); (10, 1); (11, 0) ]
+
 let fb_ppm_and_ascii () =
   let fb = Hw.Framebuffer.create ~width:2 ~height:2 in
   Hw.Framebuffer.set_mapping fb Hw.Framebuffer.Uncached;
@@ -575,6 +599,7 @@ let suite =
       quick "fb ppm and ascii" fb_ppm_and_ascii;
       quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;
       quick "fb blit_pixels matches the element loop" fb_blit_pixels_contract;
+      quick "fb fill_pixels matches Array.fill" fb_fill_pixels_contract;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;
       quick "dma busy rejects" dma_busy_rejects;

@@ -1316,10 +1316,22 @@ let wm_zorder_and_focus () =
   Core.Wm.rotate_focus wm;
   check_int "full cycle" focus0 (Option.get wm.Core.Wm.focus)
 
+(* One pixel of [src] over [dst] at [alpha]: the compositor oracle's
+   arithmetic, which [Wm.blend_span] applies to a span. *)
+let blend dst src alpha =
+  if alpha >= 255 then src
+  else begin
+    let inv = 255 - alpha in
+    let r = (((src lsr 16) land 0xff) * alpha + ((dst lsr 16) land 0xff) * inv) / 255 in
+    let g = (((src lsr 8) land 0xff) * alpha + ((dst lsr 8) land 0xff) * inv) / 255 in
+    let b = ((src land 0xff) * alpha + (dst land 0xff) * inv) / 255 in
+    (r lsl 16) lor (g lsl 8) lor b
+  end
+
 let wm_alpha_blend () =
-  check_int "opaque replaces" 0x0000ff (Core.Wm.blend 0xff0000 0x0000ff 255);
-  check_int "zero alpha keeps" 0xff0000 (Core.Wm.blend 0xff0000 0x0000ff 0);
-  let half = Core.Wm.blend 0x000000 0xfffffe 128 in
+  check_int "opaque replaces" 0x0000ff (blend 0xff0000 0x0000ff 255);
+  check_int "zero alpha keeps" 0xff0000 (blend 0xff0000 0x0000ff 0);
+  let half = blend 0x000000 0xfffffe 128 in
   let r = (half lsr 16) land 0xff in
   check_in_range "half blend" 125.0 130.0 (float_of_int r)
 
@@ -1401,13 +1413,15 @@ let wm_move_leaves_no_trail () =
   check_int "window at its new rows" 0x123456 (at 0)
 
 (* The per-pixel compositor the span loops replaced, kept as the oracle:
-   every layer's row, every column, one bounds test and one [blend]. *)
+   every layer's row, every column, one bounds test and one [blend],
+   composed in a scratch row and then written with [write_row]. *)
 let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.Core.Wm.fb in
   let layers = Core.Wm.stacking t in
+  let line = Array.make width 0 in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill t.Core.Wm.compose_row 0 width background;
+    Array.fill line 0 width background;
     List.iter
       (fun (s : Core.Wm.surface) ->
         let row = y - s.sy in
@@ -1415,13 +1429,12 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
           for col = 0 to s.width - 1 do
             let x = s.sx + col in
             if x >= 0 && x < width then begin
-              t.compose_row.(x) <-
-                Core.Wm.blend t.compose_row.(x) s.pixels.((row * s.width) + col) s.alpha;
+              line.(x) <- blend line.(x) s.pixels.((row * s.width) + col) s.alpha;
               incr count
             end
           done)
       layers;
-    Hw.Framebuffer.write_row t.fb ~y ~off:0 t.compose_row
+    Hw.Framebuffer.write_row t.fb ~y ~off:0 line
   done;
   Hw.Framebuffer.flush t.fb;
   !count
@@ -1535,23 +1548,64 @@ let oracle_unpack data npx =
       lor (Bytes.get_uint8 data ((4 * i) + 1) lsl 8)
       lor (Bytes.get_uint8 data ((4 * i) + 2) lsl 16))
 
+(* Pack and unpack equal the per-byte format at every [npx] up to the
+   buffers, odd ones included, and leave the bytes and elements past
+   [npx] untouched. A bad [npx] (negative, or past either buffer) raises
+   before writing anything: [Invalid_argument] from the user-side pack,
+   a kernel panic from the kernel-side unpack. *)
 let wm_surface_wire_format =
   qcheck ~count:300 "surface pack/unpack = per-byte format"
-    QCheck.(pair (array_of_size (Gen.int_range 0 40) int) (string_of_size (Gen.int_range 0 160)))
-    (fun (pixels, raw) ->
-      let npx = Array.length pixels in
-      let packed = Bytes.create (4 * npx) in
-      User.Gfx.pack_pixels pixels packed npx;
-      let unpack data =
-        let n = Bytes.length data / 4 in
-        let dst = Array.make n (-1) in
-        Core.Devfs.unpack_pixels data dst n;
+    QCheck.(
+      triple
+        (array_of_size (Gen.int_range 0 40) int)
+        (string_of_size (Gen.int_range 0 160))
+        small_nat)
+    (fun (pixels, raw, cut) ->
+      let len = Array.length pixels in
+      let pack npx =
+        let b = Bytes.make ((4 * len) + 6) '\xa5' in
+        User.Gfx.pack_pixels pixels b npx;
+        b
+      in
+      let packed_ok npx =
+        let b = pack npx in
+        Bytes.equal (Bytes.sub b 0 (4 * npx)) (oracle_pack pixels npx)
+        && Bytes.for_all (( = ) '\xa5') (Bytes.sub b (4 * npx) (Bytes.length b - (4 * npx)))
+      in
+      let unpack data npx =
+        let dst = Array.make ((Bytes.length data / 4) + 3) (-1) in
+        Core.Devfs.unpack_pixels data dst npx;
         dst
       in
+      let unpacked_ok data npx =
+        let dst = unpack data npx in
+        Array.sub dst 0 npx = oracle_unpack data npx
+        && Array.for_all (( = ) (-1)) (Array.sub dst npx (Array.length dst - npx))
+      in
       let raw = Bytes.of_string raw in
-      Bytes.equal packed (oracle_pack pixels npx)
-      && unpack packed = oracle_unpack packed npx
-      && unpack raw = oracle_unpack raw (Bytes.length raw / 4))
+      let nraw = Bytes.length raw / 4 in
+      let rejected f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let panics f = match f () with _ -> false | exception Core.Kpanic.Panic _ -> true in
+      let untouched_pack ~bytes npx =
+        let b = Bytes.make bytes '\xa5' in
+        rejected (fun () -> User.Gfx.pack_pixels pixels b npx)
+        && Bytes.for_all (( = ) '\xa5') b
+      in
+      let untouched_unpack dst npx =
+        let before = Array.copy dst in
+        panics (fun () -> Core.Devfs.unpack_pixels raw dst npx) && dst = before
+      in
+      packed_ok len
+      && packed_ok (cut mod (len + 1))
+      && unpacked_ok (pack len) len
+      && unpacked_ok raw nraw
+      && unpacked_ok raw (cut mod (nraw + 1))
+      && untouched_pack ~bytes:(4 * len) (-1)
+      && untouched_pack ~bytes:(4 * (len + 2)) (len + 1)
+      && (len < 1 || untouched_pack ~bytes:((4 * len) - 1) len)
+      && untouched_unpack (Array.make (nraw + 2) (-1)) (-1)
+      && untouched_unpack (Array.make (nraw + 2) (-1)) (nraw + 1)
+      && (nraw < 1 || untouched_unpack (Array.make (nraw - 1) (-1)) nraw))
 
 (* A random frame through Gfx.present and /dev/surface lands in the WM
    surface as its low 24 bits. *)
