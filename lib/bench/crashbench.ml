@@ -145,7 +145,7 @@ let suffix_from l i =
    Returns (blocks replayed, findings). *)
 let verify board image files =
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
   in
   match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with
@@ -201,7 +201,7 @@ let run_once ~seed ~base ~cut_after =
   | None -> ());
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:64
       ~writeback:true ()
   in

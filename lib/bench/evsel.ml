@@ -33,7 +33,7 @@ let kind = function
   | Irq_enter _ | Irq_exit _ | Sched_migrate _ | Ipi_send _ | Ipi_recv _
   | Poll_return _ | Wm_composite | Lock_acquire _ | Lock_release _
   | Sem_block _ | Sem_wake _ | Custom _ | Span_begin _ | Span_end _
-  | Task_state _ | Runq_depth _ ->
+  | Task_state _ | Runq_depth _ | Probe _ ->
       Other
 
 (* The Figure-11 input breakdown, mined from a sorted dump: each

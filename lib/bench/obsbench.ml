@@ -1,10 +1,12 @@
 (** obsbench — the observability stack measuring its own cost and
     checking its own contract, in [BENCH_obs.json]:
 
-    - {b what does a detached probe point cost the host?} Every fire
-      site guards on {!Core.Vprobe.armed} (one array read); part 1 times
-      ~10M guard evaluations, detached and attached, in host ns/site.
-      The acceptance bar is single-digit ns while detached.
+    - {b what does a detached probe point cost the host?} A site that
+      feeds a probe-only event guards on {!Core.Ktrace.probing} (one
+      option check; a ring event's site has no guard of its own, its
+      [Ktrace.emit] makes the same check). Part 1 times ~10M guard
+      evaluations detached, and the guarded emit attached, in host
+      ns/site. The acceptance bar is single-digit ns while detached.
 
     - {b does arming move any virtual number?} Part 2 runs an identical
       syscall/pipe/file workload in two kernels — one with no probes
@@ -25,42 +27,43 @@
 let guard_iters = 10_000_000
 let fire_iters = 1_000_000
 
-(* The detached fast path as every fire site spells it: one [armed]
-   check, nothing else. [Sys.opaque_identity] keeps flambda from
-   hoisting the load out of the loop. *)
+(* Both loops spell a pipe read's probe site as pipe.ml does: build the
+   probe-only event and emit it only while a probe hook is installed.
+   Detached, that is the [probing] check and nothing else;
+   [Sys.opaque_identity] keeps flambda from hoisting the load out of
+   the loop. *)
 let detached_ns_per_site () =
-  let vp = Core.Vprobe.create () in
-  let hits = ref 0 in
+  let tr = Core.Ktrace.create () in
   let (), dt =
     Report.timed (fun () ->
-        for _ = 1 to guard_iters do
-          let vp = Sys.opaque_identity vp in
-          if Core.Vprobe.armed vp Core.Vprobe.pt_sched_wakeup then incr hits
+        for i = 1 to guard_iters do
+          let tr = Sys.opaque_identity tr in
+          if Core.Ktrace.probing tr then
+            Core.Ktrace.emit tr ~ts_ns:0L ~core:0
+              (Core.Ktrace.Probe
+                 (Core.Ktrace.Pipe_read (i land 7, 64, i land 0xffff)))
         done)
   in
-  assert (!hits = 0);
+  assert (tr.Core.Ktrace.head = 0);
   dt *. 1e9 /. float_of_int guard_iters
 
 (* Attached cost: a histogram aggregation with a predicate, the
    expensive end of the ladder. *)
 let attached_ns_per_fire () =
-  let vp = Core.Vprobe.create () in
-  (match Core.Vprobe.attach vp "probe sched:wakeup / pid>=0 / hist(latency_ns)"
+  let tr = Core.Ktrace.create () in
+  (match
+     Core.Vprobe.attach (Core.Vprobe.create tr)
+       "probe pipe:read / pid>=0 / hist(latency_ns)"
    with
   | Ok _ -> ()
   | Error e -> invalid_arg e);
-  let args i =
-    {
-      Core.Vprobe.no_args with
-      Core.Vprobe.a_pid = i land 7;
-      Core.Vprobe.a_latency_ns = Int64.of_int (i land 0xffff);
-    }
-  in
   let (), dt =
     Report.timed (fun () ->
         for i = 1 to fire_iters do
-          if Core.Vprobe.armed vp Core.Vprobe.pt_sched_wakeup then
-            Core.Vprobe.fire vp Core.Vprobe.pt_sched_wakeup (args i)
+          if Core.Ktrace.probing tr then
+            Core.Ktrace.emit tr ~ts_ns:0L ~core:0
+              (Core.Ktrace.Probe
+                 (Core.Ktrace.Pipe_read (i land 7, 64, i land 0xffff)))
         done)
   in
   dt *. 1e9 /. float_of_int fire_iters

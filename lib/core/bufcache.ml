@@ -89,7 +89,7 @@ type t = {
           only — never charges cycles, so BENCH output is unchanged. *)
 }
 
-let create ~board ~vprobe ~backing ~block_sectors ?(capacity = 30)
+let create ~board ~trace ~backing ~block_sectors ?(capacity = 30)
     ?(writeback = false) ?(readahead = 0) ?(coalesce = true) () =
   {
     backing;
@@ -100,7 +100,7 @@ let create ~board ~vprobe ~backing ~block_sectors ?(capacity = 30)
     readahead;
     coalesce;
     cache = Hashtbl.create 64;
-    bclock = Spinlock.create ~vprobe "bclock";
+    bclock = Spinlock.create ~trace "bclock";
     mru = None;
     lru = None;
     dirty_count = 0;
@@ -163,30 +163,23 @@ let observe_sd t ~op ~cost =
       let now = Sched.now sched in
       Ktrace.emit tr ~ts_ns:now ~core:0 (Ktrace.Span_begin (span, pid, op));
       Ktrace.emit tr ~ts_ns:(Int64.add now io_ns) ~core:0 (Ktrace.Span_end span);
-      (* sd:issue fires at request submission, sd:complete carries the
-         modeled device latency — both host-side, stamped now *)
-      let vp = sched.Sched.vprobe in
-      if Vprobe.armed vp Vprobe.pt_sd_issue then
-        Vprobe.fire vp Vprobe.pt_sd_issue
-          { Vprobe.no_args with Vprobe.a_pid = pid };
-      if Vprobe.armed vp Vprobe.pt_sd_complete then
-        Vprobe.fire vp Vprobe.pt_sd_complete
-          { Vprobe.no_args with Vprobe.a_pid = pid;
-            Vprobe.a_latency_ns = io_ns }
+      (* vprobe's sd:issue and sd:complete, stamped now *)
+      if Ktrace.probing tr then
+        Ktrace.emit tr ~ts_ns:now ~core:0
+          (Ktrace.Probe (Ktrace.Sd_request (pid, Int64.to_int io_ns)))
 
 (* bufcache:hit / bufcache:miss, with the block number as arg0. *)
-let fire_cache_probe t ~hit ~block =
+let observe_lookup t ~hit ~block =
   match t.obs with
-  | None -> ()
-  | Some sched ->
-      let vp = sched.Sched.vprobe in
-      let pt = if hit then Vprobe.pt_bufcache_hit else Vprobe.pt_bufcache_miss in
-      if Vprobe.armed vp pt then
-        let pid =
-          match t.ctx with Some c -> c.Sched.task.Task.pid | None -> 0
-        in
-        Vprobe.fire vp pt
-          { Vprobe.no_args with Vprobe.a_pid = pid; Vprobe.a_arg0 = block }
+  | Some sched when Ktrace.probing sched.Sched.trace ->
+      let pid =
+        match t.ctx with Some c -> c.Sched.task.Task.pid | None -> 0
+      in
+      Sched.trace_emit sched
+        (Ktrace.Probe
+           (if hit then Ktrace.Cache_hit (pid, block)
+            else Ktrace.Cache_miss (pid, block)))
+  | Some _ | None -> ()
 
 let block_bytes t = t.block_sectors * Fs.Blockdev.sector_bytes
 
@@ -487,12 +480,12 @@ let bread t n =
   match Hashtbl.find_opt t.cache n with
   | Some e ->
       t.hits <- t.hits + 1;
-      fire_cache_probe t ~hit:true ~block:n;
+      observe_lookup t ~hit:true ~block:n;
       lru_touch t e;
       Bytes.copy e.e_data
   | None ->
       t.misses <- t.misses + 1;
-      fire_cache_probe t ~hit:false ~block:n;
+      observe_lookup t ~hit:false ~block:n;
       charge_cycles t Kcost.bufcache_miss_extra;
       let streaming = n = t.next_expected in
       let ra =

@@ -66,7 +66,7 @@ let create sched =
   {
     sched;
     tables = Hashtbl.create 32;
-    ftlock = Spinlock.create ~vprobe:sched.Sched.vprobe "ftlock";
+    ftlock = Spinlock.create ~trace:sched.Sched.trace "ftlock";
     next_file_id = 0;
   }
 

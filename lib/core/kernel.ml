@@ -198,10 +198,11 @@ let build_fat_partition board spec =
 
 (* Mount a device-backed FAT32 volume at [at] through a block cache of
    its own, and return that cache. *)
-let mount_fat_device vfs ~board ~vprobe (cfg : Kconfig.t) backing ~at =
+let mount_fat_device vfs ~board (cfg : Kconfig.t) backing ~at =
   let bc =
-    Bufcache.create ~board ~vprobe ~backing ~block_sectors:1 ~capacity:64
-      ~writeback:cfg.Kconfig.writeback ~readahead:cfg.Kconfig.readahead_blocks
+    Bufcache.create ~board ~trace:vfs.Vfs.sched.Sched.trace ~backing
+      ~block_sectors:1 ~capacity:64 ~writeback:cfg.Kconfig.writeback
+      ~readahead:cfg.Kconfig.readahead_blocks
       ~coalesce:cfg.Kconfig.sd_coalescing ()
   in
   match
@@ -274,7 +275,7 @@ let boot spec =
       ~kernel_reserved_bytes:kernel_reserved
   in
   let sched = Sched.create board spec.sp_config kalloc in
-  let vprobe = sched.Sched.vprobe in
+  let trace = sched.Sched.trace in
   (* the runtime sanitizer comes up with the scheduler so every later
      subsystem can feed it; kernel-side knowledge (channel-name parsing,
      semaphore holders, fd walks) is injected below once those exist *)
@@ -285,18 +286,18 @@ let boot spec =
   (match kcheck with
   | Some kc ->
       Kcheck.set_emit kc (fun ev -> Sched.trace_emit sched ev);
-      sched.Sched.ptable <- Some (Spinlock.create ~kcheck:kc ~vprobe "ptable")
+      sched.Sched.ptable <- Some (Spinlock.create ~kcheck:kc ~trace "ptable")
   | None -> ());
   let root_bc =
     if spec.sp_config.Kconfig.journal then
       (* journaled rootfs wants the write-back cache (pinned blocks defer
          until commit) and a capacity that holds a whole transaction *)
-      Bufcache.create ~board ~vprobe ~backing:(Bufcache.Ram ramdisk)
+      Bufcache.create ~board ~trace ~backing:(Bufcache.Ram ramdisk)
         ~block_sectors:2 ~capacity:128
         ~writeback:spec.sp_config.Kconfig.writeback
         ~coalesce:spec.sp_config.Kconfig.sd_coalescing ()
     else
-      Bufcache.create ~board ~vprobe ~backing:(Bufcache.Ram ramdisk)
+      Bufcache.create ~board ~trace ~backing:(Bufcache.Ram ramdisk)
         ~block_sectors:2 ()
   in
   let rootfs =
@@ -329,14 +330,14 @@ let boot spec =
   let vfs =
     Vfs.create ~sched ~config:spec.sp_config ~fdt ~root:rootfs ~root_bc ~devfs
       ~procfs
-      ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf vprobe)
+      ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf)
   in
   (* FAT32 partition under /d *)
   let fat_bc =
     if Kconfig.desktop spec.sp_config then begin
       build_fat_partition board spec;
       Some
-        (mount_fat_device vfs ~board ~vprobe spec.sp_config
+        (mount_fat_device vfs ~board spec.sp_config
            (Bufcache.Card (board.Hw.Board.sd, part2_lba))
            ~at:"/d")
     end
@@ -353,7 +354,7 @@ let boot spec =
       format_fat (Fs.Blockdev.of_disk ~name:"usb0" disk) files;
       Hw.Usb.attach_msd board.Hw.Board.usb disk;
       ignore
-        (mount_fat_device vfs ~board ~vprobe spec.sp_config
+        (mount_fat_device vfs ~board spec.sp_config
            (Bufcache.Usb_msd board.Hw.Board.usb)
            ~at:"/usb"));
   (* Write-back mode: a periodic flush daemon per device-backed cache.
@@ -489,12 +490,11 @@ let boot spec =
        match sched.Sched.kcheck with
        | Some kc -> List.length kc.Kcheck.violations
        | None -> 0));
-  (* the journal-commit probe: host-side bookkeeping, no cycles charged
+  (* vprobe's journal:commit: host-side bookkeeping, no cycles charged
      and no engine events scheduled *)
   Fs.Xv6fs.set_on_commit rootfs (fun blocks ->
-      if Vprobe.armed vprobe Vprobe.pt_journal_commit then
-        Vprobe.fire vprobe Vprobe.pt_journal_commit
-          { Vprobe.no_args with Vprobe.a_arg0 = blocks });
+      if Ktrace.probing trace then
+        Sched.trace_emit sched (Ktrace.Probe (Ktrace.Journal_commit blocks)));
   (* task teardown hooks *)
   sched.Sched.on_task_exit <-
     [

@@ -16,7 +16,29 @@
     stream in emission order. Span events turn syscalls, IRQ dispatches,
     context switches and block requests into durations; the machine
     format feeds [tools/ktrace2perfetto]. Runtime control (enable, clock,
-    class filter) is driven by writes to [/proc/ktrace_ctl]. *)
+    class filter) is driven by writes to [/proc/ktrace_ctl].
+
+    [emit] is the kernel's only instrumentation call. Besides the ring
+    it feeds one probe hook, which {!Vprobe} installs while any probe is
+    attached: the hook sees every event before the enable and filter
+    gates, and also the [Probe] events, which carry what only a probe
+    reads and never enter the ring. *)
+
+(* Probe-only events carry what only a vprobe point reads: {!emit}
+   hands them to the probe hook and never writes them to the ring. A
+   site builds one only while {!probing}. *)
+type probe_event =
+  | Sys_args of int * int * int * int
+      (** syscall index, pid, fd (-1 = none), arg0: at entry *)
+  | Sys_result of int * int * int * int * int * int
+      (** syscall index, pid, fd, arg0, errno (0 = success), service ns *)
+  | Spin_take of bool  (** a spinlock taken; true if another core held it *)
+  | Pipe_write of int * int  (** pid, bytes asked to write *)
+  | Pipe_read of int * int * int  (** pid, bytes read, ns waited for them *)
+  | Cache_hit of int * int  (** pid, block *)
+  | Cache_miss of int * int  (** pid, block *)
+  | Sd_request of int * int  (** pid, modeled device ns *)
+  | Journal_commit of int  (** blocks committed *)
 
 type event =
   | Syscall_enter of int * string  (** pid, name *)
@@ -45,6 +67,7 @@ type event =
           zombie) — the delay-accounting transition stream; Perfetto
           renders it as a per-task thread-state counter track *)
   | Runq_depth of int * int  (** core, runnable-queue depth after the change *)
+  | Probe of probe_event  (** never in the ring *)
 
 type entry = {
   ts_ns : int64;
@@ -56,6 +79,9 @@ type entry = {
 }
 
 (* ---- event classes, for the ktrace_ctl filter ---- *)
+
+(* The class of [Probe] events, which no filter selects. *)
+let probe_only = 9
 
 (* Bit indices into the filter mask. Spelled out constructor by
    constructor (vlint R004): adding an event forces a classification. *)
@@ -71,6 +97,7 @@ let class_of ev =
   | Span_begin _ | Span_end _ -> 6
   | Custom _ -> 7
   | Task_state _ | Runq_depth _ -> 8
+  | Probe _ -> probe_only
 
 let class_names =
   [
@@ -128,6 +155,10 @@ type t = {
   mutable on_data : (unit -> unit) option;
       (** poked after each emit while a trace-pipe reader is open; the
           kernel wires this to a deferred [Sched.poll_wake] *)
+  mutable probe : (int -> event -> unit) option;
+      (** the probe hook: sees every emitted event and its core, before
+          the enable and filter gates, [Probe] events included. vprobe
+          installs it while any probe is attached *)
 }
 
 (* Fills the event column's unwritten slots; never read. *)
@@ -155,12 +186,18 @@ let create ?(capacity = 262144) () =
     readers_open = 0;
     dstate = false;
     on_data = None;
+    probe = None;
   }
 
 let set_enabled t on = t.enabled <- on
 let set_dstate t on = t.dstate <- on
 let set_filter t mask = t.filter <- mask
 let set_clock_base t base = t.clock_base <- base
+
+(* Whether a probe hook is installed: the guard a site checks before it
+   builds a [Probe] event. *)
+let probing t = match t.probe with Some _ -> true | None -> false
+
 let new_span t =
   t.next_span <- t.next_span + 1;
   t.next_span
@@ -185,7 +222,9 @@ let grow t =
   t.mask <- (2 * n) - 1
 
 let emit t ~ts_ns ~core ev =
-  if t.enabled && t.filter land (1 lsl class_of ev) <> 0 then begin
+  (match t.probe with Some hook -> hook core ev | None -> ());
+  let cls = class_of ev in
+  if cls <> probe_only && t.enabled && t.filter land (1 lsl cls) <> 0 then begin
     if t.head = length t && t.head < t.cap then grow t;
     let slot = t.head land t.mask in
     Bytes.set_int64_ne t.stamps (8 * slot) (Int64.sub ts_ns t.clock_base);
@@ -340,7 +379,8 @@ let pair_spans entries =
       | Irq_exit _ | Sched_wakeup _ | Sched_migrate _ | Ipi_send _
       | Ipi_recv _ | Kbd_report | Event_delivered _ | Poll_return _
       | Frame_present _ | Wm_composite | Lock_acquire _ | Lock_release _
-      | Sem_block _ | Sem_wake _ | Custom _ | Task_state _ | Runq_depth _ ->
+      | Sem_block _ | Sem_wake _ | Custom _ | Task_state _ | Runq_depth _
+      | Probe _ ->
           ())
     entries;
   let still_open sp =
@@ -384,6 +424,7 @@ let describe ev =
   | Task_state (pid, st) -> Printf.sprintf "task_state pid=%d state=%d" pid st
   | Runq_depth (core, depth) ->
       Printf.sprintf "runq_depth core%d depth=%d" core depth
+  | Probe _ -> "probe-only"
 
 let format_entry e =
   Printf.sprintf "[%10.3f us] core%d %s" (Int64.to_float e.ts_ns /. 1e3) e.core
@@ -481,6 +522,7 @@ let add_machine_line b e =
   | Span_end id -> tag_i b "span_end" id
   | Task_state (pid, st) -> tag_ii b "task_state" pid st
   | Runq_depth (core, depth) -> tag_ii b "runq_depth" core depth
+  | Probe _ -> Buffer.add_string b "probe_only"
 
 let machine_line e =
   let b = Buffer.create 64 in

@@ -42,10 +42,9 @@ type params = {
   pipe_bytes : Kperf.cell;  (** bytes moved through pipes, both ways *)
   wakeups_issued : Kperf.cell;
   wakeups_suppressed : Kperf.cell;
-  vprobe : Vprobe.t;  (** every pipe's [plock] fires into it *)
 }
 
-let params_of_config (cfg : Kconfig.t) kperf vprobe =
+let params_of_config (cfg : Kconfig.t) kperf =
   let c = Kperf.counter kperf in
   let pipe_writes = c "vos_pipe_writes_total" in
   let pipe_reads = c "vos_pipe_reads_total" in
@@ -62,7 +61,6 @@ let params_of_config (cfg : Kconfig.t) kperf vprobe =
     pipe_bytes;
     wakeups_issued;
     wakeups_suppressed;
-    vprobe;
   }
 
 type t = {
@@ -85,7 +83,7 @@ type t = {
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-let create p =
+let create p ~trace =
   p.next_id <- p.next_id + 1;
   let id = p.next_id in
   let cap = pow2_at_least p.buffer_bytes 64 in
@@ -100,7 +98,7 @@ let create p =
     writers = 1;
     rchan = Printf.sprintf "pipe:%d:r" id;
     wchan = Printf.sprintf "pipe:%d:w" id;
-    plock = Spinlock.create ~vprobe:p.vprobe "plock";
+    plock = Spinlock.create ~trace "plock";
   }
 
 let fill t = t.wpos - t.rpos
@@ -159,13 +157,9 @@ let write ctx t data ~nonblock =
   let len = Bytes.length data in
   let sent = ref 0 in
   t.p.pipe_writes.Kperf.n <- t.p.pipe_writes.Kperf.n + 1;
-  (let vp = sched.Sched.vprobe in
-   if Vprobe.armed vp Vprobe.pt_pipe_write then
-     Vprobe.fire vp Vprobe.pt_pipe_write
-       { Vprobe.no_args with
-         Vprobe.a_pid = ctx.Sched.task.Task.pid;
-         Vprobe.a_core = max 0 ctx.Sched.task.Task.last_core;
-         Vprobe.a_arg0 = len });
+  if Ktrace.probing sched.Sched.trace then
+    Sched.trace_emit_task sched ctx.Sched.task
+      (Ktrace.Probe (Ktrace.Pipe_write (ctx.Sched.task.Task.pid, len)));
   let rec step () =
     if t.readers = 0 then
       Sched.finish ctx
@@ -217,14 +211,13 @@ let read ctx t ~len ~nonblock =
       if t.p.edge then wake_on_edge ctx t t.wchan (was_full && space t > 0)
       else wake ctx t t.wchan;
       Sched.poll_wake sched;
-      (let vp = sched.Sched.vprobe in
-       if Vprobe.armed vp Vprobe.pt_pipe_read then
-         Vprobe.fire vp Vprobe.pt_pipe_read
-           { Vprobe.no_args with
-             Vprobe.a_pid = ctx.Sched.task.Task.pid;
-             Vprobe.a_core = max 0 ctx.Sched.task.Task.last_core;
-             Vprobe.a_arg0 = n;
-             Vprobe.a_latency_ns = Int64.sub (Sched.now sched) entered_ns });
+      if Ktrace.probing sched.Sched.trace then
+        Sched.trace_emit_task sched ctx.Sched.task
+          (Ktrace.Probe
+             (Ktrace.Pipe_read
+                ( ctx.Sched.task.Task.pid,
+                  n,
+                  Int64.to_int (Int64.sub (Sched.now sched) entered_ns) )));
       Sched.finish ctx (Abi.R_bytes out)
     end
     else if t.writers = 0 then Sched.finish ctx (Abi.R_bytes Bytes.empty)

@@ -256,50 +256,43 @@ let ktrace_close t file =
 
 (* Commands, one per line: "enable=0|1", "clock=abs|rel" (rel rebases
    stamps at the current instant), "filter=all" or a comma-separated
-   class list ("filter=syscall,span"). The whole write is rejected with
-   EINVAL if any line fails to parse. *)
+   class list ("filter=syscall,span"). Every line parses before any
+   applies: if one fails, the whole write is rejected with EINVAL and
+   nothing changes. *)
 let ktrace_ctl_write t ctx bytes =
   let tr = t.sched.Sched.trace in
-  let apply line =
+  let parse line =
     match String.index_opt line '=' with
-    | None -> false
+    | None -> None
     | Some i -> (
         let key = String.sub line 0 i in
         let value =
           String.sub line (i + 1) (String.length line - i - 1) |> String.trim
         in
-        match key with
-        | "enable" -> (
-            match value with
-            | "0" -> Ktrace.set_enabled tr false; true
-            | "1" -> Ktrace.set_enabled tr true; true
-            | _ -> false)
-        | "clock" -> (
-            match value with
-            | "abs" -> Ktrace.set_clock_base tr 0L; true
-            | "rel" ->
-                Ktrace.set_clock_base tr (Hw.Board.now t.board);
-                true
-            | _ -> false)
-        | "filter" -> (
-            match Ktrace.filter_of_string value with
-            | Some mask -> Ktrace.set_filter tr mask; true
-            | None -> false)
-        | "dstate" -> (
-            (* delay-accounting trace events (class dstate): off by
-               default so armed-vs-stock traces stay byte-identical *)
-            match value with
-            | "0" -> Ktrace.set_dstate tr false; true
-            | "1" -> Ktrace.set_dstate tr true; true
-            | _ -> false)
-        | _ -> false)
+        match (key, value) with
+        | "enable", "0" -> Some (fun () -> Ktrace.set_enabled tr false)
+        | "enable", "1" -> Some (fun () -> Ktrace.set_enabled tr true)
+        | "clock", "abs" -> Some (fun () -> Ktrace.set_clock_base tr 0L)
+        | "clock", "rel" ->
+            Some (fun () -> Ktrace.set_clock_base tr (Hw.Board.now t.board))
+        | "filter", _ ->
+            Option.map
+              (fun mask () -> Ktrace.set_filter tr mask)
+              (Ktrace.filter_of_string value)
+        (* delay-accounting trace events (class dstate): off by default
+           so armed-vs-stock traces stay byte-identical *)
+        | "dstate", "0" -> Some (fun () -> Ktrace.set_dstate tr false)
+        | "dstate", "1" -> Some (fun () -> Ktrace.set_dstate tr true)
+        | _ -> None)
   in
   let lines =
     Bytes.to_string bytes |> String.split_on_char '\n'
     |> List.map String.trim
     |> List.filter (fun l -> not (String.equal l ""))
   in
-  if lines <> [] && List.for_all apply lines then begin
+  let actions = List.filter_map parse lines in
+  if lines <> [] && List.compare_lengths actions lines = 0 then begin
+    List.iter (fun apply -> apply ()) actions;
     Sched.charge ctx 500;
     Sched.finish ctx (Abi.R_int (Bytes.length bytes))
   end

@@ -98,9 +98,7 @@ and t = {
   h_poll_wait : Kperf.Hist.t;  (** poll(2) entry to wake (vfs records) *)
   h_pipe_wait : Kperf.Hist.t;  (** blocked pipe read round-trip (pipe.ml) *)
   h_sd_req : Kperf.Hist.t;  (** SD request latency (bufcache records) *)
-  vprobe : Vprobe.t;
-      (** the dynamic-probe registry; fire sites guard with
-          {!Vprobe.armed} so a disarmed point costs one array read *)
+  vprobe : Vprobe.t;  (** the dynamic-probe registry, fed by [trace] *)
   cls : sched_class;
   cores : core_state array;
   active_cores : int;
@@ -223,18 +221,19 @@ let create board config kalloc =
   let cls = class_of_policy config.Kconfig.sched_policy in
   let kperf = Kperf.create () in
   kperf.Kperf.profile_hz <- config.Kconfig.profile_hz;
+  let trace = Ktrace.create () in
   let t =
     {
       board;
       config;
       kalloc;
-      trace = Ktrace.create ();
+      trace;
       kperf;
       h_syscall = Kperf.hist kperf "vos_syscall_service_ns";
       h_poll_wait = Kperf.hist kperf "vos_poll_wait_ns";
       h_pipe_wait = Kperf.hist kperf "vos_pipe_read_wait_ns";
       h_sd_req = Kperf.hist kperf "vos_sd_request_ns";
-      vprobe = Vprobe.create ();
+      vprobe = Vprobe.create trace;
       cls;
       cores =
         Array.init board.Hw.Board.platform.Hw.Board.num_cores (fun core_id ->
@@ -530,10 +529,6 @@ and enqueue_task t task =
   rq_add core.rq task;
   trace_emit_core t ~core:core.core_id (Ktrace.Sched_wakeup task.Task.pid);
   emit_runq_depth t core;
-  if Vprobe.armed t.vprobe Vprobe.pt_sched_wakeup then
-    Vprobe.fire t.vprobe Vprobe.pt_sched_wakeup
-      { Vprobe.no_args with Vprobe.a_pid = task.Task.pid;
-        Vprobe.a_core = core.core_id };
   kick_core t core task
 
 (* The woken core learns about the new arrival per the wake model: the
@@ -590,11 +585,6 @@ and schedule_core t core =
             trace_emit_core t ~core:core.core_id
               (Ktrace.Sched_migrate
                  (task.Task.pid, task.Task.last_core, core.core_id));
-            if Vprobe.armed t.vprobe Vprobe.pt_sched_migrate then
-              Vprobe.fire t.vprobe Vprobe.pt_sched_migrate
-                { Vprobe.no_args with Vprobe.a_pid = task.Task.pid;
-                  Vprobe.a_core = core.core_id;
-                  Vprobe.a_arg0 = task.Task.last_core }
           end;
           (if Int64.compare task.Task.runnable_since 0L >= 0 then begin
              record_run_delay core
@@ -609,11 +599,6 @@ and schedule_core t core =
           trace_emit_core t ~core:core.core_id
             (Ktrace.Ctx_switch (core.last_pid, task.Task.pid));
           emit_runq_depth t core;
-          if Vprobe.armed t.vprobe Vprobe.pt_sched_ctx_switch then
-            Vprobe.fire t.vprobe Vprobe.pt_sched_ctx_switch
-              { Vprobe.no_args with Vprobe.a_pid = task.Task.pid;
-                Vprobe.a_core = core.core_id;
-                Vprobe.a_arg0 = core.last_pid };
           core.last_pid <- task.Task.pid;
           (* the context-switch cost precedes the task's first instruction;
              a migrated task also refills its caches when the affinity
@@ -788,7 +773,7 @@ let finish ctx ret =
       trace_emit_task t task
         (Ktrace.Syscall_exit (task.Task.pid, Abi.syscall_name ctx.call));
       trace_emit_task t task (Ktrace.Span_end ctx.span);
-      if Vprobe.syscall_armed t.vprobe then begin
+      if Ktrace.probing t.trace then begin
         let errno =
           match ret with
           | Abi.R_int v when v < 0 -> -v
@@ -796,13 +781,15 @@ let finish ctx ret =
           | Abi.R_mmap _ ->
               0
         in
-        Vprobe.fire_sysexit t.vprobe
-          ~idx:(Abi.syscall_index ctx.call)
-          ~pid:task.Task.pid
-          ~core:(max 0 task.Task.last_core)
-          ~fd:(Option.value ~default:(-1) (Abi.syscall_fd ctx.call))
-          ~arg0:(Abi.syscall_arg0 ctx.call) ~errno
-          ~latency_ns:(Int64.sub (now t) ctx.entry_ns)
+        trace_emit_task t task
+          (Ktrace.Probe
+             (Ktrace.Sys_result
+                ( Abi.syscall_index ctx.call,
+                  task.Task.pid,
+                  Option.value ~default:(-1) (Abi.syscall_fd ctx.call),
+                  Abi.syscall_arg0 ctx.call,
+                  errno,
+                  Int64.to_int (Int64.sub (now t) ctx.entry_ns) )))
       end;
       Effect.Deep.continue ctx.kont ret)
 
@@ -958,13 +945,14 @@ and handle_trap t task call k =
   let name = Abi.syscall_name call in
   task.Task.cur_syscall <- Some name;
   trace_emit_task t task (Ktrace.Syscall_enter (task.Task.pid, name));
-  if Vprobe.syscall_armed t.vprobe then
-    Vprobe.fire_sysenter t.vprobe
-      ~idx:(Abi.syscall_index call)
-      ~pid:task.Task.pid
-      ~core:(max 0 task.Task.last_core)
-      ~fd:(Option.value ~default:(-1) (Abi.syscall_fd call))
-      ~arg0:(Abi.syscall_arg0 call);
+  if Ktrace.probing t.trace then
+    trace_emit_task t task
+      (Ktrace.Probe
+         (Ktrace.Sys_args
+            ( Abi.syscall_index call,
+              task.Task.pid,
+              Option.value ~default:(-1) (Abi.syscall_fd call),
+              Abi.syscall_arg0 call )));
   let span = Ktrace.new_span t.trace in
   trace_emit_task t task (Ktrace.Span_begin (span, task.Task.pid, "sys:" ^ name));
   let entry_cycles =

@@ -42,7 +42,7 @@ let create sched =
     sems = Hashtbl.create 16;
     held = Hashtbl.create 16;
     next_id = 1;
-    semlock = Spinlock.create ~vprobe:sched.Sched.vprobe "semlock";
+    semlock = Spinlock.create ~trace:sched.Sched.trace "semlock";
   }
 
 let holds_of t pid =

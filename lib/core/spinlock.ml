@@ -24,10 +24,10 @@ type t = {
   mutable total_held_ns : int64;
   mutable max_held_ns : int64;
   kcheck : Kcheck.t option;
-  vprobe : Vprobe.t;  (** its kernel's registry: lock:acquire/contended *)
+  trace : Ktrace.t;  (** its kernel's trace: vprobe's lock points read it *)
 }
 
-let create ?kcheck ~vprobe name =
+let create ?kcheck ~trace name =
   let t =
     {
       name;
@@ -37,7 +37,7 @@ let create ?kcheck ~vprobe name =
       total_held_ns = 0L;
       max_held_ns = 0L;
       kcheck;
-      vprobe;
+      trace;
     }
   in
   (match kcheck with
@@ -54,9 +54,10 @@ let create ?kcheck ~vprobe name =
 
 (* vprobe's lock:acquire / lock:contended: host-side bookkeeping only,
    no cycles charged and no engine events scheduled *)
-let observe t pt ~core =
-  if Vprobe.armed t.vprobe pt then
-    Vprobe.fire t.vprobe pt { Vprobe.no_args with Vprobe.a_core = core }
+let observe t ~held ~core ~now_ns =
+  if Ktrace.probing t.trace then
+    Ktrace.emit t.trace ~ts_ns:now_ns ~core
+      (Ktrace.Probe (Ktrace.Spin_take held))
 
 let acquire t ~core ~now_ns =
   (match t.owner with
@@ -64,10 +65,10 @@ let acquire t ~core ~now_ns =
       (* unreachable while the simulation is single-threaded, but the
          probe fires before the panic so an SMP future (or a test that
          forges contention) sees the event *)
-      observe t Vprobe.pt_lock_contended ~core;
+      observe t ~held:true ~core ~now_ns;
       Kpanic.panicf "spinlock %s: core %d acquiring while core %d holds"
         t.name core held_by
-  | None -> observe t Vprobe.pt_lock_acquire ~core);
+  | None -> observe t ~held:false ~core ~now_ns);
   (match t.kcheck with
   | Some kc -> Kcheck.lock_acquire kc ~name:t.name ~core
   | None -> ());

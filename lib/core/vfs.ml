@@ -463,7 +463,7 @@ let op_chdir ctx t path =
 let op_pipe ctx t flags =
   charge_dispatch ctx;
   Sched.charge ctx Kcost.pipe_setup;
-  let p = Pipe.create t.ipc in
+  let p = Pipe.create t.ipc ~trace:t.sched.Sched.trace in
   let nonblock = nonblock_of t flags in
   let rf =
     Fd.make_file t.fdt ~kind:(Fd.K_pipe_read p) ~readable:true ~writable:false

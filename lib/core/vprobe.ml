@@ -1,13 +1,19 @@
 (** vprobe: dynamic kernel probes with in-kernel aggregation.
 
-    The bpftrace idea at teaching scale: the kernel compiles in a fixed
-    registry of named probe points (every syscall entry and exit, the
-    scheduler's wakeup/switch/migrate edges, spinlock acquisition, pipe
-    traffic, buffer-cache hits and misses, SD requests, journal
-    commits). Each point is a zero-cost no-op while nothing is attached
-    — the hot-path guard is one array read — and writing a probe spec to
-    [/proc/vprobe_ctl] attaches a predicate-filtered aggregation that
-    updates host-side state as events fire:
+    The bpftrace idea at teaching scale, fed by the kernel's one event
+    source, {!Ktrace.emit}. The registry names a fixed catalog of probe
+    points (every syscall entry and exit, the scheduler's
+    wakeup/switch/migrate edges, spinlock acquisition, pipe traffic,
+    buffer-cache hits and misses, SD requests, journal commits). Each
+    point reads one kind of trace event, and {!route} maps every event
+    to its point in one exhaustive match. Points the ring has no event
+    for read probe-only events, which [emit] hands to the probe hook and
+    never writes to the ring. The registry installs that hook while any
+    probe is attached; while none is, a ring event costs [emit] one
+    option check and a probe-only site one {!Ktrace.probing} check.
+    Writing a probe spec to [/proc/vprobe_ctl] attaches a
+    predicate-filtered aggregation that updates host-side state as
+    events arrive:
 
     {v probe syscall:read / pid==2 / hist(latency_us) v}
 
@@ -27,8 +33,8 @@
    syscall-entry points ("sysenter:<name>"), [syscall_count,
    2*syscall_count) the syscall-exit points ("syscall:<name>", which
    carry service latency and errno), and the tail is the static
-   catalog below. vlint R007 checks each static name is registered
-   exactly once and documented in DESIGN.md. *)
+   catalog below, whose names {!route} uses. vlint R007 checks each
+   static name is registered exactly once and documented in DESIGN.md. *)
 let static_points =
   [
     "sched:wakeup";
@@ -56,14 +62,15 @@ let point_name id =
     "syscall:" ^ List.nth Abi.syscall_names (id - sysexit_base)
   else List.nth static_points (id - static_base)
 
-let point_id name =
-  let find target lst =
-    let rec go i = function
-      | [] -> None
-      | n :: rest -> if String.equal n target then Some i else go (i + 1) rest
-    in
-    go 0 lst
+(* The position of [name] in [names], if it is there. *)
+let index name names =
+  let rec go i = function
+    | [] -> None
+    | n :: rest -> if String.equal n name then Some i else go (i + 1) rest
   in
+  go 0 names
+
+let point_id name =
   match String.index_opt name ':' with
   | None -> None
   | Some i -> (
@@ -71,50 +78,10 @@ let point_id name =
       let rest = String.sub name (i + 1) (String.length name - i - 1) in
       match family with
       | "sysenter" ->
-          Option.map (fun k -> sysenter_base + k) (find rest Abi.syscall_names)
+          Option.map (fun k -> sysenter_base + k) (index rest Abi.syscall_names)
       | "syscall" ->
-          Option.map (fun k -> sysexit_base + k) (find rest Abi.syscall_names)
-      | _ -> Option.map (fun k -> static_base + k) (find name static_points))
-
-(* Static ids, named so fire sites don't grep for strings. *)
-let static_id k = static_base + k
-let pt_sched_wakeup = static_id 0
-let pt_sched_ctx_switch = static_id 1
-let pt_sched_migrate = static_id 2
-let pt_lock_acquire = static_id 3
-let pt_lock_contended = static_id 4
-let pt_pipe_read = static_id 5
-let pt_pipe_write = static_id 6
-let pt_bufcache_hit = static_id 7
-let pt_bufcache_miss = static_id 8
-let pt_sd_issue = static_id 9
-let pt_sd_complete = static_id 10
-let pt_journal_commit = static_id 11
-
-(** The event record a fire site hands to every attached probe. Fields a
-    site cannot supply stay at their defaults; predicates over an absent
-    field simply never select the event ([fd == 3] can't match a
-    ctx-switch). *)
-type args = {
-  a_pid : int;
-  a_core : int;
-  a_fd : int;  (** -1 = not a file event *)
-  a_errno : int;  (** 0 = success / not a completion event *)
-  a_arg0 : int;
-  a_syscall : int;  (** Abi.syscall_index; -1 = not a syscall event *)
-  a_latency_ns : int64;  (** 0 = event has no duration *)
-}
-
-let no_args =
-  {
-    a_pid = 0;
-    a_core = 0;
-    a_fd = -1;
-    a_errno = 0;
-    a_arg0 = 0;
-    a_syscall = -1;
-    a_latency_ns = 0L;
-  }
+          Option.map (fun k -> sysexit_base + k) (index rest Abi.syscall_names)
+      | _ -> Option.map (fun k -> static_base + k) (index name static_points))
 
 (* ---- probe specs ---- *)
 
@@ -144,21 +111,13 @@ type key =
   | K_unit  (** count: always 1 *)
   | K_latency_ns
   | K_latency_us
-  | K_arg0
-  | K_fd
-  | K_errno
-  | K_pid
-  | K_core
+  | K_field of field
 
 let key_name = function
   | K_unit -> ""
   | K_latency_ns -> "latency_ns"
   | K_latency_us -> "latency_us"
-  | K_arg0 -> "arg0"
-  | K_fd -> "fd"
-  | K_errno -> "errno"
-  | K_pid -> "pid"
-  | K_core -> "core"
+  | K_field f -> field_name f
 
 type agg_kind = A_count | A_sum of key | A_hist of key
 type by = By_none | By_pid | By_syscall | By_core
@@ -182,26 +141,16 @@ type probe = {
 }
 
 type t = {
+  trace : Ktrace.t;
+      (** the kernel's trace: the registry installs its probe hook while
+          any probe is attached *)
   attached : probe list array;  (** index = point id; [] = disarmed *)
-  mutable syscall_armed : bool;
-      (** any sysenter/syscall point armed — lets the trap path skip even
-          the per-ctor array read when no one is looking *)
   mutable next_probe_id : int;
   mutable all : probe list;  (** newest first *)
 }
 
-let create () =
-  {
-    attached = Array.make point_count [];
-    syscall_armed = false;
-    next_probe_id = 0;
-    all = [];
-  }
-
-(* The hot-path guard: one array read. Fire sites do
-   [if Vprobe.armed vp pt then Vprobe.fire vp pt args]. *)
-let armed t pt = t.attached.(pt) <> []
-let syscall_armed t = t.syscall_armed
+let create trace =
+  { trace; attached = Array.make point_count []; next_probe_id = 0; all = [] }
 
 (* ---- the spec parser ----
 
@@ -225,12 +174,10 @@ let parse_field = function
 let parse_key = function
   | "latency_ns" -> Ok K_latency_ns
   | "latency_us" -> Ok K_latency_us
-  | "arg0" -> Ok K_arg0
-  | "fd" -> Ok K_fd
-  | "errno" -> Ok K_errno
-  | "pid" -> Ok K_pid
-  | "core" -> Ok K_core
-  | s -> Error (Printf.sprintf "unknown aggregation key %S" s)
+  | s -> (
+      match parse_field s with
+      | Ok f -> Ok (K_field f)
+      | Error _ -> Error (Printf.sprintf "unknown aggregation key %S" s))
 
 let parse_by = function
   | "pid" -> Ok By_pid
@@ -348,14 +295,131 @@ let parse_spec line =
   let* agg, by = agg in
   Ok { s_point = pt; s_preds = preds; s_agg = agg; s_by = by }
 
+(* ---- firing ---- *)
+
+let holds v p =
+  match p.p_cmp with
+  | Eq -> v = p.p_lit
+  | Ne -> v <> p.p_lit
+  | Lt -> v < p.p_lit
+  | Le -> v <= p.p_lit
+  | Gt -> v > p.p_lit
+  | Ge -> v >= p.p_lit
+
+let cell_for probe k =
+  match Hashtbl.find_opt probe.pr_cells k with
+  | Some c -> c
+  | None ->
+      let c = { cl_count = 0; cl_sum = 0L; cl_hist = Kperf.Hist.create () } in
+      Hashtbl.add probe.pr_cells k c;
+      c
+
+(* One event at point [pt], as the fields predicates and keys read. A
+   field the event does not carry is neutral (fd -1, errno 0, syscall
+   -1, 0 otherwise), so [fd == 3] never selects a context switch. *)
+let hit t pt ~pid ~core ~fd ~errno ~arg0 ~syscall ~latency_ns =
+  match t.attached.(pt) with
+  | [] -> ()
+  | probes ->
+      let field = function
+        | F_pid -> pid
+        | F_fd -> fd
+        | F_errno -> errno
+        | F_arg0 -> arg0
+        | F_core -> core
+      in
+      let key = function
+        | K_unit -> 1
+        | K_latency_ns -> latency_ns
+        | K_latency_us -> latency_ns / 1000
+        | K_field f -> field f
+      in
+      List.iter
+        (fun probe ->
+          let spec = probe.pr_spec in
+          if List.for_all (fun p -> holds (field p.p_field) p) spec.s_preds
+          then begin
+            probe.pr_fired <- probe.pr_fired + 1;
+            let c =
+              cell_for probe
+                (match spec.s_by with
+                | By_none -> 0
+                | By_pid -> pid
+                | By_syscall -> syscall
+                | By_core -> core)
+            in
+            c.cl_count <- c.cl_count + 1;
+            match spec.s_agg with
+            | A_count -> ()
+            | A_sum k -> c.cl_sum <- Int64.add c.cl_sum (Int64.of_int (key k))
+            | A_hist K_latency_us ->
+                (* hist() buckets in ns space; latency_us values are
+                   scaled back up so one Hist covers both units *)
+                Kperf.Hist.record c.cl_hist
+                  (Int64.of_int (key K_latency_us * 1000))
+            | A_hist k -> Kperf.Hist.record c.cl_hist (Int64.of_int (key k))
+          end)
+        probes
+
+(* An event at the static point [name], which reads no fd, errno or
+   syscall. *)
+let static t name ~pid ~core ~arg0 ~latency_ns =
+  match index name static_points with
+  | Some k ->
+      hit t (static_base + k) ~pid ~core ~fd:(-1) ~errno:0 ~arg0 ~syscall:(-1)
+        ~latency_ns
+  | None -> Kpanic.panicf "vprobe: %s is not a static point" name
+
+(* The probe hook: the point an event fires and what it reads from the
+   event's payload, [core] being the core the event was emitted on.
+   Spelled out constructor by constructor (vlint R004), so a new event
+   must be routed here too. *)
+let route t core ev =
+  match ev with
+  | Ktrace.Sched_wakeup pid ->
+      static t "sched:wakeup" ~pid ~core ~arg0:0 ~latency_ns:0
+  | Ktrace.Ctx_switch (from, pid) ->
+      static t "sched:ctx_switch" ~pid ~core ~arg0:from ~latency_ns:0
+  | Ktrace.Sched_migrate (pid, from, _) ->
+      static t "sched:migrate" ~pid ~core ~arg0:from ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Sys_args (idx, pid, fd, arg0)) ->
+      hit t (sysenter_base + idx) ~pid ~core ~fd ~errno:0 ~arg0 ~syscall:idx
+        ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Sys_result (idx, pid, fd, arg0, errno, ns)) ->
+      hit t (sysexit_base + idx) ~pid ~core ~fd ~errno ~arg0 ~syscall:idx
+        ~latency_ns:ns
+  | Ktrace.Probe (Ktrace.Spin_take held) ->
+      static t
+        (if held then "lock:contended" else "lock:acquire")
+        ~pid:0 ~core ~arg0:0 ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Pipe_read (pid, n, ns)) ->
+      static t "pipe:read" ~pid ~core ~arg0:n ~latency_ns:ns
+  | Ktrace.Probe (Ktrace.Pipe_write (pid, n)) ->
+      static t "pipe:write" ~pid ~core ~arg0:n ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Cache_hit (pid, block)) ->
+      static t "bufcache:hit" ~pid ~core ~arg0:block ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Cache_miss (pid, block)) ->
+      static t "bufcache:miss" ~pid ~core ~arg0:block ~latency_ns:0
+  | Ktrace.Probe (Ktrace.Sd_request (pid, ns)) ->
+      static t "sd:issue" ~pid ~core ~arg0:0 ~latency_ns:0;
+      static t "sd:complete" ~pid ~core ~arg0:0 ~latency_ns:ns
+  | Ktrace.Probe (Ktrace.Journal_commit blocks) ->
+      static t "journal:commit" ~pid:0 ~core ~arg0:blocks ~latency_ns:0
+  | Ktrace.Syscall_enter _ | Ktrace.Syscall_exit _ | Ktrace.Irq_enter _
+  | Ktrace.Irq_exit _ | Ktrace.Ipi_send _ | Ktrace.Ipi_recv _
+  | Ktrace.Kbd_report | Ktrace.Event_delivered _ | Ktrace.Poll_return _
+  | Ktrace.Frame_present _ | Ktrace.Wm_composite | Ktrace.Lock_acquire _
+  | Ktrace.Lock_release _ | Ktrace.Sem_block _ | Ktrace.Sem_wake _
+  | Ktrace.Custom _ | Ktrace.Span_begin _ | Ktrace.Span_end _
+  | Ktrace.Task_state _ | Ktrace.Runq_depth _ ->
+      ()
+
 (* ---- attach / detach ---- *)
 
-let refresh_syscall_armed t =
-  let any = ref false in
-  for pt = 0 to static_base - 1 do
-    if t.attached.(pt) <> [] then any := true
-  done;
-  t.syscall_armed <- !any
+(* The hook is installed exactly while some probe is attached. *)
+let rearm t =
+  t.trace.Ktrace.probe <-
+    (match t.all with [] -> None | _ :: _ -> Some (route t))
 
 let attach t line =
   let* spec = parse_spec line in
@@ -371,7 +435,7 @@ let attach t line =
   in
   t.attached.(spec.s_point) <- probe :: t.attached.(spec.s_point);
   t.all <- probe :: t.all;
-  refresh_syscall_armed t;
+  rearm t;
   Ok probe.pr_id
 
 let detach t id =
@@ -379,7 +443,7 @@ let detach t id =
     let keep p = p.pr_id <> id in
     Array.iteri (fun i ps -> t.attached.(i) <- List.filter keep ps) t.attached;
     t.all <- List.filter keep t.all;
-    refresh_syscall_armed t;
+    rearm t;
     true
   end
   else false
@@ -387,94 +451,7 @@ let detach t id =
 let clear t =
   Array.fill t.attached 0 point_count [];
   t.all <- [];
-  t.syscall_armed <- false
-
-(* ---- firing ---- *)
-
-let field_value a = function
-  | F_pid -> a.a_pid
-  | F_fd -> a.a_fd
-  | F_errno -> a.a_errno
-  | F_arg0 -> a.a_arg0
-  | F_core -> a.a_core
-
-let pred_holds a p =
-  let v = field_value a p.p_field in
-  match p.p_cmp with
-  | Eq -> v = p.p_lit
-  | Ne -> v <> p.p_lit
-  | Lt -> v < p.p_lit
-  | Le -> v <= p.p_lit
-  | Gt -> v > p.p_lit
-  | Ge -> v >= p.p_lit
-
-let key_value a = function
-  | K_unit -> 1L
-  | K_latency_ns -> a.a_latency_ns
-  | K_latency_us -> Int64.div a.a_latency_ns 1000L
-  | K_arg0 -> Int64.of_int a.a_arg0
-  | K_fd -> Int64.of_int a.a_fd
-  | K_errno -> Int64.of_int a.a_errno
-  | K_pid -> Int64.of_int a.a_pid
-  | K_core -> Int64.of_int a.a_core
-
-let by_value a = function
-  | By_none -> 0
-  | By_pid -> a.a_pid
-  | By_syscall -> a.a_syscall
-  | By_core -> a.a_core
-
-let cell_for probe k =
-  match Hashtbl.find_opt probe.pr_cells k with
-  | Some c -> c
-  | None ->
-      let c = { cl_count = 0; cl_sum = 0L; cl_hist = Kperf.Hist.create () } in
-      Hashtbl.add probe.pr_cells k c;
-      c
-
-let fire t pt a =
-  List.iter
-    (fun probe ->
-      if List.for_all (pred_holds a) probe.pr_spec.s_preds then begin
-        probe.pr_fired <- probe.pr_fired + 1;
-        let c = cell_for probe (by_value a probe.pr_spec.s_by) in
-        c.cl_count <- c.cl_count + 1;
-        match probe.pr_spec.s_agg with
-        | A_count -> ()
-        | A_sum key -> c.cl_sum <- Int64.add c.cl_sum (key_value a key)
-        | A_hist key ->
-            (* hist() buckets in ns space; latency_us values are scaled
-               back up so one Hist covers both units *)
-            let v = key_value a key in
-            let v =
-              match key with K_latency_us -> Int64.mul v 1000L | _ -> v
-            in
-            Kperf.Hist.record c.cl_hist v
-      end)
-    t.attached.(pt)
-
-(* Syscall fast path: the trap path calls these with the pieces it
-   already has; the index math only runs when something is armed. *)
-let fire_sysenter t ~idx ~pid ~core ~fd ~arg0 =
-  let pt = sysenter_base + idx in
-  if armed t pt then
-    fire t pt
-      { no_args with a_pid = pid; a_core = core; a_fd = fd; a_arg0 = arg0;
-        a_syscall = idx }
-
-let fire_sysexit t ~idx ~pid ~core ~fd ~arg0 ~errno ~latency_ns =
-  let pt = sysexit_base + idx in
-  if armed t pt then
-    fire t pt
-      {
-        a_pid = pid;
-        a_core = core;
-        a_fd = fd;
-        a_errno = errno;
-        a_arg0 = arg0;
-        a_syscall = idx;
-        a_latency_ns = latency_ns;
-      }
+  rearm t
 
 (* ---- rendering ---- *)
 

@@ -46,7 +46,8 @@ let inventory =
     ("lib/core/kcost.ml", 1, Core_kernel);
     ("lib/core/errno.ml", 1, Core_kernel);
     ("lib/core/spinlock.ml", 1, Core_kernel);
-    (* every spinlock (P1) reports to the sanitizer and the lock probes *)
+    (* every spinlock (P1) reports to the sanitizer, and its acquisitions
+       to the trace (ktrace, P1), where vprobe's lock points read them *)
     ("lib/core/kcheck.ml", 1, Beyond_paper);
     ("lib/core/kperf.ml", 1, Beyond_paper);
     ("lib/core/vprobe.ml", 1, Beyond_paper);

@@ -105,7 +105,7 @@ let pinning_defers_until_commit () =
   let base = Fs.Xv6fs.mkfs ~nlog:32 ~total_blocks:512 ~ninodes:16 () in
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:64
       ~writeback:true ()
   in
@@ -146,7 +146,7 @@ let sweep_once ~base ~cut =
   | None -> ());
   let image = Bytes.copy base in
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ~capacity:32
       ~writeback:true ()
   in
@@ -174,7 +174,7 @@ let exhaustive_cut_sweep () =
     let board, image = sweep_once ~base ~cut:(Some cut) in
     Hw.Power.revive board.Hw.Board.supply;
     let bc =
-      Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+      Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
         ~backing:(Core.Bufcache.Ram image) ~block_sectors:2 ()
     in
     match Fs.Xv6fs.mount (Core.Bufcache.xv6_io bc) with

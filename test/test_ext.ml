@@ -234,7 +234,7 @@ let bufcache_hits_and_misses () =
   let image = Bytes.make (64 * 512) '\000' in
   Bytes.blit_string "cached-data" 0 image 1024 11;
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:1 ~capacity:4 ()
   in
   let first = Core.Bufcache.bread bc 2 in
@@ -251,7 +251,7 @@ let bufcache_write_through () =
   let board = Hw.Board.create () in
   let image = Bytes.make (8 * 512) '\000' in
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Ram image) ~block_sectors:1 ()
   in
   let block = Bytes.make 512 'w' in

@@ -880,7 +880,9 @@ let id_streams_are_per_kernel () =
     | None -> Alcotest.fail "a user task without an address space"
   in
   let pipe k =
-    (Core.Pipe.create k.Core.Kernel.vfs.Core.Vfs.ipc).Core.Pipe.pipe_id
+    (Core.Pipe.create k.Core.Kernel.vfs.Core.Vfs.ipc
+       ~trace:k.Core.Kernel.sched.Core.Sched.trace)
+      .Core.Pipe.pipe_id
   in
   let a = boot_kernel () in
   let tasks = List.init 3 (fun _ -> spawn a) in
@@ -1799,7 +1801,7 @@ let velf_roundtrip () =
   ignore (check_err "truncated rejected" (Core.Velf.parse (Bytes.sub image 0 8)))
 
 let spinlock_discipline () =
-  let l = Core.Spinlock.create ~vprobe:(Core.Vprobe.create ()) "test" in
+  let l = Core.Spinlock.create ~trace:(Core.Ktrace.create ()) "test" in
   Core.Spinlock.acquire l ~core:0 ~now_ns:0L;
   check_bool "held" true (Core.Spinlock.holding l ~core:0);
   Alcotest.check_raises "recursive acquisition rejected"
@@ -1859,7 +1861,7 @@ let fresh_bc ?(capacity = 4) ?(writeback = false) ?(readahead = 0)
     ?(coalesce = true) () =
   let board = Hw.Board.create () in
   let bc =
-    Core.Bufcache.create ~board ~vprobe:(Core.Vprobe.create ())
+    Core.Bufcache.create ~board ~trace:(Core.Ktrace.create ())
       ~backing:(Core.Bufcache.Card (board.Hw.Board.sd, 0))
       ~block_sectors:1 ~capacity ~writeback ~readahead ~coalesce ()
   in
@@ -2469,9 +2471,9 @@ let kc_contains hay needle =
 (* ABBA: establish the order A -> B, then acquire B -> A. lockdep must
    refuse the second order with the cycle, before any deadlock exists. *)
 let kc_lock_order_inversion () =
-  let kc = Core.Kcheck.create () and vprobe = Core.Vprobe.create () in
-  let a = Core.Spinlock.create ~kcheck:kc ~vprobe "A" in
-  let b = Core.Spinlock.create ~kcheck:kc ~vprobe "B" in
+  let kc = Core.Kcheck.create () and trace = Core.Ktrace.create () in
+  let a = Core.Spinlock.create ~kcheck:kc ~trace "A" in
+  let b = Core.Spinlock.create ~kcheck:kc ~trace "B" in
   Core.Spinlock.acquire a ~core:0 ~now_ns:0L;
   Core.Spinlock.acquire b ~core:0 ~now_ns:1L;
   Core.Spinlock.release b ~core:0 ~now_ns:2L;
@@ -2487,8 +2489,8 @@ let kc_lock_order_inversion () =
 (* Blocking while a spinlock is held (or under an irq guard) is the
    sleep-in-atomic class. *)
 let kc_sleep_in_atomic () =
-  let kc = Core.Kcheck.create () and vprobe = Core.Vprobe.create () in
-  let l = Core.Spinlock.create ~kcheck:kc ~vprobe "L" in
+  let kc = Core.Kcheck.create () and trace = Core.Ktrace.create () in
+  let l = Core.Spinlock.create ~kcheck:kc ~trace "L" in
   Core.Spinlock.acquire l ~core:0 ~now_ns:0L;
   match Core.Kcheck.task_blocked kc ~pid:7 ~chan:"sem:1" ~core:0 with
   | () -> Alcotest.fail "sleep-in-atomic not detected"

@@ -1277,9 +1277,18 @@ let ktrace_ctl_controls () =
         check_int "bad filter rejected" (-Core.Errno.einval)
           (wr "filter=nope\n");
         check_int "empty write rejected" (-Core.Errno.einval) (wr "\n");
+        (* a bad line rejects the whole write: no line before it applies *)
+        check_int "a bad last line rejects the write" (-Core.Errno.einval)
+          (wr "enable=0\nbogus=1\n");
+        check_bool "the good line before it did not apply" true
+          (contains (ctl ()) "enable\t\t: 1");
         check_bool "filter=all restores everything" true
           (wr "filter=all\n" > 0);
         check_bool "ctl mirrors the restored filter" true
+          (contains (ctl ()) "filter\t\t: all");
+        check_int "a bad clock rejects the write" (-Core.Errno.einval)
+          (wr "filter=syscall\nclock=nope\n");
+        check_bool "the filter before it did not apply" true
           (contains (ctl ()) "filter\t\t: all");
         0)
   with

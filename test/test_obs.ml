@@ -1,6 +1,8 @@
 (** Observability-layer tests: the vprobe spec parser and its error
-    surface, attach/fire/predicate/keying semantics, ctl_write's
-    all-or-nothing contract, the /proc/vprobe + /proc/vprobe_ctl +
+    surface, attach/fire/predicate/keying semantics over emitted trace
+    events, the probe hook's lifetime, ctl_write's all-or-nothing
+    contract, armed-vs-stock identity with every point attached, the
+    /proc/vprobe + /proc/vprobe_ctl +
     /proc/delays surfaces (served by every stock kernel), the dstate
     gate, delay-bucket conservation, and the panic flight recorder. *)
 
@@ -30,14 +32,14 @@ let point_table_shape () =
   done;
   check_bool "sysenter and sysexit are distinct points" true
     (Vp.point_id "sysenter:read" <> Vp.point_id "syscall:read");
-  check_bool "sched:wakeup maps to its constant" true
-    (Vp.point_id "sched:wakeup" = Some Vp.pt_sched_wakeup);
+  check_bool "the static catalog follows both syscall families" true
+    (Vp.point_id "sched:wakeup" = Some (2 * Core.Abi.syscall_count));
   check_bool "unknown names have no id" true (Vp.point_id "nope:nope" = None)
 
 (* ---- the spec parser ---- *)
 
 let parser_accepts_grammar () =
-  let vp = Vp.create () in
+  let vp = Vp.create (Core.Ktrace.create ()) in
   List.iter
     (fun spec ->
       match Vp.attach vp spec with
@@ -53,7 +55,8 @@ let parser_accepts_grammar () =
     ]
 
 let parser_rejects_garbage () =
-  let vp = Vp.create () in
+  let tr = Core.Ktrace.create () in
+  let vp = Vp.create tr in
   List.iter
     (fun spec ->
       match Vp.attach vp spec with
@@ -70,30 +73,31 @@ let parser_rejects_garbage () =
       "probe sched:wakeup / * / hist(bogus)";
     ];
   check_int "failed parses attach nothing" 0 (List.length vp.Vp.all);
-  check_bool "and arm nothing" false (Vp.armed vp Vp.pt_sched_wakeup)
+  check_bool "and install no probe hook" false (Core.Ktrace.probing tr)
 
 (* ---- fire semantics ---- *)
 
+(* Probes read the events a kernel emits: these tests emit them into a
+   bare trace, on the core given. *)
+let emit tr ~core ev = Core.Ktrace.emit tr ~ts_ns:0L ~core ev
+
 let fire_respects_predicates_and_keys () =
-  let vp = Vp.create () in
+  let tr = Core.Ktrace.create () in
+  let vp = Vp.create tr in
   let id =
     check_ok "attach"
       (Vp.attach vp "probe sched:wakeup / pid==3 && core<2 / count by(core)")
   in
-  check_bool "point armed after attach" true (Vp.armed vp Vp.pt_sched_wakeup);
-  check_bool "static probes leave the trap-path flag down" false
-    (Vp.syscall_armed vp);
-  let fire ~pid ~core =
-    Vp.fire vp Vp.pt_sched_wakeup
-      { Vp.no_args with Vp.a_pid = pid; Vp.a_core = core }
-  in
-  fire ~pid:3 ~core:0;
-  fire ~pid:3 ~core:0;
-  fire ~pid:3 ~core:1;
-  fire ~pid:4 ~core:0;
+  let wake ~pid ~core = emit tr ~core (Core.Ktrace.Sched_wakeup pid) in
+  wake ~pid:3 ~core:0;
+  wake ~pid:3 ~core:0;
+  wake ~pid:3 ~core:1;
+  wake ~pid:4 ~core:0;
   (* pid miss *)
-  fire ~pid:3 ~core:2;
+  wake ~pid:3 ~core:2;
   (* core miss *)
+  emit tr ~core:0 (Core.Ktrace.Ctx_switch (1, 3));
+  (* another point *)
   let probe = List.hd vp.Vp.all in
   check_int "only predicate-passing events count" 3 probe.Vp.pr_fired;
   let text = Vp.render vp in
@@ -101,20 +105,18 @@ let fire_respects_predicates_and_keys () =
   check_contains "per-core cell for core 1" "count[1]\t: 1" text;
   check_contains "the filter renders" "pid == 3 && core < 2" text;
   check_bool "detach by id" true (Vp.detach vp id);
-  check_bool "detach disarms the point" false (Vp.armed vp Vp.pt_sched_wakeup);
+  wake ~pid:3 ~core:0;
+  check_int "a detached probe counts nothing" 3 probe.Vp.pr_fired;
   check_bool "second detach is a no-op" false (Vp.detach vp id)
 
 let sum_and_hist_units () =
-  let vp = Vp.create () in
+  let tr = Core.Ktrace.create () in
+  let vp = Vp.create tr in
   ignore (check_ok "sum" (Vp.attach vp "probe sd:complete / * / sum(latency_us)"));
   ignore
     (check_ok "hist" (Vp.attach vp "probe sd:complete / * / hist(latency_ns)"));
-  let fire ns =
-    Vp.fire vp Vp.pt_sd_complete
-      { Vp.no_args with Vp.a_latency_ns = Int64.of_int ns }
-  in
-  fire 2_500;
-  fire 1_999;
+  emit tr ~core:0 (Core.Ktrace.Probe (Core.Ktrace.Sd_request (1, 2_500)));
+  emit tr ~core:0 (Core.Ktrace.Probe (Core.Ktrace.Sd_request (1, 1_999)));
   let text = Vp.render vp in
   (* 2500 ns + 1999 ns = 2 us + 1 us in microsecond units *)
   check_contains "sum scales to the requested unit" "sum(latency_us)\t: 3  (n=2)"
@@ -123,22 +125,80 @@ let sum_and_hist_units () =
     text;
   check_contains "both samples recorded" "n=2" text
 
-let syscall_armed_tracks_trap_points () =
-  let vp = Vp.create () in
-  check_bool "fresh registry: trap flag down" false (Vp.syscall_armed vp);
+(* Every point family and the event that feeds it, one representative
+   syscall per syscall family. Only the three sched events enter the
+   ring. *)
+let every_family_routes () =
+  let tr = Core.Ktrace.create () in
+  let vp = Vp.create tr in
+  let read = Core.Abi.syscall_index (Core.Abi.Read (3, 64)) in
+  let cases =
+    [
+      ("sysenter:read", Core.Ktrace.Probe (Core.Ktrace.Sys_args (read, 1, 3, 3)));
+      ( "syscall:read",
+        Core.Ktrace.Probe (Core.Ktrace.Sys_result (read, 1, 3, 3, 9, 4_000)) );
+      ("sched:wakeup", Core.Ktrace.Sched_wakeup 1);
+      ("sched:ctx_switch", Core.Ktrace.Ctx_switch (0, 1));
+      ("sched:migrate", Core.Ktrace.Sched_migrate (1, 0, 1));
+      ("lock:acquire", Core.Ktrace.Probe (Core.Ktrace.Spin_take false));
+      ("lock:contended", Core.Ktrace.Probe (Core.Ktrace.Spin_take true));
+      ("pipe:read", Core.Ktrace.Probe (Core.Ktrace.Pipe_read (1, 8, 0)));
+      ("pipe:write", Core.Ktrace.Probe (Core.Ktrace.Pipe_write (1, 8)));
+      ("bufcache:hit", Core.Ktrace.Probe (Core.Ktrace.Cache_hit (1, 7)));
+      ("bufcache:miss", Core.Ktrace.Probe (Core.Ktrace.Cache_miss (1, 7)));
+      ("sd:issue", Core.Ktrace.Probe (Core.Ktrace.Sd_request (1, 100)));
+      ("journal:commit", Core.Ktrace.Probe (Core.Ktrace.Journal_commit 3));
+    ]
+  in
+  (* sd:complete is fed by the same Sd_request as sd:issue *)
+  let points = "sd:complete" :: List.map fst cases in
+  List.iter
+    (fun name ->
+      ignore
+        (check_ok name
+           (Vp.attach vp ("probe " ^ name ^ " / fd==3 && errno==9 / count"))))
+    [ "sysenter:read"; "syscall:read" ];
+  let probes =
+    List.map
+      (fun name ->
+        ignore (check_ok name (Vp.attach vp ("probe " ^ name)));
+        (name, List.hd vp.Vp.all))
+      points
+  in
+  List.iter (fun (_, ev) -> emit tr ~core:0 ev) cases;
+  List.iter (fun (name, p) -> check_int name 1 p.Vp.pr_fired) probes;
+  check_contains "the syscall events carry fd and errno"
+    "probe syscall:read / fd==3 && errno==9 / count  (point syscall:read, fired 1)"
+    (Vp.render vp);
+  check_contains "an entry event has no errno"
+    "probe sysenter:read / fd==3 && errno==9 / count  (point sysenter:read, fired 0)"
+    (Vp.render vp);
+  check_int "probe-only events stay out of the ring" 3 tr.Core.Ktrace.head
+
+let probe_hook_follows_attachments () =
+  let tr = Core.Ktrace.create () in
+  let vp = Vp.create tr in
+  check_bool "fresh registry: no hook" false (Core.Ktrace.probing tr);
   let id = check_ok "attach" (Vp.attach vp "probe sysenter:read") in
-  check_bool "sysenter probe raises the trap flag" true (Vp.syscall_armed vp);
-  check_bool "detach" true (Vp.detach vp id);
-  check_bool "flag drops with the last trap probe" false (Vp.syscall_armed vp);
-  ignore (check_ok "exit side" (Vp.attach vp "probe syscall:write"));
-  check_bool "sysexit probes raise it too" true (Vp.syscall_armed vp);
+  check_bool "an attached probe installs the hook" true
+    (Core.Ktrace.probing tr);
+  ignore (check_ok "second" (Vp.attach vp "probe sched:wakeup"));
+  check_bool "detach one" true (Vp.detach vp id);
+  check_bool "the hook stays while a probe is left" true
+    (Core.Ktrace.probing tr);
   Vp.clear vp;
-  check_bool "clear drops everything" false (Vp.syscall_armed vp)
+  check_bool "clear removes the hook" false (Core.Ktrace.probing tr);
+  Core.Ktrace.set_enabled tr false;
+  ignore (check_ok "again" (Vp.attach vp "probe sched:wakeup"));
+  emit tr ~core:0 (Core.Ktrace.Sched_wakeup 1);
+  check_int "the hook sees events the disabled ring drops" 1
+    (List.hd vp.Vp.all).Vp.pr_fired;
+  check_int "and the ring stays empty" 0 tr.Core.Ktrace.head
 
 (* ---- ctl_write: all-or-nothing ---- *)
 
 let ctl_write_all_or_nothing () =
-  let vp = Vp.create () in
+  let vp = Vp.create (Core.Ktrace.create ()) in
   (match Vp.ctl_write vp "probe sched:wakeup\nprobe nope:nope\n" with
   | Ok () -> Alcotest.fail "a bad line must reject the whole write"
   | Error _ -> ());
@@ -424,6 +484,100 @@ let two_kernels_own_their_observers () =
   check_bool "B's UART has no record" false
     (contains (Core.Kernel.uart_output b) "=== FLIGHT RECORDER")
 
+(* ---- armed vs stock, every point ---- *)
+
+(* obsbench's workload, then a file round trip on the FAT volume, which
+   reaches the SD card and so the sd:* points. *)
+let every_point_workload () =
+  ignore (Benchlib.Obsbench.workload ());
+  let fd =
+    User.Usys.open_ "/d/obs.dat" (Core.Abi.o_create lor Core.Abi.o_rdwr)
+  in
+  if fd < 0 then Alcotest.failf "open /d/obs.dat: %d" fd;
+  for _ = 1 to 8 do
+    ignore (User.Usys.write fd (Bytes.make 1500 'f'))
+  done;
+  ignore (User.Usys.fsync fd);
+  ignore (User.Usys.lseek fd 0 0);
+  for _ = 1 to 8 do
+    ignore (User.Usys.read fd 1500)
+  done;
+  ignore (User.Usys.close fd)
+
+(* Besides a bare count, every point gets these: between them they read
+   each predicate field, each key and each by() label. *)
+let every_point_specs =
+  [
+    " / fd>=0 && errno==0 / sum(latency_us) by(core)";
+    " / arg0!=0 / sum(arg0) by(pid)";
+    " / pid>0 / hist(latency_ns) by(syscall)";
+    " / core<4 / sum(errno) by(syscall)";
+    " / * / sum(fd)";
+    " / errno>0 / count by(pid)";
+  ]
+
+let run_every_point ~arm =
+  let kernel =
+    Benchlib.Micro.fresh_kernel ~config:Benchlib.Obsbench.armed_config ()
+  in
+  let vp = kernel.Core.Kernel.sched.Core.Sched.vprobe in
+  let probes =
+    if arm then
+      List.init Vp.point_count (fun pt ->
+          let name = Vp.point_name pt in
+          let attach rest =
+            ignore (check_ok name (Vp.attach vp ("probe " ^ name ^ rest)))
+          in
+          List.iter attach every_point_specs;
+          attach "";
+          (name, List.hd vp.Vp.all))
+    else []
+  in
+  (match
+     Benchlib.Measure.run_task kernel ~name:"obs-workload" every_point_workload
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let b = Buffer.create 65536 in
+  Core.Ktrace.add_machine_dump b
+    (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace);
+  let aggregates = Vp.render vp ^ Vp.render_metrics vp in
+  (Core.Kernel.now kernel, Buffer.contents b, probes, aggregates)
+
+(* Each point's fire count in the armed run; a point not listed fires
+   never. *)
+let every_point_fired =
+  [
+    ("sysenter:fork", 1); ("sysenter:wait", 1); ("sysenter:kill", 1);
+    ("sysenter:getpid", 200); ("sysenter:sleep", 35); ("sysenter:open", 2);
+    ("sysenter:close", 4); ("sysenter:read", 659); ("sysenter:write", 658);
+    ("sysenter:lseek", 2); ("sysenter:pipe", 2); ("sysenter:fsync", 2);
+    ("syscall:fork", 1); ("syscall:wait", 1); ("syscall:kill", 1);
+    ("syscall:getpid", 200); ("syscall:sleep", 35); ("syscall:open", 2);
+    ("syscall:close", 4); ("syscall:read", 658); ("syscall:write", 658);
+    ("syscall:lseek", 2); ("syscall:pipe", 2); ("syscall:fsync", 2);
+    ("sched:wakeup", 637); ("sched:ctx_switch", 637); ("sched:migrate", 3);
+    ("lock:acquire", 3368); ("pipe:read", 600); ("pipe:write", 600);
+    ("bufcache:hit", 750); ("bufcache:miss", 180); ("sd:issue", 98);
+    ("sd:complete", 98); ("journal:commit", 3);
+  ]
+
+let armed_every_point_matches_stock () =
+  let stock_end, stock_dump, _, _ = run_every_point ~arm:false in
+  let armed_end, armed_dump, probes, aggregates = run_every_point ~arm:true in
+  check_string "what the aggregates render" "552a99792519d633959436155e13f2f6"
+    (Digest.to_hex (Digest.string aggregates));
+  check_bool "same end time" true (Int64.equal stock_end armed_end);
+  check_bool "same machine-format trace" true
+    (String.equal stock_dump armed_dump);
+  check_int "one probe per point" Vp.point_count (List.length probes);
+  List.iter
+    (fun (name, p) ->
+      check_int name
+        (Option.value ~default:0 (List.assoc_opt name every_point_fired))
+        p.Vp.pr_fired)
+    probes
+
 let suite =
   ( "obs",
     [
@@ -433,8 +587,8 @@ let suite =
       quick "fire honours predicates and by-keys"
         fire_respects_predicates_and_keys;
       quick "sum/hist key units" sum_and_hist_units;
-      quick "trap-path flag tracks syscall probes"
-        syscall_armed_tracks_trap_points;
+      quick "every point family has its event" every_family_routes;
+      quick "probe hook follows attachments" probe_hook_follows_attachments;
       quick "ctl_write is all-or-nothing" ctl_write_all_or_nothing;
       slow "/proc/vprobe + vprobe_ctl round-trip" proc_vprobe_roundtrip;
       slow "/proc/metrics folds in vprobe and subsystem counters"
@@ -450,4 +604,6 @@ let suite =
       slow "flight recorder silent when disabled" flight_recorder_gated;
       slow "two kernels own their lock probes and flight recorders"
         two_kernels_own_their_observers;
+      slow "every point armed leaves the run as stock ran it"
+        armed_every_point_matches_stock;
     ] )

@@ -119,6 +119,7 @@ let classify (ev : Core.Ktrace.event) =
           c_val = depth;
         }
   | Core.Ktrace.Span_begin _ | Core.Ktrace.Span_end _ -> Skip
+  | Core.Ktrace.Probe _ -> Skip (* never in the ring, so never in a dump *)
 
 let () =
   let ic =
