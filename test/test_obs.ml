@@ -587,7 +587,6 @@ let suite =
       quick "fire honours predicates and by-keys"
         fire_respects_predicates_and_keys;
       quick "sum/hist key units" sum_and_hist_units;
-      quick "every point family has its event" every_family_routes;
       quick "probe hook follows attachments" probe_hook_follows_attachments;
       quick "ctl_write is all-or-nothing" ctl_write_all_or_nothing;
       slow "/proc/vprobe + vprobe_ctl round-trip" proc_vprobe_roundtrip;
@@ -606,4 +605,5 @@ let suite =
         two_kernels_own_their_observers;
       slow "every point armed leaves the run as stock ran it"
         armed_every_point_matches_stock;
+      quick "every point family has its event" every_family_routes;
     ] )
