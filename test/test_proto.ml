@@ -131,6 +131,44 @@ let assets_decode () =
   check_int "rate" 44100 rate;
   check_bool "8s of audio" true (n = 8 * 44100)
 
+(* Every staged asset, pinned by MD5. The assets are workload inputs:
+   the FAT image, SD reads, traces and perfbench goldens all follow from
+   these bytes, so an encoder or generator change must leave each one
+   exactly as it is. *)
+let staged_assets_pinned () =
+  let check_files what files expected =
+    check_int (what ^ " file count") (List.length expected) (List.length files);
+    List.iter2
+      (fun (path, data) (want_path, want) ->
+        check_string (what ^ " path") want_path path;
+        check_string (what ^ " " ^ path) want (Digest.to_hex (Digest.bytes data)))
+      files expected
+  in
+  let ramdisk =
+    [
+      ("/slides/one.bmp", "8f4689cb72cc0529fbbf3cb1d4efa133");
+      ("/slides/two.pngl", "ddb4ecd2153b86f16f90301bf293a801");
+      ("/slides/three.gifl", "7103b5b4dbd7fa6f2afcd12ef7665637");
+      ("/roms/mario.nes", "e5bb99576f86b38e48bd4e13b92a2f13");
+      ("/roms/zelda.nes", "b9c697a9a5f6faef8b2ae29216616ea6");
+      ("/roms/tetris.nes", "9ad7b98f90761462967b3648a793469c");
+      ("/scripts/demo.sh", "aa440b9906af67408c6ac8b1bcb52f0a");
+    ]
+  in
+  check_files "ramdisk 4" (Proto.Stage.ramdisk_files 4) ramdisk;
+  check_files "ramdisk 5" (Proto.Stage.ramdisk_files 5) ramdisk;
+  check_files "fat 5" (Proto.Stage.fat_files 5)
+    [
+      ("/videos/clip480.mv1", "8a09abe3c4a1ed6400d4109b09a552d8");
+      ("/videos/clip720.mv1", "896d2bd5410c4188b9e115b5529e5470");
+      ("/videos/clipaudio.vogg", "e9eaa46bca3bbf799f588d7056efe9cd");
+      ("/music/track1.vogg", "fa55282adc9f9ba1154f75e7abbbc118");
+      ("/music/cover1.pngl", "050849e68ec4588717c36884b3810d87");
+      ("/slides/hires.pngl", "f70504b2f1996cb9d3d281b75154cb34");
+      ("/slides/one.bmp", "8f4689cb72cc0529fbbf3cb1d4efa133");
+      ("/doom/doom1.wad", "c8c9c3837455104b8439664bee1bd27c");
+    ]
+
 let sloc_analysis () =
   let report = Proto.Sloc.analyze () in
   check_bool "no missing files" true (report.Proto.Sloc.missing = []);
@@ -282,4 +320,5 @@ let suite =
       quick "report prints numbers" report_numbers;
       quick "report layout" report_layout;
       quick "simbench p90 is the 0.90 quantile" simbench_p90;
+      quick "staged asset bytes are pinned" staged_assets_pinned;
     ] )

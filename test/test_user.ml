@@ -328,16 +328,18 @@ let mv1_container_roundtrip () =
   ignore (check_err "bad dims rejected"
       (Mv1.unpack (Mv1.pack { Mv1.width = 30; height = 30; fps = 1; frames = [||] })))
 
+(* C[k][n], the DCT-II basis, built apart from the codec's own table. *)
+let dct_matrix =
+  let pi = 4.0 *. atan 1.0 in
+  Array.init 8 (fun k ->
+      Array.init 8 (fun n ->
+          let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
+          ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
+
 (* The dense C^T * Y * C every block paid before the sparse IDCT: the
    oracle the decoder must match bit for bit. *)
 let dense_idct =
-  let pi = 4.0 *. atan 1.0 in
-  let c =
-    Array.init 8 (fun k ->
-        Array.init 8 (fun n ->
-            let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
-            ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
-  in
+  let c = dct_matrix in
   fun coeffs out ->
     let tmp = Array.make 64 0.0 in
     for n = 0 to 7 do
@@ -398,6 +400,58 @@ let mv1_sparse_idct_exact =
       (* a superset of the non-zero columns only adds exact zeros *)
       Mv1.idct ~cols:0xff coeffs tmp out;
       exact && out = expect)
+
+(* The dense C * X * C^T triple loop the encoder ran before its forward
+   DCT was interleaved: every sum starts from 0.0 and adds in index
+   order. The oracle the encoder must match bit for bit. *)
+let dense_fdct block =
+  let c = dct_matrix in
+  let tmp = Array.make 64 0.0 and out = Array.make 64 0.0 in
+  for k = 0 to 7 do
+    for x = 0 to 7 do
+      let s = ref 0.0 in
+      for n = 0 to 7 do
+        s := !s +. (c.(k).(n) *. float_of_int block.((n * 8) + x))
+      done;
+      tmp.((k * 8) + x) <- !s
+    done
+  done;
+  for k = 0 to 7 do
+    for l = 0 to 7 do
+      let s = ref 0.0 in
+      for x = 0 to 7 do
+        s := !s +. (tmp.((k * 8) + x) *. c.(l).(x))
+      done;
+      out.((k * 8) + l) <- !s
+    done
+  done;
+  out
+
+(* Pixel blocks of four shapes: random bytes, all 0, all 255 and a
+   0/255 checkerboard. *)
+let fdct_block (kind, seed) =
+  let rs = Random.State.make [| seed |] in
+  Array.init 64 (fun i ->
+      match kind with
+      | 0 -> 0
+      | 1 -> 255
+      | 2 -> if ((i / 8) + i) land 1 = 0 then 0 else 255
+      | _ -> Random.State.int rs 256)
+
+let mv1_fdct_exact =
+  qcheck ~count:2000 "mv1 forward dct = dense fdct, bit for bit"
+    QCheck.(
+      make
+        ~print:(fun (k, s) -> Printf.sprintf "kind %d seed %d" k s)
+        Gen.(pair (int_bound 5) (int_bound 1_000_000)))
+    (fun case ->
+      let block = fdct_block case in
+      let expect = dense_fdct block in
+      let out = Array.make 64 Float.nan in
+      Mv1.fdct block out;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        expect out)
 
 let mv1_round_byte_exact =
   qcheck ~count:2000 "mv1 round_byte = clamped Float.round"
@@ -687,6 +741,7 @@ let suite_codecs =
       quick "mv1 decoder reused after a failure" mv1_decoder_reused_after_failure;
       yuv_convert_matches_per_pixel;
       quick "yuv convert_420 rejects bad geometry" yuv_convert_rejects_bad_geometry;
+      mv1_fdct_exact;
     ] )
 
 (* ---- crypto, against published vectors ---- *)
