@@ -17,7 +17,7 @@ let step_table =
 
 let index_table = [| -1; -1; -1; -1; 2; 4; 6; 8; -1; -1; -1; -1; 2; 4; 6; 8 |]
 
-let clamp lo hi v = max lo (min hi v)
+let clamp lo hi (v : int) = if v < lo then lo else if v > hi then hi else v
 
 type state = { mutable predictor : int; mutable step_index : int }
 
@@ -68,13 +68,12 @@ let encode samples =
   let st = fresh_state () in
   let n = Array.length samples in
   let out = Bytes.make ((n + 1) / 2) '\000' in
-  Array.iteri
-    (fun i s ->
-      let nib = encode_sample st s in
-      let byte = Bytes.get_uint8 out (i / 2) in
-      Bytes.set_uint8 out (i / 2)
-        (if i land 1 = 0 then byte lor nib else byte lor (nib lsl 4)))
-    samples;
+  for i = 0 to n - 1 do
+    let nib = encode_sample st samples.(i) in
+    let byte = Bytes.get_uint8 out (i / 2) in
+    Bytes.set_uint8 out (i / 2)
+      (if i land 1 = 0 then byte lor nib else byte lor (nib lsl 4))
+  done;
   out
 
 let decode data ~samples =

@@ -236,47 +236,45 @@ let compress_stored data =
   Buffer.to_bytes out
 
 (* Fixed-Huffman literals (no matches): a real entropy coder; compresses
-   ASCII-ish data slightly, valid everywhere. *)
-type writer = { wbuf : Buffer.t; mutable wbyte : int; mutable wbit : int }
-
-let make_writer () = { wbuf = Buffer.create 1024; wbyte = 0; wbit = 0 }
-
-let write_bit w b =
-  w.wbyte <- w.wbyte lor (b lsl w.wbit);
-  if w.wbit = 7 then begin
-    Buffer.add_char w.wbuf (Char.chr w.wbyte);
-    w.wbyte <- 0;
-    w.wbit <- 0
-  end
-  else w.wbit <- w.wbit + 1
-
-let write_bits_lsb w v n =
-  for i = 0 to n - 1 do
-    write_bit w ((v lsr i) land 1)
-  done
-
-(* Huffman codes are written MSB-first. *)
-let write_code w code n =
-  for i = n - 1 downto 0 do
-    write_bit w ((code lsr i) land 1)
-  done
-
-let fixed_code sym =
-  if sym < 144 then (0x30 + sym, 8)
-  else if sym < 256 then (0x190 + sym - 144, 9)
-  else if sym < 280 then (sym - 256, 7)
-  else (0xc0 + sym - 280, 8)
+   ASCII-ish data slightly, valid everywhere. [fixed_codes] holds RFC
+   1951's fixed code of each literal and of end-of-block as
+   [(bit-reversed code lsl 4) lor length]: Huffman codes go out
+   MSB-first, so the reversed code can be packed LSB-first like every
+   other field. *)
+let fixed_codes =
+  let reverse code n =
+    let r = ref 0 in
+    for i = 0 to n - 1 do
+      if code land (1 lsl i) <> 0 then r := !r lor (1 lsl (n - 1 - i))
+    done;
+    !r
+  in
+  Array.init 257 (fun sym ->
+      let code, n =
+        if sym < 144 then (0x30 + sym, 8)
+        else if sym < 256 then (0x190 + sym - 144, 9)
+        else (sym - 256, 7)
+      in
+      (reverse code n lsl 4) lor n)
 
 let compress_fixed data =
-  let w = make_writer () in
-  write_bit w 1 (* final *);
-  write_bits_lsb w 1 2 (* fixed *);
-  Bytes.iter
-    (fun c ->
-      let code, n = fixed_code (Char.code c) in
-      write_code w code n)
-    data;
-  let code, n = fixed_code 256 in
-  write_code w code n;
-  if w.wbit <> 0 then Buffer.add_char w.wbuf (Char.chr w.wbyte);
-  Buffer.to_bytes w.wbuf
+  let out = Buffer.create 1024 in
+  (* pending bits, LSB first; fewer than 8 between symbols *)
+  let acc = ref 0 and nbits = ref 0 in
+  let put code_len =
+    acc := !acc lor ((code_len lsr 4) lsl !nbits);
+    nbits := !nbits + (code_len land 0xf);
+    while !nbits >= 8 do
+      Buffer.add_char out (Char.unsafe_chr (!acc land 0xff));
+      acc := !acc lsr 8;
+      nbits := !nbits - 8
+    done
+  in
+  (* final block, type 01 (fixed), LSB first *)
+  put ((0b011 lsl 4) lor 3);
+  for i = 0 to Bytes.length data - 1 do
+    put fixed_codes.(Bytes.get_uint8 data i)
+  done;
+  put fixed_codes.(256);
+  if !nbits > 0 then Buffer.add_char out (Char.unsafe_chr !acc);
+  Buffer.to_bytes out

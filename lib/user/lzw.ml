@@ -12,6 +12,11 @@ let max_bits = 12
 
 (* ---- encode ---- *)
 
+(* The code table maps (prefix code, next byte) to the code of the
+   longer string, keyed by [(prefix lsl 8) lor byte]: every string in
+   the table is a coded prefix plus one byte, so the key names it. *)
+module Codes = Hashtbl.Make (Int)
+
 let encode ~min_code_size data =
   assert (min_code_size >= 2 && min_code_size <= 8);
   let clear_code = 1 lsl min_code_size in
@@ -28,10 +33,10 @@ let encode ~min_code_size data =
       bitcnt := !bitcnt - 8
     done
   in
-  let table = Hashtbl.create 4096 in
+  let table = Codes.create 4096 in
   let next_code = ref (end_code + 1) in
   let reset_table () =
-    Hashtbl.clear table;
+    Codes.clear table;
     next_code := end_code + 1;
     code_size := min_code_size + 1
   in
@@ -39,12 +44,8 @@ let encode ~min_code_size data =
   emit clear_code;
   let n = Bytes.length data in
   if n > 0 then begin
-    let prefix = ref [ Bytes.get_uint8 data 0 ] in
-    let code_of seq =
-      match seq with
-      | [ single ] -> Some single
-      | _ -> Hashtbl.find_opt table seq
-    in
+    (* the code of the string matched so far; a single byte is its own *)
+    let prefix = ref (Bytes.get_uint8 data 0) in
     (* The width check rides each emit and runs *before* the pending
        table insert. At that instant the decoder (whose insert for this
        code also hasn't happened yet) counts exactly as many entries, so
@@ -52,27 +53,27 @@ let encode ~min_code_size data =
        codes, which follow an emit with no insert of their own. Checking
        after the insert instead desynced the end code's width whenever
        the final data code landed on a power-of-two boundary. *)
-    let emit_prefix seq =
-      emit (Option.get (code_of seq));
+    let emit_prefix code =
+      emit code;
       if !next_code >= 1 lsl !code_size && !code_size < max_bits then
         incr code_size
     in
     for i = 1 to n - 1 do
       let c = Bytes.get_uint8 data i in
-      let candidate = !prefix @ [ c ] in
-      match code_of candidate with
-      | Some _ -> prefix := candidate
+      let key = (!prefix lsl 8) lor c in
+      match Codes.find_opt table key with
+      | Some code -> prefix := code
       | None ->
           emit_prefix !prefix;
           if !next_code < 1 lsl max_bits then begin
-            Hashtbl.replace table candidate !next_code;
+            Codes.replace table key !next_code;
             incr next_code
           end
           else begin
             emit clear_code;
             reset_table ()
           end;
-          prefix := [ c ]
+          prefix := c
     done;
     emit_prefix !prefix
   end;

@@ -44,25 +44,49 @@ let dct_c =
       let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
       ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0))
 
-(* out = C * block * C^T *)
-let fdct block out =
-  let tmp = Array.make 64 0.0 in
-  for k = 0 to 7 do
-    for x = 0 to 7 do
-      let s = ref 0.0 in
-      for n = 0 to 7 do
-        s := !s +. (dct_c.((k * 8) + n) *. float_of_int block.((n * 8) + x))
-      done;
-      tmp.((k * 8) + x) <- !s
+let[@inline] dct_at i = Array.unsafe_get dct_c i
+
+(* out = C * block * C^T, with [out] holding the middle product between
+   the passes. Every sum starts from 0.0 and adds in index order, as the
+   dense triple loop does, so each float is that loop's bit for bit:
+   pass 1 loads a column of the block as floats once and forms its eight
+   sums, pass 2 loads a row of the middle product and forms its eight. *)
+let fdct (block : int array) (out : float array) =
+  if Array.length block < 64 || Array.length out < 64 then invalid_arg "Mv1.fdct";
+  (* out[k][x] = sum over n of C[k][n] * block[n][x] *)
+  for x = 0 to 7 do
+    let b0 = float_of_int (Array.unsafe_get block x)
+    and b1 = float_of_int (Array.unsafe_get block (8 + x))
+    and b2 = float_of_int (Array.unsafe_get block (16 + x))
+    and b3 = float_of_int (Array.unsafe_get block (24 + x))
+    and b4 = float_of_int (Array.unsafe_get block (32 + x))
+    and b5 = float_of_int (Array.unsafe_get block (40 + x))
+    and b6 = float_of_int (Array.unsafe_get block (48 + x))
+    and b7 = float_of_int (Array.unsafe_get block (56 + x)) in
+    for k = 0 to 7 do
+      let r = k * 8 in
+      Array.unsafe_set out (r + x)
+        (0.0 +. (dct_at r *. b0) +. (dct_at (r + 1) *. b1)
+        +. (dct_at (r + 2) *. b2) +. (dct_at (r + 3) *. b3)
+        +. (dct_at (r + 4) *. b4) +. (dct_at (r + 5) *. b5)
+        +. (dct_at (r + 6) *. b6) +. (dct_at (r + 7) *. b7))
     done
   done;
+  (* out[k][l] = sum over x of mid[k][x] * C[l][x], row k of the middle
+     product read before it is overwritten *)
   for k = 0 to 7 do
+    let r = k * 8 in
+    let t0 = Array.unsafe_get out r and t1 = Array.unsafe_get out (r + 1)
+    and t2 = Array.unsafe_get out (r + 2) and t3 = Array.unsafe_get out (r + 3)
+    and t4 = Array.unsafe_get out (r + 4) and t5 = Array.unsafe_get out (r + 5)
+    and t6 = Array.unsafe_get out (r + 6) and t7 = Array.unsafe_get out (r + 7) in
     for l = 0 to 7 do
-      let s = ref 0.0 in
-      for x = 0 to 7 do
-        s := !s +. (tmp.((k * 8) + x) *. dct_c.((l * 8) + x))
-      done;
-      out.((k * 8) + l) <- !s
+      let q = l * 8 in
+      Array.unsafe_set out (r + l)
+        (0.0 +. (t0 *. dct_at q) +. (t1 *. dct_at (q + 1))
+        +. (t2 *. dct_at (q + 2)) +. (t3 *. dct_at (q + 3))
+        +. (t4 *. dct_at (q + 4)) +. (t5 *. dct_at (q + 5))
+        +. (t6 *. dct_at (q + 6)) +. (t7 *. dct_at (q + 7)))
     done
   done
 
@@ -136,16 +160,34 @@ let zigzag =
      43; 36; 29; 22; 15; 23; 30; 37; 44; 51; 58; 59; 52; 45; 38; 31; 39; 46;
      53; 60; 61; 54; 47; 55; 62; 63 |]
 
-(* RLE of the zigzag sequence: (run-of-zeros, value) pairs; values are
-   signed 16-bit. 0xF0 run means "16 zeros, no value"; EOB = (0, 0). *)
-let encode_block buf quant coeffs =
-  let zz = Array.map (fun i -> coeffs.(i)) zigzag in
-  (* quantize in zigzag order with the table addressed in raster order *)
-  let q = Array.mapi (fun i v ->
-      int_of_float (Float.round (v /. float_of_int quant.(zigzag.(i))))) zz
-  in
+(* Caller-owned encode scratch: one per frame, reused for every block. *)
+type encoder = {
+  qz : float array;  (** the quantizer in zigzag order *)
+  e_block : int array;  (** one 8x8 block of the plane *)
+  e_coeffs : float array;  (** its DCT, raster order *)
+  q : int array;  (** its quantized coefficients, zigzag order *)
+}
+
+let encoder ~quality =
+  let quant = quant_table ~quality in
+  {
+    qz = Array.map (fun z -> float_of_int quant.(z)) zigzag;
+    e_block = Array.make 64 0;
+    e_coeffs = Array.make 64 0.0;
+    q = Array.make 64 0;
+  }
+
+(* RLE of the zigzag sequence of [e.e_coeffs]: (run-of-zeros, value)
+   pairs; values are signed 16-bit. 0xF0 run means "16 zeros, no value";
+   EOB = (0, 0). *)
+let encode_block buf e =
+  let coeffs = e.e_coeffs and q = e.q in
   let last_nonzero = ref (-1) in
-  Array.iteri (fun i v -> if v <> 0 then last_nonzero := i) q;
+  for i = 0 to 63 do
+    let v = int_of_float (Float.round (coeffs.(zigzag.(i)) /. e.qz.(i))) in
+    q.(i) <- v;
+    if v <> 0 then last_nonzero := i
+  done;
   let i = ref 0 in
   while !i <= !last_nonzero do
     let run = ref 0 in
@@ -248,10 +290,18 @@ let for_blocks ~width ~height f =
     done
   done
 
-let extract_block plane ~width ~bx ~by out =
+(* One check covers the block: with [bx], [by] and [width] not
+   negative, every index read lies between [base] and the last one. *)
+let extract_block (plane : int array) ~width ~bx ~by (out : int array) =
+  let base = (by * 8 * width) + (bx * 8) in
+  if bx < 0 || by < 0 || width < 0
+     || base + (7 * width) + 7 >= Array.length plane
+     || Array.length out < 64
+  then invalid_arg "Mv1.extract_block";
   for y = 0 to 7 do
+    let off = base + (y * width) in
     for x = 0 to 7 do
-      out.((y * 8) + x) <- plane.(((by * 8 + y) * width) + (bx * 8) + x)
+      Array.unsafe_set out ((y * 8) + x) (Array.unsafe_get plane (off + x))
     done
   done
 
@@ -263,13 +313,14 @@ let insert_block (plane : int array) ~width ~bx ~by (block : int array) =
     done
   done
 
-let encode_plane buf quant plane ~width ~height =
-  let block = Array.make 64 0 in
-  let coeffs = Array.make 64 0.0 in
-  for_blocks ~width ~height (fun ~bx ~by ->
-      extract_block plane ~width ~bx ~by block;
-      fdct block coeffs;
-      encode_block buf quant coeffs)
+let encode_plane buf e plane ~width ~height =
+  for by = 0 to (height / 8) - 1 do
+    for bx = 0 to (width / 8) - 1 do
+      extract_block plane ~width ~bx ~by e.e_block;
+      fdct e.e_block e.e_coeffs;
+      encode_block buf e
+    done
+  done
 
 (* A block whose one entry is raster position 0 (zigzag index 0) is
    flat: {!idct}'s pass 1 leaves [0.0 +. C00 *. y] in every row, and
@@ -302,11 +353,11 @@ let blocks_per_frame ~width ~height =
   (width * height / 64) + (2 * (width / 2 * (height / 2) / 64))
 
 let encode_frame ~width ~height ~quality frame =
-  let quant = quant_table ~quality in
+  let e = encoder ~quality in
   let buf = Buffer.create (width * height / 4) in
-  encode_plane buf quant frame.y_plane ~width ~height;
-  encode_plane buf quant frame.u_plane ~width:(width / 2) ~height:(height / 2);
-  encode_plane buf quant frame.v_plane ~width:(width / 2) ~height:(height / 2);
+  encode_plane buf e frame.y_plane ~width ~height;
+  encode_plane buf e frame.u_plane ~width:(width / 2) ~height:(height / 2);
+  encode_plane buf e frame.v_plane ~width:(width / 2) ~height:(height / 2);
   Buffer.to_bytes buf
 
 (* Decode a frame's payload into [d.frame]. Every pixel is overwritten,
