@@ -2569,6 +2569,79 @@ let kc_proc_files () =
       check_bool "no violations on a clean run" true
         (kc_contains report "violations\t: 0"))
 
+(* The pipe form of the join cycle: each task reads the pipe whose only
+   write end the other holds. Once both read, kcheck must panic and name
+   each task with the pipe it waits on. *)
+let kc_pipe_cycle_detected () =
+  let kernel = boot_kernel () in
+  let fdt = kernel.Core.Kernel.fdt in
+  let pipe_id fd =
+    match Core.Fd.get fdt ~pid:(Usys.getpid ()) ~fd with
+    | Some { Core.Fd.kind = Core.Fd.K_pipe_read p; _ } -> p.Core.Pipe.pipe_id
+    | Some _ | None -> Alcotest.fail "not a pipe read end"
+  in
+  let a_on = ref "" and b_on = ref "" in
+  let a =
+    Core.Kernel.spawn_user kernel ~name:"pipe-a" (fun () ->
+        match (Usys.pipe (), Usys.pipe ()) with
+        | Ok (r1, w1), Ok (r2, w2) ->
+            let b =
+              Usys.fork (fun () ->
+                  ignore (Usys.close r1);
+                  ignore (Usys.close w2);
+                  ignore (Usys.sleep 1);
+                  b_on :=
+                    Printf.sprintf "task %d (on pipe:%d:r)" (Usys.getpid ())
+                      (pipe_id r2);
+                  ignore (Usys.read r2 1);
+                  0)
+            in
+            ignore b;
+            ignore (Usys.close w1);
+            ignore (Usys.close r2);
+            a_on :=
+              Printf.sprintf "task %d (on pipe:%d:r)" (Usys.getpid ())
+                (pipe_id r1);
+            ignore (Usys.read r1 1);
+            0
+        | _ -> 1)
+  in
+  ignore a;
+  match run_for kernel 1 with
+  | () -> Alcotest.fail "pipe wait cycle not detected"
+  | exception Core.Kpanic.Panic msg ->
+      check_bool "names the wait-cycle rule" true (kc_contains msg "wait-cycle");
+      check_bool "names the first task and its pipe" true
+        (!a_on <> "" && kc_contains msg !a_on);
+      check_bool "names the second task and its pipe" true
+        (!b_on <> "" && kc_contains msg !b_on)
+
+(* Two tasks holding one semaphore open both wait on it and nobody is
+   left to post: kcheck must panic with both waiters on that semaphore. *)
+let kc_sem_cycle_detected () =
+  let kernel = boot_kernel () in
+  let a_on = ref "" and b_on = ref "" in
+  ignore
+    (Core.Kernel.spawn_user kernel ~name:"sem-a" (fun () ->
+         let id = Usys.sem_open 0 in
+         ignore
+           (Usys.fork (fun () ->
+                ignore (Usys.sleep 1);
+                b_on := Printf.sprintf "task %d (on sem:%d)" (Usys.getpid ()) id;
+                ignore (Usys.sem_wait id);
+                0));
+         a_on := Printf.sprintf "task %d (on sem:%d)" (Usys.getpid ()) id;
+         ignore (Usys.sem_wait id);
+         0));
+  match run_for kernel 1 with
+  | () -> Alcotest.fail "semaphore wait cycle not detected"
+  | exception Core.Kpanic.Panic msg ->
+      check_bool "names the wait-cycle rule" true (kc_contains msg "wait-cycle");
+      check_bool "names the first waiter and the semaphore" true
+        (!a_on <> "" && kc_contains msg !a_on);
+      check_bool "names the second waiter and the semaphore" true
+        (!b_on <> "" && kc_contains msg !b_on)
+
 let suite_kcheck =
   ( "kernel.kcheck",
     [
@@ -2577,4 +2650,6 @@ let suite_kcheck =
       quick "two-task join cycle panics" kc_wait_cycle_detected;
       quick "leaked pipe end fails the audit" kc_pipe_leak_detected;
       quick "/proc/locks and /proc/kcheck render" kc_proc_files;
+      quick "pipe-pair wait cycle panics" kc_pipe_cycle_detected;
+      quick "semaphore wait cycle panics" kc_sem_cycle_detected;
     ] )

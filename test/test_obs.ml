@@ -578,6 +578,137 @@ let armed_every_point_matches_stock () =
         p.Vp.pr_fired)
     probes
 
+(* ---- wait channels: the name each family renders, the bucket it fills ---- *)
+
+(* One task parked on every channel family a task can block on. For
+   each, the state /proc/tasks and /proc/delays show is pinned, and over
+   a second of waiting exactly one of the four wait buckets grows. *)
+let wait_families_name_and_bucket () =
+  let kernel = boot_kernel () in
+  let fdt = kernel.Core.Kernel.fdt in
+  Core.Debugmon.watch_syscall kernel.Core.Kernel.debugmon "mkdir";
+  let families = ref [] in
+  let park name ~bucket body =
+    let expected = ref "" in
+    let task =
+      Core.Kernel.spawn_user kernel ~name (fun () ->
+          body (fun chan -> expected := "blocked:" ^ chan);
+          0)
+    in
+    families := (name, task, expected, bucket) :: !families
+  in
+  let pipe_id fd =
+    match Core.Fd.get fdt ~pid:(User.Usys.getpid ()) ~fd with
+    | Some { Core.Fd.kind = Core.Fd.K_pipe_read p; _ }
+    | Some { Core.Fd.kind = Core.Fd.K_pipe_write p; _ } ->
+        p.Core.Pipe.pipe_id
+    | Some _ | None -> Alcotest.fail "not a pipe end"
+  in
+  let forever = 1_000_000 in
+  park "sleeper" ~bucket:`Sleep (fun expect ->
+      expect "sleep";
+      ignore (User.Usys.sleep forever));
+  park "joiner" ~bucket:`Sleep (fun expect ->
+      let tid =
+        User.Usys.clone (fun () ->
+            ignore (User.Usys.sleep forever);
+            0)
+      in
+      expect (Printf.sprintf "exit:%d" tid);
+      ignore (User.Usys.join tid));
+  park "waiter" ~bucket:`Sleep (fun expect ->
+      ignore
+        (User.Usys.fork (fun () ->
+             ignore (User.Usys.sleep forever);
+             0));
+      expect (Printf.sprintf "children:%d" (User.Usys.getpid ()));
+      ignore (User.Usys.wait ()));
+  park "debuggee" ~bucket:`Sleep (fun expect ->
+      expect (Printf.sprintf "debug:%d" (User.Usys.getpid ()));
+      ignore (User.Usys.mkdir "/stopped"));
+  park "poller" ~bucket:`Sleep (fun expect ->
+      match User.Usys.pipe () with
+      | Ok (r, _w) ->
+          expect "poll:waiters";
+          ignore (User.Usys.poll [ r ] ~timeout_ms:(-1))
+      | Error e -> Alcotest.failf "pipe: errno %d" e);
+  park "pipe-reader" ~bucket:`Pipe (fun expect ->
+      match User.Usys.pipe () with
+      | Ok (r, _w) ->
+          expect (Printf.sprintf "pipe:%d:r" (pipe_id r));
+          ignore (User.Usys.read r 8)
+      | Error e -> Alcotest.failf "pipe: errno %d" e);
+  park "pipe-writer" ~bucket:`Pipe (fun expect ->
+      match User.Usys.pipe () with
+      | Ok (_r, w) ->
+          expect (Printf.sprintf "pipe:%d:w" (pipe_id w));
+          ignore (User.Usys.write w (Bytes.make 65536 'x'))
+      | Error e -> Alcotest.failf "pipe: errno %d" e);
+  park "sem-waiter" ~bucket:`Lock (fun expect ->
+      let id = User.Usys.sem_open 0 in
+      expect (Printf.sprintf "sem:%d" id);
+      ignore (User.Usys.sem_wait id));
+  park "kbd-reader" ~bucket:`Io (fun expect ->
+      let fd = User.Usys.open_ "/dev/events" Core.Abi.o_rdonly in
+      expect "kbd:events";
+      ignore (User.Usys.read fd 64));
+  park "uart-reader" ~bucket:`Io (fun expect ->
+      let fd = User.Usys.open_ "/dev/console" Core.Abi.o_rdonly in
+      expect "uart:rx";
+      ignore (User.Usys.read fd 1));
+  park "audio-writer" ~bucket:`Io (fun expect ->
+      let fd = User.Usys.open_ "/dev/sb" Core.Abi.o_wronly in
+      expect "audio:space";
+      ignore (User.Usys.write fd (Bytes.make 4_000_000 '\000')));
+  park "wm-reader" ~bucket:`Io (fun expect ->
+      match User.Gfx.windowed ~width:16 ~height:16 ~x:0 ~y:0 () with
+      | Error e -> Alcotest.failf "window: errno %d" e
+      | Ok _ ->
+          let me =
+            Option.get
+              (Core.Sched.task_by_pid kernel.Core.Kernel.sched
+                 (User.Usys.getpid ()))
+          in
+          expect
+            (Printf.sprintf "wm:ev:%d" (Option.get me.Core.Task.wm_surface));
+          let fd = User.Usys.open_ "/dev/event1" Core.Abi.o_rdonly in
+          ignore (User.Usys.read fd 64));
+  run_for kernel 1;
+  let row task =
+    List.find
+      (fun r -> r.Core.Sched.dr_pid = task.Core.Task.pid)
+      (Core.Sched.delay_rows kernel.Core.Kernel.sched)
+  in
+  let waits r =
+    [
+      (`Sleep, r.Core.Sched.dr_sleep);
+      (`Io, r.Core.Sched.dr_blk_io);
+      (`Lock, r.Core.Sched.dr_blk_lock);
+      (`Pipe, r.Core.Sched.dr_blk_pipe);
+    ]
+  in
+  let before =
+    List.map (fun (_, task, _, _) -> waits (row task)) (List.rev !families)
+  in
+  run_for kernel 1;
+  List.iter2
+    (fun (name, task, expected, bucket) before ->
+      check_string (name ^ " state") !expected (Core.Task.state_name task);
+      List.iter2
+        (fun (b, was) (_, now) ->
+          let grew = Int64.compare now was > 0 in
+          check_bool
+            (Printf.sprintf "%s: %s bucket grows" name
+               (match b with
+               | `Sleep -> "sleep"
+               | `Io -> "blk_io"
+               | `Lock -> "blk_lock"
+               | `Pipe -> "blk_pipe"))
+            (b = bucket) grew)
+        before
+        (waits (row task)))
+    (List.rev !families) before
+
 let suite =
   ( "obs",
     [
@@ -606,4 +737,6 @@ let suite =
       slow "every point armed leaves the run as stock ran it"
         armed_every_point_matches_stock;
       quick "every point family has its event" every_family_routes;
+      slow "every wait channel family has its name and delay bucket"
+        wait_families_name_and_bucket;
     ] )
