@@ -12,7 +12,6 @@ type t = {
   board : Hw.Board.t;
   sched : Sched.t;
   ring : int Queue.t;
-  space_chan : string;
   mutable dma_active : bool;
   mutable samples_in : int;
 }
@@ -34,7 +33,7 @@ let pump t =
 let on_dma_irq t () =
   Hw.Dma.ack t.board.Hw.Board.dma ~channel:dma_channel;
   t.dma_active <- false;
-  Sched.wake_all t.sched t.space_chan;
+  Sched.wake_all t.sched Task.Audio_space;
   pump t
 
 let create board sched =
@@ -43,7 +42,6 @@ let create board sched =
       board;
       sched;
       ring = Queue.create ();
-      space_chan = "audio:space";
       dma_active = false;
       samples_in = 0;
     }
@@ -75,7 +73,7 @@ let write ctx t data =
       let space = ring_capacity - Queue.length t.ring in
       if space = 0 then begin
         pump t;
-        Sched.block ctx ~chan:t.space_chan ~retry:step
+        Sched.block ctx ~chan:Task.Audio_space ~retry:step
       end
       else begin
         let n = min space (nsamples - !written) in

@@ -6,12 +6,12 @@
     whose debug output goes… to the UART. Reads are interrupt-driven
     (Prototype 4's "irq RX"). *)
 
-type t = { board : Hw.Board.t; sched : Sched.t; rx_chan : string }
+type t = { board : Hw.Board.t; sched : Sched.t }
 
 let create board sched =
-  let t = { board; sched; rx_chan = "uart:rx" } in
+  let t = { board; sched } in
   Sched.register_irq sched Hw.Irq.Uart_rx (fun () ->
-      Sched.wake_all sched t.rx_chan;
+      Sched.wake_all sched Task.Uart_input;
       Sched.poll_wake sched);
   t
 
@@ -50,6 +50,6 @@ let read ctx t ~len ~nonblock =
       Sched.finish ctx (Abi.R_bytes out)
     end
     else if nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
-    else Sched.block ctx ~chan:t.rx_chan ~retry:attempt
+    else Sched.block ctx ~chan:Task.Uart_input ~retry:attempt
   in
   attempt ()

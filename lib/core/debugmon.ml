@@ -49,8 +49,6 @@ let drain t =
   in
   t.recent <- take recent_cap t.recent
 
-let debug_chan pid = Printf.sprintf "debug:%d" pid
-
 let set_breakpoint t label =
   if not (List.mem label t.breakpoints) then
     t.breakpoints <- label :: t.breakpoints
@@ -152,6 +150,6 @@ let inspect t pid =
 
 let resume t pid =
   t.stopped <- List.remove_assoc pid t.stopped;
-  Sched.wake_all t.sched (debug_chan pid)
+  Sched.wake_all t.sched (Task.Debug_stop pid)
 
 let hits t = t.hits

@@ -64,7 +64,6 @@ type t = {
   board : Hw.Board.t;
   sched : Sched.t;
   ring : event Queue.t;
-  chan : string;
   mutable prev_keys : int list;
   mutable sink : (event -> bool) option;
       (** WM interposition: returns true when it consumed the event *)
@@ -80,7 +79,7 @@ let push_event t ev =
       t.dropped <- t.dropped + 1
     end;
     Queue.add ev t.ring;
-    Sched.wake_all t.sched t.chan;
+    Sched.wake_all t.sched Task.Kbd_events;
     Sched.poll_wake t.sched
   end
 
@@ -132,7 +131,6 @@ let create board sched =
       board;
       sched;
       ring = Queue.create ();
-      chan = "kbd:events";
       prev_keys = [];
       sink = None;
       dropped = 0;
@@ -169,6 +167,6 @@ let read ctx t ~len ~nonblock =
       Sched.finish ctx (Abi.R_bytes (Buffer.to_bytes buf))
     end
     else if nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
-    else Sched.block ctx ~chan:t.chan ~retry:attempt
+    else Sched.block ctx ~chan:Task.Kbd_events ~retry:attempt
   in
   attempt ()

@@ -29,20 +29,22 @@
     raised as {!Kpanic.Panic}.
 
     Dependency note: this module sits low in [lib/core] (only Ktrace and
-    Kpanic below it). Everything kernel-specific — channel-name parsing,
-    semaphore holders, fd-table walks — reaches it as closures installed
-    by [kernel.ml] at boot. *)
+    Kpanic below it). Everything kernel-specific — who could wake a wait
+    channel, semaphore holders, fd-table walks — reaches it as closures
+    installed by [kernel.ml] at boot. *)
 
 type violation = { rule : string; detail : string }
 
-(** Kernel-side knowledge, injected at boot. [blocked_chan pid] is the
-    channel a task is blocked on, [None] when it can still run. [wakers
-    chan] lists the tasks that could plausibly wake [chan]; an empty
-    list means "woken externally" (timers, IRQs, the debugger) and ends
-    the deadlock walk. *)
+(** Kernel-side knowledge, injected at boot, all keyed by pid.
+    [blocked pid] is whether the task is blocked. [wakers pid] lists the
+    tasks that could plausibly wake the channel it is blocked on; an
+    empty list means "woken externally" (timers, IRQs, the debugger) and
+    ends the deadlock walk. [chan_name pid] renders that channel, and is
+    read only to report a violation. *)
 type env = {
-  blocked_chan : int -> string option;
-  wakers : string -> int list;
+  blocked : int -> bool;
+  wakers : int -> int list;
+  chan_name : int -> string;
 }
 
 (** A lock registered for /proc/locks; closures so kcheck never depends
@@ -179,64 +181,60 @@ let irq_pop t ~core =
    it cannot wake anyone while blocked). Unknown wakers ([]) or any
    runnable waker end the branch: the channel can still be woken. A
    successor already on the path closes a cycle of blocked tasks. *)
-let deadlock_scan t env ~pid ~chan =
+let deadlock_scan t env ~pid =
   t.scans <- t.scans + 1;
-  let rec dfs path p c =
-    let on_path = (p, c) :: path in
-    let ss = List.filter (fun s -> s <> p) (env.wakers c) in
-    if ss = [] then None
-    else if List.exists (fun s -> env.blocked_chan s = None) ss then None
+  let rec dfs path p =
+    let on_path = p :: path in
+    let ss = List.filter (fun s -> s <> p) (env.wakers p) in
+    if ss = [] || List.exists (fun s -> not (env.blocked s)) ss then None
     else
-      let rec try_succs = function
-        | [] -> None
-        | s :: rest -> (
-            if List.mem_assoc s on_path then
-              (* drop path entries below the cycle entry point *)
-              let rec upto = function
-                | [] -> []
-                | (q, qc) :: rest ->
-                    if q = s then [ (q, qc) ] else (q, qc) :: upto rest
-              in
-              Some (List.rev (upto on_path))
-            else
-              match env.blocked_chan s with
-              | None -> try_succs rest
-              | Some sc -> (
-                  match dfs on_path s sc with
-                  | Some _ as r -> r
-                  | None -> try_succs rest))
-      in
-      try_succs ss
+      List.find_map
+        (fun s ->
+          if List.mem s on_path then
+            (* drop path entries below the cycle entry point *)
+            let rec upto = function
+              | [] -> []
+              | q :: rest -> if q = s then [ q ] else q :: upto rest
+            in
+            Some (List.rev (upto on_path))
+          else dfs on_path s)
+        ss
   in
-  match dfs [] pid chan with
+  match dfs [] pid with
   | None -> ()
   | Some cycle ->
       violation t ~rule:"wait-cycle" "deadlock: %s"
         (String.concat " -> "
            (List.map
-              (fun (p, c) -> Printf.sprintf "task %d (on %s)" p c)
+              (fun p -> Printf.sprintf "task %d (on %s)" p (env.chan_name p))
               cycle))
 
-(* Called by the scheduler after a task's state became [Blocked chan]. *)
-let task_blocked t ~pid ~chan ~core =
+let waiting_on t pid =
+  match t.env with Some env -> env.chan_name pid | None -> "?"
+
+(* Called by the scheduler after a task's state became [Blocked _]. *)
+let task_blocked t ~pid ~core =
   t.block_events <- t.block_events + 1;
   (match held_on t ~core with
   | [] -> ()
   | names ->
       violation t ~rule:"sleep-in-atomic"
-        "task %d blocks on %s while core %d holds %s" pid chan core
+        "task %d blocks on %s while core %d holds %s" pid (waiting_on t pid)
+        core
         (String.concat ", " names));
   if Option.value ~default:0 (Hashtbl.find_opt t.irq_depth core) > 0 then
     violation t ~rule:"sleep-in-atomic"
-      "task %d blocks on %s under an irq guard on core %d" pid chan core;
+      "task %d blocks on %s under an irq guard on core %d" pid
+      (waiting_on t pid) core;
   match t.env with
   | None -> ()
-  | Some env -> deadlock_scan t env ~pid ~chan
+  | Some env -> deadlock_scan t env ~pid
 
 (* ---- refcount audits ---- *)
 
 (* Run every registered auditor; each returns the list of inconsistencies
-   it re-derived from ground truth. Called at fork/clone/exit. *)
+   it re-derived from ground truth. Called at fork/clone/exit; [reason]
+   names the boundary, and runs only to report a violation. *)
 let audit t ~reason =
   t.audits <- t.audits + 1;
   List.iter
@@ -244,7 +242,7 @@ let audit t ~reason =
       match f () with
       | [] -> ()
       | problems ->
-          violation t ~rule:"refcount" "%s at %s: %s" name reason
+          violation t ~rule:"refcount" "%s at %s: %s" name (reason ())
             (String.concat "; " problems))
     t.auditors
 

@@ -382,48 +382,52 @@ let boot spec =
      could wake each wait channel and how to re-derive every refcount *)
   (match kcheck with
   | Some kc ->
-      let blocked_chan pid =
+      let blocked_on pid =
         match Sched.task_by_pid sched pid with
-        | Some task -> (
-            match task.Task.state with
-            | Task.Blocked chan -> Some chan
-            | Task.Runnable | Task.Running _ | Task.Zombie -> None)
-        | None -> None
+        | Some { Task.state = Task.Blocked chan; _ } -> Some chan
+        | Some _ | None -> None
       in
-      let wakers chan =
-        match String.split_on_char ':' chan with
-        | [ "exit"; pid ] -> (
-            (* joiners are woken by the joinee's exit *)
-            match Sched.task_by_pid sched (int_of_string pid) with
-            | Some task when task.Task.state <> Task.Zombie ->
-                [ task.Task.pid ]
-            | Some _ | None -> [])
-        | [ "children"; pid ] -> (
-            (* wait(2) is woken by any live child's exit *)
-            match Sched.task_by_pid sched (int_of_string pid) with
-            | Some parent ->
-                List.filter
-                  (fun c ->
-                    match Sched.task_by_pid sched c with
-                    | Some child -> child.Task.state <> Task.Zombie
-                    | None -> false)
-                  parent.Task.children
-            | None -> [])
-        | [ "sem"; id ] ->
-            (* only a task holding the semaphore open plausibly posts it *)
-            Sem.holders sems (int_of_string id)
-        | [ "pipe"; id; "r" ] ->
-            (* blocked readers are woken by the write side (and vice
-               versa): data arriving or the last end closing *)
-            Fd.pipe_end_owners fdt ~pipe_id:(int_of_string id) ~write:true
-        | [ "pipe"; id; "w" ] ->
-            Fd.pipe_end_owners fdt ~pipe_id:(int_of_string id) ~write:false
-        | _ ->
-            (* sleep, debug, poll:waiters, device queues: woken by timers
-               or IRQs — external, so the deadlock walk stops here *)
-            []
+      let live pid =
+        match Sched.task_by_pid sched pid with
+        | Some task -> task.Task.state <> Task.Zombie
+        | None -> false
       in
-      Kcheck.set_env kc { Kcheck.blocked_chan; wakers };
+      let wakers pid =
+        match blocked_on pid with
+        | None -> []
+        | Some chan -> (
+            match chan with
+            | Task.Exit_of joinee ->
+                (* joiners are woken by the joinee's exit *)
+                if live joinee then [ joinee ] else []
+            | Task.Children_of parent -> (
+                (* wait(2) is woken by any live child's exit *)
+                match Sched.task_by_pid sched parent with
+                | Some parent -> List.filter live parent.Task.children
+                | None -> [])
+            | Task.Sem_count id ->
+                (* only a task holding the semaphore open plausibly posts it *)
+                Sem.holders sems id
+            | Task.Pipe_readable pipe_id ->
+                (* blocked readers are woken by the write side (and vice
+                   versa): data arriving or the last end closing *)
+                Fd.pipe_end_owners fdt ~pipe_id ~write:true
+            | Task.Pipe_writable pipe_id ->
+                Fd.pipe_end_owners fdt ~pipe_id ~write:false
+            | Task.Debug_stop _ | Task.Wm_events _ | Task.Kbd_events
+            | Task.Uart_input | Task.Audio_space | Task.Poll_waiters
+            | Task.Sleeping ->
+                (* woken by timers, IRQs or the debugger — external, so
+                   the deadlock walk stops here *)
+                [])
+      in
+      let chan_name pid =
+        match blocked_on pid with
+        | Some chan -> Task.chan_name chan
+        | None -> "?"
+      in
+      Kcheck.set_env kc
+        { Kcheck.blocked = (fun pid -> blocked_on pid <> None); wakers; chan_name };
       Kcheck.register_auditor kc ~name:"fd/pipe refs" (fun () -> Fd.audit fdt);
       Kcheck.register_auditor kc ~name:"sem refs" (fun () -> Sem.audit sems)
   | None -> ());

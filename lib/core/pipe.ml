@@ -73,8 +73,8 @@ type t = {
       (** count of bytes ever read/written; w-r = fill *)
   mutable readers : int; [@locked_by "plock"]
   mutable writers : int; [@locked_by "plock"]
-  rchan : string;
-  wchan : string;
+  rchan : Task.chan;
+  wchan : Task.chan;
   plock : Spinlock.t;
       (** discipline-only leaf lock (no [~kcheck], no trace events) for the
           ring positions and end counts; vrace R101 checks the windows,
@@ -96,8 +96,8 @@ let create p ~trace =
     wpos = 0;
     readers = 1;
     writers = 1;
-    rchan = Printf.sprintf "pipe:%d:r" id;
-    wchan = Printf.sprintf "pipe:%d:w" id;
+    rchan = Task.Pipe_readable id;
+    wchan = Task.Pipe_writable id;
     plock = Spinlock.create ~trace "plock";
   }
 

@@ -32,9 +32,8 @@ let sys_fork ctx t child_main =
           ~parent:parent.Task.pid child_main
       in
       Sched.charge ctx Kcost.fork_base;
-      Sched.kcheck_audit t.sched
-        ~reason:(Printf.sprintf "fork %d -> %d" parent.Task.pid
-                   child.Task.pid);
+      Sched.kcheck_audit t.sched ~reason:(fun () ->
+          Printf.sprintf "fork %d -> %d" parent.Task.pid child.Task.pid);
       Sched.finish ctx (Abi.R_int child.Task.pid)
   | Some vm -> (
       match Vm.fork_copy vm with
@@ -49,9 +48,8 @@ let sys_fork ctx t child_main =
           child.Task.cwd <- parent.Task.cwd;
           Fd.clone_table t.fdt ~parent:parent.Task.pid ~child:child.Task.pid;
           Sem.fork t.sems ~parent:parent.Task.pid ~child:child.Task.pid;
-          Sched.kcheck_audit t.sched
-            ~reason:(Printf.sprintf "fork %d -> %d" parent.Task.pid
-                       child.Task.pid);
+          Sched.kcheck_audit t.sched ~reason:(fun () ->
+              Printf.sprintf "fork %d -> %d" parent.Task.pid child.Task.pid);
           Sched.finish ctx (Abi.R_int child.Task.pid))
 
 let sys_exec ctx t path argv =
@@ -97,8 +95,7 @@ let sys_wait ctx t =
           Sched.reap t.sched child;
           Sched.finish ctx (Abi.R_int child.Task.pid)
       | None ->
-          Sched.block ctx
-            ~chan:(Printf.sprintf "children:%d" parent.Task.pid)
+          Sched.block ctx ~chan:(Task.Children_of parent.Task.pid)
             ~retry:attempt
     end
   in
@@ -134,8 +131,8 @@ let sys_clone ctx t thread_main =
   child.Task.cwd <- parent.Task.cwd;
   Fd.share_table t.fdt ~parent:parent.Task.pid ~child:child.Task.pid;
   Sem.share t.sems ~parent:parent.Task.pid ~child:child.Task.pid;
-  Sched.kcheck_audit t.sched
-    ~reason:(Printf.sprintf "clone %d -> %d" parent.Task.pid child.Task.pid);
+  Sched.kcheck_audit t.sched ~reason:(fun () ->
+      Printf.sprintf "clone %d -> %d" parent.Task.pid child.Task.pid);
   Sched.finish ctx (Abi.R_int child.Task.pid)
 
 let sys_join ctx t tid =
@@ -148,7 +145,7 @@ let sys_join ctx t tid =
         Sched.reap t.sched thread;
         Sched.finish ctx (Abi.R_int code)
     | Some _ ->
-        Sched.block ctx ~chan:(Printf.sprintf "exit:%d" tid) ~retry:attempt
+        Sched.block ctx ~chan:(Task.Exit_of tid) ~retry:attempt
   in
   attempt ()
 

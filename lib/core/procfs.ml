@@ -8,7 +8,7 @@
     streams; sysmon polls these to draw its overlay. /proc/ktrace is the
     exception: each open holds a consuming {!Ktrace.reader} cursor, reads
     stream formatted entries as they are emitted, block on
-    {!Sched.poll_chan} (so poll(2) composes) and honor O_NONBLOCK with
+    {!Task.Poll_waiters} (so poll(2) composes) and honor O_NONBLOCK with
     -EAGAIN. *)
 
 type t = {
@@ -227,7 +227,7 @@ let ktrace_read t ctx file ~len =
     in
     if String.length pending = 0 then begin
       if file.Fd.nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
-      else Sched.block ctx ~chan:Sched.poll_chan ~retry:attempt
+      else Sched.block ctx ~chan:Task.Poll_waiters ~retry:attempt
     end
     else begin
       let n = max 0 (min len (String.length pending)) in

@@ -106,7 +106,7 @@ and t = {
   mutable next_pid : int;  (** last pid this kernel handed out *)
   mutable dispatch : ctx -> unit;
   mutable irq_drivers : (Hw.Irq.line * (unit -> unit)) list;
-  wait_chans : (string, (Task.t * (unit -> unit)) Queue.t) Hashtbl.t;
+  wait_chans : (Task.chan, (Task.t * (unit -> unit)) Queue.t) Hashtbl.t;
   frame_counts : (int, int) Hashtbl.t;
       (** frames presented per pid; survives trace-ring wraparound *)
   mutable on_task_exit : (Task.t -> unit) list;
@@ -294,34 +294,16 @@ let trace_emit t ev = Ktrace.emit t.trace ~ts_ns:(now t) ~core:0 ev
 
 let trace_emit_core t ~core ev = Ktrace.emit t.trace ~ts_ns:(now t) ~core ev
 
+(* The core [task] occupies, or else the one it last ran on. *)
+let task_core task =
+  match task.Task.state with
+  | Task.Running c -> c
+  | Task.Runnable | Task.Blocked _ | Task.Zombie -> max 0 task.Task.last_core
+
 let trace_emit_task t task ev =
-  let core =
-    match task.Task.state with
-    | Task.Running c -> c
-    | Task.Runnable | Task.Blocked _ | Task.Zombie -> max 0 task.Task.last_core
-  in
-  Ktrace.emit t.trace ~ts_ns:(now t) ~core ev
+  Ktrace.emit t.trace ~ts_ns:(now t) ~core:(task_core task) ev
 
 (* ---- delay accounting ---- *)
-
-(* Which delay bucket time spent blocked on [chan] belongs to. The
-   channel namespace is the kernel's own: pipes block on "pipe:<id>:r/w",
-   semaphores on "sem:<id>", device waits on their driver's channel.
-   Anything unrecognized counts as sleep — a voluntary wait. *)
-let delay_class_of_chan chan =
-  let has_prefix p =
-    String.length chan >= String.length p
-    && String.equal (String.sub chan 0 (String.length p)) p
-  in
-  if has_prefix "pipe:" then `Pipe
-  else if has_prefix "sem:" then `Lock
-  else if
-    has_prefix "sd" || has_prefix "bio" || String.equal chan "uart:rx"
-    || String.equal chan "kbd:events"
-    || String.equal chan "audio:space"
-    || has_prefix "wm:ev"
-  then `Io
-  else `Sleep
 
 let state_code = function
   | Task.Runnable -> 0
@@ -341,11 +323,16 @@ let delay_fold task ~now_ns =
   | Task.Running _ ->
       task.Task.d_oncpu_ns <- Int64.add task.Task.d_oncpu_ns dt
   | Task.Blocked chan -> (
-      match delay_class_of_chan chan with
-      | `Pipe -> task.Task.d_blk_pipe_ns <- Int64.add task.Task.d_blk_pipe_ns dt
-      | `Lock -> task.Task.d_blk_lock_ns <- Int64.add task.Task.d_blk_lock_ns dt
-      | `Io -> task.Task.d_blk_io_ns <- Int64.add task.Task.d_blk_io_ns dt
-      | `Sleep -> task.Task.d_sleep_ns <- Int64.add task.Task.d_sleep_ns dt)
+      match chan with
+      | Task.Pipe_readable _ | Task.Pipe_writable _ ->
+          task.Task.d_blk_pipe_ns <- Int64.add task.Task.d_blk_pipe_ns dt
+      | Task.Sem_count _ ->
+          task.Task.d_blk_lock_ns <- Int64.add task.Task.d_blk_lock_ns dt
+      | Task.Wm_events _ | Task.Kbd_events | Task.Uart_input | Task.Audio_space ->
+          task.Task.d_blk_io_ns <- Int64.add task.Task.d_blk_io_ns dt
+      | Task.Exit_of _ | Task.Children_of _ | Task.Debug_stop _
+      | Task.Poll_waiters | Task.Sleeping ->
+          task.Task.d_sleep_ns <- Int64.add task.Task.d_sleep_ns dt)
   | Task.Zombie -> task.Task.d_sleep_ns <- Int64.add task.Task.d_sleep_ns dt);
   task.Task.d_state_since <- now_ns
 
@@ -384,9 +371,9 @@ let ptable_release t ~core =
   | Some l -> Spinlock.release l ~core ~now_ns:(now t)
   | None -> ()
 
-let kcheck_blocked t ~pid ~chan ~core =
+let kcheck_blocked t ~pid ~core =
   match t.kcheck with
-  | Some kc -> Kcheck.task_blocked kc ~pid ~chan ~core
+  | Some kc -> Kcheck.task_blocked kc ~pid ~core
   | None -> ()
 
 let kcheck_audit t ~reason =
@@ -652,7 +639,8 @@ and do_exit t task code =
     task.Task.cur_syscall <- None;
     let was_running = match task.Task.state with Task.Running _ -> true | Task.Runnable | Task.Blocked _ | Task.Zombie -> false in
     List.iter (fun hook -> hook task) t.on_task_exit;
-    kcheck_audit t ~reason:(Printf.sprintf "exit of task %d" task.Task.pid);
+    kcheck_audit t ~reason:(fun () ->
+        Printf.sprintf "exit of task %d" task.Task.pid);
     (match task.Task.vm with
     | Some vm ->
         Vm.destroy vm;
@@ -672,15 +660,15 @@ and do_exit t task code =
         | Task.Running c ->
             t.cores.(c).current <- None;
             set_state t task Task.Zombie;
-            wake_all t (Printf.sprintf "exit:%d" task.Task.pid);
-            wake_all t (Printf.sprintf "children:%d" task.Task.parent);
+            wake_all t (Task.Exit_of task.Task.pid);
+            wake_all t (Task.Children_of task.Task.parent);
             schedule_core t t.cores.(c)
         | Task.Runnable | Task.Blocked _ | Task.Zombie -> ())
       end
       else begin
         set_state t task Task.Zombie;
-        wake_all t (Printf.sprintf "exit:%d" task.Task.pid);
-        wake_all t (Printf.sprintf "children:%d" task.Task.parent)
+        wake_all t (Task.Exit_of task.Task.pid);
+        wake_all t (Task.Children_of task.Task.parent)
       end
     in
     match task.Task.state with
@@ -691,14 +679,6 @@ and do_exit t task code =
   end
 
 (* ---- wait channels ---- *)
-
-and chan_queue t chan =
-  match Hashtbl.find_opt t.wait_chans chan with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace t.wait_chans chan q;
-      q
 
 (* Make a blocked waiter runnable; [retry] re-enters its syscall. The
    sleeper boost: a task that blocked voluntarily is interactive, so it
@@ -714,6 +694,7 @@ and wake_waiter t (task, retry) =
 and wake_all t chan =
   match Hashtbl.find_opt t.wait_chans chan with
   | None -> ()
+  | Some q when Queue.is_empty q -> ()
   | Some q ->
       let entries = Queue.to_seq q |> List.of_seq in
       Queue.clear q;
@@ -739,12 +720,7 @@ let wake_one t chan =
    transition; each woken poller rescans its own fd set and re-blocks if
    still idle. Free when nobody is polling, so the paper paths that never
    poll are untouched. *)
-let poll_chan = "poll:waiters"
-
-let poll_wake t =
-  match Hashtbl.find_opt t.wait_chans poll_chan with
-  | None -> ()
-  | Some q -> if not (Queue.is_empty q) then wake_all t poll_chan
+let poll_wake t = wake_all t Task.Poll_waiters
 
 (* ---- the syscall context API (used by the dispatcher in Syscall) ---- *)
 
@@ -793,37 +769,40 @@ let finish ctx ret =
       end;
       Effect.Deep.continue ctx.kont ret)
 
-(* Block the calling task on [chan]; [retry] re-enters the syscall path
-   when the channel is woken. *)
-let block ctx ~chan ~retry =
-  let t = ctx.sched in
-  let task = ctx.task in
-  let core =
-    match task.Task.state with
-    | Task.Running c -> c
-    | Task.Runnable | Task.Blocked _ | Task.Zombie ->
-        Kpanic.panicf "sched: blocking a task that is not running"
+(* Take [task] off [core] and park it on [chan], xv6's sleep: [resume]
+   runs once the channel is woken. *)
+let park t task ~core chan resume =
+  let q =
+    match Hashtbl.find_opt t.wait_chans chan with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.replace t.wait_chans chan q;
+        q
   in
-  let q = chan_queue t chan in
   release_core t task;
   ptable_acquire t ~core;
   set_state t task (Task.Blocked chan);
-  Queue.add (task, retry) q;
+  Queue.add (task, resume) q;
   ptable_release t ~core;
-  kcheck_blocked t ~pid:task.Task.pid ~chan ~core
+  kcheck_blocked t ~pid:task.Task.pid ~core
+
+(* Block the calling task on [chan]; [retry] re-enters the syscall path
+   when the channel is woken. *)
+let block ctx ~chan ~retry =
+  match ctx.task.Task.state with
+  | Task.Running core -> park ctx.sched ctx.task ~core chan retry
+  | Task.Runnable | Task.Blocked _ | Task.Zombie ->
+      Kpanic.panicf "sched: blocking a task that is not running"
 
 (* Park the task and deliver [ret] after [delay_ns] (sleep, timed IO). *)
 let finish_after ctx ~delay_ns ret =
   let t = ctx.sched in
   let task = ctx.task in
-  let core =
-    match task.Task.state with
-    | Task.Running c -> c
-    | Task.Runnable | Task.Blocked _ | Task.Zombie -> max 0 task.Task.last_core
-  in
+  let core = task_core task in
   release_core t task;
-  set_state t task (Task.Blocked "sleep");
-  kcheck_blocked t ~pid:task.Task.pid ~chan:"sleep" ~core;
+  set_state t task (Task.Blocked Task.Sleeping);
+  kcheck_blocked t ~pid:task.Task.pid ~core;
   ignore
     (Sim.Engine.schedule_after (engine t) delay_ns (fun () ->
          if not (is_zombie task) then begin
@@ -838,17 +817,7 @@ let finish_after ctx ~delay_ns ret =
 (* Debug monitor stop: park the running task on its debug channel;
    Debugmon.resume wakes it. *)
 let park_for_debug t task thunk =
-  let chan = Printf.sprintf "debug:%d" task.Task.pid in
-  let core =
-    match task.Task.state with
-    | Task.Running c -> c
-    | Task.Runnable | Task.Blocked _ | Task.Zombie -> max 0 task.Task.last_core
-  in
-  let q = chan_queue t chan in
-  release_core t task;
-  set_state t task (Task.Blocked chan);
-  Queue.add (task, thunk) q;
-  kcheck_blocked t ~pid:task.Task.pid ~chan ~core
+  park t task ~core:(task_core task) (Task.Debug_stop task.Task.pid) thunk
 
 (* A panic leaves kernel code in one of two places: out of the event loop
    ({!run_until}) or out of a task, into [run_computation]'s exception
@@ -1031,8 +1000,8 @@ let force_kill t task =
   | Task.Zombie -> ()
   | Task.Blocked chan ->
       (* a blocked task records its channel: remove it from that one
-         queue, O(queue) instead of O(all wait channels). "sleep" and
-         other timer parks have no channel queue — the engine callback
+         queue, O(queue) instead of O(all wait channels). A timed park
+         ([Task.Sleeping]) has no channel queue — the engine callback
          checks for zombies. *)
       (match Hashtbl.find_opt t.wait_chans chan with
       | None -> ()

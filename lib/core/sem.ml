@@ -14,7 +14,7 @@ type sem = {
   sem_id : int;
   mutable value : int; [@locked_by "semlock"]
   mutable refs : int; [@locked_by "semlock"]
-  chan : string;
+  chan : Task.chan;
 }
 
 (** What a process holds open, shared by its CLONE_VM threads the way the
@@ -71,7 +71,7 @@ let sem_open t ~pid ~value =
     let id = t.next_id in
     t.next_id <- id + 1;
     Hashtbl.replace t.sems id
-      { sem_id = id; value; refs = 1; chan = Printf.sprintf "sem:%d" id };
+      { sem_id = id; value; refs = 1; chan = Task.Sem_count id };
     let h = holds_of t pid in
     Spinlock.protect t.semlock (fun () -> h.ids <- id :: h.ids);
     Ok id

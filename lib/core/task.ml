@@ -8,10 +8,41 @@
 
 type kind = User | Kernel
 
+(** A wait channel, xv6's [sleep(chan)] identity; {!chan_name} renders it.
+    vlint R004 tells matches apart by constructor name, so none of these
+    is also an {!Abi.syscall} or {!Ktrace.event} constructor. *)
+type chan =
+  | Pipe_readable of int  (** pipe id: readers wait for data or EOF *)
+  | Pipe_writable of int  (** pipe id: writers wait for space *)
+  | Sem_count of int  (** semaphore id *)
+  | Exit_of of int  (** join: the pid exiting *)
+  | Children_of of int  (** wait(2): any child of the pid exiting *)
+  | Debug_stop of int  (** the pid, parked by the debug monitor *)
+  | Wm_events of int  (** WM surface id: an event routed to it *)
+  | Kbd_events
+  | Uart_input
+  | Audio_space
+  | Poll_waiters  (** every poll(2) caller, see {!Sched.poll_wake} *)
+  | Sleeping  (** a timed park (sleep, timed I/O): a timer wakes it *)
+
+let chan_name = function
+  | Pipe_readable id -> Printf.sprintf "pipe:%d:r" id
+  | Pipe_writable id -> Printf.sprintf "pipe:%d:w" id
+  | Sem_count id -> Printf.sprintf "sem:%d" id
+  | Exit_of pid -> Printf.sprintf "exit:%d" pid
+  | Children_of pid -> Printf.sprintf "children:%d" pid
+  | Debug_stop pid -> Printf.sprintf "debug:%d" pid
+  | Wm_events sid -> Printf.sprintf "wm:ev:%d" sid
+  | Kbd_events -> "kbd:events"
+  | Uart_input -> "uart:rx"
+  | Audio_space -> "audio:space"
+  | Poll_waiters -> "poll:waiters"
+  | Sleeping -> "sleep"
+
 type state =
   | Runnable
   | Running of int  (** core id *)
-  | Blocked of string  (** wait channel name, for dumps *)
+  | Blocked of chan
   | Zombie  (** exited, not yet reaped *)
 
 type t = {
@@ -103,5 +134,5 @@ let state_name t =
   match t.state with
   | Runnable -> "runnable"
   | Running c -> Printf.sprintf "running/cpu%d" c
-  | Blocked chan -> "blocked:" ^ chan
+  | Blocked chan -> "blocked:" ^ chan_name chan
   | Zombie -> "zombie"

@@ -495,7 +495,7 @@ let file_ready ctx file =
 
 (* poll(2): readiness multiplexing over pipes, /dev/events, the console
    and anything else with a [dev_poll] hook. All pollers sleep on the one
-   shared {!Sched.poll_chan} (a task can block on exactly one channel);
+   shared {!Task.Poll_waiters} (a task can block on exactly one channel);
    every producer-side readiness transition wakes the channel and each
    poller rescans its own fd set — so wakeups can be spurious for a given
    caller, but never lost. [timeout_ms]: negative waits forever, 0 is a
@@ -563,7 +563,7 @@ let op_poll ctx t fds timeout_ms =
                      expired := true;
                      Sched.poll_wake sched))
           end;
-          Sched.block ctx ~chan:Sched.poll_chan ~retry:attempt
+          Sched.block ctx ~chan:Task.Poll_waiters ~retry:attempt
     in
     attempt ()
   end

@@ -307,68 +307,89 @@ let holds v p =
   | Ge -> v >= p.p_lit
 
 let cell_for probe k =
-  match Hashtbl.find_opt probe.pr_cells k with
-  | Some c -> c
-  | None ->
+  match Hashtbl.find probe.pr_cells k with
+  | c -> c
+  | exception Not_found ->
       let c = { cl_count = 0; cl_sum = 0L; cl_hist = Kperf.Hist.create () } in
       Hashtbl.add probe.pr_cells k c;
       c
 
-(* One event at point [pt], as the fields predicates and keys read. A
-   field the event does not carry is neutral (fd -1, errno 0, syscall
-   -1, 0 otherwise), so [fd == 3] never selects a context switch. *)
-let hit t pt ~pid ~core ~fd ~errno ~arg0 ~syscall ~latency_ns =
-  match t.attached.(pt) with
-  | [] -> ()
-  | probes ->
-      let field = function
-        | F_pid -> pid
-        | F_fd -> fd
-        | F_errno -> errno
-        | F_arg0 -> arg0
-        | F_core -> core
-      in
-      let key = function
-        | K_unit -> 1
-        | K_latency_ns -> latency_ns
-        | K_latency_us -> latency_ns / 1000
-        | K_field f -> field f
-      in
-      List.iter
-        (fun probe ->
-          let spec = probe.pr_spec in
-          if List.for_all (fun p -> holds (field p.p_field) p) spec.s_preds
-          then begin
-            probe.pr_fired <- probe.pr_fired + 1;
-            let c =
-              cell_for probe
-                (match spec.s_by with
-                | By_none -> 0
-                | By_pid -> pid
-                | By_syscall -> syscall
-                | By_core -> core)
-            in
-            c.cl_count <- c.cl_count + 1;
-            match spec.s_agg with
-            | A_count -> ()
-            | A_sum k -> c.cl_sum <- Int64.add c.cl_sum (Int64.of_int (key k))
-            | A_hist K_latency_us ->
-                (* hist() buckets in ns space; latency_us values are
-                   scaled back up so one Hist covers both units *)
-                Kperf.Hist.record c.cl_hist
-                  (Int64.of_int (key K_latency_us * 1000))
-            | A_hist k -> Kperf.Hist.record c.cl_hist (Int64.of_int (key k))
-          end)
-        probes
+(* One event at a point with [probes] attached, as the fields predicates
+   and keys read. A field the event does not carry is neutral (fd -1,
+   errno 0, syscall -1, 0 otherwise), so [fd == 3] never selects a
+   context switch. The fields travel as arguments, never in a closure,
+   so a fire allocates only what its aggregation stores. *)
+let field f ~pid ~core ~fd ~errno ~arg0 =
+  match f with
+  | F_pid -> pid
+  | F_fd -> fd
+  | F_errno -> errno
+  | F_arg0 -> arg0
+  | F_core -> core
 
-(* An event at the static point [name], which reads no fd, errno or
-   syscall. *)
-let static t name ~pid ~core ~arg0 ~latency_ns =
-  match index name static_points with
-  | Some k ->
-      hit t (static_base + k) ~pid ~core ~fd:(-1) ~errno:0 ~arg0 ~syscall:(-1)
-        ~latency_ns
-  | None -> Kpanic.panicf "vprobe: %s is not a static point" name
+let key k ~pid ~core ~fd ~errno ~arg0 ~latency_ns =
+  match k with
+  | K_unit -> 1
+  | K_latency_ns -> latency_ns
+  | K_latency_us -> latency_ns / 1000
+  | K_field f -> field f ~pid ~core ~fd ~errno ~arg0
+
+let rec preds_hold preds ~pid ~core ~fd ~errno ~arg0 =
+  match preds with
+  | [] -> true
+  | p :: rest ->
+      holds (field p.p_field ~pid ~core ~fd ~errno ~arg0) p
+      && preds_hold rest ~pid ~core ~fd ~errno ~arg0
+
+let rec hit probes ~pid ~core ~fd ~errno ~arg0 ~syscall ~latency_ns =
+  match probes with
+  | [] -> ()
+  | probe :: rest ->
+      let spec = probe.pr_spec in
+      if preds_hold spec.s_preds ~pid ~core ~fd ~errno ~arg0 then begin
+        probe.pr_fired <- probe.pr_fired + 1;
+        let c =
+          cell_for probe
+            (match spec.s_by with
+            | By_none -> 0
+            | By_pid -> pid
+            | By_syscall -> syscall
+            | By_core -> core)
+        in
+        c.cl_count <- c.cl_count + 1;
+        match spec.s_agg with
+        | A_count -> ()
+        | A_sum k ->
+            let v = key k ~pid ~core ~fd ~errno ~arg0 ~latency_ns in
+            c.cl_sum <- Int64.add c.cl_sum (Int64.of_int v)
+        | A_hist k ->
+            (* hist() buckets in ns space; latency_us values are scaled
+               back up so one Hist covers both units *)
+            let v = key k ~pid ~core ~fd ~errno ~arg0 ~latency_ns in
+            Kperf.Hist.record c.cl_hist
+              (Int64.of_int (if k = K_latency_us then v * 1000 else v))
+      end;
+      hit rest ~pid ~core ~fd ~errno ~arg0 ~syscall ~latency_ns
+
+let static t pt ~pid ~core ~arg0 ~latency_ns =
+  hit t.attached.(pt) ~pid ~core ~fd:(-1) ~errno:0 ~arg0 ~syscall:(-1)
+    ~latency_ns
+
+(* Each static point's id, looked up by its catalog name once, when the
+   module initialises, so {!route} reaches a point with no lookup. *)
+let static_id name = Option.get (point_id name)
+let sched_wakeup = static_id "sched:wakeup"
+let sched_ctx_switch = static_id "sched:ctx_switch"
+let sched_migrate = static_id "sched:migrate"
+let lock_acquire = static_id "lock:acquire"
+let lock_contended = static_id "lock:contended"
+let pipe_read = static_id "pipe:read"
+let pipe_write = static_id "pipe:write"
+let bufcache_hit = static_id "bufcache:hit"
+let bufcache_miss = static_id "bufcache:miss"
+let sd_issue = static_id "sd:issue"
+let sd_complete = static_id "sd:complete"
+let journal_commit = static_id "journal:commit"
 
 (* The probe hook: the point an event fires and what it reads from the
    event's payload, [core] being the core the event was emitted on.
@@ -377,34 +398,34 @@ let static t name ~pid ~core ~arg0 ~latency_ns =
 let route t core ev =
   match ev with
   | Ktrace.Sched_wakeup pid ->
-      static t "sched:wakeup" ~pid ~core ~arg0:0 ~latency_ns:0
+      static t sched_wakeup ~pid ~core ~arg0:0 ~latency_ns:0
   | Ktrace.Ctx_switch (from, pid) ->
-      static t "sched:ctx_switch" ~pid ~core ~arg0:from ~latency_ns:0
+      static t sched_ctx_switch ~pid ~core ~arg0:from ~latency_ns:0
   | Ktrace.Sched_migrate (pid, from, _) ->
-      static t "sched:migrate" ~pid ~core ~arg0:from ~latency_ns:0
+      static t sched_migrate ~pid ~core ~arg0:from ~latency_ns:0
   | Ktrace.Probe (Ktrace.Sys_args (idx, pid, fd, arg0)) ->
-      hit t (sysenter_base + idx) ~pid ~core ~fd ~errno:0 ~arg0 ~syscall:idx
-        ~latency_ns:0
+      hit t.attached.(sysenter_base + idx) ~pid ~core ~fd ~errno:0 ~arg0
+        ~syscall:idx ~latency_ns:0
   | Ktrace.Probe (Ktrace.Sys_result (idx, pid, fd, arg0, errno, ns)) ->
-      hit t (sysexit_base + idx) ~pid ~core ~fd ~errno ~arg0 ~syscall:idx
-        ~latency_ns:ns
+      hit t.attached.(sysexit_base + idx) ~pid ~core ~fd ~errno ~arg0
+        ~syscall:idx ~latency_ns:ns
   | Ktrace.Probe (Ktrace.Spin_take held) ->
       static t
-        (if held then "lock:contended" else "lock:acquire")
+        (if held then lock_contended else lock_acquire)
         ~pid:0 ~core ~arg0:0 ~latency_ns:0
   | Ktrace.Probe (Ktrace.Pipe_read (pid, n, ns)) ->
-      static t "pipe:read" ~pid ~core ~arg0:n ~latency_ns:ns
+      static t pipe_read ~pid ~core ~arg0:n ~latency_ns:ns
   | Ktrace.Probe (Ktrace.Pipe_write (pid, n)) ->
-      static t "pipe:write" ~pid ~core ~arg0:n ~latency_ns:0
+      static t pipe_write ~pid ~core ~arg0:n ~latency_ns:0
   | Ktrace.Probe (Ktrace.Cache_hit (pid, block)) ->
-      static t "bufcache:hit" ~pid ~core ~arg0:block ~latency_ns:0
+      static t bufcache_hit ~pid ~core ~arg0:block ~latency_ns:0
   | Ktrace.Probe (Ktrace.Cache_miss (pid, block)) ->
-      static t "bufcache:miss" ~pid ~core ~arg0:block ~latency_ns:0
+      static t bufcache_miss ~pid ~core ~arg0:block ~latency_ns:0
   | Ktrace.Probe (Ktrace.Sd_request (pid, ns)) ->
-      static t "sd:issue" ~pid ~core ~arg0:0 ~latency_ns:0;
-      static t "sd:complete" ~pid ~core ~arg0:0 ~latency_ns:ns
+      static t sd_issue ~pid ~core ~arg0:0 ~latency_ns:0;
+      static t sd_complete ~pid ~core ~arg0:0 ~latency_ns:ns
   | Ktrace.Probe (Ktrace.Journal_commit blocks) ->
-      static t "journal:commit" ~pid:0 ~core ~arg0:blocks ~latency_ns:0
+      static t journal_commit ~pid:0 ~core ~arg0:blocks ~latency_ns:0
   | Ktrace.Syscall_enter _ | Ktrace.Syscall_exit _ | Ktrace.Irq_enter _
   | Ktrace.Irq_exit _ | Ktrace.Ipi_send _ | Ktrace.Ipi_recv _
   | Ktrace.Kbd_report | Ktrace.Event_delivered _ | Ktrace.Poll_return _

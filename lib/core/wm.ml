@@ -26,7 +26,7 @@ type surface = {
   mutable dirty : bool;
   mutable always_on_top : bool;
   events : Kbd.event Queue.t;
-  ev_chan : string;
+  ev_chan : Task.chan;
   mutable frames : int;
 }
 
@@ -94,7 +94,7 @@ let create_surface t ~owner_pid ~width ~height ~x ~y ~alpha =
       dirty = true;
       always_on_top = alpha < 255;
       events = Queue.create ();
-      ev_chan = Printf.sprintf "wm:ev:%d" id;
+      ev_chan = Task.Wm_events id;
       frames = 0;
     }
   in

@@ -367,7 +367,7 @@ let run scen =
      let deadline =
        Int64.add (Kernel.now kernel) (Sim.Engine.ms session_ms)
      in
-     let monkey_dead () = String.equal (Task.state_name task) "zombie" in
+     let monkey_dead () = Sched.is_zombie task in
      while
        (not !finished)
        && (not (monkey_dead ()))
@@ -388,7 +388,7 @@ let run scen =
        (* drain: let forked children and deferred device events settle,
           then run the sanitizer's registered audits over the corpse *)
        Kernel.run_for kernel (Sim.Engine.ms 20);
-       Sched.kcheck_audit kernel.Kernel.sched ~reason:"fuzz:post";
+       Sched.kcheck_audit kernel.Kernel.sched ~reason:(fun () -> "fuzz:post");
        Kernel.shutdown kernel
      end
    with

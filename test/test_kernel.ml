@@ -2492,7 +2492,7 @@ let kc_sleep_in_atomic () =
   let kc = Core.Kcheck.create () and trace = Core.Ktrace.create () in
   let l = Core.Spinlock.create ~kcheck:kc ~trace "L" in
   Core.Spinlock.acquire l ~core:0 ~now_ns:0L;
-  match Core.Kcheck.task_blocked kc ~pid:7 ~chan:"sem:1" ~core:0 with
+  match Core.Kcheck.task_blocked kc ~pid:7 ~core:0 with
   | () -> Alcotest.fail "sleep-in-atomic not detected"
   | exception Core.Kpanic.Panic msg ->
       check_bool "names the rule" true (kc_contains msg "sleep-in-atomic")

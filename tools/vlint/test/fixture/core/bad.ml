@@ -8,3 +8,5 @@ let check n = if n < 0 then invalid_arg "R003 again"
 let state_name = function Task.Runnable -> "runnable" | _ -> "?"
 
 let event_char = function Ktrace.Tick -> 't' | _ -> '?'
+
+let bucket = function Task.Sleeping -> 0 | _ -> 1

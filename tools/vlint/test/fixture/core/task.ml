@@ -1,1 +1,2 @@
 type state = Runnable | Zombie
+type chan = Sleeping | Sem_count of int

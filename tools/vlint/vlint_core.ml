@@ -11,9 +11,9 @@
     - R003  kernel code (a "core" path segment) returns [Errno.*] or
             panics via {!Kpanic}; [invalid_arg]/[failwith] are banned
             outside panic.ml and kpanic.ml
-    - R004  no wildcard [_] case in a match over [Task.state] or
-            [Ktrace.event] — adding a state or event variant must force
-            an audit of every consumer
+    - R004  no wildcard [_] case in a match over [Task.state],
+            [Task.chan] or [Ktrace.event] — adding a state, wait channel
+            or event variant must force an audit of every consumer
     - R005  no [Sim.Engine] access from the user library (a "user" path
             segment): user code reads time through the uptime syscall,
             never the simulator's clock
@@ -331,11 +331,14 @@ let r004 ~files =
       files
   in
   let states = ctor_set ~base:"task.ml" ~type_name:"state" in
+  let chans = ctor_set ~base:"task.ml" ~type_name:"chan" in
   let events = ctor_set ~base:"ktrace.ml" ~type_name:"event" in
   let classify heads =
     if List.exists (fun h -> List.mem h events) heads then Some "Ktrace.event"
     else if List.exists (fun h -> List.mem h states) heads then
       Some "Task.state"
+    else if List.exists (fun h -> List.mem h chans) heads then
+      Some "Task.chan"
     else None
   in
   List.iter
