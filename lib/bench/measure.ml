@@ -9,17 +9,19 @@
 type fps_sample = { fps : float; frames : int; window_s : float }
 
 (* Drive the engine until [stop] returns true or the virtual clock passes
-   [deadline]. *)
+   [deadline]. A panic out of an event is flight-recorded on the way out,
+   as under [Kernel.run_for]. *)
 let drive kernel ~deadline ~stop =
   let engine = kernel.Core.Kernel.board.Hw.Board.engine in
-  let continue_ = ref true in
-  while
-    !continue_
-    && (not (stop ()))
-    && Int64.compare (Sim.Engine.now engine) deadline < 0
-  do
-    if not (Sim.Engine.step engine) then continue_ := false
-  done
+  Core.Sched.recording_panics kernel.Core.Kernel.sched (fun () ->
+      let continue_ = ref true in
+      while
+        !continue_
+        && (not (stop ()))
+        && Int64.compare (Sim.Engine.now engine) deadline < 0
+      do
+        if not (Sim.Engine.step engine) then continue_ := false
+      done)
 
 (* Run [f] as a user task to completion; returns its result and the
    virtual time it took. If [f] raises, the task still dies of it (trace

@@ -5,8 +5,9 @@
       feeds a probe-only event guards on {!Core.Ktrace.probing} (one
       option check; a ring event's site has no guard of its own, its
       [Ktrace.emit] makes the same check). Part 1 times ~10M guard
-      evaluations detached, and the guarded emit attached, in host
-      ns/site. The acceptance bar is single-digit ns while detached.
+      evaluations detached, and the guarded emit attached (the median
+      of 7 loops, with their min and max), in host ns/site. The
+      acceptance bar is single-digit ns while detached.
 
     - {b does arming move any virtual number?} Part 2 runs an identical
       syscall/pipe/file workload in two kernels — one with no probes
@@ -26,6 +27,7 @@
 
 let guard_iters = 10_000_000
 let fire_iters = 1_000_000
+let fire_runs = 7
 
 (* Both loops spell a pipe read's probe site as pipe.ml does: build the
    probe-only event and emit it only while a probe hook is installed.
@@ -48,7 +50,9 @@ let detached_ns_per_site () =
   dt *. 1e9 /. float_of_int guard_iters
 
 (* Attached cost: a histogram aggregation with a predicate, the
-   expensive end of the ladder. *)
+   expensive end of the ladder. One loop's wall time swings with the
+   host's load, so the loop runs [fire_runs] times; the per-loop costs
+   come back sorted. *)
 let attached_ns_per_fire () =
   let tr = Core.Ktrace.create () in
   (match
@@ -57,16 +61,19 @@ let attached_ns_per_fire () =
    with
   | Ok _ -> ()
   | Error e -> invalid_arg e);
-  let (), dt =
-    Report.timed (fun () ->
-        for i = 1 to fire_iters do
-          if Core.Ktrace.probing tr then
-            Core.Ktrace.emit tr ~ts_ns:0L ~core:0
-              (Core.Ktrace.Probe
-                 (Core.Ktrace.Pipe_read (i land 7, 64, i land 0xffff)))
-        done)
+  let once () =
+    let (), dt =
+      Report.timed (fun () ->
+          for i = 1 to fire_iters do
+            if Core.Ktrace.probing tr then
+              Core.Ktrace.emit tr ~ts_ns:0L ~core:0
+                (Core.Ktrace.Probe
+                   (Core.Ktrace.Pipe_read (i land 7, 64, i land 0xffff)))
+          done)
+    in
+    dt *. 1e9 /. float_of_int fire_iters
   in
-  dt *. 1e9 /. float_of_int fire_iters
+  List.sort Float.compare (List.init fire_runs (fun _ -> once ()))
 
 (* ---- part 2: armed-vs-stock byte identity ---- *)
 
@@ -188,7 +195,9 @@ let delay_max_err_ns kernel =
 
 type result = {
   r_detached_ns : float;
-  r_attached_ns : float;
+  r_attached_ns : float;  (** median of the [fire_runs] loops *)
+  r_attached_min_ns : float;
+  r_attached_max_ns : float;
   r_identical : bool;
   r_stock_end_ns : int64;
   r_armed_end_ns : int64;
@@ -212,7 +221,9 @@ let run () =
   in
   {
     r_detached_ns = detached;
-    r_attached_ns = attached;
+    r_attached_ns = List.nth attached (fire_runs / 2);
+    r_attached_min_ns = List.hd attached;
+    r_attached_max_ns = List.nth attached (fire_runs - 1);
     r_identical =
       Int64.equal stock.rs_end_ns armed.rs_end_ns
       && String.equal stock.rs_trace_md5 armed.rs_trace_md5;
@@ -233,8 +244,9 @@ let render r =
   Buffer.add_string b
     (Printf.sprintf
        "  probe site cost: %.2f ns detached (%d sites), %.1f ns \
-        attached hist+pred (%d fires)\n"
-       r.r_detached_ns guard_iters r.r_attached_ns fire_iters);
+        attached hist+pred (median of %d x %d fires, %.1f-%.1f)\n"
+       r.r_detached_ns guard_iters r.r_attached_ns fire_runs fire_iters
+       r.r_attached_min_ns r.r_attached_max_ns);
   Buffer.add_string b
     (Printf.sprintf
        "  armed vs stock: %s (end %Ld vs %Ld ns, trace %s vs %s)\n"
@@ -273,6 +285,8 @@ let report r =
       [
         ("detached_ns_per_site", Fixed (3, r.r_detached_ns));
         ("attached_ns_per_fire", Fixed (1, r.r_attached_ns));
+        ("attached_ns_per_fire_min", Fixed (1, r.r_attached_min_ns));
+        ("attached_ns_per_fire_max", Fixed (1, r.r_attached_max_ns));
       ] )
 
 let clean r = r.r_identical && Int64.equal r.r_delay_max_err_ns 0L

@@ -100,43 +100,6 @@ type syscall =
 
 let syscall_count = 31
 
-let syscall_name = function
-  | Fork _ -> "fork"
-  | Exec _ -> "exec"
-  | Exit _ -> "exit"
-  | Wait -> "wait"
-  | Kill _ -> "kill"
-  | Getpid -> "getpid"
-  | Sleep _ -> "sleep"
-  | Uptime -> "uptime"
-  | Nice _ -> "nice"
-  | Sbrk _ -> "sbrk"
-  | Cacheflush -> "cacheflush"
-  | Open _ -> "open"
-  | Close _ -> "close"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Lseek _ -> "lseek"
-  | Dup _ -> "dup"
-  | Pipe _ -> "pipe"
-  | Fstat _ -> "fstat"
-  | Mkdir _ -> "mkdir"
-  | Unlink _ -> "unlink"
-  | Chdir _ -> "chdir"
-  | Mmap _ -> "mmap"
-  | Fsync _ -> "fsync"
-  | Poll _ -> "poll"
-  | Clone _ -> "clone"
-  | Join _ -> "join"
-  | Sem_open _ -> "sem_open"
-  | Sem_post _ -> "sem_post"
-  | Sem_wait _ -> "sem_wait"
-  | Sem_close _ -> "sem_close"
-
-(* Stable dense numbering for the syscall ctors, in declaration order.
-   Vprobe keys its per-syscall probe points off these indices; keep
-   [syscall_names] aligned with [syscall_index] (a mismatch shows up as
-   a probe firing under the wrong name in /proc/vprobe). *)
 let syscall_names =
   [
     "fork"; "exec"; "exit"; "wait"; "kill"; "getpid"; "sleep"; "uptime";
@@ -146,6 +109,9 @@ let syscall_names =
     "sem_close";
   ]
 
+(* Stable dense numbering for the syscall ctors, in declaration order:
+   the position of each one's name in [syscall_names]. Vprobe keys its
+   per-syscall probe points off these indices. *)
 let syscall_index = function
   | Fork _ -> 0
   | Exec _ -> 1
@@ -178,6 +144,10 @@ let syscall_index = function
   | Sem_post _ -> 28
   | Sem_wait _ -> 29
   | Sem_close _ -> 30
+
+let syscall_name =
+  let names = Array.of_list syscall_names in
+  fun call -> names.(syscall_index call)
 
 (* The first user-visible argument of a syscall, as an integer, for
    vprobe's [arg0] predicate: the fd for file calls, the pid/tid for

@@ -67,7 +67,8 @@ type t = {
   mutable dirty_count : int; [@locked_by "bclock"]
   mutable next_expected : int;  (** streaming detector, miss-driven *)
   mutable ctx : Sched.ctx option;
-  mutable daemon : Sim.Fiber.handle option;
+  mutable daemon : Sim.Engine.event_id option;
+      (** the flush daemon's next tick *)
   mutable hits : int;
   mutable misses : int;
   mutable range_reads : int;
@@ -438,28 +439,27 @@ let maybe_wake_flusher t =
   if t.daemon <> None && t.dirty_count >= max 1 (t.capacity / 2) then
     ignore (flush_async t)
 
+let stop_flush_daemon t =
+  match t.daemon with
+  | Some id ->
+      Sim.Engine.cancel t.board.Hw.Board.engine id;
+      t.daemon <- None
+  | None -> ()
+
+(* Flush, then schedule the next tick a period out. A stop or restart
+   from inside the flush (the pre-flush hook runs journal code) has
+   replaced [daemon] by then, and ends this chain. *)
 let start_flush_daemon t ~interval_ms =
   let engine = t.board.Hw.Board.engine in
   let period = Sim.Engine.ms (max 1 interval_ms) in
-  (match t.daemon with
-  | Some h -> Sim.Fiber.cancel engine h
-  | None -> ());
-  (* The daemon is a fiber: flush, park for a period, repeat — one engine
-     event per tick, same cadence as the closure chain it replaces. *)
-  t.daemon <-
-    Some
-      (Sim.Fiber.spawn engine ~after:period (fun () ->
-           while true do
-             ignore (flush_async t);
-             Sim.Fiber.sleep period
-           done))
-
-let stop_flush_daemon t =
-  match t.daemon with
-  | Some h ->
-      Sim.Fiber.cancel t.board.Hw.Board.engine h;
-      t.daemon <- None
-  | None -> ()
+  stop_flush_daemon t;
+  let rec tick () =
+    let self = t.daemon in
+    ignore (flush_async t);
+    if t.daemon == self then
+      t.daemon <- Some (Sim.Engine.schedule_after engine period tick)
+  in
+  t.daemon <- Some (Sim.Engine.schedule_after engine period tick)
 
 (* ---- reads ---- *)
 

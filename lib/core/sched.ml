@@ -820,7 +820,7 @@ let park_for_debug t task thunk =
   park t task ~core:(task_core task) (Task.Debug_stop task.Task.pid) thunk
 
 (* A panic leaves kernel code in one of two places: out of the event loop
-   ({!run_until}) or out of a task, into [run_computation]'s exception
+   ({!recording_panics}) or out of a task, into [run_computation]'s exception
    handler. Each runs the flight recorder once, and the recorder must
    never turn a panic into a different failure, so anything it raises is
    swallowed. *)
@@ -1201,16 +1201,12 @@ let start t =
         ~delta_ns:(Sim.Engine.ms t.tick_interval_ms)
     done;
     if t.active_cores > 1 && t.config.Kconfig.load_balance_ms > 0 then begin
-      (* The balance daemon is a fiber: one pass, park for a period,
-         repeat — same engine-event cadence as the closure chain it
-         replaces. *)
       let period = Sim.Engine.ms t.config.Kconfig.load_balance_ms in
-      ignore
-        (Sim.Fiber.spawn (engine t) ~after:period (fun () ->
-             while true do
-               balance_pass t;
-               Sim.Fiber.sleep period
-             done))
+      let rec pass () =
+        balance_pass t;
+        ignore (Sim.Engine.schedule_after (engine t) period pass)
+      in
+      ignore (Sim.Engine.schedule_after (engine t) period pass)
     end
   end
 
@@ -1291,9 +1287,15 @@ let render_delays t =
 let core_busy_ns t core_id = t.cores.(core_id).busy_ns
 let core_io_ns t core_id = t.cores.(core_id).io_busy_ns
 
-let run_until t time =
-  try Sim.Engine.run (engine t) ~until:time ()
+(* Drive the engine with [f] under the event loop's panic exit: a panic
+   an event raises is flight-recorded, then re-raised with its
+   backtrace. Every driver of a kernel's clock runs under it. *)
+let recording_panics t f =
+  try f ()
   with Kpanic.Panic msg as e ->
     let bt = Printexc.get_raw_backtrace () in
     record_panic t msg;
     Printexc.raise_with_backtrace e bt
+
+let run_until t time =
+  recording_panics t (fun () -> Sim.Engine.run (engine t) ~until:time ())

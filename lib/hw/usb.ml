@@ -10,7 +10,7 @@ type t = {
   mutable dirty : bool;
   mutable latched : report list;  (* newest first *)
   mutable msd : Disk.t option;  (* mass-storage medium *)
-  mutable gen : int;  (* plug generation; stale poll fibers exit *)
+  mutable gen : int;  (* plug generation; a stale frame chain ends *)
 }
 
 let init_cost_ns = 1_100_000_000L
@@ -30,19 +30,18 @@ let create engine intc =
     gen = 0;
   }
 
-(* The host-controller frame service loop, as a fiber: latch a report and
-   raise the interrupt when keys changed, then park for one 8 ms frame.
-   One engine event per frame, exactly like the closure chain it
-   replaces. *)
-let poll_loop t gen () =
-  while t.ready && t.gen = gen do
+(* One host-controller frame: latch a report and raise the interrupt
+   when keys changed, then schedule the next frame 8 ms out. The chain
+   ends at the first frame after an unplug (the generation moved on). *)
+let rec frame t gen () =
+  if t.ready && t.gen = gen then begin
     if t.dirty then begin
       t.dirty <- false;
       t.latched <- { modifiers = t.modifiers; keys = t.held } :: t.latched;
       Intc.raise_line t.intc Irq.Usb_hc
     end;
-    Sim.Fiber.sleep frame_interval_ns
-  done
+    ignore (Sim.Engine.schedule_after t.engine frame_interval_ns (frame t gen))
+  end
 
 let power_on t =
   if not t.powered then begin
@@ -52,7 +51,7 @@ let power_on t =
       (Sim.Engine.schedule_after t.engine init_cost_ns (fun () ->
            if t.powered && t.gen = gen then begin
              t.ready <- true;
-             ignore (Sim.Fiber.run t.engine (poll_loop t gen))
+             frame t gen ()
            end))
   end
 

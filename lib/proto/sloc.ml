@@ -53,8 +53,6 @@ let inventory =
     ("lib/core/vprobe.ml", 1, Beyond_paper);
     (* Prototype 2: multitasking *)
     ("lib/core/task.ml", 2, Core_kernel);
-    (* tasks' coroutines: the simulator's context switch *)
-    ("lib/sim/fiber.ml", 2, Core_kernel);
     ("lib/core/sched.ml", 2, Core_kernel);
     ("lib/core/kalloc.ml", 2, Core_kernel);
     (* Prototype 3: user/kernel *)

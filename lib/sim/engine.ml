@@ -162,23 +162,19 @@ let step t =
        true
      end
 
-let run t ?until ?(max_events = max_int) () =
-  let fired = ref 0 in
+let run t ?until () =
   let continue = ref true in
-  while !continue && !fired < max_events do
+  while !continue do
     if not (skip_dead t) then continue := false
     else
       match until with
       | Some limit when Int64.compare (Heap.top_time t.heap) limit > 0 ->
           t.clock <- limit;
           continue := false
-      | Some _ | None ->
-          fire_top t;
-          incr fired
+      | Some _ | None -> fire_top t
   done;
   match until with
-  | Some limit when !continue = false && Int64.compare t.clock limit < 0 ->
-      if not (skip_dead t) then t.clock <- limit
+  | Some limit when Int64.compare t.clock limit < 0 -> t.clock <- limit
   | Some _ | None -> ()
 
 let advance_to t time =

@@ -71,10 +71,9 @@ val par_stats : t -> int * int
 val step : t -> bool
 (** Fire the next event. Returns [false] if the queue was empty. *)
 
-val run : t -> ?until:int64 -> ?max_events:int -> unit -> unit
-(** Fire events until the queue is empty, the clock would pass [until], or
-    [max_events] have fired. When stopping at [until], the clock is advanced
-    exactly to [until]. *)
+val run : t -> ?until:int64 -> unit -> unit
+(** Fire events until the queue is empty or the clock would pass [until].
+    When stopping at [until], the clock is advanced exactly to [until]. *)
 
 val advance_to : t -> int64 -> unit
 (** Force the clock forward to [time] without firing events; used by device

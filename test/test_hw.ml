@@ -558,6 +558,40 @@ let usb_release_and_modifiers () =
       check_bool "key released" true (not (List.mem 0x2b up.Hw.Usb.keys))
   | reports -> Alcotest.failf "expected 2 reports, got %d" (List.length reports)
 
+(* The frame service loop's cadence: the first frame runs the instant
+   enumeration ends, then one every [frame_interval_ns], so a key held
+   between frames raises Usb_hc exactly on the next grid point. An
+   unplug ends the chain: the next frame sees the stale generation and
+   schedules nothing, so the engine drains. *)
+let usb_frame_grid () =
+  let b = fresh () in
+  let engine = b.Hw.Board.engine and usb = b.Hw.Board.usb in
+  let raised = ref [] in
+  Hw.Intc.set_handler b.Hw.Board.intc ~core:0 (fun line ->
+      if Hw.Irq.equal line Hw.Irq.Usb_hc then
+        raised := Sim.Engine.now engine :: !raised);
+  let frame k =
+    Int64.add Hw.Usb.init_cost_ns
+      (Int64.mul (Int64.of_int k) Hw.Usb.frame_interval_ns)
+  in
+  Hw.Usb.power_on usb;
+  let press_at ns usage =
+    ignore
+      (Sim.Engine.schedule_at engine ns (fun () -> Hw.Usb.key_down usb usage))
+  in
+  press_at (Int64.add (frame 0) 3_000_000L) 0x04;
+  press_at (Int64.add (frame 4) 1L) 0x05;
+  press_at (Int64.sub (frame 7) 1L) 0x06;
+  Sim.Engine.run engine ~until:(frame 9) ();
+  check_bool "one Usb_hc per press, each on the next frame" true
+    (List.rev !raised = [ frame 1; frame 5; frame 7 ]);
+  check_int "one frame event pending" 1 (Sim.Engine.pending engine);
+  Hw.Usb.unplug usb;
+  Hw.Usb.key_down usb 0x07;
+  Sim.Engine.run engine ~until:(frame 20) ();
+  check_int "unplug stops the frames" 0 (Sim.Engine.pending engine);
+  check_int "nothing raised after unplug" 3 (List.length !raised)
+
 (* ---- power ---- *)
 
 let power_endpoints () =
@@ -618,6 +652,7 @@ let suite =
       quick "usb reports after init" usb_reports_after_init;
       quick "usb frame quantization" usb_frame_quantization;
       quick "usb release and modifiers" usb_release_and_modifiers;
+      quick "usb frames sit on the 8 ms grid" usb_frame_grid;
       quick "power endpoints" power_endpoints;
       power_monotone;
     ] )

@@ -1253,6 +1253,74 @@ let dev_console_roundtrip () =
          String.length out >= 3)
   | Error e -> Alcotest.fail e
 
+(* A USB key change reaches the driver (Kbd_report) on the next 8 ms
+   frame of the host controller's service loop, and only there: reports
+   sit on one grid whatever instant the key moved. An unplugged keyboard
+   reports nothing more. *)
+let dev_usb_reports_on_frames () =
+  let kernel = boot_kernel () in
+  let engine = kernel.Core.Kernel.board.Hw.Board.engine in
+  let usb = kernel.Core.Kernel.board.Hw.Board.usb in
+  let frame = Hw.Usb.frame_interval_ns in
+  let reports () =
+    List.filter_map
+      (fun e ->
+        match e.Core.Ktrace.ev with
+        | Core.Ktrace.Kbd_report -> Some e.Core.Ktrace.ts_ns
+        | _ -> None)
+      (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace)
+  in
+  let at ns f = ignore (Sim.Engine.schedule_at engine ns f) in
+  let t1 = Sim.Engine.now engine in
+  Hw.Usb.key_down usb 0x04;
+  Core.Kernel.run_for kernel (Sim.Engine.ms 20);
+  let r1 =
+    match reports () with
+    | [ r1 ] -> r1
+    | rs -> Alcotest.failf "expected 1 report, got %d" (List.length rs)
+  in
+  check_bool "first report within one frame of the press" true
+    (Int64.compare r1 t1 > 0 && Int64.compare (Int64.sub r1 t1) frame <= 0);
+  let grid k = Int64.add r1 (Int64.mul (Int64.of_int k) frame) in
+  at (Int64.add (grid 3) 3_000_000L) (fun () -> Hw.Usb.key_down usb 0x05);
+  at (Int64.add (grid 5) 1L) (fun () -> Hw.Usb.key_up usb 0x04);
+  Core.Kernel.run_for kernel (Sim.Engine.ms 60);
+  check_bool "later reports land on the same frame grid" true
+    (reports () = [ r1; grid 4; grid 6 ]);
+  Hw.Usb.unplug usb;
+  Hw.Usb.key_down usb 0x06;
+  Core.Kernel.run_for kernel (Sim.Engine.ms 40);
+  check_int "no report after unplug" 3 (List.length (reports ()))
+
+(* The syscall name table: one value of each constructor pinned to its
+   dense index and its name, in declaration order. *)
+let abi_syscall_names_and_indices () =
+  let open Core.Abi in
+  let pinned =
+    [
+      (Fork (fun () -> 0), "fork"); (Exec ("x", []), "exec"); (Exit 0, "exit");
+      (Wait, "wait"); (Kill 1, "kill"); (Getpid, "getpid");
+      (Sleep 1, "sleep"); (Uptime, "uptime"); (Nice 0, "nice");
+      (Sbrk 0, "sbrk"); (Cacheflush, "cacheflush"); (Open ("/", 0), "open");
+      (Close 0, "close"); (Read (0, 1), "read");
+      (Write (0, Bytes.empty), "write"); (Lseek (0, 0, 0), "lseek");
+      (Dup 0, "dup"); (Pipe 0, "pipe"); (Fstat 0, "fstat");
+      (Mkdir "/m", "mkdir"); (Unlink "/u", "unlink"); (Chdir "/", "chdir");
+      (Mmap 0, "mmap"); (Fsync 0, "fsync"); (Poll ([], 0), "poll");
+      (Clone (fun () -> 0), "clone"); (Join 0, "join");
+      (Sem_open 0, "sem_open"); (Sem_post 0, "sem_post");
+      (Sem_wait 0, "sem_wait"); (Sem_close 0, "sem_close");
+    ]
+  in
+  check_int "one value per constructor" syscall_count (List.length pinned);
+  List.iteri
+    (fun i (call, name) ->
+      check_int (name ^ " index") i (syscall_index call);
+      check_string (name ^ " name") name (syscall_name call))
+    pinned;
+  check_bool "syscall_names in index order" true
+    (syscall_names = List.map snd pinned)
+
 let suite_devices =
   ( "kernel.devices",
     [
@@ -1263,6 +1331,8 @@ let suite_devices =
       quick "audio producer-consumer pipeline" dev_audio_pipeline;
       quick "procfs contents" dev_procfs_contents;
       quick "console roundtrip" dev_console_roundtrip;
+      quick "usb reports land on the frame grid" dev_usb_reports_on_frames;
+      quick "abi syscall names and indices" abi_syscall_names_and_indices;
     ] )
 
 (* ---- window manager ---- *)
@@ -1999,6 +2069,48 @@ let io_flush_daemon_drains () =
   Core.Kernel.shutdown kernel;
   check_int "shutdown leaves nothing dirty" 0 (Core.Bufcache.dirty_blocks bc)
 
+(* The daemon's cadence: a tick every [interval_ms], the first one
+   period after the start. The pre-flush hook runs on every tick, dirty
+   or not, so it timestamps them. *)
+let io_flush_daemon_period () =
+  let board, bc = fresh_bc ~writeback:true () in
+  let engine = board.Hw.Board.engine in
+  let ticks = ref [] in
+  Core.Bufcache.set_pre_flush bc (fun () ->
+      ticks := Sim.Engine.now engine :: !ticks);
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 3) ();
+  Core.Bufcache.start_flush_daemon bc ~interval_ms:8;
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 36) ();
+  check_bool "ticks at start + k periods" true
+    (List.rev !ticks = List.map Sim.Engine.ms [ 11; 19; 27; 35 ])
+
+(* One daemon at most: a restart replaces the pending chain, a stop
+   cancels it, and a stop issued from inside a tick (the pre-flush hook
+   is kernel code) is not undone by the tick that is running. *)
+let io_flush_daemon_restart_and_stop () =
+  let board, bc = fresh_bc ~writeback:true () in
+  let engine = board.Hw.Board.engine in
+  let ticks = ref 0 in
+  Core.Bufcache.set_pre_flush bc (fun () -> incr ticks);
+  Core.Bufcache.start_flush_daemon bc ~interval_ms:8;
+  check_int "one daemon event" 1 (Sim.Engine.pending engine);
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 4) ();
+  Core.Bufcache.start_flush_daemon bc ~interval_ms:8;
+  check_int "a restart leaves one daemon event" 1 (Sim.Engine.pending engine);
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 13) ();
+  check_int "only the new chain ticked (at 12 ms)" 1 !ticks;
+  Core.Bufcache.stop_flush_daemon bc;
+  check_int "stop leaves no daemon event" 0 (Sim.Engine.pending engine);
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 100) ();
+  check_int "no tick after stop" 1 !ticks;
+  Core.Bufcache.set_pre_flush bc (fun () ->
+      incr ticks;
+      Core.Bufcache.stop_flush_daemon bc);
+  Core.Bufcache.start_flush_daemon bc ~interval_ms:8;
+  Sim.Engine.run engine ~until:(Sim.Engine.ms 200) ();
+  check_int "the tick that stopped the daemon was its last" 2 !ticks;
+  check_int "and nothing is left pending" 0 (Sim.Engine.pending engine)
+
 let io_writeback_determinism () =
   let workload kernel =
     Benchlib.Micro.prepare_file kernel ~path:"/d/det.dat" ~bytes:(64 * 1024);
@@ -2039,6 +2151,8 @@ let suite_io =
       quick "write-back range coherence" io_writeback_range_coherence;
       quick "fsync flushes dirty blocks" io_fsync_flushes_dirty;
       quick "flush daemon drains dirty set" io_flush_daemon_drains;
+      quick "flush daemon ticks once per period" io_flush_daemon_period;
+      quick "flush daemon restart and stop" io_flush_daemon_restart_and_stop;
       slow "write-back determinism" io_writeback_determinism;
       slow "iobench smoke (BENCH_io ladder)" io_iobench_smoke;
     ] )
@@ -2442,6 +2556,36 @@ let sc_schedbench_smoke () =
   check_bool "multicore batch speedup >= 3x" true
     (Benchlib.Schedbench.multicore_speedup rows >= 3.0)
 
+(* The balance pass fires only at multiples of [load_balance_ms] after
+   [Sched.start]. On two idle cores each timer tick bills both cores
+   alike, and the pass bills core 0 alone, so core 0's busy time minus
+   core 1's steps exactly at the passes. *)
+let sc_balance_period () =
+  let board =
+    Hw.Board.create ~platform:(Benchlib.Scale.platform_with_cores 2) ()
+  in
+  let engine = board.Hw.Board.engine in
+  let config = { Core.Kconfig.full with Core.Kconfig.load_balance_ms = 3 } in
+  let kalloc =
+    Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024) ~kernel_reserved_bytes:0
+  in
+  let sched = Core.Sched.create board config kalloc in
+  Core.Sched.start sched;
+  let extra () =
+    Int64.sub
+      (Core.Sched.core_busy_ns sched 0)
+      (Core.Sched.core_busy_ns sched 1)
+  in
+  let passes = ref [] and last = ref (extra ()) in
+  for ms = 1 to 20 do
+    Sim.Engine.run engine ~until:(Sim.Engine.ms ms) ();
+    let x = extra () in
+    if not (Int64.equal x !last) then passes := ms :: !passes;
+    last := x
+  done;
+  check_bool "passes at 3, 6, ... ms" true
+    (List.rev !passes = [ 3; 6; 9; 12; 15; 18 ])
+
 let suite_sched_classes =
   ( "kernel.sched_classes",
     [
@@ -2454,6 +2598,7 @@ let suite_sched_classes =
       quick "kill one of two blocked tasks" sc_kill_one_of_two_blocked;
       quick "kill mid-burn via reschedule ipi" sc_kill_remote_via_ipi;
       quick "mlfq+ipi+balance deterministic" sc_mlfq_determinism;
+      quick "balance pass fires every load_balance_ms" sc_balance_period;
       quick "/proc/sched renders stats" sc_procfs_sched;
       quick "nice clamps to [-20,19]" sc_nice_clamps;
       slow "schedbench smoke (BENCH_sched ladder)" sc_schedbench_smoke;

@@ -449,6 +449,28 @@ let flight_recorder_gated () =
   check_bool "no recorder output when disabled" false
     (contains out "=== FLIGHT RECORDER")
 
+(* A panic raised by an engine event while [Measure.run_task] drives the
+   clock leaves kernel code the way one under [run_until] does: the
+   flight recorder runs once, then the panic reaches the caller. *)
+let flight_recorder_under_run_task () =
+  let kernel = boot_kernel () in
+  ignore
+    (Sim.Engine.schedule_after kernel.Core.Kernel.board.Hw.Board.engine
+       (Sim.Engine.ms 1) (fun () ->
+         Core.Kpanic.panicf "obs test: panic under run_task"));
+  (match
+     Benchlib.Measure.run_task kernel ~name:"sleeper" (fun () ->
+         ignore (User.Usys.sleep 10);
+         0)
+   with
+  | _ -> Alcotest.fail "the panic did not leave run_task"
+  | exception Core.Kpanic.Panic m ->
+      check_string "re-raised as is" "obs test: panic under run_task" m);
+  let out = Core.Kernel.uart_output kernel in
+  check_contains "the panic message" "panic: obs test: panic under run_task"
+    out;
+  check_int "recorded once" 1 (count_sub out "=== FLIGHT RECORDER")
+
 (* Two live kernels own their probes and recorders: boot A, then B, then
    work in A. A's lock acquisitions count only in A's vprobe, and A's
    panic dumps only to A's UART. *)
@@ -732,6 +754,8 @@ let suite =
       slow "a task's panic is recorded once and kills the task"
         flight_recorder_task_panic;
       slow "flight recorder silent when disabled" flight_recorder_gated;
+      slow "flight recorder runs under Measure.run_task"
+        flight_recorder_under_run_task;
       slow "two kernels own their lock probes and flight recorders"
         two_kernels_own_their_observers;
       slow "every point armed leaves the run as stock ran it"

@@ -1,9 +1,8 @@
 (** Tests for the host-parallel engine stack: tombstone cancellation,
-    the (time, seq) firing contract under arbitrary interleavings, the
-    fiber coroutine layer, parallel events ([schedule_par] / the
-    [Usys.offload] syscall), and the headline property — the virtual
-    trace of a full kernel workload is byte-identical whatever
-    [sim_domains] says. *)
+    the (time, seq) firing contract under arbitrary interleavings,
+    parallel events ([schedule_par] / the [Usys.offload] syscall), and
+    the headline property — the virtual trace of a full kernel workload
+    is byte-identical whatever [sim_domains] says. *)
 
 open Tharness
 
@@ -119,88 +118,6 @@ let firing_contract domains =
       ok1 && ok2 && ok3
       && List.rev !log = expected
       && Sim.Engine.pending e = 0)
-
-(* ---- fibers ---- *)
-
-let fiber_runs_inline_to_first_suspension () =
-  let e = Sim.Engine.create () in
-  let log = ref [] in
-  let h =
-    Sim.Fiber.run e (fun () ->
-        log := "start" :: !log;
-        Sim.Fiber.sleep 100L;
-        log := "after-sleep" :: !log)
-  in
-  check_bool "body ran inline" true (!log = [ "start" ]);
-  check_bool "not finished while parked" false (Sim.Fiber.finished h);
-  ignore (Sim.Engine.schedule_at e 50L (fun () -> log := "mid" :: !log));
-  Sim.Engine.run e ();
-  check_string "events interleave with the sleep" "start,mid,after-sleep"
-    (String.concat "," (List.rev !log));
-  check_bool "finished" true (Sim.Fiber.finished h)
-
-let fiber_loop_matches_closure_chain () =
-  (* A fiberised periodic loop must allocate the same (time, seq) events
-     as the self-rescheduling closure chain it replaces. *)
-  let run_trace make =
-    let e = Sim.Engine.create () in
-    let log = ref [] in
-    make e (fun () -> log := Sim.Engine.now e :: !log);
-    Sim.Engine.run e ~until:1000L ();
-    List.rev !log
-  in
-  let chain =
-    run_trace (fun e tick ->
-        let rec loop () =
-          tick ();
-          ignore (Sim.Engine.schedule_after e 100L loop)
-        in
-        ignore (Sim.Engine.schedule_after e 100L loop))
-  in
-  let fiber =
-    run_trace (fun e tick ->
-        ignore
-          (Sim.Fiber.spawn e ~after:100L (fun () ->
-               while true do
-                 tick ();
-                 Sim.Fiber.sleep 100L
-               done)))
-  in
-  check_bool "identical tick instants" true (chain = fiber)
-
-let fiber_yield_is_fifo () =
-  let e = Sim.Engine.create () in
-  let log = ref [] in
-  let body name () =
-    for i = 1 to 2 do
-      log := Printf.sprintf "%s%d" name i :: !log;
-      Sim.Fiber.sleep 0L
-    done
-  in
-  ignore (Sim.Fiber.spawn e (body "a"));
-  ignore (Sim.Fiber.spawn e (body "b"));
-  Sim.Engine.run e ();
-  check_string "round-robin at one instant" "a1,b1,a2,b2"
-    (String.concat "," (List.rev !log))
-
-let fiber_cancel_parked () =
-  let e = Sim.Engine.create () in
-  let ticks = ref 0 in
-  let h =
-    Sim.Fiber.spawn e (fun () ->
-        while true do
-          incr ticks;
-          Sim.Fiber.sleep 100L
-        done)
-  in
-  Sim.Engine.run e ~until:250L ();
-  check_int "ran until cancel" 3 !ticks;
-  Sim.Fiber.cancel e h;
-  check_bool "finished after cancel" true (Sim.Fiber.finished h);
-  check_int "wakeup tombstoned" 0 (Sim.Engine.pending e);
-  Sim.Engine.run e ~until:1000L ();
-  check_int "never ticked again" 3 !ticks;
-  Sim.Fiber.cancel e h (* no-op on finished fibers *)
 
 (* ---- parallel events ---- *)
 
@@ -370,11 +287,6 @@ let suite =
       quick "double cancel counts once" cancel_twice_counts_once;
       firing_contract 1;
       firing_contract 4;
-      quick "fiber runs inline to first suspension"
-        fiber_runs_inline_to_first_suspension;
-      quick "fiber loop matches closure chain" fiber_loop_matches_closure_chain;
-      quick "fiber yield is fifo" fiber_yield_is_fifo;
-      quick "cancel parked fiber" fiber_cancel_parked;
       quick "par commits in order across domains" par_commit_order_and_stats;
       quick "par computes inline at one domain" par_sequential_inline;
       quick "cancelled par never computes" par_cancelled_never_computes;

@@ -192,7 +192,7 @@ let sloc_attributes_every_module () =
   let files =
     Proto.Sloc.layer_files (Option.get (Proto.Sloc.repo_root ()))
   in
-  check_bool "scan sees lib/sim" true (List.mem "lib/sim/fiber.ml" files);
+  check_bool "scan sees lib/sim" true (List.mem "lib/sim/engine.ml" files);
   check_bool "scan sees lib/apps" true (List.mem "lib/apps/doom.ml" files);
   check_string "unattributed files" ""
     (String.concat " " report.Proto.Sloc.unattributed)

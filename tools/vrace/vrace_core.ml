@@ -32,10 +32,10 @@
             commit and runs back on the sim thread, so it is skipped.
     - R103  {b sleep in atomic context}. May-block summaries (anything
             reaching [Sched.block], [Sched.finish_after],
-            [Sched.park_for_debug], [Fiber.sleep] or
-            [Condition.wait]) intersected with spinlock/irq windows:
-            blocking with a spin lock held would deadlock a real kernel,
-            so the discipline checker bans it even in the simulator.
+            [Sched.park_for_debug] or [Condition.wait]) intersected
+            with spinlock/irq windows: blocking with a spin lock held
+            would deadlock a real kernel, so the discipline checker
+            bans it even in the simulator.
             Mutex windows are exempt ([Condition.wait] under its mutex
             is the intended idiom).
 
@@ -266,7 +266,6 @@ let blockers =
       "Sched.block";
       "Sched.finish_after";
       "Sched.park_for_debug";
-      "Fiber.sleep";
       "Condition.wait";
     ]
 
