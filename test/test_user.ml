@@ -711,6 +711,94 @@ let yuv_convert_rejects_bad_geometry () =
       ("empty window", convert ~width:4 ~height:4 ~cols:0 ~rows:0 ~len:0 ());
     ]
 
+(* Every frame of both clips, decoded and then converted, pinned by MD5.
+   A frame's planes are hashed one byte per sample, Y then U then V.
+   Each frame is converted twice: into a whole 640x480 window, and into
+   an offset window whose odd [cols] and [rows] leave a tail row and a
+   tail column, with [stride > cols] and the gaps left at -1. A window
+   is hashed as 8 little-endian bytes per entry of [out]. The values
+   were taken with [int array] planes, so they also hold the plane
+   representation to every sample and pixel. *)
+let plane_bytes plane = Bytes.init (Array.length plane) (fun i -> Char.chr plane.(i))
+
+let mv1_clip_frames_pinned () =
+  let md5 b = Digest.to_hex (Digest.bytes b) in
+  let out_bytes out =
+    let b = Bytes.create (8 * Array.length out) in
+    Array.iteri (fun i px -> Bytes.set_int64_le b (8 * i) (Int64.of_int px)) out;
+    b
+  in
+  let convert (f : Mv1.frame) ~width ~height ~len ~off ~stride ~cols ~rows =
+    let out = Array.make len (-1) in
+    ignore
+      (Yuv.convert_420 ~width ~height ~y_plane:f.Mv1.y_plane ~u_plane:f.Mv1.u_plane
+         ~v_plane:f.Mv1.v_plane ~out ~off ~stride ~cols ~rows ~simd:false);
+    md5 (out_bytes out)
+  in
+  List.iter
+    (fun (clip_name, clip, pins) ->
+      let v = check_ok clip_name (Mv1.unpack clip) in
+      let width = v.Mv1.width and height = v.Mv1.height in
+      let d = Mv1.decoder ~width ~height ~quality:Mv1.quality in
+      check_int (clip_name ^ " frames") (List.length pins) (Array.length v.Mv1.frames);
+      List.iteri
+        (fun i (planes, whole, window) ->
+          let name = Printf.sprintf "%s frame %d" clip_name i in
+          Mv1.decode_into d v.Mv1.frames.(i);
+          let f = d.Mv1.frame in
+          check_string (name ^ " planes") planes
+            (md5
+               (Bytes.concat Bytes.empty
+                  [ plane_bytes f.Mv1.y_plane; plane_bytes f.Mv1.u_plane;
+                    plane_bytes f.Mv1.v_plane ]));
+          check_string (name ^ " whole window") whole
+            (convert f ~width ~height ~len:(640 * 480) ~off:0 ~stride:640 ~cols:640
+               ~rows:480);
+          check_string (name ^ " offset window") window
+            (convert f ~width ~height ~len:(5 + (238 * 331) + 327 + 3) ~off:5 ~stride:331
+               ~cols:327 ~rows:239))
+        pins)
+    [
+      ( "480p",
+        Proto.Assets.clip_480p (),
+        [
+          ( "80ed7ab61570cb2e7546034fab9467ae",
+            "48c0eecab889f41a69a7cc0dd490ca4c",
+            "9ff3c632608afa4d005e35d0ebd829fe" );
+          ( "df7e31bd43ffec43b8779310eaaa820a",
+            "5486b43b6e3b5617048acec426cc2fe8",
+            "e98e9790e9a32b83fcba2a566850e7d1" );
+          ( "4aa8e18a147236333fb8ff62bac75798",
+            "e43b1df17bb5c6679d175a7edf57042b",
+            "6b03b0846c0822d1baf633a4a91e9bd9" );
+          ( "a5949bc82227814fbb1f71e3378046ac",
+            "76f7e8317734d7c696d8273ec71b2b1f",
+            "7a6bb057e46cfa55ea01318b42b9f341" );
+          ( "98d1e96be9b138736ad6352b9cffd841",
+            "c600fde2cedc66ee7b536fc4c6692ce0",
+            "e1133406421c5d4c201b3d90b00202dc" );
+          ( "3d1df8c67e2a0014c04d82161cff7ba0",
+            "3036d276dfbb06c66e0ce976a01c855d",
+            "bc22e9625305c817eeb36eda114a54de" );
+        ] );
+      ( "720p",
+        Proto.Assets.clip_720p (),
+        [
+          ( "736cb77d18c9bb7a70a5a33504c5d121",
+            "d7b7b77e9630dffdb00ac4fe7b17ced5",
+            "1c2ba6f76fd10632f73578e2bced27ec" );
+          ( "914b09d5235540c0bf3a9b6a03e0db72",
+            "485eec5be8644e1bff5fb361dc7ad081",
+            "ec50dc9614085d1790475f9e25739a1c" );
+          ( "e15574987390d54ba220a0e82268e9ca",
+            "3229b1a6d2bc04d91f04caaa0bac40bd",
+            "c320a8da7d3f9c1c48081b40e3141c10" );
+          ( "0936e9153a7f6aa12ffc426cae8cfd4a",
+            "97b7859381463d908298b4cba8b76110",
+            "c84e49eb46fc36b7810a47b908656d3d" );
+        ] );
+    ]
+
 let suite_codecs =
   ( "user.codecs",
     [
@@ -742,6 +830,7 @@ let suite_codecs =
       yuv_convert_matches_per_pixel;
       quick "yuv convert_420 rejects bad geometry" yuv_convert_rejects_bad_geometry;
       mv1_fdct_exact;
+      quick "mv1 clip frames: planes and conversions pinned" mv1_clip_frames_pinned;
     ] )
 
 (* ---- crypto, against published vectors ---- *)
