@@ -140,6 +140,13 @@ let obsbench () =
   print_endline "wrote BENCH_obs.json";
   if not (Benchlib.Obsbench.clean r) then exit 1
 
+let codec () =
+  section "codec: host ms per media frame, decode / convert / present";
+  let r = Benchlib.Codecbench.run () in
+  print_string (Benchlib.Codecbench.render r);
+  Benchlib.Report.write "BENCH_codec.json" (Benchlib.Codecbench.report r);
+  print_endline "wrote BENCH_codec.json"
+
 let simbench () =
   section "simbench: host-parallel engine — pop cost, speedup, determinism";
   let r = Benchlib.Simbench.run () in
@@ -173,6 +180,7 @@ let experiments =
     ("ipcbench", ipcbench);
     ("tracebench", tracebench);
     ("obsbench", obsbench);
+    ("codec", codec);
     ("simbench", simbench);
     ("crashbench", crashbench);
     ("fuzzbench", fuzzbench);

@@ -81,27 +81,28 @@ let clip_audio_vogg =
 (* ---- video ---- *)
 
 let video_frame ~width ~height ~t =
-  let y_plane = Array.make (width * height) 0 in
-  let u_plane = Array.make (width / 2 * (height / 2)) 128 in
-  let v_plane = Array.make (width / 2 * (height / 2)) 128 in
+  let y_plane = Bytes.create (width * height) in
+  let u_plane = Bytes.create (width / 2 * (height / 2)) in
+  let v_plane = Bytes.create (width / 2 * (height / 2)) in
   (* a moving luminance gradient plus a bouncing bright square; the
-     gradient is a column term plus a row term, each computed once *)
+     gradient is a column term plus a row term, each computed once, and
+     every sample is written *)
   let bx = (t * 37) mod (width - 64) and by = (t * 23) mod (height - 64) in
   let column = Array.init width (fun x -> 40 + ((x + (t * 8)) * 120 / width)) in
   for y = 0 to height - 1 do
     let row = y * 40 / height and off = y * width in
     for x = 0 to width - 1 do
       let base = column.(x) + row in
-      y_plane.(off + x) <- (if base < 235 then base else 235)
+      Bytes.set y_plane (off + x) (Char.unsafe_chr (if base < 235 then base else 235))
     done;
-    if y >= by && y < by + 64 then Array.fill y_plane (off + bx) 64 230
+    if y >= by && y < by + 64 then Bytes.fill y_plane (off + bx) 64 '\230'
   done;
   (* u varies along a row only, v down a column only *)
   let cw = width / 2 and ch = height / 2 in
-  let u_row = Array.init cw (fun cx -> 100 + ((cx + t) * 56 / cw)) in
+  let u_row = Bytes.init cw (fun cx -> Char.chr (100 + ((cx + t) * 56 / cw))) in
   for cy = 0 to ch - 1 do
-    Array.blit u_row 0 u_plane (cy * cw) cw;
-    Array.fill v_plane (cy * cw) cw (160 - (cy * 48 / ch))
+    Bytes.blit u_row 0 u_plane (cy * cw) cw;
+    Bytes.fill v_plane (cy * cw) cw (Char.chr (160 - (cy * 48 / ch)))
   done;
   { User.Mv1.y_plane; u_plane; v_plane }
 

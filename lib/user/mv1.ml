@@ -19,10 +19,12 @@ let cycles_per_frame_fixed = 12_400_000
 
 let magic = "MV1 "
 
+(* One byte per sample: a luma plane of [width * height] bytes, then two
+   chroma planes of a quarter of that, row by row. *)
 type frame = {
-  y_plane : int array;
-  u_plane : int array;
-  v_plane : int array;
+  y_plane : Bytes.t;
+  u_plane : Bytes.t;
+  v_plane : Bytes.t;
 }
 
 type t = {
@@ -232,9 +234,9 @@ let decoder ~width ~height ~quality =
     last = -1;
     frame =
       {
-        y_plane = Array.make (width * height) 0;
-        u_plane = Array.make (width / 2 * (height / 2)) 0;
-        v_plane = Array.make (width / 2 * (height / 2)) 0;
+        y_plane = Bytes.make (width * height) '\000';
+        u_plane = Bytes.make (width / 2 * (height / 2)) '\000';
+        v_plane = Bytes.make (width / 2 * (height / 2)) '\000';
       };
   }
 
@@ -283,33 +285,27 @@ let decode_block d data pos =
 
 (* ---- plane <-> blocks ---- *)
 
-let for_blocks ~width ~height f =
-  for by = 0 to (height / 8) - 1 do
-    for bx = 0 to (width / 8) - 1 do
-      f ~bx ~by
-    done
-  done
-
 (* One check covers the block: with [bx], [by] and [width] not
    negative, every index read lies between [base] and the last one. *)
-let extract_block (plane : int array) ~width ~bx ~by (out : int array) =
+let extract_block (plane : Bytes.t) ~width ~bx ~by (out : int array) =
   let base = (by * 8 * width) + (bx * 8) in
   if bx < 0 || by < 0 || width < 0
-     || base + (7 * width) + 7 >= Array.length plane
+     || base + (7 * width) + 7 >= Bytes.length plane
      || Array.length out < 64
   then invalid_arg "Mv1.extract_block";
   for y = 0 to 7 do
     let off = base + (y * width) in
     for x = 0 to 7 do
-      Array.unsafe_set out ((y * 8) + x) (Array.unsafe_get plane (off + x))
+      Array.unsafe_set out ((y * 8) + x) (Char.code (Bytes.unsafe_get plane (off + x)))
     done
   done
 
-let insert_block (plane : int array) ~width ~bx ~by (block : int array) =
+(* [block] holds bytes, as {!idct} leaves it. *)
+let insert_block (plane : Bytes.t) ~width ~bx ~by (block : int array) =
   for y = 0 to 7 do
     let off = ((by * 8 + y) * width) + (bx * 8) in
     for x = 0 to 7 do
-      plane.(off + x) <- block.((y * 8) + x)
+      Bytes.set plane (off + x) (Char.unsafe_chr block.((y * 8) + x))
     done
   done
 
@@ -322,35 +318,48 @@ let encode_plane buf e plane ~width ~height =
     done
   done
 
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 (* A block whose one entry is raster position 0 (zigzag index 0) is
    flat: {!idct}'s pass 1 leaves [0.0 +. C00 *. y] in every row, and
-   its DC-column path rounds that times [C00]. The value is written
-   straight into the plane. Every other block, an empty one included,
-   takes {!idct}. *)
+   its DC-column path rounds that times [C00]. Each of its rows is one
+   64-bit store of that byte eight times over; all eight bytes are
+   equal, so the store's byte order does not matter. Every other block,
+   an empty one included, takes {!idct}. The plane's length is checked
+   once, by division so that no product can overflow: every block lies
+   inside the first [width * height] bytes, so the stores need no
+   check of their own. *)
 let decode_plane d data pos plane ~width ~height =
+  if width < 0 || height < 0 || (height > 0 && width > Bytes.length plane / height)
+  then invalid_arg "Mv1.decode_plane";
+  let c00 = dct_c.(0) in
   let p = ref pos in
-  for_blocks ~width ~height (fun ~bx ~by ->
+  for by = 0 to (height / 8) - 1 do
+    for bx = 0 to (width / 8) - 1 do
       p := decode_block d data !p;
       if d.last = 0 then begin
-        let c00 = dct_c.(0) in
         let v = round_byte ((0.0 +. (c00 *. d.coeffs.(0))) *. c00) in
+        let row = Int64.mul (Int64.of_int v) 0x0101010101010101L in
+        let base = (by * 8 * width) + (bx * 8) in
         for y = 0 to 7 do
-          let off = ((by * 8 + y) * width) + (bx * 8) in
-          for x = 0 to 7 do
-            plane.(off + x) <- v
-          done
+          set64u plane (base + (y * width)) row
         done
       end
       else begin
         idct ~cols:d.cols d.coeffs d.tmp d.block;
         insert_block plane ~width ~bx ~by d.block
-      end);
+      end
+    done
+  done;
   !p
 
 (* ---- frames and container ---- *)
 
+(* The blocks of a frame of 16-aligned dimensions: a luma block per 8x8
+   and one per 16x16 in each chroma plane. Dimensions come from 32-bit
+   fields, so each factor is below 2^29 and no product overflows. *)
 let blocks_per_frame ~width ~height =
-  (width * height / 64) + (2 * (width / 2 * (height / 2) / 64))
+  (width / 8 * (height / 8)) + (2 * (width / 16 * (height / 16)))
 
 let encode_frame ~width ~height ~quality frame =
   let e = encoder ~quality in
@@ -417,7 +426,11 @@ let unpack data =
     let fps = get32 data 12 and nframes = get32 data 16 in
     if width <= 0 || height <= 0 || width mod 16 <> 0 || height mod 16 <> 0 then
       Error "mv1: bad dimensions"
+    else if nframes = 0 then Error "mv1: no frames"
     else begin
+      (* every block costs at least its end-of-block byte, so a shorter
+         payload is refused before a decoder allocates its planes *)
+      let min_len = blocks_per_frame ~width ~height in
       let pos = ref 20 in
       let rec collect acc k =
         if k = 0 then Ok (List.rev acc)
@@ -426,6 +439,7 @@ let unpack data =
           let len = get32 data !pos in
           pos := !pos + 4;
           if !pos + len > Bytes.length data then Error "mv1: truncated frame"
+          else if len < min_len then Error "mv1: short frame"
           else begin
             let payload = Bytes.sub data !pos len in
             pos := !pos + len;

@@ -31,48 +31,61 @@ let rgb_to_yuv px =
 
 (* [yuv_to_rgb] with the chroma terms, rounding constant included,
    already summed: [rv = 409e + 128], [gv = -100d - 208e + 128] and
-   [bv = 516d + 128]. Integer sums regroup exactly. *)
+   [bv = 516d + 128]. Integer sums regroup exactly. A channel outside
+   0..255 has a bit outside the low byte set (a negative one has them
+   all), so one test on the three finds the rare pixel that needs
+   clamping. *)
 let[@inline] pixel luma rv gv bv =
   let c = 298 * (luma - 16) in
-  let r = clamp ((c + rv) asr 8) in
-  let g = clamp ((c + gv) asr 8) in
-  let b = clamp ((c + bv) asr 8) in
-  (r lsl 16) lor (g lsl 8) lor b
+  let r = (c + rv) asr 8 and g = (c + gv) asr 8 and b = (c + bv) asr 8 in
+  if (r lor g lor b) land lnot 255 = 0 then (r lsl 16) lor (g lsl 8) lor b
+  else (clamp r lsl 16) lor (clamp g lsl 8) lor clamp b
 
-(* Convert a YUV420 planar frame to packed RGB. [u]/[v] are quarter-size
-   planes. The top-left [cols] x [rows] window of the frame is written
-   to [out] from [off] on, one row every [stride] pixels; [out] is left
-   alone elsewhere. Each pair of pixels on a row shares one chroma
-   sample, so its three chroma terms are computed once. Odd frame
-   dimensions and a window that does not fit raise [Invalid_argument]
-   before anything is written. Returns the cycle cost of converting the
-   whole frame on the chosen path. *)
-let convert_420 ~width ~height ~(y_plane : int array) ~(u_plane : int array)
-    ~(v_plane : int array) ~(out : int array) ~off ~stride ~cols ~rows ~simd =
+let[@inline] byte plane i = Char.code (Bytes.unsafe_get plane i)
+
+(* Convert a YUV420 planar frame, one byte per sample, to packed RGB.
+   [u]/[v] are quarter-size planes. The top-left [cols] x [rows] window
+   of the frame is written to [out] from [off] on, one row every
+   [stride] pixels; [out] is left alone elsewhere. Each chroma sample
+   serves a 2x2 square of pixels, so the two rows that share a chroma
+   row are converted in one pass and the three chroma terms are
+   computed once per square; an odd last row or column is the square's
+   top row or left column alone. Odd frame dimensions and a window that
+   does not fit raise [Invalid_argument] before anything is written.
+   Returns the cycle cost of converting the whole frame on the chosen
+   path. *)
+let convert_420 ~width ~height ~(y_plane : Bytes.t) ~(u_plane : Bytes.t)
+    ~(v_plane : Bytes.t) ~(out : int array) ~off ~stride ~cols ~rows ~simd =
   let cw = width / 2 in
   if
     width land 1 <> 0 || height land 1 <> 0
-    || Array.length y_plane < width * height
-    || Array.length u_plane < cw * (height / 2)
-    || Array.length v_plane < cw * (height / 2)
+    || Bytes.length y_plane < width * height
+    || Bytes.length u_plane < cw * (height / 2)
+    || Bytes.length v_plane < cw * (height / 2)
     || cols < 0 || rows < 0 || cols > width || rows > height || off < 0
     || stride < cols
     || (rows > 0 && off + ((rows - 1) * stride) + cols > Array.length out)
   then invalid_arg "Yuv.convert_420";
-  for row = 0 to rows - 1 do
-    let yoff = row * width and coff = row / 2 * cw and o = off + (row * stride) in
+  for cr = 0 to ((rows + 1) / 2) - 1 do
+    let row = 2 * cr in
+    let coff = cr * cw and y0 = row * width and o0 = off + (row * stride) in
+    let two_rows = row + 1 < rows in
     for k = 0 to ((cols + 1) / 2) - 1 do
       let col = 2 * k in
-      let d = Array.unsafe_get u_plane (coff + k) - 128
-      and e = Array.unsafe_get v_plane (coff + k) - 128 in
+      let d = byte u_plane (coff + k) - 128 and e = byte v_plane (coff + k) - 128 in
       let rv = (409 * e) + 128
       and gv = (-100 * d) - (208 * e) + 128
       and bv = (516 * d) + 128 in
-      Array.unsafe_set out (o + col)
-        (pixel (Array.unsafe_get y_plane (yoff + col)) rv gv bv);
-      if col + 1 < cols then
-        Array.unsafe_set out (o + col + 1)
-          (pixel (Array.unsafe_get y_plane (yoff + col + 1)) rv gv bv)
+      let two_cols = col + 1 < cols in
+      Array.unsafe_set out (o0 + col) (pixel (byte y_plane (y0 + col)) rv gv bv);
+      if two_cols then
+        Array.unsafe_set out (o0 + col + 1) (pixel (byte y_plane (y0 + col + 1)) rv gv bv);
+      if two_rows then begin
+        let y1 = y0 + width + col and o1 = o0 + stride + col in
+        Array.unsafe_set out o1 (pixel (byte y_plane y1) rv gv bv);
+        if two_cols then
+          Array.unsafe_set out (o1 + 1) (pixel (byte y_plane (y1 + 1)) rv gv bv)
+      end
     done
   done;
   width * height * cycles_per_pixel ~simd

@@ -213,13 +213,21 @@ let desktop_planes_pinned () =
     ]
 
 (* A corrupt payload behind a valid header is EINVAL, like a bad header,
-   not an exception that kills the task. *)
+   not an exception that kills the task. A 16x16 frame has six blocks,
+   so a payload under six bytes, or no frame at all, is refused with the
+   header; the padded payloads (five empty blocks first) reach the
+   decoder. *)
 let video_rejects_corrupt_payload () =
   List.iter
-    (fun (name, payload) ->
+    (fun (name, payloads) ->
       let clip =
         User.Mv1.pack
-          { User.Mv1.width = 16; height = 16; fps = 30; frames = [| Bytes.of_string payload |] }
+          {
+            User.Mv1.width = 16;
+            height = 16;
+            fps = 30;
+            frames = Array.of_list (List.map Bytes.of_string payloads);
+          }
       in
       let code =
         in_kernel (fun kernel ->
@@ -231,7 +239,13 @@ let video_rejects_corrupt_payload () =
             Apps.Video_player.main env [ "video"; "/bad.mv1"; "1" ])
       in
       check_int name Core.Errno.einval code)
-    [ ("truncated payload", "\000\001"); ("run overflow", "\064\001\000\255") ]
+    [
+      ("truncated payload", [ "\000\001" ]);
+      ("run overflow", [ "\064\001\000\255" ]);
+      ("no frames", []);
+      ("truncated after five blocks", [ "\255\255\255\255\255\000\001" ]);
+      ("run overflow after five blocks", [ "\255\255\255\255\255\064\001\000\255" ]);
+    ]
 
 let music_fills_the_speaker () =
   let stage = stage5 () in

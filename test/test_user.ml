@@ -207,9 +207,9 @@ let yuv_roundtrip_tolerance =
 
 let yuv_simd_same_pixels () =
   let width = 32 and height = 16 in
-  let y = Array.init (width * height) (fun i -> 16 + (i mod 220)) in
-  let u = Array.init (width / 2 * (height / 2)) (fun i -> 100 + (i mod 56)) in
-  let v = Array.init (width / 2 * (height / 2)) (fun i -> 90 + (i mod 70)) in
+  let y = Bytes.init (width * height) (fun i -> Char.chr (16 + (i mod 220))) in
+  let u = Bytes.init (width / 2 * (height / 2)) (fun i -> Char.chr (100 + (i mod 56))) in
+  let v = Bytes.init (width / 2 * (height / 2)) (fun i -> Char.chr (90 + (i mod 70))) in
   let a = Array.make (width * height) 0 and b = Array.make (width * height) 0 in
   let convert out ~simd =
     Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off:0
@@ -288,21 +288,21 @@ let mv1_psnr () =
   let frame =
     {
       Mv1.y_plane =
-        Array.init (width * height) (fun i ->
+        Bytes.init (width * height) (fun i ->
             let x = i mod width and y = i / width in
             (* smooth ramp: DCT-friendly, like natural video *)
-            16 + (x * 2) + y);
-      u_plane = Array.make (width / 2 * (height / 2)) 110;
-      v_plane = Array.make (width / 2 * (height / 2)) 140;
+            Char.chr (16 + (x * 2) + y));
+      u_plane = Bytes.make (width / 2 * (height / 2)) '\110';
+      v_plane = Bytes.make (width / 2 * (height / 2)) '\140';
     }
   in
   let payload = Mv1.encode_frame ~width ~height ~quality:Mv1.quality frame in
   let back = Mv1.decode_frame ~width ~height ~quality:Mv1.quality payload in
   (* DCT at quality 50 on smooth content: high PSNR expected *)
   let mse = ref 0.0 in
-  Array.iteri
+  Bytes.iteri
     (fun i v ->
-      let d = float_of_int (v - back.Mv1.y_plane.(i)) in
+      let d = float_of_int (Char.code v - Bytes.get_uint8 back.Mv1.y_plane i) in
       mse := !mse +. (d *. d))
     frame.Mv1.y_plane;
   let mse = !mse /. float_of_int (width * height) in
@@ -315,9 +315,9 @@ let mv1_container_roundtrip () =
   let width = 32 and height = 32 in
   let mk t =
     {
-      Mv1.y_plane = Array.init (width * height) (fun i -> (i + t) land 0xff);
-      u_plane = Array.make (width / 2 * (height / 2)) 128;
-      v_plane = Array.make (width / 2 * (height / 2)) 128;
+      Mv1.y_plane = Bytes.init (width * height) (fun i -> Char.chr ((i + t) land 0xff));
+      u_plane = Bytes.make (width / 2 * (height / 2)) '\128';
+      v_plane = Bytes.make (width / 2 * (height / 2)) '\128';
     }
   in
   let frames = Array.init 4 (fun t -> Mv1.encode_frame ~width ~height ~quality:Mv1.quality (mk t)) in
@@ -326,7 +326,20 @@ let mv1_container_roundtrip () =
   check_int "fps" 30 back.Mv1.fps;
   check_int "frames" 4 (Array.length back.Mv1.frames);
   ignore (check_err "bad dims rejected"
-      (Mv1.unpack (Mv1.pack { Mv1.width = 30; height = 30; fps = 1; frames = [||] })))
+      (Mv1.unpack (Mv1.pack { Mv1.width = 30; height = 30; fps = 1; frames = [||] })));
+  (* a hostile header: no frame at all (the player loops over the frame
+     count), and a payload shorter than one end-of-block byte per block,
+     which would have the decoder allocate its planes first; at the
+     largest 16-aligned 32-bit dimensions, a product of the two wraps *)
+  ignore (check_err "zero frames rejected"
+      (Mv1.unpack (Mv1.pack { Mv1.width; height; fps = 30; frames = [||] })));
+  let short = Bytes.sub frames.(0) 0 (Mv1.blocks_per_frame ~width ~height - 1) in
+  ignore (check_err "short payload rejected"
+      (Mv1.unpack (Mv1.pack { Mv1.width; height; fps = 30; frames = [| short |] })));
+  ignore (check_err "huge dimensions rejected"
+      (Mv1.unpack
+         (Mv1.pack
+            { Mv1.width = 0xffff_fff0; height = 0xffff_fff0; fps = 30; frames = [| frames.(0) |] })))
 
 (* C[k][n], the DCT-II basis, built apart from the codec's own table. *)
 let dct_matrix =
@@ -485,7 +498,7 @@ let reference_decode ~width ~height data =
         dense_idct r.Mv1.coeffs block;
         for y = 0 to 7 do
           for x = 0 to 7 do
-            dst.(((by * 8 + y) * width) + (bx * 8) + x) <- block.((y * 8) + x)
+            Bytes.set dst (((by * 8 + y) * width) + (bx * 8) + x) (Char.chr block.((y * 8) + x))
           done
         done
       done
@@ -495,9 +508,9 @@ let reference_decode ~width ~height data =
   let cw = width / 2 and ch = height / 2 in
   let f =
     {
-      Mv1.y_plane = Array.make (width * height) 0;
-      u_plane = Array.make (cw * ch) 0;
-      v_plane = Array.make (cw * ch) 0;
+      Mv1.y_plane = Bytes.make (width * height) '\000';
+      u_plane = Bytes.make (cw * ch) '\000';
+      v_plane = Bytes.make (cw * ch) '\000';
     }
   in
   let p = plane f.Mv1.y_plane 0 ~width ~height in
@@ -506,9 +519,9 @@ let reference_decode ~width ~height data =
   f
 
 let check_frame name (expect : Mv1.frame) (got : Mv1.frame) =
-  check_bool (name ^ " y") true (expect.Mv1.y_plane = got.Mv1.y_plane);
-  check_bool (name ^ " u") true (expect.Mv1.u_plane = got.Mv1.u_plane);
-  check_bool (name ^ " v") true (expect.Mv1.v_plane = got.Mv1.v_plane)
+  check_bool (name ^ " y") true (Bytes.equal expect.Mv1.y_plane got.Mv1.y_plane);
+  check_bool (name ^ " u") true (Bytes.equal expect.Mv1.u_plane got.Mv1.u_plane);
+  check_bool (name ^ " v") true (Bytes.equal expect.Mv1.v_plane got.Mv1.v_plane)
 
 let mv1_clips_decode_exactly () =
   List.iter
@@ -630,7 +643,7 @@ let mv1_decoder_reused_after_failure () =
     corrupt
 
 let yuv_planes rs ~width ~height =
-  let plane n = Array.init n (fun _ -> Random.State.int rs 256) in
+  let plane n = Bytes.init n (fun _ -> Char.chr (Random.State.int rs 256)) in
   let cw = width / 2 and ch = height / 2 in
   (plane (width * height), plane (cw * ch), plane (cw * ch))
 
@@ -659,7 +672,8 @@ let yuv_convert_matches_per_pixel =
         for col = 0 to cols - 1 do
           let c = (row / 2 * hw) + (col / 2) in
           expect.(off + (row * stride) + col) <-
-            Yuv.yuv_to_rgb ~y:y.((row * width) + col) ~u:u.(c) ~v:v.(c)
+            Yuv.yuv_to_rgb ~y:(Bytes.get_uint8 y ((row * width) + col))
+              ~u:(Bytes.get_uint8 u c) ~v:(Bytes.get_uint8 v c)
         done
       done;
       cost = width * height * Yuv.cycles_per_pixel ~simd:false && out = expect)
@@ -719,8 +733,6 @@ let yuv_convert_rejects_bad_geometry () =
    is hashed as 8 little-endian bytes per entry of [out]. The values
    were taken with [int array] planes, so they also hold the plane
    representation to every sample and pixel. *)
-let plane_bytes plane = Bytes.init (Array.length plane) (fun i -> Char.chr plane.(i))
-
 let mv1_clip_frames_pinned () =
   let md5 b = Digest.to_hex (Digest.bytes b) in
   let out_bytes out =
@@ -747,10 +759,7 @@ let mv1_clip_frames_pinned () =
           Mv1.decode_into d v.Mv1.frames.(i);
           let f = d.Mv1.frame in
           check_string (name ^ " planes") planes
-            (md5
-               (Bytes.concat Bytes.empty
-                  [ plane_bytes f.Mv1.y_plane; plane_bytes f.Mv1.u_plane;
-                    plane_bytes f.Mv1.v_plane ]));
+            (md5 (Bytes.concat Bytes.empty [ f.Mv1.y_plane; f.Mv1.u_plane; f.Mv1.v_plane ]));
           check_string (name ^ " whole window") whole
             (convert f ~width ~height ~len:(640 * 480) ~off:0 ~stride:640 ~cols:640
                ~rows:480);
