@@ -323,12 +323,11 @@ external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 (* A block whose one entry is raster position 0 (zigzag index 0) is
    flat: {!idct}'s pass 1 leaves [0.0 +. C00 *. y] in every row, and
    its DC-column path rounds that times [C00]. Each of its rows is one
-   64-bit store of that byte eight times over; all eight bytes are
-   equal, so the store's byte order does not matter. Every other block,
-   an empty one included, takes {!idct}. The plane's length is checked
-   once, by division so that no product can overflow: every block lies
-   inside the first [width * height] bytes, so the stores need no
-   check of their own. *)
+   64-bit store of that byte eight times over, so byte order does not
+   matter. Every other block, an empty one included, takes {!idct}.
+   Every block lies in the plane's first [width * height] bytes, so one
+   length check (a division, which cannot overflow) covers the
+   unchecked stores. *)
 let decode_plane d data pos plane ~width ~height =
   if width < 0 || height < 0 || (height > 0 && width > Bytes.length plane / height)
   then invalid_arg "Mv1.decode_plane";
