@@ -1082,6 +1082,511 @@ let files_range_bypass_ablation () =
   in
   check_in_range "bypass speedup 2-3.5x" 2.0 3.5 (fast /. slow)
 
+(* One fixed syscall script, run on the rootfs (xv6fs), the SD card's
+   FAT32 partition (/d) and a USB stick (/usb), under the stock kernel
+   and under write-back with the journal. Every call's return (errno by
+   name) and the virtual ns it took are pinned, so a VFS change that
+   moves a charge, an errno or a filesystem call (and with it the cache
+   and SD-queue state) fails here, naming the call. *)
+let script_prog = "pinprog"
+
+let script_velf =
+  Core.Velf.build
+    { Core.Velf.prog_name = script_prog; code_bytes = 3072; data_bytes = 1024 }
+
+let script_transcript config =
+  let lines = ref [] in
+  let note line = lines := line :: !lines in
+  let kernel =
+    Core.Kernel.boot
+      {
+        Core.Kernel.default_spec with
+        sp_config = config;
+        sp_programs =
+          [
+            {
+              Core.Kernel.prog_name = script_prog;
+              prog_size = 4096;
+              prog_main =
+                (fun argv ->
+                  note ("  ran " ^ String.concat " " argv);
+                  0);
+            };
+          ];
+        sp_fat_files = [ ("/" ^ script_prog, script_velf) ];
+        sp_usb_files = Some [ ("/" ^ script_prog, script_velf) ];
+      }
+  in
+  let ret r = if r < 0 then Core.Errno.name (-r) else string_of_int r in
+  let call label f =
+    let t0 = Core.Kernel.now kernel in
+    let r = f () in
+    note
+      (Printf.sprintf "%-26s %-22s %Ld" label r
+         (Int64.sub (Core.Kernel.now kernel) t0));
+    r
+  in
+  let int label f = int_of_string_opt (call label (fun () -> ret (f ()))) in
+  let fd label f = Option.value ~default:(-1) (int label f) in
+  let read label fd n =
+    ignore
+      (call label (fun () ->
+           match Usys.read fd n with
+           | Ok b -> Printf.sprintf "%S" (Bytes.to_string b)
+           | Error e -> Core.Errno.name e))
+  in
+  let fstat label fd =
+    ignore
+      (call label (fun () ->
+           match Usys.fstat fd with
+           | Ok st ->
+               Printf.sprintf "%s/%d/%d/%d"
+                 (match st.Core.Abi.stat_type with
+                 | Core.Abi.T_dir -> "dir"
+                 | Core.Abi.T_file -> "file"
+                 | Core.Abi.T_dev -> "dev")
+                 st.Core.Abi.stat_size st.Core.Abi.stat_nlink
+                 st.Core.Abi.stat_ino
+           | Error e -> Core.Errno.name e))
+  in
+  let ignore_int label f = ignore (int label f) in
+  let open Core.Abi in
+  let script p =
+    note ("mount " ^ if p = "" then "/" else p);
+    let f = fd "open creat rdwr" (fun () -> Usys.open_ (p ^ "/pin.txt") (o_create lor o_rdwr)) in
+    ignore_int "write" (fun () -> Usys.write_str f "hello, pinned vfs");
+    ignore_int "lseek end" (fun () -> Usys.lseek f 0 seek_end);
+    ignore_int "lseek end+5" (fun () -> Usys.lseek f 5 seek_end);
+    ignore_int "lseek set" (fun () -> Usys.lseek f 0 seek_set);
+    read "read" f 64;
+    read "read at eof" f 64;
+    fstat "fstat" f;
+    ignore_int "fsync" (fun () -> Usys.fsync f);
+    ignore_int "close" (fun () -> Usys.close f);
+    (* push the small file's metadata out of a 64-block cache *)
+    let big = fd "open big" (fun () -> Usys.open_ (p ^ "/big.bin") (o_create lor o_wronly)) in
+    ignore_int "write big" (fun () -> Usys.write big (Bytes.make (96 * 1024) 'b'));
+    ignore_int "close big" (fun () -> Usys.close big);
+    let f = fd "open rdonly" (fun () -> Usys.open_ (p ^ "/pin.txt") o_rdonly) in
+    fstat "fstat cold" f;
+    ignore_int "lseek end cold" (fun () -> Usys.lseek f 0 seek_end);
+    ignore_int "close" (fun () -> Usys.close f);
+    let f = fd "open trunc" (fun () -> Usys.open_ (p ^ "/pin.txt") (o_trunc lor o_wronly)) in
+    fstat "fstat truncated" f;
+    ignore_int "close" (fun () -> Usys.close f);
+    ignore_int "mkdir" (fun () -> Usys.mkdir (p ^ "/pdir"));
+    ignore_int "mkdir again" (fun () -> Usys.mkdir (p ^ "/pdir"));
+    ignore_int "mkdir over a file" (fun () -> Usys.mkdir (p ^ "/pin.txt"));
+    ignore_int "open dir wronly" (fun () -> Usys.open_ (p ^ "/pdir") o_wronly);
+    ignore_int "open missing" (fun () -> Usys.open_ (p ^ "/missing") o_rdonly);
+    ignore_int "open under missing" (fun () ->
+        Usys.open_ (p ^ "/nodir/x") (o_create lor o_wronly));
+    ignore_int "close new" (fun () ->
+        Usys.close (Usys.open_ (p ^ "/pdir/a") (o_create lor o_wronly)));
+    let d = fd "open dir" (fun () -> Usys.open_ (p ^ "/pdir") o_rdonly) in
+    read "list dir" d 4096;
+    read "list dir again" d 4096;
+    fstat "fstat dir" d;
+    ignore_int "lseek dir end" (fun () -> Usys.lseek d 0 seek_end);
+    ignore_int "fsync dir" (fun () -> Usys.fsync d);
+    ignore_int "close dir" (fun () -> Usys.close d);
+    ignore_int "chdir" (fun () -> Usys.chdir (p ^ "/pdir"));
+    ignore_int "open relative" (fun () -> Usys.close (Usys.open_ "a" o_rdonly));
+    ignore_int "chdir back" (fun () -> Usys.chdir "/");
+    ignore_int "chdir missing" (fun () -> Usys.chdir (p ^ "/missing"));
+    ignore_int "chdir a file" (fun () -> Usys.chdir (p ^ "/pin.txt"));
+    let g = fd "open gone" (fun () -> Usys.open_ (p ^ "/gone.txt") (o_create lor o_rdwr)) in
+    ignore_int "write gone" (fun () -> Usys.write_str g "12345");
+    ignore_int "unlink open file" (fun () -> Usys.unlink (p ^ "/gone.txt"));
+    ignore_int "lseek end stale" (fun () -> Usys.lseek g 0 seek_end);
+    fstat "fstat stale" g;
+    ignore_int "lseek set stale" (fun () -> Usys.lseek g 0 seek_set);
+    read "read stale" g 16;
+    ignore_int "write stale" (fun () -> Usys.write_str g "x");
+    ignore_int "fsync stale" (fun () -> Usys.fsync g);
+    ignore_int "close stale" (fun () -> Usys.close g);
+    ignore_int "unlink nonempty dir" (fun () -> Usys.unlink (p ^ "/pdir"));
+    ignore_int "unlink a" (fun () -> Usys.unlink (p ^ "/pdir/a"));
+    ignore_int "unlink dir" (fun () -> Usys.unlink (p ^ "/pdir"));
+    ignore_int "unlink missing" (fun () -> Usys.unlink (p ^ "/missing"));
+    ignore_int "exec program" (fun () ->
+        let pid = Usys.fork (fun () -> Usys.exec (p ^ "/" ^ script_prog) [ script_prog; p ]) in
+        if Usys.wait () = pid then 0 else -1);
+    ignore_int "exec non-velf" (fun () -> Usys.exec (p ^ "/pin.txt") [ "x" ]);
+    ignore_int "exec missing" (fun () -> Usys.exec (p ^ "/missing") [ "x" ])
+  in
+  (match
+     Benchlib.Measure.run_task kernel ~name:"script" (fun () ->
+         List.iter script [ ""; "/d"; "/usb" ])
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  List.rev !lines
+
+let script_stock_expected =
+  [
+    "mount /";
+    "open creat rdwr            3                      22118";
+    "write                      17                     11482";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    4214";
+    "read at eof                \"\"                     3514";
+    "fstat                      file/17/1/3            3450";
+    "fsync                      0                      3450";
+    "close                      0                      3450";
+    "open big                   3                      21462";
+    "write big                  98304                  541730";
+    "close big                  0                      3450";
+    "open rdonly                3                      7278";
+    "fstat cold                 file/17/1/3            3450";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      9306";
+    "fstat truncated            file/0/1/3             3450";
+    "close                      0                      3450";
+    "mkdir                      0                      33686";
+    "mkdir again                EEXIST                 7650";
+    "mkdir over a file          EEXIST                 6250";
+    "open dir wronly            EISDIR                 7650";
+    "open missing               ENOENT                 7650";
+    "open under missing         ENOENT                 11850";
+    "close new                  0                      27712";
+    "open dir                   3                      7650";
+    "list dir                   \"a\\n\"                  5550";
+    "list dir again             \"\"                     5550";
+    "fstat dir                  dir/48/1/5             3450";
+    "lseek dir end              48                     3450";
+    "fsync dir                  0                      3450";
+    "close dir                  0                      3450";
+    "chdir                      0                      7650";
+    "open relative              0                      13200";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 7650";
+    "chdir a file               ENOENT                 6250";
+    "open gone                  3                      27062";
+    "write gone                 5                      10454";
+    "unlink open file           0                      14462";
+    "lseek end stale            0                      3450";
+    "fstat stale                file/0/0/7             3450";
+    "lseek set stale            0                      3450";
+    "read stale                 EINVAL                 3450";
+    "write stale                EINVAL                 3450";
+    "fsync stale                0                      3450";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              9750";
+    "unlink a                   0                      14334";
+    "unlink dir                 0                      17390";
+    "unlink missing             ENOENT                 8350";
+    "  ran pinprog ";
+    "exec program               0                      80240";
+    "exec non-velf              EINVAL                 5750";
+    "exec missing               ENOENT                 7850";
+    "mount /d";
+    "open creat rdwr            3                      43120100";
+    "write                      17                     46532164";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    17752864";
+    "read at eof                \"\"                     11836564";
+    "fstat                      file/17/1/5            3900";
+    "fsync                      0                      3450";
+    "close                      0                      3450";
+    "open big                   3                      41414000";
+    "write big                  98304                  468405388";
+    "close big                  0                      3450";
+    "open rdonly                3                      5920200";
+    "fstat cold                 file/17/1/5            3900";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      32995300";
+    "fstat truncated            file/0/1/0             3900";
+    "close                      0                      3450";
+    "mkdir                      0                      62570250";
+    "mkdir again                EEXIST                 18660550";
+    "mkdir over a file          EEXIST                 18657950";
+    "open dir wronly            EISDIR                 5920200";
+    "open missing               ENOENT                 5920200";
+    "open under missing         ENOENT                 11836500";
+    "close new                  0                      59166350";
+    "open dir                   3                      5920200";
+    "list dir                   \"A\\n\"                  17752800";
+    "list dir again             \"\"                     17752800";
+    "fstat dir                  dir/0/1/30             3900";
+    "lseek dir end              0                      3450";
+    "fsync dir                  0                      3450";
+    "close dir                  0                      3450";
+    "chdir                      0                      5919750";
+    "open relative              0                      11839950";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 5917150";
+    "chdir a file               ENOENT                 5919750";
+    "open gone                  3                      41416600";
+    "write gone                 5                      44827264";
+    "unlink open file           0                      21162250";
+    "lseek end stale            5                      3450";
+    "fstat stale                ENOENT                 3900";
+    "lseek set stale            0                      3450";
+    "read stale                 ENOENT                 5920200";
+    "write stale                ENOENT                 5920200";
+    "fsync stale                0                      3450";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              11833450";
+    "unlink a                   0                      23667250";
+    "unlink dir                 0                      27078550";
+    "unlink missing             ENOENT                 5919750";
+    "  ran pinprog /d";
+    "exec program               0                      22629500";
+    "exec non-velf              EINVAL                 11835550";
+    "exec missing               ENOENT                 5919250";
+    "mount /usb";
+    "open creat rdwr            3                      17844500";
+    "write                      17                     19168564";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    7368264";
+    "read at eof                \"\"                     4914364";
+    "fstat                      file/17/1/5            3900";
+    "fsync                      0                      3450";
+    "close                      0                      3450";
+    "open big                   3                      17187600";
+    "write big                  98304                  190039988";
+    "close big                  0                      3450";
+    "open rdonly                3                      2460400";
+    "fstat cold                 file/17/1/5            3900";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      13595300";
+    "fstat truncated            file/0/1/0             3900";
+    "close                      0                      3450";
+    "mkdir                      0                      25868650";
+    "mkdir again                EEXIST                 7551950";
+    "mkdir over a file          EEXIST                 7549350";
+    "open dir wronly            EISDIR                 2460400";
+    "open missing               ENOENT                 2457800";
+    "open under missing         ENOENT                 4914300";
+    "close new                  0                      24555350";
+    "open dir                   3                      2460400";
+    "list dir                   \"A\\n\"                  7368200";
+    "list dir again             \"\"                     7370800";
+    "fstat dir                  dir/0/1/30             3900";
+    "lseek dir end              0                      3450";
+    "fsync dir                  0                      3450";
+    "close dir                  0                      3450";
+    "chdir                      0                      2457350";
+    "open relative              0                      4917750";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 2459950";
+    "chdir a file               ENOENT                 2457350";
+    "open gone                  3                      17187600";
+    "write gone                 5                      18507664";
+    "unlink open file           0                      8684450";
+    "lseek end stale            5                      3450";
+    "fstat stale                ENOENT                 3900";
+    "lseek set stale            0                      3450";
+    "read stale                 ENOENT                 2460400";
+    "write stale                ENOENT                 2457800";
+    "fsync stale                0                      3450";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              4913850";
+    "unlink a                   0                      9822850";
+    "unlink dir                 0                      11140950";
+    "unlink missing             ENOENT                 2459950";
+    "  ran pinprog /usb";
+    "exec program               0                      9485100";
+    "exec non-velf              EINVAL                 4913350";
+    "exec missing               ENOENT                 2459450";
+  ]
+
+let script_journal_expected =
+  [
+    "mount /";
+    "open creat rdwr            3                      22806";
+    "write                      17                     14070";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    4214";
+    "read at eof                \"\"                     3514";
+    "fstat                      file/17/1/3            3450";
+    "fsync                      0                      19630";
+    "close                      0                      3450";
+    "open big                   3                      22150";
+    "write big                  98304                  1098162";
+    "close big                  0                      3450";
+    "open rdonly                3                      7278";
+    "fstat cold                 file/17/1/3            3450";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      9650";
+    "fstat truncated            file/0/1/3             3450";
+    "close                      0                      3450";
+    "mkdir                      0                      37478";
+    "mkdir again                EEXIST                 7650";
+    "mkdir over a file          EEXIST                 6250";
+    "open dir wronly            EISDIR                 7650";
+    "open missing               ENOENT                 7650";
+    "open under missing         ENOENT                 11850";
+    "close new                  0                      28400";
+    "open dir                   3                      7650";
+    "list dir                   \"a\\n\"                  5550";
+    "list dir again             \"\"                     5550";
+    "fstat dir                  dir/48/1/5             3450";
+    "lseek dir end              48                     3450";
+    "fsync dir                  0                      78574";
+    "close dir                  0                      3450";
+    "chdir                      0                      7650";
+    "open relative              0                      13200";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 7650";
+    "chdir a file               ENOENT                 6250";
+    "open gone                  3                      27750";
+    "write gone                 5                      13042";
+    "unlink open file           0                      15150";
+    "lseek end stale            0                      3450";
+    "fstat stale                file/0/0/7             3450";
+    "lseek set stale            0                      3450";
+    "read stale                 EINVAL                 3450";
+    "write stale                EINVAL                 3450";
+    "fsync stale                0                      19630";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              9750";
+    "unlink a                   0                      14850";
+    "unlink dir                 0                      18250";
+    "unlink missing             ENOENT                 8350";
+    "  ran pinprog ";
+    "exec program               0                      77640";
+    "exec non-velf              EINVAL                 5750";
+    "exec missing               ENOENT                 7850";
+    "mount /d";
+    "open creat rdwr            3                      37206900";
+    "write                      17                     25387964";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    17752864";
+    "read at eof                \"\"                     11833964";
+    "fstat                      file/17/1/5            3900";
+    "fsync                      0                      3450";
+    "close                      0                      3450";
+    "open big                   3                      35503400";
+    "write big                  98304                  20184688";
+    "close big                  0                      3450";
+    "open rdonly                3                      5920200";
+    "fstat cold                 file/17/1/5            3900";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      25378400";
+    "fstat truncated            file/0/1/0             3900";
+    "close                      0                      3450";
+    "mkdir                      0                      35512850";
+    "mkdir again                EEXIST                 5930350";
+    "mkdir over a file          EEXIST                 5930350";
+    "open dir wronly            EISDIR                 5920200";
+    "open missing               ENOENT                 5920200";
+    "open under missing         ENOENT                 11836500";
+    "close new                  0                      53253150";
+    "open dir                   3                      5920200";
+    "list dir                   \"A\\n\"                  17750200";
+    "list dir again             \"\"                     17752800";
+    "fstat dir                  dir/0/1/30             3900";
+    "lseek dir end              0                      3450";
+    "fsync dir                  0                      3450";
+    "close dir                  0                      3450";
+    "chdir                      0                      5919750";
+    "open relative              0                      11839950";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 5919750";
+    "chdir a file               ENOENT                 5919750";
+    "open gone                  3                      35500800";
+    "write gone                 5                      23680464";
+    "unlink open file           0                      11841850";
+    "lseek end stale            5                      3450";
+    "fstat stale                ENOENT                 3900";
+    "lseek set stale            0                      3450";
+    "read stale                 ENOENT                 5920200";
+    "write stale                ENOENT                 5920200";
+    "fsync stale                0                      3450";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              11836050";
+    "unlink a                   0                      17751450";
+    "unlink dir                 0                      17758150";
+    "unlink missing             ENOENT                 5919750";
+    "  ran pinprog /d";
+    "exec program               0                      22629500";
+    "exec non-velf              EINVAL                 11832950";
+    "exec missing               ENOENT                 5919250";
+    "mount /usb";
+    "open creat rdwr            3                      15396300";
+    "write                      17                     10494364";
+    "lseek end                  17                     3450";
+    "lseek end+5                22                     3450";
+    "lseek set                  0                      3450";
+    "read                       \"hello, pinned vfs\"    7370864";
+    "read at eof                \"\"                     4914364";
+    "fstat                      file/17/1/5            3900";
+    "fsync                      0                      3450";
+    "close                      0                      3450";
+    "open big                   3                      14734200";
+    "write big                  98304                  8756088";
+    "close big                  0                      3450";
+    "open rdonly                3                      2457800";
+    "fstat cold                 file/17/1/5            3900";
+    "lseek end cold             17                     3450";
+    "close                      0                      3450";
+    "open trunc                 3                      10490000";
+    "fstat truncated            file/0/1/0             3900";
+    "close                      0                      3450";
+    "mkdir                      0                      14746250";
+    "mkdir again                EEXIST                 2467950";
+    "mkdir over a file          EEXIST                 2470550";
+    "open dir wronly            EISDIR                 2457800";
+    "open missing               ENOENT                 2460400";
+    "open under missing         ENOENT                 4911700";
+    "close new                  0                      22107150";
+    "open dir                   3                      2457800";
+    "list dir                   \"A\\n\"                  7368200";
+    "list dir again             \"\"                     7370800";
+    "fstat dir                  dir/0/1/30             3900";
+    "lseek dir end              0                      3450";
+    "fsync dir                  0                      3450";
+    "close dir                  0                      3450";
+    "chdir                      0                      2457350";
+    "open relative              0                      4917750";
+    "chdir back                 0                      3450";
+    "chdir missing              ENOENT                 2459950";
+    "chdir a file               ENOENT                 2457350";
+    "open gone                  3                      14736800";
+    "write gone                 5                      9836064";
+    "unlink open file           0                      4919650";
+    "lseek end stale            5                      3450";
+    "fstat stale                ENOENT                 3900";
+    "lseek set stale            0                      3450";
+    "read stale                 ENOENT                 2457800";
+    "write stale                ENOENT                 2460400";
+    "fsync stale                0                      3450";
+    "close stale                0                      3450";
+    "unlink nonempty dir        ENOTEMPTY              4911250";
+    "unlink a                   0                      7372050";
+    "unlink dir                 0                      7373550";
+    "unlink missing             ENOENT                 2459950";
+    "  ran pinprog /usb";
+    "exec program               0                      9485100";
+    "exec non-velf              EINVAL                 4913350";
+    "exec missing               ENOENT                 2459450";
+  ]
+
+let files_script_pinned () =
+  Alcotest.(check (list string))
+    "stock kernel" script_stock_expected (script_transcript test_config);
+  Alcotest.(check (list string))
+    "write-back + journal" script_journal_expected
+    (script_transcript
+       { test_config with Core.Kconfig.writeback = true; journal = true })
+
 let suite_files =
   ( "kernel.files",
     [
@@ -1097,6 +1602,7 @@ let suite_files =
       quick "directory listing" files_directory_listing;
       quick "fd exhaustion" files_fd_exhaustion;
       slow "range IO bypass ablation (par 5.2)" files_range_bypass_ablation;
+      quick "one syscall script pinned on /, /d and /usb" files_script_pinned;
     ] )
 
 (* ---- device files ---- *)
