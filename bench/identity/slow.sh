@@ -8,7 +8,9 @@
 #     deleted). BENCH_sim's rows also drop par_batches and par_computes:
 #     they count the batches the engine handed to its domain pool, so
 #     they follow the domain count, which VOS_SIM_DOMAINS overrides;
-#   - BENCH_trace.ktrace.
+#   - BENCH_trace.ktrace;
+#   - the stdout of `vos_fuzz --corpus test/fuzz_corpus.txt`: every
+#     corpus entry's outcome and session digest.
 #
 # Usage, from the repository root:
 #   bash bench/identity/slow.sh           # check against slow.tsv
@@ -23,8 +25,9 @@ root=$(cd "$(dirname "$0")/../.." && pwd)
 manifest="$root/bench/identity/slow.tsv"
 mode=${1:-check}
 
-dune build --root "$root" bench/main.exe 2>&1
+dune build --root "$root" bench/main.exe bin/vos_fuzz.exe 2>&1
 exe="$root/_build/default/bench/main.exe"
+fuzz="$root/_build/default/bin/vos_fuzz.exe"
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -56,6 +59,9 @@ for f in BENCH_*.json; do
   fi | line "$f.deterministic"
 done
 line BENCH_trace.ktrace <BENCH_trace.ktrace
+TIMEFORMAT="corpus: %R s wall"
+time "$fuzz" --corpus "$root/test/fuzz_corpus.txt" >corpus.out
+line vos_fuzz.corpus.stdout <corpus.out
 
 if [ "$mode" = --write ]; then
   cp "$out" "$manifest"

@@ -1,6 +1,6 @@
 (** File objects and per-task descriptor tables — VOS's "file abstraction"
-    (Table 1), through which everything flows: xv6fs inodes, FAT32
-    pseudo-inodes, device files and pipes. *)
+    (Table 1), through which everything flows: files on a mounted
+    filesystem (xv6fs, FAT32), device files and pipes. *)
 
 (** Operations of a device file (/dev/...). Each callback must complete the
     syscall via [Sched.finish] (possibly after blocking), mirroring how VOS
@@ -15,13 +15,40 @@ type dev_ops = {
       (** would a read return without blocking? [None] = always ready *)
 }
 
-(** FAT32 files are identified by path and carry a pseudo-inode holding the
-    cached stat, bridging FatFS's inode-less API to the VFS (§4.5). *)
-and fat_handle = { fat_path : string; mutable fat_size : int }
+(** A mounted filesystem. One of the mount constructors in {!Vfs} binds
+    its on-disk format into these operations; nothing else knows which
+    format backs a file. Paths are relative to the mount point. *)
+and mount = {
+  m_cache : Bufcache.t;
+      (** the mount's block cache: every operation runs in
+          [Bufcache.with_ctx] on it, so its device time is the caller's *)
+  m_op_cycles : int;
+      (** what open, read, write and fstat pay on top of the dispatch:
+          FAT32's pseudo-inode (§4.5), nothing for xv6fs *)
+  m_lookup : string -> (node * Abi.stat, Fs.Error.t) result;
+  m_create : string -> (node * Abi.stat, Fs.Error.t) result;
+      (** a new regular file *)
+  m_mkdir : string -> (unit, Fs.Error.t) result;
+  m_unlink : string -> (unit, Fs.Error.t) result;
+  m_sync : unit -> unit;
+      (** what must reach the cache before its barrier: xv6fs commits its
+          journal *)
+}
+
+(** An open file or directory, its operations bound when it was opened. *)
+and node = {
+  n_stat : unit -> (Abi.stat, Fs.Error.t) result;
+  n_size : unit -> int;
+      (** for SEEK_END: the size on disk, or the last size this open file
+          saw once its name is gone *)
+  n_list : unit -> (string list, Fs.Error.t) result;  (** a directory's names *)
+  n_read : off:int -> len:int -> (Bytes.t, Fs.Error.t) result;
+  n_write : off:int -> data:Bytes.t -> (int, Fs.Error.t) result;
+  n_truncate : unit -> unit;
+}
 
 and kind =
-  | K_xv6 of Fs.Xv6fs.t * Fs.Xv6fs.inode
-  | K_fat of Fs.Fat32.t * Bufcache.t * fat_handle
+  | K_file of mount * node
   | K_dev of dev_ops
   | K_pipe_read of Pipe.t
   | K_pipe_write of Pipe.t
@@ -119,7 +146,7 @@ let drop_ref t file =
     | K_pipe_read p -> Pipe.close_read t.sched p
     | K_pipe_write p -> Pipe.close_write t.sched p
     | K_dev ops -> ops.dev_close file
-    | K_xv6 _ | K_fat _ -> ()
+    | K_file _ -> ()
   end
 
 let close t ~pid ~fd =
@@ -215,7 +242,7 @@ let pipe_end_owners t ~pipe_id ~write =
                 match file.kind with
                 | K_pipe_write p -> write && p.Pipe.pipe_id = pipe_id
                 | K_pipe_read p -> (not write) && p.Pipe.pipe_id = pipe_id
-                | K_dev _ | K_xv6 _ | K_fat _ -> false))
+                | K_dev _ | K_file _ -> false))
           tbl.slots
       in
       if has then pid :: acc else acc)
@@ -264,7 +291,7 @@ let audit t =
       | K_pipe_write p ->
           let _, _, w = pipe_entry p in
           incr w
-      | K_dev _ | K_xv6 _ | K_fat _ -> ())
+      | K_dev _ | K_file _ -> ())
     slot_counts;
   Hashtbl.iter
     (fun id (p, r, w) ->

@@ -39,9 +39,6 @@ type t = {
   readahead_blocks : int;
       (** sequential read-ahead: blocks prefetched in one device command
           when the cache detects a streaming miss pattern; 0 = off *)
-  flush_interval_ms : int;
-      (** period of the engine-scheduled flush daemon (used only when
-          [writeback] is on) *)
   sd_coalescing : bool;
       (** the SD request queue merges adjacent pending writes into one
           command (elevator order); off = one command per block *)
@@ -100,6 +97,9 @@ type t = {
           teaches nothing *)
 }
 
+(** Period of the flush daemon that every write-back cache runs. *)
+let flush_interval_ms = 8
+
 let full =
   {
     stage = 5;
@@ -111,7 +111,6 @@ let full =
        and the ablations switch it on *)
     writeback = false;
     readahead_blocks = 0;
-    flush_interval_ms = 8;
     sd_coalescing = true;
     (* like write-back, the rebuilt scheduler ships in its paper
        configuration (round-robin, instant wakeups, no affinity or
@@ -153,7 +152,6 @@ let rec prototype = function
         simd_pixel_ops = false;
         writeback = false;
         readahead_blocks = 0;
-        flush_interval_ms = 0;
         sd_coalescing = false;
         sched_policy = Sched_rr;
         wake_model = Wake_direct;

@@ -210,7 +210,7 @@ let mount_fat_device vfs ~board (cfg : Kconfig.t) backing ~at =
       (Bufcache.fat_io bc ~range_bypass:cfg.Kconfig.range_io_bypass)
   with
   | Ok fat ->
-      Vfs.mount_fat vfs ~at fat bc;
+      Vfs.mount vfs ~at (Vfs.fat_mount fat bc);
       bc
   | Error e -> Kpanic.panicf "boot: mount %s: %s" at (Fs.Error.to_string e)
 
@@ -328,8 +328,8 @@ let boot spec =
   let procfs = Procfs.create ~board ~sched ~kalloc in
   let fdt = Fd.create sched in
   let vfs =
-    Vfs.create ~sched ~config:spec.sp_config ~fdt ~root:rootfs ~root_bc ~devfs
-      ~procfs
+    Vfs.create ~sched ~config:spec.sp_config ~fdt
+      ~root:(Vfs.xv6_mount rootfs root_bc) ~devfs ~procfs
       ~ipc:(Pipe.params_of_config spec.sp_config sched.Sched.kperf)
   in
   (* FAT32 partition under /d *)
@@ -357,24 +357,19 @@ let boot spec =
         (mount_fat_device vfs ~board spec.sp_config
            (Bufcache.Usb_msd board.Hw.Board.usb)
            ~at:"/usb"));
+  let fat_caches = List.filter (fun bc -> bc != root_bc) (Vfs.caches vfs) in
   (* Write-back mode: a periodic flush daemon per device-backed cache.
      The daemon is an engine event, i.e. a kernel thread woken by timer —
      its flushes are not billed to whichever task happens to be in a
      syscall when it fires. *)
-  if
-    spec.sp_config.Kconfig.writeback
-    && spec.sp_config.Kconfig.flush_interval_ms > 0
-  then begin
-    List.iter
-      (fun bc ->
-        Bufcache.start_flush_daemon bc
-          ~interval_ms:spec.sp_config.Kconfig.flush_interval_ms)
-      (Vfs.fat_caches vfs);
+  if spec.sp_config.Kconfig.writeback then begin
+    let start bc =
+      Bufcache.start_flush_daemon bc ~interval_ms:Kconfig.flush_interval_ms
+    in
+    List.iter start fat_caches;
     (* the journaled rootfs cache is write-back too: its daemon is what
        drives group commit (via the pre-flush hook above) *)
-    if spec.sp_config.Kconfig.journal then
-      Bufcache.start_flush_daemon root_bc
-        ~interval_ms:spec.sp_config.Kconfig.flush_interval_ms
+    if spec.sp_config.Kconfig.journal then start root_bc
   end;
   let sems = Sem.create sched in
   let proc = Proc.create ~sched ~fdt ~vfs ~sems ~kalloc in
@@ -453,8 +448,7 @@ let boot spec =
      surface in /proc/metrics. All of it is host-side bookkeeping — no
      cycles are charged, and the poke only fires while a trace-pipe
      reader is actually open. *)
-  Bufcache.set_observer root_bc sched;
-  List.iter (fun bc -> Bufcache.set_observer bc sched) (Vfs.fat_caches vfs);
+  List.iter (fun bc -> Bufcache.set_observer bc sched) (Vfs.caches vfs);
   (let wake_pending = ref false in
    sched.Sched.trace.Ktrace.on_data <-
      Some
@@ -478,7 +472,7 @@ let boot spec =
            bc.Bufcache.hits);
        Kperf.register_counter kp ~label:l "vos_bufcache_misses_total"
          (fun () -> bc.Bufcache.misses))
-     (Vfs.fat_caches vfs);
+     fat_caches;
    (* journal and sanitizer counters, so one /proc/metrics scrape covers
       the storage and kcheck subsystems *)
    Kperf.register_counter kp ~help:"Journal transactions committed"
@@ -555,8 +549,7 @@ let boot spec =
    from the power-button path). *)
 let shutdown t =
   Vfs.sync_all t.vfs;
-  List.iter Bufcache.stop_flush_daemon (Vfs.fat_caches t.vfs);
-  Bufcache.stop_flush_daemon t.root_bc
+  List.iter Bufcache.stop_flush_daemon (Vfs.caches t.vfs)
 
 (* ---- conveniences ---- *)
 

@@ -1,4 +1,5 @@
-(** The syscall dispatch table — all 28 entries (§3), gated by the
+(** The syscall dispatch table — all 31 entries: the paper's 28 (§3)
+    plus fsync, nice and poll ({!Abi}), gated by the
     prototype stage: a call a stage lacks returns -ENOSYS, which is how
     Table 1's feature matrix is mechanically enforced. Each gate reads
     one of {!Kconfig}'s stage predicates. *)

@@ -1,20 +1,22 @@
 (** The VFS: one file abstraction over xv6fs, FAT32, devfs, procfs and
     pipes (§4.4–4.5).
 
-    Path routing is exactly VOS's: the root filesystem (xv6fs on ramdisk)
-    owns "/", the FAT32 partition is mounted under "/d", and "/dev" and
-    "/proc" are intercepted. File syscalls are interposed and dispatched by
-    path — the pseudo-inode bridge for FatFS lives in the K_fat file kind. *)
+    Path routing is exactly VOS's: "/dev" and "/proc" are intercepted, and
+    every other path goes to the mount table: the FAT32 partition under
+    "/d" (and a USB stick under "/usb"), with the root filesystem (xv6fs
+    on ramdisk) at "/" for the rest. Every file syscall has one path for
+    files, whatever backs them: {!xv6_mount} and {!fat_mount} are the only
+    code that knows an on-disk format, and the pseudo-inode bridge for
+    FatFS lives in the second. *)
 
 type t = {
   sched : Sched.t;
   config : Kconfig.t;
   fdt : Fd.t;
-  root : Fs.Xv6fs.t;
-  root_bc : Bufcache.t;
-  mutable fat_mounts : (string * Fs.Fat32.t * Bufcache.t) list;
-      (** FAT32 mount points: "/d" for the SD partition (§4.5), plus any
-          USB mass-storage sticks ("/usb") *)
+  mutable mounts : (string * Fd.mount) list;
+      (** newest first, so a path goes to the first mount point that
+          prefixes it; the root filesystem, at "/" since {!create},
+          comes last and takes every path no other mount claims *)
   devfs : Devfs.t;
   procfs : Procfs.t;
   ipc : Pipe.params;  (** pipe knobs, pipe-id stream and pipe counters *)
@@ -24,16 +26,116 @@ type t = {
   poll_timeouts : Kperf.cell;  (** returned 0 on timeout expiry *)
 }
 
-let create ~sched ~config ~fdt ~root ~root_bc ~devfs ~procfs ~ipc =
+let create ~sched ~config ~fdt ~root ~devfs ~procfs ~ipc =
   let c = Kperf.counter sched.Sched.kperf in
   let polls = c "vos_polls_total" in
   let poll_immediate = c "vos_poll_immediate_total" in
   let poll_blocked = c "vos_poll_blocked_total" in
   let poll_timeouts = c "vos_poll_timeouts_total" in
-  { sched; config; fdt; root; root_bc; fat_mounts = []; devfs; procfs; ipc;
+  { sched; config; fdt; mounts = [ ("/", root) ]; devfs; procfs; ipc;
     polls; poll_immediate; poll_blocked; poll_timeouts }
 
-let mount_fat t ~at fat bc = t.fat_mounts <- t.fat_mounts @ [ (at, fat, bc) ]
+let mount t ~at m = t.mounts <- (at, m) :: t.mounts
+
+(** Every mounted filesystem's cache, in mount order: the root's first. *)
+let caches t = List.rev_map (fun (_, m) -> m.Fd.m_cache) t.mounts
+
+(* ---- the two mount constructors ---- *)
+
+(* xv6fs files hold their inode. Its stat reads only the in-memory
+   inode, never the cache; a directory that cannot be read lists as
+   empty. *)
+let xv6_mount fsys cache =
+  let stat_of inode =
+    let st = Fs.Xv6fs.stat_of fsys inode in
+    {
+      Abi.stat_type =
+        (match st.Fs.Xv6fs.st_type with
+        | Fs.Xv6fs.Dir -> Abi.T_dir
+        | Fs.Xv6fs.Reg -> Abi.T_file
+        | Fs.Xv6fs.Dev -> Abi.T_dev);
+      stat_size = st.Fs.Xv6fs.st_size;
+      stat_nlink = st.Fs.Xv6fs.st_nlink;
+      stat_ino = st.Fs.Xv6fs.st_inum;
+    }
+  in
+  let opened inode =
+    ( {
+        Fd.n_stat = (fun () -> Ok (stat_of inode));
+        n_size = (fun () -> (stat_of inode).Abi.stat_size);
+        n_list =
+          (fun () ->
+            match Fs.Xv6fs.readdir fsys inode with
+            | Ok entries -> Ok (List.map fst entries)
+            | Error _ -> Ok []);
+        n_read = Fs.Xv6fs.readi fsys inode;
+        n_write = Fs.Xv6fs.writei fsys inode;
+        n_truncate = (fun () -> Fs.Xv6fs.truncate fsys inode);
+      },
+      stat_of inode )
+  in
+  {
+    Fd.m_cache = cache;
+    m_op_cycles = 0;
+    m_lookup = (fun path -> Result.map opened (Fs.Xv6fs.lookup fsys path));
+    m_create =
+      (fun path -> Result.map opened (Fs.Xv6fs.create fsys path Fs.Xv6fs.Reg));
+    m_mkdir =
+      (fun path -> Result.map ignore (Fs.Xv6fs.create fsys path Fs.Xv6fs.Dir));
+    m_unlink = Fs.Xv6fs.unlink fsys;
+    m_sync = (fun () -> ignore (Fs.Xv6fs.commit fsys));
+  }
+
+(* FAT32 files hold their path: FatFS has no inodes, so every open-file
+   operation pays for a pseudo-inode, a stat by path (§4.5). An open
+   file keeps the last size it saw, which answers SEEK_END once its
+   name is gone. A failed truncate leaves that size alone. *)
+let fat_mount fat cache =
+  let stat_of st =
+    {
+      Abi.stat_type = (if st.Fs.Fat32.st_dir then Abi.T_dir else Abi.T_file);
+      stat_size = st.Fs.Fat32.st_size;
+      stat_nlink = 1;
+      stat_ino = st.Fs.Fat32.st_cluster;
+    }
+  in
+  let lookup path =
+    Result.map
+      (fun st ->
+        let size = ref st.Fs.Fat32.st_size in
+        ( {
+            Fd.n_stat = (fun () -> Result.map stat_of (Fs.Fat32.stat fat path));
+            n_size =
+              (fun () ->
+                match Fs.Fat32.stat fat path with
+                | Ok st -> st.Fs.Fat32.st_size
+                | Error _ -> !size);
+            n_list =
+              (fun () -> Result.map (List.map fst) (Fs.Fat32.readdir fat path));
+            n_read = Fs.Fat32.read_file fat path;
+            n_write =
+              (fun ~off ~data ->
+                let written = Fs.Fat32.write_file fat path ~off ~data in
+                Result.iter (fun n -> size := max !size (off + n)) written;
+                written);
+            n_truncate =
+              (fun () ->
+                if Result.is_ok (Fs.Fat32.truncate fat path) then size := 0);
+          },
+          stat_of st ))
+      (Fs.Fat32.stat fat path)
+  in
+  {
+    Fd.m_cache = cache;
+    m_op_cycles = Kcost.pseudo_inode;
+    m_lookup = lookup;
+    m_create =
+      (fun path ->
+        Result.bind (Fs.Fat32.create fat path) (fun () -> lookup path));
+    m_mkdir = Fs.Fat32.mkdir fat;
+    m_unlink = Fs.Fat32.unlink fat;
+    m_sync = ignore;
+  }
 
 let resolve ctx path =
   let cwd = ctx.Sched.task.Task.cwd in
@@ -42,8 +144,7 @@ let resolve ctx path =
 type route =
   | To_dev of string
   | To_proc of string
-  | To_fat of Fs.Fat32.t * Bufcache.t * string
-  | To_root of string
+  | To_fs of Fd.mount * string  (** the path below the mount point *)
 
 let route t path =
   match Fs.Vpath.strip_prefix ~prefix:"/dev" path with
@@ -53,16 +154,15 @@ let route t path =
       match Fs.Vpath.strip_prefix ~prefix:"/proc" path with
       | Some rest when not (String.equal rest "/") ->
           To_proc (Fs.Vpath.basename rest)
-      | Some _ | None -> (
-          let fat_hit =
-            List.find_map
-              (fun (at, fat, bc) ->
-                match Fs.Vpath.strip_prefix ~prefix:at path with
-                | Some rest -> Some (To_fat (fat, bc, rest))
-                | None -> None)
-              t.fat_mounts
-          in
-          match fat_hit with Some r -> r | None -> To_root path))
+      | Some _ | None ->
+          (* the root's "/" prefixes every path, so some mount matches *)
+          Option.get
+            (List.find_map
+               (fun (at, m) ->
+                 Option.map
+                   (fun rest -> To_fs (m, rest))
+                   (Fs.Vpath.strip_prefix ~prefix:at path))
+               t.mounts))
 
 let err ctx e = Sched.finish ctx (Abi.R_int (-e))
 
@@ -74,77 +174,35 @@ let charge_dispatch ctx =
 let want_read flags = flags land 0x3 <> Abi.o_wronly
 let want_write flags = flags land 0x3 <> Abi.o_rdonly
 
-let open_xv6 ctx t path flags =
-  Bufcache.with_ctx t.root_bc ctx (fun () ->
-      let node =
-        match Fs.Xv6fs.lookup t.root path with
-        | Ok node -> Ok node
-        | Error _ when flags land Abi.o_create <> 0 ->
-            Fs.Xv6fs.create t.root path Fs.Xv6fs.Reg
-        | Error e -> Error e
+let install ctx t file =
+  match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
+  | Ok fd -> Sched.finish ctx (Abi.R_int fd)
+  | Error e -> err ctx e
+
+let open_file ctx t m path flags =
+  Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+      Sched.charge ctx m.Fd.m_op_cycles;
+      let found =
+        match m.Fd.m_lookup path with
+        | Error _ when flags land Abi.o_create <> 0 -> m.Fd.m_create path
+        | found -> found
       in
-      match node with
+      match found with
       | Error e -> err ctx (Errno.of_fs_error e)
-      | Ok node ->
-          let st = Fs.Xv6fs.stat_of t.root node in
+      | Ok (node, st) ->
           (* xv6 semantics: directories open read-only. A writable dir fd
              would let write(2) scribble raw dirents over the directory
              body — self-inflicted fs corruption via the syscall ABI. *)
-          if st.Fs.Xv6fs.st_type = Fs.Xv6fs.Dir && want_write flags then
+          if st.Abi.stat_type = Abi.T_dir && want_write flags then
             err ctx Errno.eisdir
           else begin
-          if flags land Abi.o_trunc <> 0 && st.Fs.Xv6fs.st_type = Fs.Xv6fs.Reg
-          then Fs.Xv6fs.truncate t.root node;
-          let file =
-            Fd.make_file t.fdt
-              ~kind:(Fd.K_xv6 (t.root, node))
-              ~readable:(want_read flags) ~writable:(want_write flags)
-              ~nonblock:false
-          in
-          (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-          | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-          | Error e -> err ctx e)
+            if flags land Abi.o_trunc <> 0 && st.Abi.stat_type = Abi.T_file
+            then node.Fd.n_truncate ();
+            install ctx t
+              (Fd.make_file t.fdt ~kind:(Fd.K_file (m, node))
+                 ~readable:(want_read flags) ~writable:(want_write flags)
+                 ~nonblock:false)
           end)
-
-let open_fat ctx t fat bc sub flags =
-  Bufcache.with_ctx bc ctx (fun () ->
-          Sched.charge ctx Kcost.pseudo_inode;
-          let ensure () =
-            match Fs.Fat32.stat fat sub with
-            | Ok st -> Ok st
-            | Error _ when flags land Abi.o_create <> 0 -> (
-                match Fs.Fat32.create fat sub with
-                | Ok () -> Fs.Fat32.stat fat sub
-                | Error e -> Error e)
-            | Error e -> Error e
-          in
-          match ensure () with
-          | Error e -> err ctx (Errno.of_fs_error e)
-          | Ok st when st.Fs.Fat32.st_dir && want_write flags ->
-              err ctx Errno.eisdir
-          | Ok st ->
-              let st =
-                if
-                  flags land Abi.o_trunc <> 0 && not st.Fs.Fat32.st_dir
-                then begin
-                  match Fs.Fat32.truncate fat sub with
-                  | Ok () -> { st with Fs.Fat32.st_size = 0 }
-                  | Error _ -> st
-                end
-                else st
-              in
-              let handle =
-                { Fd.fat_path = sub; fat_size = st.Fs.Fat32.st_size }
-              in
-              let file =
-                Fd.make_file t.fdt
-                  ~kind:(Fd.K_fat (fat, bc, handle))
-                  ~readable:(want_read flags) ~writable:(want_write flags)
-                  ~nonblock:false
-              in
-              (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-              | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-              | Error e -> err ctx e))
 
 (* O_NONBLOCK is a desktop-stage feature (P5); before it the flag is
    ignored and every file blocks. *)
@@ -160,37 +218,20 @@ let op_open ctx t path flags =
       match Devfs.lookup t.devfs name with
       | None -> err ctx Errno.enoent
       | Some ops ->
-          let file =
-            Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
-              ~readable:(want_read flags) ~writable:(want_write flags)
-              ~nonblock:(nonblock_of t flags)
-          in
-          (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-          | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-          | Error e -> err ctx e))
+          install ctx t
+            (Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
+               ~readable:(want_read flags) ~writable:(want_write flags)
+               ~nonblock:(nonblock_of t flags)))
   | To_proc name -> (
       match Procfs.ops t.procfs name with
       | None -> err ctx Errno.enoent
       | Some ops ->
-          let file =
-            Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
-              ~writable:(want_write flags) ~nonblock:(nonblock_of t flags)
-          in
-          (match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
-          | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-          | Error e -> err ctx e))
-  | To_fat (fat, bc, sub) -> open_fat ctx t fat bc sub flags
-  | To_root p -> open_xv6 ctx t p flags
+          install ctx t
+            (Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
+               ~writable:(want_write flags) ~nonblock:(nonblock_of t flags)))
+  | To_fs (m, sub) -> open_file ctx t m sub flags
 
 (* ---- read ---- *)
-
-(* Directory reads return a text listing, one name per line; callers stat
-   entries individually for sizes (as the xv6 ls does with dirents). *)
-let xv6_dir_listing fsys node =
-  match Fs.Xv6fs.readdir fsys node with
-  | Error _ -> ""
-  | Ok entries ->
-      String.concat "" (List.map (fun (name, _) -> name ^ "\n") entries)
 
 (* Upper bound on one read(2) transfer. A hostile multi-GB [len] must
    never size a host allocation: regular files clamp to the readable
@@ -198,6 +239,36 @@ let xv6_dir_listing fsys node =
    can far exceed the data present). Short reads are legal, and no VOS
    program issues single transfers anywhere near this large. *)
 let max_read_bytes = 8 * 1024 * 1024
+
+(* Directory reads return a text listing, one name per line; callers stat
+   entries individually for sizes (as the xv6 ls does with dirents). *)
+let read_file ctx m node file len =
+  Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+      Sched.charge ctx m.Fd.m_op_cycles;
+      match node.Fd.n_stat () with
+      | Error e -> err ctx (Errno.of_fs_error e)
+      | Ok st when st.Abi.stat_type = Abi.T_dir -> (
+          match node.Fd.n_list () with
+          | Error e -> err ctx (Errno.of_fs_error e)
+          | Ok names ->
+              let text =
+                String.concat "" (List.map (fun n -> n ^ "\n") names)
+              in
+              let off = min file.Fd.off (String.length text) in
+              let n = min len (String.length text - off) in
+              file.Fd.off <- off + n;
+              Sched.finish ctx
+                (Abi.R_bytes (Bytes.of_string (String.sub text off n))))
+      | Ok st -> (
+          (* bound the allocation to the readable span before the fs
+             layer sizes its output buffer *)
+          let len = min len (max 0 (st.Abi.stat_size - file.Fd.off)) in
+          match node.Fd.n_read ~off:file.Fd.off ~len with
+          | Error e -> err ctx (Errno.of_fs_error e)
+          | Ok data ->
+              file.Fd.off <- file.Fd.off + Bytes.length data;
+              Sched.charge ctx (Kcost.copy_cycles ~bytes:(Bytes.length data));
+              Sched.finish ctx (Abi.R_bytes data)))
 
 let op_read ctx t fd len =
   charge_dispatch ctx;
@@ -213,62 +284,7 @@ let op_read ctx t fd len =
         | Fd.K_dev ops -> ops.Fd.dev_read ctx file ~len
         | Fd.K_pipe_read p -> Pipe.read ctx p ~len ~nonblock:file.Fd.nonblock
         | Fd.K_pipe_write _ -> err ctx Errno.ebadf
-        | Fd.K_xv6 (fsys, node) ->
-            Bufcache.with_ctx t.root_bc ctx (fun () ->
-                let st = Fs.Xv6fs.stat_of fsys node in
-                match st.Fs.Xv6fs.st_type with
-                | Fs.Xv6fs.Dir ->
-                    let text = xv6_dir_listing fsys node in
-                    let off = min file.Fd.off (String.length text) in
-                    let n = min len (String.length text - off) in
-                    file.Fd.off <- off + n;
-                    Sched.finish ctx
-                      (Abi.R_bytes (Bytes.of_string (String.sub text off n)))
-                | Fs.Xv6fs.Reg | Fs.Xv6fs.Dev -> (
-                    (* bound the allocation to the readable span before
-                       the fs layer sizes its output buffer *)
-                    let len =
-                      min len (max 0 (st.Fs.Xv6fs.st_size - file.Fd.off))
-                    in
-                    match Fs.Xv6fs.readi fsys node ~off:file.Fd.off ~len with
-                    | Error e -> err ctx (Errno.of_fs_error e)
-                    | Ok data ->
-                        file.Fd.off <- file.Fd.off + Bytes.length data;
-                        Sched.charge ctx
-                          (Kcost.copy_cycles ~bytes:(Bytes.length data));
-                        Sched.finish ctx (Abi.R_bytes data)))
-        | Fd.K_fat (fat, bc, handle) ->
-            Bufcache.with_ctx bc ctx (fun () ->
-                Sched.charge ctx Kcost.pseudo_inode;
-                match Fs.Fat32.stat fat handle.Fd.fat_path with
-                | Error e -> err ctx (Errno.of_fs_error e)
-                | Ok st when st.Fs.Fat32.st_dir -> (
-                    match Fs.Fat32.readdir fat handle.Fd.fat_path with
-                    | Error e -> err ctx (Errno.of_fs_error e)
-                    | Ok entries ->
-                        let text =
-                          String.concat ""
-                            (List.map (fun (name, _) -> name ^ "\n") entries)
-                        in
-                        let off = min file.Fd.off (String.length text) in
-                        let n = min len (String.length text - off) in
-                        file.Fd.off <- off + n;
-                        Sched.finish ctx
-                          (Abi.R_bytes (Bytes.of_string (String.sub text off n))))
-                | Ok st -> (
-                    let len =
-                      min len (max 0 (st.Fs.Fat32.st_size - file.Fd.off))
-                    in
-                    match
-                      Fs.Fat32.read_file fat handle.Fd.fat_path ~off:file.Fd.off
-                        ~len
-                    with
-                    | Error e -> err ctx (Errno.of_fs_error e)
-                    | Ok data ->
-                        file.Fd.off <- file.Fd.off + Bytes.length data;
-                        Sched.charge ctx
-                          (Kcost.copy_cycles ~bytes:(Bytes.length data));
-                        Sched.finish ctx (Abi.R_bytes data)))
+        | Fd.K_file (m, node) -> read_file ctx m node file len
       end
 
 (* ---- write ---- *)
@@ -285,40 +301,22 @@ let op_write ctx t fd data =
         | Fd.K_dev ops -> ops.Fd.dev_write ctx file data
         | Fd.K_pipe_write p -> Pipe.write ctx p data ~nonblock:file.Fd.nonblock
         | Fd.K_pipe_read _ -> err ctx Errno.ebadf
-        | Fd.K_xv6 (fsys, node) ->
-            Bufcache.with_ctx t.root_bc ctx (fun () ->
-                match Fs.Xv6fs.writei fsys node ~off:file.Fd.off ~data with
+        | Fd.K_file (m, node) ->
+            Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+                Sched.charge ctx m.Fd.m_op_cycles;
+                match node.Fd.n_write ~off:file.Fd.off ~data with
                 | Error e -> err ctx (Errno.of_fs_error e)
                 | Ok n ->
                     file.Fd.off <- file.Fd.off + n;
-                    Sched.charge ctx (Kcost.copy_cycles ~bytes:n);
-                    Sched.finish ctx (Abi.R_int n))
-        | Fd.K_fat (fat, bc, handle) ->
-            Bufcache.with_ctx bc ctx (fun () ->
-                Sched.charge ctx Kcost.pseudo_inode;
-                match
-                  Fs.Fat32.write_file fat handle.Fd.fat_path ~off:file.Fd.off
-                    ~data
-                with
-                | Error e -> err ctx (Errno.of_fs_error e)
-                | Ok n ->
-                    file.Fd.off <- file.Fd.off + n;
-                    handle.Fd.fat_size <- max handle.Fd.fat_size file.Fd.off;
                     Sched.charge ctx (Kcost.copy_cycles ~bytes:n);
                     Sched.finish ctx (Abi.R_int n))
       end
 
 (* ---- the rest of the file syscalls ---- *)
 
-let file_size file =
-  match file.Fd.kind with
-  | Fd.K_xv6 (fsys, node) -> (Fs.Xv6fs.stat_of fsys node).Fs.Xv6fs.st_size
-  | Fd.K_fat (fat, _, handle) -> (
-      match Fs.Fat32.stat fat handle.Fd.fat_path with
-      | Ok st -> st.Fs.Fat32.st_size
-      | Error _ -> handle.Fd.fat_size)
-  | Fd.K_dev _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> 0
-
+(* SEEK_END's and fstat's stat run outside [Bufcache.with_ctx]: a FAT32
+   stat that misses the cache bills its device time and copy cycles to
+   no task. xv6fs's stat reads no block. *)
 let op_lseek ctx t fd offset whence =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
@@ -327,7 +325,7 @@ let op_lseek ctx t fd offset whence =
   | Some file -> (
       match file.Fd.kind with
       | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> err ctx Errno.espipe
-      | Fd.K_xv6 _ | Fd.K_fat _ | Fd.K_dev _ ->
+      | Fd.K_file _ | Fd.K_dev _ ->
           (* whence is validated, not defaulted: anything outside the
              three POSIX anchors used to fall through to SEEK_END
              silently, so lseek(fd, 0, 7) "worked" *)
@@ -339,7 +337,10 @@ let op_lseek ctx t fd offset whence =
             let base =
               if whence = Abi.seek_set then 0
               else if whence = Abi.seek_cur then file.Fd.off
-              else file_size file
+              else
+                match file.Fd.kind with
+                | Fd.K_file (_, node) -> node.Fd.n_size ()
+                | Fd.K_dev _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> 0
             in
             let pos = base + offset in
             if pos < 0 then err ctx Errno.einval
@@ -356,35 +357,11 @@ let op_fstat ctx t fd =
   | None -> err ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
-      | Fd.K_xv6 (fsys, node) ->
-          Bufcache.with_ctx t.root_bc ctx (fun () ->
-              let st = Fs.Xv6fs.stat_of fsys node in
-              Sched.finish ctx
-                (Abi.R_stat
-                   {
-                     Abi.stat_type =
-                       (match st.Fs.Xv6fs.st_type with
-                       | Fs.Xv6fs.Dir -> Abi.T_dir
-                       | Fs.Xv6fs.Reg -> Abi.T_file
-                       | Fs.Xv6fs.Dev -> Abi.T_dev);
-                     stat_size = st.Fs.Xv6fs.st_size;
-                     stat_nlink = st.Fs.Xv6fs.st_nlink;
-                     stat_ino = st.Fs.Xv6fs.st_inum;
-                   }))
-      | Fd.K_fat (fat, _, handle) -> (
-          Sched.charge ctx Kcost.pseudo_inode;
-          match Fs.Fat32.stat fat handle.Fd.fat_path with
+      | Fd.K_file (m, node) -> (
+          Sched.charge ctx m.Fd.m_op_cycles;
+          match node.Fd.n_stat () with
           | Error e -> err ctx (Errno.of_fs_error e)
-          | Ok st ->
-              Sched.finish ctx
-                (Abi.R_stat
-                   {
-                     Abi.stat_type =
-                       (if st.Fs.Fat32.st_dir then Abi.T_dir else Abi.T_file);
-                     stat_size = st.Fs.Fat32.st_size;
-                     stat_nlink = 1;
-                     stat_ino = st.Fs.Fat32.st_cluster;
-                   }))
+          | Ok st -> Sched.finish ctx (Abi.R_stat st))
       | Fd.K_dev ops ->
           Sched.finish ctx
             (Abi.R_stat
@@ -404,37 +381,20 @@ let op_fstat ctx t fd =
                  stat_ino = p.Pipe.pipe_id;
                }))
 
-let op_mkdir ctx t path =
+(* mkdir and unlink: a path operation on the mount that owns the path;
+   devices and procfs refuse both. *)
+let path_op ctx t path op =
   charge_dispatch ctx;
-  let path = resolve ctx path in
-  match route t path with
+  match route t (resolve ctx path) with
   | To_dev _ | To_proc _ -> err ctx Errno.eperm
-  | To_fat (fat, bc, sub) ->
-      Bufcache.with_ctx bc ctx (fun () ->
-          match Fs.Fat32.mkdir fat sub with
+  | To_fs (m, sub) ->
+      Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+          match op m sub with
           | Ok () -> Sched.finish ctx (Abi.R_int 0)
-          | Error e -> err ctx (Errno.of_fs_error e))
-  | To_root p ->
-      Bufcache.with_ctx t.root_bc ctx (fun () ->
-          match Fs.Xv6fs.create t.root p Fs.Xv6fs.Dir with
-          | Ok _ -> Sched.finish ctx (Abi.R_int 0)
           | Error e -> err ctx (Errno.of_fs_error e))
 
-let op_unlink ctx t path =
-  charge_dispatch ctx;
-  let path = resolve ctx path in
-  match route t path with
-  | To_dev _ | To_proc _ -> err ctx Errno.eperm
-  | To_fat (fat, bc, sub) ->
-      Bufcache.with_ctx bc ctx (fun () ->
-          match Fs.Fat32.unlink fat sub with
-          | Ok () -> Sched.finish ctx (Abi.R_int 0)
-          | Error e -> err ctx (Errno.of_fs_error e))
-  | To_root p ->
-      Bufcache.with_ctx t.root_bc ctx (fun () ->
-          match Fs.Xv6fs.unlink t.root p with
-          | Ok () -> Sched.finish ctx (Abi.R_int 0)
-          | Error e -> err ctx (Errno.of_fs_error e))
+let op_mkdir ctx t path = path_op ctx t path (fun m -> m.Fd.m_mkdir)
+let op_unlink ctx t path = path_op ctx t path (fun m -> m.Fd.m_unlink)
 
 let op_chdir ctx t path =
   charge_dispatch ctx;
@@ -442,16 +402,10 @@ let op_chdir ctx t path =
   let is_dir =
     match route t path with
     | To_dev _ | To_proc _ -> false
-    | To_fat (fat, bc, sub) ->
-        Bufcache.with_ctx bc ctx (fun () ->
-            match Fs.Fat32.stat fat sub with
-            | Ok st -> st.Fs.Fat32.st_dir
-            | Error _ -> false)
-    | To_root p ->
-        Bufcache.with_ctx t.root_bc ctx (fun () ->
-            match Fs.Xv6fs.lookup t.root p with
-            | Ok node ->
-                (Fs.Xv6fs.stat_of t.root node).Fs.Xv6fs.st_type = Fs.Xv6fs.Dir
+    | To_fs (m, sub) ->
+        Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+            match m.Fd.m_lookup sub with
+            | Ok (_, st) -> st.Abi.stat_type = Abi.T_dir
             | Error _ -> false)
   in
   if is_dir then begin
@@ -491,7 +445,7 @@ let file_ready ctx file =
   | Fd.K_pipe_write p -> Pipe.write_ready p
   | Fd.K_dev ops -> (
       match ops.Fd.dev_poll with Some ready -> ready ctx file | None -> true)
-  | Fd.K_xv6 _ | Fd.K_fat _ -> true (* regular files never block *)
+  | Fd.K_file _ -> true (* regular files never block *)
 
 (* poll(2): readiness multiplexing over pipes, /dev/events, the console
    and anything else with a [dev_poll] hook. All pollers sleep on the one
@@ -593,28 +547,24 @@ let op_fsync ctx t fd =
   | None -> err ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
-      | Fd.K_xv6 _ ->
-          Bufcache.with_ctx t.root_bc ctx (fun () ->
-              ignore (Fs.Xv6fs.commit t.root);
-              Bufcache.barrier t.root_bc;
-              Sched.finish ctx (Abi.R_int 0))
-      | Fd.K_fat (_, bc, _) ->
-          Bufcache.with_ctx bc ctx (fun () ->
-              Bufcache.barrier bc;
+      | Fd.K_file (m, _) ->
+          Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+              m.Fd.m_sync ();
+              Bufcache.barrier m.Fd.m_cache;
               Sched.finish ctx (Abi.R_int 0))
       | Fd.K_dev _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ ->
           Sched.finish ctx (Abi.R_int 0))
 
-(* Checkpoint every cache; the shutdown path (and nothing else) calls this
-   with no syscall context, so the device time lands on virtual time
-   directly rather than on a task. Committing here is what makes a clean
-   shutdown + remount replay nothing. *)
+(* Checkpoint every cache, in mount order; the shutdown path (and nothing
+   else) calls this with no syscall context, so the device time lands on
+   virtual time directly rather than on a task. Committing here is what
+   makes a clean shutdown + remount replay nothing. *)
 let sync_all t =
-  ignore (Fs.Xv6fs.commit t.root);
-  Bufcache.barrier t.root_bc;
-  List.iter (fun (_, _, bc) -> Bufcache.barrier bc) t.fat_mounts
-
-let fat_caches t = List.map (fun (_, _, bc) -> bc) t.fat_mounts
+  List.iter
+    (fun (_, m) ->
+      m.Fd.m_sync ();
+      Bufcache.barrier m.Fd.m_cache)
+    (List.rev t.mounts)
 
 let op_mmap ctx t fd =
   charge_dispatch ctx;
@@ -626,34 +576,17 @@ let op_mmap ctx t fd =
           match ops.Fd.dev_mmap with
           | Some f -> f ctx file
           | None -> err ctx Errno.einval)
-      | Fd.K_xv6 _ | Fd.K_fat _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ ->
+      | Fd.K_file _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ ->
           err ctx Errno.einval)
 
 (* ---- kernel-internal file access (exec's loader) ----
    Charges into [ctx] but does not finish it. *)
 
 let read_whole ctx t path =
-  let path = resolve ctx path in
-  match route t path with
+  match route t (resolve ctx path) with
   | To_dev _ | To_proc _ -> Error Errno.einval
-  | To_fat (fat, bc, sub) ->
-      Bufcache.with_ctx bc ctx (fun () ->
-          match Fs.Fat32.stat fat sub with
-          | Error e -> Error (Errno.of_fs_error e)
-          | Ok st -> (
-              match
-                Fs.Fat32.read_file fat sub ~off:0 ~len:st.Fs.Fat32.st_size
-              with
-              | Ok data -> Ok data
-              | Error e -> Error (Errno.of_fs_error e)))
-  | To_root p ->
-      Bufcache.with_ctx t.root_bc ctx (fun () ->
-          match Fs.Xv6fs.lookup t.root p with
-          | Error e -> Error (Errno.of_fs_error e)
-          | Ok node -> (
-              let st = Fs.Xv6fs.stat_of t.root node in
-              match
-                Fs.Xv6fs.readi t.root node ~off:0 ~len:st.Fs.Xv6fs.st_size
-              with
-              | Ok data -> Ok data
-              | Error e -> Error (Errno.of_fs_error e)))
+  | To_fs (m, sub) ->
+      Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
+          Result.map_error Errno.of_fs_error
+            (Result.bind (m.Fd.m_lookup sub) (fun (node, st) ->
+                 node.Fd.n_read ~off:0 ~len:st.Abi.stat_size)))

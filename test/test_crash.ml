@@ -256,12 +256,7 @@ let suite_journal =
 (* ---- kernel-level contracts ---- *)
 
 let journal_config =
-  {
-    test_config with
-    Core.Kconfig.journal = true;
-    writeback = true;
-    flush_interval_ms = 50;
-  }
+  { test_config with Core.Kconfig.journal = true; writeback = true }
 
 (* fsync on the journaled rootfs commits the open transaction and drops
    every pin; the ack means the data is on the medium. *)
