@@ -134,14 +134,14 @@ let video_plays_at_native_rate () =
   (* ~26-30 FPS after the initial load: at least 60 frames in 4s *)
   check_bool "video decodes and presents" true (frames > 60)
 
-(* The display plane after a fixed number of frames, pinned by MD5:
-   the perfbench digests cover the trace, the UART, the clock and the
-   frame counts, but no pixel. clip480 fills the 640x480 screen;
+(* The display plane and the CPU view after a fixed number of frames,
+   pinned by MD5: the perfbench digests cover the trace, the UART, the
+   clock and the frame counts, but no pixel. clip480 fills the 640x480 screen;
    clip720 is wider and taller than it, so only its top-left window is
    converted and shown. *)
 let video_display_plane_pinned () =
   List.iter
-    (fun (clip, frames, md5) ->
+    (fun (clip, frames, md5, cpu_md5) ->
       let stage = stage5 () in
       let task = Proto.Stage.start stage "video" [ "video"; clip; string_of_int frames ] in
       Proto.Stage.run_for stage (Sim.Engine.sec 4);
@@ -150,10 +150,18 @@ let video_display_plane_pinned () =
       check_int (clip ^ " frames") frames (frames_of stage task.Core.Task.pid);
       let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
       check_string (clip ^ " display plane") md5
-        (Digest.to_hex (Digest.string (Hw.Framebuffer.to_ppm fb))))
+        (Digest.to_hex (Digest.string (Hw.Framebuffer.to_ppm fb)));
+      check_string (clip ^ " CPU view") cpu_md5
+        (fb_plane_md5 fb Hw.Framebuffer.read_pixel))
     [
-      ("/d/videos/clip480.mv1", 9, "4bbb6a7d33d84bcee80d2aee711418ea");
-      ("/d/videos/clip720.mv1", 6, "686e336ef558dc5f5643d75854b7eefb");
+      ( "/d/videos/clip480.mv1",
+        9,
+        "4bbb6a7d33d84bcee80d2aee711418ea",
+        "e43b1df17bb5c6679d175a7edf57042b" );
+      ( "/d/videos/clip720.mv1",
+        6,
+        "686e336ef558dc5f5643d75854b7eefb",
+        "485eec5be8644e1bff5fb361dc7ad081" );
     ]
 
 (* The composited desktop, pinned by MD5 at four instants: mario's SDL
@@ -165,17 +173,6 @@ let desktop_planes_pinned () =
   let stage = stage5 () in
   let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
   let usb = stage.Proto.Stage.kernel.Core.Kernel.board.Hw.Board.usb in
-  let cpu_view () =
-    let w = Hw.Framebuffer.width fb and h = Hw.Framebuffer.height fb in
-    let b = Bytes.create (8 * w * h) in
-    for y = 0 to h - 1 do
-      for x = 0 to w - 1 do
-        Bytes.set_int64_le b (8 * ((y * w) + x))
-          (Int64.of_int (Hw.Framebuffer.read_pixel fb ~x ~y))
-      done
-    done;
-    Bytes.unsafe_to_string b
-  in
   let press ?modifiers code =
     Hw.Usb.key_down usb ?modifiers code;
     Proto.Stage.run_for stage (Sim.Engine.ms 50);
@@ -185,7 +182,9 @@ let desktop_planes_pinned () =
   let pins = ref [] in
   let pin name ms =
     Proto.Stage.run_for stage (Sim.Engine.ms ms);
-    pins := (name, md5 (Hw.Framebuffer.to_ppm fb), md5 (cpu_view ())) :: !pins
+    pins :=
+      (name, md5 (Hw.Framebuffer.to_ppm fb), fb_plane_md5 fb Hw.Framebuffer.read_pixel)
+      :: !pins
   in
   ignore (Proto.Stage.start stage "mario" [ "mario"; "sdl"; "0" ]);
   Proto.Stage.run_for stage (Sim.Engine.ms 500);

@@ -1637,6 +1637,138 @@ let dev_fb_mmap_and_cacheflush () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e)
 
+(* The returns and virtual ns of [dev_fb_writes_pinned]'s script:
+   the same under both mappings but for cacheflush's return (the rows
+   it published) and ns. *)
+let fb_write_script ~cacheflush =
+  [
+    "row 0, ragged seek 0 3450";
+    "row 0, ragged write 23 3514";
+    "unaligned, rows 2-3 seek 5126 3450";
+    "unaligned, rows 2-3 write 2800 3800";
+    "unaligned by 3 seek 17923 3450";
+    "unaligned by 3 write 41 3514";
+    "cacheflush " ^ cacheflush;
+    "past the last pixel seek 1228789 3450";
+    "past the last pixel write 40 3514";
+    "off the screen seek 1228900 3450";
+    "off the screen write 8 3514";
+  ]
+
+(* write(2) to /dev/fb under each mapping, pinned: every return and its
+   virtual ns, the stale rows, and the MD5 of the CPU view and the
+   display plane. The writes carry a non-zero 4th byte and a ragged
+   tail, start at unaligned file offsets, run past the last pixel and
+   land wholly off the screen; a cacheflush between them leaves the last
+   two unpublished under [Cached]. *)
+let dev_fb_writes_pinned () =
+  let transcript mapping =
+    let kernel = boot_kernel () in
+    let fb = Option.get kernel.Core.Kernel.fb in
+    Hw.Framebuffer.set_mapping fb mapping;
+    let w = Hw.Framebuffer.width fb and h = Hw.Framebuffer.height fb in
+    let lines = ref [] in
+    let call label f =
+      let t0 = Core.Kernel.now kernel in
+      let r = f () in
+      lines :=
+        Printf.sprintf "%s %d %Ld" label r (Int64.sub (Core.Kernel.now kernel) t0)
+        :: !lines
+    in
+    let data n seed = Bytes.init n (fun i -> Char.chr (((i * 37) + seed) land 0xff)) in
+    (match
+       Benchlib.Measure.run_task kernel ~name:"fbwrite" (fun () ->
+           let fd = Usys.open_ "/dev/fb" Core.Abi.o_rdwr in
+           let at label off n seed =
+             call (label ^ " seek") (fun () -> Usys.lseek fd off Core.Abi.seek_set);
+             call (label ^ " write") (fun () -> Usys.write fd (data n seed))
+           in
+           at "row 0, ragged" 0 23 11;
+           at "unaligned, rows 2-3" ((4 * w * 2) + 6) (4 * 700) 5;
+           at "unaligned by 3" ((4 * w * 7) + 3) 41 99;
+           call "cacheflush" Usys.cacheflush;
+           at "past the last pixel" ((4 * ((w * h) - 3)) + 1) 40 200;
+           at "off the screen" ((4 * w * h) + 100) 8 7;
+           ignore (Usys.close fd);
+           0)
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+    ( List.rev !lines,
+      Hw.Framebuffer.stale_rows fb,
+      fb_plane_md5 fb Hw.Framebuffer.read_pixel,
+      fb_plane_md5 fb Hw.Framebuffer.display_pixel )
+  in
+  List.iter
+    (fun (name, mapping, (lines', stale', cpu', plane')) ->
+      let lines, stale, cpu, plane = transcript mapping in
+      check_string (name ^ ": returns and ns") (String.concat "\n" lines')
+        (String.concat "\n" lines);
+      check_int (name ^ ": stale rows") stale' stale;
+      check_string (name ^ ": CPU view") cpu' cpu;
+      check_string (name ^ ": display plane") plane' plane)
+    [
+      ( "cached",
+        Hw.Framebuffer.Cached,
+        ( fb_write_script ~cacheflush:"4 3510",
+          1,
+          "4c21891a4497914c3d2b32cfe67abbd7",
+          "a3b9eee77370b49fe3a7776446b8e293" ) );
+      ( "uncached",
+        Hw.Framebuffer.Uncached,
+        ( fb_write_script ~cacheflush:"0 3090",
+          0,
+          "4c21891a4497914c3d2b32cfe67abbd7",
+          "4c21891a4497914c3d2b32cfe67abbd7" ) );
+    ]
+
+(* A direct-mode Gfx.present under each mapping, pinned: the present's
+   virtual ns and the MD5 of the CPU view and the display plane. *)
+let dev_fb_direct_present_pinned () =
+  List.iter
+    (fun (name, mapping, (ns', cpu', plane')) ->
+      let kernel = boot_kernel () in
+      let fb = Option.get kernel.Core.Kernel.fb in
+      Hw.Framebuffer.set_mapping fb mapping;
+      match
+        Benchlib.Measure.run_task kernel ~name:"painter" (fun () ->
+            let env = Uenv.create () in
+            env.Uenv.e_fb <- Some fb;
+            match Gfx.direct env with
+            | Error e -> Alcotest.failf "direct: %d" e
+            | Ok gfx ->
+                Gfx.fill gfx (Gfx.rgb 10 20 30);
+                for y = 0 to 479 do
+                  for x = 0 to 639 do
+                    if (x * y) mod 7 = 3 then Gfx.put gfx ~x ~y (Gfx.rgb x y (x + y))
+                  done
+                done;
+                Gfx.fill_rect gfx ~x:600 ~y:450 ~w:100 ~h:100 (Gfx.rgb 255 128 1);
+                Gfx.text gfx ~x:5 ~y:5 ~color:(Gfx.rgb 200 200 200) "PIN 42";
+                let t0 = Core.Kernel.now kernel in
+                Gfx.present gfx;
+                Int64.sub (Core.Kernel.now kernel) t0)
+      with
+      | Error e -> Alcotest.fail e
+      | Ok (ns, _) ->
+          let cpu = fb_plane_md5 fb Hw.Framebuffer.read_pixel
+          and plane = fb_plane_md5 fb Hw.Framebuffer.display_pixel in
+          check_string (name ^ ": present ns") (Int64.to_string ns') (Int64.to_string ns);
+          check_string (name ^ ": CPU view") cpu' cpu;
+          check_string (name ^ ": display plane") plane' plane)
+    [
+      ( "cached",
+        Hw.Framebuffer.Cached,
+        ( 500968L,
+          "617f6c23b6daf6f4110b33bd2e0aa12d",
+          "617f6c23b6daf6f4110b33bd2e0aa12d" ) );
+      ( "uncached",
+        Hw.Framebuffer.Uncached,
+        ( 6555108L,
+          "617f6c23b6daf6f4110b33bd2e0aa12d",
+          "617f6c23b6daf6f4110b33bd2e0aa12d" ) );
+    ]
+
 let dev_events_blocking_and_nonblocking () =
   let kernel = boot_kernel () in
   let board = kernel.Core.Kernel.board in
@@ -1832,6 +1964,8 @@ let suite_devices =
     [
       quick "/dev/null" dev_null;
       quick "fb mmap + cacheflush lesson" dev_fb_mmap_and_cacheflush;
+      quick "/dev/fb writes pinned under both mappings" dev_fb_writes_pinned;
+      quick "direct present pinned under both mappings" dev_fb_direct_present_pinned;
       quick "/dev/events blocking + nonblocking" dev_events_blocking_and_nonblocking;
       quick "GPIO buttons as events" dev_gpio_buttons_as_events;
       quick "audio producer-consumer pipeline" dev_audio_pipeline;

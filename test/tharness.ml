@@ -39,6 +39,19 @@ let in_kernel_timed ?config f =
 
 let run_for kernel s = Core.Kernel.run_for kernel (Sim.Engine.sec s)
 
+(* MD5 of a framebuffer plane read pixel by pixel through [f]
+   ([read_pixel] for the CPU view, [display_pixel] for the display
+   plane), each value as 8 little-endian bytes. *)
+let fb_plane_md5 fb f =
+  let w = Hw.Framebuffer.width fb and h = Hw.Framebuffer.height fb in
+  let b = Bytes.create (8 * w * h) in
+  for y = 0 to h - 1 do
+    for x = 0 to w - 1 do
+      Bytes.set_int64_le b (8 * ((y * w) + x)) (Int64.of_int (f fb ~x ~y))
+    done
+  done;
+  Digest.to_hex (Digest.bytes b)
+
 (* Assertions *)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
