@@ -130,7 +130,7 @@ type spec = {
 }
 
 (* One aggregation cell; keyed maps hold one per distinct by-value. *)
-type cell = { mutable cl_count : int; mutable cl_sum : int64; cl_hist : Kperf.Hist.t }
+type cell = { mutable cl_count : int; mutable cl_sum : int; cl_hist : Kperf.Hist.t }
 
 type probe = {
   pr_id : int;  (** attachment id, for [detach <id>] *)
@@ -310,7 +310,7 @@ let cell_for probe k =
   match Hashtbl.find probe.pr_cells k with
   | c -> c
   | exception Not_found ->
-      let c = { cl_count = 0; cl_sum = 0L; cl_hist = Kperf.Hist.create () } in
+      let c = { cl_count = 0; cl_sum = 0; cl_hist = Kperf.Hist.create () } in
       Hashtbl.add probe.pr_cells k c;
       c
 
@@ -361,7 +361,7 @@ let rec hit probes ~pid ~core ~fd ~errno ~arg0 ~syscall ~latency_ns =
         | A_count -> ()
         | A_sum k ->
             let v = key k ~pid ~core ~fd ~errno ~arg0 ~latency_ns in
-            c.cl_sum <- Int64.add c.cl_sum (Int64.of_int v)
+            c.cl_sum <- c.cl_sum + v
         | A_hist k ->
             (* hist() buckets in ns space; latency_us values are scaled
                back up so one Hist covers both units *)
@@ -493,7 +493,7 @@ let render_cell buf spec k c =
         (Printf.sprintf "  count%s\t: %d\n" tag c.cl_count)
   | A_sum key ->
       Buffer.add_string buf
-        (Printf.sprintf "  sum(%s)%s\t: %Ld  (n=%d)\n" (key_name key) tag
+        (Printf.sprintf "  sum(%s)%s\t: %d  (n=%d)\n" (key_name key) tag
            c.cl_sum c.cl_count)
   | A_hist key ->
       Buffer.add_string buf
@@ -562,7 +562,7 @@ let render_metrics t =
       List.iter
         (fun (probe, k, c) ->
           Buffer.add_string buf
-            (Printf.sprintf "vos_vprobe_sum{probe=%s,key=%s} %Ld\n"
+            (Printf.sprintf "vos_vprobe_sum{probe=%s,key=%s} %d\n"
                (Kperf.quote_label probe.pr_text)
                (Kperf.quote_label (by_key_label probe.pr_spec k))
                c.cl_sum))

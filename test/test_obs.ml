@@ -125,6 +125,36 @@ let sum_and_hist_units () =
     text;
   check_contains "both samples recorded" "n=2" text
 
+(* A fire of a [count] or a [sum(arg0)] probe allocates nothing: the
+   cell's count and sum are immediate ints. 10^5 fires at a static
+   point, each aggregation attached alone; the sum still renders its
+   decimal. *)
+let count_and_sum_fires_allocate_nothing () =
+  let vp = Vp.create (Core.Ktrace.create ()) in
+  let pt = Option.get (Vp.point_id "pipe:write") in
+  let n = 100_000 in
+  List.iter
+    (fun spec ->
+      let id = check_ok spec (Vp.attach vp spec) in
+      (* the first fire makes the cell *)
+      Vp.static vp pt ~pid:1 ~core:0 ~arg0:0 ~latency_ns:0;
+      let w0 = Gc.minor_words () in
+      for i = 1 to n do
+        Vp.static vp pt ~pid:1 ~core:0 ~arg0:i ~latency_ns:0
+      done;
+      let per_fire = (Gc.minor_words () -. w0) /. float_of_int n in
+      check_bool
+        (Printf.sprintf "%s: a fire allocated %.2f minor words (< 0.5)" spec per_fire)
+        true (per_fire < 0.5);
+      check_bool (spec ^ ": detach") true (Vp.detach vp id))
+    [ "probe pipe:write / * / count"; "probe pipe:write / * / sum(arg0)" ];
+  ignore (check_ok "sum" (Vp.attach vp "probe pipe:write / * / sum(arg0)"));
+  for i = 1 to n do
+    Vp.static vp pt ~pid:1 ~core:0 ~arg0:i ~latency_ns:0
+  done;
+  check_contains "the sum renders as a decimal" "sum(arg0)\t: 5000050000  (n=100000)"
+    (Vp.render vp)
+
 (* Every point family and the event that feeds it, one representative
    syscall per syscall family. Only the three sched events enter the
    ring. *)
@@ -740,6 +770,7 @@ let suite =
       quick "fire honours predicates and by-keys"
         fire_respects_predicates_and_keys;
       quick "sum/hist key units" sum_and_hist_units;
+      quick "count and sum fires allocate nothing" count_and_sum_fires_allocate_nothing;
       quick "probe hook follows attachments" probe_hook_follows_attachments;
       quick "ctl_write is all-or-nothing" ctl_write_all_or_nothing;
       slow "/proc/vprobe + vprobe_ctl round-trip" proc_vprobe_roundtrip;
