@@ -126,25 +126,25 @@ let fb_ops t =
   | None -> None
   | Some fb ->
       let width = Hw.Framebuffer.width fb in
+      let screen_px = width * Hw.Framebuffer.height fb in
       Some
         {
           Fd.dev_name = "fb";
           dev_read = (fun ctx _ ~len:_ -> finish_err ctx Errno.einval);
           dev_write =
             (fun ctx file data ->
-              (* pixels as 4-byte BGRA at the file offset *)
-              let npx = Bytes.length data / 4 in
+              (* whole 4-byte pixels from the pixel the file offset falls
+                 in; the part on the screen is copied as is *)
               let base = file.Fd.off / 4 in
-              for i = 0 to npx - 1 do
-                let px =
-                  Bytes.get_uint8 data (4 * i)
-                  lor (Bytes.get_uint8 data ((4 * i) + 1) lsl 8)
-                  lor (Bytes.get_uint8 data ((4 * i) + 2) lsl 16)
-                in
-                let pos = base + i in
-                Hw.Framebuffer.write_pixel fb ~x:(pos mod width)
-                  ~y:(pos / width) px
-              done;
+              let p0 = min screen_px base
+              and p1 = min screen_px (base + (Bytes.length data / 4)) in
+              if p1 > p0 then begin
+                Bytes.blit data (4 * (p0 - base)) (Hw.Framebuffer.cpu_view fb) (4 * p0)
+                  (4 * (p1 - p0));
+                for y = p0 / width to (p1 - 1) / width do
+                  Hw.Framebuffer.wrote_row fb y
+                done
+              end;
               file.Fd.off <- file.Fd.off + Bytes.length data;
               Sched.charge ctx (Kcost.copy_cycles ~bytes:(Bytes.length data));
               Sched.finish ctx (Abi.R_int (Bytes.length data)));
@@ -190,34 +190,6 @@ let sb_ops t =
 
 let header_bytes = 24
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-external swap32 : int32 -> int32 = "%bswap_int32"
-
-(* Unpack [npx] little-endian 4-byte pixels from [data] into [dst]: the
-   low three bytes are 0xRRGGBB; the fourth (alpha) is dropped. Panics
-   before writing anything if [npx] is negative or past either buffer.
-   Two pixels come in per 64-bit word and an odd last one as a 32-bit
-   word; the unchecked loads are native-endian, so a big-endian host
-   swaps each word. [Int64.to_int] drops bit 63, the second pixel's
-   alpha bit, which is masked off anyway. *)
-let unpack_pixels data (dst : int array) npx =
-  if npx < 0 || npx > Array.length dst || npx > Bytes.length data / 4 then
-    Kpanic.panicf "devfs: unpack of %d pixels out of range" npx;
-  for k = 0 to (npx / 2) - 1 do
-    let i = 2 * k in
-    let w = get64u data (4 * i) in
-    let w = Int64.to_int (if Sys.big_endian then swap64 w else w) in
-    Array.unsafe_set dst i (w land 0xffffff);
-    Array.unsafe_set dst (i + 1) ((w lsr 32) land 0xffffff)
-  done;
-  if npx land 1 = 1 then begin
-    let w = get32u data (4 * (npx - 1)) in
-    let w = Int32.to_int (if Sys.big_endian then swap32 w else w) in
-    Array.unsafe_set dst (npx - 1) (w land 0xffffff)
-  end
-
 let surface_ops t =
   match t.wm with
   | None -> None
@@ -261,12 +233,7 @@ let surface_ops t =
                 match Wm.surface wm file.Fd.dev_cookie with
                 | None -> finish_err ctx Errno.ebadf
                 | Some s ->
-                    let npx =
-                      min (Bytes.length data / 4) (s.Wm.width * s.Wm.height)
-                    in
-                    unpack_pixels data s.Wm.pixels npx;
-                    s.Wm.dirty <- true;
-                    s.Wm.frames <- s.Wm.frames + 1;
+                    let npx = Wm.write_frame s data in
                     let pid = ctx.Sched.task.Task.pid in
                     Sched.count_frame ctx.Sched.sched pid;
                     Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task

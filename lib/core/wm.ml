@@ -19,7 +19,9 @@ type surface = {
   owner_pid : int;
   width : int;
   height : int;
-  pixels : int array;
+  pixels : Bytes.t;
+      (** [4 * width * height] bytes, as /dev/surface carries them:
+          little-endian XRGB8888, row-major *)
   mutable sx : int;
   mutable sy : int;
   mutable alpha : int;  (** 255 = opaque *)
@@ -35,6 +37,7 @@ type t = {
   sched : Sched.t;
   fb : Hw.Framebuffer.t;
   surfaces : (int, surface) Hashtbl.t;
+  background_row : Bytes.t;  (** one screen row of [background] pixels *)
   mutable zorder : int list;  (** bottom first; top = focus candidates last *)
   mutable focus : int option;
   mutable next_id : int;
@@ -49,12 +52,20 @@ type t = {
   mutable running : bool;
 }
 
+let background = 0x102030
+
 let create board sched fb ~track_dirty =
+  let width = Hw.Framebuffer.width fb in
+  let background_row = Bytes.create (4 * width) in
+  for x = 0 to width - 1 do
+    Bytes.set_int32_le background_row (4 * x) (Int32.of_int background)
+  done;
   {
     board;
     sched;
     fb;
     surfaces = Hashtbl.create 16;
+    background_row;
     zorder = [];
     focus = None;
     next_id = 1;
@@ -87,7 +98,7 @@ let create_surface t ~owner_pid ~width ~height ~x ~y ~alpha =
       owner_pid;
       width;
       height;
-      pixels = Array.make (width * height) 0;
+      pixels = Bytes.make (4 * width * height) '\000';
       sx = x;
       sy = y;
       alpha;
@@ -102,6 +113,16 @@ let create_surface t ~owner_pid ~width ~height ~x ~y ~alpha =
   t.zorder <- t.zorder @ [ id ];
   t.focus <- Some id;
   s
+
+(* A frame written to /dev/surface: its first [width * height] pixels
+   are stored as they came, 4 bytes each, and the surface is marked
+   dirty. Returns the number of pixels stored. *)
+let write_frame s data =
+  let npx = min (Bytes.length data / 4) (s.width * s.height) in
+  Bytes.blit data 0 s.pixels 0 (4 * npx);
+  s.dirty <- true;
+  s.frames <- s.frames + 1;
+  npx
 
 (* Add the screen rows [s] covers to the pending damage, just before it
    closes or moves: afterwards no surface may cover them, and only the
@@ -183,31 +204,40 @@ and deliver t ev =
 
 (* ---- composition ---- *)
 
-let background = 0x102030
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
-(* Blend [n] pixels of [src] from [soff] over [dst] from [doff] at
-   [alpha] < 255, per channel: (src * alpha + dst * (255 - alpha)) / 255.
-   The span is checked once, then accessed without per-pixel checks. *)
-let blend_span (src : int array) soff (dst : int array) doff n alpha =
+(* Blend [n] pixels of [src] from pixel [soff] over [dst] from pixel
+   [doff] at [alpha] < 255, per channel:
+   (src * alpha + dst * (255 - alpha)) / 255, the X byte dropped. The
+   span is checked once, then each pixel is one unchecked 32-bit load
+   from each side and one store; they are native-endian, so a
+   big-endian host swaps each word. *)
+let blend_span src soff dst doff n alpha =
   if
     n < 0 || soff < 0 || doff < 0
-    || soff > Array.length src - n
-    || doff > Array.length dst - n
+    || soff > (Bytes.length src / 4) - n
+    || doff > (Bytes.length dst / 4) - n
   then Kpanic.panicf "wm: blend span %d+%d -> %d out of range" soff n doff;
   let inv = 255 - alpha in
   for i = 0 to n - 1 do
-    let p = Array.unsafe_get src (soff + i) and d = Array.unsafe_get dst (doff + i) in
-    let r = (((p lsr 16) land 0xff) * alpha + ((d lsr 16) land 0xff) * inv) / 255 in
-    let g = (((p lsr 8) land 0xff) * alpha + ((d lsr 8) land 0xff) * inv) / 255 in
-    let b = ((p land 0xff) * alpha + (d land 0xff) * inv) / 255 in
-    Array.unsafe_set dst (doff + i) ((r lsl 16) lor (g lsl 8) lor b)
+    let so = 4 * (soff + i) and d = 4 * (doff + i) in
+    let p = get32u src so and q = get32u dst d in
+    let p = Int32.to_int (if Sys.big_endian then swap32 p else p)
+    and q = Int32.to_int (if Sys.big_endian then swap32 q else q) in
+    let r = (((p lsr 16) land 0xff) * alpha + ((q lsr 16) land 0xff) * inv) / 255 in
+    let g = (((p lsr 8) land 0xff) * alpha + ((q lsr 8) land 0xff) * inv) / 255 in
+    let b = ((p land 0xff) * alpha + (q land 0xff) * inv) / 255 in
+    let w = Int32.of_int ((r lsl 16) lor (g lsl 8) lor b) in
+    set32u dst d (if Sys.big_endian then swap32 w else w)
   done
 
 (* Repaint rows [y0, y1) of the screen from the stacking order, in place
    in the framebuffer's CPU view. Returns the pixel count composited
-   (for cost accounting). Each layer's row is clipped to the screen
-   once, as the column span [c0, c1): opaque spans are copied, alpha
-   spans blended. *)
+   (for cost accounting). Each row starts as a copy of the background
+   row; each layer's row is clipped to the screen once, as the column
+   span [c0, c1): opaque spans are copied, alpha spans blended. *)
 let repaint_rows t ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.fb in
   let layers = Array.of_list (stacking t) in
@@ -215,7 +245,7 @@ let repaint_rows t ~y0 ~y1 =
   let count = ref 0 in
   for y = y0 to y1 - 1 do
     let line = y * width in
-    Hw.Framebuffer.fill_pixels view line width background;
+    Bytes.blit t.background_row 0 view (4 * line) (4 * width);
     for l = 0 to Array.length layers - 1 do
       let s = layers.(l) in
       let row = y - s.sy in
@@ -224,7 +254,7 @@ let repaint_rows t ~y0 ~y1 =
         if c1 > c0 then begin
           count := !count + (c1 - c0);
           let src = (row * s.width) + c0 and dst = line + s.sx + c0 in
-          if s.alpha >= 255 then Hw.Framebuffer.blit_pixels s.pixels src view dst (c1 - c0)
+          if s.alpha >= 255 then Bytes.blit s.pixels (4 * src) view (4 * dst) (4 * (c1 - c0))
           else blend_span s.pixels src view dst (c1 - c0) s.alpha
         end
       end

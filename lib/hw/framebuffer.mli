@@ -14,7 +14,11 @@
       stays stale until it is flushed.
 
     The model keeps two pixel planes: the CPU view (cache) and the memory
-    plane the display reads. [flush] copies dirty rows. *)
+    plane the display reads. [flush] copies dirty rows. Both are bytes
+    in the layout the mailbox allocates and the /dev/fb and /dev/surface
+    ABIs carry: 4 bytes a pixel, little-endian XRGB8888, row-major. The
+    display ignores the X byte: [read_pixel], [display_pixel], [to_ppm]
+    and [to_ascii] see each pixel's low 24 bits, 0xRRGGBB. *)
 
 type mapping = Uncached | Cached
 
@@ -29,27 +33,19 @@ val set_mapping : t -> mapping -> unit
 val mapping : t -> mapping
 
 val write_pixel : t -> x:int -> y:int -> int -> unit
-(** Store one RGBA8888 pixel through the CPU view. Out-of-bounds writes are
-    ignored (the real fb would wrap into GPU memory; apps must clip). *)
+(** Store one 0xRRGGBB pixel (its low 24 bits; the X byte is 0) through
+    the CPU view. Out-of-bounds writes are ignored (the real fb would
+    wrap into GPU memory; apps must clip). *)
 
 val read_pixel : t -> x:int -> y:int -> int
-(** CPU-view load. *)
+(** CPU-view load: the pixel's low 24 bits. *)
 
 val write_row : t -> y:int -> off:int -> int array -> unit
 (** [write_row t ~y ~off src] stores [src.(off ..)] as row [y], cut at
-    the screen width; cheaper bulk path used by blit code. A row [y]
-    off the screen is ignored. For a row on it, raises
-    [Invalid_argument] before writing anything if [off < 0] or
-    [off > Array.length src]. *)
-
-val blit_pixels : int array -> int -> int array -> int -> int -> unit
-(** [blit_pixels src soff dst doff n] copies [src.(soff .. soff+n-1)]
-    to [dst.(doff .. doff+n-1)] in ascending order, without the
-    per-element write barrier [Array.blit] pays into a major-heap array.
-    Raises [Invalid_argument] before writing anything if [n < 0] or
-    either range is out of bounds. Within one array, a forward overlap
-    ([doff > soff]) repeats the leading elements, as the element loop
-    does; it is not a memmove. *)
+    the screen width, each pixel as [write_pixel] stores it; cheaper
+    bulk path used by blit code. A row [y] off the screen is ignored.
+    For a row on it, raises [Invalid_argument] before writing anything
+    if [off < 0] or [off > Array.length src]. *)
 
 val fill_pixels : int array -> int -> int -> int -> unit
 (** [fill_pixels dst doff n px] stores [px] in [dst.(doff .. doff+n-1)],
@@ -57,11 +53,11 @@ val fill_pixels : int array -> int -> int -> int -> unit
     Raises [Invalid_argument] before writing anything if [n < 0] or the
     range is out of bounds. *)
 
-val cpu_view : t -> int array
-(** The CPU view itself, row-major, [width * height] pixels: a
-    compositor builds rows in place here and then reports each one with
-    [wrote_row]; a store that is not reported is neither published nor
-    marked dirty. *)
+val cpu_view : t -> Bytes.t
+(** The CPU view itself, [4 * width * height] bytes: a compositor or
+    the /dev/fb write path builds rows in place here and then reports
+    each one with [wrote_row]; a store that is not reported is neither
+    published nor marked dirty. *)
 
 val wrote_row : t -> int -> unit
 (** [wrote_row t y] reports that row [y] of the CPU view was written,

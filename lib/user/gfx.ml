@@ -224,7 +224,7 @@ let present t =
       charge t (npx / 4) (* pack pixels for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;
-      (* the surface write unpacks the frame before the task resumes, so
+      (* the surface write copies the frame before the task resumes, so
          the scratch buffer (exactly [npx * 4] bytes here) goes as is *)
       ignore (Usys.write fd t.scanline))
 
