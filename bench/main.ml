@@ -147,6 +147,13 @@ let codec () =
   Benchlib.Report.write "BENCH_codec.json" (Benchlib.Codecbench.report r);
   print_endline "wrote BENCH_codec.json"
 
+let compose () =
+  section "compose: host ms per desktop composite, pack / surface write / repaint / flush";
+  let r = Benchlib.Composebench.run () in
+  print_string (Benchlib.Composebench.render r);
+  Benchlib.Report.write "BENCH_compose.json" (Benchlib.Composebench.report r);
+  print_endline "wrote BENCH_compose.json"
+
 let simbench () =
   section "simbench: host-parallel engine — pop cost, speedup, determinism";
   let r = Benchlib.Simbench.run () in
@@ -181,6 +188,7 @@ let experiments =
     ("tracebench", tracebench);
     ("obsbench", obsbench);
     ("codec", codec);
+    ("compose", compose);
     ("simbench", simbench);
     ("crashbench", crashbench);
     ("fuzzbench", fuzzbench);
