@@ -16,9 +16,7 @@
 let loops = 7
 let passes = 5
 
-type layer = { l_name : string; l_median : float; l_min : float; l_max : float }
-
-type result = { r_frames : int; r_layers : layer list }
+type result = { r_frames : int; r_layers : Report.layer list }
 
 let run () =
   let v =
@@ -62,30 +60,19 @@ let run () =
     let ms t = !t *. 1e3 /. float_of_int frames in
     [ ms dec; ms conv; ms pres ]
   in
-  let runs = List.init loops (fun _ -> once ()) in
-  let layer i name =
-    let xs = List.sort Float.compare (List.map (fun r -> List.nth r i) runs) in
-    {
-      l_name = name;
-      l_median = List.nth xs (loops / 2);
-      l_min = List.hd xs;
-      l_max = List.nth xs (loops - 1);
-    }
-  in
   {
     r_frames = frames;
     r_layers =
-      [ layer 0 "decode_into"; layer 1 "convert_420"; layer 2 "present_copy_flush" ];
+      Report.layers
+        [ "decode_into"; "convert_420"; "present_copy_flush" ]
+        (List.init loops (fun _ -> once ()));
   }
 
 let render r =
   let b = Buffer.create 256 in
   Printf.bprintf b "  clip480, %d frames a loop, host ms/frame (median of %d, min-max):\n"
     r.r_frames loops;
-  List.iter
-    (fun l ->
-      Printf.bprintf b "    %-20s %7.3f  (%.3f-%.3f)\n" l.l_name l.l_median l.l_min l.l_max)
-    r.r_layers;
+  Report.add_layers b r.r_layers;
   Buffer.contents b
 
 let report r =
@@ -96,11 +83,4 @@ let report r =
         ("frames_per_loop", Int r.r_frames);
         ("loops", Int loops);
       ],
-      List.concat_map
-        (fun l ->
-          [
-            (l.l_name ^ "_ms", Fixed (3, l.l_median));
-            (l.l_name ^ "_ms_min", Fixed (3, l.l_min));
-            (l.l_name ^ "_ms_max", Fixed (3, l.l_max));
-          ])
-        r.r_layers )
+      layer_fields r.r_layers )

@@ -25,9 +25,7 @@
 let loops = 7
 let composites = 500
 
-type layer = { l_name : string; l_median : float; l_min : float; l_max : float }
-
-type result = { r_windows : int; r_rows : int; r_layers : layer list }
+type result = { r_windows : int; r_rows : int; r_layers : Report.layer list }
 
 let run () =
   let stage = Proto.Stage.boot ~prototype:5 () in
@@ -47,13 +45,16 @@ let run () =
     List.map
       (fun s ->
         let npx = s.Core.Wm.width * s.Core.Wm.height in
-        (s, Array.init npx (fun _ -> Random.State.bits rng land 0xffffff), Bytes.create (4 * npx)))
+        let client = Array.init npx (fun _ -> Random.State.bits rng land 0xffffff) in
+        (s, client, Bytes.create (4 * npx)))
       windows
   in
   let height = Hw.Framebuffer.height fb in
   let y0 = List.fold_left (fun acc s -> min acc (max 0 s.Core.Wm.sy)) height windows
   and y1 =
-    List.fold_left (fun acc s -> max acc (min height (s.Core.Wm.sy + s.Core.Wm.height))) 0 windows
+    List.fold_left
+      (fun acc s -> max acc (min height (s.Core.Wm.sy + s.Core.Wm.height)))
+      0 windows
   in
   (* one loop: host seconds spent in each layer over [composites] *)
   let once () =
@@ -81,26 +82,13 @@ let run () =
     let ms t = !t *. 1e3 /. float_of_int composites in
     [ ms pack; ms write; ms repaint; ms flush ]
   in
-  let runs = List.init loops (fun _ -> once ()) in
-  let layer i name =
-    let xs = List.sort Float.compare (List.map (fun r -> List.nth r i) runs) in
-    {
-      l_name = name;
-      l_median = List.nth xs (loops / 2);
-      l_min = List.hd xs;
-      l_max = List.nth xs (loops - 1);
-    }
-  in
   {
     r_windows = List.length windows;
     r_rows = y1 - y0;
     r_layers =
-      [
-        layer 0 "pack_pixels";
-        layer 1 "surface_write";
-        layer 2 "repaint_rows";
-        layer 3 "flush";
-      ];
+      Report.layers
+        [ "pack_pixels"; "surface_write"; "repaint_rows"; "flush" ]
+        (List.init loops (fun _ -> once ()));
   }
 
 let render r =
@@ -109,10 +97,7 @@ let render r =
     "  desktop, %d windows, %d rows repainted, %d composites a loop,\n\
     \  host ms/composite (median of %d, min-max; repaint_rows includes its flush):\n"
     r.r_windows r.r_rows composites loops;
-  List.iter
-    (fun l ->
-      Printf.bprintf b "    %-20s %7.3f  (%.3f-%.3f)\n" l.l_name l.l_median l.l_min l.l_max)
-    r.r_layers;
+  Report.add_layers b r.r_layers;
   Buffer.contents b
 
 let report r =
@@ -125,11 +110,4 @@ let report r =
         ("composites_per_loop", Int composites);
         ("loops", Int loops);
       ],
-      List.concat_map
-        (fun l ->
-          [
-            (l.l_name ^ "_ms", Fixed (3, l.l_median));
-            (l.l_name ^ "_ms_min", Fixed (3, l.l_min));
-            (l.l_name ^ "_ms_max", Fixed (3, l.l_max));
-          ])
-        r.r_layers )
+      layer_fields r.r_layers )

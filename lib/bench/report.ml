@@ -69,3 +69,39 @@ let timed f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
+
+(* A host-time split by layer (codec, compose): each layer's median over
+   a run's loops, with the min and max. *)
+type layer = { l_name : string; l_median : float; l_min : float; l_max : float }
+
+(* [layers names runs]: each of [runs] holds one loop's time per layer,
+   in the order of [names]. *)
+let layers names runs =
+  List.mapi
+    (fun i name ->
+      let xs = List.sort Float.compare (List.map (fun r -> List.nth r i) runs) in
+      let n = List.length xs in
+      {
+        l_name = name;
+        l_median = List.nth xs (n / 2);
+        l_min = List.hd xs;
+        l_max = List.nth xs (n - 1);
+      })
+    names
+
+let add_layers b ls =
+  List.iter
+    (fun l ->
+      Printf.bprintf b "    %-20s %7.3f  (%.3f-%.3f)\n" l.l_name l.l_median l.l_min l.l_max)
+    ls
+
+(* The [host] fields of a split: [<layer>_ms] and its [_min] and [_max]. *)
+let layer_fields ls =
+  List.concat_map
+    (fun l ->
+      [
+        (l.l_name ^ "_ms", Fixed (3, l.l_median));
+        (l.l_name ^ "_ms_min", Fixed (3, l.l_min));
+        (l.l_name ^ "_ms_max", Fixed (3, l.l_max));
+      ])
+    ls

@@ -66,7 +66,9 @@ let pixel b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xffffff
 
 let write_pixel t ~x ~y px =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then begin
-    Bytes.set_int32_le t.cache (4 * ((y * t.width) + x)) (Int32.of_int (px land 0xffffff));
+    Bytes.set_int32_le t.cache
+      (4 * ((y * t.width) + x))
+      (Int32.of_int (px land 0xffffff));
     wrote_row t y
   end
 

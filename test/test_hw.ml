@@ -243,6 +243,50 @@ let fb_row_copies_keep_dirty_semantics () =
       done)
     [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
+(* write_row against write_pixel, the per-pixel store it packs two at
+   a time: every length 0-9 from every offset 0-3 (the 64-bit body and
+   the odd tail), pixels with bits above 24 and negative ones, on a
+   6-pixel-wide screen, so long rows are cut. Both planes and the stale
+   rows must match; a bad offset raises before writing anything. *)
+let fb_write_row_matches_write_pixel () =
+  let planes fb =
+    ( Hw.Framebuffer.stale_rows fb,
+      List.init 18 (fun i -> Hw.Framebuffer.read_pixel fb ~x:(i mod 6) ~y:(i / 6)),
+      List.init 18 (fun i -> Hw.Framebuffer.display_pixel fb ~x:(i mod 6) ~y:(i / 6)) )
+  in
+  let src =
+    [| 0x7f123456; -1; 0x1000001; 0xabcdef; 0x3000000; 7; max_int; min_int;
+       0xfffffe; 42; 0x123456; -256; 99 |]
+  in
+  List.iter
+    (fun mapping ->
+      for n = 0 to 9 do
+        for off = 0 to 3 do
+          let row = Array.sub src 0 (off + n) in
+          let a = Hw.Framebuffer.create ~width:6 ~height:3 in
+          let b = Hw.Framebuffer.create ~width:6 ~height:3 in
+          Hw.Framebuffer.set_mapping a mapping;
+          Hw.Framebuffer.set_mapping b mapping;
+          Hw.Framebuffer.write_row a ~y:1 ~off row;
+          for x = 0 to min 6 n - 1 do
+            Hw.Framebuffer.write_pixel b ~x ~y:1 row.(off + x)
+          done;
+          if n = 0 then Hw.Framebuffer.wrote_row b 1;
+          check_bool (Printf.sprintf "n=%d off=%d" n off) true (planes a = planes b)
+        done
+      done;
+      let fb = Hw.Framebuffer.create ~width:6 ~height:3 in
+      Hw.Framebuffer.set_mapping fb mapping;
+      List.iter
+        (fun off ->
+          (match Hw.Framebuffer.write_row fb ~y:1 ~off [| 1; 2 |] with
+          | () -> Alcotest.failf "write_row ~off:%d: expected Invalid_argument" off
+          | exception Invalid_argument _ -> ());
+          check_bool (Printf.sprintf "write_row ~off:%d wrote nothing" off) true
+            (planes fb = (0, List.init 18 (fun _ -> 0), List.init 18 (fun _ -> 0))))
+        [ -1; 3 ])
+    [ Hw.Framebuffer.Cached; Hw.Framebuffer.Uncached ]
+
 (* fill_pixels against Array.fill: every length 0-9 at every offset mod
    4 (the unrolled body and each tail), and a bad range raises before
    writing anything. *)
@@ -594,6 +638,7 @@ let suite =
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
       quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;
+      quick "fb write_row matches write_pixel" fb_write_row_matches_write_pixel;
       quick "fb fill_pixels matches Array.fill" fb_fill_pixels_contract;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;

@@ -770,7 +770,6 @@ let suite =
       quick "fire honours predicates and by-keys"
         fire_respects_predicates_and_keys;
       quick "sum/hist key units" sum_and_hist_units;
-      quick "count and sum fires allocate nothing" count_and_sum_fires_allocate_nothing;
       quick "probe hook follows attachments" probe_hook_follows_attachments;
       quick "ctl_write is all-or-nothing" ctl_write_all_or_nothing;
       slow "/proc/vprobe + vprobe_ctl round-trip" proc_vprobe_roundtrip;
@@ -794,4 +793,5 @@ let suite =
       quick "every point family has its event" every_family_routes;
       slow "every wait channel family has its name and delay bucket"
         wait_families_name_and_bucket;
+      quick "count and sum fires allocate nothing" count_and_sum_fires_allocate_nothing;
     ] )
