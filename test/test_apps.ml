@@ -211,6 +211,42 @@ let desktop_planes_pinned () =
       ("cd3bdc1c7bfa0a3a1fb6e91c2a28ac7b", "e76d4beb5fb03fac94374c675e0449f2");
     ]
 
+(* The first frame each desktop app writes to /dev/surface, pinned by
+   the MD5 of the WM surface's bytes: every 32-bit word whole, its X
+   byte included. The apps start one at a time on one stage, as in
+   [desktop_planes_pinned], and the stage steps a millisecond at a time
+   until the new surface holds its first frame. *)
+let surface_first_frames_pinned () =
+  let stage = stage5 () in
+  let wm = Option.get stage.Proto.Stage.kernel.Core.Kernel.wm in
+  let first_frame pid =
+    let rec step n =
+      let s =
+        Hashtbl.fold
+          (fun _ (s : Core.Wm.surface) acc -> if s.owner_pid = pid then Some s else acc)
+          wm.Core.Wm.surfaces None
+      in
+      match s with
+      | Some s when s.frames > 0 ->
+          check_int "one frame landed" 1 s.frames;
+          Digest.to_hex (Digest.bytes s.pixels)
+      | _ ->
+          if n = 0 then Alcotest.failf "pid %d wrote no frame" pid;
+          Proto.Stage.run_for stage (Sim.Engine.ms 1);
+          step (n - 1)
+    in
+    step 2000
+  in
+  List.iter
+    (fun (argv, md5) ->
+      let task = Proto.Stage.start stage (List.hd argv) argv in
+      check_string (List.hd argv ^ " first frame") md5 (first_frame task.Core.Task.pid))
+    [
+      ([ "mario"; "sdl"; "0" ], "84f600d17b590ba85f63e2ad66b745f1");
+      ([ "launcher"; "0" ], "09d08bd7771d777cd58d8d76c58b0338");
+      ([ "sysmon"; "0" ], "8e0ad5201e31767be9a6b3576058d624");
+    ]
+
 (* A corrupt payload behind a valid header is EINVAL, like a bad header,
    not an exception that kills the task. A 16x16 frame has six blocks,
    so a payload under six bytes, or no frame at all, is refused with the
@@ -388,6 +424,7 @@ let suite_integration =
       slow "video plays" video_plays_at_native_rate;
       slow "video display plane is pinned" video_display_plane_pinned;
       slow "desktop planes are pinned" desktop_planes_pinned;
+      slow "first surface frames are pinned" surface_first_frames_pinned;
       quick "video rejects a corrupt payload" video_rejects_corrupt_payload;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;
