@@ -2,9 +2,9 @@
     layer.
 
     perfbench's desktop runs mario's SDL window, the launcher and
-    sysmon's translucent overlay under the WM (§4.5). Each app packs its
-    client buffer into the /dev/surface wire format ([Gfx.pack_pixels]),
-    the surface write stores the frame in the WM surface
+    sysmon's translucent overlay under the WM (§4.5). Each app's client
+    buffer is already in the /dev/surface wire format ([Gfx.t.pixels]),
+    the surface write stores the frame in the WM surface as it is
     ([Wm.write_frame]), and the WM repaints the rows the dirty windows
     cover into the framebuffer's CPU view and cache-cleans them
     ([Wm.repaint_rows], whose last step is [Framebuffer.flush]). None of
@@ -38,15 +38,19 @@ let run () =
   let kernel = stage.Proto.Stage.kernel in
   let wm = Option.get kernel.Core.Kernel.wm and fb = Option.get kernel.Core.Kernel.fb in
   let windows = Core.Wm.stacking wm in
-  (* each app's client buffer and wire scratch; pixel values do not
+  (* each app's client buffer, in wire bytes; pixel values do not
      change the cost of any layer *)
   let rng = Random.State.make [| 42 |] in
   let clients =
     List.map
       (fun s ->
         let npx = s.Core.Wm.width * s.Core.Wm.height in
-        let client = Array.init npx (fun _ -> Random.State.bits rng land 0xffffff) in
-        (s, client, Bytes.create (4 * npx)))
+        let client = Bytes.create (4 * npx) in
+        for i = 0 to npx - 1 do
+          Bytes.set_int32_le client (4 * i)
+            (Int32.of_int (Random.State.bits rng land 0xffffff lor 0xff000000))
+        done;
+        (s, client))
       windows
   in
   let height = Hw.Framebuffer.height fb in
@@ -58,13 +62,10 @@ let run () =
   in
   (* one loop: host seconds spent in each layer over [composites] *)
   let once () =
-    let pack = ref 0.0 and write = ref 0.0 and repaint = ref 0.0 and flush = ref 0.0 in
+    let write = ref 0.0 and repaint = ref 0.0 and flush = ref 0.0 in
     for _ = 1 to composites do
       List.iter
-        (fun (s, pixels, wire) ->
-          let npx = Array.length pixels in
-          let (), t = Report.timed (fun () -> User.Gfx.pack_pixels pixels wire npx) in
-          pack := !pack +. t;
+        (fun (s, wire) ->
           let _, t = Report.timed (fun () -> Core.Wm.write_frame s wire) in
           write := !write +. t)
         clients;
@@ -80,14 +81,14 @@ let run () =
       flush := !flush +. t
     done;
     let ms t = !t *. 1e3 /. float_of_int composites in
-    [ ms pack; ms write; ms repaint; ms flush ]
+    [ ms write; ms repaint; ms flush ]
   in
   {
     r_windows = List.length windows;
     r_rows = y1 - y0;
     r_layers =
       Report.layers
-        [ "pack_pixels"; "surface_write"; "repaint_rows"; "flush" ]
+        [ "surface_write"; "repaint_rows"; "flush" ]
         (List.init loops (fun _ -> once ()));
   }
 

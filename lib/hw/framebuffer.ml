@@ -27,26 +27,6 @@ let height t = t.height
 let set_mapping t m = t.mapping <- m
 let mapping t = t.mapping
 
-(* [Array.fill] for pixel rows, without the C call's write-barrier test
-   per element: the range is checked once, then stored four elements a
-   step without per-access checks. *)
-let fill_pixels (dst : int array) doff n (px : int) =
-  if n < 0 || doff < 0 || doff > Array.length dst - n then
-    invalid_arg "Framebuffer.fill_pixels";
-  let e4 = doff + (n land lnot 3) in
-  let i = ref doff in
-  while !i < e4 do
-    let d = !i in
-    Array.unsafe_set dst d px;
-    Array.unsafe_set dst (d + 1) px;
-    Array.unsafe_set dst (d + 2) px;
-    Array.unsafe_set dst (d + 3) px;
-    i := d + 4
-  done;
-  for j = e4 to doff + n - 1 do
-    Array.unsafe_set dst j px
-  done
-
 let publish_row t y =
   let off = 4 * y * t.width in
   Bytes.blit t.cache off t.plane off (4 * t.width);
@@ -75,36 +55,6 @@ let write_pixel t ~x ~y px =
 let read_pixel t ~x ~y =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then pixel t.cache ((y * t.width) + x)
   else 0
-
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-external swap32 : int32 -> int32 = "%bswap_int32"
-
-(* Two pixels go in per 64-bit store, the first in its low half, and an
-   odd last one as a 32-bit store; the stores are unchecked after the
-   one range check and native-endian, so a big-endian host swaps each
-   word. *)
-let write_row t ~y ~off (src : int array) =
-  if y >= 0 && y < t.height then begin
-    if off < 0 || off > Array.length src then invalid_arg "Framebuffer.write_row";
-    let n = min t.width (Array.length src - off) in
-    let d = 4 * y * t.width in
-    for k = 0 to (n / 2) - 1 do
-      let i = off + (2 * k) in
-      let w =
-        Int64.of_int
-          (Array.unsafe_get src i land 0xffffff
-          lor ((Array.unsafe_get src (i + 1) land 0xffffff) lsl 32))
-      in
-      set64u t.cache (d + (8 * k)) (if Sys.big_endian then swap64 w else w)
-    done;
-    if n land 1 = 1 then begin
-      let w = Int32.of_int (Array.unsafe_get src (off + n - 1) land 0xffffff) in
-      set32u t.cache (d + (4 * (n - 1))) (if Sys.big_endian then swap32 w else w)
-    end;
-    wrote_row t y
-  end
 
 let flush t =
   match t.mapping with

@@ -40,28 +40,15 @@ val write_pixel : t -> x:int -> y:int -> int -> unit
 val read_pixel : t -> x:int -> y:int -> int
 (** CPU-view load: the pixel's low 24 bits. *)
 
-val write_row : t -> y:int -> off:int -> int array -> unit
-(** [write_row t ~y ~off src] stores [src.(off ..)] as row [y], cut at
-    the screen width, each pixel as [write_pixel] stores it; cheaper
-    bulk path used by blit code. A row [y] off the screen is ignored.
-    For a row on it, raises [Invalid_argument] before writing anything
-    if [off < 0] or [off > Array.length src]. *)
-
-val fill_pixels : int array -> int -> int -> int -> unit
-(** [fill_pixels dst doff n px] stores [px] in [dst.(doff .. doff+n-1)],
-    as [Array.fill] does, without its per-element write-barrier test.
-    Raises [Invalid_argument] before writing anything if [n < 0] or the
-    range is out of bounds. *)
-
 val cpu_view : t -> Bytes.t
-(** The CPU view itself, [4 * width * height] bytes: a compositor or
-    the /dev/fb write path builds rows in place here and then reports
-    each one with [wrote_row]; a store that is not reported is neither
-    published nor marked dirty. *)
+(** The CPU view itself, [4 * width * height] bytes: a compositor, a
+    direct-mode present or the /dev/fb write path builds rows in place
+    here and then reports each one with [wrote_row]; a store that is not
+    reported is neither published nor marked dirty. *)
 
 val wrote_row : t -> int -> unit
 (** [wrote_row t y] reports that row [y] of the CPU view was written,
-    as [write_row] does after its copy: [Uncached] publishes the row to
+    as [write_pixel] does after its store: [Uncached] publishes the row to
     the display plane, [Cached] marks it dirty until [flush]. Raises
     [Invalid_argument] if [y] is off the screen. *)
 

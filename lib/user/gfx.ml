@@ -18,10 +18,12 @@ type t = {
   mode : mode;
   width : int;
   height : int;
-  pixels : int array;  (** client-side buffer (windowed) or staging *)
+  pixels : Bytes.t;
+      (** client-side buffer (windowed) or staging (direct),
+          [4 * width * height] bytes in the /dev/surface wire format:
+          little-endian 0xffRRGGBB words, row-major *)
   mutable cost_cycles : int;
   mutable frames : int;
-  scanline : Bytes.t;  (** scratch for surface writes *)
 }
 
 let rgb r g b = ((r land 0xff) lsl 16) lor ((g land 0xff) lsl 8) lor (b land 0xff)
@@ -46,10 +48,9 @@ let direct env =
             mode = Direct fb;
             width = w;
             height = h;
-            pixels = Array.make (w * h) 0;
+            pixels = Bytes.make (4 * w * h) '\000';
             cost_cycles = 0;
             frames = 0;
-            scanline = Bytes.create (w * 4);
           }
   end
 
@@ -82,36 +83,46 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
           mode = Windowed fd;
           width;
           height;
-          pixels = Array.make (width * height) 0;
+          pixels = Bytes.make (4 * width * height) '\000';
           cost_cycles = 0;
           frames = 0;
-          scanline = Bytes.create (width * height * 4);
         }
   end
 
 let charge t cycles = t.cost_cycles <- t.cost_cycles + cycles
 
+(* A pixel as the buffer stores it: the low 24 bits of [px], 0xRRGGBB,
+   under an opaque 0xff X byte. *)
+let[@inline] word px = Int32.of_int (px land 0xffffff lor 0xff000000)
+
 let put t ~x ~y px =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then begin
-    t.pixels.((y * t.width) + x) <- px;
+    Bytes.set_int32_le t.pixels (4 * ((y * t.width) + x)) (word px);
     t.cost_cycles <- t.cost_cycles + cost_pixel
   end
 
+(* Row 0 word by word, then every other row a copy of it. *)
 let fill t px =
-  Hw.Framebuffer.fill_pixels t.pixels 0 (Array.length t.pixels) px;
-  t.cost_cycles <- t.cost_cycles + (Array.length t.pixels * cost_fill_pixel)
+  let row = 4 * t.width in
+  for x = 0 to t.width - 1 do
+    Bytes.set_int32_le t.pixels (4 * x) (word px)
+  done;
+  for y = 1 to t.height - 1 do
+    Bytes.blit t.pixels 0 t.pixels (y * row) row
+  done;
+  t.cost_cycles <- t.cost_cycles + (t.width * t.height * cost_fill_pixel)
 
 let fill_rect t ~x ~y ~w ~h px =
   for yy = max 0 y to min t.height (y + h) - 1 do
     let row = yy * t.width in
     for xx = max 0 x to min t.width (x + w) - 1 do
-      t.pixels.(row + xx) <- px
+      Bytes.set_int32_le t.pixels (4 * (row + xx)) (word px)
     done
   done;
   t.cost_cycles <- t.cost_cycles + (w * h * cost_fill_pixel)
 
 (* 5x7 bitmap font (digits, upper-case letters, a little punctuation). *)
-let glyph c =
+let glyph_rows c =
   match Char.uppercase_ascii c with
   | '0' -> [| 0b01110; 0b10001; 0b10011; 0b10101; 0b11001; 0b10001; 0b01110 |]
   | '1' -> [| 0b00100; 0b01100; 0b00100; 0b00100; 0b00100; 0b00100; 0b01110 |]
@@ -156,55 +167,30 @@ let glyph c =
   | '-' -> [| 0b00000; 0b00000; 0b00000; 0b11111; 0b00000; 0b00000; 0b00000 |]
   | _ -> [| 0; 0; 0; 0; 0; 0; 0 |]
 
+(* Each byte's seven glyph rows, built once. *)
+let glyphs = Array.init 256 (fun c -> glyph_rows (Char.chr c))
+
 let text t ~x ~y ~color s =
-  String.iteri
-    (fun i c ->
-      let g = glyph c in
-      for row = 0 to 6 do
-        for col = 0 to 4 do
-          if g.(row) land (1 lsl (4 - col)) <> 0 then
-            put t ~x:(x + (i * 6) + col) ~y:(y + row) color
-        done
-      done)
-    s
-
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external swap64 : int64 -> int64 = "%bswap_int64"
-external swap32 : int32 -> int32 = "%bswap_int32"
-
-(* The /dev/surface wire format: [npx] pixels as little-endian 4-byte
-   words 0xffRRGGBB (opaque alpha byte; bits above 24 dropped). Raises
-   [Invalid_argument] before writing anything if [npx] is negative or
-   past either buffer. Two pixels go out per 64-bit word, the first in
-   its low half, and an odd last pixel as one 32-bit word; the unchecked
-   stores are native-endian, so a big-endian host swaps each word. *)
-let pack_pixels (pixels : int array) dst npx =
-  if npx < 0 || npx > Array.length pixels || npx > Bytes.length dst / 4 then
-    invalid_arg "Gfx.pack_pixels";
-  for k = 0 to (npx / 2) - 1 do
-    let i = 2 * k in
-    let w =
-      Int64.logor 0xff000000_ff000000L
-        (Int64.of_int
-           (Array.unsafe_get pixels i land 0xffffff
-           lor ((Array.unsafe_get pixels (i + 1) land 0xffffff) lsl 32)))
-    in
-    set64u dst (4 * i) (if Sys.big_endian then swap64 w else w)
-  done;
-  if npx land 1 = 1 then begin
-    let w = Int32.of_int (Array.unsafe_get pixels (npx - 1) land 0xffffff lor 0xff000000) in
-    set32u dst (4 * (npx - 1)) (if Sys.big_endian then swap32 w else w)
-  end
+  for i = 0 to String.length s - 1 do
+    let g = glyphs.(Char.code (String.unsafe_get s i)) in
+    for row = 0 to 6 do
+      for col = 0 to 4 do
+        if g.(row) land (1 lsl (4 - col)) <> 0 then
+          put t ~x:(x + (i * 6) + col) ~y:(y + row) color
+      done
+    done
+  done
 
 (* Present the frame: push pixels out and pay the accumulated CPU bill. *)
 let present t =
   t.frames <- t.frames + 1;
   (match t.mode with
   | Direct fb ->
-      (* copy client buffer to the mapped framebuffer: user memmove *)
+      (* copy the staging buffer to the mapped framebuffer, which has
+         the geometry mmap reported: user memmove *)
+      Bytes.blit t.pixels 0 (Hw.Framebuffer.cpu_view fb) 0 (Bytes.length t.pixels);
       for y = 0 to t.height - 1 do
-        Hw.Framebuffer.write_row fb ~y ~off:(y * t.width) t.pixels
+        Hw.Framebuffer.wrote_row fb y
       done;
       (match Hw.Framebuffer.mapping fb with
       | Hw.Framebuffer.Cached ->
@@ -219,14 +205,12 @@ let present t =
       (* make it visible: the §4.3 cache lesson *)
       ignore (Usys.cacheflush ())
   | Windowed fd ->
-      let npx = t.width * t.height in
-      pack_pixels t.pixels t.scanline npx;
-      charge t (npx / 4) (* pack pixels for the surface write *);
+      charge t (t.width * t.height / 4) (* pack pixels for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;
-      (* the surface write copies the frame before the task resumes, so
-         the scratch buffer (exactly [npx * 4] bytes here) goes as is *)
-      ignore (Usys.write fd t.scanline))
+      (* the buffer is already in the wire format, and the surface write
+         copies it before the task resumes *)
+      ignore (Usys.write fd t.pixels))
 
 let close t =
   match t.mode with Windowed fd -> ignore (Usys.close fd) | Direct _ -> ()

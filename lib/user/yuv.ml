@@ -43,10 +43,21 @@ let[@inline] pixel luma rv gv bv =
 
 let[@inline] byte plane i = Char.code (Bytes.unsafe_get plane i)
 
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* A converted pixel as [out] stores it: little-endian 0xffRRGGBB, the
+   /dev/surface wire format. The store is unchecked, after
+   [convert_420]'s one range check, and native-endian, so a big-endian
+   host swaps the word. *)
+let[@inline] store out i px =
+  let w = Int32.of_int (px lor 0xff000000) in
+  set32u out (4 * i) (if Sys.big_endian then swap32 w else w)
+
 (* Convert a YUV420 planar frame, one byte per sample, to packed RGB.
    [u]/[v] are quarter-size planes. The top-left [cols] x [rows] window
-   of the frame is written to [out] from [off] on, one row every
-   [stride] pixels; [out] is left alone elsewhere. Each chroma sample
+   of the frame is written to [out], 4 bytes a pixel, from pixel [off]
+   on, one row every [stride] pixels; [out] is left alone elsewhere. Each chroma sample
    serves a 2x2 square of pixels, so the two rows that share a chroma
    row are converted in one pass and the three chroma terms are
    computed once per square; an odd last row or column is the square's
@@ -55,7 +66,7 @@ let[@inline] byte plane i = Char.code (Bytes.unsafe_get plane i)
    Returns the cycle cost of converting the whole frame on the chosen
    path. *)
 let convert_420 ~width ~height ~(y_plane : Bytes.t) ~(u_plane : Bytes.t)
-    ~(v_plane : Bytes.t) ~(out : int array) ~off ~stride ~cols ~rows ~simd =
+    ~(v_plane : Bytes.t) ~(out : Bytes.t) ~off ~stride ~cols ~rows ~simd =
   let cw = width / 2 in
   if
     width land 1 <> 0 || height land 1 <> 0
@@ -64,7 +75,7 @@ let convert_420 ~width ~height ~(y_plane : Bytes.t) ~(u_plane : Bytes.t)
     || Bytes.length v_plane < cw * (height / 2)
     || cols < 0 || rows < 0 || cols > width || rows > height || off < 0
     || stride < cols
-    || (rows > 0 && off + ((rows - 1) * stride) + cols > Array.length out)
+    || (rows > 0 && off + ((rows - 1) * stride) + cols > Bytes.length out / 4)
   then invalid_arg "Yuv.convert_420";
   for cr = 0 to ((rows + 1) / 2) - 1 do
     let row = 2 * cr in
@@ -77,14 +88,12 @@ let convert_420 ~width ~height ~(y_plane : Bytes.t) ~(u_plane : Bytes.t)
       and gv = (-100 * d) - (208 * e) + 128
       and bv = (516 * d) + 128 in
       let two_cols = col + 1 < cols in
-      Array.unsafe_set out (o0 + col) (pixel (byte y_plane (y0 + col)) rv gv bv);
-      if two_cols then
-        Array.unsafe_set out (o0 + col + 1) (pixel (byte y_plane (y0 + col + 1)) rv gv bv);
+      store out (o0 + col) (pixel (byte y_plane (y0 + col)) rv gv bv);
+      if two_cols then store out (o0 + col + 1) (pixel (byte y_plane (y0 + col + 1)) rv gv bv);
       if two_rows then begin
         let y1 = y0 + width + col and o1 = o0 + stride + col in
-        Array.unsafe_set out o1 (pixel (byte y_plane y1) rv gv bv);
-        if two_cols then
-          Array.unsafe_set out (o1 + 1) (pixel (byte y_plane (y1 + 1)) rv gv bv)
+        store out o1 (pixel (byte y_plane y1) rv gv bv);
+        if two_cols then store out (o1 + 1) (pixel (byte y_plane (y1 + 1)) rv gv bv)
       end
     done
   done;

@@ -424,7 +424,6 @@ let suite_integration =
       slow "video plays" video_plays_at_native_rate;
       slow "video display plane is pinned" video_display_plane_pinned;
       slow "desktop planes are pinned" desktop_planes_pinned;
-      slow "first surface frames are pinned" surface_first_frames_pinned;
       quick "video rejects a corrupt payload" video_rejects_corrupt_payload;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;
@@ -435,4 +434,5 @@ let suite_integration =
       slow "shell interactive" shell_interactive;
       slow "console utilities" utils_work;
       slow "doom WAD load uses FAT range IO" doom_loads_wad_from_fat;
+      slow "first surface frames are pinned" surface_first_frames_pinned;
     ] )

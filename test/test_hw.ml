@@ -189,32 +189,42 @@ let fb_out_of_bounds_ignored () =
   Hw.Framebuffer.write_pixel fb ~x:(-1) ~y:0 0xff;
   check_int "read oob is 0" 0 (Hw.Framebuffer.read_pixel fb ~x:99 ~y:0)
 
-(* The row copies behind write_row and flush, under both
-   mappings: a short row leaves the rest of the row alone, and only a
-   flush that publishes something counts as a presented frame. *)
+(* Rows built in the CPU view and reported with wrote_row, then flush,
+   under both mappings: a row that is only partly stored leaves the rest
+   alone, a store is seen only once its row is reported, the X byte is
+   ignored, and only a flush that publishes something counts as a
+   presented frame. *)
 let fb_row_copies_keep_dirty_semantics () =
   List.iter
     (fun (name, mapping) ->
       let fb = Hw.Framebuffer.create ~width:8 ~height:4 in
       Hw.Framebuffer.set_mapping fb mapping;
       let cached = mapping = Hw.Framebuffer.Cached in
+      let view = Hw.Framebuffer.cpu_view fb in
+      let store ~x ~y w = Bytes.set_int32_le view (4 * ((y * 8) + x)) (Int32.of_int w) in
       for x = 0 to 7 do
         Hw.Framebuffer.write_pixel fb ~x ~y:1 0x111111
       done;
       Hw.Framebuffer.flush fb;
       let presented0 = Hw.Framebuffer.frames_presented fb in
       check_int (name ^ ": first flush") (if cached then 1 else 0) presented0;
-      Hw.Framebuffer.write_row fb ~y:1 ~off:0 [| 1; 2; 3; 4; 5 |];
-      Hw.Framebuffer.write_row fb ~y:9 ~off:0 [| 7 |];
+      List.iteri (fun x w -> store ~x ~y:1 w) [ 1; 2; 0xff000003; 4; 5 ];
       let row f = List.init 8 (fun x -> f ~x ~y:1) in
+      let old = List.init 8 (fun _ -> 0x111111) in
       let expect = [ 1; 2; 3; 4; 5; 0x111111; 0x111111; 0x111111 ] in
       check_bool (name ^ ": short row, CPU view") true
         (row (Hw.Framebuffer.read_pixel fb) = expect);
-      check_int (name ^ ": stale after write_row") (if cached then 1 else 0)
+      check_int (name ^ ": unreported row is not stale") 0 (Hw.Framebuffer.stale_rows fb);
+      check_bool (name ^ ": unreported row is not shown") true
+        (row (Hw.Framebuffer.display_pixel fb) = old);
+      Hw.Framebuffer.wrote_row fb 1;
+      (match Hw.Framebuffer.wrote_row fb 4 with
+      | () -> Alcotest.fail "wrote_row 4: expected Invalid_argument"
+      | exception Invalid_argument _ -> ());
+      check_int (name ^ ": stale after wrote_row") (if cached then 1 else 0)
         (Hw.Framebuffer.stale_rows fb);
       check_bool (name ^ ": display before flush") true
-        (row (Hw.Framebuffer.display_pixel fb)
-        = if cached then List.init 8 (fun _ -> 0x111111) else expect);
+        (row (Hw.Framebuffer.display_pixel fb) = if cached then old else expect);
       Hw.Framebuffer.flush fb;
       check_bool (name ^ ": display after flush") true
         (row (Hw.Framebuffer.display_pixel fb) = expect);
@@ -226,9 +236,12 @@ let fb_row_copies_keep_dirty_semantics () =
       check_int (name ^ ": clean flush presents nothing")
         (if cached then presented0 + 1 else 0)
         (Hw.Framebuffer.frames_presented fb);
-      (* a row longer than the width is cut at the width *)
+      (* every row stored whole and reported *)
       for y = 0 to 3 do
-        Hw.Framebuffer.write_row fb ~y ~off:0 (Array.init 12 (fun x -> (y * 16) + x))
+        for x = 0 to 7 do
+          store ~x ~y (0xff000000 lor ((y * 16) + x))
+        done;
+        Hw.Framebuffer.wrote_row fb y
       done;
       check_int (name ^ ": all rows stale") (if cached then 4 else 0)
         (Hw.Framebuffer.stale_rows fb);
@@ -243,73 +256,84 @@ let fb_row_copies_keep_dirty_semantics () =
       done)
     [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
-(* write_row against write_pixel, the per-pixel store it packs two at
-   a time: every length 0-9 from every offset 0-3 (the 64-bit body and
-   the odd tail), pixels with bits above 24 and negative ones, on a
-   6-pixel-wide screen, so long rows are cut. Both planes and the stale
-   rows must match; a bad offset raises before writing anything. *)
-let fb_write_row_matches_write_pixel () =
-  let planes fb =
-    ( Hw.Framebuffer.stale_rows fb,
-      List.init 18 (fun i -> Hw.Framebuffer.read_pixel fb ~x:(i mod 6) ~y:(i / 6)),
-      List.init 18 (fun i -> Hw.Framebuffer.display_pixel fb ~x:(i mod 6) ~y:(i / 6)) )
-  in
-  let src =
-    [| 0x7f123456; -1; 0x1000001; 0xabcdef; 0x3000000; 7; max_int; min_int;
-       0xfffffe; 42; 0x123456; -256; 99 |]
-  in
+(* A direct present against the per-pixel reference, under both
+   mappings: a staging buffer of random 32-bit words, presented, leaves
+   the framebuffer as [write_pixel] of each word's low 24 bits plus
+   [wrote_row] of each row, and then the cacheflush's [flush], leave a
+   second framebuffer: the same CPU view, display plane, stale rows and
+   presented frames. *)
+let fb_direct_present_matches_per_pixel () =
   List.iter
-    (fun mapping ->
-      for n = 0 to 9 do
-        for off = 0 to 3 do
-          let row = Array.sub src 0 (off + n) in
-          let a = Hw.Framebuffer.create ~width:6 ~height:3 in
-          let b = Hw.Framebuffer.create ~width:6 ~height:3 in
-          Hw.Framebuffer.set_mapping a mapping;
-          Hw.Framebuffer.set_mapping b mapping;
-          Hw.Framebuffer.write_row a ~y:1 ~off row;
-          for x = 0 to min 6 n - 1 do
-            Hw.Framebuffer.write_pixel b ~x ~y:1 row.(off + x)
-          done;
-          if n = 0 then Hw.Framebuffer.wrote_row b 1;
-          check_bool (Printf.sprintf "n=%d off=%d" n off) true (planes a = planes b)
-        done
-      done;
-      let fb = Hw.Framebuffer.create ~width:6 ~height:3 in
+    (fun (name, mapping) ->
+      let kernel = boot_kernel () in
+      let fb = Option.get kernel.Core.Kernel.fb in
       Hw.Framebuffer.set_mapping fb mapping;
-      List.iter
-        (fun off ->
-          (match Hw.Framebuffer.write_row fb ~y:1 ~off [| 1; 2 |] with
-          | () -> Alcotest.failf "write_row ~off:%d: expected Invalid_argument" off
-          | exception Invalid_argument _ -> ());
-          check_bool (Printf.sprintf "write_row ~off:%d wrote nothing" off) true
-            (planes fb = (0, List.init 18 (fun _ -> 0), List.init 18 (fun _ -> 0))))
-        [ -1; 3 ])
-    [ Hw.Framebuffer.Cached; Hw.Framebuffer.Uncached ]
+      let width = Hw.Framebuffer.width fb and height = Hw.Framebuffer.height fb in
+      let rs = Random.State.make [| 5 |] in
+      let words = Array.init (width * height) (fun _ -> Random.State.bits32 rs) in
+      (match
+         Benchlib.Measure.run_task kernel ~name:"painter" (fun () ->
+             let env = User.Uenv.create () in
+             env.User.Uenv.e_fb <- Some fb;
+             match User.Gfx.direct env with
+             | Error e -> e
+             | Ok gfx ->
+                 Array.iteri (fun i w -> Bytes.set_int32_le gfx.User.Gfx.pixels (4 * i) w) words;
+                 User.Gfx.present gfx;
+                 0)
+       with
+      | Ok (0, _) -> ()
+      | Ok (e, _) -> Alcotest.failf "painter failed: %d" e
+      | Error e -> Alcotest.fail e);
+      let ref_fb = Hw.Framebuffer.create ~width ~height in
+      Hw.Framebuffer.set_mapping ref_fb mapping;
+      for y = 0 to height - 1 do
+        for x = 0 to width - 1 do
+          Hw.Framebuffer.write_pixel ref_fb ~x ~y (Int32.to_int words.((y * width) + x))
+        done;
+        Hw.Framebuffer.wrote_row ref_fb y
+      done;
+      Hw.Framebuffer.flush ref_fb;
+      let planes fb =
+        ( fb_plane_md5 fb Hw.Framebuffer.read_pixel,
+          fb_plane_md5 fb Hw.Framebuffer.display_pixel,
+          Hw.Framebuffer.stale_rows fb,
+          Hw.Framebuffer.frames_presented fb )
+      in
+      check_bool (name ^ ": present = per-pixel stores") true (planes fb = planes ref_fb))
+    [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
-(* fill_pixels against Array.fill: every length 0-9 at every offset mod
-   4 (the unrolled body and each tail), and a bad range raises before
-   writing anything. *)
-let fb_fill_pixels_contract () =
-  for n = 0 to 9 do
-    for doff = 0 to 7 do
-      let a = Array.make 20 (-1) and a' = Array.make 20 (-1) in
-      Hw.Framebuffer.fill_pixels a doff n 0x123456;
-      Array.fill a' doff n 0x123456;
-      check_bool (Printf.sprintf "fill n=%d at %d" n doff) true (a = a')
-    done
-  done;
+(* The display ignores the X byte: rows stored in the CPU view with
+   random X bytes, and the same rows with X = 0, read back alike through
+   read_pixel, display_pixel, to_ppm and to_ascii, under both
+   mappings. *)
+let fb_ignores_the_x_byte () =
   List.iter
-    (fun (doff, n) ->
-      let dst = Array.make 10 (-1) in
-      (match Hw.Framebuffer.fill_pixels dst doff n 7 with
-      | () -> Alcotest.failf "fill %d %d: expected Invalid_argument" doff n
-      | exception Invalid_argument _ -> ());
-      check_bool
-        (Printf.sprintf "fill %d %d wrote nothing" doff n)
-        true
-        (Array.for_all (fun v -> v = -1) dst))
-    [ (-1, 4); (0, -1); (7, 4); (0, 11); (10, 1); (11, 0) ]
+    (fun (name, mapping) ->
+      let rs = Random.State.make [| 3 |] in
+      let words = Array.init (7 * 5) (fun _ -> Int32.to_int (Random.State.bits32 rs)) in
+      let shown x_byte =
+        let fb = Hw.Framebuffer.create ~width:7 ~height:5 in
+        Hw.Framebuffer.set_mapping fb mapping;
+        let view = Hw.Framebuffer.cpu_view fb in
+        Array.iteri
+          (fun i w -> Bytes.set_int32_le view (4 * i) (Int32.of_int (x_byte w lor (w land 0xffffff))))
+          words;
+        for y = 0 to 4 do
+          Hw.Framebuffer.wrote_row fb y
+        done;
+        Hw.Framebuffer.flush fb;
+        ( List.init 35 (fun i -> Hw.Framebuffer.read_pixel fb ~x:(i mod 7) ~y:(i / 7)),
+          List.init 35 (fun i -> Hw.Framebuffer.display_pixel fb ~x:(i mod 7) ~y:(i / 7)),
+          Hw.Framebuffer.to_ppm fb,
+          Hw.Framebuffer.to_ascii fb ~cols:7 ~rows:5 )
+      in
+      let cpu, plane, ppm, art = shown (fun w -> w land 0xff000000) in
+      check_bool (name ^ ": same pixels as X = 0") true
+        ((cpu, plane, ppm, art) = shown (fun _ -> 0));
+      check_bool (name ^ ": low 24 bits") true
+        (cpu = Array.to_list (Array.map (fun w -> w land 0xffffff) words)))
+    [ ("cached", Hw.Framebuffer.Cached); ("uncached", Hw.Framebuffer.Uncached) ]
 
 let fb_ppm_and_ascii () =
   let fb = Hw.Framebuffer.create ~width:2 ~height:2 in
@@ -638,8 +662,8 @@ let suite =
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
       quick "fb row copies keep dirty-row semantics" fb_row_copies_keep_dirty_semantics;
-      quick "fb write_row matches write_pixel" fb_write_row_matches_write_pixel;
-      quick "fb fill_pixels matches Array.fill" fb_fill_pixels_contract;
+      quick "fb direct present = per-pixel stores" fb_direct_present_matches_per_pixel;
+      quick "fb ignores the X byte" fb_ignores_the_x_byte;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;
       quick "dma busy rejects" dma_busy_rejects;

@@ -2126,14 +2126,18 @@ let wm_move_leaves_no_trail () =
 
 (* The per-pixel compositor the span loops replaced, kept as the oracle:
    every layer's row, every column, one bounds test and one [blend],
-   composed in a scratch row and then written with [write_row]. *)
+   composed as 32-bit words in a scratch row of bytes and then copied
+   into the CPU view and reported with [wrote_row]. *)
 let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.Core.Wm.fb in
   let layers = Core.Wm.stacking t in
-  let line = Array.make width 0 in
+  let line = Bytes.create (4 * width) in
+  let get b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xffffffff in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill line 0 width background;
+    for x = 0 to width - 1 do
+      Bytes.set_int32_le line (4 * x) (Int32.of_int background)
+    done;
     List.iter
       (fun (s : Core.Wm.surface) ->
         let row = y - s.sy in
@@ -2141,13 +2145,14 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
           for col = 0 to s.width - 1 do
             let x = s.sx + col in
             if x >= 0 && x < width then begin
-              let px = Bytes.get_int32_le s.pixels (4 * ((row * s.width) + col)) in
-              line.(x) <- blend line.(x) (Int32.to_int px land 0xffffffff) s.alpha;
+              let px = get s.pixels ((row * s.width) + col) in
+              Bytes.set_int32_le line (4 * x) (Int32.of_int (blend (get line x) px s.alpha));
               incr count
             end
           done)
       layers;
-    Hw.Framebuffer.write_row t.fb ~y ~off:0 line
+    Bytes.blit line 0 (Hw.Framebuffer.cpu_view t.fb) (4 * y * width) (4 * width);
+    Hw.Framebuffer.wrote_row t.fb y
   done;
   Hw.Framebuffer.flush t.fb;
   !count
@@ -2168,7 +2173,9 @@ let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
   Hw.Framebuffer.set_mapping fb
     (if cached then Hw.Framebuffer.Cached else Hw.Framebuffer.Uncached);
   for y = 0 to oracle_fb_h - 1 do
-    Hw.Framebuffer.write_row fb ~y ~off:0 (Array.init oracle_fb_w (fun x -> (y * 1000) + x))
+    for x = 0 to oracle_fb_w - 1 do
+      Hw.Framebuffer.write_pixel fb ~x ~y ((y * 1000) + x)
+    done
   done;
   let wm = Core.Wm.create board sched fb ~track_dirty:true in
   List.iter
@@ -2241,59 +2248,21 @@ let wm_span_compositor_qcheck =
     (QCheck.make ~print:print_stack gen_stack)
     compositor_matches_oracle
 
-(* The /dev/surface wire format before the word-wide pack: one byte
-   access per channel. *)
-let oracle_pack (pixels : int array) npx =
-  let b = Bytes.create (4 * npx) in
-  for i = 0 to npx - 1 do
-    let px = pixels.(i) in
-    Bytes.set_uint8 b (4 * i) (px land 0xff);
-    Bytes.set_uint8 b ((4 * i) + 1) ((px lsr 8) land 0xff);
-    Bytes.set_uint8 b ((4 * i) + 2) ((px lsr 16) land 0xff);
-    Bytes.set_uint8 b ((4 * i) + 3) 0xff
-  done;
-  b
-
-(* Pack equals the per-byte format at every [npx] up to the buffers,
-   odd ones included, and leaves the bytes past [npx] untouched. A bad
-   [npx] (negative, or past either buffer) raises [Invalid_argument]
-   before writing anything. *)
-let wm_surface_wire_format =
-  qcheck ~count:300 "surface pack = per-byte format"
-    QCheck.(pair (array_of_size (Gen.int_range 0 40) int) small_nat)
-    (fun (pixels, cut) ->
-      let len = Array.length pixels in
-      let packed_ok npx =
-        let b = Bytes.make ((4 * len) + 6) '\xa5' in
-        User.Gfx.pack_pixels pixels b npx;
-        Bytes.equal (Bytes.sub b 0 (4 * npx)) (oracle_pack pixels npx)
-        && Bytes.for_all (( = ) '\xa5') (Bytes.sub b (4 * npx) (Bytes.length b - (4 * npx)))
-      in
-      let untouched ~bytes npx =
-        let b = Bytes.make bytes '\xa5' in
-        (match User.Gfx.pack_pixels pixels b npx with
-        | () -> false
-        | exception Invalid_argument _ -> true)
-        && Bytes.for_all (( = ) '\xa5') b
-      in
-      packed_ok len
-      && packed_ok (cut mod (len + 1))
-      && untouched ~bytes:(4 * len) (-1)
-      && untouched ~bytes:(4 * (len + 2)) (len + 1)
-      && (len < 1 || untouched ~bytes:((4 * len) - 1) len))
-
-(* A random frame through Gfx.present and /dev/surface lands in the WM
-   surface as its low 24 bits. *)
+(* A random frame of 32-bit words through Gfx.present and /dev/surface
+   lands in the WM surface byte for byte, X bytes included. *)
 let wm_surface_frame_end_to_end () =
   let kernel = boot_kernel () in
   let st = Random.State.make [| 42 |] in
-  let frame = Array.init (37 * 11) (fun _ -> (Random.State.bits st lsl 34) lor Random.State.bits st) in
+  let frame = Bytes.create (4 * 37 * 11) in
+  for i = 0 to (37 * 11) - 1 do
+    Bytes.set_int32_le frame (4 * i) (Random.State.bits32 st)
+  done;
   ignore
     (Core.Kernel.spawn_user kernel ~name:"frame" (fun () ->
          match Gfx.windowed ~width:37 ~height:11 ~x:3 ~y:4 () with
          | Error e -> e
          | Ok gfx ->
-             Array.blit frame 0 gfx.Gfx.pixels 0 (Array.length frame);
+             Bytes.blit frame 0 gfx.Gfx.pixels 0 (Bytes.length frame);
              Gfx.present gfx;
              ignore (Usys.sleep 1_000_000);
              0));
@@ -2302,10 +2271,7 @@ let wm_surface_frame_end_to_end () =
   check_int "one surface" 1 (Core.Wm.surface_count wm);
   Hashtbl.iter
     (fun _ (s : Core.Wm.surface) ->
-      check_bool "surface holds the frame's low 24 bits" true
-        (Array.init (Array.length frame) (fun i ->
-             Int32.to_int (Bytes.get_int32_le s.pixels (4 * i)) land 0xffffff)
-        = Array.map (fun px -> px land 0xffffff) frame))
+      check_bool "surface holds the frame's bytes" true (Bytes.equal s.pixels frame))
     wm.Core.Wm.surfaces
 
 let suite_wm =
@@ -2321,7 +2287,6 @@ let suite_wm =
       quick "a vertical move leaves no trail" wm_move_leaves_no_trail;
       quick "span compositor = oracle on fixed clips" wm_span_compositor_matches_oracle;
       wm_span_compositor_qcheck;
-      wm_surface_wire_format;
       quick "random frame reaches the surface" wm_surface_frame_end_to_end;
     ] )
 

@@ -210,14 +210,14 @@ let yuv_simd_same_pixels () =
   let y = Bytes.init (width * height) (fun i -> Char.chr (16 + (i mod 220))) in
   let u = Bytes.init (width / 2 * (height / 2)) (fun i -> Char.chr (100 + (i mod 56))) in
   let v = Bytes.init (width / 2 * (height / 2)) (fun i -> Char.chr (90 + (i mod 70))) in
-  let a = Array.make (width * height) 0 and b = Array.make (width * height) 0 in
+  let a = Bytes.make (4 * width * height) '\000' and b = Bytes.make (4 * width * height) '\000' in
   let convert out ~simd =
     Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off:0
       ~stride:width ~cols:width ~rows:height ~simd
   in
   let cost_scalar = convert a ~simd:false in
   let cost_simd = convert b ~simd:true in
-  check_bool "identical pixels" true (a = b);
+  check_bool "identical pixels" true (Bytes.equal a b);
   check_bool "simd much cheaper" true (cost_simd * 4 < cost_scalar)
 
 let bmp_roundtrip =
@@ -647,8 +647,10 @@ let yuv_planes rs ~width ~height =
   let cw = width / 2 and ch = height / 2 in
   (plane (width * height), plane (cw * ch), plane (cw * ch))
 
-(* Any window of any even frame, at any offset and stride: the window
-   matches per-pixel [yuv_to_rgb], and nothing else in [out] moves. *)
+(* Any window of any even frame, at any offset and stride: each window
+   pixel is the word 0xff000000 lor per-pixel [yuv_to_rgb], stored
+   little-endian, and no other byte of [out] moves, a ragged tail past
+   the last whole word included. *)
 let yuv_convert_matches_per_pixel =
   qcheck ~count:200 "yuv convert_420 = per-pixel yuv_to_rgb"
     QCheck.(triple (int_range 1 24) (int_range 1 24) (int_bound 1_000_000))
@@ -662,32 +664,40 @@ let yuv_convert_matches_per_pixel =
       let stride = if whole then width else cols + Random.State.int rs 5 in
       let off = if whole then 0 else Random.State.int rs 7 in
       let len = off + (max 0 (rows - 1) * stride) + cols + Random.State.int rs 4 in
-      let out = Array.make len (-1) in
+      let bytes = (4 * len) + Random.State.int rs 4 in
+      let out = Bytes.init bytes (fun _ -> Char.chr (Random.State.int rs 256)) in
+      let expect = Bytes.copy out in
       let cost =
         Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off ~stride
           ~cols ~rows ~simd:false
       in
-      let expect = Array.make len (-1) in
       for row = 0 to rows - 1 do
         for col = 0 to cols - 1 do
           let c = (row / 2 * hw) + (col / 2) in
-          expect.(off + (row * stride) + col) <-
+          let px =
             Yuv.yuv_to_rgb ~y:(Bytes.get_uint8 y ((row * width) + col))
               ~u:(Bytes.get_uint8 u c) ~v:(Bytes.get_uint8 v c)
+          in
+          let o = 4 * (off + (row * stride) + col) in
+          Bytes.set_uint8 expect o (px land 0xff);
+          Bytes.set_uint8 expect (o + 1) ((px lsr 8) land 0xff);
+          Bytes.set_uint8 expect (o + 2) (px lsr 16);
+          Bytes.set_uint8 expect (o + 3) 0xff
         done
       done;
-      cost = width * height * Yuv.cycles_per_pixel ~simd:false && out = expect)
+      cost = width * height * Yuv.cycles_per_pixel ~simd:false && Bytes.equal out expect)
 
 (* Odd dimensions used to read the next chroma row for the last column
    (and past the plane on the last row); they and every window that
-   does not fit are refused before a pixel is written. *)
+   does not fit are refused before a byte is written. [len] counts
+   pixels, [extra] bytes past the last whole pixel. *)
 let yuv_convert_rejects_bad_geometry () =
   let rs = Random.State.make [| 11 |] in
   let convert ~width ~height ?(planes = (width, height)) ?(len = width * height)
-      ?(off = 0) ?(stride = width) ?(cols = width) ?(rows = height) () =
+      ?(extra = 0) ?(off = 0) ?(stride = width) ?(cols = width) ?(rows = height) () =
     let pw, ph = planes in
     let y, u, v = yuv_planes rs ~width:pw ~height:ph in
-    let out = Array.make len (-1) in
+    let out = Bytes.make ((4 * len) + extra) '\xa5' in
     let r =
       match
         Yuv.convert_420 ~width ~height ~y_plane:y ~u_plane:u ~v_plane:v ~out ~off ~stride
@@ -701,7 +711,7 @@ let yuv_convert_rejects_bad_geometry () =
   List.iter
     (fun (name, (r, out)) ->
       check_bool (name ^ " raises") true (r = Error "Yuv.convert_420");
-      check_bool (name ^ " writes nothing") true (Array.for_all (fun px -> px = -1) out))
+      check_bool (name ^ " writes nothing") true (Bytes.for_all (( = ) '\xa5') out))
     [
       ("odd width", convert ~width:5 ~height:4 ~planes:(6, 4) ());
       ("odd height", convert ~width:4 ~height:3 ~planes:(4, 4) ());
@@ -713,6 +723,7 @@ let yuv_convert_rejects_bad_geometry () =
       ("negative offset", convert ~width:4 ~height:4 ~off:(-1) ());
       ("stride below cols", convert ~width:4 ~height:4 ~stride:3 ());
       ("out one short", convert ~width:4 ~height:4 ~len:15 ());
+      ("out one byte short", convert ~width:4 ~height:4 ~len:15 ~extra:3 ());
       ("offset pushes past the end", convert ~width:4 ~height:4 ~off:1 ());
       ("short luma plane", convert ~width:4 ~height:4 ~planes:(4, 2) ());
     ];
@@ -729,19 +740,26 @@ let yuv_convert_rejects_bad_geometry () =
    A frame's planes are hashed one byte per sample, Y then U then V.
    Each frame is converted twice: into a whole 640x480 window, and into
    an offset window whose odd [cols] and [rows] leave a tail row and a
-   tail column, with [stride > cols] and the gaps left at -1. A window
-   is hashed as 8 little-endian bytes per entry of [out]. The values
-   were taken with [int array] planes, so they also hold the plane
-   representation to every sample and pixel. *)
+   tail column, with [stride > cols] and gaps between the rows. [out]
+   starts as words whose X byte is 0, which [convert_420] never writes.
+   A window is hashed as 8 little-endian bytes per pixel of [out]: a
+   written word's low 24 bits, or -1 for a gap. The values were taken
+   with [int array] planes and an [int array] [out] whose gaps held -1,
+   so they also hold the plane and [out] representations to every
+   sample and pixel. *)
 let mv1_clip_frames_pinned () =
   let md5 b = Digest.to_hex (Digest.bytes b) in
   let out_bytes out =
-    let b = Bytes.create (8 * Array.length out) in
-    Array.iteri (fun i px -> Bytes.set_int64_le b (8 * i) (Int64.of_int px)) out;
+    let n = Bytes.length out / 4 in
+    let b = Bytes.create (8 * n) in
+    for i = 0 to n - 1 do
+      let w = Int32.to_int (Bytes.get_int32_le out (4 * i)) land 0xffffffff in
+      Bytes.set_int64_le b (8 * i) (Int64.of_int (if w lsr 24 = 0 then -1 else w land 0xffffff))
+    done;
     b
   in
   let convert (f : Mv1.frame) ~width ~height ~len ~off ~stride ~cols ~rows =
-    let out = Array.make len (-1) in
+    let out = Bytes.make (4 * len) '\000' in
     ignore
       (Yuv.convert_420 ~width ~height ~y_plane:f.Mv1.y_plane ~u_plane:f.Mv1.u_plane
          ~v_plane:f.Mv1.v_plane ~out ~off ~stride ~cols ~rows ~simd:false);
@@ -1005,6 +1023,107 @@ let gfx_direct_rendering () =
     (Hw.Framebuffer.display_pixel fb ~x:5 ~y:5);
   check_int "background" (Gfx.rgb 10 20 30) (Hw.Framebuffer.display_pixel fb ~x:600 ~y:400)
 
+(* A windowed context over a [width] x [height] buffer of random bytes,
+   built without a kernel: the draw calls touch only the buffer and the
+   cycle tally. *)
+let windowed_gfx rs ~width ~height =
+  {
+    Gfx.mode = Gfx.Windowed (-1);
+    width;
+    height;
+    pixels = Bytes.init (4 * width * height) (fun _ -> Char.chr (Random.State.int rs 256));
+    cost_cycles = 0;
+    frames = 0;
+  }
+
+(* The per-pixel reference: [px]'s low 24 bits under an 0xff X byte,
+   stored one byte at a time at (x, y) if it is on the buffer. *)
+let store_ref (g : Gfx.t) b ~x ~y px =
+  if x >= 0 && x < g.width && y >= 0 && y < g.height then begin
+    let o = 4 * ((y * g.width) + x) in
+    Bytes.set_uint8 b o (px land 0xff);
+    Bytes.set_uint8 b (o + 1) ((px lsr 8) land 0xff);
+    Bytes.set_uint8 b (o + 2) ((px lsr 16) land 0xff);
+    Bytes.set_uint8 b (o + 3) 0xff
+  end
+
+(* put and fill_rect at every position from two pixels off each edge to
+   two past it (rectangles of every size up to two past the buffer, so
+   each edge clips), and fill of every buffer size up to 5x4, against
+   per-pixel word stores: every byte of the buffer and the cycle tally
+   must match, bytes off the drawn pixels untouched. Pixels have bits
+   above 24 set. *)
+let gfx_draw_matches_per_pixel () =
+  let rs = Random.State.make [| 7 |] in
+  let px () = Random.State.bits rs lor (Random.State.bits rs lsl 30) in
+  let check name (g : Gfx.t) expect cost =
+    check_bool (name ^ ": bytes") true (Bytes.equal g.pixels expect);
+    check_int (name ^ ": cycles") cost g.cost_cycles
+  in
+  for width = 1 to 5 do
+    for height = 1 to 4 do
+      let g = windowed_gfx rs ~width ~height in
+      let expect = Bytes.copy g.pixels in
+      let c = px () in
+      Gfx.fill g c;
+      for y = 0 to height - 1 do
+        for x = 0 to width - 1 do
+          store_ref g expect ~x ~y c
+        done
+      done;
+      check (Printf.sprintf "fill %dx%d" width height) g expect
+        (width * height * Gfx.cost_fill_pixel)
+    done
+  done;
+  let width = 5 and height = 4 in
+  for y = -2 to height + 1 do
+    for x = -2 to width + 1 do
+      let g = windowed_gfx rs ~width ~height in
+      let expect = Bytes.copy g.pixels in
+      let c = px () in
+      Gfx.put g ~x ~y c;
+      store_ref g expect ~x ~y c;
+      let on = x >= 0 && x < width && y >= 0 && y < height in
+      check (Printf.sprintf "put %d,%d" x y) g expect (if on then Gfx.cost_pixel else 0);
+      for h = 0 to height + 2 do
+        for w = 0 to width + 2 do
+          let g = windowed_gfx rs ~width ~height in
+          let expect = Bytes.copy g.pixels in
+          let c = px () in
+          Gfx.fill_rect g ~x ~y ~w ~h c;
+          for yy = y to y + h - 1 do
+            for xx = x to x + w - 1 do
+              store_ref g expect ~x:xx ~y:yy c
+            done
+          done;
+          check (Printf.sprintf "fill_rect %dx%d at %d,%d" w h x y) g expect
+            (w * h * Gfx.cost_fill_pixel)
+        done
+      done
+    done
+  done
+
+(* The draw calls on a windowed context store into its bytes and
+   allocate nothing: under half a minor word a call, over 10^4 calls
+   each (text draws a four-glyph string). *)
+let gfx_draw_allocates_nothing () =
+  let g = windowed_gfx (Random.State.make [| 1 |]) ~width:64 ~height:48 in
+  let n = 10_000 in
+  let per_call name f =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      f i
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int n in
+    check_bool (Printf.sprintf "%s allocates nothing (%.3f words a call)" name words) true
+      (words < 0.5)
+  in
+  per_call "put" (fun i -> Gfx.put g ~x:(i land 63) ~y:(i land 31) i);
+  per_call "fill" (fun i -> Gfx.fill g i);
+  per_call "fill_rect" (fun i -> Gfx.fill_rect g ~x:(i land 7) ~y:3 ~w:20 ~h:9 i);
+  per_call "text" (fun i -> Gfx.text g ~x:(i land 15) ~y:2 ~color:i "AB:9")
+
 let event_encoding_roundtrip =
   qcheck "kbd event wire encoding roundtrip"
     QCheck.(triple (int_bound 255) bool (int_bound 255))
@@ -1062,4 +1181,6 @@ let suite_threads =
       event_encoding_roundtrip;
       quick "hid key mapping" key_mapping;
       quick "minisdl audio thread streams" minisdl_audio_thread;
+      quick "gfx draws = per-pixel word stores" gfx_draw_matches_per_pixel;
+      quick "gfx draws allocate nothing" gfx_draw_allocates_nothing;
     ] )
