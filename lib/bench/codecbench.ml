@@ -4,11 +4,12 @@
     converts it straight into the direct-rendering buffer
     ([Yuv.convert_420]) and presents it ([Gfx.present]: one blit into
     the framebuffer's CPU view and a [wrote_row] per row, then the
-    cacheflush publish, [Framebuffer.flush]). None of that host work is charged in virtual
-    time, so perfbench's media [vrate] moves with it; this experiment
-    splits it. Every frame of clip480 goes through the three layers in
-    the player's order, [passes] times per loop, and each layer's host
-    ms per frame is the median of [loops] loops, with their min and max.
+    cacheflush publish, [Framebuffer.flush]). None of that host work is
+    charged in virtual time, so perfbench's media [vrate] moves with it;
+    this experiment splits it. Every frame of clip480 goes through the
+    three layers in the player's order, [passes] times per loop, and
+    each layer's host ms per frame is the median of [loops] loops, with
+    their min and max.
 
     Every figure is a host time, so [BENCH_codec.json] keeps them in its
     [host] half; the [deterministic] half names the workload. *)

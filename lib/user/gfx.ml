@@ -122,7 +122,7 @@ let fill_rect t ~x ~y ~w ~h px =
   t.cost_cycles <- t.cost_cycles + (w * h * cost_fill_pixel)
 
 (* 5x7 bitmap font (digits, upper-case letters, a little punctuation). *)
-let glyph_rows c =
+let glyph c =
   match Char.uppercase_ascii c with
   | '0' -> [| 0b01110; 0b10001; 0b10011; 0b10101; 0b11001; 0b10001; 0b01110 |]
   | '1' -> [| 0b00100; 0b01100; 0b00100; 0b00100; 0b00100; 0b00100; 0b01110 |]
@@ -168,7 +168,7 @@ let glyph_rows c =
   | _ -> [| 0; 0; 0; 0; 0; 0; 0 |]
 
 (* Each byte's seven glyph rows, built once. *)
-let glyphs = Array.init 256 (fun c -> glyph_rows (Char.chr c))
+let glyphs = Array.init 256 (fun c -> glyph (Char.chr c))
 
 let text t ~x ~y ~color s =
   for i = 0 to String.length s - 1 do
@@ -205,7 +205,7 @@ let present t =
       (* make it visible: the §4.3 cache lesson *)
       ignore (Usys.cacheflush ())
   | Windowed fd ->
-      charge t (t.width * t.height / 4) (* pack pixels for the surface write *);
+      charge t (t.width * t.height / 4) (* the A53's pack for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;
       (* the buffer is already in the wire format, and the surface write
