@@ -205,7 +205,7 @@ let bechamel_tests () =
     lazy
       (let dev, _ = Fs.Blockdev.ramdisk ~name:"bench" ~sectors:65536 in
        let io = Fs.Fat32.io_of_blockdev dev in
-       Fs.Fat32.mkfs io ~total_sectors:65536 ();
+       Fs.Fat32.mkfs io ~total_sectors:65536;
        let fat = Result.get_ok (Fs.Fat32.mount io) in
        (match Fs.Fat32.create fat "/x.dat" with
        | Ok () -> ()
@@ -251,7 +251,7 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            ignore
              (Hw.Power.total_power Hw.Power.pi3_game_hat ~busy_cores:2.5
-                ~io_fraction:0.2 ~hat:true)));
+                ~io_fraction:0.2)));
     Test.make ~name:"fig13.survey-sample"
       (Staged.stage (fun () -> ignore (Benchlib.Survey.run ~seed:7L ())));
     Test.make ~name:"fig8.fat32-range-read"

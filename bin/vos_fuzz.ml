@@ -1,7 +1,7 @@
 (* vos_fuzz — deterministic scenario fuzzing for the simulated OS.
 
      vos_fuzz --seed 0x2a                 one session, verbose
-     vos_fuzz --sessions 1000             campaign (VOS_FUZZ_BUDGET overrides)
+     vos_fuzz --sessions 1000             campaign of 1000 sessions
      vos_fuzz --corpus test/fuzz_corpus.txt   replay the regression corpus
 
    Every session is a pure function of its seed: the same seed boots the
@@ -135,9 +135,7 @@ let cmd =
   in
   let sessions_arg =
     Arg.(
-      value & opt int 0
-      & info [ "sessions" ]
-          ~doc:"campaign of N sessions (VOS_FUZZ_BUDGET overrides)")
+      value & opt int 0 & info [ "sessions" ] ~doc:"campaign of N sessions")
   in
   let base_seed_arg =
     Arg.(
@@ -179,11 +177,6 @@ let cmd =
       | Some s, _ -> run_seed_mode ~out ~ops ~faults ~shrink_budget (parse_seed s)
       | None, Some path -> run_corpus ~out ~shrink_budget path
       | None, None ->
-          let sessions =
-            match Sys.getenv_opt "VOS_FUZZ_BUDGET" with
-            | Some v -> ( match int_of_string_opt v with Some n -> n | None -> sessions)
-            | None -> sessions
-          in
           if sessions <= 0 then begin
             Printf.eprintf
               "nothing to do: pass --seed, --sessions or --corpus\n";

@@ -60,7 +60,7 @@ let build_fat out dir size_mib =
   let sectors = size_mib * 2048 in
   let dev, image = Fs.Blockdev.ramdisk ~name:"img" ~sectors in
   let io = Fs.Fat32.io_of_blockdev dev in
-  Fs.Fat32.mkfs io ~total_sectors:sectors ();
+  Fs.Fat32.mkfs io ~total_sectors:sectors;
   let fat = Result.get_ok (Fs.Fat32.mount io) in
   let files = walk dir in
   List.iter

@@ -16,9 +16,8 @@ let () =
       [ "music"; "/d/music/track1.vogg"; "/d/music/cover1.pngl" ]
   in
   Proto.Stage.run_for stage (Sim.Engine.sec 4);
-  Printf.printf "  %d samples played, fifo level %d, underruns %d\n"
+  Printf.printf "  %d samples played, underruns %d\n"
     (Hw.Pwm_audio.samples_played pwm)
-    (Hw.Pwm_audio.fifo_level pwm)
     (Hw.Pwm_audio.underruns pwm);
   let wave = Hw.Pwm_audio.recent_output pwm in
   let n = Array.length wave in

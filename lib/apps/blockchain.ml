@@ -7,12 +7,7 @@
 
 open User
 
-type block = {
-  index : int;
-  prev_hash : string;
-  nonce : int;
-  hash : string;
-}
+type block = { index : int; hash : string }
 
 (* The block header the miner hashes. [mine_batch] writes the same bytes
    into its scratch in place; this is the definition the tests compare
@@ -81,7 +76,7 @@ let main _env argv =
       let target_blocks =
         match argv with _ :: _ :: _ :: b :: _ -> int_of_string b | _ -> 3
       in
-      let chain = ref [ { index = 0; prev_hash = "genesis"; nonce = 0; hash = "genesis" } ] in
+      let chain = ref [ { index = 0; hash = "genesis" } ] in
       let chain_lock = Uthread.Mutex.create () in
       let total_hashes = ref 0 in
       let stop = ref false in
@@ -129,9 +124,7 @@ let main _env argv =
               Uthread.Mutex.with_lock chain_lock (fun () ->
                   let tip' = List.hd !chain in
                   if tip'.index = tip.index then begin
-                    chain :=
-                      { index; prev_hash = tip.hash; nonce = n; hash = hex }
-                      :: !chain;
+                    chain := { index; hash = hex } :: !chain;
                     Usys.printf "[miner %d] block %d nonce=%d hash=%s\n" wid
                       index n (String.sub hex 0 16);
                     if index >= target_blocks then stop := true

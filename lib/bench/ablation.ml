@@ -15,7 +15,6 @@ type row = {
   ab_name : string;
   with_mech : float;
   without : float;
-  unit_ : string;
   paper_claim : string;
 }
 
@@ -27,16 +26,14 @@ let simd_video () =
         ~config_tweak:(fun c -> { c with Core.Kconfig.simd_pixel_ops = simd })
         ()
     in
-    (Measure.app_fps stage ~prog:"video"
-       ~argv:[ "video"; "/d/videos/clip480.mv1"; "0" ]
-       ~warmup_s:2.0 ~measure_s:5.0)
-      .Measure.fps
+    Measure.app_fps stage ~prog:"video"
+      ~argv:[ "video"; "/d/videos/clip480.mv1"; "0" ]
+      ~warmup_s:2.0 ~measure_s:5.0
   in
   {
     ab_name = "SIMD pixel kernels (video 480p)";
     with_mech = measure true;
     without = measure false;
-    unit_ = "FPS";
     paper_claim = "~3x: <10 FPS -> ~30 FPS (par 5.2)";
   }
 
@@ -46,20 +43,19 @@ let fb_mapping () =
     let stage = Proto.Stage.boot ~prototype:5 () in
     let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
     Hw.Framebuffer.set_mapping fb mapping;
-    (Measure.app_fps stage ~prog:"mario"
-       ~argv:[ "mario"; "noinput"; "0" ]
-       ~warmup_s:1.0 ~measure_s:4.0)
-      .Measure.fps
+    Measure.app_fps stage ~prog:"mario"
+      ~argv:[ "mario"; "noinput"; "0" ]
+      ~warmup_s:1.0 ~measure_s:4.0
   in
   {
     ab_name = "framebuffer mapped cached (mario)";
     with_mech = measure Hw.Framebuffer.Cached;
     without = measure Hw.Framebuffer.Uncached;
-    unit_ = "FPS";
     paper_claim = "uncached mapping = significant FPS drop (par 4.3)";
   }
 
-(* WM compositing work for a mostly-static desktop, dirty tracking on/off *)
+(* WM compositing work (Mpx composited/s) for a mostly-static desktop,
+   dirty tracking on/off *)
 let wm_dirty () =
   let measure track_dirty =
     let stage = Proto.Stage.boot ~prototype:5 ~track_dirty () in
@@ -85,11 +81,11 @@ let wm_dirty () =
     ab_name = "WM dirty-region tracking (static desktop)";
     with_mech = measure true;
     without = measure false;
-    unit_ = "Mpx composited/s";
     paper_claim = "WM redraws only dirty regions (par 4.5)";
   }
 
-(* FAT32 range bypass, as in Figure 8, for the complete ablation table *)
+(* FAT32 range bypass read KB/s, as in Figure 8, for the complete ablation
+   table *)
 let range_io () =
   let measure bypass =
     let kernel =
@@ -105,7 +101,6 @@ let range_io () =
     ab_name = "FAT32 range-IO cache bypass";
     with_mech = measure true;
     without = measure false;
-    unit_ = "KB/s";
     paper_claim = "2-3x lower large-file latency (par 5.2)";
   }
 
@@ -135,15 +130,13 @@ let multicore () =
     List.fold_left2
       (fun acc pid frames0 ->
         acc
-        +. (Measure.fps_by_counter kernel ~pid ~frames0 ~from_ns ~until_ns)
-             .Measure.fps)
+        +. Measure.fps_by_counter kernel ~pid ~frames0 ~from_ns ~until_ns)
       0.0 pids f0
   in
   {
     ab_name = "multicore scheduling (4 marios, total FPS)";
     with_mech = measure true;
     without = measure false;
-    unit_ = "FPS";
     paper_claim = "4+ instances saturate one core (par 4.5)";
   }
 

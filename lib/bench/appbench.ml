@@ -52,11 +52,8 @@ let mario_variant case =
 
 let measure_ours ~platform case =
   let stage = Proto.Stage.boot ~platform ~prototype:5 () in
-  let sample =
-    Measure.app_fps stage ~prog:case.prog ~argv:case.argv
-      ~warmup_s:case.warmup_s ~measure_s:case.measure_s
-  in
-  sample.Measure.fps
+  Measure.app_fps stage ~prog:case.prog ~argv:case.argv
+    ~warmup_s:case.warmup_s ~measure_s:case.measure_s
 
 type cell = Fps of float | Not_run
 

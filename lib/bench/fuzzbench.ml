@@ -31,16 +31,8 @@ type summary = {
   f_run_hash : string;
 }
 
-let default_sessions = 100
-let default_seed = 0xf00dL
-
-let sessions_from_env () =
-  match Sys.getenv_opt "VOS_FUZZ_SESSIONS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None -> default_sessions)
-  | None -> default_sessions
+let sessions = 100
+let seed = 0xf00dL
 
 (* Splice the canary into the middle of a generated scenario: the
    shrinker has to strip both flanks to isolate it. *)
@@ -52,11 +44,7 @@ let canary_scenario seed =
   let after = List.filteri (fun i _ -> i >= n / 2) ops in
   { scen with Fuzz.Gen.sc_ops = before @ [ Fuzz.Gen.Canary ] @ after }
 
-let run ?seed ?sessions () =
-  let seed = match seed with Some s -> s | None -> default_seed in
-  let sessions =
-    match sessions with Some n -> n | None -> sessions_from_env ()
-  in
+let run () =
   let rng = Sim.Rng.create seed in
   let digests = Buffer.create (sessions * 36) in
   let failures = ref 0 in

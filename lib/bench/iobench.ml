@@ -10,13 +10,18 @@
     special case in the workload. Results go to stdout as a table and to
     [BENCH_io.json] for the driver. *)
 
-type config_row = {
-  cf_name : string;
-  cf_writeback : bool;
-  cf_readahead : int;
-  cf_coalesce : bool;
-  cf_bypass : bool;
-}
+type config_row = { cf_name : string; cf_config : Core.Kconfig.t }
+
+(* The write-through row. Every row arms the sampling profiler: it
+   charges zero virtual cycles, so the I/O numbers must be byte-identical
+   to an unarmed run. *)
+let base =
+  {
+    Core.Kconfig.full with
+    Core.Kconfig.range_io_bypass = false;
+    sd_coalescing = false;
+    profile_hz = 100;
+  }
 
 (* The ladder. "write-through" is the pre-§5.2 cache (every range through
    the single-block path): the seed baseline the acceptance ratios are
@@ -26,55 +31,29 @@ type config_row = {
    instead of one per range, and it also serves the single-block reads the
    bypass never helped). *)
 let ladder =
+  let open Core.Kconfig in
   [
-    {
-      cf_name = "write-through";
-      cf_writeback = false;
-      cf_readahead = 0;
-      cf_coalesce = false;
-      cf_bypass = false;
-    };
+    { cf_name = "write-through"; cf_config = base };
     {
       cf_name = "+range-bypass (5.2)";
-      cf_writeback = false;
-      cf_readahead = 0;
-      cf_coalesce = false;
-      cf_bypass = true;
+      cf_config = { base with range_io_bypass = true };
     };
-    {
-      cf_name = "+write-back";
-      cf_writeback = true;
-      cf_readahead = 0;
-      cf_coalesce = false;
-      cf_bypass = false;
-    };
+    { cf_name = "+write-back"; cf_config = { base with writeback = true } };
     {
       cf_name = "+read-ahead";
-      cf_writeback = true;
-      cf_readahead = 32;
-      cf_coalesce = false;
-      cf_bypass = false;
+      cf_config = { base with writeback = true; readahead_blocks = 32 };
     };
     {
       cf_name = "+coalescing (full)";
-      cf_writeback = true;
-      cf_readahead = 32;
-      cf_coalesce = true;
-      cf_bypass = false;
+      cf_config =
+        {
+          base with
+          writeback = true;
+          readahead_blocks = 32;
+          sd_coalescing = true;
+        };
     };
   ]
-
-let kconfig_of row =
-  {
-    Core.Kconfig.full with
-    Core.Kconfig.writeback = row.cf_writeback;
-    readahead_blocks = row.cf_readahead;
-    sd_coalescing = row.cf_coalesce;
-    range_io_bypass = row.cf_bypass;
-    (* the sampling profiler armed: it charges zero virtual cycles, so
-       the I/O numbers must be byte-identical to an unarmed run *)
-    profile_hz = 100;
-  }
 
 (* ---- workloads ---- *)
 
@@ -149,7 +128,7 @@ type row = {
 }
 
 let run_config row =
-  let kernel = Micro.fresh_kernel ~config:(kconfig_of row) () in
+  let kernel = Micro.fresh_kernel ~config:row.cf_config () in
   Micro.prepare_file kernel ~path ~bytes:file_bytes;
   let seq_kbps =
     Micro.fs_throughput_kbps kernel ~path ~bytes:file_bytes ~chunk
@@ -283,14 +262,15 @@ let render rows =
 
 let report ~journal rows =
   let config r =
-    let c = r.r_config in
+    let c = r.r_config.cf_config in
     Report.(
       Obj
         [
-          ("name", String c.cf_name); ("writeback", Bool c.cf_writeback);
-          ("readahead_blocks", Int c.cf_readahead);
-          ("sd_coalescing", Bool c.cf_coalesce);
-          ("range_io_bypass", Bool c.cf_bypass);
+          ("name", String r.r_config.cf_name);
+          ("writeback", Bool c.Core.Kconfig.writeback);
+          ("readahead_blocks", Int c.Core.Kconfig.readahead_blocks);
+          ("sd_coalescing", Bool c.Core.Kconfig.sd_coalescing);
+          ("range_io_bypass", Bool c.Core.Kconfig.range_io_bypass);
           ("seq_read_kbps", Fixed (1, r.seq_kbps));
           ("rand_write_ms_per_op", Fixed (4, r.randw_ms));
           ("mixed_kbps", Fixed (1, r.mixed_kbps)); ("cache_hits", Int r.hits);

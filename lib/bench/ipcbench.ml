@@ -22,34 +22,28 @@
 
 type config_row = {
   ic_name : string;
-  ic_ring : bool;
-  ic_edge : bool;
+  ic_config : Core.Kconfig.t;
   ic_poll : bool;  (** app-side: use poll(2) instead of spin/sleep *)
-  ic_buf : int;
 }
 
-let ladder =
-  [
-    { ic_name = "xv6"; ic_ring = false; ic_edge = false; ic_poll = false; ic_buf = 512 };
-    { ic_name = "+ring-blit"; ic_ring = true; ic_edge = false; ic_poll = false; ic_buf = 4096 };
-    { ic_name = "+edge-wake"; ic_ring = true; ic_edge = true; ic_poll = false; ic_buf = 4096 };
-    { ic_name = "+poll"; ic_ring = true; ic_edge = true; ic_poll = true; ic_buf = 4096 };
-  ]
+(* Every row runs the zero-cycle sanitizer, so the pingpong/events
+   workloads double as a refcount/deadlock soak without moving a single
+   number, and the 100 Hz sampling profiler for the same reason: it
+   costs zero virtual cycles, so every number below must match an
+   unarmed run. *)
+let base = { Core.Kconfig.full with Core.Kconfig.kcheck = true; profile_hz = 100 }
 
-let kconfig_of row =
-  {
-    Core.Kconfig.full with
-    Core.Kconfig.pipe_ring = row.ic_ring;
-    pipe_wake_edge = row.ic_edge;
-    pipe_buffer_bytes = row.ic_buf;
-    (* zero-cycle sanitizer on: the pingpong/events workloads double as
-       a refcount/deadlock soak without moving a single number *)
-    kcheck = true;
-    (* the 100 Hz sampling profiler rides along for the same reason: it
-       costs zero virtual cycles, so every number below must match an
-       unarmed run *)
-    profile_hz = 100;
-  }
+let fast =
+  { base with Core.Kconfig.pipe_ring = true; pipe_buffer_bytes = 4096 }
+
+let ladder =
+  let edge = { fast with Core.Kconfig.pipe_wake_edge = true } in
+  [
+    { ic_name = "xv6"; ic_config = base; ic_poll = false };
+    { ic_name = "+ring-blit"; ic_config = fast; ic_poll = false };
+    { ic_name = "+edge-wake"; ic_config = edge; ic_poll = false };
+    { ic_name = "+poll"; ic_config = edge; ic_poll = true };
+  ]
 
 (* ---- workload A: pipe ping-pong ---- *)
 
@@ -66,7 +60,7 @@ type pingpong = {
 }
 
 let run_pingpong rc =
-  let kernel = Micro.fresh_kernel ~config:(kconfig_of rc) () in
+  let kernel = Micro.fresh_kernel ~config:rc.ic_config () in
   (* round-trip latencies go into the shared log-linear histogram rather
      than a private sorted-sample percentile *)
   let hist = Core.Kperf.Hist.create () in
@@ -135,7 +129,7 @@ let events_measure_ns = Sim.Engine.sec 1
 type events = { ev_per_s : float; ev_delivered : int; ev_dropped : int }
 
 let run_events rc =
-  let kernel = Micro.fresh_kernel ~config:(kconfig_of rc) () in
+  let kernel = Micro.fresh_kernel ~config:rc.ic_config () in
   let gpio = kernel.Core.Kernel.board.Hw.Board.gpio in
   let engine = kernel.Core.Kernel.board.Hw.Board.engine in
   (* the event source: alternate press/release of one button forever *)
@@ -234,13 +228,16 @@ let render rows =
 
 let report rows =
   let config r =
-    let c = r.r_config and pp = r.r_pp and ev = r.r_ev in
+    let rc = r.r_config and pp = r.r_pp and ev = r.r_ev in
+    let c = rc.ic_config in
     Report.(
       Obj
         [
-          ("name", String c.ic_name); ("pipe_ring", Bool c.ic_ring);
-          ("pipe_wake_edge", Bool c.ic_edge); ("uses_poll", Bool c.ic_poll);
-          ("pipe_buffer_bytes", Int c.ic_buf);
+          ("name", String rc.ic_name);
+          ("pipe_ring", Bool c.Core.Kconfig.pipe_ring);
+          ("pipe_wake_edge", Bool c.Core.Kconfig.pipe_wake_edge);
+          ("uses_poll", Bool rc.ic_poll);
+          ("pipe_buffer_bytes", Int c.Core.Kconfig.pipe_buffer_bytes);
           ("roundtrip_p50_us", Fixed (2, pp.pp_p50_us));
           ("roundtrip_p99_us", Fixed (2, pp.pp_p99_us));
           ("roundtrips_per_s", Fixed (1, pp.pp_per_s));

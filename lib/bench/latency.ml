@@ -80,7 +80,7 @@ let render_breakdown_for case =
   let from_ns = Core.Kernel.now kernel in
   Proto.Stage.run_for stage (Sim.Engine.sec 4);
   let until_ns = Core.Kernel.now kernel in
-  let fps = (Measure.fps_between kernel ~pid ~from_ns ~until_ns).Measure.fps in
+  let fps = Measure.fps_between kernel ~pid ~from_ns ~until_ns in
   let frame_ms = if fps > 0.0 then 1000.0 /. fps else 0.0 in
   let kernel_total = kernel_time_ns kernel ~pid ~from_ns ~until_ns in
   let frames = fps *. Sim.Engine.to_sec (Int64.sub until_ns from_ns) in

@@ -6,8 +6,6 @@
     we scale it down with the documented measurement windows), and
     throughput is bytes over virtual seconds. *)
 
-type fps_sample = { fps : float; frames : int; window_s : float }
-
 (* Drive the engine until [stop] returns true or the virtual clock passes
    [deadline]. A panic out of an event is flight-recorded on the way out,
    as under [Kernel.run_for]. *)
@@ -27,7 +25,7 @@ let drive kernel ~deadline ~stop =
    virtual time it took. If [f] raises, the task still dies of it (trace
    line, flight record), and then the exception reaches the caller with
    its backtrace, so a failed check reads as itself, not as a timeout. *)
-let run_task kernel ?(timeout = Sim.Engine.sec 300) ~name f =
+let run_task kernel ~name f =
   let result = ref None in
   let t0 = Core.Kernel.now kernel in
   ignore
@@ -41,7 +39,7 @@ let run_task kernel ?(timeout = Sim.Engine.sec 300) ~name f =
              result := Some (Error (e, bt));
              Printexc.raise_with_backtrace e bt));
   drive kernel
-    ~deadline:(Int64.add t0 timeout)
+    ~deadline:(Int64.add t0 (Sim.Engine.sec 300))
     ~stop:(fun () -> !result <> None);
   match !result with
   | Some (Ok r) -> Ok (r, Int64.sub (Core.Kernel.now kernel) t0)
@@ -59,8 +57,7 @@ let fps_between kernel ~pid ~from_ns ~until_ns =
            && Int64.compare e.Core.Ktrace.ts_ns until_ns <= 0)
          (Core.Ktrace.dump kernel.Core.Kernel.sched.Core.Sched.trace))
   in
-  let window_s = Sim.Engine.to_sec (Int64.sub until_ns from_ns) in
-  { fps = float_of_int frames /. window_s; frames; window_s }
+  float_of_int frames /. Sim.Engine.to_sec (Int64.sub until_ns from_ns)
 
 (* FPS from the scheduler's persistent per-pid frame counters, immune to
    trace-ring wraparound. *)
@@ -68,8 +65,7 @@ let fps_by_counter kernel ~pid ~frames0 ~from_ns ~until_ns =
   let frames =
     Core.Sched.frames_presented kernel.Core.Kernel.sched ~pid - frames0
   in
-  let window_s = Sim.Engine.to_sec (Int64.sub until_ns from_ns) in
-  { fps = float_of_int frames /. window_s; frames; window_s }
+  float_of_int frames /. Sim.Engine.to_sec (Int64.sub until_ns from_ns)
 
 (* Spawn an app from a stage, warm it up, measure FPS over [measure_s]. *)
 let app_fps stage ~prog ~argv ~warmup_s ~measure_s =

@@ -2,20 +2,15 @@
     filesystem throughput, boot time) and Figure 9 (the cross-OS
     comparison applies {!Osmodel} to these measurements). *)
 
-type result = { name : string; value : float; unit_ : string }
-
 let fresh_kernel ?(platform = Hw.Board.pi3) ?(config = Core.Kconfig.full) () =
   Core.Kernel.boot
-    {
-      Core.Kernel.default_spec with
-      sp_platform = platform;
-      sp_config = config;
-      sp_fb = Some (640, 480);
-    }
+    { Core.Kernel.default_spec with sp_platform = platform; sp_config = config }
 
 (* ---- syscall latency: getpid over [iters] calls ---- *)
 
-let getpid_us ?(iters = 5000) kernel =
+let iters = 5000
+
+let getpid_us kernel =
   let elapsed =
     Measure.run_task kernel ~name:"bench-getpid" (fun () ->
         for _ = 1 to iters do
@@ -29,7 +24,7 @@ let getpid_us ?(iters = 5000) kernel =
 
 (* ---- sbrk latency: grow/shrink one page ---- *)
 
-let sbrk_us ?(iters = 5000) kernel =
+let sbrk_us kernel =
   match
     Measure.run_task kernel ~name:"bench-sbrk" (fun () ->
         for _ = 1 to iters / 2 do
@@ -43,11 +38,13 @@ let sbrk_us ?(iters = 5000) kernel =
 
 (* ---- fork+wait latency, with [heap_kb] resident to copy ---- *)
 
-let fork_us ?(iters = 100) ~heap_kb kernel =
+let fork_iters = 100
+
+let fork_us ~heap_kb kernel =
   match
     Measure.run_task kernel ~name:"bench-fork" (fun () ->
         ignore (User.Usys.sbrk (heap_kb * 1024));
-        for _ = 1 to iters do
+        for _ = 1 to fork_iters do
           let pid = User.Usys.fork (fun () -> 0) in
           assert (pid > 0);
           ignore (User.Usys.wait ())
@@ -57,14 +54,14 @@ let fork_us ?(iters = 100) ~heap_kb kernel =
   | Ok (_, ns) ->
       (* each iteration includes the child's exit and the parent's wait;
          report the fork share like the paper's lat_fork does *)
-      Sim.Engine.to_us ns /. float_of_int iters /. 2.0
+      Sim.Engine.to_us ns /. float_of_int fork_iters /. 2.0
   | Error e -> invalid_arg e
 
 let fork_pages ~heap_kb = (heap_kb * 1024 / 4096) + 18 (* code + stack *)
 
 (* ---- one-way pipe IPC: 1-byte ping-pong between two processes ---- *)
 
-let ipc_us ?(iters = 5000) kernel =
+let ipc_us ?(iters = iters) kernel =
   match
     Measure.run_task kernel ~name:"bench-ipc" (fun () ->
         match (User.Usys.pipe (), User.Usys.pipe ()) with
@@ -187,10 +184,10 @@ let qsort_us ~n ~libc_factor kernel =
 
 type boot_times = { to_kernel_s : float; to_shell_s : float }
 
-let boot_time ?(platform = Hw.Board.pi3) () =
-  let t = Proto.Stage.boot ~platform ~prototype:5 () in
+let boot_time () =
+  let t = Proto.Stage.boot ~prototype:5 () in
   let kernel = t.Proto.Stage.kernel in
-  let to_kernel = Sim.Engine.to_sec platform.Hw.Board.firmware_boot_ns in
+  let to_kernel = Sim.Engine.to_sec Hw.Board.pi3.Hw.Board.firmware_boot_ns in
   (* spawn the shell; "shell prompt" = the prompt string reaching the UART *)
   ignore (Proto.Stage.start t "sh" [ "sh" ]);
   let deadline = Int64.add (Core.Kernel.now kernel) (Sim.Engine.sec 30) in

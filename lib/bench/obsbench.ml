@@ -11,11 +11,11 @@
 
     - {b does arming move any virtual number?} Part 2 runs an identical
       syscall/pipe/file workload in two kernels — one with no probes
-      attached and the flight recorder off, one with the flight recorder
-      on and a probe ladder attached — and compares the final virtual
-      clock and an MD5 of the formatted trace. The armed run must be
-      byte-identical to stock: observability charges zero cycles. (The
-      probe registry and delay accounting run in every kernel.)
+      attached, one with a probe ladder attached — and compares the
+      final virtual clock and an MD5 of the formatted trace. The armed
+      run must be byte-identical to stock: observability charges zero
+      cycles. (The probe registry, delay accounting and the flight
+      recorder run in every kernel.)
 
     - {b does delay accounting conserve time?} For every live task in
       the armed kernel the six delay buckets (oncpu, runnable, sleep,
@@ -91,11 +91,8 @@ let ladder =
 
 (* Both kernels journal (full ships journal-free to keep the stock image
    byte-identical to the paper's) so the fsync in the workload drives the
-   journal:commit point; only the flight recorder differs. *)
+   journal:commit point; only the attached probes differ. *)
 let armed_config = { Core.Kconfig.full with Core.Kconfig.journal = true }
-
-let stock_config =
-  { armed_config with Core.Kconfig.flight_recorder_events = 0 }
 
 (* Syscall soup: pipes, files, fsync (journal commits), enough fork/wait
    to move the scheduler. Identical in both kernels. *)
@@ -146,8 +143,8 @@ type run_sig = {
   rs_kernel : Core.Kernel.t;
 }
 
-let run_one ~config ~arm =
-  let kernel = Micro.fresh_kernel ~config () in
+let run_one ~arm =
+  let kernel = Micro.fresh_kernel ~config:armed_config () in
   if arm then begin
     let vp = kernel.Core.Kernel.sched.Core.Sched.vprobe in
     List.iter
@@ -211,8 +208,8 @@ type result = {
 let run () =
   let detached = detached_ns_per_site () in
   let attached = attached_ns_per_fire () in
-  let stock = run_one ~config:stock_config ~arm:false in
-  let armed = run_one ~config:armed_config ~arm:true in
+  let stock = run_one ~arm:false in
+  let armed = run_one ~arm:true in
   let fired =
     let vp = armed.rs_kernel.Core.Kernel.sched.Core.Sched.vprobe in
     List.rev_map

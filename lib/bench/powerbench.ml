@@ -48,7 +48,6 @@ let measure ~name ~setup ~measure_s =
   in
   let total_w =
     Hw.Power.total_power profile ~busy_cores:!busy_cores ~io_fraction:!io_frac
-      ~hat:true
   in
   {
     scenario = name;

@@ -13,6 +13,10 @@ type point = {
   utilization : float;  (** mean busy fraction over active cores *)
 }
 
+(* Each point measures this long, after its warm-up. *)
+let measure_ns = Sim.Engine.sec 4
+let instances = 8
+
 let platform_with_cores cores =
   { Hw.Board.pi3 with Hw.Board.num_cores = cores }
 
@@ -35,7 +39,7 @@ let utilization kernel ~cores ~from_ns ~busy0 ~until_ns =
   !total /. float_of_int cores
 
 (* Eight mario instances, per-instance FPS. *)
-let mario_multi ~cores ~instances ~measure_s =
+let mario_multi ~cores =
   let stage = boot_with_cores cores in
   let kernel = stage.Proto.Stage.kernel in
   let pids =
@@ -52,14 +56,13 @@ let mario_multi ~cores ~instances ~measure_s =
   let busy0 =
     Array.init cores (fun c -> Core.Sched.core_busy_ns kernel.Core.Kernel.sched c)
   in
-  Proto.Stage.run_for stage (Sim.Engine.ms (int_of_float (measure_s *. 1000.)));
+  Proto.Stage.run_for stage measure_ns;
   let until_ns = Core.Kernel.now kernel in
   let fps_sum =
     List.fold_left2
       (fun acc pid f0 ->
         acc
-        +. (Measure.fps_by_counter kernel ~pid ~frames0:f0 ~from_ns ~until_ns)
-             .Measure.fps)
+        +. Measure.fps_by_counter kernel ~pid ~frames0:f0 ~from_ns ~until_ns)
       0.0 pids frames0
   in
   {
@@ -69,7 +72,7 @@ let mario_multi ~cores ~instances ~measure_s =
   }
 
 (* Blockchain miner: kH/s with [threads] = cores. *)
-let blockchain ~cores ~measure_s =
+let blockchain ~cores =
   let stage = boot_with_cores cores in
   let kernel = stage.Proto.Stage.kernel in
   (* difficulty high enough that mining continues through the window *)
@@ -81,7 +84,7 @@ let blockchain ~cores ~measure_s =
   let busy0 =
     Array.init cores (fun c -> Core.Sched.core_busy_ns kernel.Core.Kernel.sched c)
   in
-  Proto.Stage.run_for stage (Sim.Engine.ms (int_of_float (measure_s *. 1000.)));
+  Proto.Stage.run_for stage measure_ns;
   let until_ns = Core.Kernel.now kernel in
   let busy_total =
     Array.to_list (Array.init cores (fun c ->
@@ -98,14 +101,9 @@ let blockchain ~cores ~measure_s =
     utilization = utilization kernel ~cores ~from_ns ~busy0 ~until_ns;
   }
 
-let run ?(measure_s = 4.0) () =
-  let marios =
-    List.map (fun cores -> mario_multi ~cores ~instances:8 ~measure_s)
-      [ 1; 2; 3; 4 ]
-  in
-  let miners =
-    List.map (fun cores -> blockchain ~cores ~measure_s) [ 1; 2; 3; 4 ]
-  in
+let run () =
+  let marios = List.map (fun cores -> mario_multi ~cores) [ 1; 2; 3; 4 ] in
+  let miners = List.map (fun cores -> blockchain ~cores) [ 1; 2; 3; 4 ] in
   (marios, miners)
 
 let render (marios, miners) =

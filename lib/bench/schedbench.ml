@@ -21,76 +21,54 @@
 type config_row = {
   rc_name : string;
   rc_cores : int;
-  rc_policy : Core.Kconfig.sched_policy;
-  rc_wake : Core.Kconfig.wake_model;
-  rc_affinity : bool;
-  rc_lb_ms : int;
+  rc_config : Core.Kconfig.t;
 }
+
+(* Every row runs the sanitizer and the sampling profiler: both charge
+   zero virtual cycles, so every number below is identical with them
+   off — and the bench doubles as a lockdep/deadlock soak test. *)
+let base = { Core.Kconfig.full with Core.Kconfig.kcheck = true; profile_hz = 100 }
 
 (* The ladder. Row 1 is the paper's Prototype 4 shape (one core, RR,
    wakeups free). "per-core-queues" models WFI honestly — an idle core
    notices queued work only at its next tick — which is the baseline the
    IPI row is measured against. *)
 let ladder =
+  let open Core.Kconfig in
   [
     {
       rc_name = "single-core-rr";
       rc_cores = 1;
-      rc_policy = Core.Kconfig.Sched_rr;
-      rc_wake = Core.Kconfig.Wake_direct;
-      rc_affinity = false;
-      rc_lb_ms = 0;
+      rc_config = { base with multicore = false };
     };
     {
       rc_name = "per-core-queues";
       rc_cores = 4;
-      rc_policy = Core.Kconfig.Sched_rr;
-      rc_wake = Core.Kconfig.Wake_tick;
-      rc_affinity = false;
-      rc_lb_ms = 0;
+      rc_config = { base with wake_model = Wake_tick };
     };
     {
       rc_name = "+affinity";
       rc_cores = 4;
-      rc_policy = Core.Kconfig.Sched_rr;
-      rc_wake = Core.Kconfig.Wake_tick;
-      rc_affinity = true;
-      rc_lb_ms = 0;
+      rc_config = { base with wake_model = Wake_tick; wake_affinity = true };
     };
     {
       rc_name = "+ipi-wakeup";
       rc_cores = 4;
-      rc_policy = Core.Kconfig.Sched_rr;
-      rc_wake = Core.Kconfig.Wake_ipi;
-      rc_affinity = true;
-      rc_lb_ms = 0;
+      rc_config = { base with wake_model = Wake_ipi; wake_affinity = true };
     };
     {
       rc_name = "+mlfq+balance";
       rc_cores = 4;
-      rc_policy = Core.Kconfig.Sched_mlfq;
-      rc_wake = Core.Kconfig.Wake_ipi;
-      rc_affinity = true;
-      rc_lb_ms = 16;
+      rc_config =
+        {
+          base with
+          sched_policy = Sched_mlfq;
+          wake_model = Wake_ipi;
+          wake_affinity = true;
+          load_balance_ms = 16;
+        };
     };
   ]
-
-let kconfig_of row =
-  {
-    Core.Kconfig.full with
-    Core.Kconfig.multicore = row.rc_cores > 1;
-    sched_policy = row.rc_policy;
-    wake_model = row.rc_wake;
-    wake_affinity = row.rc_affinity;
-    load_balance_ms = row.rc_lb_ms;
-    (* the sanitizer rides along: zero virtual cycles, so every number
-       below is identical with it off — and the bench doubles as a
-       lockdep/deadlock soak test *)
-    kcheck = true;
-    (* the sampling profiler rides along too, under the same zero-cycle
-       contract *)
-    profile_hz = 100;
-  }
 
 (* ---- workload ---- *)
 
@@ -226,7 +204,7 @@ let run_config rc =
   let kernel =
     Micro.fresh_kernel
       ~platform:(Scale.platform_with_cores rc.rc_cores)
-      ~config:(kconfig_of rc) ()
+      ~config:rc.rc_config ()
   in
   let batch_iters, inter_iters, _, inter_pids = spawn_workload kernel in
   Core.Kernel.run_for kernel warmup_ns;
@@ -301,10 +279,11 @@ let render rows =
 
 let report rows =
   let config r =
-    let c = r.r_config in
-    let policy = (Core.Sched.class_of_policy c.rc_policy).Core.Sched.sc_name
+    let c = r.r_config.rc_config in
+    let policy =
+      (Core.Sched.class_of_policy c.Core.Kconfig.sched_policy).Core.Sched.sc_name
     and wake =
-      match c.rc_wake with
+      match c.Core.Kconfig.wake_model with
       | Core.Kconfig.Wake_direct -> "direct"
       | Core.Kconfig.Wake_tick -> "tick"
       | Core.Kconfig.Wake_ipi -> "ipi"
@@ -312,10 +291,11 @@ let report rows =
     Report.(
       Obj
         [
-          ("name", String c.rc_name); ("cores", Int c.rc_cores);
-          ("policy", String policy); ("wake_model", String wake);
-          ("wake_affinity", Bool c.rc_affinity);
-          ("load_balance_ms", Int c.rc_lb_ms);
+          ("name", String r.r_config.rc_name);
+          ("cores", Int r.r_config.rc_cores); ("policy", String policy);
+          ("wake_model", String wake);
+          ("wake_affinity", Bool c.Core.Kconfig.wake_affinity);
+          ("load_balance_ms", Int c.Core.Kconfig.load_balance_ms);
           ("batch_iters_per_s", Fixed (2, r.batch_per_s));
           ("interactive_iters_per_s", Fixed (2, r.inter_per_s));
           ("wakeup_samples", Int r.wake_samples);

@@ -13,7 +13,6 @@ type t = {
   sched : Sched.t;
   ring : int Queue.t;
   mutable dma_active : bool;
-  mutable samples_in : int;
 }
 
 let pump t =
@@ -43,7 +42,6 @@ let create board sched =
       sched;
       ring = Queue.create ();
       dma_active = false;
-      samples_in = 0;
     }
   in
   Sched.register_irq sched (Hw.Irq.Dma_channel dma_channel) (on_dma_irq t);
@@ -82,11 +80,8 @@ let write ctx t data =
         done;
         Sched.charge ctx (Kcost.audio_per_sample * n);
         written := !written + n;
-        t.samples_in <- t.samples_in + n;
         step ()
       end
     end
   in
   if nsamples = 0 then Sched.finish ctx (Abi.R_int 0) else step ()
-
-let samples_in t = t.samples_in

@@ -71,12 +71,10 @@ type t = {
       (** the flush daemon's next tick *)
   mutable hits : int;
   mutable misses : int;
-  mutable range_reads : int;
   mutable prefetched : int;  (** blocks brought in by read-ahead *)
   mutable flush_batches : int;  (** device commands issued by flushes *)
   mutable flushed_blocks : int;
   mutable evict_writes : int;  (** dirty victims written synchronously *)
-  mutable flush_ns : int64;  (** device time spent in flushes (any path) *)
   mutable pinned_count : int;
   mutable barriers : int;  (** ordered-write barriers issued *)
   mutable pre_flush : (unit -> unit) option;
@@ -110,12 +108,10 @@ let create ~board ~trace ~backing ~block_sectors ?(capacity = 30)
     daemon = None;
     hits = 0;
     misses = 0;
-    range_reads = 0;
     prefetched = 0;
     flush_batches = 0;
     flushed_blocks = 0;
     evict_writes = 0;
-    flush_ns = 0L;
     pinned_count = 0;
     barriers = 0;
     pre_flush = None;
@@ -372,7 +368,6 @@ let flush t =
             dirty;
           (match Hw.Sd.flush_queue ~coalesce:t.coalesce sd with
           | Ok (cost, commands) ->
-              t.flush_ns <- Int64.add t.flush_ns cost;
               charge_io t cost;
               observe_sd t ~op:"sd:flush" ~cost;
               commands
@@ -593,7 +588,6 @@ let barrier t =
       match Hw.Sd.barrier ~coalesce:t.coalesce sd with
       | Ok (cost, commands) ->
           if commands > 0 then begin
-            t.flush_ns <- Int64.add t.flush_ns cost;
             charge_io t cost;
             observe_sd t ~op:"sd:barrier" ~cost;
             t.flush_batches <- t.flush_batches + commands
@@ -605,7 +599,6 @@ let barrier t =
    the cache (and so paying the command overhead only once). Under
    write-back, cached dirty sectors shadow the device image. *)
 let read_range_direct t ~lba ~count =
-  t.range_reads <- t.range_reads + 1;
   let out = device_read t ~lba ~count in
   if t.writeback && t.block_sectors = 1 then
     for i = 0 to count - 1 do
@@ -694,13 +687,11 @@ let fat_io t ~range_bypass : Fs.Fat32.io =
 
 let hits t = t.hits
 let misses t = t.misses
-let range_reads t = t.range_reads
 let dirty_blocks t = t.dirty_count
 let prefetched t = t.prefetched
 let flush_batches t = t.flush_batches
 let flushed_blocks t = t.flushed_blocks
 let evict_writes t = t.evict_writes
-let flush_ns t = t.flush_ns
 let pinned_blocks t = t.pinned_count
 let barrier_count t = t.barriers
 

@@ -6,10 +6,10 @@
     whose debug output goes… to the UART. Reads are interrupt-driven
     (Prototype 4's "irq RX"). *)
 
-type t = { board : Hw.Board.t; sched : Sched.t }
+type t = { board : Hw.Board.t }
 
 let create board sched =
-  let t = { board; sched } in
+  let t = { board } in
   Sched.register_irq sched Hw.Irq.Uart_rx (fun () ->
       Sched.wake_all sched Task.Uart_input;
       Sched.poll_wake sched);

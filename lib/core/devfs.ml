@@ -8,8 +8,6 @@
     cacheflush(2) needed to make frames visible. *)
 
 type t = {
-  board : Hw.Board.t;
-  sched : Sched.t;
   console : Console.t;
   kbd : Kbd.t;
   audio : Audio.t option;
@@ -17,8 +15,7 @@ type t = {
   fb : Hw.Framebuffer.t option;
 }
 
-let create ~board ~sched ~console ~kbd ~audio ~wm ~fb =
-  { board; sched; console; kbd; audio; wm; fb }
+let create ~console ~kbd ~audio ~wm ~fb = { console; kbd; audio; wm; fb }
 
 let finish_err ctx e = Sched.finish ctx (Abi.R_int (-e))
 
@@ -121,6 +118,17 @@ let event1_ops t =
 
 (* ---- /dev/fb: write path and mmap ---- *)
 
+(* mmap of the framebuffer: identity-map it into the caller's space and
+   return its bus address and geometry. /dev/fb's mmap (P4+) and
+   Prototype 3's hardwired mmap (§4.3) are this one call. *)
+let mmap_fb ctx fb =
+  let width = Hw.Framebuffer.width fb and height = Hw.Framebuffer.height fb in
+  (match ctx.Sched.task.Task.vm with
+  | Some vm -> Vm.map_fb vm
+  | None -> ());
+  Sched.charge ctx (Kcost.sbrk_per_page * 16);
+  Sched.finish ctx (Abi.R_mmap (Vm.fb_bus_address, width, height))
+
 let fb_ops t =
   match t.fb with
   | None -> None
@@ -148,20 +156,7 @@ let fb_ops t =
               file.Fd.off <- file.Fd.off + Bytes.length data;
               Sched.charge ctx (Kcost.copy_cycles ~bytes:(Bytes.length data));
               Sched.finish ctx (Abi.R_int (Bytes.length data)));
-          dev_mmap =
-            Some
-              (fun ctx _file ->
-                (match ctx.Sched.task.Task.vm with
-                | Some vm ->
-                    ignore
-                      (Vm.add_mapping vm ~name:"fb"
-                         ~bytes:
-                           (4 * width * Hw.Framebuffer.height fb)
-                         ~cached:true)
-                | None -> ());
-                Sched.charge ctx (Kcost.sbrk_per_page * 16);
-                Sched.finish ctx
-                  (Abi.R_mmap (Vm.fb_bus_address, width, Hw.Framebuffer.height fb)));
+          dev_mmap = Some (fun ctx _file -> mmap_fb ctx fb);
           dev_close = (fun _ -> ());
           dev_poll = None;
         }

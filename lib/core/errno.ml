@@ -7,7 +7,6 @@ let ebadf = 9
 let echild = 10
 let eagain = 11
 let enomem = 12
-let efault = 14
 let eexist = 17
 let enotdir = 20
 let eisdir = 21
@@ -29,7 +28,6 @@ let name = function
   | 10 -> "ECHILD"
   | 11 -> "EAGAIN"
   | 12 -> "ENOMEM"
-  | 14 -> "EFAULT"
   | 17 -> "EEXIST"
   | 20 -> "ENOTDIR"
   | 21 -> "EISDIR"

@@ -89,12 +89,6 @@ type t = {
           transactions group-committed by the flush daemon and fsync,
           and mount replays committed transactions (off = the paper's
           journal-free xv6fs, bit-identical images) *)
-  flight_recorder_events : int;
-      (** panic flight recorder: when a {!Kpanic} panic leaves kernel
-          code, dump the last N trace events, all attached vprobe
-          aggregates and the per-task delay table to this kernel's UART;
-          0 = off. Always-on in [full] — a kernel that panics silently
-          teaches nothing *)
 }
 
 (** Period of the flush daemon that every write-back cache runs. *)
@@ -138,9 +132,6 @@ let full =
        so the journal ships off and the stock rootfs image stays
        byte-identical; the crash harness and journal tests arm it *)
     journal = false;
-    (* the flight recorder is always-on because a panic is exactly when
-       you want the data *)
-    flight_recorder_events = 64;
   }
 
 let rec prototype = function
@@ -164,7 +155,6 @@ let rec prototype = function
         profile_hz = 0;
         sim_domains = 1;
         journal = false;
-        flight_recorder_events = 0;
       }
   | (2 | 3) as k -> { (prototype 1) with stage = k }
   | 4 ->

@@ -49,9 +49,6 @@ type t = {
   sched : Sched.t;
   fdt : Fd.t;
   vfs : Vfs.t;
-  proc : Proc.t;
-  sems : Sem.t;
-  console : Console.t;
   kbd : Kbd.t;
   audio : Audio.t option;
   wm : Wm.t option;
@@ -148,7 +145,7 @@ let build_ramdisk spec =
 let format_fat (dev : Fs.Blockdev.t) files =
   let name = dev.Fs.Blockdev.name in
   let io = Fs.Fat32.io_of_blockdev dev in
-  Fs.Fat32.mkfs io ~total_sectors:dev.Fs.Blockdev.total_sectors ();
+  Fs.Fat32.mkfs io ~total_sectors:dev.Fs.Blockdev.total_sectors;
   let fat =
     match Fs.Fat32.mount io with
     | Ok f -> f
@@ -274,7 +271,7 @@ let boot spec =
       ~dram_bytes:(948 * 1024 * 1024)
       ~kernel_reserved_bytes:kernel_reserved
   in
-  let sched = Sched.create board spec.sp_config kalloc in
+  let sched = Sched.create board spec.sp_config in
   let trace = sched.Sched.trace in
   (* the runtime sanitizer comes up with the scheduler so every later
      subsystem can feed it; kernel-side knowledge (channel-name parsing,
@@ -319,12 +316,12 @@ let boot spec =
   let wm =
     match (Kconfig.desktop spec.sp_config, fb) with
     | true, Some fb ->
-        let wm = Wm.create board sched fb ~track_dirty:spec.sp_track_dirty in
+        let wm = Wm.create sched fb ~track_dirty:spec.sp_track_dirty in
         Kbd.set_sink kbd (fun ev -> Wm.key_sink wm ev);
         Some wm
     | _, (Some _ | None) -> None
   in
-  let devfs = Devfs.create ~board ~sched ~console ~kbd ~audio ~wm ~fb in
+  let devfs = Devfs.create ~console ~kbd ~audio ~wm ~fb in
   let procfs = Procfs.create ~board ~sched ~kalloc in
   let fdt = Fd.create sched in
   let vfs =
@@ -523,9 +520,6 @@ let boot spec =
       sched;
       fdt;
       vfs;
-      proc;
-      sems;
-      console;
       kbd;
       audio;
       wm;

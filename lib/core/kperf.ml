@@ -153,7 +153,6 @@ end
 type metric = {
   m_name : string;  (** Prometheus metric name, e.g. [vos_syscall_service_ns] *)
   m_label : (string * string) option;  (** e.g. [("core", "0")] *)
-  m_help : string;  (** # HELP text; "" elides the line *)
   m_hist : Hist.t;
 }
 
@@ -190,14 +189,14 @@ let create () =
 
 (* Find-or-create: recording sites grab their histogram once at init and
    hold the [Hist.t] directly, so lookup cost never rides a hot path. *)
-let hist t ?label ?(help = "") name =
+let hist t ?label name =
   let same m = String.equal m.m_name name && m.m_label = label in
   match List.find_opt same t.metrics with
   | Some m -> m.m_hist
   | None ->
       let h = Hist.create () in
       t.metrics <-
-        { m_name = name; m_label = label; m_help = help; m_hist = h }
+        { m_name = name; m_label = label; m_hist = h }
         :: t.metrics;
       h
 
@@ -327,12 +326,7 @@ let render_metrics t =
     (group_by_name (List.rev t.counters) (fun c -> c.c_name));
   List.iter
     (fun (name, ms) ->
-      let help =
-        match List.find_opt (fun m -> m.m_help <> "") ms with
-        | Some m -> m.m_help
-        | None -> ""
-      in
-      add_meta buf ~name ~kind:"histogram" ~help;
+      add_meta buf ~name ~kind:"histogram" ~help:"";
       List.iter
         (fun m ->
           let h = m.m_hist in

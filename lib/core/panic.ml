@@ -6,7 +6,7 @@
     unwinder, run-queue depths, pending interrupts, and the tail of the
     trace ring. *)
 
-type t = { sched : Sched.t; console : Console.t; mutable dumps : int }
+type t = { sched : Sched.t; mutable dumps : int }
 
 (* The trace tail both dumps print: the last [n] entries of the sorted
    dump, one indented line each, under a header given the count kept
@@ -43,21 +43,24 @@ let render t ~fiq_core =
   Buffer.add_string buf "=== END PANIC DUMP ===\n";
   Buffer.contents buf
 
-(* Flight recorder: the always-on black box, armed per kernel by
-   {!install}. Where the panic button above needs an operator pressing
-   the GPIO line, this runs on the way down — {!Sched} fires it once,
-   where the panic leaves kernel code — so the UART carries the last
-   [events] trace entries, any attached vprobe aggregates, and the
-   per-task delay table alongside the panic itself. Pure host-side
-   rendering: no charges, no engine events, safe to run with the kernel
-   in an arbitrary broken state. *)
-let flight_record sched console ~events msg =
+(* Flight recorder: the always-on black box, armed by {!install} in
+   every kernel from Prototype 4 on (a kernel that panics silently
+   teaches nothing). Where the panic button above needs an operator
+   pressing the GPIO line, this runs on the way down — {!Sched} fires it
+   once, where the panic leaves kernel code — so the UART carries the
+   last [recorder_events] trace entries, any attached vprobe
+   aggregates, and the per-task delay table alongside the panic itself.
+   Pure host-side rendering: no charges, no engine events, safe to run
+   with the kernel in an arbitrary broken state. *)
+let recorder_events = 64
+
+let flight_record sched console msg =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf "\n=== FLIGHT RECORDER (t=%.3f ms) ===\npanic: %s\n"
        (Sim.Engine.to_ms (Hw.Board.now sched.Sched.board))
        msg);
-  add_trace_tail buf sched.Sched.trace events
+  add_trace_tail buf sched.Sched.trace recorder_events
     (Printf.sprintf "trace tail (last %d of %d):\n");
   Buffer.add_string buf "vprobe aggregates:\n";
   Buffer.add_string buf (Vprobe.render sched.Sched.vprobe);
@@ -67,16 +70,15 @@ let flight_record sched console ~events msg =
   Console.printk console (Buffer.contents buf)
 
 let install sched console =
-  let t = { sched; console; dumps = 0 } in
+  let t = { sched; dumps = 0 } in
   sched.Sched.on_panic <-
     Some
       (fun fiq_core ->
         t.dumps <- t.dumps + 1;
         Console.printk console (render t ~fiq_core));
-  (let events = sched.Sched.config.Kconfig.flight_recorder_events in
-   if events > 0 then
-     sched.Sched.flight_recorder <-
-       Some (fun msg -> flight_record sched console ~events msg));
+  if Kconfig.files sched.Sched.config then
+    sched.Sched.flight_recorder <-
+      Some (fun msg -> flight_record sched console msg);
   t
 
 let dumps t = t.dumps

@@ -91,7 +91,6 @@ and core_stats = {
 and t = {
   board : Hw.Board.t;
   config : Kconfig.t;
-  kalloc : Kalloc.t;
   trace : Ktrace.t;
   kperf : Kperf.t;  (** histograms, counters, profiler (host-side only) *)
   h_syscall : Kperf.Hist.t;  (** syscall service time, trap to return *)
@@ -213,7 +212,7 @@ let core_stats kperf core_id =
   { switches; migrations; steals; balance_moves; ipis_to; ipis_recv;
     delay_hist = Kperf.hist kperf ~label "vos_sched_run_delay_ns" }
 
-let create board config kalloc =
+let create board config =
   let active =
     if config.Kconfig.multicore then board.Hw.Board.platform.Hw.Board.num_cores
     else 1
@@ -226,7 +225,6 @@ let create board config kalloc =
     {
       board;
       config;
-      kalloc;
       trace;
       kperf;
       h_syscall = Kperf.hist kperf "vos_syscall_service_ns";
@@ -949,12 +947,11 @@ and handle_trap t task call k =
 
 (* ---- spawning ---- *)
 
-let spawn t ~name ~kind ?vm ?(parent = 0) ?(nice = 0) main =
+let spawn t ~name ~kind ?vm ?(parent = 0) main =
   t.next_pid <- t.next_pid + 1;
   let task = Task.create ~pid:t.next_pid ~name ~kind ?vm ~parent () in
   task.Task.d_spawned_ns <- now t;
   task.Task.d_state_since <- now t;
-  task.Task.nice <- max (-20) (min 19 nice);
   Hashtbl.replace t.tasks task.Task.pid task;
   (match Hashtbl.find_opt t.tasks parent with
   | Some p -> p.Task.children <- task.Task.pid :: p.Task.children

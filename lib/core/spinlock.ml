@@ -92,9 +92,7 @@ let release t ~core ~now_ns =
   if Int64.compare held t.max_held_ns > 0 then t.max_held_ns <- held
 
 let holding t ~core = t.owner = Some core
-let acquisitions t = t.acquisitions
 let total_held_ns t = t.total_held_ns
-let max_held_ns t = t.max_held_ns
 
 (* Leaf lock window: acquire, run the pure critical section, release.
    For the discipline-only subsystem locks (fd table, pipes, semaphores,

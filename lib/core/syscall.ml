@@ -103,20 +103,7 @@ let dispatch s ctx =
                framebuffer, as exec() hardcodes the fb args (par 4.3) *)
             match s.s_fb with
             | None -> err ctx Errno.enosys
-            | Some fb ->
-                (match ctx.Sched.task.Task.vm with
-                | Some vm ->
-                    ignore
-                      (Vm.add_mapping vm ~name:"fb"
-                         ~bytes:(4 * Hw.Framebuffer.width fb * Hw.Framebuffer.height fb)
-                         ~cached:true)
-                | None -> ());
-                Sched.charge ctx (Kcost.sbrk_per_page * 16);
-                Sched.finish ctx
-                  (Abi.R_mmap
-                     ( Vm.fb_bus_address,
-                       Hw.Framebuffer.width fb,
-                       Hw.Framebuffer.height fb ))
+            | Some fb -> Devfs.mmap_fb ctx fb
           end)
   (* ---- threading & sync ---- *)
   | Abi.Clone body ->

@@ -97,7 +97,7 @@ type t = {
 
 let default_quantum = 10 (* ticks *)
 
-let create ~pid ~name ~kind ?vm ?(parent = 0) () =
+let create ~pid ~name ~kind ?vm ~parent () =
   {
     pid;
     name;

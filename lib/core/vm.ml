@@ -23,12 +23,7 @@ let max_stack_pages = 256 (* 1 MB of stack *)
 let fb_bus_address = 0x3c10_0000
 let fault_kill_threshold = 3
 
-type mapping = {
-  map_name : string;
-  map_base : int;
-  map_bytes : int;
-  map_cached : bool;
-}
+type mapping = { map_name : string; map_base : int }
 
 type t = {
   asid : int;
@@ -36,12 +31,10 @@ type t = {
   mutable frames : int list;  (** the {!Kalloc} frames this space holds *)
   mutable code_pages : int;
   mutable brk : int;  (** heap break, bytes from heap base *)
-  heap_base : int;
   mutable stack_pages : int;
   mutable mappings : mapping list;
   mutable refcount : int;  (** CLONE_VM sharers *)
   faults : (int, int) Hashtbl.t;  (** addr -> consecutive fault count *)
-  mutable total_faults : int;
 }
 
 let heap_pages t = (t.brk + page_bytes - 1) / page_bytes
@@ -78,12 +71,10 @@ let create kalloc ~code_pages =
       frames = [];
       code_pages = 0;
       brk = 0;
-      heap_base = 0;
       stack_pages = 0;
       mappings = [];
       refcount = 1;
       faults = Hashtbl.create 8;
-      total_faults = 0;
     }
   in
   (* demand paging (P3+): map the code and exactly one stack page *)
@@ -138,7 +129,6 @@ let sbrk t delta =
 
 (* A stack fault: grow by one page, or report why the task must die. *)
 let fault_stack t ~addr =
-  t.total_faults <- t.total_faults + 1;
   let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.faults addr) in
   Hashtbl.replace t.faults addr count;
   if count >= fault_kill_threshold then `Kill_repeated_fault
@@ -151,22 +141,10 @@ let fault_stack t ~addr =
     | Error _ -> `Kill_oom
   end
 
-let total_faults t = t.total_faults
-
-let add_mapping t ~name ~bytes ~cached =
-  let base =
-    match name with
-    | "fb" -> fb_bus_address (* identity map, as §4.3 describes *)
-    | _ ->
-        (* other mappings stack above the framebuffer window *)
-        List.fold_left
-          (fun top m -> max top (m.map_base + m.map_bytes))
-          (fb_bus_address + 0x0100_0000)
-          t.mappings
-  in
-  let m = { map_name = name; map_base = base; map_bytes = bytes; map_cached = cached } in
-  t.mappings <- m :: t.mappings;
-  m
+(* The framebuffer is identity-mapped at its bus address, as §4.3
+   describes. *)
+let map_fb t =
+  t.mappings <- { map_name = "fb"; map_base = fb_bus_address } :: t.mappings
 
 let find_mapping t ~name =
   List.find_opt (fun m -> String.equal m.map_name name) t.mappings

@@ -33,7 +33,6 @@ type surface = {
 }
 
 type t = {
-  board : Hw.Board.t;
   sched : Sched.t;
   fb : Hw.Framebuffer.t;
   surfaces : (int, surface) Hashtbl.t;
@@ -49,19 +48,17 @@ type t = {
   mutable damage_y1 : int;
       (** screen rows [damage_y0, damage_y1) uncovered by a window that
           closed or moved since the last round; empty when y0 >= y1 *)
-  mutable running : bool;
 }
 
 let background = 0x102030
 
-let create board sched fb ~track_dirty =
+let create sched fb ~track_dirty =
   let width = Hw.Framebuffer.width fb in
   let background_row = Bytes.create (4 * width) in
   for x = 0 to width - 1 do
     Bytes.set_int32_le background_row (4 * x) (Int32.of_int background)
   done;
   {
-    board;
     sched;
     fb;
     surfaces = Hashtbl.create 16;
@@ -75,7 +72,6 @@ let create board sched fb ~track_dirty =
     pixels_composited = 0;
     damage_y0 = Hw.Framebuffer.height fb;
     damage_y1 = 0;
-    running = false;
   }
 
 let surface t id = Hashtbl.find_opt t.surfaces id
@@ -297,7 +293,6 @@ let composite t =
    Burn like any other task, so compositing load shows up in core
    utilization and app FPS. *)
 let thread_body t () =
-  t.running <- true;
   let rec loop () =
     (match Effect.perform (Abi.Sys (Abi.Sleep 16)) with
     | Abi.R_int _ -> ()

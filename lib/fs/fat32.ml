@@ -64,9 +64,8 @@ let compute_fat_sectors ~total_sectors ~spc =
   done;
   !fat_sectors
 
-let mkfs io ~total_sectors ?(sectors_per_cluster = 8) () =
-  let spc = sectors_per_cluster in
-  assert (spc > 0 && spc land (spc - 1) = 0 && spc <= 128);
+let mkfs io ~total_sectors =
+  let spc = 8 (* 4 KiB clusters; mount reads the size back from the BPB *) in
   let fat_sectors = compute_fat_sectors ~total_sectors ~spc in
   let bpb = Bytes.make sector_bytes '\000' in
   Bytes.set_uint8 bpb 0 0xeb;
@@ -577,7 +576,7 @@ let make_short_entry ~short ~attr ~cluster ~size =
   put32 e 28 size;
   e
 
-let add_entry t dir_cluster name ~attr ~cluster ~size =
+let add_entry t dir_cluster name ~attr ~cluster =
   if String.length name = 0 || String.length name > 255 then
     Error (Error.Invalid "fat32: bad name")
   else if find_entry t dir_cluster name <> None then
@@ -589,7 +588,7 @@ let add_entry t dir_cluster name ~attr ~cluster ~size =
     match find_free_slots t dir_cluster nslots with
     | Error e -> Error e
     | Ok slots ->
-        let entries = lfn @ [ make_short_entry ~short ~attr ~cluster ~size ] in
+        let entries = lfn @ [ make_short_entry ~short ~attr ~cluster ~size:0 ] in
         List.iter2 (write_slot t) slots entries;
         Ok ()
   end
@@ -609,7 +608,7 @@ let parent_and_name t path =
 let create t path =
   match parent_and_name t path with
   | Error e -> Error e
-  | Ok (dir_cl, name) -> add_entry t dir_cl name ~attr:0x20 ~cluster:0 ~size:0
+  | Ok (dir_cl, name) -> add_entry t dir_cl name ~attr:0x20 ~cluster:0
 
 let mkdir t path =
   match parent_and_name t path with
@@ -618,7 +617,7 @@ let mkdir t path =
       match alloc_cluster t with
       | Error e -> Error e
       | Ok cl -> (
-          match add_entry t dir_cl name ~attr:0x10 ~cluster:cl ~size:0 with
+          match add_entry t dir_cl name ~attr:0x10 ~cluster:cl with
           | Error e ->
               free_chain t cl;
               Error e

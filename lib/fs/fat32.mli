@@ -29,7 +29,7 @@ type stat = {
   st_cluster : int;  (** first cluster; stable identity while the file lives *)
 }
 
-val mkfs : io -> total_sectors:int -> ?sectors_per_cluster:int -> unit -> unit
+val mkfs : io -> total_sectors:int -> unit
 (** Format: writes BPB, FSInfo, both FATs and an empty root directory. *)
 
 val mount : io -> (t, Error.t) result

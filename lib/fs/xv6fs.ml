@@ -73,7 +73,6 @@ type inode = {
    blocks (newest first), pinned in the buffer cache until commit. *)
 type log = {
   l_start : int;
-  l_size : int;
   l_max_tx : int;
   l_replayed : int;  (* blocks installed by replay at mount *)
   mutable l_seq : int;
@@ -118,7 +117,7 @@ let put16 b off v =
 
 (* ---- superblock ---- *)
 
-let layout ?(nlog = 0) ~total_blocks ~ninodes () =
+let layout ~nlog ~total_blocks ~ninodes =
   let ninodeblocks = (ninodes + inodes_per_block - 1) / inodes_per_block in
   let nbitmap = ((total_blocks / 8) + block_bytes - 1) / block_bytes in
   let inodestart = 2 in
@@ -858,7 +857,6 @@ let mount io =
           Some
             {
               l_start = sb.sb_logstart;
-              l_size = sb.sb_nlog;
               l_max_tx = min sb.sb_nlog (min log_hdr_max journal_max_tx);
               l_replayed = replayed;
               l_seq = seq;
@@ -882,7 +880,7 @@ let mount io =
 let mkfs ?(nlog = 0) ?(ext = false) ~total_blocks ~ninodes () =
   let image = Bytes.make (total_blocks * block_bytes) '\000' in
   let io = io_of_image image in
-  let sb = { (layout ~nlog ~total_blocks ~ninodes ()) with sb_ext = ext } in
+  let sb = { (layout ~nlog ~total_blocks ~ninodes) with sb_ext = ext } in
   write_superblock io sb;
   if nlog > 0 then write_log_header io ~logstart:sb.sb_logstart ~seq:0 ~blocks:[];
   (* formatting writes straight through — the image only becomes a

@@ -35,7 +35,6 @@ type result = {
   r_outcome : outcome;
   r_digest : string;  (** hex digest of trace + uart + outcome *)
   r_trace : Ktrace.entry list;  (** for ktrace dumps of failing runs *)
-  r_uart : string;
   r_vtime_ns : int64;  (** virtual time consumed by the session *)
 }
 
@@ -445,11 +444,9 @@ let run scen =
     r_outcome = outcome;
     r_digest = digest;
     r_trace = trace;
-    r_uart = uart;
     r_vtime_ns = vtime;
   }
 
 (* Run a scenario regenerated from a bare seed with the campaign
    defaults: [default_ops] ops, device faults armed. *)
-let run_seed ?(ops = default_ops) ?(faults = true) seed =
-  run (Gen.generate ~ops ~faults seed)
+let run_seed seed = run (Gen.generate seed)

@@ -72,8 +72,6 @@ let unmask t ~core =
   state.mask_depth <- state.mask_depth - 1;
   if state.mask_depth = 0 then drain state
 
-let masked t ~core = t.cores.(core).mask_depth > 0
-
 let raise_line t line =
   match line with
   | Irq.Fiq_button ->

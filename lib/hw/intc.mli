@@ -32,8 +32,6 @@ val mask : t -> core:int -> unit
 val unmask : t -> core:int -> unit
 (** Re-enable IRQ delivery; pending lines are delivered immediately. *)
 
-val masked : t -> core:int -> bool
-
 val raise_line : t -> Irq.line -> unit
 (** Device-side: assert [line]. Delivered now if the target core is
     unmasked and a handler is installed; otherwise left pending (multiple

@@ -21,8 +21,8 @@ let board_power p ~busy_cores ~io_fraction =
   +. (p.core_active_w *. busy_cores)
   +. (p.io_active_w *. min 1.0 io_fraction)
 
-let total_power p ~busy_cores ~io_fraction ~hat =
-  board_power p ~busy_cores ~io_fraction +. if hat then p.hat_w else 0.0
+let total_power p ~busy_cores ~io_fraction =
+  board_power p ~busy_cores ~io_fraction +. p.hat_w
 
 let battery_hours p ~watts =
   assert (watts > 0.0);
@@ -35,26 +35,16 @@ type supply = {
   mutable sector_budget : int option;
       (* media sectors the rail will still power; [None] = unlimited *)
   mutable media_sectors : int;
-  mutable dropped_sectors : int;
-  mutable cuts : int;
 }
 
-let supply () =
-  {
-    alive = true;
-    sector_budget = None;
-    media_sectors = 0;
-    dropped_sectors = 0;
-    cuts = 0;
-  }
+let supply () = { alive = true; sector_budget = None; media_sectors = 0 }
 
 let alive s = s.alive
 
 let cut s =
   if s.alive then begin
     s.alive <- false;
-    s.sector_budget <- Some 0;
-    s.cuts <- s.cuts + 1
+    s.sector_budget <- Some 0
   end
 
 let cut_after_media_writes s ~sectors =
@@ -63,10 +53,7 @@ let cut_after_media_writes s ~sectors =
 
 let media_budget s ~sectors =
   if sectors <= 0 then 0
-  else if not s.alive then begin
-    s.dropped_sectors <- s.dropped_sectors + sectors;
-    0
-  end
+  else if not s.alive then 0
   else
     match s.sector_budget with
     | None ->
@@ -76,7 +63,6 @@ let media_budget s ~sectors =
         let granted = min budget sectors in
         s.sector_budget <- Some (budget - granted);
         s.media_sectors <- s.media_sectors + granted;
-        s.dropped_sectors <- s.dropped_sectors + (sectors - granted);
         if budget - granted = 0 then cut s;
         granted
 
@@ -85,5 +71,3 @@ let revive s =
   s.sector_budget <- None
 
 let media_writes s = s.media_sectors
-let dropped_sectors s = s.dropped_sectors
-let cuts s = s.cuts

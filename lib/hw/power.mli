@@ -22,7 +22,8 @@ val board_power : profile -> busy_cores:float -> io_fraction:float -> float
 (** Pi3-board draw given the time-averaged number of busy cores
     (0.0–4.0) and the fraction of time spent in device IO. *)
 
-val total_power : profile -> busy_cores:float -> io_fraction:float -> hat:bool -> float
+val total_power : profile -> busy_cores:float -> io_fraction:float -> float
+(** {!board_power} plus the game HAT's draw. *)
 
 val battery_hours : profile -> watts:float -> float
 
@@ -58,7 +59,7 @@ val cut_after_media_writes : supply -> sectors:int -> unit
 val media_budget : supply -> sectors:int -> int
 (** [media_budget s ~sectors] asks the rail to power a [sectors]-long
     write and returns how many leading sectors actually reach the
-    medium (the rest are dropped and counted). Devices call this on
+    medium (the rest are dropped). Devices call this on
     every media write; an exhausted budget triggers the cut. *)
 
 val revive : supply -> unit
@@ -67,8 +68,3 @@ val revive : supply -> unit
 
 val media_writes : supply -> int
 (** Total sectors granted to media over the supply's lifetime. *)
-
-val dropped_sectors : supply -> int
-(** Sectors refused because the rail was down or the budget ran out. *)
-
-val cuts : supply -> int

@@ -64,7 +64,6 @@ let start t =
     ignore (Sim.Engine.schedule_after t.engine (chunk_period_ns t) (drain t))
   end
 
-let fifo_level t = Queue.length t.fifo
 let fifo_space t = fifo_capacity - Queue.length t.fifo
 
 let push_samples t samples =

@@ -20,7 +20,6 @@ val start : t -> unit
 (** Begin consuming. Idempotent. *)
 
 val fifo_capacity : int
-val fifo_level : t -> int
 val fifo_space : t -> int
 
 val push_samples : t -> int array -> int

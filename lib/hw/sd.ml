@@ -162,7 +162,7 @@ let merged_count t = t.merged
    medium when it returns, and nothing issued after it can be reordered
    ahead by the elevator (the queue is empty). An empty queue costs
    nothing, so a barrier on an already-synced card is free. *)
-let barrier ?(coalesce = true) t =
+let barrier ~coalesce t =
   t.barriers <- t.barriers + 1;
   if t.queue = [] then Ok (0L, 0) else flush_queue ~coalesce t
 

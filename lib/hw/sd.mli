@@ -50,7 +50,7 @@ val flush_queue : ?coalesce:bool -> t -> (int64 * int, string) result
 val merged_count : t -> int
 (** Cumulative requests absorbed into a neighbour's command. *)
 
-val barrier : ?coalesce:bool -> t -> (int64 * int, string) result
+val barrier : coalesce:bool -> t -> (int64 * int, string) result
 (** Ordered-write barrier: drain the request queue so every write issued
     before the barrier is on the medium before any issued after it. Free
     (zero cost, zero commands) when the queue is already empty. Returns

@@ -7,7 +7,7 @@
     baremetal appliance (P1) and kernel-task stage (P2). Prototype 3
     onward loads programs from the ramdisk via exec. *)
 
-type t = { prototype : int; kernel : Core.Kernel.t; env : User.Uenv.t }
+type t = { kernel : Core.Kernel.t; env : User.Uenv.t }
 
 (* Program sizes model the paper's Figure 7 app footprints: early
    prototypes are hundreds of SLoC; Prototype 5 binaries link newlib and
@@ -104,12 +104,11 @@ let boot ?(platform = Hw.Board.pi3) ?(config_tweak = fun c -> c)
       sp_fat_files = fat_files prototype;
       sp_usb_files = usb_files;
       sp_track_dirty = track_dirty;
-      sp_sd_mib = 64;
     }
   in
   let kernel = Core.Kernel.boot spec in
   env.User.Uenv.e_fb <- kernel.Core.Kernel.fb;
-  { prototype; kernel; env }
+  { kernel; env }
 
 (* ---- running apps ---- *)
 

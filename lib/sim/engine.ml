@@ -70,8 +70,6 @@ let set_domains t n =
   t.domains <- n;
   if n > 1 then Dpool.ensure_workers Dpool.global (n - 1)
 
-let domains t = t.domains
-
 let push t time ev =
   if Int64.compare time t.clock < 0 then
     invalid_arg "Engine.schedule_at: time is in the past";
@@ -188,7 +186,6 @@ let events_fired t = t.events_fired
 
 let par_stats t = (t.par_batches, t.par_computed)
 
-let ns x = Int64.of_int x
 let us x = Int64.mul (Int64.of_int x) 1_000L
 let ms x = Int64.mul (Int64.of_int x) 1_000_000L
 let sec x = Int64.mul (Int64.of_int x) 1_000_000_000L

@@ -53,8 +53,6 @@ val set_domains : t -> int -> unit
     default 1 runs computes inline at fire time — bit-for-bit the
     sequential engine. Values > 1 lazily spawn [n - 1] pool workers. *)
 
-val domains : t -> int
-
 val schedule_par : t -> int64 -> (unit -> unit -> unit) -> event_id
 (** [schedule_par t time compute] schedules a parallelizable
     event: [compute ()] may run on any domain any time between scheduling
@@ -82,7 +80,6 @@ val advance_to : t -> int64 -> unit
 
 (** {1 Time unit helpers} *)
 
-val ns : int -> int64
 val us : int -> int64
 val ms : int -> int64
 val sec : int -> int64

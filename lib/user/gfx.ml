@@ -23,7 +23,6 @@ type t = {
           [4 * width * height] bytes in the /dev/surface wire format:
           little-endian 0xffRRGGBB words, row-major *)
   mutable cost_cycles : int;
-  mutable frames : int;
 }
 
 let rgb r g b = ((r land 0xff) lsl 16) lor ((g land 0xff) lsl 8) lor (b land 0xff)
@@ -50,7 +49,6 @@ let direct env =
             height = h;
             pixels = Bytes.make (4 * w * h) '\000';
             cost_cycles = 0;
-            frames = 0;
           }
   end
 
@@ -85,7 +83,6 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
           height;
           pixels = Bytes.make (4 * width * height) '\000';
           cost_cycles = 0;
-          frames = 0;
         }
   end
 
@@ -119,7 +116,7 @@ let fill_rect t ~x ~y ~w ~h px =
       Bytes.set_int32_le t.pixels (4 * (row + xx)) (word px)
     done
   done;
-  t.cost_cycles <- t.cost_cycles + (w * h * cost_fill_pixel)
+  t.cost_cycles <- t.cost_cycles + (max 0 w * max 0 h * cost_fill_pixel)
 
 (* 5x7 bitmap font (digits, upper-case letters, a little punctuation). *)
 let glyph c =
@@ -183,7 +180,6 @@ let text t ~x ~y ~color s =
 
 (* Present the frame: push pixels out and pay the accumulated CPU bill. *)
 let present t =
-  t.frames <- t.frames + 1;
   (match t.mode with
   | Direct fb ->
       (* copy the staging buffer to the mapped framebuffer, which has
@@ -214,5 +210,3 @@ let present t =
 
 let close t =
   match t.mode with Windowed fd -> ignore (Usys.close fd) | Direct _ -> ()
-
-let frames t = t.frames

@@ -12,7 +12,6 @@ type t = {
   ev_fd : int;
   mutable audio_tid : int option;
   mutable audio_stop : bool;
-  env : Uenv.t;
 }
 
 let init env mode =
@@ -24,7 +23,7 @@ let init env mode =
       | Ok gfx ->
           let fd = Usys.open_ "/dev/events" (Abi.o_rdonly lor Abi.o_nonblock) in
           if fd < 0 then Error (-fd)
-          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false; env })
+          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false })
   | Window { w; h; x; y; alpha } -> (
       match Gfx.windowed ~width:w ~height:h ~x ~y ~alpha () with
       | Error e -> Error e
@@ -32,7 +31,7 @@ let init env mode =
           (* WM-routed events for this window *)
           let fd = Usys.open_ "/dev/event1" (Abi.o_rdonly lor Abi.o_nonblock) in
           if fd < 0 then Error (-fd)
-          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false; env })
+          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false })
 
 let surface t = t.gfx
 let present t = Gfx.present t.gfx

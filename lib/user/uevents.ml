@@ -32,7 +32,7 @@ let key_of_usage u =
   | 0x27 -> Char '0'
   | u -> Other u
 
-type event = { key : key; pressed : bool; ctrl : bool; ts_ns : int64 }
+type event = { key : key; pressed : bool }
 
 let decode_bytes data =
   let n = Bytes.length data / Core.Kbd.event_bytes in
@@ -41,8 +41,6 @@ let decode_bytes data =
       {
         key = key_of_usage raw.Core.Kbd.ev_code;
         pressed = raw.Core.Kbd.ev_pressed;
-        ctrl = raw.Core.Kbd.ev_modifiers land 0x01 <> 0;
-        ts_ns = raw.Core.Kbd.ev_ts_ns;
       })
 
 (* Blocking read of at least one event. *)

@@ -13,7 +13,6 @@ type t = {
   mutable free_list : block list;  (** sorted by address *)
   mutable heap_top : int;  (** bytes sbrk'd so far *)
   mutable live : (int * int) list;  (** addr -> size of allocations *)
-  mutable total_allocs : int;
   mutable sbrk_calls : int;
 }
 
@@ -21,7 +20,7 @@ let align = 16
 let round_up n = (n + align - 1) / align * align
 
 let create () =
-  { free_list = []; heap_top = 0; live = []; total_allocs = 0; sbrk_calls = 0 }
+  { free_list = []; heap_top = 0; live = []; sbrk_calls = 0 }
 
 let rec insert_coalesce list blk =
   match list with
@@ -77,7 +76,6 @@ let malloc t size =
     match result with
     | Some addr ->
         t.live <- (addr, need) :: t.live;
-        t.total_allocs <- t.total_allocs + 1;
         Some addr
     | None -> None
   end
@@ -93,4 +91,3 @@ let free t addr =
 let live_bytes t = List.fold_left (fun acc (_, s) -> acc + s) 0 t.live
 let live_count t = List.length t.live
 let heap_bytes t = t.heap_top
-let total_allocs t = t.total_allocs

@@ -421,7 +421,7 @@ let fat_lfn_prop =
     (fun name ->
       let dev, _ = Fs.Blockdev.ramdisk ~name:"sd" ~sectors:8192 in
       let io = Fs.Fat32.io_of_blockdev dev in
-      Fs.Fat32.mkfs io ~total_sectors:8192 ();
+      Fs.Fat32.mkfs io ~total_sectors:8192;
       let t = Result.get_ok (Fs.Fat32.mount io) in
       match Fs.Fat32.create t ("/" ^ name) with
       | Error _ -> false

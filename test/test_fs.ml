@@ -351,7 +351,7 @@ let suite_xv6fs =
 let fat_fresh ?(sectors = 65536) () =
   let dev, _ = Fs.Blockdev.ramdisk ~name:"sd" ~sectors in
   let io = Fs.Fat32.io_of_blockdev dev in
-  Fs.Fat32.mkfs io ~total_sectors:sectors ();
+  Fs.Fat32.mkfs io ~total_sectors:sectors;
   check_fs_ok "mount" (Fs.Fat32.mount io)
 
 let fat_create_write_read () =
@@ -469,7 +469,7 @@ let fat_many_files_extend_directory () =
 let fat_persistence_across_mounts () =
   let dev, _ = Fs.Blockdev.ramdisk ~name:"sd" ~sectors:65536 in
   let io = Fs.Fat32.io_of_blockdev dev in
-  Fs.Fat32.mkfs io ~total_sectors:65536 ();
+  Fs.Fat32.mkfs io ~total_sectors:65536;
   let t = check_fs_ok "mount" (Fs.Fat32.mount io) in
   ignore (check_fs_ok "create" (Fs.Fat32.create t "/keep.dat"));
   ignore (check_fs_ok "write" (Fs.Fat32.write_file t "/keep.dat" ~off:0 ~data:(Bytes.of_string "persist")));

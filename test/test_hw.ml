@@ -626,9 +626,9 @@ let usb_frame_grid () =
 
 let power_endpoints () =
   let p = Hw.Power.pi3_game_hat in
-  let idle = Hw.Power.total_power p ~busy_cores:0.0 ~io_fraction:0.0 ~hat:true in
+  let idle = Hw.Power.total_power p ~busy_cores:0.0 ~io_fraction:0.0 in
   check_in_range "idle ~3W" 2.8 3.3 idle;
-  let load = Hw.Power.total_power p ~busy_cores:1.8 ~io_fraction:0.1 ~hat:true in
+  let load = Hw.Power.total_power p ~busy_cores:1.8 ~io_fraction:0.1 in
   check_in_range "load ~4-5W" 3.8 5.5 load;
   check_in_range "idle battery ~3.7h" 3.3 4.0
     (Hw.Power.battery_hours p ~watts:idle)
@@ -639,8 +639,8 @@ let power_monotone =
     (fun (a, b) ->
       let p = Hw.Power.pi3_game_hat in
       let lo = Float.min a b and hi = Float.max a b in
-      Hw.Power.total_power p ~busy_cores:lo ~io_fraction:0.0 ~hat:true
-      <= Hw.Power.total_power p ~busy_cores:hi ~io_fraction:0.0 ~hat:true)
+      Hw.Power.total_power p ~busy_cores:lo ~io_fraction:0.0
+      <= Hw.Power.total_power p ~busy_cores:hi ~io_fraction:0.0)
 
 let suite =
   ( "hw",

@@ -341,10 +341,12 @@ let vm_clone_shares_space () =
 let vm_mmap_identity () =
   let kalloc = Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024) ~kernel_reserved_bytes:0 in
   let vm = Result.get_ok (Core.Vm.create kalloc ~code_pages:1) in
-  let m = Core.Vm.add_mapping vm ~name:"fb" ~bytes:(640 * 480 * 4) ~cached:true in
-  check_int "identity-mapped at the bus address" Core.Vm.fb_bus_address
-    m.Core.Vm.map_base;
-  check_bool "find works" true (Core.Vm.find_mapping vm ~name:"fb" <> None)
+  Core.Vm.map_fb vm;
+  match Core.Vm.find_mapping vm ~name:"fb" with
+  | Some m ->
+      check_int "identity-mapped at the bus address" Core.Vm.fb_bus_address
+        m.Core.Vm.map_base
+  | None -> Alcotest.fail "find_mapping lost the fb mapping"
 
 let kalloc_exhaustion_and_double_free () =
   let k = Core.Kalloc.create ~dram_bytes:(16 * 4096) ~kernel_reserved_bytes:0 in
@@ -2159,7 +2161,7 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
 
 let oracle_fb_w = 40
 let oracle_fb_h = 24
-let oracle_hosts = lazy (let k = boot_kernel () in (k.Core.Kernel.board, k.Core.Kernel.sched))
+let oracle_sched = lazy (boot_kernel ()).Core.Kernel.sched
 
 (* One surface: width, height, x, y, alpha, pixel seed. *)
 type stack_surface = int * int * int * int * int * int
@@ -2168,7 +2170,7 @@ type stack_surface = int * int * int * int * int * int
    pixels (unflushed under [Cached]), and repaint [y0, y1) with
    [repaint]. *)
 let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
-  let board, sched = Lazy.force oracle_hosts in
+  let sched = Lazy.force oracle_sched in
   let fb = Hw.Framebuffer.create ~width:oracle_fb_w ~height:oracle_fb_h in
   Hw.Framebuffer.set_mapping fb
     (if cached then Hw.Framebuffer.Cached else Hw.Framebuffer.Uncached);
@@ -2177,7 +2179,7 @@ let composed ~cached ~y0 ~y1 (stack : stack_surface list) repaint =
       Hw.Framebuffer.write_pixel fb ~x ~y ((y * 1000) + x)
     done
   done;
-  let wm = Core.Wm.create board sched fb ~track_dirty:true in
+  let wm = Core.Wm.create sched fb ~track_dirty:true in
   List.iter
     (fun (width, height, x, y, alpha, seed) ->
       let s = Core.Wm.create_surface wm ~owner_pid:1 ~width ~height ~x ~y ~alpha in
@@ -3137,10 +3139,7 @@ let sc_balance_period () =
   in
   let engine = board.Hw.Board.engine in
   let config = { Core.Kconfig.full with Core.Kconfig.load_balance_ms = 3 } in
-  let kalloc =
-    Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024) ~kernel_reserved_bytes:0
-  in
-  let sched = Core.Sched.create board config kalloc in
+  let sched = Core.Sched.create board config in
   Core.Sched.start sched;
   let extra () =
     Int64.sub

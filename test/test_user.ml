@@ -1033,7 +1033,6 @@ let windowed_gfx rs ~width ~height =
     height;
     pixels = Bytes.init (4 * width * height) (fun _ -> Char.chr (Random.State.int rs 256));
     cost_cycles = 0;
-    frames = 0;
   }
 
 (* The per-pixel reference: [px]'s low 24 bits under an 0xff X byte,
@@ -1048,11 +1047,11 @@ let store_ref (g : Gfx.t) b ~x ~y px =
   end
 
 (* put and fill_rect at every position from two pixels off each edge to
-   two past it (rectangles of every size up to two past the buffer, so
-   each edge clips), and fill of every buffer size up to 5x4, against
-   per-pixel word stores: every byte of the buffer and the cycle tally
-   must match, bytes off the drawn pixels untouched. Pixels have bits
-   above 24 set. *)
+   two past it (rectangles of every size from -2 to two past the buffer,
+   so each edge clips and a negative size draws and charges nothing),
+   and fill of every buffer size up to 5x4, against per-pixel word
+   stores: every byte of the buffer and the cycle tally must match,
+   bytes off the drawn pixels untouched. Pixels have bits above 24 set. *)
 let gfx_draw_matches_per_pixel () =
   let rs = Random.State.make [| 7 |] in
   let px () = Random.State.bits rs lor (Random.State.bits rs lsl 30) in
@@ -1085,8 +1084,8 @@ let gfx_draw_matches_per_pixel () =
       store_ref g expect ~x ~y c;
       let on = x >= 0 && x < width && y >= 0 && y < height in
       check (Printf.sprintf "put %d,%d" x y) g expect (if on then Gfx.cost_pixel else 0);
-      for h = 0 to height + 2 do
-        for w = 0 to width + 2 do
+      for h = -2 to height + 2 do
+        for w = -2 to width + 2 do
           let g = windowed_gfx rs ~width ~height in
           let expect = Bytes.copy g.pixels in
           let c = px () in
@@ -1097,7 +1096,7 @@ let gfx_draw_matches_per_pixel () =
             done
           done;
           check (Printf.sprintf "fill_rect %dx%d at %d,%d" w h x y) g expect
-            (w * h * Gfx.cost_fill_pixel)
+            (max 0 w * max 0 h * Gfx.cost_fill_pixel)
         done
       done
     done

@@ -16,12 +16,7 @@ let test_config = { Core.Kconfig.full with kcheck = true }
 (* A ready-to-use prototype-5 kernel with no programs. *)
 let boot_kernel ?(config = test_config) ?(platform = Hw.Board.pi3) () =
   Core.Kernel.boot
-    {
-      Core.Kernel.default_spec with
-      sp_platform = platform;
-      sp_config = config;
-      sp_fb = Some (640, 480);
-    }
+    { Core.Kernel.default_spec with sp_platform = platform; sp_config = config }
 
 (* Run a user closure to completion on a fresh kernel; returns its value. *)
 let in_kernel ?config ?platform f =
