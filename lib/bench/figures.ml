@@ -108,8 +108,8 @@ let fig9 () =
       ("sbrk", `Sbrk, Micro.sbrk_us (kernel ()));
       ("fork", `Fork, Micro.fork_us ~heap_kb (kernel ()));
       ("ipc", `Ipc, Micro.ipc_us (kernel ()));
-      ("md5sum 1MB", `Compute, Micro.md5_us ~kb:1024 ~libc_factor:1.0 (kernel ()));
-      ("qsort 100k", `Compute, Micro.qsort_us ~n:100_000 ~libc_factor:1.0 (kernel ()));
+      ("md5sum 1MB", `Compute, Micro.md5_us ~kb:1024 (kernel ()));
+      ("qsort 100k", `Compute, Micro.qsort_us ~n:100_000 (kernel ()));
     ]
   in
   (* file benches measured as latency of a 256 KB sequential read/write *)

@@ -145,14 +145,14 @@ let prepare_file kernel ~path ~bytes =
 
 (* ---- compute: md5sum of [kb] and qsort of [n] ints ---- *)
 
-let md5_us ~kb ~libc_factor kernel =
+(* Both burn the cycles of VOS's newlib; Osmodel scales the result by
+   each OS's libc factor. *)
+let md5_us ~kb kernel =
   match
     Measure.run_task kernel ~name:"bench-md5" (fun () ->
         let data = Bytes.make (kb * 1024) 'm' in
         let _, blocks = User.Md5.digest_with_blocks data in
-        User.Usys.burn
-          (int_of_float
-             (float_of_int (blocks * User.Md5.cycles_per_block) *. libc_factor));
+        User.Usys.burn (blocks * User.Md5.cycles_per_block);
         0)
   with
   | Ok (_, ns) -> Sim.Engine.to_us ns
@@ -160,7 +160,7 @@ let md5_us ~kb ~libc_factor kernel =
 
 let qsort_cycles_per_cmp = 22
 
-let qsort_us ~n ~libc_factor kernel =
+let qsort_us ~n kernel =
   match
     Measure.run_task kernel ~name:"bench-qsort" (fun () ->
         let rng = Sim.Rng.create 7L in
@@ -172,9 +172,7 @@ let qsort_us ~n ~libc_factor kernel =
             compare a b)
           arr;
         assert (Array.length arr = n);
-        User.Usys.burn
-          (int_of_float
-             (float_of_int (!comparisons * qsort_cycles_per_cmp) *. libc_factor));
+        User.Usys.burn (!comparisons * qsort_cycles_per_cmp);
         0)
   with
   | Ok (_, ns) -> Sim.Engine.to_us ns

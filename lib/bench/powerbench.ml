@@ -15,7 +15,10 @@ type sample = {
 
 let profile = Hw.Power.pi3_game_hat
 
-let measure ~name ~setup ~measure_s =
+(* Each scenario measures this long, after a 2 s settle. *)
+let measure_ns = Sim.Engine.sec 5
+
+let measure ~name ~setup =
   let stage = Proto.Stage.boot ~prototype:5 () in
   let kernel = stage.Proto.Stage.kernel in
   setup stage;
@@ -28,7 +31,7 @@ let measure ~name ~setup ~measure_s =
     Array.init cores (fun c -> Core.Sched.core_io_ns kernel.Core.Kernel.sched c)
   in
   let from_ns = Core.Kernel.now kernel in
-  Proto.Stage.run_for stage (Sim.Engine.ms (int_of_float (measure_s *. 1000.)));
+  Proto.Stage.run_for stage measure_ns;
   let window = Int64.to_float (Int64.sub (Core.Kernel.now kernel) from_ns) in
   let busy_cores = ref 0.0 and io_frac = ref 0.0 in
   for c = 0 to cores - 1 do
@@ -59,11 +62,11 @@ let measure ~name ~setup ~measure_s =
 
 let run () =
   [
-    measure ~name:"shell idle" ~measure_s:5.0 ~setup:(fun stage ->
+    measure ~name:"shell idle" ~setup:(fun stage ->
         ignore (Proto.Stage.start stage "sh" [ "sh" ]));
-    measure ~name:"mario-sdl" ~measure_s:5.0 ~setup:(fun stage ->
+    measure ~name:"mario-sdl" ~setup:(fun stage ->
         ignore (Proto.Stage.start stage "mario" [ "mario"; "sdl"; "0" ]));
-    measure ~name:"DOOM" ~measure_s:5.0 ~setup:(fun stage ->
+    measure ~name:"DOOM" ~setup:(fun stage ->
         ignore (Proto.Stage.start stage "doom" [ "doom"; "0" ]));
   ]
 

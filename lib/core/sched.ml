@@ -1148,9 +1148,8 @@ let on_irq t core_id line =
   let desc, span_name =
     match line with
     | Hw.Irq.Core_timer c -> (t.cores.(c).timer_name, t.cores.(c).timer_span)
-    | Hw.Irq.Ipi _ | Hw.Irq.Sys_timer | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc
-    | Hw.Irq.Dma_channel _ | Hw.Irq.Gpio_bank | Hw.Irq.Sd_card
-    | Hw.Irq.Fiq_button ->
+    | Hw.Irq.Ipi _ | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc | Hw.Irq.Dma_channel _
+    | Hw.Irq.Gpio_bank | Hw.Irq.Sd_card | Hw.Irq.Fiq_button ->
         let desc = Hw.Irq.describe line in
         (desc, "irq:" ^ desc)
   in
@@ -1162,7 +1161,7 @@ let on_irq t core_id line =
      the sampler, and it must see the interrupted context, not itself *)
   let mark =
     match line with
-    | Hw.Irq.Core_timer _ | Hw.Irq.Sys_timer -> false
+    | Hw.Irq.Core_timer _ -> false
     | Hw.Irq.Ipi _ | Hw.Irq.Fiq_button | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc
     | Hw.Irq.Dma_channel _ | Hw.Irq.Gpio_bank | Hw.Irq.Sd_card -> true
   in
@@ -1172,8 +1171,8 @@ let on_irq t core_id line =
   | Hw.Irq.Ipi c -> ipi_recv t c
   | Hw.Irq.Fiq_button -> (
       match t.on_panic with Some f -> f core_id | None -> ())
-  | Hw.Irq.Sys_timer | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc | Hw.Irq.Dma_channel _
-  | Hw.Irq.Gpio_bank | Hw.Irq.Sd_card -> (
+  | Hw.Irq.Uart_rx | Hw.Irq.Usb_hc | Hw.Irq.Dma_channel _ | Hw.Irq.Gpio_bank
+  | Hw.Irq.Sd_card -> (
       match
         List.find_opt (fun (l, _) -> Hw.Irq.equal l line) t.irq_drivers
       with

@@ -108,13 +108,11 @@ type pred = { p_field : field; p_cmp : cmp; p_lit : int }
 
 (** What value an aggregation accumulates. *)
 type key =
-  | K_unit  (** count: always 1 *)
   | K_latency_ns
   | K_latency_us
   | K_field of field
 
 let key_name = function
-  | K_unit -> ""
   | K_latency_ns -> "latency_ns"
   | K_latency_us -> "latency_us"
   | K_field f -> field_name f
@@ -329,7 +327,6 @@ let field f ~pid ~core ~fd ~errno ~arg0 =
 
 let key k ~pid ~core ~fd ~errno ~arg0 ~latency_ns =
   match k with
-  | K_unit -> 1
   | K_latency_ns -> latency_ns
   | K_latency_us -> latency_ns / 1000
   | K_field f -> field f ~pid ~core ~fd ~errno ~arg0

@@ -25,8 +25,8 @@ let route t line ~core =
   (match line with
   | Irq.Core_timer _ -> invalid_arg "Intc.route: per-core timer lines are fixed"
   | Irq.Ipi _ -> invalid_arg "Intc.route: IPI mailboxes are per-core"
-  | Irq.Sys_timer | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _
-  | Irq.Gpio_bank | Irq.Sd_card | Irq.Fiq_button ->
+  | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _ | Irq.Gpio_bank
+  | Irq.Sd_card | Irq.Fiq_button ->
       ());
   if core < 0 || core >= Array.length t.cores then
     invalid_arg "Intc.route: bad core";
@@ -47,8 +47,8 @@ let target_core t line =
       if core < 0 || core >= Array.length t.cores then
         invalid_arg "Intc.raise_line: bad timer core";
       core
-  | Irq.Ipi _ | Irq.Sys_timer | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _
-  | Irq.Gpio_bank | Irq.Sd_card | Irq.Fiq_button ->
+  | Irq.Ipi _ | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _ | Irq.Gpio_bank
+  | Irq.Sd_card | Irq.Fiq_button ->
       routed_core line !(t.routes)
 
 let deliver state line =
@@ -91,8 +91,8 @@ let raise_line t line =
           state.pending <- line :: state.pending
       end
       else deliver state line
-  | Irq.Core_timer _ | Irq.Sys_timer | Irq.Uart_rx | Irq.Usb_hc
-  | Irq.Dma_channel _ | Irq.Gpio_bank | Irq.Sd_card ->
+  | Irq.Core_timer _ | Irq.Uart_rx | Irq.Usb_hc | Irq.Dma_channel _
+  | Irq.Gpio_bank | Irq.Sd_card ->
       let core = target_core t line in
       let state = t.cores.(core) in
       if state.mask_depth > 0 || state.handler = None then begin

@@ -11,7 +11,6 @@ type line =
       (** software-generated inter-processor interrupt, target core id —
           the BCM2836 local mailbox registers: any core writes the target's
           mailbox and the target takes an interrupt *)
-  | Sys_timer  (** SoC-level system timer *)
   | Uart_rx
   | Usb_hc  (** USB host controller *)
   | Dma_channel of int

@@ -3,16 +3,12 @@ type tag =
   | Set_depth of int
   | Allocate_buffer
   | Get_pitch
-  | Get_firmware_revision
-  | Get_arm_memory
 
 type tag_result =
   | Size_set of int * int
   | Depth_set of int
   | Buffer of Framebuffer.t
   | Pitch of int
-  | Firmware_revision of int
-  | Arm_memory of int * int
 
 type t = {
   mutable size : (int * int) option;
@@ -23,10 +19,6 @@ type t = {
 let create _engine = { size = None; depth = 32; fb = None }
 
 let round_trip_ns = 12_000L (* ~12 us: two mailbox polls + firmware work *)
-
-let firmware_revision = 0x5f083e20
-let arm_mem_base = 0
-let arm_mem_size = 0x3b40_0000 (* 948 MB visible to ARM on a 1 GB Pi3 *)
 
 let run_tag t tag =
   match tag with
@@ -60,8 +52,6 @@ let run_tag t tag =
       match t.size with
       | None -> Error "mailbox: pitch before size set"
       | Some (w, _) -> Ok (Pitch (w * (t.depth / 8))))
-  | Get_firmware_revision -> Ok (Firmware_revision firmware_revision)
-  | Get_arm_memory -> Ok (Arm_memory (arm_mem_base, arm_mem_size))
 
 let call t tags =
   let rec go acc = function

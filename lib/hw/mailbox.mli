@@ -11,16 +11,12 @@ type tag =
   | Set_depth of int  (** bits per pixel; only 32 is accepted *)
   | Allocate_buffer
   | Get_pitch
-  | Get_firmware_revision
-  | Get_arm_memory  (** base, size of ARM-visible DRAM *)
 
 type tag_result =
   | Size_set of int * int
   | Depth_set of int
   | Buffer of Framebuffer.t
   | Pitch of int  (** bytes per row *)
-  | Firmware_revision of int
-  | Arm_memory of int * int
 
 type t
 
