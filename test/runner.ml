@@ -35,4 +35,5 @@ let () =
       Test_lintkit.suite;
       Test_fuzz.suite_fuzz;
       Test_fuzz.suite_regress;
+      Test_formats.suite;
     ]
