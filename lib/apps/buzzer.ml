@@ -23,9 +23,7 @@ let main _env argv =
           let n = min chunk (total - !sent) in
           for i = 0 to n - 1 do
             let phase = (!sent + i) / half_period mod 2 in
-            let v = if phase = 0 then 12000 else -12000 land 0xffff in
-            Bytes.set_uint8 buf (2 * i) (v land 0xff);
-            Bytes.set_uint8 buf ((2 * i) + 1) ((v lsr 8) land 0xff)
+            Bytes.set_int16_le buf (2 * i) (if phase = 0 then 12000 else -12000)
           done;
           Usys.burn (n * 4) (* synth cost *);
           ignore (Usys.write fd (Bytes.sub buf 0 (2 * n)));

@@ -60,10 +60,8 @@ let main env argv =
                                              a streaming decoder would pay *)
                                           Usys.burn (n * Adpcm.cycles_per_sample);
                                           for i = 0 to n - 1 do
-                                            let v = samples.(!pos + i) land 0xffff in
-                                            Bytes.set_uint8 buf (2 * i) (v land 0xff);
-                                            Bytes.set_uint8 buf ((2 * i) + 1)
-                                              ((v lsr 8) land 0xff)
+                                            Bytes.set_int16_le buf (2 * i)
+                                              samples.(!pos + i)
                                           done;
                                           ignore (Usys.write fd (Bytes.sub buf 0 (2 * n)));
                                           pos := !pos + n

@@ -55,12 +55,6 @@ let create board sched =
    full — the backpressure that paces the decoder thread. *)
 let write ctx t data =
   let nsamples = Bytes.length data / 2 in
-  let sample i =
-    let lo = Bytes.get_uint8 data (2 * i) in
-    let hi = Bytes.get_uint8 data ((2 * i) + 1) in
-    let v = lo lor (hi lsl 8) in
-    if v >= 32768 then v - 65536 else v
-  in
   let written = ref 0 in
   let rec step () =
     if !written >= nsamples then begin
@@ -76,7 +70,7 @@ let write ctx t data =
       else begin
         let n = min space (nsamples - !written) in
         for i = !written to !written + n - 1 do
-          Queue.add (sample i) t.ring
+          Queue.add (Bytes.get_int16_le data (2 * i)) t.ring
         done;
         Sched.charge ctx (Kcost.audio_per_sample * n);
         written := !written + n;

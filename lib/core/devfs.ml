@@ -195,20 +195,14 @@ let surface_ops t =
           dev_read = (fun ctx _ ~len:_ -> finish_err ctx Errno.einval);
           dev_write =
             (fun ctx file data ->
-              let get32 off =
-                Bytes.get_uint8 data off
-                lor (Bytes.get_uint8 data (off + 1) lsl 8)
-                lor (Bytes.get_uint8 data (off + 2) lsl 16)
-                lor (Bytes.get_uint8 data (off + 3) lsl 24)
-              in
               if file.Fd.dev_cookie < 0 then begin
                 if
                   Bytes.length data < header_bytes
                   || not (String.equal (Bytes.sub_string data 0 4) "SURF")
                 then finish_err ctx Errno.einval
                 else begin
-                  let w = get32 4 and h = get32 8 in
-                  let x = get32 12 and y = get32 16 in
+                  let w = Hw.Le.get_uint32 data 4 and h = Hw.Le.get_uint32 data 8 in
+                  let x = Hw.Le.get_uint32 data 12 and y = Hw.Le.get_uint32 data 16 in
                   let alpha = Bytes.get_uint8 data 20 in
                   if w <= 0 || h <= 0 || w > 4096 || h > 4096 then
                     finish_err ctx Errno.einval

@@ -24,11 +24,7 @@ let encode ev =
   Bytes.set_uint8 b 0 (if ev.ev_pressed then 1 else 0);
   Bytes.set_uint8 b 1 (ev.ev_code land 0xff);
   Bytes.set_uint8 b 2 (ev.ev_modifiers land 0xff);
-  let ts_us = Int64.to_int (Int64.div ev.ev_ts_ns 1_000L) land 0xffffffff in
-  Bytes.set_uint8 b 4 (ts_us land 0xff);
-  Bytes.set_uint8 b 5 ((ts_us lsr 8) land 0xff);
-  Bytes.set_uint8 b 6 ((ts_us lsr 16) land 0xff);
-  Bytes.set_uint8 b 7 ((ts_us lsr 24) land 0xff);
+  Bytes.set_int32_le b 4 (Int64.to_int32 (Int64.div ev.ev_ts_ns 1_000L));
   b
 
 let decode b ~off =
@@ -36,13 +32,7 @@ let decode b ~off =
     ev_pressed = Bytes.get_uint8 b off = 1;
     ev_code = Bytes.get_uint8 b (off + 1);
     ev_modifiers = Bytes.get_uint8 b (off + 2);
-    ev_ts_ns =
-      Int64.mul 1_000L
-        (Int64.of_int
-           (Bytes.get_uint8 b (off + 4)
-           lor (Bytes.get_uint8 b (off + 5) lsl 8)
-           lor (Bytes.get_uint8 b (off + 6) lsl 16)
-           lor (Bytes.get_uint8 b (off + 7) lsl 24)));
+    ev_ts_ns = Int64.mul 1_000L (Int64.of_int (Hw.Le.get_uint32 b (off + 4)));
   }
 
 (* Game HAT buttons appear as pseudo-usages above the HID range. *)

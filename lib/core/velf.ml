@@ -17,26 +17,14 @@ let total_bytes t = header_bytes + String.length t.prog_name + t.code_bytes + t.
 
 let code_pages t = ((t.code_bytes + t.data_bytes) / Kalloc.page_bytes) + 1
 
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
 (* Header: "VELF" | name_len u32 | code u32 | data u32 | name | filler *)
 let build t =
   let name_len = String.length t.prog_name in
   let image = Bytes.make (total_bytes t) '\000' in
   Bytes.blit_string magic 0 image 0 4;
-  put32 image 4 name_len;
-  put32 image 8 t.code_bytes;
-  put32 image 12 t.data_bytes;
+  Bytes.set_int32_le image 4 (Int32.of_int name_len);
+  Bytes.set_int32_le image 8 (Int32.of_int t.code_bytes);
+  Bytes.set_int32_le image 12 (Int32.of_int t.data_bytes);
   Bytes.blit_string t.prog_name 0 image header_bytes name_len;
   (* deterministic filler standing in for machine code *)
   for i = header_bytes + name_len to Bytes.length image - 1 do
@@ -49,14 +37,14 @@ let parse image =
   else if not (String.equal (Bytes.sub_string image 0 4) magic) then
     Error "velf: bad magic"
   else begin
-    let name_len = get32 image 4 in
+    let name_len = Hw.Le.get_uint32 image 4 in
     if Bytes.length image < header_bytes + name_len then
       Error "velf: truncated name"
     else
       Ok
         {
           prog_name = Bytes.sub_string image header_bytes name_len;
-          code_bytes = get32 image 8;
-          data_bytes = get32 image 12;
+          code_bytes = Hw.Le.get_uint32 image 8;
+          data_bytes = Hw.Le.get_uint32 image 12;
         }
   end

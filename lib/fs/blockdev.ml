@@ -5,7 +5,7 @@ type t = {
   write_sectors : lba:int -> data:Bytes.t -> (unit, string) result;
 }
 
-let sector_bytes = 512
+let sector_bytes = Hw.Disk.sector_bytes
 
 (* A cost-free device over [total] sectors of some host-side store:
    range and alignment errors are reported here, so [read] and [write]

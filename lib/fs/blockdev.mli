@@ -6,7 +6,7 @@
     accessors that burn simulated cycles in the calling task's context —
     so filesystem code stays cost-agnostic.
 
-    Sectors are 512 bytes, matching {!Hw.Sd.sector_bytes}. *)
+    Sectors are 512 bytes, as on {!Hw.Disk}. *)
 
 type t = {
   name : string;

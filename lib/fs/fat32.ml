@@ -1,4 +1,3 @@
-let sector_bytes = 512
 let reserved_sectors = 32
 let num_fats = 2
 let dirent_bytes = 32
@@ -36,20 +35,6 @@ type t = {
 
 type stat = { st_dir : bool; st_size : int; st_cluster : int }
 
-(* ---- little-endian ---- *)
-
-let get16 b off = Bytes.get_uint8 b off lor (Bytes.get_uint8 b (off + 1) lsl 8)
-
-let get32 b off = get16 b off lor (get16 b (off + 2) lsl 16)
-
-let put16 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff)
-
-let put32 b off v =
-  put16 b off (v land 0xffff);
-  put16 b (off + 2) ((v lsr 16) land 0xffff)
-
 (* ---- formatting ---- *)
 
 let compute_fat_sectors ~total_sectors ~spc =
@@ -59,7 +44,7 @@ let compute_fat_sectors ~total_sectors ~spc =
   while not !stable do
     let data = total_sectors - reserved_sectors - (num_fats * !fat_sectors) in
     let clusters = data / spc in
-    let need = ((clusters + 2) * 4 + sector_bytes - 1) / sector_bytes in
+    let need = ((clusters + 2) * 4 + Blockdev.sector_bytes - 1) / Blockdev.sector_bytes in
     if need = !fat_sectors then stable := true else fat_sectors := need
   done;
   !fat_sectors
@@ -67,44 +52,44 @@ let compute_fat_sectors ~total_sectors ~spc =
 let mkfs io ~total_sectors =
   let spc = 8 (* 4 KiB clusters; mount reads the size back from the BPB *) in
   let fat_sectors = compute_fat_sectors ~total_sectors ~spc in
-  let bpb = Bytes.make sector_bytes '\000' in
+  let bpb = Bytes.make Blockdev.sector_bytes '\000' in
   Bytes.set_uint8 bpb 0 0xeb;
   Bytes.set_uint8 bpb 1 0x58;
   Bytes.set_uint8 bpb 2 0x90;
   Bytes.blit_string "VOSFAT  " 0 bpb 3 8;
-  put16 bpb 11 sector_bytes;
+  Bytes.set_uint16_le bpb 11 Blockdev.sector_bytes;
   Bytes.set_uint8 bpb 13 spc;
-  put16 bpb 14 reserved_sectors;
+  Bytes.set_uint16_le bpb 14 reserved_sectors;
   Bytes.set_uint8 bpb 16 num_fats;
   Bytes.set_uint8 bpb 21 0xf8;
-  put32 bpb 32 total_sectors;
-  put32 bpb 36 fat_sectors;
-  put32 bpb 44 2 (* root cluster *);
-  put16 bpb 48 1 (* fsinfo *);
+  Bytes.set_int32_le bpb 32 (Int32.of_int total_sectors);
+  Bytes.set_int32_le bpb 36 (Int32.of_int fat_sectors);
+  Bytes.set_int32_le bpb 44 2l (* root cluster *);
+  Bytes.set_uint16_le bpb 48 1 (* fsinfo *);
   Bytes.blit_string "FAT32   " 0 bpb 82 8;
   Bytes.set_uint8 bpb 510 0x55;
   Bytes.set_uint8 bpb 511 0xaa;
   io.write ~lba:0 ~data:bpb;
   (* FSInfo with free-count unknown *)
-  let fsinfo = Bytes.make sector_bytes '\000' in
-  put32 fsinfo 0 0x41615252;
-  put32 fsinfo 484 0x61417272;
-  put32 fsinfo 488 0xffffffff;
-  put32 fsinfo 492 0xffffffff;
+  let fsinfo = Bytes.make Blockdev.sector_bytes '\000' in
+  Bytes.set_int32_le fsinfo 0 0x41615252l;
+  Bytes.set_int32_le fsinfo 484 0x61417272l;
+  Bytes.set_int32_le fsinfo 488 0xffffffffl;
+  Bytes.set_int32_le fsinfo 492 0xffffffffl;
   Bytes.set_uint8 fsinfo 510 0x55;
   Bytes.set_uint8 fsinfo 511 0xaa;
   io.write ~lba:1 ~data:fsinfo;
   (* zero both FATs, then set the reserved head entries *)
-  let zero = Bytes.make sector_bytes '\000' in
+  let zero = Bytes.make Blockdev.sector_bytes '\000' in
   for f = 0 to num_fats - 1 do
     for s = 0 to fat_sectors - 1 do
       io.write ~lba:(reserved_sectors + (f * fat_sectors) + s) ~data:zero
     done
   done;
-  let fat0 = Bytes.make sector_bytes '\000' in
-  put32 fat0 0 0x0ffffff8;
-  put32 fat0 4 fat_mask;
-  put32 fat0 8 fat_mask (* root cluster 2: EOC *);
+  let fat0 = Bytes.make Blockdev.sector_bytes '\000' in
+  Bytes.set_int32_le fat0 0 0x0ffffff8l;
+  Bytes.set_int32_le fat0 4 (Int32.of_int fat_mask);
+  Bytes.set_int32_le fat0 8 (Int32.of_int fat_mask) (* root cluster 2: EOC *);
   io.write ~lba:reserved_sectors ~data:fat0;
   io.write ~lba:(reserved_sectors + fat_sectors) ~data:fat0;
   (* zero the root directory cluster *)
@@ -117,13 +102,13 @@ let mount io =
   let bpb = io.read ~lba:0 ~count:1 in
   if Bytes.get_uint8 bpb 510 <> 0x55 || Bytes.get_uint8 bpb 511 <> 0xaa then
     Error (Error.Invalid "fat32: bad BPB signature")
-  else if get16 bpb 11 <> sector_bytes then
+  else if Bytes.get_uint16_le bpb 11 <> Blockdev.sector_bytes then
     Error (Error.Invalid "fat32: unsupported sector size")
   else begin
     let spc = Bytes.get_uint8 bpb 13 in
-    let reserved = get16 bpb 14 in
-    let fat_sectors = get32 bpb 36 in
-    let total = get32 bpb 32 in
+    let reserved = Bytes.get_uint16_le bpb 14 in
+    let fat_sectors = Hw.Le.get_uint32 bpb 36 in
+    let total = Hw.Le.get_uint32 bpb 32 in
     let data_start = reserved + (num_fats * fat_sectors) in
     let total_clusters = (total - data_start) / spc in
     Ok
@@ -134,29 +119,29 @@ let mount io =
         fat_sectors;
         data_start;
         total_clusters;
-        root_cluster = get32 bpb 44;
+        root_cluster = Hw.Le.get_uint32 bpb 44;
         free_hint = 3;
       }
   end
 
-let cluster_bytes t = t.spc * sector_bytes
+let cluster_bytes t = t.spc * Blockdev.sector_bytes
 
 let cluster_lba t cl = t.data_start + ((cl - 2) * t.spc)
 
 (* ---- FAT access ---- *)
 
 let fat_get t cl =
-  let lba = t.fat_start + (cl * 4 / sector_bytes) in
+  let lba = t.fat_start + (cl * 4 / Blockdev.sector_bytes) in
   let b = t.io.read ~lba ~count:1 in
-  get32 b (cl * 4 mod sector_bytes) land fat_mask
+  Hw.Le.get_uint32 b (cl * 4 mod Blockdev.sector_bytes) land fat_mask
 
 let fat_set t cl v =
-  let off_sector = cl * 4 / sector_bytes in
-  let off = cl * 4 mod sector_bytes in
+  let off_sector = cl * 4 / Blockdev.sector_bytes in
+  let off = cl * 4 mod Blockdev.sector_bytes in
   for f = 0 to num_fats - 1 do
     let lba = t.fat_start + (f * t.fat_sectors) + off_sector in
     let b = t.io.read ~lba ~count:1 in
-    put32 b off (v land fat_mask);
+    Bytes.set_int32_le b off (Int32.of_int (v land fat_mask));
     t.io.write ~lba ~data:b
   done
 
@@ -363,8 +348,9 @@ let iter_dir t first_cluster f =
                     re_short = short;
                     re_attr = attr;
                     re_cluster =
-                      (get16 data (off + 20) lsl 16) lor get16 data (off + 26);
-                    re_size = get32 data (off + 28);
+                      (Bytes.get_uint16_le data (off + 20) lsl 16)
+                      lor Bytes.get_uint16_le data (off + 26);
+                    re_size = Hw.Le.get_uint32 data (off + 28);
                     re_slots = slots;
                   }
                 in
@@ -571,9 +557,9 @@ let make_short_entry ~short ~attr ~cluster ~size =
   let e = Bytes.make dirent_bytes '\000' in
   Bytes.blit_string short 0 e 0 11;
   Bytes.set_uint8 e 11 attr;
-  put16 e 20 ((cluster lsr 16) land 0xffff);
-  put16 e 26 (cluster land 0xffff);
-  put32 e 28 size;
+  Bytes.set_uint16_le e 20 (cluster lsr 16);
+  Bytes.set_uint16_le e 26 cluster;
+  Bytes.set_int32_le e 28 (Int32.of_int size);
   e
 
 let add_entry t dir_cluster name ~attr ~cluster =

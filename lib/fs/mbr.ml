@@ -5,18 +5,6 @@ let native_type = 0x83
 
 let entry_offset i = 446 + (i * 16)
 
-let put_le32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get_le32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
 let write dev parts =
   if Array.length parts > 4 then Error "mbr: more than 4 partitions"
   else begin
@@ -25,8 +13,8 @@ let write dev parts =
       (fun i p ->
         let off = entry_offset i in
         Bytes.set_uint8 sector (off + 4) p.part_type;
-        put_le32 sector (off + 8) p.first_lba;
-        put_le32 sector (off + 12) p.sectors)
+        Bytes.set_int32_le sector (off + 8) (Int32.of_int p.first_lba);
+        Bytes.set_int32_le sector (off + 12) (Int32.of_int p.sectors))
       parts;
     Bytes.set_uint8 sector 510 0x55;
     Bytes.set_uint8 sector 511 0xaa;
@@ -45,6 +33,6 @@ let read dev =
                let off = entry_offset i in
                {
                  part_type = Bytes.get_uint8 sector (off + 4);
-                 first_lba = get_le32 sector (off + 8);
-                 sectors = get_le32 sector (off + 12);
+                 first_lba = Hw.Le.get_uint32 sector (off + 8);
+                 sectors = Hw.Le.get_uint32 sector (off + 12);
                }))

@@ -95,26 +95,6 @@ type t = {
           to vprobe's journal:commit point. Must not touch the fs *)
 }
 
-(* ---- little-endian accessors ---- *)
-
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get16 b off = Bytes.get_uint8 b off lor (Bytes.get_uint8 b (off + 1) lsl 8)
-
-let put16 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff)
-
 (* ---- superblock ---- *)
 
 let layout ~nlog ~total_blocks ~ninodes =
@@ -137,32 +117,32 @@ let layout ~nlog ~total_blocks ~ninodes =
 
 let write_superblock io sb =
   let b = Bytes.make block_bytes '\000' in
-  put32 b 0 magic;
-  put32 b 4 sb.sb_size;
-  put32 b 8 sb.sb_ninodes;
-  put32 b 12 sb.sb_inodestart;
-  put32 b 16 sb.sb_bmapstart;
-  put32 b 20 sb.sb_datastart;
+  Bytes.set_int32_le b 0 (Int32.of_int magic);
+  Bytes.set_int32_le b 4 (Int32.of_int sb.sb_size);
+  Bytes.set_int32_le b 8 (Int32.of_int sb.sb_ninodes);
+  Bytes.set_int32_le b 12 (Int32.of_int sb.sb_inodestart);
+  Bytes.set_int32_le b 16 (Int32.of_int sb.sb_bmapstart);
+  Bytes.set_int32_le b 20 (Int32.of_int sb.sb_datastart);
   (* zero on legacy images, so old images read back unchanged *)
-  put32 b 24 sb.sb_logstart;
-  put32 b 28 sb.sb_nlog;
-  put32 b 32 (if sb.sb_ext then 1 else 0);
+  Bytes.set_int32_le b 24 (Int32.of_int sb.sb_logstart);
+  Bytes.set_int32_le b 28 (Int32.of_int sb.sb_nlog);
+  Bytes.set_int32_le b 32 (Int32.of_int (if sb.sb_ext then 1 else 0));
   io.bwrite 1 b
 
 let read_superblock io =
   let b = io.bread 1 in
-  if get32 b 0 <> magic then Error (Error.Invalid "xv6fs: bad magic")
+  if Hw.Le.get_uint32 b 0 <> magic then Error (Error.Invalid "xv6fs: bad magic")
   else
     Ok
       {
-        sb_size = get32 b 4;
-        sb_ninodes = get32 b 8;
-        sb_inodestart = get32 b 12;
-        sb_bmapstart = get32 b 16;
-        sb_datastart = get32 b 20;
-        sb_logstart = get32 b 24;
-        sb_nlog = get32 b 28;
-        sb_ext = get32 b 32 = 1;
+        sb_size = Hw.Le.get_uint32 b 4;
+        sb_ninodes = Hw.Le.get_uint32 b 8;
+        sb_inodestart = Hw.Le.get_uint32 b 12;
+        sb_bmapstart = Hw.Le.get_uint32 b 16;
+        sb_datastart = Hw.Le.get_uint32 b 20;
+        sb_logstart = Hw.Le.get_uint32 b 24;
+        sb_nlog = Hw.Le.get_uint32 b 28;
+        sb_ext = Hw.Le.get_uint32 b 32 = 1;
       }
 
 (* ---- journal header ---- *)
@@ -180,21 +160,22 @@ let log_cksum b =
 
 let write_log_header io ~logstart ~seq ~blocks =
   let b = Bytes.make block_bytes '\000' in
-  put32 b 0 log_magic;
-  put32 b 4 seq;
-  put32 b 8 (List.length blocks);
-  List.iteri (fun i bno -> put32 b (16 + (4 * i)) bno) blocks;
-  put32 b 12 (log_cksum b);
+  Bytes.set_int32_le b 0 (Int32.of_int log_magic);
+  Bytes.set_int32_le b 4 (Int32.of_int seq);
+  Bytes.set_int32_le b 8 (Int32.of_int (List.length blocks));
+  List.iteri (fun i bno -> Bytes.set_int32_le b (16 + (4 * i)) (Int32.of_int bno)) blocks;
+  Bytes.set_int32_le b 12 (Int32.of_int (log_cksum b));
   io.bwrite logstart b
 
 let read_log_header io ~logstart =
   let b = io.bread logstart in
-  if get32 b 0 <> log_magic then None
+  if Hw.Le.get_uint32 b 0 <> log_magic then None
   else
-    let seq = get32 b 4 and n = get32 b 8 and ck = get32 b 12 in
+    let seq = Hw.Le.get_uint32 b 4 and n = Hw.Le.get_uint32 b 8 in
+    let ck = Hw.Le.get_uint32 b 12 in
     if n < 0 || n > log_hdr_max then None
     else if log_cksum b <> ck then None
-    else Some (seq, n, List.init n (fun i -> get32 b (16 + (4 * i))))
+    else Some (seq, n, List.init n (fun i -> Hw.Le.get_uint32 b (16 + (4 * i))))
 
 (* Recover at mount: a valid header with n > 0 is a committed transaction
    that did not finish installing — copy every log slot to its home block
@@ -354,16 +335,16 @@ let read_dinode t inum =
   let node =
     {
       i_num = inum;
-      i_type = itype_of_code (get16 b off);
-      i_major = get16 b (off + 2);
-      i_minor = get16 b (off + 4);
-      i_nlink = get16 b (off + 6);
-      i_size = get32 b (off + 8);
+      i_type = itype_of_code (Bytes.get_uint16_le b off);
+      i_major = Bytes.get_uint16_le b (off + 2);
+      i_minor = Bytes.get_uint16_le b (off + 4);
+      i_nlink = Bytes.get_uint16_le b (off + 6);
+      i_size = Hw.Le.get_uint32 b (off + 8);
       i_addrs = Array.make (ndirect + 1) 0;
     }
   in
   for i = 0 to ndirect do
-    node.i_addrs.(i) <- get32 b (off + 12 + (4 * i))
+    node.i_addrs.(i) <- Hw.Le.get_uint32 b (off + 12 + (4 * i))
   done;
   node
 
@@ -371,13 +352,13 @@ let write_dinode t node =
   let blockno = inode_block t.sb node.i_num in
   let b = t.io.bread blockno in
   let off = inode_offset node.i_num in
-  put16 b off (itype_code node.i_type);
-  put16 b (off + 2) node.i_major;
-  put16 b (off + 4) node.i_minor;
-  put16 b (off + 6) node.i_nlink;
-  put32 b (off + 8) node.i_size;
+  Bytes.set_uint16_le b off (itype_code node.i_type);
+  Bytes.set_uint16_le b (off + 2) node.i_major;
+  Bytes.set_uint16_le b (off + 4) node.i_minor;
+  Bytes.set_uint16_le b (off + 6) node.i_nlink;
+  Bytes.set_int32_le b (off + 8) (Int32.of_int node.i_size);
   for i = 0 to ndirect do
-    put32 b (off + 12 + (4 * i)) node.i_addrs.(i)
+    Bytes.set_int32_le b (off + 12 + (4 * i)) (Int32.of_int node.i_addrs.(i))
   done;
   dwrite t blockno b
 
@@ -494,7 +475,7 @@ let ind_lookup t ind idx ~alloc =
   if ind = 0 then Ok 0
   else
     let b = t.io.bread ind in
-    let blk = get32 b (4 * idx) in
+    let blk = Hw.Le.get_uint32 b (4 * idx) in
     if blk <> 0 then
       if valid_addr t blk then Ok blk
       else Error (Error.Invalid "xv6fs: bad block address")
@@ -502,7 +483,7 @@ let ind_lookup t ind idx ~alloc =
     else
       match balloc t with
       | Ok fresh ->
-          put32 b (4 * idx) fresh;
+          Bytes.set_int32_le b (4 * idx) (Int32.of_int fresh);
           dwrite t ind b;
           Ok fresh
       | Error e -> Error e
@@ -536,7 +517,7 @@ let bmap t node n ~alloc =
 let rec free_indirect t ind ~depth =
   let b = t.io.bread ind in
   for idx = 0 to nindirect - 1 do
-    let blk = get32 b (4 * idx) in
+    let blk = Hw.Le.get_uint32 b (4 * idx) in
     if blk <> 0 then
       if depth > 1 then free_indirect t blk ~depth:(depth - 1) else bfree t blk
   done;
@@ -652,7 +633,7 @@ let read_dirent t node idx =
          a finding, not an exception *)
       Error (Error.Invalid "xv6fs: short dirent")
   | Ok b ->
-      let inum = get16 b 0 in
+      let inum = Bytes.get_uint16_le b 0 in
       if inum >= t.sb.sb_ninodes then
         (* an on-disk inum outside the inode table means the directory
            block is trash; surfacing it as data keeps a corrupt image
@@ -670,7 +651,7 @@ let read_dirent t node idx =
 
 let write_dirent t node idx name inum =
   let b = Bytes.make dirent_bytes '\000' in
-  put16 b 0 inum;
+  Bytes.set_uint16_le b 0 inum;
   String.iteri
     (fun i c -> if i < max_name then Bytes.set b (2 + i) c)
     name;
@@ -927,7 +908,7 @@ type fsck_report = {
 let fsck_dinode t inum =
   let b = t.io.bread (inode_block t.sb inum) in
   let off = inode_offset inum in
-  let code = get16 b off in
+  let code = Bytes.get_uint16_le b off in
   if code > 3 then
     Error
       (Error.Invalid (Printf.sprintf "inode %d: bad type code %d" inum code))
@@ -941,11 +922,12 @@ let fsck_dinode t inum =
           | 1 -> Some Dir
           | 2 -> Some Reg
           | _ -> Some Dev);
-        i_major = get16 b (off + 2);
-        i_minor = get16 b (off + 4);
-        i_nlink = get16 b (off + 6);
-        i_size = get32 b (off + 8);
-        i_addrs = Array.init (ndirect + 1) (fun i -> get32 b (off + 12 + (4 * i)));
+        i_major = Bytes.get_uint16_le b (off + 2);
+        i_minor = Bytes.get_uint16_le b (off + 4);
+        i_nlink = Bytes.get_uint16_le b (off + 6);
+        i_size = Hw.Le.get_uint32 b (off + 8);
+        i_addrs =
+          Array.init (ndirect + 1) (fun i -> Hw.Le.get_uint32 b (off + 12 + (4 * i)));
       }
 
 let bitmap_bit t blk =
@@ -1013,7 +995,7 @@ let fsck t =
       if indirect_ok ind then begin
         let b = t.io.bread ind in
         for idx = 0 to nindirect - 1 do
-          data (base + idx) (get32 b (4 * idx))
+          data (base + idx) (Hw.Le.get_uint32 b (4 * idx))
         done
       end
     in
@@ -1036,7 +1018,7 @@ let fsck t =
         if indirect_ok d1 then begin
           let b = t.io.bread d1 in
           for l1 = 0 to nindirect - 1 do
-            let ind = get32 b (4 * l1) in
+            let ind = Hw.Le.get_uint32 b (4 * l1) in
             if ind <> 0 then
               scan_single (ndirect_ext + nindirect + (l1 * nindirect)) ind
           done

@@ -13,6 +13,10 @@
 
 type t
 
+val sector_bytes : int
+(** 512: the sector size of every medium, and of the SD card, the USB
+    stick and every block device above them. *)
+
 val create : sectors:int -> t
 (** An all-zero medium of [sectors] 512-byte sectors. *)
 

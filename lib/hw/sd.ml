@@ -1,5 +1,3 @@
-let sector_bytes = 512
-
 (* Polling-driver cost model, calibrated to the paper's Figure 8: a
    single-block polled transfer sustains ~300 KB/s; an 8+ block range
    amortizes the command overhead for a 2-3x win. *)
@@ -28,7 +26,7 @@ type t = {
 let create _engine ~size_mib =
   assert (size_mib > 0);
   {
-    disk = Disk.create ~sectors:(size_mib * 1024 * 1024 / sector_bytes);
+    disk = Disk.create ~sectors:(size_mib * 1024 * 1024 / Disk.sector_bytes);
     reads = 0;
     writes = 0;
     queue = [];
@@ -70,10 +68,10 @@ let read t ~lba ~count =
 
 let write t ~lba ~data =
   let len = Bytes.length data in
-  if len = 0 || len mod sector_bytes <> 0 then
+  if len = 0 || len mod Disk.sector_bytes <> 0 then
     Error "sd: write must be whole sectors"
   else begin
-    let count = len / sector_bytes in
+    let count = len / Disk.sector_bytes in
     if lba < 0 || lba > sectors t - count then Error "sd: write out of range"
     else begin
       t.writes <- t.writes + 1;
@@ -102,10 +100,10 @@ let write t ~lba ~data =
 
 let enqueue_write t ~lba ~data =
   let len = Bytes.length data in
-  if len = 0 || len mod sector_bytes <> 0 then
+  if len = 0 || len mod Disk.sector_bytes <> 0 then
     Error "sd: write must be whole sectors"
   else begin
-    let count = len / sector_bytes in
+    let count = len / Disk.sector_bytes in
     if lba < 0 || lba > sectors t - count then Error "sd: write out of range"
     else begin
       t.queue <- { p_lba = lba; p_data = Bytes.copy data } :: t.queue;
@@ -122,7 +120,7 @@ let flush_queue ?(coalesce = true) t =
     List.stable_sort (fun a b -> compare a.p_lba b.p_lba) (List.rev t.queue)
   in
   t.queue <- [];
-  let sectors_of r = Bytes.length r.p_data / sector_bytes in
+  let sectors_of r = Bytes.length r.p_data / Disk.sector_bytes in
   (* group exactly-adjacent requests into single commands *)
   let runs =
     if not coalesce then List.rev_map (fun r -> [ r ]) reqs |> List.rev
@@ -143,7 +141,7 @@ let flush_queue ?(coalesce = true) t =
     | run :: rest -> (
         let run_lba = (List.hd run).p_lba in
         let total = List.fold_left (fun a r -> a + sectors_of r) 0 run in
-        let data = Bytes.create (total * sector_bytes) in
+        let data = Bytes.create (total * Disk.sector_bytes) in
         ignore
           (List.fold_left
              (fun off r ->

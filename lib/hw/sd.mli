@@ -12,8 +12,6 @@
 
 type t
 
-val sector_bytes : int
-
 val create : Sim.Engine.t -> size_mib:int -> t
 
 val sectors : t -> int

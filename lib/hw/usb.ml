@@ -94,7 +94,6 @@ let key_up t usage =
 
 (* ---- mass storage: bulk-only transport over full-speed USB ---- *)
 
-let sector_bytes = 512
 let msd_cmd_ns = 400_000L (* CBW + CSW round trip *)
 let msd_bytes_per_sec = 2_000_000L (* the simple stack's bulk throughput *)
 
@@ -108,7 +107,7 @@ let msd_sectors t =
 let msd_cost ~count =
   Int64.add msd_cmd_ns
     (Int64.div
-       (Int64.mul (Int64.of_int (count * sector_bytes)) 1_000_000_000L)
+       (Int64.mul (Int64.of_int (count * Disk.sector_bytes)) 1_000_000_000L)
        msd_bytes_per_sec)
 
 let msd_read t ~lba ~count =
@@ -124,10 +123,10 @@ let msd_write t ~lba ~data =
   | None -> Error "usb: no mass-storage device"
   | Some disk ->
       let len = Bytes.length data in
-      if len = 0 || len mod sector_bytes <> 0 then
+      if len = 0 || len mod Disk.sector_bytes <> 0 then
         Error "usb: msd write not sector-aligned"
       else begin
-        let count = len / sector_bytes in
+        let count = len / Disk.sector_bytes in
         if lba < 0 || lba > Disk.sectors disk - count then
           Error "usb: msd write out of range"
         else begin

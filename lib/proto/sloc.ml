@@ -59,6 +59,9 @@ let inventory =
     ("lib/core/abi.ml", 3, Core_kernel);
     ("lib/core/vm.ml", 3, Core_kernel);
     ("lib/core/velf.ml", 3, Core_kernel);
+    (* the byte order of every disk and wire format; VELF and Gfx, its
+       first users, are P3 *)
+    ("lib/hw/le.ml", 3, Drivers);
     ("lib/core/proc.ml", 3, Core_kernel);
     ("lib/user/usys.ml", 3, Userlib);
     ("lib/user/umalloc.ml", 3, Userlib);

@@ -92,14 +92,8 @@ let pack ~rate samples =
   let n = Array.length samples in
   let out = Bytes.make (16 + Bytes.length payload) '\000' in
   Bytes.blit_string magic 0 out 0 4;
-  let put32 off v =
-    Bytes.set_uint8 out off (v land 0xff);
-    Bytes.set_uint8 out (off + 1) ((v lsr 8) land 0xff);
-    Bytes.set_uint8 out (off + 2) ((v lsr 16) land 0xff);
-    Bytes.set_uint8 out (off + 3) ((v lsr 24) land 0xff)
-  in
-  put32 4 rate;
-  put32 8 n;
+  Bytes.set_int32_le out 4 (Int32.of_int rate);
+  Bytes.set_int32_le out 8 (Int32.of_int n);
   Bytes.blit payload 0 out 16 (Bytes.length payload);
   out
 
@@ -107,13 +101,7 @@ let unpack data =
   if Bytes.length data < 16 || not (String.equal (Bytes.sub_string data 0 4) magic)
   then Error "vogg: bad magic"
   else begin
-    let get32 off =
-      Bytes.get_uint8 data off
-      lor (Bytes.get_uint8 data (off + 1) lsl 8)
-      lor (Bytes.get_uint8 data (off + 2) lsl 16)
-      lor (Bytes.get_uint8 data (off + 3) lsl 24)
-    in
-    let rate = get32 4 and n = get32 8 in
+    let rate = Hw.Le.get_uint32 data 4 and n = Hw.Le.get_uint32 data 8 in
     if Bytes.length data < 16 + ((n + 1) / 2) then Error "vogg: truncated"
     else Ok (rate, n, Bytes.sub data 16 (Bytes.length data - 16))
   end

@@ -10,24 +10,16 @@ let encode img =
   let data_bytes = stride * img.height in
   let file_bytes = 54 + data_bytes in
   let out = Bytes.make file_bytes '\000' in
-  let put16 off v =
-    Bytes.set_uint8 out off (v land 0xff);
-    Bytes.set_uint8 out (off + 1) ((v lsr 8) land 0xff)
-  in
-  let put32 off v =
-    put16 off (v land 0xffff);
-    put16 (off + 2) ((v lsr 16) land 0xffff)
-  in
   Bytes.set out 0 'B';
   Bytes.set out 1 'M';
-  put32 2 file_bytes;
-  put32 10 54 (* pixel data offset *);
-  put32 14 40 (* BITMAPINFOHEADER *);
-  put32 18 img.width;
-  put32 22 img.height;
-  put16 26 1 (* planes *);
-  put16 28 24 (* bpp *);
-  put32 34 data_bytes;
+  Bytes.set_int32_le out 2 (Int32.of_int file_bytes);
+  Bytes.set_int32_le out 10 54l (* pixel data offset *);
+  Bytes.set_int32_le out 14 40l (* BITMAPINFOHEADER *);
+  Bytes.set_int32_le out 18 (Int32.of_int img.width);
+  Bytes.set_int32_le out 22 (Int32.of_int img.height);
+  Bytes.set_uint16_le out 26 1 (* planes *);
+  Bytes.set_uint16_le out 28 24 (* bpp *);
+  Bytes.set_int32_le out 34 (Int32.of_int data_bytes);
   (* rows bottom-up, BGR *)
   for row = 0 to img.height - 1 do
     let src_row = img.height - 1 - row in
@@ -46,11 +38,9 @@ let decode data =
   else if Bytes.get data 0 <> 'B' || Bytes.get data 1 <> 'M' then
     Error "bmp: bad magic"
   else begin
-    let get16 off = Bytes.get_uint8 data off lor (Bytes.get_uint8 data (off + 1) lsl 8) in
-    let get32 off = get16 off lor (get16 (off + 2) lsl 16) in
-    let offset = get32 10 in
-    let width = get32 18 and height = get32 22 in
-    let bpp = get16 28 in
+    let offset = Hw.Le.get_uint32 data 10 in
+    let width = Hw.Le.get_uint32 data 18 and height = Hw.Le.get_uint32 data 22 in
+    let bpp = Bytes.get_uint16_le data 28 in
     if bpp <> 24 then Error "bmp: only 24bpp supported"
     else if width <= 0 || height <= 0 || width > 8192 || height > 8192 then
       Error "bmp: bad dimensions"

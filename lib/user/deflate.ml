@@ -187,13 +187,8 @@ let inflate data =
     | 0 ->
         align_byte r;
         if r.pos + 4 > Bytes.length r.data then raise (Corrupt "deflate: stored header");
-        let len =
-          Bytes.get_uint8 r.data r.pos lor (Bytes.get_uint8 r.data (r.pos + 1) lsl 8)
-        in
-        let nlen =
-          Bytes.get_uint8 r.data (r.pos + 2)
-          lor (Bytes.get_uint8 r.data (r.pos + 3) lsl 8)
-        in
+        let len = Bytes.get_uint16_le r.data r.pos in
+        let nlen = Bytes.get_uint16_le r.data (r.pos + 2) in
         if len land 0xffff <> lnot nlen land 0xffff then
           raise (Corrupt "deflate: stored len check");
         r.pos <- r.pos + 4;
@@ -220,10 +215,8 @@ let compress_stored data =
   let pos = ref 0 in
   let emit_block last chunk_len =
     Buffer.add_char out (if last then '\001' else '\000');
-    Buffer.add_char out (Char.chr (chunk_len land 0xff));
-    Buffer.add_char out (Char.chr ((chunk_len lsr 8) land 0xff));
-    Buffer.add_char out (Char.chr (lnot chunk_len land 0xff));
-    Buffer.add_char out (Char.chr ((lnot chunk_len lsr 8) land 0xff));
+    Buffer.add_uint16_le out chunk_len;
+    Buffer.add_uint16_le out (lnot chunk_len);
     Buffer.add_subbytes out data !pos chunk_len;
     pos := !pos + chunk_len
   in

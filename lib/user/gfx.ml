@@ -59,16 +59,10 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
   else begin
     let header = Bytes.make 24 '\000' in
     Bytes.blit_string "SURF" 0 header 0 4;
-    let put32 off v =
-      Bytes.set_uint8 header off (v land 0xff);
-      Bytes.set_uint8 header (off + 1) ((v lsr 8) land 0xff);
-      Bytes.set_uint8 header (off + 2) ((v lsr 16) land 0xff);
-      Bytes.set_uint8 header (off + 3) ((v lsr 24) land 0xff)
-    in
-    put32 4 width;
-    put32 8 height;
-    put32 12 x;
-    put32 16 y;
+    Bytes.set_int32_le header 4 (Int32.of_int width);
+    Bytes.set_int32_le header 8 (Int32.of_int height);
+    Bytes.set_int32_le header 12 (Int32.of_int x);
+    Bytes.set_int32_le header 16 (Int32.of_int y);
     Bytes.set_uint8 header 20 alpha;
     let n = Usys.write fd header in
     if n < 0 then begin

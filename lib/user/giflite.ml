@@ -27,27 +27,12 @@ let quantize_332 pixels =
   in
   (palette, Array.map index pixels)
 
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
 let encode t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  let header = Bytes.make 16 '\000' in
-  put32 header 0 t.width;
-  put32 header 4 t.height;
-  put32 header 8 (Array.length t.frames);
-  put32 header 12 t.delay_ms;
-  Buffer.add_bytes buf header;
+  List.iter
+    (fun v -> Buffer.add_int32_le buf (Int32.of_int v))
+    [ t.width; t.height; Array.length t.frames; t.delay_ms ];
   Array.iter
     (fun color ->
       Buffer.add_char buf (Char.chr ((color lsr 16) land 0xff));
@@ -58,9 +43,7 @@ let encode t =
     (fun frame ->
       let indices = Bytes.init (Array.length frame) (fun i -> Char.chr frame.(i)) in
       let compressed = Lzw.encode ~min_code_size:8 indices in
-      let len = Bytes.make 4 '\000' in
-      put32 len 0 (Bytes.length compressed);
-      Buffer.add_bytes buf len;
+      Buffer.add_int32_le buf (Int32.of_int (Bytes.length compressed));
       Buffer.add_bytes buf compressed)
     t.frames;
   Buffer.to_bytes buf
@@ -71,8 +54,8 @@ let decode data =
     || not (String.equal (Bytes.sub_string data 0 4) magic)
   then Error "giflite: bad magic"
   else begin
-    let width = get32 data 4 and height = get32 data 8 in
-    let nframes = get32 data 12 and delay_ms = get32 data 16 in
+    let width = Hw.Le.get_uint32 data 4 and height = Hw.Le.get_uint32 data 8 in
+    let nframes = Hw.Le.get_uint32 data 12 and delay_ms = Hw.Le.get_uint32 data 16 in
     if width <= 0 || height <= 0 || nframes <= 0 || nframes > 4096 then
       Error "giflite: bad header"
     else begin
@@ -87,7 +70,7 @@ let decode data =
       let read_frame () =
         if !pos + 4 > Bytes.length data then Error "giflite: truncated"
         else begin
-          let len = get32 data !pos in
+          let len = Hw.Le.get_uint32 data !pos in
           pos := !pos + 4;
           if !pos + len > Bytes.length data then Error "giflite: truncated frame"
           else begin

@@ -66,9 +66,7 @@ let open_audio t callback =
         let samples = callback audio_chunk in
         let n = min audio_chunk (Array.length samples) in
         for i = 0 to n - 1 do
-          let v = samples.(i) land 0xffff in
-          Bytes.set_uint8 buf (2 * i) (v land 0xff);
-          Bytes.set_uint8 buf ((2 * i) + 1) ((v lsr 8) land 0xff)
+          Bytes.set_int16_le buf (2 * i) samples.(i)
         done;
         if n > 0 then ignore (Usys.write fd (Bytes.sub buf 0 (2 * n)))
         else ignore (Usys.sleep 10)

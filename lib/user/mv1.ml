@@ -387,32 +387,15 @@ let decode_frame ~width ~height ~quality data =
 
 let quality = 50 (* fixed container quality *)
 
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
 let pack t =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf magic;
-  let header = Bytes.make 16 '\000' in
-  put32 header 0 t.width;
-  put32 header 4 t.height;
-  put32 header 8 t.fps;
-  put32 header 12 (Array.length t.frames);
-  Buffer.add_bytes buf header;
+  List.iter
+    (fun v -> Buffer.add_int32_le buf (Int32.of_int v))
+    [ t.width; t.height; t.fps; Array.length t.frames ];
   Array.iter
     (fun payload ->
-      let len = Bytes.make 4 '\000' in
-      put32 len 0 (Bytes.length payload);
-      Buffer.add_bytes buf len;
+      Buffer.add_int32_le buf (Int32.of_int (Bytes.length payload));
       Buffer.add_bytes buf payload)
     t.frames;
   Buffer.to_bytes buf
@@ -421,8 +404,8 @@ let unpack data =
   if Bytes.length data < 20 || not (String.equal (Bytes.sub_string data 0 4) magic)
   then Error "mv1: bad magic"
   else begin
-    let width = get32 data 4 and height = get32 data 8 in
-    let fps = get32 data 12 and nframes = get32 data 16 in
+    let width = Hw.Le.get_uint32 data 4 and height = Hw.Le.get_uint32 data 8 in
+    let fps = Hw.Le.get_uint32 data 12 and nframes = Hw.Le.get_uint32 data 16 in
     if width <= 0 || height <= 0 || width mod 16 <> 0 || height mod 16 <> 0 then
       Error "mv1: bad dimensions"
     else if nframes = 0 then Error "mv1: no frames"
@@ -435,7 +418,7 @@ let unpack data =
         if k = 0 then Ok (List.rev acc)
         else if !pos + 4 > Bytes.length data then Error "mv1: truncated"
         else begin
-          let len = get32 data !pos in
+          let len = Hw.Le.get_uint32 data !pos in
           pos := !pos + 4;
           if !pos + len > Bytes.length data then Error "mv1: truncated frame"
           else if len < min_len then Error "mv1: short frame"

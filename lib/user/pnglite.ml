@@ -44,18 +44,6 @@ let unfilter_scanlines ~width ~height filtered =
   done;
   out
 
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
 let encode ?(compressor = Deflate.compress_fixed) img =
   let raw = Bytes.create (img.width * img.height * 3) in
   Array.iteri
@@ -68,10 +56,10 @@ let encode ?(compressor = Deflate.compress_fixed) img =
   let payload = compressor filtered in
   let out = Bytes.make (20 + Bytes.length payload) '\000' in
   Bytes.blit_string magic 0 out 0 4;
-  put32 out 4 img.width;
-  put32 out 8 img.height;
-  put32 out 12 (adler32 raw);
-  put32 out 16 (Bytes.length payload);
+  Bytes.set_int32_le out 4 (Int32.of_int img.width);
+  Bytes.set_int32_le out 8 (Int32.of_int img.height);
+  Bytes.set_int32_le out 12 (Int32.of_int (adler32 raw));
+  Bytes.set_int32_le out 16 (Int32.of_int (Bytes.length payload));
   Bytes.blit payload 0 out 20 (Bytes.length payload);
   out
 
@@ -79,9 +67,9 @@ let decode data =
   if Bytes.length data < 20 || not (String.equal (Bytes.sub_string data 0 4) magic)
   then Error "pnglite: bad magic"
   else begin
-    let width = get32 data 4 and height = get32 data 8 in
-    let checksum = get32 data 12 in
-    let plen = get32 data 16 in
+    let width = Hw.Le.get_uint32 data 4 and height = Hw.Le.get_uint32 data 8 in
+    let checksum = Hw.Le.get_uint32 data 12 in
+    let plen = Hw.Le.get_uint32 data 16 in
     if width <= 0 || height <= 0 || width > 8192 || height > 8192 then
       Error "pnglite: bad dimensions"
     else if Bytes.length data < 20 + plen then Error "pnglite: truncated"

@@ -4,21 +4,8 @@
 
 open Tharness
 
-(* little-endian helpers matching the on-disk format *)
-let get32 b off =
-  Bytes.get_uint8 b off
-  lor (Bytes.get_uint8 b (off + 1) lsl 8)
-  lor (Bytes.get_uint8 b (off + 2) lsl 16)
-  lor (Bytes.get_uint8 b (off + 3) lsl 24)
-
-let put32 b off v =
-  Bytes.set_uint8 b off (v land 0xff);
-  Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff);
-  Bytes.set_uint8 b (off + 2) ((v lsr 16) land 0xff);
-  Bytes.set_uint8 b (off + 3) ((v lsr 24) land 0xff)
-
 let bb = Fs.Xv6fs.block_bytes
-let sb_field img off = get32 img (bb + off)
+let sb_field img off = Hw.Le.get_uint32 img (bb + off)
 let logstart img = sb_field img 24
 let datastart img = sb_field img 20
 let bmapstart img = sb_field img 16
@@ -40,12 +27,12 @@ let log_magic = 0x564f4c47
    [good_cksum:false] simulates a record torn mid-write. *)
 let stamp_header img ~good_cksum ~seq ~blocks =
   let h = Bytes.make bb '\000' in
-  put32 h 0 log_magic;
-  put32 h 4 seq;
-  put32 h 8 (List.length blocks);
-  List.iteri (fun i bno -> put32 h (16 + (4 * i)) bno) blocks;
+  Bytes.set_int32_le h 0 (Int32.of_int log_magic);
+  Bytes.set_int32_le h 4 (Int32.of_int seq);
+  Bytes.set_int32_le h 8 (Int32.of_int (List.length blocks));
+  List.iteri (fun i bno -> Bytes.set_int32_le h (16 + (4 * i)) (Int32.of_int bno)) blocks;
   let ck = log_cksum h in
-  put32 h 12 (if good_cksum then ck else ck lxor 1);
+  Bytes.set_int32_le h 12 (Int32.of_int (if good_cksum then ck else ck lxor 1));
   Bytes.blit h 0 img (logstart img * bb) bb
 
 let mount_image img =
@@ -291,7 +278,7 @@ let fsync_barriers_device_queue () =
       (* an unrelated write sits in the device queue ahead of the fsync *)
       check_ok "backlog"
         (Hw.Sd.enqueue_write sd ~lba:(Hw.Sd.sectors sd - 1)
-           ~data:(Bytes.make Hw.Sd.sector_bytes 'z'));
+           ~data:(Bytes.make Hw.Disk.sector_bytes 'z'));
       check_bool "queue non-empty" true (Hw.Sd.queued sd > 0);
       let b0 = Hw.Sd.barrier_count sd in
       check_int "fsync" 0 (User.Usys.fsync fd);

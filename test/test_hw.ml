@@ -433,7 +433,7 @@ let sd_bounds () =
   ignore (check_err "unaligned write"
       (Hw.Sd.write b.Hw.Board.sd ~lba:0 ~data:(Bytes.make 100 'x')))
 
-let sector c = Bytes.make Hw.Sd.sector_bytes c
+let sector c = Bytes.make Hw.Disk.sector_bytes c
 
 let sd_queue_coalesces_adjacent () =
   let b = fresh () in
@@ -458,8 +458,8 @@ let sd_queue_coalesces_adjacent () =
   let back, _ = check_ok "readback" (Hw.Sd.read sd ~lba:10 ~count:3) in
   check_string "elevator ordered data" "abc"
     (Printf.sprintf "%c%c%c" (Bytes.get back 0)
-       (Bytes.get back Hw.Sd.sector_bytes)
-       (Bytes.get back (2 * Hw.Sd.sector_bytes)))
+       (Bytes.get back Hw.Disk.sector_bytes)
+       (Bytes.get back (2 * Hw.Disk.sector_bytes)))
 
 let sd_queue_without_coalescing () =
   let b = fresh () in

@@ -2134,7 +2134,7 @@ let oracle_repaint_rows (t : Core.Wm.t) ~y0 ~y1 =
   let width = Hw.Framebuffer.width t.Core.Wm.fb in
   let layers = Core.Wm.stacking t in
   let line = Bytes.create (4 * width) in
-  let get b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xffffffff in
+  let get b i = Hw.Le.get_uint32 b (4 * i) in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
     for x = 0 to width - 1 do

@@ -753,7 +753,7 @@ let mv1_clip_frames_pinned () =
     let n = Bytes.length out / 4 in
     let b = Bytes.create (8 * n) in
     for i = 0 to n - 1 do
-      let w = Int32.to_int (Bytes.get_int32_le out (4 * i)) land 0xffffffff in
+      let w = Hw.Le.get_uint32 out (4 * i) in
       Bytes.set_int64_le b (8 * i) (Int64.of_int (if w lsr 24 = 0 then -1 else w land 0xffffff))
     done;
     b
