@@ -163,7 +163,7 @@ let cmd =
       & info [ "shrink-budget" ] ~doc:"max candidate runs while shrinking")
   in
   let main seed sessions base_seed corpus ops no_faults out shrink_budget =
-    let ops = if ops > 0 then ops else Fuzz.Session.default_ops in
+    let ops = if ops > 0 then ops else Fuzz.Gen.default_ops in
     let faults = not no_faults in
     let parse_seed s =
       match Int64.of_string_opt s with

@@ -38,7 +38,7 @@ let scenario_of_entry entry =
         sc_ops = ops;
       }
   | None ->
-      let ops = Option.value entry.e_gen_ops ~default:Session.default_ops in
+      let ops = Option.value entry.e_gen_ops ~default:Gen.default_ops in
       let faults = Option.value entry.e_faults ~default:true in
       let scen = Gen.generate ~ops ~faults entry.e_seed in
       (* an explicit variant line overrides the seed-derived one *)

@@ -391,10 +391,14 @@ let gen_ops rng ~ops ~faults =
 
 let variant_count = 6
 
+(* Ops per generated scenario; explicit corpus entries pin their own op
+   lists. *)
+let default_ops = 48
+
 (* [generate seed] is the whole story: variant and op list both come
    from the one splitmix stream, so the seed fully determines the
    session. *)
-let generate ?(ops = 48) ?(faults = true) seed =
+let generate ?(ops = default_ops) ?(faults = true) seed =
   let rng = Sim.Rng.create seed in
   let variant = Sim.Rng.int rng variant_count in
   let sc_ops = gen_ops rng ~ops ~faults in

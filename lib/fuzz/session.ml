@@ -58,10 +58,8 @@ let same_kind a b =
 
 (* ---- campaign defaults ---- *)
 
-(* Ops per generated scenario (explicit corpus entries pin their own op
-   lists) and the virtual-time budget per session: a driver that neither
-   finishes nor dies by then is reported as a Wedge. *)
-let default_ops = 48
+(* The virtual-time budget per session: a driver that neither finishes
+   nor dies by then is reported as a Wedge. *)
 let session_ms = 400
 
 (* ---- kernel config variants ----
@@ -448,5 +446,5 @@ let run scen =
   }
 
 (* Run a scenario regenerated from a bare seed with the campaign
-   defaults: [default_ops] ops, device faults armed. *)
+   defaults: [Gen.default_ops] ops, device faults armed. *)
 let run_seed seed = run (Gen.generate seed)
