@@ -3,8 +3,6 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe table4     -- one experiment
-     dune exec bench/main.exe bechamel   -- Bechamel micro-measurements of
-                                            each experiment's hot kernel
 
    Paper-reported values are printed alongside for comparison;
    EXPERIMENTS.md records a full run with commentary. *)
@@ -195,105 +193,18 @@ let experiments =
     ("lintbench", lintbench);
   ]
 
-(* ---- Bechamel: one Test.make per table/figure, timing that
-   experiment's hot kernel with the real measurement machinery ---- *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let payload = Bytes.make 4096 's' in
-  let fat =
-    lazy
-      (let dev, _ = Fs.Blockdev.ramdisk ~name:"bench" ~sectors:65536 in
-       let io = Fs.Fat32.io_of_blockdev dev in
-       Fs.Fat32.mkfs io ~total_sectors:65536;
-       let fat = Result.get_ok (Fs.Fat32.mount io) in
-       (match Fs.Fat32.create fat "/x.dat" with
-       | Ok () -> ()
-       | Error e -> invalid_arg (Fs.Error.to_string e));
-       ignore
-         (Result.get_ok
-            (Fs.Fat32.write_file fat "/x.dat" ~off:0 ~data:(Bytes.make 65536 'x')));
-       fat)
-  in
-  [
-    Test.make ~name:"table1.matrix-validate"
-      (Staged.stage (fun () -> ignore (Proto.Matrix.validate ())));
-    Test.make ~name:"fig7.sloc-analyze"
-      (Staged.stage (fun () -> ignore (Proto.Sloc.analyze ())));
-    Test.make ~name:"fig8.engine-event"
-      (Staged.stage (fun () ->
-           let e = Sim.Engine.create () in
-           ignore (Sim.Engine.schedule_after e 10L (fun () -> ()));
-           ignore (Sim.Engine.step e)));
-    Test.make ~name:"fig9.md5-4k"
-      (Staged.stage (fun () -> ignore (User.Md5.digest payload)));
-    Test.make ~name:"table4.doom-raycast"
-      (Staged.stage
-         (let st = Apps.Doom.fresh_state () in
-          fun () -> ignore (Apps.Doom.cast st 0.5)));
-    Test.make ~name:"fig10.sha256-4k"
-      (Staged.stage (fun () -> ignore (User.Sha256.digest payload)));
-    Test.make ~name:"fig11.trace-emit"
-      (Staged.stage
-         (let tr = Core.Ktrace.create ~capacity:1024 () in
-          fun () -> Core.Ktrace.emit tr ~ts_ns:0L ~core:0 Core.Ktrace.Kbd_report));
-    Test.make ~name:"mem.kalloc-cycle"
-      (Staged.stage
-         (let k =
-            Core.Kalloc.create ~dram_bytes:(64 * 1024 * 1024)
-              ~kernel_reserved_bytes:0
-          in
-          fun () ->
-            match Core.Kalloc.alloc_page k with
-            | Some f -> Core.Kalloc.free_page k f
-            | None -> ()));
-    Test.make ~name:"fig12.power-model"
-      (Staged.stage (fun () ->
-           ignore
-             (Hw.Power.total_power Hw.Power.pi3_game_hat ~busy_cores:2.5
-                ~io_fraction:0.2)));
-    Test.make ~name:"fig13.survey-sample"
-      (Staged.stage (fun () -> ignore (Benchlib.Survey.run ~seed:7L ())));
-    Test.make ~name:"fig8.fat32-range-read"
-      (Staged.stage (fun () ->
-           ignore
-             (Result.get_ok
-                (Fs.Fat32.read_file (Lazy.force fat) "/x.dat" ~off:0 ~len:65536))));
-  ]
-
-let run_bechamel () =
-  let open Bechamel in
-  section "Bechamel micro-measurements (ns per run)";
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.2) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let grouped = Test.make_grouped ~name:"vos" [ test ] in
-      let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) -> Printf.printf "  %-32s %12.1f ns/run\n%!" name t
-          | Some [] | None -> Printf.printf "  %-32s (no estimate)\n%!" name)
-        results)
-    (bechamel_tests ())
-
 let () =
   match Sys.argv with
   | [| _ |] ->
       List.iter (fun (_, f) -> f ()) experiments;
       print_endline "\nall experiments complete"
-  | [| _; "bechamel" |] -> run_bechamel ()
   | [| _; name |] -> (
       match List.assoc_opt name experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s; available: %s bechamel\n" name
+          Printf.eprintf "unknown experiment %s; available: %s\n" name
             (String.concat " " (List.map fst experiments));
           exit 1)
   | _ ->
-      Printf.eprintf "usage: main.exe [experiment|bechamel]\n";
+      Printf.eprintf "usage: main.exe [experiment]\n";
       exit 1
