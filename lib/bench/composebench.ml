@@ -16,6 +16,9 @@
     One composite then has every window present a frame and the WM
     repaint once. [flush] times a second cache-clean of the same rows
     on its own: it is the part of [repaint_rows] the publish costs.
+    [blend_span] times [Wm.blend_span] on its own over the spans the
+    translucent windows cover in those rows, into a scratch copy of the
+    CPU view: it is the part of [repaint_rows] the alpha blend costs.
     Each layer's host ms per composite is the median of [loops] loops
     of [composites] composites, with their min and max.
 
@@ -60,9 +63,28 @@ let run () =
       (fun acc s -> max acc (min height (s.Core.Wm.sy + s.Core.Wm.height)))
       0 windows
   in
+  (* each translucent window's row spans, clipped to the screen as
+     [Wm.repaint_rows] clips them: source pixel, screen pixel, length *)
+  let width = Hw.Framebuffer.width fb in
+  let spans =
+    List.concat_map
+      (fun (s : Core.Wm.surface) ->
+        if s.alpha >= 255 then []
+        else
+          let c0 = max 0 (-s.sx) and c1 = min s.width (width - s.sx) in
+          List.filter_map
+            (fun y ->
+              let row = y - s.sy in
+              if row >= 0 && row < s.height && c1 > c0 then
+                Some (s, (row * s.width) + c0, (y * width) + s.sx + c0, c1 - c0)
+              else None)
+            (List.init (y1 - y0) (fun i -> y0 + i)))
+      windows
+  in
+  let scratch = Bytes.copy (Hw.Framebuffer.cpu_view fb) in
   (* one loop: host seconds spent in each layer over [composites] *)
   let once () =
-    let write = ref 0.0 and repaint = ref 0.0 and flush = ref 0.0 in
+    let write = ref 0.0 and repaint = ref 0.0 and flush = ref 0.0 and blend = ref 0.0 in
     for _ = 1 to composites do
       List.iter
         (fun (s, wire) ->
@@ -78,17 +100,25 @@ let run () =
             done;
             Hw.Framebuffer.flush fb)
       in
-      flush := !flush +. t
+      flush := !flush +. t;
+      let (), t =
+        Report.timed (fun () ->
+            List.iter
+              (fun ((s : Core.Wm.surface), src, dst, n) ->
+                Core.Wm.blend_span s.pixels src scratch dst n s.alpha)
+              spans)
+      in
+      blend := !blend +. t
     done;
     let ms t = !t *. 1e3 /. float_of_int composites in
-    [ ms write; ms repaint; ms flush ]
+    [ ms write; ms repaint; ms flush; ms blend ]
   in
   {
     r_windows = List.length windows;
     r_rows = y1 - y0;
     r_layers =
       Report.layers
-        [ "surface_write"; "repaint_rows"; "flush" ]
+        [ "surface_write"; "repaint_rows"; "flush"; "blend_span" ]
         (List.init loops (fun _ -> once ()));
   }
 
@@ -96,7 +126,8 @@ let render r =
   let b = Buffer.create 256 in
   Printf.bprintf b
     "  desktop, %d windows, %d rows repainted, %d composites a loop,\n\
-    \  host ms/composite (median of %d, min-max; repaint_rows includes its flush):\n"
+    \  host ms/composite (median of %d, min-max; repaint_rows includes its flush\n\
+    \  and its blend):\n"
     r.r_windows r.r_rows composites loops;
   Report.add_layers b r.r_layers;
   Buffer.contents b

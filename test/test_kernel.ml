@@ -2049,6 +2049,37 @@ let wm_alpha_blend () =
   let r = (half lsr 16) land 0xff in
   check_in_range "half blend" 125.0 130.0 (float_of_int r)
 
+(* [Wm.blend_span] equals [blend] for every alpha below 255 and every
+   (src, dst) pair of values in each channel: pixel [i] of the span
+   holds [i lsr 8] in every source channel and [i land 0xff] in every
+   destination channel, each channel offset by a third of the range so
+   the three lanes carry different values. X bytes are set on both
+   sides and the span starts off pixel 0 on both sides. *)
+let wm_blend_span_exhaustive () =
+  let n = 65536 and soff = 1 and doff = 2 in
+  let chans v = (v lsl 16) lor (((v + 85) land 0xff) lsl 8) lor ((v + 170) land 0xff) in
+  let src = Bytes.create (4 * (soff + n)) and dst = Bytes.create (4 * (doff + n)) in
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le src (4 * (soff + i)) (Int32.of_int (0xff000000 lor chans (i lsr 8)))
+  done;
+  let mismatches = ref 0 and first = ref "" in
+  for alpha = 0 to 254 do
+    for i = 0 to n - 1 do
+      Bytes.set_int32_le dst (4 * (doff + i)) (Int32.of_int (0x5a000000 lor chans (i land 0xff)))
+    done;
+    Core.Wm.blend_span src soff dst doff n alpha;
+    for i = 0 to n - 1 do
+      let want = blend (chans (i land 0xff)) (chans (i lsr 8)) alpha in
+      let got = Hw.Le.get_uint32 dst (4 * (doff + i)) in
+      if got <> want then begin
+        if !mismatches = 0 then
+          first := Printf.sprintf "alpha %d, pixel %d: %06x, want %06x" alpha i got want;
+        incr mismatches
+      end
+    done
+  done;
+  if !mismatches > 0 then Alcotest.failf "%d mismatched pixels; first at %s" !mismatches !first
+
 let wm_key_routing () =
   let kernel = boot_kernel () in
   let board = kernel.Core.Kernel.board in
@@ -2283,6 +2314,7 @@ let suite_wm =
       quick "dirty-region skip" wm_dirty_skip;
       quick "z-order and focus rotation" wm_zorder_and_focus;
       quick "alpha blending math" wm_alpha_blend;
+      quick "blend_span = blend at every alpha and value" wm_blend_span_exhaustive;
       quick "key routing to focus" wm_key_routing;
       quick "surface removed on exit" wm_surface_removed_on_exit;
       quick "closing the last window repaints the background" wm_close_repaints_background;
