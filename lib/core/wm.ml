@@ -204,12 +204,19 @@ external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
+(* A pixel's three channels spread into 16-bit lanes of one [int]:
+   blue in bits 0-15, red in 16-31, green in 32-47. *)
+let[@inline] lanes p = p land 0xff00ff lor ((p land 0xff00) lsl 24)
+
 (* Blend [n] pixels of [src] from pixel [soff] over [dst] from pixel
    [doff] at [alpha] < 255, per channel:
-   (src * alpha + dst * (255 - alpha)) / 255, the X byte dropped. The
-   span is checked once, then each pixel is one unchecked 32-bit load
-   from each side and one store; they are native-endian, so a
-   big-endian host swaps each word. *)
+   (src * alpha + dst * (255 - alpha)) / 255, the X byte dropped. All
+   three channels go at once, one per lane: no lane of the sum exceeds
+   255 * 255, and (x + 1 + (x lsr 8)) lsr 8 is x / 255 for every such
+   x without carrying into the next lane. The span is checked once,
+   then each pixel is one unchecked 32-bit load from each side and one
+   store; they are native-endian, so a big-endian host swaps each
+   word. *)
 let blend_span src soff dst doff n alpha =
   if
     n < 0 || soff < 0 || doff < 0
@@ -222,10 +229,9 @@ let blend_span src soff dst doff n alpha =
     let p = get32u src so and q = get32u dst d in
     let p = Int32.to_int (if Sys.big_endian then swap32 p else p)
     and q = Int32.to_int (if Sys.big_endian then swap32 q else q) in
-    let r = (((p lsr 16) land 0xff) * alpha + ((q lsr 16) land 0xff) * inv) / 255 in
-    let g = (((p lsr 8) land 0xff) * alpha + ((q lsr 8) land 0xff) * inv) / 255 in
-    let b = ((p land 0xff) * alpha + (q land 0xff) * inv) / 255 in
-    let w = Int32.of_int ((r lsl 16) lor (g lsl 8) lor b) in
+    let x = (lanes p * alpha) + (lanes q * inv) in
+    let y = ((x + 0x0001_0001_0001 + ((x lsr 8) land 0x00ff_00ff_00ff)) lsr 8) land 0x00ff_00ff_00ff in
+    let w = Int32.of_int (y land 0xff00ff lor ((y lsr 24) land 0xff00)) in
     set32u dst d (if Sys.big_endian then swap32 w else w)
   done
 

@@ -82,32 +82,60 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
 
 let charge t cycles = t.cost_cycles <- t.cost_cycles + cycles
 
-(* A pixel as the buffer stores it: the low 24 bits of [px], 0xRRGGBB,
-   under an opaque 0xff X byte. *)
-let[@inline] word px = Int32.of_int (px land 0xffffff lor 0xff000000)
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
 
+(* Pixel [i] := the low 24 bits of [px], 0xRRGGBB, under an opaque
+   0xff X byte. The store is unchecked and native-endian, so a
+   big-endian host swaps the word. Each draw clips to the buffer's
+   geometry and checks once that what it stores lies in [pixels]:
+   [t] is a public record, so nothing else vouches for its length. *)
+let[@inline] store t i px =
+  let w = Int32.of_int (px land 0xffffff lor 0xff000000) in
+  set32u t.pixels (4 * i) (if Sys.big_endian then swap32 w else w)
+
+(* Raised in place, not through [invalid_arg]: a call would make the
+   draws spill their arguments on every pixel. *)
+let short = "Gfx: pixels shorter than 4 * width * height"
+
+(* [pixels] holds [width * height] words. Sides below 2^28 cannot
+   overflow the product; the division settles the rest. *)
+let[@inline] check t =
+  let w = t.width and h = t.height and len = Bytes.length t.pixels in
+  if w > 0 && h > 0 && (w lor h >= 0x1000_0000 || 4 * w * h > len) && (len lsr 2) / w < h then
+    raise (Invalid_argument short)
+
+(* One word, so its own index is the check: [i] is negative only if
+   [y * width] overflowed. *)
 let put t ~x ~y px =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then begin
-    Bytes.set_int32_le t.pixels (4 * ((y * t.width) + x)) (word px);
+    let i = (y * t.width) + x in
+    if i < 0 || i >= Bytes.length t.pixels lsr 2 then raise (Invalid_argument short);
+    store t i px;
     t.cost_cycles <- t.cost_cycles + cost_pixel
   end
 
 (* Row 0 word by word, then every other row a copy of it. *)
 let fill t px =
-  let row = 4 * t.width in
-  for x = 0 to t.width - 1 do
-    Bytes.set_int32_le t.pixels (4 * x) (word px)
-  done;
-  for y = 1 to t.height - 1 do
-    Bytes.blit t.pixels 0 t.pixels (y * row) row
-  done;
+  check t;
+  if t.height > 0 then begin
+    let row = 4 * t.width in
+    for x = 0 to t.width - 1 do
+      store t x px
+    done;
+    for y = 1 to t.height - 1 do
+      Bytes.blit t.pixels 0 t.pixels (y * row) row
+    done
+  end;
   t.cost_cycles <- t.cost_cycles + (t.width * t.height * cost_fill_pixel)
 
 let fill_rect t ~x ~y ~w ~h px =
+  check t;
+  let x0 = max 0 x and x1 = min t.width (x + w) in
   for yy = max 0 y to min t.height (y + h) - 1 do
     let row = yy * t.width in
-    for xx = max 0 x to min t.width (x + w) - 1 do
-      Bytes.set_int32_le t.pixels (4 * (row + xx)) (word px)
+    for i = row + x0 to row + x1 - 1 do
+      store t i px
     done
   done;
   t.cost_cycles <- t.cost_cycles + (max 0 w * max 0 h * cost_fill_pixel)

@@ -1123,6 +1123,38 @@ let gfx_draw_allocates_nothing () =
   per_call "fill_rect" (fun i -> Gfx.fill_rect g ~x:(i land 7) ~y:3 ~w:20 ~h:9 i);
   per_call "text" (fun i -> Gfx.text g ~x:(i land 15) ~y:2 ~color:i "AB:9")
 
+(* Gfx stores unchecked, so a hand-built context whose [pixels] is
+   shorter than [4 * width * height] must make a draw raise
+   [Invalid_argument] before it stores: fill and fill_rect whatever
+   they cover, put when its word is past the end. A geometry whose
+   product overflows is short too. *)
+let gfx_draws_refuse_a_short_buffer () =
+  let raises name (g : Gfx.t) f =
+    let before = Bytes.copy g.pixels in
+    (match f g with
+    | () -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ());
+    check_bool (name ^ ": buffer untouched") true (Bytes.equal g.pixels before);
+    check_int (name ^ ": nothing charged") 0 g.cost_cycles
+  in
+  let gfx ~width ~height bytes =
+    { Gfx.mode = Gfx.Windowed (-1); width; height; pixels = Bytes.make bytes '\x11'; cost_cycles = 0 }
+  in
+  let one_word_short () = gfx ~width:5 ~height:4 ((4 * 5 * 4) - 4) in
+  raises "fill" (one_word_short ()) (fun g -> Gfx.fill g 0x123456);
+  raises "fill_rect 1x1 at 0,0" (one_word_short ()) (fun g ->
+      Gfx.fill_rect g ~x:0 ~y:0 ~w:1 ~h:1 0x123456);
+  raises "fill_rect over all" (one_word_short ()) (fun g ->
+      Gfx.fill_rect g ~x:(-1) ~y:(-1) ~w:9 ~h:9 0x123456);
+  raises "put at the last pixel" (one_word_short ()) (fun g -> Gfx.put g ~x:4 ~y:3 0x123456);
+  let side = 1 lsl 40 in
+  let overflowing () = gfx ~width:side ~height:side 16 in
+  raises "fill, overflowing geometry" (overflowing ()) (fun g -> Gfx.fill g 0x123456);
+  raises "fill_rect, overflowing geometry" (overflowing ()) (fun g ->
+      Gfx.fill_rect g ~x:0 ~y:0 ~w:1 ~h:1 0x123456);
+  raises "put, overflowing geometry" (overflowing ()) (fun g ->
+      Gfx.put g ~x:0 ~y:(side - 1) 0x123456)
+
 let event_encoding_roundtrip =
   qcheck "kbd event wire encoding roundtrip"
     QCheck.(triple (int_bound 255) bool (int_bound 255))
@@ -1182,4 +1214,5 @@ let suite_threads =
       quick "minisdl audio thread streams" minisdl_audio_thread;
       quick "gfx draws = per-pixel word stores" gfx_draw_matches_per_pixel;
       quick "gfx draws allocate nothing" gfx_draw_allocates_nothing;
+      quick "gfx draws refuse a short buffer" gfx_draws_refuse_a_short_buffer;
     ] )
