@@ -94,8 +94,8 @@ let[@inline] store t i px =
   let w = Int32.of_int (px land 0xffffff lor 0xff000000) in
   set32u t.pixels (4 * i) (if Sys.big_endian then swap32 w else w)
 
-(* Raised in place, not through [invalid_arg]: a call would make the
-   draws spill their arguments on every pixel. *)
+(* Raised in place, not through [invalid_arg]: a call would make each
+   draw save its arguments on the stack every time it runs. *)
 let short = "Gfx: pixels shorter than 4 * width * height"
 
 (* [pixels] holds [width * height] words. Sides below 2^28 cannot
