@@ -94,23 +94,20 @@ let[@inline] store t i px =
   let w = Int32.of_int (px land 0xffffff lor 0xff000000) in
   set32u t.pixels (4 * i) (if Sys.big_endian then swap32 w else w)
 
-(* Raised in place, not through [invalid_arg]: a call would make each
-   draw save its arguments on the stack every time it runs. *)
 let short = "Gfx: pixels shorter than 4 * width * height"
 
-(* [pixels] holds [width * height] words. Sides below 2^28 cannot
-   overflow the product; the division settles the rest. *)
+(* [pixels] holds [width * height] words; the division cannot overflow. *)
 let[@inline] check t =
-  let w = t.width and h = t.height and len = Bytes.length t.pixels in
-  if w > 0 && h > 0 && (w lor h >= 0x1000_0000 || 4 * w * h > len) && (len lsr 2) / w < h then
-    raise (Invalid_argument short)
+  let w = t.width and h = t.height in
+  if w > 0 && h > 0 && (Bytes.length t.pixels lsr 2) / w < h then invalid_arg short
 
-(* One word, so its own index is the check: [i] is negative only if
-   [y * width] overflowed. *)
+(* One word, so only its own index is checked: the store always lies in
+   [pixels], but a short geometry whose [y * width] wraps back into
+   range is stored to, not refused. *)
 let put t ~x ~y px =
   if x >= 0 && x < t.width && y >= 0 && y < t.height then begin
     let i = (y * t.width) + x in
-    if i < 0 || i >= Bytes.length t.pixels lsr 2 then raise (Invalid_argument short);
+    if i < 0 || i >= Bytes.length t.pixels lsr 2 then invalid_arg short;
     store t i px;
     t.cost_cycles <- t.cost_cycles + cost_pixel
   end
@@ -132,12 +129,17 @@ let fill t px =
 let fill_rect t ~x ~y ~w ~h px =
   check t;
   let x0 = max 0 x and x1 = min t.width (x + w) in
-  for yy = max 0 y to min t.height (y + h) - 1 do
-    let row = yy * t.width in
-    for i = row + x0 to row + x1 - 1 do
-      store t i px
-    done
-  done;
+  let y0 = max 0 y and y1 = min t.height (y + h) in
+  (* Nothing unless [0 <= x0 < x1 <= width] and [0 <= y0 < y1 <= height]:
+     an [x + w] or [y + h] that overflows draws nothing, and no index
+     leaves the words [check] vouched for. *)
+  if x0 < x1 && y0 < y1 then
+    for yy = y0 to y1 - 1 do
+      let row = yy * t.width in
+      for i = row + x0 to row + x1 - 1 do
+        store t i px
+      done
+    done;
   t.cost_cycles <- t.cost_cycles + (max 0 w * max 0 h * cost_fill_pixel)
 
 (* 5x7 bitmap font (digits, upper-case letters, a little punctuation). *)

@@ -1155,6 +1155,26 @@ let gfx_draws_refuse_a_short_buffer () =
   raises "put, overflowing geometry" (overflowing ()) (fun g ->
       Gfx.put g ~x:0 ~y:(side - 1) 0x123456)
 
+(* fill_rect stores unchecked, so coordinates whose [x + w], [y + h]
+   or [y * width] overflow must not wrap into an index outside
+   [pixels]: on a whole buffer each such call raises
+   [Invalid_argument] or draws nothing. *)
+let gfx_fill_rect_overflowing_coordinates () =
+  let m = max_int and n = min_int in
+  List.iter
+    (fun (x, y, w, h) ->
+      let g =
+        { Gfx.mode = Gfx.Windowed (-1); width = 5; height = 4; pixels = Bytes.make 80 '\x11'; cost_cycles = 0 }
+      in
+      let before = Bytes.copy g.pixels in
+      (try Gfx.fill_rect g ~x ~y ~w ~h 0x123456 with Invalid_argument _ -> ());
+      check_bool (Printf.sprintf "fill_rect ~x:%d ~y:%d ~w:%d ~h:%d: buffer untouched" x y w h) true
+        (Bytes.equal g.pixels before))
+    [
+      (m, 0, 1, 1); (0, m, 1, 1); (m, m, m, m); (1, 0, m, 1); (0, 1, 1, m); (4, 3, m, m);
+      (n, 0, m, 1); (0, n, 1, m); (n, n, m, m); (m, 0, n, 1); (0, m, 1, n);
+    ]
+
 let event_encoding_roundtrip =
   qcheck "kbd event wire encoding roundtrip"
     QCheck.(triple (int_bound 255) bool (int_bound 255))
@@ -1215,4 +1235,5 @@ let suite_threads =
       quick "gfx draws = per-pixel word stores" gfx_draw_matches_per_pixel;
       quick "gfx draws allocate nothing" gfx_draw_allocates_nothing;
       quick "gfx draws refuse a short buffer" gfx_draws_refuse_a_short_buffer;
+      quick "gfx fill_rect at overflowing coordinates" gfx_fill_rect_overflowing_coordinates;
     ] )
