@@ -1932,6 +1932,156 @@ let dev_usb_reports_on_frames () =
   Core.Kernel.run_for kernel (Sim.Engine.ms 40);
   check_int "no report after unplug" 3 (List.length (reports ()))
 
+(* One fixed input script, run on /dev/events and on /dev/event1 as the
+   owner of a windowed surface, each on a fresh kernel: short reads, an
+   empty non-blocking read, poll before and after a USB key, a blocking
+   read woken by the next one, and 35 GPIO taps (70 events) read back
+   as the newest 64. /dev/event1 then answers a task with no surface.
+   Every return (errno by name, poll count, or the events read) and the
+   virtual ns it took are pinned, so a change to the input path that
+   moves an errno, a charge, a wakeup or the queue's cap fails here,
+   naming the step. The 64 events read back must be the last 64 pushed,
+   in order. *)
+let input_transcript path =
+  let kernel = boot_kernel () in
+  let board = kernel.Core.Kernel.board in
+  let engine = board.Hw.Board.engine in
+  let lines = ref [] in
+  let note line = lines := line :: !lines in
+  let last_read = ref [] in
+  let show b =
+    let n = Bytes.length b / Core.Kbd.event_bytes in
+    last_read :=
+      List.init n (fun i ->
+          let ev = Core.Kbd.decode b ~off:(i * Core.Kbd.event_bytes) in
+          (ev.Core.Kbd.ev_code, ev.Core.Kbd.ev_pressed));
+    Printf.sprintf "%d ev %s" n (String.sub (Digest.to_hex (Digest.bytes b)) 0 12)
+  in
+  let step label f =
+    let t0 = Core.Kernel.now kernel in
+    let r = f () in
+    note
+      (Printf.sprintf "%-22s %-20s %Ld" label r
+         (Int64.sub (Core.Kernel.now kernel) t0))
+  in
+  let read label fd n =
+    step label (fun () ->
+        match Usys.read fd n with
+        | Ok b -> show b
+        | Error e -> Core.Errno.name e)
+  in
+  let poll label fd ms =
+    step label (fun () -> string_of_int (Usys.poll [ fd ] ~timeout_ms:ms))
+  in
+  (* device-side input lands from an engine event, as hardware would *)
+  let device f = ignore (Sim.Engine.schedule_after engine 0L f) in
+  let buttons = Hw.Gpio.[| Up; Down; Left; Right; A; B; X; Y; Start; Select |] in
+  let taps = 35 in
+  let open Core.Abi in
+  (match
+     Benchlib.Measure.run_task kernel ~name:"input" (fun () ->
+         if path = "/dev/event1" then
+           step "open surface" (fun () ->
+               match Gfx.windowed ~width:32 ~height:32 ~x:0 ~y:0 () with
+               | Ok _ -> "ok"
+               | Error e -> Core.Errno.name e);
+         let b = Usys.open_ path o_rdonly in
+         let n = Usys.open_ path (o_rdonly lor o_nonblock) in
+         read "short read" n 4;
+         read "short blocking read" b 4;
+         read "empty read" n 64;
+         poll "poll empty" n 0;
+         device (fun () -> Hw.Usb.key_down board.Hw.Board.usb 0x04);
+         poll "poll a key" n 50;
+         read "read the key" n 64;
+         poll "poll drained" n 0;
+         device (fun () -> Hw.Usb.key_up board.Hw.Board.usb 0x04);
+         read "blocking read" b 64;
+         device (fun () ->
+             for i = 0 to taps - 1 do
+               let btn = buttons.(i mod Array.length buttons) in
+               Hw.Gpio.press board.Hw.Board.gpio btn;
+               Hw.Gpio.release board.Hw.Board.gpio btn
+             done);
+         step "sleep" (fun () -> string_of_int (Usys.sleep 1));
+         poll "poll taps" n 0;
+         read "read 70 events" n (70 * Core.Kbd.event_bytes);
+         read "read after" n 64;
+         0)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let newest =
+    List.filteri
+      (fun i _ -> i >= (2 * taps) - 64)
+      (List.concat_map
+         (fun i ->
+           let code = Core.Kbd.button_usage buttons.(i mod Array.length buttons) in
+           [ (code, true); (code, false) ])
+         (List.init taps Fun.id))
+  in
+  let last = !last_read in
+  if path = "/dev/event1" then
+    (match
+       Benchlib.Measure.run_task kernel ~name:"nosurface" (fun () ->
+           let f = Usys.open_ path o_rdonly in
+           read "no surface" f 64;
+           read "no surface short" f 4;
+           0)
+     with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e);
+  note
+    (Printf.sprintf "kbd pending %d dropped %d"
+       (Core.Kbd.pending kernel.Core.Kernel.kbd)
+       (Core.Kbd.dropped kernel.Core.Kernel.kbd));
+  (List.rev !lines, last = newest)
+
+let input_events_expected =
+  [
+    "short read             EINVAL               3450";
+    "short blocking read    EINVAL               3450";
+    "empty read             EAGAIN               3450";
+    "poll empty             0                    3630";
+    "poll a key             1                    6982930";
+    "read the key           1 ev d04a9feb32ec    3850";
+    "poll drained           0                    3630";
+    "blocking read          1 ev 5aad5668c14d    7992560";
+    "sleep                  0                    1015750";
+    "poll taps              1                    3630";
+    "read 70 events         64 ev 643ea4722cc1   29050";
+    "read after             EAGAIN               3450";
+    "kbd pending 0 dropped 6";
+  ]
+
+let input_event1_expected =
+  [
+    "open surface           ok                   8900";
+    "short read             EINVAL               3450";
+    "short blocking read    EINVAL               3450";
+    "empty read             EAGAIN               3450";
+    "poll empty             0                    3630";
+    "poll a key             1                    6974030";
+    "read the key           1 ev d04a9feb32ec    3850";
+    "poll drained           0                    3630";
+    "blocking read          1 ev 5aad5668c14d    7992560";
+    "sleep                  0                    1015750";
+    "poll taps              1                    3630";
+    "read 70 events         64 ev 643ea4722cc1   29050";
+    "read after             EAGAIN               3450";
+    "no surface             EBADF                3450";
+    "no surface short       EINVAL               3450";
+    "kbd pending 0 dropped 0";
+  ]
+
+let dev_input_script_pinned () =
+  List.iter
+    (fun (path, expected) ->
+      let lines, newest = input_transcript path in
+      Alcotest.(check (list string)) path expected lines;
+      check_bool (path ^ ": the newest 64 events, in order") true newest)
+    [ ("/dev/events", input_events_expected); ("/dev/event1", input_event1_expected) ]
+
 (* The syscall name table: one value of each constructor pinned to its
    dense index and its name, in declaration order. *)
 let abi_syscall_names_and_indices () =
@@ -1974,6 +2124,7 @@ let suite_devices =
       quick "procfs contents" dev_procfs_contents;
       quick "console roundtrip" dev_console_roundtrip;
       quick "usb reports land on the frame grid" dev_usb_reports_on_frames;
+      quick "input script pinned on both event devices" dev_input_script_pinned;
       quick "abi syscall names and indices" abi_syscall_names_and_indices;
     ] )
 
