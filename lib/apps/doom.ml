@@ -321,7 +321,7 @@ let main env argv =
             let held = ref no_input in
             let manual_until = ref 0 in
             while frames = 0 || st.frame < frames do
-              let events = Uevents.poll_events ev_fd in
+              let events = Uevents.read_events ev_fd in
               if events <> [] then manual_until := st.frame + 300;
               input_of_events events held;
               let input = if st.frame < !manual_until then !held else bot st in

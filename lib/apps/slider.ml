@@ -85,7 +85,7 @@ let main env argv =
                       while (not !skip) && !waited < dwell do
                         ignore (Usys.sleep 50);
                         waited := !waited + 50;
-                        if ev_fd >= 0 && Uevents.poll_events ev_fd <> [] then
+                        if ev_fd >= 0 && Uevents.read_events ev_fd <> [] then
                           skip := true
                       done
                   | Some (`Anim gif) ->

@@ -46,75 +46,43 @@ let console_ops t =
     dev_poll = Some (fun _ _ -> Console.rx_ready t.console);
   }
 
-(* ---- /dev/events: the raw keyboard queue ---- *)
+(* ---- /dev/events and /dev/event1: key events ----
 
-let events_ops t =
+   Both read a {!Kbd.queue}; they differ only in which. /dev/events
+   reads the raw keyboard ring, /dev/event1 the WM-routed queue of the
+   caller's surface, found on each attempt: a surface closed under a
+   blocked reader answers EBADF. *)
+
+let event_ops name find =
   {
-    Fd.dev_name = "events";
+    Fd.dev_name = name;
     dev_read =
       (fun ctx file ~len ->
-        Kbd.read ctx t.kbd ~len ~nonblock:file.Fd.nonblock);
+        Kbd.read ctx ~len ~nonblock:file.Fd.nonblock (fun () -> find ctx file));
     dev_write = (fun ctx _ _ -> finish_err ctx Errno.einval);
     dev_mmap = None;
     dev_close = (fun _ -> ());
-    dev_poll = Some (fun _ _ -> Kbd.pending t.kbd > 0);
+    dev_poll =
+      Some
+        (fun ctx file ->
+          (* no queue: let the read report the error *)
+          match find ctx file with Some q -> Kbd.ready q | None -> true);
   }
 
-(* ---- /dev/event1: WM-routed events for the opener's surface ---- *)
+let events_ops t = event_ops "events" (fun _ _ -> Some t.kbd.Kbd.ring)
 
 let event1_ops t =
   match t.wm with
   | None -> None
   | Some wm ->
       Some
-        {
-          Fd.dev_name = "event1";
-          dev_read =
-            (fun ctx file ~len ->
-              let pid = ctx.Sched.task.Task.pid in
-              let sid =
-                match ctx.Sched.task.Task.wm_surface with
-                | Some sid -> sid
-                | None -> file.Fd.dev_cookie
-              in
-              if len < Kbd.event_bytes then finish_err ctx Errno.einval
-              else
-              match Wm.surface wm sid with
-              | None -> finish_err ctx Errno.ebadf
-              | Some s ->
-                  let rec attempt () =
-                    if not (Queue.is_empty s.Wm.events) then begin
-                      let nev =
-                        min (len / Kbd.event_bytes) (Queue.length s.Wm.events)
-                      in
-                      let buf = Buffer.create (nev * Kbd.event_bytes) in
-                      for _ = 1 to nev do
-                        Buffer.add_bytes buf (Kbd.encode (Queue.pop s.Wm.events))
-                      done;
-                      Sched.charge ctx (Kcost.event_copy * nev);
-                      Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
-                        (Ktrace.Event_delivered pid);
-                      Sched.finish ctx (Abi.R_bytes (Buffer.to_bytes buf))
-                    end
-                    else if file.Fd.nonblock then finish_err ctx Errno.eagain
-                    else Sched.block ctx ~chan:s.Wm.ev_chan ~retry:attempt
-                  in
-                  attempt ());
-          dev_write = (fun ctx _ _ -> finish_err ctx Errno.einval);
-          dev_mmap = None;
-          dev_close = (fun _ -> ());
-          dev_poll =
-            Some
-              (fun ctx file ->
-                let sid =
-                  match ctx.Sched.task.Task.wm_surface with
-                  | Some sid -> sid
-                  | None -> file.Fd.dev_cookie
-                in
-                match Wm.surface wm sid with
-                | None -> true (* let the read report the error *)
-                | Some s -> not (Queue.is_empty s.Wm.events));
-        }
+        (event_ops "event1" (fun ctx file ->
+             let sid =
+               match ctx.Sched.task.Task.wm_surface with
+               | Some sid -> sid
+               | None -> file.Fd.dev_cookie
+             in
+             Option.map (fun s -> s.Wm.events) (Wm.surface wm sid)))
 
 (* ---- /dev/fb: write path and mmap ---- *)
 

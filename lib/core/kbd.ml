@@ -3,10 +3,10 @@
 
     The driver diffs successive HID reports into press/release events with
     modifiers — what UART cannot provide and games need (§4.3) — and queues
-    them in a fixed ring. Events carry their arrival timestamp so the
-    Figure 11 input-latency breakdown can measure the full path. When a
-    window manager is running it interposes as the sink and routes events
-    to the focused window instead (§4.5). *)
+    them in a fixed ring. When a window manager is running it interposes
+    as the sink and routes events to the focused window instead (§4.5).
+    The ring and every window's queue are one {!queue}: the same cap, the
+    same push and the same read. *)
 
 type event = {
   ev_code : int;  (** HID usage code, or button pseudo-usage *)
@@ -15,8 +15,12 @@ type event = {
   ev_ts_ns : int64;
 }
 
-(* 8-byte wire encoding read from /dev/events:
-   [pressed; code; modifiers; 0; ts_us as le32] *)
+(* 8-byte wire encoding read from /dev/events and /dev/event1:
+   [pressed; code; modifiers; 0; ts_us as le32]. The stamp is the
+   arrival time's low 32 bits of microseconds, so it wraps every 2^32 us
+   (~71.6 virtual minutes). Nothing outside the tests reads a decoded
+   stamp: Figure 11's input latency comes from the Kbd_report and
+   Event_delivered trace stamps. *)
 let event_bytes = 8
 
 let encode ev =
@@ -48,12 +52,31 @@ let button_usage = function
   | Hw.Gpio.Start -> 0x28 (* Enter *)
   | Hw.Gpio.Select -> 0x2b (* Tab *)
 
-let ring_capacity = 64
+(* A bounded event queue: the raw keyboard ring, or one WM surface's.
+   Its readers block on [chan]. *)
+type queue = { events : event Queue.t; chan : Task.chan }
+
+let queue_capacity = 64
+
+let queue chan = { events = Queue.create (); chan }
+
+(* Queue [ev], dropping the oldest event when the queue is full, and
+   wake the queue's readers and every poller. Returns whether an event
+   was dropped. *)
+let push sched q ev =
+  let full = Queue.length q.events >= queue_capacity in
+  if full then ignore (Queue.pop q.events);
+  Queue.add ev q.events;
+  Sched.wake_all sched q.chan;
+  Sched.poll_wake sched;
+  full
+
+let ready q = not (Queue.is_empty q.events)
 
 type t = {
   board : Hw.Board.t;
   sched : Sched.t;
-  ring : event Queue.t;
+  ring : queue;
   mutable prev_keys : int list;
   mutable sink : (event -> bool) option;
       (** WM interposition: returns true when it consumed the event *)
@@ -63,15 +86,7 @@ type t = {
 let push_event t ev =
   Sched.trace_emit t.sched Ktrace.Kbd_report;
   let consumed = match t.sink with Some f -> f ev | None -> false in
-  if not consumed then begin
-    if Queue.length t.ring >= ring_capacity then begin
-      ignore (Queue.pop t.ring);
-      t.dropped <- t.dropped + 1
-    end;
-    Queue.add ev t.ring;
-    Sched.wake_all t.sched Task.Kbd_events;
-    Sched.poll_wake t.sched
-  end
+  if (not consumed) && push t.sched t.ring ev then t.dropped <- t.dropped + 1
 
 let on_usb_irq t () =
   let reports = Hw.Usb.take_reports t.board.Hw.Board.usb in
@@ -120,7 +135,7 @@ let create board sched =
     {
       board;
       sched;
-      ring = Queue.create ();
+      ring = queue Task.Kbd_events;
       prev_keys = [];
       sink = None;
       dropped = 0;
@@ -132,31 +147,31 @@ let create board sched =
 
 let set_sink t sink = t.sink <- Some sink
 
-let pending t = Queue.length t.ring
+let pending t = Queue.length t.ring.events
 let dropped t = t.dropped
 
-(* Read events as bytes; [nonblock] peeks the ring without waiting, the
-   Prototype 5 enhancement DOOM's key polling needs (§4.5). Events are
-   never split: a buffer shorter than one event is an error, not a
-   truncated (or, before the fix, overrun) delivery. *)
-let read ctx t ~len ~nonblock =
+(* Read whole events as bytes from the queue [find] names; [None] means
+   the queue is gone (EBADF). [nonblock] peeks without waiting, the
+   Prototype 5 enhancement DOOM's key polling needs (§4.5). A buffer
+   shorter than one event is an error, not a truncated delivery. A
+   blocked read looks its queue up again when woken. *)
+let read ctx ~len ~nonblock find =
   if len < event_bytes then Sched.finish ctx (Abi.R_int (-Errno.einval))
   else
-  let rec attempt () =
-    if not (Queue.is_empty t.ring) then begin
-      let nev = min (len / event_bytes) (Queue.length t.ring) in
-      let buf = Buffer.create (nev * event_bytes) in
-      let delivered = ref 0 in
-      while !delivered < nev && not (Queue.is_empty t.ring) do
-        Buffer.add_bytes buf (encode (Queue.pop t.ring));
-        incr delivered
-      done;
-      Sched.charge ctx (Kcost.event_copy * !delivered);
-      Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
-        (Ktrace.Event_delivered ctx.Sched.task.Task.pid);
-      Sched.finish ctx (Abi.R_bytes (Buffer.to_bytes buf))
-    end
-    else if nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
-    else Sched.block ctx ~chan:Task.Kbd_events ~retry:attempt
-  in
-  attempt ()
+    let rec attempt () =
+      match find () with
+      | None -> Sched.finish ctx (Abi.R_int (-Errno.ebadf))
+      | Some q when ready q ->
+          let nev = min (len / event_bytes) (Queue.length q.events) in
+          let buf = Buffer.create (nev * event_bytes) in
+          for _ = 1 to nev do
+            Buffer.add_bytes buf (encode (Queue.pop q.events))
+          done;
+          Sched.charge ctx (Kcost.event_copy * nev);
+          Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
+            (Ktrace.Event_delivered ctx.Sched.task.Task.pid);
+          Sched.finish ctx (Abi.R_bytes (Buffer.to_bytes buf))
+      | Some _ when nonblock -> Sched.finish ctx (Abi.R_int (-Errno.eagain))
+      | Some q -> Sched.block ctx ~chan:q.chan ~retry:attempt
+    in
+    attempt ()

@@ -27,8 +27,7 @@ type surface = {
   mutable alpha : int;  (** 255 = opaque *)
   mutable dirty : bool;
   mutable always_on_top : bool;
-  events : Kbd.event Queue.t;
-  ev_chan : Task.chan;
+  events : Kbd.queue;  (** WM-routed key events, read through /dev/event1 *)
   mutable frames : int;
 }
 
@@ -100,8 +99,7 @@ let create_surface t ~owner_pid ~width ~height ~x ~y ~alpha =
       alpha;
       dirty = true;
       always_on_top = alpha < 255;
-      events = Queue.create ();
-      ev_chan = Task.Wm_events id;
+      events = Kbd.queue (Task.Wm_events id);
       frames = 0;
     }
   in
@@ -141,7 +139,9 @@ let remove_surface t id =
          t.focus <-
            (match List.rev t.zorder with top :: _ -> Some top | [] -> None));
       (* expose what was underneath *)
-      Hashtbl.iter (fun _ other -> other.dirty <- true) t.surfaces
+      Hashtbl.iter (fun _ other -> other.dirty <- true) t.surfaces;
+      (* a reader blocked on the queue finds the surface gone *)
+      Sched.wake_all t.sched s.events.Kbd.chan
 
 let rotate_focus t =
   match t.zorder with
@@ -192,10 +192,7 @@ and deliver t ev =
   match focused t with
   | None -> false
   | Some s ->
-      if Queue.length s.events >= 64 then ignore (Queue.pop s.events);
-      Queue.add ev s.events;
-      Sched.wake_all t.sched s.ev_chan;
-      Sched.poll_wake t.sched;
+      ignore (Kbd.push t.sched s.events ev);
       true
 
 (* ---- composition ---- *)

@@ -15,28 +15,24 @@ type t = {
 }
 
 let init env mode =
-  let open Core in
-  match mode with
-  | Fullscreen -> (
-      match Gfx.direct env with
-      | Error e -> Error e
-      | Ok gfx ->
-          let fd = Usys.open_ "/dev/events" (Abi.o_rdonly lor Abi.o_nonblock) in
-          if fd < 0 then Error (-fd)
-          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false })
-  | Window { w; h; x; y; alpha } -> (
-      match Gfx.windowed ~width:w ~height:h ~x ~y ~alpha () with
-      | Error e -> Error e
-      | Ok gfx ->
-          (* WM-routed events for this window *)
-          let fd = Usys.open_ "/dev/event1" (Abi.o_rdonly lor Abi.o_nonblock) in
-          if fd < 0 then Error (-fd)
-          else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false })
+  let gfx, events =
+    match mode with
+    | Fullscreen -> (Gfx.direct env, "/dev/events")
+    | Window { w; h; x; y; alpha } ->
+        (* WM-routed events for this window *)
+        (Gfx.windowed ~width:w ~height:h ~x ~y ~alpha (), "/dev/event1")
+  in
+  match gfx with
+  | Error e -> Error e
+  | Ok gfx ->
+      let fd = Usys.open_ events Core.Abi.(o_rdonly lor o_nonblock) in
+      if fd < 0 then Error (-fd)
+      else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false }
 
 let surface t = t.gfx
 let present t = Gfx.present t.gfx
 
-let poll_events t = Uevents.poll_events t.ev_fd
+let poll_events t = Uevents.read_events t.ev_fd
 
 let delay ms = ignore (Usys.sleep ms)
 
@@ -49,7 +45,7 @@ let wait_events t ~timeout_ms =
   else if r = 0 then []
   else begin
     delay (max 1 timeout_ms);
-    Uevents.poll_events t.ev_fd
+    Uevents.read_events t.ev_fd
   end
 
 (* SDL-style audio: [callback n] returns the next [n] samples; a dedicated

@@ -43,15 +43,9 @@ let decode_bytes data =
         pressed = raw.Core.Kbd.ev_pressed;
       })
 
-(* Blocking read of at least one event. *)
+(* Read the queued events: a blocking fd waits for at least one; an
+   O_NONBLOCK fd with none queued, or any error, gives []. *)
 let read_events fd =
   match Usys.read fd 256 with
   | Ok data -> decode_bytes data
-  | Error _ -> []
-
-(* Non-blocking poll (requires the fd opened with O_NONBLOCK). *)
-let poll_events fd =
-  match Usys.read fd 256 with
-  | Ok data -> decode_bytes data
-  | Error e when e = Core.Errno.eagain -> []
   | Error _ -> []

@@ -2268,6 +2268,35 @@ let wm_surface_removed_on_exit () =
   run_for kernel 1;
   check_int "surface cleaned up" 0 (Core.Wm.surface_count (wm_of kernel))
 
+(* A reader blocked on its surface's event queue must not outlive the
+   surface: when a clone thread sharing its fd table closes the surface
+   fd, the reader wakes and its read answers EBADF. *)
+let wm_blocked_reader_sees_surface_close () =
+  let kernel = boot_kernel () in
+  let got = ref None in
+  ignore
+    (Core.Kernel.spawn_user kernel ~name:"reader" (fun () ->
+         match Gfx.windowed ~width:16 ~height:16 ~x:0 ~y:0 () with
+         | Error e -> e
+         | Ok gfx ->
+             let fd = Usys.open_ "/dev/event1" Core.Abi.o_rdonly in
+             ignore
+               (Usys.clone (fun () ->
+                    ignore (Usys.sleep 10);
+                    Gfx.close gfx;
+                    0));
+             got :=
+               Some
+                 (match Usys.read fd 64 with
+                 | Ok b -> Bytes.length b
+                 | Error e -> -e);
+             0));
+  run_for kernel 1;
+  check_int "surface gone" 0 (Core.Wm.surface_count (wm_of kernel));
+  match !got with
+  | Some r -> check_int "read answers EBADF" (-Core.Errno.ebadf) r
+  | None -> Alcotest.fail "reader still blocked on the closed surface"
+
 let background = 0x102030
 
 (* Closing the last window repaints the rows it covered: no surface is
@@ -2468,6 +2497,7 @@ let suite_wm =
       quick "blend_span = blend at every alpha and value" wm_blend_span_exhaustive;
       quick "key routing to focus" wm_key_routing;
       quick "surface removed on exit" wm_surface_removed_on_exit;
+      quick "blocked reader sees its surface close" wm_blocked_reader_sees_surface_close;
       quick "closing the last window repaints the background" wm_close_repaints_background;
       quick "a vertical move leaves no trail" wm_move_leaves_no_trail;
       quick "span compositor = oracle on fixed clips" wm_span_compositor_matches_oracle;
