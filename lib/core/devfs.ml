@@ -69,7 +69,9 @@ let event_ops name find =
           match find ctx file with Some q -> Kbd.ready q | None -> true);
   }
 
-let events_ops t = event_ops "events" (fun _ _ -> Some t.kbd.Kbd.ring)
+let events_ops t =
+  let ring = Some t.kbd.Kbd.ring in
+  event_ops "events" (fun _ _ -> ring)
 
 let event1_ops t =
   match t.wm with

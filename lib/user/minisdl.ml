@@ -15,7 +15,7 @@ type t = {
 }
 
 let init env mode =
-  let gfx, events =
+  let gfx, ev_path =
     match mode with
     | Fullscreen -> (Gfx.direct env, "/dev/events")
     | Window { w; h; x; y; alpha } ->
@@ -25,7 +25,7 @@ let init env mode =
   match gfx with
   | Error e -> Error e
   | Ok gfx ->
-      let fd = Usys.open_ events Core.Abi.(o_rdonly lor o_nonblock) in
+      let fd = Usys.open_ ev_path Core.Abi.(o_rdonly lor o_nonblock) in
       if fd < 0 then Error (-fd)
       else Ok { gfx; ev_fd = fd; audio_tid = None; audio_stop = false }
 
