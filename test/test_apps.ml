@@ -215,11 +215,15 @@ let desktop_planes_pinned () =
    the MD5 of the WM surface's bytes: every 32-bit word whole, its X
    byte included. The apps start one at a time on one stage, as in
    [desktop_planes_pinned], and the stage steps a millisecond at a time
-   until the new surface holds its first frame. *)
+   until the new surface holds the pinned frame. The music player's
+   windowed cover frame and a second launcher's frames 2 and 33 come
+   last, so the first three pins see the stage they always saw. By
+   frame 33 the background's [3 * tick] term has wrapped 96, back to
+   frame 1's bands, so frame 33 is frame 1's bytes again. *)
 let surface_first_frames_pinned () =
   let stage = stage5 () in
   let wm = Option.get stage.Proto.Stage.kernel.Core.Kernel.wm in
-  let first_frame pid =
+  let nth_frame pid k =
     let rec step n =
       let s =
         Hashtbl.fold
@@ -227,24 +231,66 @@ let surface_first_frames_pinned () =
           wm.Core.Wm.surfaces None
       in
       match s with
-      | Some s when s.frames > 0 ->
-          check_int "one frame landed" 1 s.frames;
+      | Some s when s.frames >= k ->
+          check_int (Printf.sprintf "frame %d landed" k) k s.frames;
           Digest.to_hex (Digest.bytes s.pixels)
       | _ ->
-          if n = 0 then Alcotest.failf "pid %d wrote no frame" pid;
+          if n = 0 then Alcotest.failf "pid %d wrote no frame %d" pid k;
           Proto.Stage.run_for stage (Sim.Engine.ms 1);
           step (n - 1)
     in
     step 2000
   in
   List.iter
-    (fun (argv, md5) ->
+    (fun (argv, pins) ->
       let task = Proto.Stage.start stage (List.hd argv) argv in
-      check_string (List.hd argv ^ " first frame") md5 (first_frame task.Core.Task.pid))
+      List.iter
+        (fun (k, md5) ->
+          check_string
+            (Printf.sprintf "%s frame %d" (String.concat " " argv) k)
+            md5 (nth_frame task.Core.Task.pid k))
+        pins)
     [
-      ([ "mario"; "sdl"; "0" ], "84f600d17b590ba85f63e2ad66b745f1");
-      ([ "launcher"; "0" ], "09d08bd7771d777cd58d8d76c58b0338");
-      ([ "sysmon"; "0" ], "8e0ad5201e31767be9a6b3576058d624");
+      ([ "mario"; "sdl"; "0" ], [ (1, "84f600d17b590ba85f63e2ad66b745f1") ]);
+      ([ "launcher"; "0" ], [ (1, "09d08bd7771d777cd58d8d76c58b0338") ]);
+      ([ "sysmon"; "0" ], [ (1, "8e0ad5201e31767be9a6b3576058d624") ]);
+      ( [ "music"; "/d/music/track1.vogg"; "/d/music/cover1.pngl"; "window" ],
+        [ (1, "d53e46abefb927160d32ff575664f69c") ] );
+      ([ "launcher"; "0" ], [ (2, "f0655b6b40ee01903c2f4520bc00086d"); (33, "09d08bd7771d777cd58d8d76c58b0338") ]);
+    ]
+
+(* The slider's presented frames, pinned by the MD5 of the framebuffer's
+   CPU view once the frame's cacheflush has counted it: the first slide
+   of /d/slides (the 640x480 PNG-lite, filling the screen), then, after
+   that slider exits, the second frame of a slider over the ramdisk's
+   /slides: the first frame of the GIF-lite, after the 320x240 BMP. *)
+let slider_frames_pinned () =
+  let stage = stage5 () in
+  let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
+  let nth_frame pid k =
+    let rec step n =
+      if frames_of stage pid >= k then begin
+        check_int (Printf.sprintf "frame %d presented" k) k (frames_of stage pid);
+        fb_plane_md5 fb Hw.Framebuffer.read_pixel
+      end
+      else begin
+        if n = 0 then Alcotest.failf "pid %d presented no frame %d" pid k;
+        Proto.Stage.run_for stage (Sim.Engine.ms 1);
+        step (n - 1)
+      end
+    in
+    step 5000
+  in
+  List.iter
+    (fun (argv, k, md5) ->
+      let task = Proto.Stage.start stage "slider" argv in
+      check_string (Printf.sprintf "%s frame %d" (String.concat " " argv) k) md5
+        (nth_frame task.Core.Task.pid k);
+      Proto.Stage.run_for stage (Sim.Engine.sec 3);
+      check_string (String.concat " " argv ^ " exited") "zombie" (Core.Task.state_name task))
+    [
+      ([ "slider"; "/d/slides"; "200"; "1" ], 1, "54765c0265b3c823fa5e86be22413e0a");
+      ([ "slider"; "/slides"; "200"; "1" ], 2, "5156ba3ea226e570597664b93483588c");
     ]
 
 (* A corrupt payload behind a valid header is EINVAL, like a bad header,
@@ -435,4 +481,5 @@ let suite_integration =
       slow "console utilities" utils_work;
       slow "doom WAD load uses FAT range IO" doom_loads_wad_from_fat;
       slow "first surface frames are pinned" surface_first_frames_pinned;
+      slow "slider frames are pinned" slider_frames_pinned;
     ] )

@@ -110,6 +110,8 @@ let decoded_slides_pinned () =
   let bmp = check_ok "bmp" (Bmp.decode (Proto.Assets.slide_bmp ())) in
   let png = check_ok "pngl" (Pnglite.decode (Proto.Assets.slide_pngl ())) in
   let gif = check_ok "gifl" (Giflite.decode (Proto.Assets.slide_gifl ())) in
+  let hires = check_ok "hires pngl" (Pnglite.decode (Proto.Assets.slide_pngl_hires ())) in
+  let cover = check_ok "cover pngl" (Pnglite.decode (Proto.Assets.cover_pngl ())) in
   check_pins "decoded slides"
     [
       ( "bmp",
@@ -124,6 +126,12 @@ let decoded_slides_pinned () =
           ([| gif.Giflite.width; gif.Giflite.height; gif.Giflite.delay_ms |]
           :: gif.Giflite.palette
           :: Array.to_list gif.Giflite.frames) );
+      ( "hires pngl",
+        "f4dd2d3857a0199d6f59f2430fd0ad1d",
+        ints_md5 [ [| hires.Pnglite.width; hires.Pnglite.height |]; hires.Pnglite.pixels ] );
+      ( "cover pngl",
+        "84fcc9b58acd5a2b55c72f0205497e32",
+        ints_md5 [ [| cover.Pnglite.width; cover.Pnglite.height |]; cover.Pnglite.pixels ] );
     ]
 
 (* /dev/events keeps the low 32 bits of the microsecond timestamp and
