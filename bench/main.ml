@@ -146,7 +146,7 @@ let codec () =
   print_endline "wrote BENCH_codec.json"
 
 let compose () =
-  section "compose: host ms per desktop composite, surface write / repaint / flush / blend";
+  section "compose: host ms per desktop composite, app draw / surface write / repaint / flush / blend";
   let r = Benchlib.Composebench.run () in
   print_string (Benchlib.Composebench.render r);
   Benchlib.Report.write "BENCH_compose.json" (Benchlib.Composebench.report r);

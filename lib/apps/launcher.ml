@@ -18,35 +18,47 @@ let entries =
     ("sh", [ "sh" ]);
   ]
 
+(* The window's geometry. *)
+let width = 300
+let height = 260
+
+(* The animated background, drifting diagonal colour bands: pixel
+   (x, y) of frame [tick] is band (x + y + 3 * tick) mod 96. *)
+let background gfx ~tick =
+  for y = 0 to gfx.Gfx.height - 1 do
+    for x = 0 to gfx.Gfx.width - 1 do
+      let v = (x + y + (tick * 3)) mod 96 in
+      Gfx.put gfx ~x ~y (Gfx.rgb (16 + v / 4) (20 + v / 3) (48 + v / 2))
+    done
+  done
+
+(* The title and the menu, the entry under [cursor] highlighted. *)
+let menu gfx ~cursor =
+  Gfx.text gfx ~x:12 ~y:8 ~color:0xffffff "VOS LAUNCHER";
+  List.iteri
+    (fun i (name, _) ->
+      let y = 32 + (i * 22) in
+      if i = cursor then
+        Gfx.fill_rect gfx ~x:8 ~y:(y - 4) ~w:(gfx.Gfx.width - 16) ~h:18 (Gfx.rgb 60 80 160);
+      Gfx.text gfx ~x:16 ~y ~color:0xffffff name)
+    entries
+
 (* argv: launcher [iterations] *)
 let main env argv =
   Usys.in_frame "launcher_main" (fun () ->
       let iters = match argv with _ :: n :: _ -> int_of_string n | _ -> 0 in
-      match Minisdl.init env (Minisdl.Window { w = 300; h = 260; x = 20; y = 100; alpha = 255 }) with
+      match Minisdl.init env (Minisdl.Window { w = width; h = height; x = 20; y = 100; alpha = 255 }) with
       | Error e -> e
       | Ok sdl ->
           let gfx = Minisdl.surface sdl in
+          let background = background gfx in
           let cursor = ref 0 in
           let tick = ref 0 in
           let running = ref true in
           while !running && (iters = 0 || !tick < iters) do
             incr tick;
-            (* animated background: drifting diagonal color bands *)
-            for y = 0 to gfx.Gfx.height - 1 do
-              for x = 0 to gfx.Gfx.width - 1 do
-                let v = (x + y + (!tick * 3)) mod 96 in
-                Gfx.put gfx ~x ~y (Gfx.rgb (16 + v / 4) (20 + v / 3) (48 + v / 2))
-              done
-            done;
-            Gfx.text gfx ~x:12 ~y:8 ~color:0xffffff "VOS LAUNCHER";
-            List.iteri
-              (fun i (name, _) ->
-                let y = 32 + (i * 22) in
-                if i = !cursor then
-                  Gfx.fill_rect gfx ~x:8 ~y:(y - 4) ~w:(gfx.Gfx.width - 16) ~h:18
-                    (Gfx.rgb 60 80 160);
-                Gfx.text gfx ~x:16 ~y ~color:0xffffff name)
-              entries;
+            background ~tick:!tick;
+            menu gfx ~cursor:!cursor;
             Minisdl.present sdl;
             List.iter
               (fun ev ->

@@ -19,8 +19,12 @@
     [blend_span] times [Wm.blend_span] on its own over the spans the
     translucent windows cover in those rows, into a scratch copy of the
     CPU view: it is the part of [repaint_rows] the alpha blend costs.
-    Each layer's host ms per composite is the median of [loops] loops
-    of [composites] composites, with their min and max.
+    [app_draw] is the apps' side of a composite: one launcher frame,
+    its background and its menu, drawn into a client buffer of the
+    launcher's geometry ([Launcher.background], [Launcher.menu]), the
+    tick advancing by one each composite. Each layer's host ms per
+    composite is the median of [loops] loops of [composites]
+    composites, with their min and max.
 
     Every figure is a host time, so [BENCH_compose.json] keeps them in
     its [host] half; the [deterministic] half names the workload. *)
@@ -82,10 +86,28 @@ let run () =
       windows
   in
   let scratch = Bytes.copy (Hw.Framebuffer.cpu_view fb) in
+  let launcher =
+    let width = Apps.Launcher.width and height = Apps.Launcher.height in
+    {
+      User.Gfx.mode = User.Gfx.Windowed (-1);
+      width;
+      height;
+      pixels = Bytes.make (4 * width * height) '\000';
+      cost_cycles = 0;
+    }
+  in
+  let background = Apps.Launcher.background launcher in
   (* one loop: host seconds spent in each layer over [composites] *)
   let once () =
     let write = ref 0.0 and repaint = ref 0.0 and flush = ref 0.0 and blend = ref 0.0 in
-    for _ = 1 to composites do
+    let draw = ref 0.0 in
+    for tick = 1 to composites do
+      let (), t =
+        Report.timed (fun () ->
+            background ~tick;
+            Apps.Launcher.menu launcher ~cursor:0)
+      in
+      draw := !draw +. t;
       List.iter
         (fun (s, wire) ->
           let _, t = Report.timed (fun () -> Core.Wm.write_frame s wire) in
@@ -111,14 +133,14 @@ let run () =
       blend := !blend +. t
     done;
     let ms t = !t *. 1e3 /. float_of_int composites in
-    [ ms write; ms repaint; ms flush; ms blend ]
+    [ ms draw; ms write; ms repaint; ms flush; ms blend ]
   in
   {
     r_windows = List.length windows;
     r_rows = y1 - y0;
     r_layers =
       Report.layers
-        [ "surface_write"; "repaint_rows"; "flush"; "blend_span" ]
+        [ "app_draw"; "surface_write"; "repaint_rows"; "flush"; "blend_span" ]
         (List.init loops (fun _ -> once ()));
   }
 
@@ -126,8 +148,8 @@ let render r =
   let b = Buffer.create 256 in
   Printf.bprintf b
     "  desktop, %d windows, %d rows repainted, %d composites a loop,\n\
-    \  host ms/composite (median of %d, min-max; repaint_rows includes its flush\n\
-    \  and its blend):\n"
+    \  host ms/composite (median of %d, min-max; app_draw is one launcher frame;\n\
+    \  repaint_rows includes its flush and its blend):\n"
     r.r_windows r.r_rows composites loops;
   Report.add_layers b r.r_layers;
   Buffer.contents b
