@@ -23,14 +23,22 @@ let width = 300
 let height = 260
 
 (* The animated background, drifting diagonal colour bands: pixel
-   (x, y) of frame [tick] is band (x + y + 3 * tick) mod 96. *)
-let background gfx ~tick =
-  for y = 0 to gfx.Gfx.height - 1 do
-    for x = 0 to gfx.Gfx.width - 1 do
-      let v = (x + y + (tick * 3)) mod 96 in
-      Gfx.put gfx ~x ~y (Gfx.rgb (16 + v / 4) (20 + v / 3) (48 + v / 2))
+   (x, y) of frame [tick] is band (x + y + 3 * tick) mod 96. Each row is
+   row 0 shifted, so every row is [width] words of one strip, built
+   once, whose word k is band k mod 96: row y of frame [tick] starts at
+   word (y + 3 * tick) mod 96. *)
+let background gfx =
+  let w = gfx.Gfx.width in
+  let strip = Bytes.create (4 * (w + 96)) in
+  Gfx.words_of_ints
+    (Array.init (w + 96) (fun k ->
+         let v = k mod 96 in
+         Gfx.rgb (16 + (v / 4)) (20 + (v / 3)) (48 + (v / 2))))
+    strip;
+  fun ~tick ->
+    for y = 0 to gfx.Gfx.height - 1 do
+      Gfx.blit_row gfx ~y ~src:strip ~src_off:((y + (tick * 3)) mod 96) ~x:0 ~w
     done
-  done
 
 (* The title and the menu, the entry under [cursor] highlighted. *)
 let menu gfx ~cursor =

@@ -25,11 +25,11 @@ let draw_cover gfx cover_path title =
                ~pixels:(img.Pnglite.width * img.Pnglite.height));
           let ox = max 0 ((gfx.Gfx.width - img.Pnglite.width) / 2) in
           let oy = max 0 ((gfx.Gfx.height - 40 - img.Pnglite.height) / 2) in
+          let words = Bytes.create (4 * Array.length img.Pnglite.pixels) in
+          Gfx.words_of_ints img.Pnglite.pixels words;
           for y = 0 to img.Pnglite.height - 1 do
-            for x = 0 to img.Pnglite.width - 1 do
-              Gfx.put gfx ~x:(ox + x) ~y:(oy + y)
-                img.Pnglite.pixels.((y * img.Pnglite.width) + x)
-            done
+            Gfx.blit_row gfx ~y:(oy + y) ~src:words ~src_off:(y * img.Pnglite.width) ~x:ox
+              ~w:img.Pnglite.width
           done));
   Gfx.text gfx ~x:10 ~y:(gfx.Gfx.height - 30) ~color:0xffffff title
 

@@ -17,14 +17,14 @@ let load_image data =
           | Ok gif -> Some (`Anim gif)
           | Error _ -> None))
 
-let draw_still gfx (img : Bmp.image) =
+(* An image of [width * height] [pixels]-format words, centred on a
+   black screen, a row at a time. *)
+let draw_still gfx ~width ~height words =
   Gfx.fill gfx 0x000000;
-  let ox = max 0 ((gfx.Gfx.width - img.Bmp.width) / 2) in
-  let oy = max 0 ((gfx.Gfx.height - img.Bmp.height) / 2) in
-  for y = 0 to min (img.Bmp.height - 1) (gfx.Gfx.height - 1 - oy) do
-    for x = 0 to min (img.Bmp.width - 1) (gfx.Gfx.width - 1 - ox) do
-      Gfx.put gfx ~x:(ox + x) ~y:(oy + y) img.Bmp.pixels.((y * img.Bmp.width) + x)
-    done
+  let ox = max 0 ((gfx.Gfx.width - width) / 2) in
+  let oy = max 0 ((gfx.Gfx.height - height) / 2) in
+  for y = 0 to min (height - 1) (gfx.Gfx.height - 1 - oy) do
+    Gfx.blit_row gfx ~y:(oy + y) ~src:words ~src_off:(y * width) ~x:ox ~w:width
   done
 
 let list_dir path =
@@ -77,7 +77,9 @@ let main env argv =
                         (Pnglite.decode_cycles
                            ~payload_bytes:(Bytes.length data)
                            ~pixels:(img.Bmp.width * img.Bmp.height));
-                      draw_still gfx img;
+                      let words = Bytes.create (4 * Array.length img.Bmp.pixels) in
+                      Gfx.words_of_ints img.Bmp.pixels words;
+                      draw_still gfx ~width:img.Bmp.width ~height:img.Bmp.height words;
                       Gfx.present gfx;
                       (* dwell, cut short by any key *)
                       let waited = ref 0 in
@@ -90,6 +92,7 @@ let main env argv =
                       done
                   | Some (`Anim gif) ->
                       let out = Array.make (gif.Giflite.width * gif.Giflite.height) 0 in
+                      let words = Bytes.create (4 * Array.length out) in
                       let nframes = Array.length gif.Giflite.frames in
                       let shown = ref 0 in
                       let budget = max 1 (dwell / max 1 gif.Giflite.delay_ms) in
@@ -98,12 +101,9 @@ let main env argv =
                         Usys.burn
                           (gif.Giflite.width * gif.Giflite.height
                           * Lzw.cycles_per_byte);
-                        draw_still gfx
-                          {
-                            Bmp.width = gif.Giflite.width;
-                            height = gif.Giflite.height;
-                            pixels = out;
-                          };
+                        Gfx.words_of_ints out words;
+                        draw_still gfx ~width:gif.Giflite.width ~height:gif.Giflite.height
+                          words;
                         Gfx.present gfx;
                         ignore (Usys.sleep gif.Giflite.delay_ms);
                         incr shown;

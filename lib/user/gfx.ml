@@ -85,14 +85,25 @@ let charge t cycles = t.cost_cycles <- t.cost_cycles + cycles
 external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
-(* Pixel [i] := the low 24 bits of [px], 0xRRGGBB, under an opaque
-   0xff X byte. The store is unchecked and native-endian, so a
+(* Word [i] of [b] := the low 24 bits of [px], 0xRRGGBB, under an
+   opaque 0xff X byte. The store is unchecked and native-endian, so a
    big-endian host swaps the word. Each draw clips to the buffer's
    geometry and checks once that what it stores lies in [pixels]:
    [t] is a public record, so nothing else vouches for its length. *)
-let[@inline] store t i px =
+let[@inline] set_word b i px =
   let w = Int32.of_int (px land 0xffffff lor 0xff000000) in
-  set32u t.pixels (4 * i) (if Sys.big_endian then swap32 w else w)
+  set32u b (4 * i) (if Sys.big_endian then swap32 w else w)
+
+let[@inline] store t i px = set_word t.pixels i px
+
+(* [src]'s pixels, ints as [put] takes them, into [dst] from word 0 as
+   [pixels]-format words: a decoded image becomes rows for [blit_row]. *)
+let words_of_ints src dst =
+  if Bytes.length dst lsr 2 < Array.length src then
+    invalid_arg "Gfx.words_of_ints: dst shorter than 4 * length src";
+  for i = 0 to Array.length src - 1 do
+    set_word dst i (Array.unsafe_get src i)
+  done
 
 let short = "Gfx: pixels shorter than 4 * width * height"
 
@@ -141,6 +152,24 @@ let fill_rect t ~x ~y ~w ~h px =
       done
     done;
   t.cost_cycles <- t.cost_cycles + (max 0 w * max 0 h * cost_fill_pixel)
+
+(* Words [src_off, src_off + w) of [src], a row in the [pixels] format,
+   into row [y] from column [x], by one blit: the bytes and the charge
+   of a [put] loop over the same words. Clipped once as [fill_rect]
+   clips (an [x + w] that overflows draws nothing); [src] must hold the
+   clipped span, or nothing is stored or charged. *)
+let blit_row t ~y ~src ~src_off ~x ~w =
+  check t;
+  let x0 = max 0 x and x1 = min t.width (x + w) in
+  if y >= 0 && y < t.height && x0 < x1 then begin
+    let n = x1 - x0 in
+    (* [x0 - x] is at most [w] here, so only [src_off] can wrap [s] *)
+    let s = src_off + (x0 - x) in
+    if s < 0 || s > (Bytes.length src lsr 2) - n then
+      invalid_arg "Gfx.blit_row: src shorter than the clipped span";
+    Bytes.blit src (4 * s) t.pixels (4 * ((y * t.width) + x0)) (4 * n);
+    t.cost_cycles <- t.cost_cycles + (n * cost_pixel)
+  end
 
 (* 5x7 bitmap font (digits, upper-case letters, a little punctuation). *)
 let glyph c =

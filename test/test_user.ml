@@ -1121,13 +1121,16 @@ let gfx_draw_allocates_nothing () =
   per_call "put" (fun i -> Gfx.put g ~x:(i land 63) ~y:(i land 31) i);
   per_call "fill" (fun i -> Gfx.fill g i);
   per_call "fill_rect" (fun i -> Gfx.fill_rect g ~x:(i land 7) ~y:3 ~w:20 ~h:9 i);
-  per_call "text" (fun i -> Gfx.text g ~x:(i land 15) ~y:2 ~color:i "AB:9")
+  per_call "text" (fun i -> Gfx.text g ~x:(i land 15) ~y:2 ~color:i "AB:9");
+  let src = Bytes.make (4 * 80) '\xff' in
+  per_call "blit_row" (fun i -> Gfx.blit_row g ~y:(i land 63) ~src ~src_off:(i land 15) ~x:(i land 7) ~w:60)
 
 (* Gfx stores unchecked, so a hand-built context whose [pixels] is
    shorter than [4 * width * height] must make a draw raise
-   [Invalid_argument] before it stores: fill and fill_rect whatever
-   they cover, put when its word is past the end. A geometry whose
-   product overflows is short too. *)
+   [Invalid_argument] before it stores: fill, fill_rect and blit_row
+   whatever they cover, put when its word is past the end. A geometry
+   whose product overflows is short too. blit_row also refuses a
+   source too short for the span it would store. *)
 let gfx_draws_refuse_a_short_buffer () =
   let raises name (g : Gfx.t) f =
     let before = Bytes.copy g.pixels in
@@ -1147,6 +1150,12 @@ let gfx_draws_refuse_a_short_buffer () =
   raises "fill_rect over all" (one_word_short ()) (fun g ->
       Gfx.fill_rect g ~x:(-1) ~y:(-1) ~w:9 ~h:9 0x123456);
   raises "put at the last pixel" (one_word_short ()) (fun g -> Gfx.put g ~x:4 ~y:3 0x123456);
+  let row = Bytes.make (4 * 5) '\xff' in
+  raises "blit_row 1 word at 0,0" (one_word_short ()) (fun g ->
+      Gfx.blit_row g ~y:0 ~src:row ~src_off:0 ~x:0 ~w:1);
+  (* the clipped span is columns 0-4, words 2-6 of a 5-word source *)
+  raises "blit_row, src short of the clipped span" (gfx ~width:5 ~height:4 80) (fun g ->
+      Gfx.blit_row g ~y:1 ~src:row ~src_off:1 ~x:(-1) ~w:9);
   let side = 1 lsl 40 in
   let overflowing () = gfx ~width:side ~height:side 16 in
   raises "fill, overflowing geometry" (overflowing ()) (fun g -> Gfx.fill g 0x123456);
@@ -1174,6 +1183,58 @@ let gfx_fill_rect_overflowing_coordinates () =
       (m, 0, 1, 1); (0, m, 1, 1); (m, m, m, m); (1, 0, m, 1); (0, 1, 1, m); (4, 3, m, m);
       (n, 0, m, 1); (0, n, 1, m); (n, n, m, m); (m, 0, n, 1); (0, m, 1, n);
     ]
+
+(* blit_row against a put loop over the same words: random geometry,
+   rows on and off the buffer, columns from left of it to past it and
+   spans out to an [x + w] of [max_int]. A put whose column is off the
+   buffer stores and charges nothing, so the loop runs over the span's
+   on-buffer columns only. The source words come from
+   [words_of_ints] over ints with bits above 24 set, so the pass checks
+   its masking too. *)
+let gfx_blit_row_matches_put_loop =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* width = int_range 1 8 and* height = int_range 1 6 in
+      let* x = int_range (-10) 10 and* y = int_range (-2) (height + 1) in
+      let* w = oneof [ int_range (-3) 12; map (fun k -> max_int - k) (int_range 0 20) ] in
+      let* src_off = int_range 0 5 and* seed = int in
+      return (width, height, x, y, (if x > 0 then min w (max_int - x) else w), src_off, seed))
+  in
+  qcheck ~count:500 "gfx blit_row = put loop"
+    (make ~print:(fun (wd, ht, x, y, w, o, _) ->
+         Printf.sprintf "%dx%d ~x:%d ~y:%d ~w:%d ~src_off:%d" wd ht x y w o)
+       gen)
+    (fun (width, height, x, y, w, src_off, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let g = windowed_gfx rs ~width ~height in
+      let ref_g = { g with pixels = Bytes.copy g.pixels } in
+      (* every on-buffer column [x + i] has [i < width + 10] *)
+      let ints =
+        Array.init (src_off + width + 11) (fun _ ->
+            Random.State.bits rs lor (Random.State.bits rs lsl 30))
+      in
+      let src = Bytes.create (4 * Array.length ints) in
+      Gfx.words_of_ints ints src;
+      Gfx.blit_row g ~y ~src ~src_off ~x ~w;
+      for i = max 0 (-x) to min w (width - x) - 1 do
+        Gfx.put ref_g ~x:(x + i) ~y ints.(src_off + i)
+      done;
+      Bytes.equal g.pixels ref_g.pixels && g.cost_cycles = ref_g.cost_cycles)
+
+(* A span whose [x + w] overflows draws and charges nothing, as
+   fill_rect's does. *)
+let gfx_blit_row_overflowing_span () =
+  List.iter
+    (fun (x, w) ->
+      let g =
+        { Gfx.mode = Gfx.Windowed (-1); width = 5; height = 4; pixels = Bytes.make 80 '\x11'; cost_cycles = 0 }
+      in
+      Gfx.blit_row g ~y:1 ~src:(Bytes.make 40 '\xff') ~src_off:0 ~x ~w;
+      check_bool (Printf.sprintf "blit_row ~x:%d ~w:%d: buffer untouched" x w) true
+        (Bytes.equal g.pixels (Bytes.make 80 '\x11'));
+      check_int (Printf.sprintf "blit_row ~x:%d ~w:%d: nothing charged" x w) 0 g.cost_cycles)
+    [ (1, max_int); (4, max_int - 3); (max_int, 1); (max_int, max_int) ]
 
 let event_encoding_roundtrip =
   qcheck "kbd event wire encoding roundtrip"
@@ -1236,4 +1297,6 @@ let suite_threads =
       quick "gfx draws allocate nothing" gfx_draw_allocates_nothing;
       quick "gfx draws refuse a short buffer" gfx_draws_refuse_a_short_buffer;
       quick "gfx fill_rect at overflowing coordinates" gfx_fill_rect_overflowing_coordinates;
+      gfx_blit_row_matches_put_loop;
+      quick "gfx blit_row over an overflowing span" gfx_blit_row_overflowing_span;
     ] )
