@@ -29,12 +29,12 @@ let height = 260
    word (y + 3 * tick) mod 96. *)
 let background gfx =
   let w = gfx.Gfx.width in
-  let strip = Bytes.create (4 * (w + 96)) in
-  Gfx.words_of_ints
-    (Array.init (w + 96) (fun k ->
-         let v = k mod 96 in
-         Gfx.rgb (16 + (v / 4)) (20 + (v / 3)) (48 + (v / 2))))
-    strip;
+  let strip =
+    Gfx.words_of_ints
+      (Array.init (w + 96) (fun k ->
+           let v = k mod 96 in
+           Gfx.rgb (16 + (v / 4)) (20 + (v / 3)) (48 + (v / 2))))
+  in
   fun ~tick ->
     for y = 0 to gfx.Gfx.height - 1 do
       Gfx.blit_row gfx ~y ~src:strip ~src_off:((y + (tick * 3)) mod 96) ~x:0 ~w

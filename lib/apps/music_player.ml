@@ -25,8 +25,7 @@ let draw_cover gfx cover_path title =
                ~pixels:(img.Pnglite.width * img.Pnglite.height));
           let ox = max 0 ((gfx.Gfx.width - img.Pnglite.width) / 2) in
           let oy = max 0 ((gfx.Gfx.height - 40 - img.Pnglite.height) / 2) in
-          let words = Bytes.create (4 * Array.length img.Pnglite.pixels) in
-          Gfx.words_of_ints img.Pnglite.pixels words;
+          let words = Gfx.words_of_ints img.Pnglite.pixels in
           for y = 0 to img.Pnglite.height - 1 do
             Gfx.blit_row gfx ~y:(oy + y) ~src:words ~src_off:(y * img.Pnglite.width) ~x:ox
               ~w:img.Pnglite.width

@@ -18,12 +18,12 @@ let load_image data =
           | Error _ -> None))
 
 (* An image of [width * height] [pixels]-format words, centred on a
-   black screen, a row at a time. *)
+   black screen a row at a time; [blit_row] clips what does not fit. *)
 let draw_still gfx ~width ~height words =
   Gfx.fill gfx 0x000000;
   let ox = max 0 ((gfx.Gfx.width - width) / 2) in
   let oy = max 0 ((gfx.Gfx.height - height) / 2) in
-  for y = 0 to min (height - 1) (gfx.Gfx.height - 1 - oy) do
+  for y = 0 to height - 1 do
     Gfx.blit_row gfx ~y:(oy + y) ~src:words ~src_off:(y * width) ~x:ox ~w:width
   done
 
@@ -77,9 +77,8 @@ let main env argv =
                         (Pnglite.decode_cycles
                            ~payload_bytes:(Bytes.length data)
                            ~pixels:(img.Bmp.width * img.Bmp.height));
-                      let words = Bytes.create (4 * Array.length img.Bmp.pixels) in
-                      Gfx.words_of_ints img.Bmp.pixels words;
-                      draw_still gfx ~width:img.Bmp.width ~height:img.Bmp.height words;
+                      draw_still gfx ~width:img.Bmp.width ~height:img.Bmp.height
+                        (Gfx.words_of_ints img.Bmp.pixels);
                       Gfx.present gfx;
                       (* dwell, cut short by any key *)
                       let waited = ref 0 in
@@ -92,7 +91,6 @@ let main env argv =
                       done
                   | Some (`Anim gif) ->
                       let out = Array.make (gif.Giflite.width * gif.Giflite.height) 0 in
-                      let words = Bytes.create (4 * Array.length out) in
                       let nframes = Array.length gif.Giflite.frames in
                       let shown = ref 0 in
                       let budget = max 1 (dwell / max 1 gif.Giflite.delay_ms) in
@@ -101,9 +99,8 @@ let main env argv =
                         Usys.burn
                           (gif.Giflite.width * gif.Giflite.height
                           * Lzw.cycles_per_byte);
-                        Gfx.words_of_ints out words;
                         draw_still gfx ~width:gif.Giflite.width ~height:gif.Giflite.height
-                          words;
+                          (Gfx.words_of_ints out);
                         Gfx.present gfx;
                         ignore (Usys.sleep gif.Giflite.delay_ms);
                         incr shown;

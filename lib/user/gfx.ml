@@ -96,14 +96,12 @@ let[@inline] set_word b i px =
 
 let[@inline] store t i px = set_word t.pixels i px
 
-(* [src]'s pixels, ints as [put] takes them, into [dst] from word 0 as
-   [pixels]-format words: a decoded image becomes rows for [blit_row]. *)
-let words_of_ints src dst =
-  if Bytes.length dst lsr 2 < Array.length src then
-    invalid_arg "Gfx.words_of_ints: dst shorter than 4 * length src";
-  for i = 0 to Array.length src - 1 do
-    set_word dst i (Array.unsafe_get src i)
-  done
+(* [pixels], ints as [put] takes them, as [pixels]-format words: a
+   decoded image becomes rows for [blit_row]. *)
+let words_of_ints pixels =
+  let b = Bytes.create (4 * Array.length pixels) in
+  Array.iteri (set_word b) pixels;
+  b
 
 let short = "Gfx: pixels shorter than 4 * width * height"
 

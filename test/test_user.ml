@@ -1156,6 +1156,9 @@ let gfx_draws_refuse_a_short_buffer () =
   (* the clipped span is columns 0-4, words 2-6 of a 5-word source *)
   raises "blit_row, src short of the clipped span" (gfx ~width:5 ~height:4 80) (fun g ->
       Gfx.blit_row g ~y:1 ~src:row ~src_off:1 ~x:(-1) ~w:9);
+  (* 4 * 2^61 wraps to byte 0 of [row], which holds the span *)
+  raises "blit_row, src_off past the end by a wrapping multiple" (gfx ~width:5 ~height:4 80)
+    (fun g -> Gfx.blit_row g ~y:1 ~src:row ~src_off:(1 lsl 61) ~x:0 ~w:5);
   let side = 1 lsl 40 in
   let overflowing () = gfx ~width:side ~height:side 16 in
   raises "fill, overflowing geometry" (overflowing ()) (fun g -> Gfx.fill g 0x123456);
@@ -1214,8 +1217,7 @@ let gfx_blit_row_matches_put_loop =
         Array.init (src_off + width + 11) (fun _ ->
             Random.State.bits rs lor (Random.State.bits rs lsl 30))
       in
-      let src = Bytes.create (4 * Array.length ints) in
-      Gfx.words_of_ints ints src;
+      let src = Gfx.words_of_ints ints in
       Gfx.blit_row g ~y ~src ~src_off ~x ~w;
       for i = max 0 (-x) to min w (width - x) - 1 do
         Gfx.put ref_g ~x:(x + i) ~y ints.(src_off + i)
