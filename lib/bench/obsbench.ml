@@ -171,24 +171,27 @@ let run_one ~arm =
 
 (* ---- part 3: delay conservation ---- *)
 
+let delay_rows kernel =
+  let s = kernel.Core.Kernel.sched in
+  Core.Acct.delay_rows ~now_ns:(Core.Sched.now s) (Core.Sched.all_tasks s)
+
 let delay_max_err_ns kernel =
-  let rows = Core.Sched.delay_rows kernel.Core.Kernel.sched in
   List.fold_left
     (fun acc r ->
       let sum =
         List.fold_left Int64.add 0L
           [
-            r.Core.Sched.dr_oncpu;
-            r.Core.Sched.dr_runnable;
-            r.Core.Sched.dr_sleep;
-            r.Core.Sched.dr_blk_io;
-            r.Core.Sched.dr_blk_lock;
-            r.Core.Sched.dr_blk_pipe;
+            r.Core.Acct.dr_oncpu;
+            r.Core.Acct.dr_runnable;
+            r.Core.Acct.dr_sleep;
+            r.Core.Acct.dr_blk_io;
+            r.Core.Acct.dr_blk_lock;
+            r.Core.Acct.dr_blk_pipe;
           ]
       in
-      let err = Int64.abs (Int64.sub sum r.Core.Sched.dr_lifetime) in
+      let err = Int64.abs (Int64.sub sum r.Core.Acct.dr_lifetime) in
       if Int64.compare err acc > 0 then err else acc)
-    0L rows
+    0L (delay_rows kernel)
 
 type result = {
   r_detached_ns : float;
@@ -231,7 +234,7 @@ let run () =
     r_probes_fired = fired;
     r_delay_max_err_ns = delay_max_err_ns armed.rs_kernel;
     r_delay_tasks =
-      List.length (Core.Sched.delay_rows armed.rs_kernel.Core.Kernel.sched);
+      List.length (delay_rows armed.rs_kernel);
   }
 
 (* ---- reporting ---- *)

@@ -186,14 +186,14 @@ let snap_stats kernel cores =
       }
   in
   for c = 0 to cores - 1 do
-    let s = Core.Sched.stats kernel.Core.Kernel.sched c in
-    let n cell = cell.Core.Kperf.n and h = s.Core.Sched.delay_hist in
+    let s = kernel.Core.Kernel.sched.Core.Sched.cores.(c).Core.Sched.stats in
+    let n cell = cell.Core.Kperf.n and h = s.Core.Acct.delay_hist in
     acc :=
       {
-        sn_migrations = !acc.sn_migrations + n s.Core.Sched.migrations;
-        sn_steals = !acc.sn_steals + n s.Core.Sched.steals;
-        sn_balance = !acc.sn_balance + n s.Core.Sched.balance_moves;
-        sn_ipis = !acc.sn_ipis + n s.Core.Sched.ipis_recv;
+        sn_migrations = !acc.sn_migrations + n s.Core.Acct.migrations;
+        sn_steals = !acc.sn_steals + n s.Core.Acct.steals;
+        sn_balance = !acc.sn_balance + n s.Core.Acct.balance_moves;
+        sn_ipis = !acc.sn_ipis + n s.Core.Acct.ipis_recv;
         sn_delay_count = !acc.sn_delay_count + Core.Kperf.Hist.count h;
         sn_delay_total = Int64.add !acc.sn_delay_total (Core.Kperf.Hist.sum_ns h);
       }
@@ -281,7 +281,7 @@ let report rows =
   let config r =
     let c = r.r_config.rc_config in
     let policy =
-      (Core.Sched.class_of_policy c.Core.Kconfig.sched_policy).Core.Sched.sc_name
+      (Core.Runq.class_of_policy c.Core.Kconfig.sched_policy).Core.Runq.sc_name
     and wake =
       match c.Core.Kconfig.wake_model with
       | Core.Kconfig.Wake_direct -> "direct"

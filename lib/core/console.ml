@@ -49,7 +49,7 @@ let read ctx t ~len ~nonblock =
       Sched.charge ctx (Kcost.event_copy + n);
       Sched.finish ctx (Abi.R_bytes out)
     end
-    else if nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
+    else if nonblock then Sched.fail ctx Errno.eagain
     else Sched.block ctx ~chan:Task.Uart_input ~retry:attempt
   in
   attempt ()

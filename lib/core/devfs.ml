@@ -17,8 +17,6 @@ type t = {
 
 let create ~console ~kbd ~audio ~wm ~fb = { console; kbd; audio; wm; fb }
 
-let finish_err ctx e = Sched.finish ctx (Abi.R_int (-e))
-
 (* ---- /dev/null ---- *)
 
 let null_ops =
@@ -59,7 +57,7 @@ let event_ops name find =
     dev_read =
       (fun ctx file ~len ->
         Kbd.read ctx ~len ~nonblock:file.Fd.nonblock (fun () -> find ctx file));
-    dev_write = (fun ctx _ _ -> finish_err ctx Errno.einval);
+    dev_write = (fun ctx _ _ -> Sched.fail ctx Errno.einval);
     dev_mmap = None;
     dev_close = (fun _ -> ());
     dev_poll =
@@ -108,7 +106,7 @@ let fb_ops t =
       Some
         {
           Fd.dev_name = "fb";
-          dev_read = (fun ctx _ ~len:_ -> finish_err ctx Errno.einval);
+          dev_read = (fun ctx _ ~len:_ -> Sched.fail ctx Errno.einval);
           dev_write =
             (fun ctx file data ->
               (* whole 4-byte pixels from the pixel the file offset falls
@@ -140,7 +138,7 @@ let sb_ops t =
       Some
         {
           Fd.dev_name = "sb";
-          dev_read = (fun ctx _ ~len:_ -> finish_err ctx Errno.einval);
+          dev_read = (fun ctx _ ~len:_ -> Sched.fail ctx Errno.einval);
           dev_write = (fun ctx _ data -> Audio.write ctx audio data);
           dev_mmap = None;
           dev_close = (fun _ -> ());
@@ -162,20 +160,20 @@ let surface_ops t =
       Some
         {
           Fd.dev_name = "surface";
-          dev_read = (fun ctx _ ~len:_ -> finish_err ctx Errno.einval);
+          dev_read = (fun ctx _ ~len:_ -> Sched.fail ctx Errno.einval);
           dev_write =
             (fun ctx file data ->
               if file.Fd.dev_cookie < 0 then begin
                 if
                   Bytes.length data < header_bytes
                   || not (String.equal (Bytes.sub_string data 0 4) "SURF")
-                then finish_err ctx Errno.einval
+                then Sched.fail ctx Errno.einval
                 else begin
                   let w = Hw.Le.get_uint32 data 4 and h = Hw.Le.get_uint32 data 8 in
                   let x = Hw.Le.get_uint32 data 12 and y = Hw.Le.get_uint32 data 16 in
                   let alpha = Bytes.get_uint8 data 20 in
                   if w <= 0 || h <= 0 || w > 4096 || h > 4096 then
-                    finish_err ctx Errno.einval
+                    Sched.fail ctx Errno.einval
                   else begin
                     let s =
                       Wm.create_surface wm ~owner_pid:ctx.Sched.task.Task.pid
@@ -190,7 +188,7 @@ let surface_ops t =
               end
               else begin
                 match Wm.surface wm file.Fd.dev_cookie with
-                | None -> finish_err ctx Errno.ebadf
+                | None -> Sched.fail ctx Errno.ebadf
                 | Some s ->
                     let npx = Wm.write_frame s data in
                     let pid = ctx.Sched.task.Task.pid in

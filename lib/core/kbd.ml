@@ -156,11 +156,11 @@ let dropped t = t.dropped
    shorter than one event is an error, not a truncated delivery. A
    blocked read looks its queue up again when woken. *)
 let read ctx ~len ~nonblock find =
-  if len < event_bytes then Sched.finish ctx (Abi.R_int (-Errno.einval))
+  if len < event_bytes then Sched.fail ctx Errno.einval
   else
     let rec attempt () =
       match find () with
-      | None -> Sched.finish ctx (Abi.R_int (-Errno.ebadf))
+      | None -> Sched.fail ctx Errno.ebadf
       | Some q when ready q ->
           let nev = min (len / event_bytes) (Queue.length q.events) in
           let buf = Buffer.create (nev * event_bytes) in
@@ -171,7 +171,7 @@ let read ctx ~len ~nonblock find =
           Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
             (Ktrace.Event_delivered ctx.Sched.task.Task.pid);
           Sched.finish ctx (Abi.R_bytes (Buffer.to_bytes buf))
-      | Some _ when nonblock -> Sched.finish ctx (Abi.R_int (-Errno.eagain))
+      | Some _ when nonblock -> Sched.fail ctx Errno.eagain
       | Some q -> Sched.block ctx ~chan:q.chan ~retry:attempt
     in
     attempt ()

@@ -12,7 +12,7 @@
     [k]'s defaults; [full] is Prototype 5. *)
 
 (** Which scheduling class the per-core runqueues run. Both are the same
-    multi-level feedback queue, given as data ({!Sched.sched_class}).
+    multi-level feedback queue, given as data ({!Runq.sched_class}).
     [Sched_rr] is the paper's round-robin: the one-level case, with one
     fixed quantum for everyone and nice ignored. [Sched_mlfq] has four
     levels, nice-scaled quanta, demotion and a sleeper boost. *)

@@ -499,6 +499,9 @@ let boot spec =
         match (wm, task.Task.wm_surface) with
         | Some wm, Some sid -> Wm.remove_surface wm sid
         | (Some _ | None), (Some _ | None) -> ());
+      (fun task ->
+        Option.iter Vm.destroy task.Task.vm;
+        task.Task.vm <- None);
     ];
   Sched.start sched;
   (match wm with Some wm -> Wm.start wm | None -> ());

@@ -35,8 +35,8 @@ let render t ~fiq_core =
       in
       Buffer.add_string buf
         (Printf.sprintf "core %d: %s, runq=%d, busy=%.2f ms\n" i who
-           (Sched.runq_len core)
-           (Int64.to_float core.Sched.busy_ns /. 1e6)))
+           (Runq.length sched.Sched.rqs.(i))
+           (Int64.to_float core.Sched.stats.Acct.busy_ns /. 1e6)))
     sched.Sched.cores;
   Buffer.add_string buf (Unwind.dump_all sched);
   add_trace_tail buf sched.Sched.trace 10 (fun _ _ -> "trace tail:\n");
@@ -65,7 +65,8 @@ let flight_record sched console msg =
   Buffer.add_string buf "vprobe aggregates:\n";
   Buffer.add_string buf (Vprobe.render sched.Sched.vprobe);
   Buffer.add_string buf "delay accounting:\n";
-  Buffer.add_string buf (Sched.render_delays sched);
+  Buffer.add_string buf
+    (Acct.render_delays ~now_ns:(Sched.now sched) (Sched.all_tasks sched));
   Buffer.add_string buf "=== END FLIGHT RECORD ===\n";
   Console.printk console (Buffer.contents buf)
 

@@ -221,7 +221,7 @@ let read ctx t ~len ~nonblock =
       Sched.finish ctx (Abi.R_bytes out)
     end
     else if t.writers = 0 then Sched.finish ctx (Abi.R_bytes Bytes.empty)
-    else if nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
+    else if nonblock then Sched.fail ctx Errno.eagain
     else Sched.block ctx ~chan:t.rchan ~retry:step
   in
   step ()

@@ -20,8 +20,6 @@ let create ~sched ~fdt ~vfs ~sems ~kalloc =
 
 let register_program t name main = Hashtbl.replace t.progs name main
 
-let err ctx e = Sched.finish ctx (Abi.R_int (-e))
-
 let sys_fork ctx t child_main =
   let parent = ctx.Sched.task in
   match parent.Task.vm with
@@ -37,7 +35,7 @@ let sys_fork ctx t child_main =
       Sched.finish ctx (Abi.R_int child.Task.pid)
   | Some vm -> (
       match Vm.fork_copy vm with
-      | Error _ -> err ctx Errno.enomem
+      | Error _ -> Sched.fail ctx Errno.enomem
       | Ok (child_vm, pages_copied) ->
           Sched.charge ctx
             (Kcost.fork_base + (Kcost.fork_per_page * pages_copied));
@@ -54,13 +52,13 @@ let sys_fork ctx t child_main =
 
 let sys_exec ctx t path argv =
   match Vfs.read_whole ctx t.vfs path with
-  | Error e -> err ctx e
+  | Error e -> Sched.fail ctx e
   | Ok image -> (
       match Velf.parse image with
-      | Error _ -> err ctx Errno.einval
+      | Error _ -> Sched.fail ctx Errno.einval
       | Ok velf -> (
           match Hashtbl.find_opt t.progs velf.Velf.prog_name with
-          | None -> err ctx Errno.enoent
+          | None -> Sched.fail ctx Errno.enoent
           | Some main ->
               let task = ctx.Sched.task in
               let pages = Velf.code_pages velf in
@@ -68,7 +66,7 @@ let sys_exec ctx t path argv =
               | Some old -> Vm.destroy old
               | None -> ());
               (match Vm.create t.kalloc ~code_pages:pages with
-              | Error _ -> err ctx Errno.enomem
+              | Error _ -> Sched.fail ctx Errno.enomem
               | Ok vm ->
                   task.Task.vm <- Some vm;
                   task.Task.name <- velf.Velf.prog_name;
@@ -79,7 +77,7 @@ let sys_exec ctx t path argv =
 let sys_wait ctx t =
   let parent = ctx.Sched.task in
   let rec attempt () =
-    if parent.Task.children = [] then err ctx Errno.echild
+    if parent.Task.children = [] then Sched.fail ctx Errno.echild
     else begin
       let zombie =
         List.find_map
@@ -109,11 +107,11 @@ let sys_wait ctx t =
    flag is honored at the next preemption point, after this syscall
    returns 0 to the (now doomed) caller. *)
 let sys_kill ctx t pid =
-  if pid <= 0 then err ctx Errno.einval
+  if pid <= 0 then Sched.fail ctx Errno.einval
   else
     match Sched.task_by_pid t.sched pid with
-    | None -> err ctx Errno.esrch
-    | Some victim when victim.Task.state = Task.Zombie -> err ctx Errno.esrch
+    | None -> Sched.fail ctx Errno.esrch
+    | Some victim when victim.Task.state = Task.Zombie -> Sched.fail ctx Errno.esrch
     | Some victim ->
         Sched.charge ctx Kcost.wakeup;
         Sched.force_kill t.sched victim;
@@ -138,7 +136,7 @@ let sys_clone ctx t thread_main =
 let sys_join ctx t tid =
   let rec attempt () =
     match Sched.task_by_pid t.sched tid with
-    | None -> err ctx Errno.esrch
+    | None -> Sched.fail ctx Errno.esrch
     | Some thread when thread.Task.state = Task.Zombie ->
         let code = thread.Task.exit_code in
         Sched.charge ctx Kcost.wait_reap;
@@ -152,10 +150,10 @@ let sys_join ctx t tid =
 let sys_sbrk ctx delta =
   let task = ctx.Sched.task in
   match task.Task.vm with
-  | None -> err ctx Errno.enomem
+  | None -> Sched.fail ctx Errno.enomem
   | Some vm -> (
       match Vm.sbrk vm delta with
-      | Error _ -> err ctx Errno.enomem
+      | Error _ -> Sched.fail ctx Errno.enomem
       | Ok (old_brk, new_pages) ->
           Sched.charge ctx (Kcost.sbrk_per_page * max 1 new_pages);
           Sched.finish ctx (Abi.R_int old_brk))

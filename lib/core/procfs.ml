@@ -78,18 +78,18 @@ let render_tasks t =
 let render_sched t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Printf.sprintf "policy\t\t: %s\n\n" (Sched.class_name t.sched));
+    (Printf.sprintf "policy\t\t: %s\n\n" t.sched.Sched.cls.Runq.sc_name);
   let plat = t.board.Hw.Board.platform in
   for core = 0 to plat.Hw.Board.num_cores - 1 do
-    let s = Sched.stats t.sched core in
+    let s = t.sched.Sched.cores.(core).Sched.stats in
     let n c = c.Kperf.n in
     Buffer.add_string buf
       (Printf.sprintf
          "core\t\t: %d\nswitches\t: %d\nmigrations\t: %d\nsteals\t\t: \
           %d\nbalance_moves\t: %d\nipis_sent_to\t: %d\nipis_taken\t: %d\n"
-         core (n s.Sched.switches) (n s.Sched.migrations) (n s.Sched.steals)
-         (n s.Sched.balance_moves) (n s.Sched.ipis_to) (n s.Sched.ipis_recv));
-    let h = s.Sched.delay_hist in
+         core (n s.Acct.switches) (n s.Acct.migrations) (n s.Acct.steals)
+         (n s.Acct.balance_moves) (n s.Acct.ipis_to) (n s.Acct.ipis_recv));
+    let h = s.Acct.delay_hist in
     if Kperf.Hist.count h > 0 then begin
       Buffer.add_string buf
         (Printf.sprintf "run_delay_avg\t: %Ld ns\nrun_delay_max\t: %Ld ns\n"
@@ -150,8 +150,6 @@ let render_metrics t =
    and mirrors the registry state back on read. *)
 let render_vprobe t = Vprobe.render t.sched.Sched.vprobe
 
-let render_delays t = Sched.render_delays t.sched
-
 let render_profile t = Kperf.render_profile t.sched.Sched.kperf
 
 (* Current tracer control state, mirrored back by reads of ktrace_ctl. *)
@@ -187,7 +185,8 @@ let render t name =
   | "profile" -> Some (render_profile t)
   | "ktrace_ctl" -> Some (render_ktrace_ctl t)
   | "vprobe" | "vprobe_ctl" -> Some (render_vprobe t)
-  | "delays" -> Some (render_delays t)
+  | "delays" ->
+      Some (Acct.render_delays ~now_ns:(Sched.now t.sched) (Sched.all_tasks t.sched))
   | _ -> None
 
 (* ---- /proc/ktrace: the consuming trace-pipe ---- *)
@@ -226,7 +225,7 @@ let ktrace_read t ctx file ~len =
         |> String.concat ""
     in
     if String.length pending = 0 then begin
-      if file.Fd.nonblock then Sched.finish ctx (Abi.R_int (-Errno.eagain))
+      if file.Fd.nonblock then Sched.fail ctx Errno.eagain
       else Sched.block ctx ~chan:Task.Poll_waiters ~retry:attempt
     end
     else begin
@@ -296,7 +295,7 @@ let ktrace_ctl_write t ctx bytes =
     Sched.charge ctx 500;
     Sched.finish ctx (Abi.R_int (Bytes.length bytes))
   end
-  else Sched.finish ctx (Abi.R_int (-Errno.einval))
+  else Sched.fail ctx Errno.einval
 
 (* ---- /proc/vprobe_ctl: probe attach/detach ---- *)
 
@@ -309,7 +308,7 @@ let vprobe_ctl_write t ctx bytes =
   | Ok () ->
       Sched.charge ctx 500;
       Sched.finish ctx (Abi.R_int (Bytes.length bytes))
-  | Error _ -> Sched.finish ctx (Abi.R_int (-Errno.einval))
+  | Error _ -> Sched.fail ctx Errno.einval
 
 (* ---- dev_ops ---- *)
 
@@ -339,7 +338,7 @@ let ops t name =
           Fd.dev_name = "proc:ktrace";
           dev_read = (fun ctx file ~len -> ktrace_read t ctx file ~len);
           dev_write =
-            (fun ctx _ _ -> Sched.finish ctx (Abi.R_int (-Errno.erofs)));
+            (fun ctx _ _ -> Sched.fail ctx Errno.erofs);
           dev_mmap = None;
           dev_close = (fun file -> ktrace_close t file);
           dev_poll = Some (fun _ctx file -> ktrace_ready t file);
@@ -373,7 +372,7 @@ let ops t name =
               Fd.dev_name = "proc:" ^ name;
               dev_read = (fun ctx file ~len -> snapshot_read t name ctx file ~len);
               dev_write =
-                (fun ctx _ _ -> Sched.finish ctx (Abi.R_int (-Errno.erofs)));
+                (fun ctx _ _ -> Sched.fail ctx Errno.erofs);
               dev_mmap = None;
               dev_close =
                 (fun file -> Hashtbl.remove t.snapshots file.Fd.file_id);

@@ -14,17 +14,10 @@
     from devices are routed to core 0; each core receives its own generic
     timer tick.
 
-    Beyond the paper, the scheduler is split into policy and mechanism:
+    This module is the mechanism. The policy, which task runs next and
+    for how long, is {!Runq}; the accounting is {!Acct}. Beyond the
+    paper:
 
-    - the policy is data: a {!sched_class} lists one quantum per
-      priority level and says whether nice scales it, and each core's
-      runqueue holds one FIFO per level. {!Kconfig.sched_policy} picks the
-      paper's round-robin (default — keeps every paper number
-      bit-identical), which is the one-level case (a fixed quantum, nice
-      ignored), or a four-level MLFQ with nice-scaled quanta, demotion on
-      quantum expiry, a sleeper boost and periodic anti-starvation boosts.
-      One dispatch path serves both: with one level, demotion and the
-      boosts have nowhere to move a task;
     - wake placement can prefer the task's last-run core (cache affinity,
       {!Kconfig.wake_affinity}); a task dispatched on a different core
       then pays the modeled {!Kcost.sched_migrate} cache-refill penalty;
@@ -35,11 +28,7 @@
       spinning on a remote core dies at IPI latency, not burn completion;
     - an optional periodic load-balance pass equalizes runqueue depth
       across cores ({!Kconfig.load_balance_ms}), replacing pick-time
-      stealing when enabled;
-    - per-core counters (switches, migrations, steals, balance moves,
-      IPIs) and a run-delay histogram live in the kperf registry, labelled
-      by core; /proc/sched, /proc/metrics and the schedbench ladder all
-      read them there. *)
+      stealing when enabled. *)
 
 type ctx = {
   sched : t;
@@ -57,9 +46,7 @@ and core_state = {
   core_id : int;
   timer_name : string;  (** this core's timer line, as {!Hw.Irq.describe} *)
   timer_span : string;  (** the span name of that line's IRQ dispatch *)
-  rq : Task.t Queue.t array;
-      (** one FIFO per priority level; index 0 runs first *)
-  stats : core_stats;
+  stats : Acct.core_stats;
   mutable current : Task.t option;
   mutable last_pid : int;  (** pid last dispatched here, for Ctx_switch *)
   mutable ipi_pending : bool;  (** a reschedule IPI is in flight to us *)
@@ -70,22 +57,6 @@ and core_state = {
   mutable burn_until : int64;
   mutable burn_event : Sim.Engine.event_id option;
   mutable burn_after : (unit -> unit) option;
-  mutable busy_ns : int64;
-  mutable io_busy_ns : int64;
-}
-
-(* This core's handles into the kperf registry, taken once at boot. *)
-and core_stats = {
-  switches : Kperf.cell;  (** tasks dispatched here *)
-  migrations : Kperf.cell;
-      (** dispatches of a task that last ran on another core *)
-  steals : Kperf.cell;  (** tasks this core stole at pick time *)
-  balance_moves : Kperf.cell;  (** tasks the balancer moved onto this core *)
-  ipis_to : Kperf.cell;  (** reschedule IPIs sent to this core *)
-  ipis_recv : Kperf.cell;  (** reschedule IPIs actually taken *)
-  delay_hist : Kperf.Hist.t;
-      (** run-delay (runnable → running) distribution: its count, sum
-          and max are the /proc/sched run-delay lines *)
 }
 
 and t = {
@@ -98,8 +69,9 @@ and t = {
   h_pipe_wait : Kperf.Hist.t;  (** blocked pipe read round-trip (pipe.ml) *)
   h_sd_req : Kperf.Hist.t;  (** SD request latency (bufcache records) *)
   vprobe : Vprobe.t;  (** the dynamic-probe registry, fed by [trace] *)
-  cls : sched_class;
+  cls : Runq.sched_class;
   cores : core_state array;
+  rqs : Runq.t array;  (** each core's runqueue, by core id *)
   active_cores : int;
   tasks : (int, Task.t) Hashtbl.t;
   mutable next_pid : int;  (** last pid this kernel handed out *)
@@ -127,97 +99,14 @@ and t = {
           and the lockdep order graph *)
 }
 
-(** A scheduling class: one quantum per priority level (ticks, level 0
-    first) and whether nice scales it. A task's level is its
-    [Task.mlfq_level]; smaller runs first. *)
-and sched_class = {
-  sc_name : string;
-  sc_quanta : int array;
-  sc_nice : bool;
-}
-
-(* The paper's round-robin is MLFQ with one level: demotion and the
-   boosts have nowhere to move a task, so its one FIFO keeps arrival
-   order. *)
-let rr_class =
-  { sc_name = "rr"; sc_quanta = [| Task.default_quantum |]; sc_nice = false }
-
-(* Interactive levels run short; batch work sinks to the long slices. *)
-let mlfq_class =
-  { sc_name = "mlfq"; sc_quanta = [| 2; 4; 8; 16 |]; sc_nice = true }
-let mlfq_boost_ticks = 100  (* periodic anti-starvation boost, per core *)
-
-let class_of_policy = function
-  | Kconfig.Sched_rr -> rr_class
-  | Kconfig.Sched_mlfq -> mlfq_class
-
-(* ---- the runqueue: one FIFO per level ----
-
-   These run on every wakeup, dispatch and tick, so they build no
-   closures and no options beyond what [Queue] itself returns. *)
-
-let rq_len rq =
-  let n = ref 0 in
-  for l = 0 to Array.length rq - 1 do
-    n := !n + Queue.length rq.(l)
-  done;
-  !n
-
-(* Wakeup, arrival or preemption: the back of the task's own level. A
-   level is always in range: it is only ever reset to 0 or demoted by
-   the tick, which stops at the last level, and every core of a kernel
-   shares one class. *)
-let rq_add rq task = Queue.add task rq.(task.Task.mlfq_level)
-
-(* The first non-empty level from [l] on, walking by [step]; -1 if none. *)
-let rec rq_find rq l step =
-  if l < 0 || l >= Array.length rq then -1
-  else if Queue.is_empty rq.(l) then rq_find rq (l + step) step
-  else l
-
-(* The most urgent queued level, or -1 when the queue is empty. *)
-let rq_best rq = rq_find rq 0 1
-
-let rq_pick rq =
-  match rq_best rq with -1 -> None | l -> Queue.take_opt rq.(l)
-
-(* The victim side of stealing and balancing takes batch work first:
-   interactive tasks stay cache-hot. *)
-let rq_steal rq =
-  match rq_find rq (Array.length rq - 1) (-1) with
-  | -1 -> None
-  | l -> Queue.take_opt rq.(l)
-
-(* Ticks until preemption. Nice scaling: -20 doubles the slice, +19
-   shrinks it to a tick. *)
-let quantum cls task =
-  let base = cls.sc_quanta.(task.Task.mlfq_level) in
-  if cls.sc_nice then max 1 (base * (20 - task.Task.nice) / 20) else base
-
 let engine t = t.board.Hw.Board.engine
 let now t = Sim.Engine.now (engine t)
 let cyc t n = Hw.Board.cycles_to_ns t.board n
 
-(* Per-core series share a name across cores and differ by a core label;
-   the names follow the /proc/sched keys. *)
-let core_stats kperf core_id =
-  let label = ("core", string_of_int core_id) in
-  let c = Kperf.counter kperf ~label in
-  let switches = c "vos_ctx_switches_total" in
-  let migrations = c "vos_sched_migrations_total" in
-  let steals = c "vos_sched_steals_total" in
-  let balance_moves = c "vos_sched_balance_moves_total" in
-  let ipis_to = c "vos_sched_ipis_sent_to_total" in
-  let ipis_recv = c "vos_sched_ipis_taken_total" in
-  { switches; migrations; steals; balance_moves; ipis_to; ipis_recv;
-    delay_hist = Kperf.hist kperf ~label "vos_sched_run_delay_ns" }
-
 let create board config =
-  let active =
-    if config.Kconfig.multicore then board.Hw.Board.platform.Hw.Board.num_cores
-    else 1
-  in
-  let cls = class_of_policy config.Kconfig.sched_policy in
+  let num_cores = board.Hw.Board.platform.Hw.Board.num_cores in
+  let active = if config.Kconfig.multicore then num_cores else 1 in
+  let cls = Runq.class_of_policy config.Kconfig.sched_policy in
   let kperf = Kperf.create () in
   kperf.Kperf.profile_hz <- config.Kconfig.profile_hz;
   let trace = Ktrace.create () in
@@ -234,14 +123,13 @@ let create board config =
       vprobe = Vprobe.create trace;
       cls;
       cores =
-        Array.init board.Hw.Board.platform.Hw.Board.num_cores (fun core_id ->
+        Array.init num_cores (fun core_id ->
             let timer_name = Hw.Irq.describe (Hw.Irq.Core_timer core_id) in
             {
               core_id;
               timer_name;
               timer_span = "irq:" ^ timer_name;
-              rq = Array.map (fun _ -> Queue.create ()) cls.sc_quanta;
-              stats = core_stats kperf core_id;
+              stats = Acct.core_stats kperf core_id;
               current = None;
               last_pid = 0;
               ipi_pending = false;
@@ -251,9 +139,8 @@ let create board config =
               burn_until = 0L;
               burn_event = None;
               burn_after = None;
-              busy_ns = 0L;
-              io_busy_ns = 0L;
             });
+      rqs = Array.init num_cores (fun _ -> Runq.create cls);
       active_cores = active;
       tasks = Hashtbl.create 64;
       next_pid = 0;
@@ -301,50 +188,17 @@ let task_core task =
 let trace_emit_task t task ev =
   Ktrace.emit t.trace ~ts_ns:(now t) ~core:(task_core task) ev
 
-(* ---- delay accounting ---- *)
-
-let state_code = function
-  | Task.Runnable -> 0
-  | Task.Running _ -> 1
-  | Task.Blocked _ -> 2
-  | Task.Zombie -> 3
-
-(* Close the open delay segment: bucket [now - d_state_since] by the
-   state being left. Zombie time accrues to sleep (zombies are parked
-   waiting for a reaper); /proc/delays lists live tasks only. *)
-let delay_fold task ~now_ns =
-  let dt = Int64.sub now_ns task.Task.d_state_since in
-  let dt = if Int64.compare dt 0L > 0 then dt else 0L in
-  (match task.Task.state with
-  | Task.Runnable ->
-      task.Task.d_runnable_ns <- Int64.add task.Task.d_runnable_ns dt
-  | Task.Running _ ->
-      task.Task.d_oncpu_ns <- Int64.add task.Task.d_oncpu_ns dt
-  | Task.Blocked chan -> (
-      match chan with
-      | Task.Pipe_readable _ | Task.Pipe_writable _ ->
-          task.Task.d_blk_pipe_ns <- Int64.add task.Task.d_blk_pipe_ns dt
-      | Task.Sem_count _ ->
-          task.Task.d_blk_lock_ns <- Int64.add task.Task.d_blk_lock_ns dt
-      | Task.Wm_events _ | Task.Kbd_events | Task.Uart_input | Task.Audio_space ->
-          task.Task.d_blk_io_ns <- Int64.add task.Task.d_blk_io_ns dt
-      | Task.Exit_of _ | Task.Children_of _ | Task.Debug_stop _
-      | Task.Poll_waiters | Task.Sleeping ->
-          task.Task.d_sleep_ns <- Int64.add task.Task.d_sleep_ns dt)
-  | Task.Zombie -> task.Task.d_sleep_ns <- Int64.add task.Task.d_sleep_ns dt);
-  task.Task.d_state_since <- now_ns
-
 (* The single gateway for task-state transitions: every assignment of
    [Task.state] in this file goes through here so delay accounting can
    never miss an edge. Pure host-side bookkeeping — nothing is charged —
    and the optional Task_state event is gated by the tracer's dstate
    toggle so armed traces stay byte-identical. *)
 let set_state t task new_state =
-  delay_fold task ~now_ns:(now t);
+  Acct.delay_fold task ~now_ns:(now t);
   if t.trace.Ktrace.dstate then
     Ktrace.emit t.trace ~ts_ns:(now t)
       ~core:(max 0 task.Task.last_core)
-      (Ktrace.Task_state (task.Task.pid, state_code new_state));
+      (Ktrace.Task_state (task.Task.pid, Acct.state_code new_state));
   task.Task.state <- new_state
 
 (* Runnable-queue depth after a queue change, for the Perfetto counter
@@ -352,7 +206,7 @@ let set_state t task new_state =
 let emit_runq_depth t core =
   if t.trace.Ktrace.dstate then
     Ktrace.emit t.trace ~ts_ns:(now t) ~core:core.core_id
-      (Ktrace.Runq_depth (core.core_id, rq_len core.rq))
+      (Ktrace.Runq_depth (core.core_id, Runq.length t.rqs.(core.core_id)))
 
 (* ---- kcheck / ptable plumbing ---- *)
 
@@ -379,23 +233,6 @@ let kcheck_audit t ~reason =
 
 let is_zombie task = task.Task.state = Task.Zombie
 
-(* ---- busy accounting ---- *)
-
-let add_busy core ns =
-  core.busy_ns <- Int64.add core.busy_ns ns
-
-let add_io_busy core ns = core.io_busy_ns <- Int64.add core.io_busy_ns ns
-
-(* ---- per-core scheduler statistics ---- *)
-
-let record_run_delay core delay_ns =
-  if Int64.compare delay_ns 0L >= 0 then
-    Kperf.Hist.record core.stats.delay_hist delay_ns
-
-let stats t core_id = t.cores.(core_id).stats
-let runq_len core = rq_len core.rq
-let class_name t = t.cls.sc_name
-
 (* ---- reschedule IPIs ---- *)
 
 (* Kick [core]: write its local mailbox. The modeled latency spans the
@@ -405,7 +242,8 @@ let class_name t = t.cls.sc_name
 let send_ipi t core =
   if not core.ipi_pending then begin
     core.ipi_pending <- true;
-    core.stats.ipis_to.Kperf.n <- core.stats.ipis_to.Kperf.n + 1;
+    let c = core.stats.Acct.ipis_to in
+    c.Kperf.n <- c.Kperf.n + 1;
     trace_emit_core t ~core:core.core_id (Ktrace.Ipi_send core.core_id);
     ignore
       (Sim.Engine.schedule_after (engine t)
@@ -425,23 +263,15 @@ let core_of_task t task =
 
 (* ---- work stealing ---- *)
 
-(* The core a pick-time steal would take from: the first of the longest
-   other queues, or -1 when every other queue is empty. Pick-time stealing
-   is the seed's mechanism; it yields to the balance pass when that is
-   on. *)
+(* Pick-time stealing is the seed's mechanism; it yields to the balance
+   pass when that is on. *)
 let steal_victim t thief =
-  if t.active_cores = 1 || t.config.Kconfig.load_balance_ms > 0 then -1
-  else begin
-    let victim = ref (-1) and longest = ref 0 in
-    for i = 0 to t.active_cores - 1 do
-      let n = rq_len t.cores.(i).rq in
-      if i <> thief.core_id && n > !longest then begin
-        victim := i;
-        longest := n
-      end
-    done;
-    !victim
-  end
+  if t.config.Kconfig.load_balance_ms > 0 then -1
+  else Runq.steal_victim t.rqs ~active:t.active_cores ~thief:thief.core_id
+
+let core_load t c =
+  (match c.current with None -> 0 | Some _ -> 1000)
+  + Runq.length t.rqs.(c.core_id)
 
 (* Run [after] once [task] has burned [ns] of CPU on its current core. *)
 let rec start_burn t task ns after =
@@ -465,15 +295,14 @@ and schedule_burn_end t core task after =
       (Sim.Engine.schedule_at (engine t) core.burn_until (fun () ->
            core.burn_event <- None;
            core.burn_after <- None;
-           let elapsed = Int64.sub (now t) core.burn_started in
-           add_busy core elapsed;
-           task.Task.cpu_ns <- Int64.add task.Task.cpu_ns elapsed;
-           if task.Task.killed then raise_exit t task (-1) else after ()))
+           Acct.bank_burn core.stats task ~since:core.burn_started
+             ~now_ns:(now t);
+           if task.Task.killed then do_exit t task (-1) else after ()))
 
 (* Interrupt handlers steal cycles from whatever burn is in flight. *)
 and steal_cycles t core ns =
   match core.burn_event with
-  | None -> add_busy core ns
+  | None -> Acct.add_busy core.stats ns
   | Some id ->
       Sim.Engine.cancel (engine t) id;
       core.burn_until <- Int64.add core.burn_until ns;
@@ -487,11 +316,8 @@ and pick_target_core t task =
   else begin
     (* prefer an idle core, else the shortest queue *)
     let best = ref t.cores.(0) in
-    let score c =
-      (match c.current with None -> 0 | Some _ -> 1000) + rq_len c.rq
-    in
     for i = 1 to t.active_cores - 1 do
-      if score t.cores.(i) < score !best then best := t.cores.(i)
+      if core_load t t.cores.(i) < core_load t !best then best := t.cores.(i)
     done;
     if
       t.config.Kconfig.wake_affinity
@@ -501,7 +327,7 @@ and pick_target_core t task =
       (* cache affinity: stay on the last-run core unless it is
          meaningfully busier than the best candidate (one slot of slack) *)
       let home = t.cores.(task.Task.last_core) in
-      if score home <= score !best + 1 then home else !best
+      if core_load t home <= core_load t !best + 1 then home else !best
     end
     else !best
   end
@@ -511,7 +337,7 @@ and enqueue_task t task =
   assert (task.Task.resume <> None);
   let core = pick_target_core t task in
   task.Task.runnable_since <- now t;
-  rq_add core.rq task;
+  Runq.add t.rqs.(core.core_id) task;
   trace_emit_core t ~core:core.core_id (Ktrace.Sched_wakeup task.Task.pid);
   emit_runq_depth t core;
   kick_core t core task
@@ -539,10 +365,10 @@ and try_steal t thief =
   match steal_victim t thief with
   | -1 -> None
   | v ->
-      let stolen = rq_steal t.cores.(v).rq in
+      let stolen = Runq.steal t.rqs.(v) in
       (match stolen with
       | Some _ ->
-          let c = thief.stats.steals in
+          let c = thief.stats.Acct.steals in
           c.Kperf.n <- c.Kperf.n + 1
       | None -> ());
       stolen
@@ -550,7 +376,7 @@ and try_steal t thief =
 and schedule_core t core =
   if core.current = None && core.burn_event = None then begin
     let next =
-      match rq_pick core.rq with
+      match Runq.pick t.rqs.(core.core_id) with
       | Some task -> Some task
       | None -> try_steal t core
     in
@@ -560,25 +386,22 @@ and schedule_core t core =
         if is_zombie task || task.Task.resume = None then schedule_core t core
         else begin
           core.current <- Some task;
-          core.stats.switches.Kperf.n <- core.stats.switches.Kperf.n + 1;
+          let c = core.stats.Acct.switches in
+          c.Kperf.n <- c.Kperf.n + 1;
           let migrated =
             task.Task.last_core >= 0 && task.Task.last_core <> core.core_id
           in
           if migrated then begin
-            let c = core.stats.migrations in
+            let c = core.stats.Acct.migrations in
             c.Kperf.n <- c.Kperf.n + 1;
             trace_emit_core t ~core:core.core_id
               (Ktrace.Sched_migrate
                  (task.Task.pid, task.Task.last_core, core.core_id));
           end;
-          (if Int64.compare task.Task.runnable_since 0L >= 0 then begin
-             record_run_delay core
-               (Int64.sub (now t) task.Task.runnable_since);
-             task.Task.runnable_since <- (-1L)
-           end);
+          Acct.run_delay core.stats task ~now_ns:(now t);
           task.Task.last_core <- core.core_id;
           set_state t task (Task.Running core.core_id);
-          task.Task.quantum_left <- quantum t.cls task;
+          task.Task.quantum_left <- Runq.quantum t.cls task;
           let resume = Option.get task.Task.resume in
           task.Task.resume <- None;
           trace_emit_core t ~core:core.core_id
@@ -595,7 +418,7 @@ and schedule_core t core =
               else 0
           in
           let switch_ns = cyc t switch_cycles in
-          add_busy core switch_ns;
+          Acct.add_busy core.stats switch_ns;
           let span = Ktrace.new_span t.trace in
           trace_emit_core t ~core:core.core_id
             (Ktrace.Span_begin (span, task.Task.pid, "switch"));
@@ -603,7 +426,7 @@ and schedule_core t core =
             (Sim.Engine.schedule_after (engine t) switch_ns (fun () ->
                  trace_emit_core t ~core:core.core_id (Ktrace.Span_end span);
                  if task.Task.killed && task.Task.kind = Task.User then
-                   raise_exit t task (-1)
+                   do_exit t task (-1)
                  else resume ()))
         end
   end
@@ -626,11 +449,8 @@ and release_core t task =
 
 (* ---- task exit ---- *)
 
-and raise_exit t task code =
-  (* Terminate from within the task's execution context: run teardown and
-     hand the core over. The task's continuation is abandoned. *)
-  do_exit t task code
-
+(* Terminate [task]: run the exit hooks and hand its core over. A
+   running task's continuation is abandoned. *)
 and do_exit t task code =
   if not (is_zombie task) then begin
     task.Task.exit_code <- code;
@@ -639,11 +459,6 @@ and do_exit t task code =
     List.iter (fun hook -> hook task) t.on_task_exit;
     kcheck_audit t ~reason:(fun () ->
         Printf.sprintf "exit of task %d" task.Task.pid);
-    (match task.Task.vm with
-    | Some vm ->
-        Vm.destroy vm;
-        task.Task.vm <- None
-    | None -> ());
     (* reparent children to init (pid 1) *)
     List.iter
       (fun child_pid ->
@@ -652,22 +467,21 @@ and do_exit t task code =
         | None -> ())
       task.Task.children;
     let charge = cyc t Kcost.exit_teardown in
+    let zombie () =
+      set_state t task Task.Zombie;
+      wake_all t (Task.Exit_of task.Task.pid);
+      wake_all t (Task.Children_of task.Task.parent)
+    in
     let finish_exit () =
       if was_running then begin
-        (match task.Task.state with
+        match task.Task.state with
         | Task.Running c ->
             t.cores.(c).current <- None;
-            set_state t task Task.Zombie;
-            wake_all t (Task.Exit_of task.Task.pid);
-            wake_all t (Task.Children_of task.Task.parent);
+            zombie ();
             schedule_core t t.cores.(c)
-        | Task.Runnable | Task.Blocked _ | Task.Zombie -> ())
+        | Task.Runnable | Task.Blocked _ | Task.Zombie -> ()
       end
-      else begin
-        set_state t task Task.Zombie;
-        wake_all t (Task.Exit_of task.Task.pid);
-        wake_all t (Task.Children_of task.Task.parent)
-      end
+      else zombie ()
     in
     match task.Task.state with
     | Task.Running _ when Int64.compare charge 0L > 0 ->
@@ -726,24 +540,29 @@ let charge ctx cycles = ctx.charge_cycles <- ctx.charge_cycles + cycles
 
 let charge_io ctx ns = ctx.charge_io <- Int64.add ctx.charge_io ns
 
-let finish ctx ret =
+(* The two ways out of a syscall, [finish] and [exec_replace]: bank its
+   device time on the core it ran on, burn [cycles] plus that time, then
+   end the syscall (no current syscall, its service time recorded) and
+   run [k ctx x]. A closed [k] keeps this to one closure a syscall. *)
+let leave_syscall ctx cycles k x =
   assert (not ctx.done_);
   ctx.done_ <- true;
   let t = ctx.sched in
-  let task = ctx.task in
-  let cpu_cycles =
+  if Int64.compare ctx.charge_io 0L > 0 then
+    Acct.add_io (core_of_task t ctx.task).stats ctx.charge_io;
+  start_burn t ctx.task (Int64.add (cyc t cycles) ctx.charge_io) (fun () ->
+      ctx.task.Task.cur_syscall <- None;
+      Kperf.Hist.record ctx.sched.h_syscall
+        (Int64.sub (now ctx.sched) ctx.entry_ns);
+      k ctx x)
+
+let finish ctx ret =
+  let cycles =
     ctx.charge_cycles
-    + if task.Task.kind = Task.User then Kcost.syscall_exit else 0
+    + if ctx.task.Task.kind = Task.User then Kcost.syscall_exit else 0
   in
-  let total = Int64.add (cyc t cpu_cycles) ctx.charge_io in
-  (match task.Task.state with
-  | Task.Running c ->
-      if Int64.compare ctx.charge_io 0L > 0 then
-        add_io_busy t.cores.(c) ctx.charge_io
-  | Task.Runnable | Task.Blocked _ | Task.Zombie -> ());
-  start_burn t task total (fun () ->
-      task.Task.cur_syscall <- None;
-      Kperf.Hist.record t.h_syscall (Int64.sub (now t) ctx.entry_ns);
+  leave_syscall ctx cycles (fun ctx ret ->
+      let t = ctx.sched and task = ctx.task in
       trace_emit_task t task
         (Ktrace.Syscall_exit (task.Task.pid, Abi.syscall_name ctx.call));
       trace_emit_task t task (Ktrace.Span_end ctx.span);
@@ -765,7 +584,9 @@ let finish ctx ret =
                   errno,
                   Int64.to_int (Int64.sub (now t) ctx.entry_ns) )))
       end;
-      Effect.Deep.continue ctx.kont ret)
+      Effect.Deep.continue ctx.kont ret) ret
+
+let fail ctx errno = finish ctx (Abi.R_int (-errno))
 
 (* Take [task] off [core] and park it on [chan], xv6's sleep: [resume]
    runs once the channel is woken. *)
@@ -963,14 +784,8 @@ let spawn t ~name ~kind ?vm ?(parent = 0) main =
 (* exec(2): burn the accumulated syscall charge, abandon the trapping
    continuation, and restart the task with [main]. *)
 let exec_replace ctx main =
-  assert (not ctx.done_);
-  ctx.done_ <- true;
-  let t = ctx.sched in
-  let task = ctx.task in
-  let total = Int64.add (cyc t ctx.charge_cycles) ctx.charge_io in
-  start_burn t task total (fun () ->
-      task.Task.cur_syscall <- None;
-      Kperf.Hist.record t.h_syscall (Int64.sub (now t) ctx.entry_ns);
+  leave_syscall ctx ctx.charge_cycles (fun ctx main ->
+      let t = ctx.sched and task = ctx.task in
       trace_emit_task t task (Ktrace.Span_end ctx.span);
       match task.Task.state with
       | Task.Running c ->
@@ -980,7 +795,7 @@ let exec_replace ctx main =
           task.Task.shadow_stack <- [];
           enqueue_task t task;
           schedule_core t t.cores.(c)
-      | Task.Runnable | Task.Blocked _ | Task.Zombie -> ())
+      | Task.Runnable | Task.Blocked _ | Task.Zombie -> ()) main
 
 (* Kill a task that is not currently on a CPU: pull it out of the one wait
    channel it records in [Task.Blocked chan] and terminate it. Running
@@ -1020,9 +835,7 @@ let preempt t core =
   match (core.current, core.burn_event) with
   | Some task, Some id ->
       Sim.Engine.cancel (engine t) id;
-      let elapsed = Int64.sub (now t) core.burn_started in
-      add_busy core elapsed;
-      task.Task.cpu_ns <- Int64.add task.Task.cpu_ns elapsed;
+      Acct.bank_burn core.stats task ~since:core.burn_started ~now_ns:(now t);
       let remaining = Int64.sub core.burn_until (now t) in
       let after = Option.get core.burn_after in
       core.burn_event <- None;
@@ -1033,7 +846,7 @@ let preempt t core =
       task.Task.resume <-
         Some (fun () -> start_burn t task remaining after);
       (* go to the back of its own level on this core's queue *)
-      rq_add core.rq task;
+      Runq.add t.rqs.(core.core_id) task;
       emit_runq_depth t core;
       schedule_core t core
   | Some _, None | None, _ -> ()
@@ -1044,14 +857,15 @@ let preempt t core =
 let ipi_recv t core_id =
   let core = t.cores.(core_id) in
   core.ipi_pending <- false;
-  core.stats.ipis_recv.Kperf.n <- core.stats.ipis_recv.Kperf.n + 1;
+  let c = core.stats.Acct.ipis_recv in
+  c.Kperf.n <- c.Kperf.n + 1;
   trace_emit_core t ~core:core_id (Ktrace.Ipi_recv core_id);
   steal_cycles t core (cyc t Kcost.ipi_handler);
   match core.current with
   | None -> schedule_core t core
   | Some task when task.Task.killed -> preempt t core
   | Some cur ->
-      let best = rq_best core.rq in
+      let best = Runq.best t.rqs.(core_id) in
       if best >= 0 && best < cur.Task.mlfq_level then preempt t core
 
 let tick t core_id =
@@ -1080,23 +894,16 @@ let tick t core_id =
        Kperf.sample t.kperf ~core:core_id ~pid ~where_
      end
    end);
-  (* anti-starvation: periodically boost everything queued here back to
-     level 0 so demoted batch work cannot starve *)
-  if core.ticks mod mlfq_boost_ticks = 0 then
-    for l = 1 to Array.length core.rq - 1 do
-      Queue.iter (fun task -> task.Task.mlfq_level <- 0) core.rq.(l);
-      Queue.transfer core.rq.(l) core.rq.(0)
-    done;
+  let rq = t.rqs.(core_id) in
+  if core.ticks mod Runq.boost_ticks = 0 then Runq.boost rq;
   (match core.current with
   | Some task ->
       task.Task.quantum_left <- task.Task.quantum_left - 1;
       if
         task.Task.quantum_left <= 0
-        && (rq_len core.rq > 0 || steal_victim t core >= 0)
+        && (Runq.length rq > 0 || steal_victim t core >= 0)
       then begin
-        (* demotion: a task that used its whole slice drops a level *)
-        task.Task.mlfq_level <-
-          min (task.Task.mlfq_level + 1) (Array.length core.rq - 1);
+        Runq.demote rq task;
         preempt t core
       end
   | None -> schedule_core t core);
@@ -1111,27 +918,11 @@ let tick t core_id =
    kernel daemon billed to core 0, like the tick's bookkeeping. *)
 let balance_pass t =
   steal_cycles t t.cores.(0) (cyc t Kcost.load_balance_pass);
-  let moved = ref true in
-  while !moved do
-    moved := false;
-    let busiest = ref t.cores.(0) and idlest = ref t.cores.(0) in
-    for i = 1 to t.active_cores - 1 do
-      let c = t.cores.(i) in
-      if rq_len c.rq > rq_len !busiest.rq then busiest := c;
-      if rq_len c.rq < rq_len !idlest.rq then idlest := c
-    done;
-    if rq_len !busiest.rq > rq_len !idlest.rq + 1 then begin
-      match rq_steal !busiest.rq with
-      | Some task ->
-          let dst = !idlest in
-          rq_add dst.rq task;
-          let c = dst.stats.balance_moves in
-          c.Kperf.n <- c.Kperf.n + 1;
-          kick_core t dst task;
-          moved := true
-      | None -> ()
-    end
-  done
+  Runq.balance t.rqs ~active:t.active_cores (fun dst task ->
+      let core = t.cores.(dst) in
+      let c = core.stats.Acct.balance_moves in
+      c.Kperf.n <- c.Kperf.n + 1;
+      kick_core t core task)
 
 (* ---- interrupts ---- *)
 
@@ -1226,62 +1017,8 @@ let reap t task =
 let frames_presented t ~pid =
   Option.value ~default:0 (Hashtbl.find_opt t.frame_counts pid)
 
-(* ---- /proc/delays ---- *)
-
-(* One row per live task, the open segment folded in as of [now], so the
-   six buckets sum to (now - spawned) exactly. Folding mutates the task
-   record (cheap, idempotent per instant), which also keeps the panic
-   flight recorder's view current without a separate snapshot type. *)
-type delay_row = {
-  dr_pid : int;
-  dr_name : string;
-  dr_state : string;
-  dr_oncpu : int64;
-  dr_runnable : int64;
-  dr_sleep : int64;
-  dr_blk_io : int64;
-  dr_blk_lock : int64;
-  dr_blk_pipe : int64;
-  dr_lifetime : int64;
-}
-
-let delay_rows t =
-  let now_ns = now t in
-  all_tasks t
-  |> List.filter (fun task -> not (is_zombie task))
-  |> List.map (fun task ->
-         delay_fold task ~now_ns;
-         {
-           dr_pid = task.Task.pid;
-           dr_name = task.Task.name;
-           dr_state = Task.state_name task;
-           dr_oncpu = task.Task.d_oncpu_ns;
-           dr_runnable = task.Task.d_runnable_ns;
-           dr_sleep = task.Task.d_sleep_ns;
-           dr_blk_io = task.Task.d_blk_io_ns;
-           dr_blk_lock = task.Task.d_blk_lock_ns;
-           dr_blk_pipe = task.Task.d_blk_pipe_ns;
-           dr_lifetime = Int64.sub now_ns task.Task.d_spawned_ns;
-         })
-
-let render_delays t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-5s %-12s %-14s %12s %12s %12s %12s %12s %12s %12s\n"
-       "PID" "NAME" "STATE" "ONCPU" "RUNNABLE" "SLEEP" "BLK_IO" "BLK_LOCK"
-       "BLK_PIPE" "LIFETIME");
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%-5d %-12s %-14s %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld %12Ld\n"
-           r.dr_pid r.dr_name r.dr_state r.dr_oncpu r.dr_runnable r.dr_sleep
-           r.dr_blk_io r.dr_blk_lock r.dr_blk_pipe r.dr_lifetime))
-    (delay_rows t);
-  Buffer.contents buf
-
-let core_busy_ns t core_id = t.cores.(core_id).busy_ns
-let core_io_ns t core_id = t.cores.(core_id).io_busy_ns
+let core_busy_ns t core_id = t.cores.(core_id).stats.Acct.busy_ns
+let core_io_ns t core_id = t.cores.(core_id).stats.Acct.io_ns
 
 (* Drive the engine with [f] under the event loop's panic exit: a panic
    an event raises is flight-recorded, then re-raised with its

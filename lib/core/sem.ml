@@ -82,7 +82,7 @@ let find t id = Hashtbl.find_opt t.sems id
 let post ctx t id =
   Sched.charge ctx Kcost.sem_op;
   match find t id with
-  | None -> Sched.finish ctx (Abi.R_int (-Errno.einval))
+  | None -> Sched.fail ctx Errno.einval
   | Some sem ->
       Spinlock.protect t.semlock (fun () -> sem.value <- sem.value + 1);
       Sched.charge ctx Kcost.wakeup;
@@ -98,7 +98,7 @@ let wait ctx t id =
      would park us forever on a channel nothing will post to again *)
   let rec attempt () =
     match find t id with
-    | None -> Sched.finish ctx (Abi.R_int (-Errno.einval))
+    | None -> Sched.fail ctx Errno.einval
     | Some sem ->
         if sem.value > 0 then begin
           Spinlock.protect t.semlock (fun () -> sem.value <- sem.value - 1);
@@ -127,7 +127,7 @@ let release t sem =
 
 let close ctx t id =
   match find t id with
-  | None -> Sched.finish ctx (Abi.R_int (-Errno.einval))
+  | None -> Sched.fail ctx Errno.einval
   | Some sem ->
       drop_hold t ~pid:ctx.Sched.task.Task.pid id;
       release t sem;

@@ -14,11 +14,9 @@ type services = {
   s_fb : Hw.Framebuffer.t option;
 }
 
-let err ctx e = Sched.finish ctx (Abi.R_int (-e))
-
 let dispatch s ctx =
   let cfg = s.s_config in
-  let need cond k = if cond then k () else err ctx Errno.enosys in
+  let need cond k = if cond then k () else Sched.fail ctx Errno.enosys in
   match ctx.Sched.call with
   (* ---- tasks & time ---- *)
   | Abi.Fork child ->
@@ -43,7 +41,7 @@ let dispatch s ctx =
       need (Kconfig.user_kernel cfg) (fun () -> Proc.sys_sbrk ctx delta)
   | Abi.Cacheflush -> (
       match s.s_fb with
-      | None -> err ctx Errno.enosys
+      | None -> Sched.fail ctx Errno.enosys
       | Some fb ->
           let rows = Hw.Framebuffer.stale_rows fb in
           Sched.charge ctx (Kcost.cache_flush_per_row * max 1 rows);
@@ -66,7 +64,7 @@ let dispatch s ctx =
       if not (Kconfig.files cfg) then
         if Kconfig.user_kernel cfg && fd = 1 then
           Console.write ctx s.s_console data
-        else err ctx Errno.enosys
+        else Sched.fail ctx Errno.enosys
       else if
         fd = 1
         && Fd.get s.s_vfs.Vfs.fdt ~pid:ctx.Sched.task.Task.pid ~fd = None
@@ -102,7 +100,7 @@ let dispatch s ctx =
             (* Prototype 3 has no device files: mmap is hardwired to the
                framebuffer, as exec() hardcodes the fb args (par 4.3) *)
             match s.s_fb with
-            | None -> err ctx Errno.enosys
+            | None -> Sched.fail ctx Errno.enosys
             | Some fb -> Devfs.mmap_fb ctx fb
           end)
   (* ---- threading & sync ---- *)
@@ -116,7 +114,7 @@ let dispatch s ctx =
       need (Kconfig.desktop cfg) (fun () ->
           match Sem.sem_open s.s_sems ~pid:ctx.Sched.task.Task.pid ~value with
           | Ok id -> Sched.finish ctx (Abi.R_int id)
-          | Error e -> err ctx e)
+          | Error e -> Sched.fail ctx e)
   | Abi.Sem_post id ->
       need (Kconfig.desktop cfg) (fun () -> Sem.post ctx s.s_sems id)
   | Abi.Sem_wait id ->

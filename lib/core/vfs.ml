@@ -164,8 +164,6 @@ let route t path =
                    (Fs.Vpath.strip_prefix ~prefix:at path))
                t.mounts))
 
-let err ctx e = Sched.finish ctx (Abi.R_int (-e))
-
 let charge_dispatch ctx =
   Sched.charge ctx (Kcost.fd_lookup + Kcost.vfs_dispatch)
 
@@ -177,7 +175,7 @@ let want_write flags = flags land 0x3 <> Abi.o_rdonly
 let install ctx t file =
   match Fd.alloc t.fdt ~pid:ctx.Sched.task.Task.pid file with
   | Ok fd -> Sched.finish ctx (Abi.R_int fd)
-  | Error e -> err ctx e
+  | Error e -> Sched.fail ctx e
 
 let open_file ctx t m path flags =
   Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
@@ -188,13 +186,13 @@ let open_file ctx t m path flags =
         | found -> found
       in
       match found with
-      | Error e -> err ctx (Errno.of_fs_error e)
+      | Error e -> Sched.fail ctx (Errno.of_fs_error e)
       | Ok (node, st) ->
           (* xv6 semantics: directories open read-only. A writable dir fd
              would let write(2) scribble raw dirents over the directory
              body — self-inflicted fs corruption via the syscall ABI. *)
           if st.Abi.stat_type = Abi.T_dir && want_write flags then
-            err ctx Errno.eisdir
+            Sched.fail ctx Errno.eisdir
           else begin
             if flags land Abi.o_trunc <> 0 && st.Abi.stat_type = Abi.T_file
             then node.Fd.n_truncate ();
@@ -216,7 +214,7 @@ let op_open ctx t path flags =
   match route t path with
   | To_dev name -> (
       match Devfs.lookup t.devfs name with
-      | None -> err ctx Errno.enoent
+      | None -> Sched.fail ctx Errno.enoent
       | Some ops ->
           install ctx t
             (Fd.make_file t.fdt ~kind:(Fd.K_dev ops)
@@ -224,7 +222,7 @@ let op_open ctx t path flags =
                ~nonblock:(nonblock_of t flags)))
   | To_proc name -> (
       match Procfs.ops t.procfs name with
-      | None -> err ctx Errno.enoent
+      | None -> Sched.fail ctx Errno.enoent
       | Some ops ->
           install ctx t
             (Fd.make_file t.fdt ~kind:(Fd.K_dev ops) ~readable:true
@@ -246,10 +244,10 @@ let read_file ctx m node file len =
   Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
       Sched.charge ctx m.Fd.m_op_cycles;
       match node.Fd.n_stat () with
-      | Error e -> err ctx (Errno.of_fs_error e)
+      | Error e -> Sched.fail ctx (Errno.of_fs_error e)
       | Ok st when st.Abi.stat_type = Abi.T_dir -> (
           match node.Fd.n_list () with
-          | Error e -> err ctx (Errno.of_fs_error e)
+          | Error e -> Sched.fail ctx (Errno.of_fs_error e)
           | Ok names ->
               let text =
                 String.concat "" (List.map (fun n -> n ^ "\n") names)
@@ -264,7 +262,7 @@ let read_file ctx m node file len =
              layer sizes its output buffer *)
           let len = min len (max 0 (st.Abi.stat_size - file.Fd.off)) in
           match node.Fd.n_read ~off:file.Fd.off ~len with
-          | Error e -> err ctx (Errno.of_fs_error e)
+          | Error e -> Sched.fail ctx (Errno.of_fs_error e)
           | Ok data ->
               file.Fd.off <- file.Fd.off + Bytes.length data;
               Sched.charge ctx (Kcost.copy_cycles ~bytes:(Bytes.length data));
@@ -274,16 +272,16 @@ let op_read ctx t fd len =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
   match Fd.get t.fdt ~pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file ->
-      if not file.Fd.readable then err ctx Errno.ebadf
-      else if len < 0 then err ctx Errno.einval
+      if not file.Fd.readable then Sched.fail ctx Errno.ebadf
+      else if len < 0 then Sched.fail ctx Errno.einval
       else begin
         let len = min len max_read_bytes in
         match file.Fd.kind with
         | Fd.K_dev ops -> ops.Fd.dev_read ctx file ~len
         | Fd.K_pipe_read p -> Pipe.read ctx p ~len ~nonblock:file.Fd.nonblock
-        | Fd.K_pipe_write _ -> err ctx Errno.ebadf
+        | Fd.K_pipe_write _ -> Sched.fail ctx Errno.ebadf
         | Fd.K_file (m, node) -> read_file ctx m node file len
       end
 
@@ -293,19 +291,19 @@ let op_write ctx t fd data =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
   match Fd.get t.fdt ~pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file ->
-      if not file.Fd.writable then err ctx Errno.ebadf
+      if not file.Fd.writable then Sched.fail ctx Errno.ebadf
       else begin
         match file.Fd.kind with
         | Fd.K_dev ops -> ops.Fd.dev_write ctx file data
         | Fd.K_pipe_write p -> Pipe.write ctx p data ~nonblock:file.Fd.nonblock
-        | Fd.K_pipe_read _ -> err ctx Errno.ebadf
+        | Fd.K_pipe_read _ -> Sched.fail ctx Errno.ebadf
         | Fd.K_file (m, node) ->
             Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
                 Sched.charge ctx m.Fd.m_op_cycles;
                 match node.Fd.n_write ~off:file.Fd.off ~data with
-                | Error e -> err ctx (Errno.of_fs_error e)
+                | Error e -> Sched.fail ctx (Errno.of_fs_error e)
                 | Ok n ->
                     file.Fd.off <- file.Fd.off + n;
                     Sched.charge ctx (Kcost.copy_cycles ~bytes:n);
@@ -321,10 +319,10 @@ let op_lseek ctx t fd offset whence =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
   match Fd.get t.fdt ~pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
-      | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> err ctx Errno.espipe
+      | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> Sched.fail ctx Errno.espipe
       | Fd.K_file _ | Fd.K_dev _ ->
           (* whence is validated, not defaulted: anything outside the
              three POSIX anchors used to fall through to SEEK_END
@@ -332,7 +330,7 @@ let op_lseek ctx t fd offset whence =
           if
             whence <> Abi.seek_set && whence <> Abi.seek_cur
             && whence <> Abi.seek_end
-          then err ctx Errno.einval
+          then Sched.fail ctx Errno.einval
           else begin
             let base =
               if whence = Abi.seek_set then 0
@@ -343,7 +341,7 @@ let op_lseek ctx t fd offset whence =
                 | Fd.K_dev _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ -> 0
             in
             let pos = base + offset in
-            if pos < 0 then err ctx Errno.einval
+            if pos < 0 then Sched.fail ctx Errno.einval
             else begin
               file.Fd.off <- pos;
               Sched.finish ctx (Abi.R_int pos)
@@ -354,13 +352,13 @@ let op_fstat ctx t fd =
   charge_dispatch ctx;
   let pid = ctx.Sched.task.Task.pid in
   match Fd.get t.fdt ~pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
       | Fd.K_file (m, node) -> (
           Sched.charge ctx m.Fd.m_op_cycles;
           match node.Fd.n_stat () with
-          | Error e -> err ctx (Errno.of_fs_error e)
+          | Error e -> Sched.fail ctx (Errno.of_fs_error e)
           | Ok st -> Sched.finish ctx (Abi.R_stat st))
       | Fd.K_dev ops ->
           Sched.finish ctx
@@ -386,12 +384,12 @@ let op_fstat ctx t fd =
 let path_op ctx t path op =
   charge_dispatch ctx;
   match route t (resolve ctx path) with
-  | To_dev _ | To_proc _ -> err ctx Errno.eperm
+  | To_dev _ | To_proc _ -> Sched.fail ctx Errno.eperm
   | To_fs (m, sub) ->
       Bufcache.with_ctx m.Fd.m_cache ctx (fun () ->
           match op m sub with
           | Ok () -> Sched.finish ctx (Abi.R_int 0)
-          | Error e -> err ctx (Errno.of_fs_error e))
+          | Error e -> Sched.fail ctx (Errno.of_fs_error e))
 
 let op_mkdir ctx t path = path_op ctx t path (fun m -> m.Fd.m_mkdir)
 let op_unlink ctx t path = path_op ctx t path (fun m -> m.Fd.m_unlink)
@@ -412,7 +410,7 @@ let op_chdir ctx t path =
     ctx.Sched.task.Task.cwd <- path;
     Sched.finish ctx (Abi.R_int 0)
   end
-  else err ctx Errno.enoent
+  else Sched.fail ctx Errno.enoent
 
 let op_pipe ctx t flags =
   charge_dispatch ctx;
@@ -429,12 +427,12 @@ let op_pipe ctx t flags =
   in
   let pid = ctx.Sched.task.Task.pid in
   match Fd.alloc t.fdt ~pid rf with
-  | Error e -> err ctx e
+  | Error e -> Sched.fail ctx e
   | Ok rfd -> (
       match Fd.alloc t.fdt ~pid wf with
       | Error e ->
           ignore (Fd.close t.fdt ~pid ~fd:rfd);
-          err ctx e
+          Sched.fail ctx e
       | Ok wfd -> Sched.finish ctx (Abi.R_pair (rfd, wfd)))
 
 (* ---- poll ---- *)
@@ -460,7 +458,7 @@ let op_poll ctx t fds timeout_ms =
   let pid = ctx.Sched.task.Task.pid in
   let sched = ctx.Sched.sched in
   t.polls.Kperf.n <- t.polls.Kperf.n + 1;
-  if fds = [] || List.length fds > Fd.max_files then err ctx Errno.einval
+  if fds = [] || List.length fds > Fd.max_files then Sched.fail ctx Errno.einval
   else begin
     let expired = ref false in
     let blocked = ref false in
@@ -484,7 +482,7 @@ let op_poll ctx t fds timeout_ms =
     in
     let rec attempt () =
       match scan () with
-      | Error e -> err ctx e
+      | Error e -> Sched.fail ctx e
       | Ok mask when mask <> 0 ->
           if not !blocked then
             t.poll_immediate.Kperf.n <- t.poll_immediate.Kperf.n + 1;
@@ -526,13 +524,13 @@ let op_close ctx t fd =
   charge_dispatch ctx;
   match Fd.close t.fdt ~pid:ctx.Sched.task.Task.pid ~fd with
   | Ok () -> Sched.finish ctx (Abi.R_int 0)
-  | Error e -> err ctx e
+  | Error e -> Sched.fail ctx e
 
 let op_dup ctx t fd =
   charge_dispatch ctx;
   match Fd.dup t.fdt ~pid:ctx.Sched.task.Task.pid ~fd with
   | Ok newfd -> Sched.finish ctx (Abi.R_int newfd)
-  | Error e -> err ctx e
+  | Error e -> Sched.fail ctx e
 
 (* fsync: commit the open journal transaction (rootfs) and drive every
    dirty block through the cache AND the device's write queue — the
@@ -544,7 +542,7 @@ let op_dup ctx t fd =
 let op_fsync ctx t fd =
   charge_dispatch ctx;
   match Fd.get t.fdt ~pid:ctx.Sched.task.Task.pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
       | Fd.K_file (m, _) ->
@@ -569,15 +567,15 @@ let sync_all t =
 let op_mmap ctx t fd =
   charge_dispatch ctx;
   match Fd.get t.fdt ~pid:ctx.Sched.task.Task.pid ~fd with
-  | None -> err ctx Errno.ebadf
+  | None -> Sched.fail ctx Errno.ebadf
   | Some file -> (
       match file.Fd.kind with
       | Fd.K_dev ops -> (
           match ops.Fd.dev_mmap with
           | Some f -> f ctx file
-          | None -> err ctx Errno.einval)
+          | None -> Sched.fail ctx Errno.einval)
       | Fd.K_file _ | Fd.K_pipe_read _ | Fd.K_pipe_write _ ->
-          err ctx Errno.einval)
+          Sched.fail ctx Errno.einval)
 
 (* ---- kernel-internal file access (exec's loader) ----
    Charges into [ctx] but does not finish it. *)

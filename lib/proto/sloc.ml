@@ -53,6 +53,8 @@ let inventory =
     ("lib/core/vprobe.ml", 1, Beyond_paper);
     (* Prototype 2: multitasking *)
     ("lib/core/task.ml", 2, Core_kernel);
+    ("lib/core/runq.ml", 2, Core_kernel);
+    ("lib/core/acct.ml", 2, Core_kernel);
     ("lib/core/sched.ml", 2, Core_kernel);
     ("lib/core/kalloc.ml", 2, Core_kernel);
     (* Prototype 3: user/kernel *)

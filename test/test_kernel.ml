@@ -158,6 +158,71 @@ let sched_exec_replaces_image () =
      in
      has 0)
 
+(* exec's device time is core I/O time, as every other syscall's is.
+   An image on the FAT partition is read from the SD card, so exec'ing
+   it charges device time; the core's I/O time must grow by exactly that
+   charge. *)
+let sched_exec_device_time () =
+  let kernel =
+    Core.Kernel.boot
+      {
+        Core.Kernel.default_spec with
+        sp_config = test_config;
+        sp_programs =
+          [
+            { Core.Kernel.prog_name = "hello"; prog_size = 8192;
+              prog_main = (fun _ -> 0) };
+          ];
+      }
+  in
+  let sched = kernel.Core.Kernel.sched in
+  let io () =
+    Array.fold_left Int64.add 0L
+      (Array.mapi (fun c _ -> Core.Sched.core_io_ns sched c) sched.Core.Sched.cores)
+  in
+  let execs = ref [] in
+  let dispatch = sched.Core.Sched.dispatch in
+  sched.Core.Sched.dispatch <-
+    (fun ctx ->
+      match ctx.Core.Sched.call with
+      | Core.Abi.Exec _ ->
+          let io0 = io () in
+          dispatch ctx;
+          execs := (ctx.Core.Sched.charge_io, Int64.sub (io ()) io0) :: !execs
+      | _ -> dispatch ctx);
+  (match
+     Benchlib.Measure.run_task kernel ~name:"copier" (fun () ->
+         let src = Usys.open_ "/hello" Core.Abi.o_rdonly in
+         let size =
+           match Usys.fstat src with
+           | Ok st -> st.Core.Abi.stat_size
+           | Error e -> Alcotest.failf "fstat: %d" e
+         in
+         let image =
+           match Usys.read src size with
+           | Ok b -> b
+           | Error e -> Alcotest.failf "read: %d" e
+         in
+         ignore (Usys.close src);
+         let dst =
+           Usys.open_ "/d/hello" (Core.Abi.o_wronly lor Core.Abi.o_create)
+         in
+         check_int "image copied" size (Usys.write dst image);
+         ignore (Usys.close dst);
+         ignore (Usys.fork (fun () -> Usys.exec "/d/hello" [ "hello" ]));
+         ignore (Usys.wait ());
+         0)
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  match !execs with
+  | [ (charged, grew) ] ->
+      check_bool "exec from /d charges device time" true
+        (Int64.compare charged 0L > 0);
+      check_bool "core_io_ns grew by the exec's device time" true
+        (Int64.equal grew charged)
+  | l -> Alcotest.failf "%d execs seen, expected 1" (List.length l)
+
 let sched_exec_missing_program () =
   in_kernel (fun _ ->
       check_int "ENOENT" (-Core.Errno.enoent) (Usys.exec "/nothere" [ "x" ]))
@@ -262,6 +327,7 @@ let suite_sched =
       quick "kill running task" sched_kill_running;
       quick "kill blocked task" sched_kill_blocked;
       quick "exec replaces image" sched_exec_replaces_image;
+      quick "exec device time is core I/O time" sched_exec_device_time;
       quick "exec missing program" sched_exec_missing_program;
       quick "uptime monotone" sched_uptime_monotone;
       quick "prototype feature gating (ENOSYS)" sched_feature_gating;
@@ -420,7 +486,7 @@ let idle_tick_allocates_little () =
   in
   let ticks () = sum (fun c -> c.Core.Sched.ticks) in
   let switches () =
-    sum (fun c -> c.Core.Sched.stats.Core.Sched.switches.Core.Kperf.n)
+    sum (fun c -> c.Core.Sched.stats.Core.Acct.switches.Core.Kperf.n)
   in
   let t0 = ticks () and s0 = switches () in
   let w0 = Gc.minor_words () in
@@ -3127,8 +3193,8 @@ let sleeper_delay_us ~wake kernel_cores =
      delay once queues drain *)
   let total = ref 0L and count = ref 0 in
   for c = 0 to kernel_cores - 1 do
-    let s = Core.Sched.stats kernel.Core.Kernel.sched c in
-    let h = s.Core.Sched.delay_hist in
+    let s = kernel.Core.Kernel.sched.Core.Sched.cores.(c).Core.Sched.stats in
+    let h = s.Core.Acct.delay_hist in
     total := Int64.add !total (Core.Kperf.Hist.sum_ns h);
     count := !count + Core.Kperf.Hist.count h
   done;
@@ -3285,11 +3351,11 @@ let sc_mlfq_determinism () =
     done;
     Core.Kernel.run_for kernel (Sim.Engine.ms 300);
     let fingerprint c =
-      let s = Core.Sched.stats kernel.Core.Kernel.sched c in
+      let s = kernel.Core.Kernel.sched.Core.Sched.cores.(c).Core.Sched.stats in
       Printf.sprintf "c%d:%Ld/%d/%d/%d" c
         (Core.Sched.core_busy_ns kernel.Core.Kernel.sched c)
-        s.Core.Sched.switches.Core.Kperf.n s.Core.Sched.migrations.Core.Kperf.n
-        s.Core.Sched.ipis_recv.Core.Kperf.n
+        s.Core.Acct.switches.Core.Kperf.n s.Core.Acct.migrations.Core.Kperf.n
+        s.Core.Acct.ipis_recv.Core.Kperf.n
     in
     String.concat " " (List.init 4 fingerprint)
     ^ " "
@@ -3369,6 +3435,115 @@ let sc_balance_period () =
   check_bool "passes at 3, 6, ... ms" true
     (List.rev !passes = [ 3; 6; 9; 12; 15; 18 ])
 
+(* ---- the runqueue policy, without a kernel ---- *)
+
+let rq_task pid level =
+  let task =
+    Core.Task.create ~pid ~name:"rq" ~kind:Core.Task.User ~parent:0 ()
+  in
+  task.Core.Task.mlfq_level <- level;
+  task
+
+(* An MLFQ runqueue holding one task per level in [levels], added in
+   order (pids 1, 2, ...). *)
+let rq_of_levels levels =
+  let rq = Core.Runq.create Core.Runq.mlfq_class in
+  let tasks = List.mapi (fun i l -> rq_task (i + 1) l) levels in
+  List.iter (Core.Runq.add rq) tasks;
+  (rq, tasks)
+
+let rec rq_drain take rq =
+  match take rq with Some task -> task :: rq_drain take rq | None -> []
+
+let pids = List.map (fun task -> task.Core.Task.pid)
+let arb_levels = QCheck.(list_of_size Gen.(0 -- 30) (int_bound 3))
+
+let rq_pick_most_urgent_oldest =
+  qcheck ~count:200 "runq pick: most urgent level, oldest first" arb_levels
+    (fun levels ->
+      let rq, tasks = rq_of_levels levels in
+      let level t = t.Core.Task.mlfq_level in
+      pids (rq_drain Core.Runq.pick rq)
+      = pids (List.stable_sort (fun a b -> compare (level a) (level b)) tasks))
+
+let rq_steal_least_urgent =
+  qcheck ~count:200 "runq steal: least urgent level, oldest first" arb_levels
+    (fun levels ->
+      let rq, tasks = rq_of_levels levels in
+      let level t = t.Core.Task.mlfq_level in
+      pids (rq_drain Core.Runq.steal rq)
+      = pids (List.stable_sort (fun a b -> compare (level b) (level a)) tasks))
+
+let rq_boost_to_level_0 =
+  qcheck ~count:200 "runq boost: every task to level 0, in order" arb_levels
+    (fun levels ->
+      let rq, tasks = rq_of_levels levels in
+      let by_level =
+        List.concat_map
+          (fun l -> List.filter (fun t -> t.Core.Task.mlfq_level = l) tasks)
+          [ 0; 1; 2; 3 ]
+      in
+      Core.Runq.boost rq;
+      List.for_all (fun t -> t.Core.Task.mlfq_level = 0) tasks
+      && Core.Runq.length rq = List.length tasks
+      && pids (List.of_seq (Queue.to_seq rq.(0))) = pids by_level)
+
+(* Four cores' queues of random depths and levels; the first [active]
+   are balanced until no move is left. *)
+let rq_balance_evens_depths =
+  qcheck ~count:200 "runq balance: depths within one, no task lost"
+    QCheck.(pair (int_range 1 4) (list_of_size (Gen.return 4) arb_levels))
+    (fun (active, per_core) ->
+      let next = ref 0 in
+      let rqs =
+        Array.of_list
+          (List.map
+             (fun levels ->
+               let rq = Core.Runq.create Core.Runq.mlfq_class in
+               List.iter
+                 (fun l ->
+                   incr next;
+                   Core.Runq.add rq (rq_task !next l))
+                 levels;
+               rq)
+             per_core)
+      in
+      let queued rq =
+        List.sort compare
+          (List.concat_map (fun q -> pids (List.of_seq (Queue.to_seq q)))
+             (Array.to_list rq))
+      in
+      let before = Array.map queued rqs in
+      let moved_right = ref true in
+      Core.Runq.balance rqs ~active (fun dst task ->
+          moved_right :=
+            !moved_right && dst < active
+            && Queue.fold (fun seen t -> seen || t == task) false
+                 rqs.(dst).(task.Core.Task.mlfq_level));
+      let after = Array.map queued rqs in
+      let depths = Array.sub (Array.map Core.Runq.length rqs) 0 active in
+      let all c = List.sort compare (List.concat (Array.to_list c)) in
+      !moved_right
+      && Array.fold_left max 0 depths - Array.fold_left min max_int depths <= 1
+      && all after = all before
+      && Array.sub after active (4 - active)
+         = Array.sub before active (4 - active))
+
+let rq_quantum_nice =
+  qcheck ~count:200 "runq quantum: >= 1, doubled at nice -20 under mlfq"
+    QCheck.(pair (int_bound 3) (int_range (-20) 19))
+    (fun (level, nice) ->
+      let task = rq_task 1 level in
+      task.Core.Task.nice <- nice;
+      let q = Core.Runq.quantum Core.Runq.mlfq_class task in
+      task.Core.Task.nice <- -20;
+      let greedy = Core.Runq.quantum Core.Runq.mlfq_class task in
+      (* round-robin has one level and ignores nice *)
+      task.Core.Task.mlfq_level <- 0;
+      q >= 1
+      && greedy = 2 * Core.Runq.mlfq_class.Core.Runq.sc_quanta.(level)
+      && Core.Runq.quantum Core.Runq.rr_class task = Core.Task.default_quantum)
+
 let suite_sched_classes =
   ( "kernel.sched_classes",
     [
@@ -3385,6 +3560,11 @@ let suite_sched_classes =
       quick "/proc/sched renders stats" sc_procfs_sched;
       quick "nice clamps to [-20,19]" sc_nice_clamps;
       slow "schedbench smoke (BENCH_sched ladder)" sc_schedbench_smoke;
+      rq_pick_most_urgent_oldest;
+      rq_steal_least_urgent;
+      rq_boost_to_level_0;
+      rq_balance_evens_depths;
+      rq_quantum_nice;
     ] )
 
 (* ---- kcheck: the runtime sanitizer vs injected failures ---- *)

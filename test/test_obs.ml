@@ -321,17 +321,17 @@ let check_conserved rows =
       let sum =
         List.fold_left Int64.add 0L
           [
-            r.Core.Sched.dr_oncpu;
-            r.Core.Sched.dr_runnable;
-            r.Core.Sched.dr_sleep;
-            r.Core.Sched.dr_blk_io;
-            r.Core.Sched.dr_blk_lock;
-            r.Core.Sched.dr_blk_pipe;
+            r.Core.Acct.dr_oncpu;
+            r.Core.Acct.dr_runnable;
+            r.Core.Acct.dr_sleep;
+            r.Core.Acct.dr_blk_io;
+            r.Core.Acct.dr_blk_lock;
+            r.Core.Acct.dr_blk_pipe;
           ]
       in
-      if not (Int64.equal sum r.Core.Sched.dr_lifetime) then
+      if not (Int64.equal sum r.Core.Acct.dr_lifetime) then
         Alcotest.failf "pid %d: buckets sum to %Ld but lifetime is %Ld"
-          r.Core.Sched.dr_pid sum r.Core.Sched.dr_lifetime)
+          r.Core.Acct.dr_pid sum r.Core.Acct.dr_lifetime)
     rows
 
 let delay_conservation () =
@@ -353,18 +353,18 @@ let delay_conservation () =
       | Error _ -> ());
       ignore (User.Usys.sleep 3);
       User.Usys.burn 1_000_000;
-      let rows = Core.Sched.delay_rows kernel.Core.Kernel.sched in
+      let rows = Benchlib.Obsbench.delay_rows kernel in
       check_bool "at least our task is live" true (List.length rows >= 1);
       check_conserved rows;
       let me =
-        List.find (fun r -> String.equal r.Core.Sched.dr_name "test") rows
+        List.find (fun r -> String.equal r.Core.Acct.dr_name "test") rows
       in
       check_bool "the burn shows up oncpu" true
-        (Int64.compare me.Core.Sched.dr_oncpu 0L > 0);
+        (Int64.compare me.Core.Acct.dr_oncpu 0L > 0);
       check_bool "the sleep shows up" true
-        (Int64.compare me.Core.Sched.dr_sleep 0L > 0);
+        (Int64.compare me.Core.Acct.dr_sleep 0L > 0);
       check_bool "the pipe wait is classified blocked-pipe" true
-        (Int64.compare me.Core.Sched.dr_blk_pipe 0L > 0))
+        (Int64.compare me.Core.Acct.dr_blk_pipe 0L > 0))
 
 (* Prototype 3 has no procfs, but its scheduler keeps the same books. *)
 let delay_conservation_p3 () =
@@ -378,15 +378,15 @@ let delay_conservation_p3 () =
       ignore (User.Usys.wait ());
       ignore (User.Usys.sleep 3);
       User.Usys.burn 1_000_000;
-      let rows = Core.Sched.delay_rows kernel.Core.Kernel.sched in
+      let rows = Benchlib.Obsbench.delay_rows kernel in
       check_conserved rows;
       let me =
-        List.find (fun r -> String.equal r.Core.Sched.dr_name "test") rows
+        List.find (fun r -> String.equal r.Core.Acct.dr_name "test") rows
       in
       check_bool "the burn shows up oncpu" true
-        (Int64.compare me.Core.Sched.dr_oncpu 0L > 0);
+        (Int64.compare me.Core.Acct.dr_oncpu 0L > 0);
       check_bool "the sleep shows up" true
-        (Int64.compare me.Core.Sched.dr_sleep 0L > 0))
+        (Int64.compare me.Core.Acct.dr_sleep 0L > 0))
 
 let dstate_double_gate () =
   in_kernel (fun kernel ->
@@ -728,15 +728,15 @@ let wait_families_name_and_bucket () =
   run_for kernel 1;
   let row task =
     List.find
-      (fun r -> r.Core.Sched.dr_pid = task.Core.Task.pid)
-      (Core.Sched.delay_rows kernel.Core.Kernel.sched)
+      (fun r -> r.Core.Acct.dr_pid = task.Core.Task.pid)
+      (Benchlib.Obsbench.delay_rows kernel)
   in
   let waits r =
     [
-      (`Sleep, r.Core.Sched.dr_sleep);
-      (`Io, r.Core.Sched.dr_blk_io);
-      (`Lock, r.Core.Sched.dr_blk_lock);
-      (`Pipe, r.Core.Sched.dr_blk_pipe);
+      (`Sleep, r.Core.Acct.dr_sleep);
+      (`Io, r.Core.Acct.dr_blk_io);
+      (`Lock, r.Core.Acct.dr_blk_lock);
+      (`Pipe, r.Core.Acct.dr_blk_pipe);
     ]
   in
   let before =
